@@ -14,7 +14,7 @@
 use crate::report::Table;
 use harmony_cluster::pool::par_map_indexed;
 use harmony_cluster::FaultPlan;
-use harmony_core::server::{run_resilient, ServerConfig};
+use harmony_core::server::{run_session, ServerConfig, SessionOptions};
 use harmony_core::{Estimator, ProOptimizer, TuningOutcome};
 use harmony_surface::{Gs2Model, Objective};
 use harmony_variability::noise::Noise;
@@ -54,7 +54,13 @@ fn run_cell(gs2: &Gs2Model, noise: &Noise, crash: f64, hang: f64, sw: &Sweep) ->
             .expect("valid fault-sweep server config");
         let plan = FaultPlan::new(stream_seed(s, 0xFA17), crash, hang, hang, DUPLICATE_RATE);
         let mut opt = ProOptimizer::with_defaults(gs2.space().clone());
-        run_resilient(gs2, noise, &mut opt, cfg, &plan).ok()
+        let opts = SessionOptions {
+            plan,
+            ..SessionOptions::default()
+        };
+        run_session(gs2, noise, &mut opt, cfg, opts)
+            .ok()
+            .map(|s| s.outcome)
     });
     let ok: Vec<&TuningOutcome> = outcomes.iter().flatten().collect();
     let n = ok.len() as f64;

@@ -22,8 +22,7 @@
 
 use crate::report::Table;
 use harmony_cluster::pool::par_waves_in;
-use harmony_cluster::FaultPlan;
-use harmony_core::server::{run_resilient_shared, ServerConfig, SharedSession};
+use harmony_core::server::{run_session, ServerConfig, SessionOptions, SharedSession};
 use harmony_core::{warm_start_center, Estimator, ProOptimizer};
 use harmony_surface::{Gs2Model, Objective, SharedPerfDb};
 use harmony_variability::noise::Noise;
@@ -88,16 +87,13 @@ pub fn fleet_with(
             if let Some(c) = &center {
                 opt.recenter(c);
             }
-            let out = run_resilient_shared(
-                &gs2,
-                &noise,
-                &mut opt,
-                cfg,
-                &FaultPlan::none(),
-                SharedSession::new(costs, estimates),
-            )
-            .expect("fault-free session terminates Ok");
-            (out.best_true_cost, warmed)
+            let opts = SessionOptions {
+                shared: SharedSession::new(costs, estimates),
+                ..SessionOptions::default()
+            };
+            let out = run_session(&gs2, &noise, &mut opt, cfg, opts)
+                .expect("fault-free session terminates Ok");
+            (out.outcome.best_true_cost, warmed)
         },
         |_| {
             costs.flush();

@@ -16,7 +16,7 @@
 use crate::report::Table;
 use harmony_cluster::pool::par_map_indexed_in;
 use harmony_cluster::FaultPlan;
-use harmony_core::server::{run_recoverable, run_resilient, RecoveryConfig, ServerConfig};
+use harmony_core::server::{run_session, RecoveryConfig, ServerConfig, SessionOptions};
 use harmony_core::{Estimator, ProOptimizer, TuningOutcome};
 use harmony_recovery::SessionJournal;
 use harmony_surface::{Gs2Model, Objective};
@@ -55,12 +55,20 @@ fn run_rep(gs2: &Gs2Model, noise: &Noise, crash: f64, snap: u64, s: u64, sw: &Sw
         snapshot_every: snap,
     };
 
-    let mut plain_opt = ProOptimizer::with_defaults(gs2.space().clone());
-    let plain = run_resilient(gs2, noise, &mut plain_opt, cfg, &plan);
+    let run = |journal: Option<&mut SessionJournal>| {
+        let mut opt = ProOptimizer::with_defaults(gs2.space().clone());
+        let opts = SessionOptions {
+            plan,
+            journal,
+            recovery,
+            ..SessionOptions::default()
+        };
+        run_session(gs2, noise, &mut opt, cfg, opts).map(|s| s.outcome)
+    };
+    let plain = run(None);
 
     let mut journal = SessionJournal::in_memory();
-    let mut opt = ProOptimizer::with_defaults(gs2.space().clone());
-    let journaled = run_recoverable(gs2, noise, &mut opt, cfg, &plan, &mut journal, recovery);
+    let journaled = run(Some(&mut journal));
     let journal_exact = plain == journaled;
     let (wal_bytes, snap_bytes) = journal.size_bytes().unwrap_or((0, 0));
 
@@ -71,11 +79,7 @@ fn run_rep(gs2: &Gs2Model, noise: &Noise, crash: f64, snap: u64, s: u64, sw: &Sw
             .map(|l| l.len().saturating_sub(1))
             .unwrap_or(0);
         let mut part = journal.clone();
-        part.truncate_records(records / 2).is_ok() && {
-            let mut opt = ProOptimizer::with_defaults(gs2.space().clone());
-            let resumed = run_recoverable(gs2, noise, &mut opt, cfg, &plan, &mut part, recovery);
-            resumed == journaled
-        }
+        part.truncate_records(records / 2).is_ok() && run(Some(&mut part)) == journaled
     };
 
     Rep {

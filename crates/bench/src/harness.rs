@@ -600,40 +600,28 @@ fn median_of(mut xs: Vec<f64>) -> f64 {
 /// observationally free), so the timing cannot be satisfied by skipping
 /// work.
 pub fn measure_recovery_overhead(reps: usize, steps: usize) -> RecoveryOverhead {
-    use harmony_core::server::{run_recoverable, run_resilient, RecoveryConfig, ServerConfig};
+    use harmony_core::server::{run_session, ServerConfig, SessionOptions};
     use harmony_core::{Estimator, ProOptimizer};
+    use harmony_recovery::SessionJournal;
     use harmony_surface::Objective;
 
     let gs2 = harmony_surface::Gs2Model::paper_scale();
     let noise = harmony_variability::noise::Noise::paper_default(0.1);
-    let plan = harmony_cluster::FaultPlan::none();
-    let recovery = RecoveryConfig::default();
-    let cfg = |seed: u64| {
-        ServerConfig::new(8, steps, Estimator::Single, seed).expect("valid overhead-gate config")
-    };
-    let plain = |seed: u64| {
+    let session = |seed: u64, journal: Option<&mut SessionJournal>| {
+        let cfg = ServerConfig::new(8, steps, Estimator::Single, seed)
+            .expect("valid overhead-gate config");
         let mut opt = ProOptimizer::with_defaults(gs2.space().clone());
+        let opts = SessionOptions {
+            journal,
+            ..SessionOptions::default()
+        };
         let t0 = Instant::now();
-        let out = run_resilient(&gs2, &noise, &mut opt, cfg(seed), &plan)
-            .expect("fault-free session terminates");
+        let out =
+            run_session(&gs2, &noise, &mut opt, cfg, opts).expect("fault-free session terminates");
         (t0.elapsed().as_secs_f64(), out)
     };
-    let journaled = |seed: u64| {
-        let mut journal = harmony_recovery::SessionJournal::in_memory();
-        let mut opt = ProOptimizer::with_defaults(gs2.space().clone());
-        let t0 = Instant::now();
-        let out = run_recoverable(
-            &gs2,
-            &noise,
-            &mut opt,
-            cfg(seed),
-            &plan,
-            &mut journal,
-            recovery,
-        )
-        .expect("fault-free journalled session terminates");
-        (t0.elapsed().as_secs_f64(), out)
-    };
+    let plain = |seed: u64| session(seed, None);
+    let journaled = |seed: u64| session(seed, Some(&mut SessionJournal::in_memory()));
 
     // warm-up pair doubles as the observational-freeness check
     let (_, a) = plain(2005);

@@ -10,7 +10,7 @@
 
 use harmony_bench::harness::{self, RunConfig};
 use harmony_cluster::FaultPlan;
-use harmony_core::server::{run_supervised_traced, ServerConfig};
+use harmony_core::server::{run_session, ServerConfig, SessionOptions};
 use harmony_core::{Estimator, ProOptimizer};
 use harmony_params::{ParamDef, ParamSpace, Point};
 use harmony_recovery::SupervisorConfig;
@@ -40,16 +40,14 @@ fn supervised_seed1_records() -> Vec<Record> {
     let (tel, sink) = Telemetry::memory();
     let mut opt = ProOptimizer::with_defaults(space());
     opt.set_telemetry(tel.clone());
-    run_supervised_traced(
-        &bowl(),
-        &Noise::None,
-        &mut opt,
-        cfg,
-        &plan,
-        &tel,
-        SupervisorConfig::default(),
-    )
-    .expect("hang-only plan is survivable under supervision");
+    let opts = SessionOptions {
+        plan,
+        telemetry: tel,
+        supervisor: Some(SupervisorConfig::default()),
+        ..SessionOptions::default()
+    };
+    run_session(&bowl(), &Noise::None, &mut opt, cfg, opts)
+        .expect("hang-only plan is survivable under supervision");
     sink.take()
 }
 

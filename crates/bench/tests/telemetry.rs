@@ -10,7 +10,7 @@
 
 use harmony_bench::harness::{self, RunConfig};
 use harmony_cluster::FaultPlan;
-use harmony_core::server::{run_resilient_traced, ServerConfig};
+use harmony_core::server::{run_session, ServerConfig, SessionOptions};
 use harmony_core::{Estimator, OnlineTuner, ProOptimizer, TunerConfig};
 use harmony_params::{ParamDef, ParamSpace, Point};
 use harmony_surface::objective::FnObjective;
@@ -125,9 +125,14 @@ fn fault_plan_session_events_match_stats_and_are_reproducible() {
         let plan = FaultPlan::new(12, 0.4, 0.2, 0.05, 0.1);
         let (tel, sink) = Telemetry::memory();
         let mut opt = ProOptimizer::with_defaults(space());
-        let out = run_resilient_traced(&bowl(), &Noise::None, &mut opt, cfg, &plan, &tel)
+        let opts = SessionOptions {
+            plan,
+            telemetry: tel,
+            ..SessionOptions::default()
+        };
+        let out = run_session(&bowl(), &Noise::None, &mut opt, cfg, opts)
             .expect("session survives this plan");
-        (sink.take(), out)
+        (sink.take(), out.outcome)
     };
     let (records, out) = run();
     assert!(!out.faults.is_clean(), "plan must actually inject faults");

@@ -83,9 +83,8 @@ pub use pro::{ProConfig, ProOptimizer};
 pub use restart::{restarting_pro, Restarting};
 pub use sampling::Estimator;
 pub use server::{
-    run_distributed, run_recoverable, run_resilient, run_resilient_shared, run_session_traced,
-    run_supervised, run_supervised_shared, RecoveryConfig, ServerConfig, ServerError,
-    SharedSession, SupervisedOutcome, SupervisorReport,
+    run_session, RecoveryConfig, ServerConfig, ServerError, SessionOptions, SharedSession,
+    SupervisedOutcome, SupervisorReport,
 };
 pub use surrogate::{SurrogateConfig, SurrogateOptimizer};
 pub use tuner::{FaultStats, OnlineTuner, TunerConfig, TuningOutcome};

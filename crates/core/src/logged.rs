@@ -12,6 +12,7 @@
 
 use crate::optimizer::Optimizer;
 use harmony_params::{ParamSpace, Point};
+use harmony_recovery::{Checkpoint, CodecError, StateReader, StateWriter};
 use harmony_surface::PerfDatabase;
 use std::collections::HashMap;
 
@@ -181,6 +182,62 @@ impl<O: Optimizer> Optimizer for Logged<O> {
     fn name(&self) -> &str {
         self.inner.name()
     }
+
+    /// Checkpointable exactly when the inner optimizer is.
+    fn as_checkpoint(&self) -> Option<&dyn Checkpoint> {
+        self.inner.as_checkpoint()?;
+        Some(self)
+    }
+
+    fn as_checkpoint_mut(&mut self) -> Option<&mut dyn Checkpoint> {
+        self.inner.as_checkpoint_mut()?;
+        Some(self)
+    }
+}
+
+/// The log (in key order, so equal logs save equal bytes) followed by
+/// the inner optimizer's state: a restored wrapper holds every
+/// observation, including those a snapshot resume does not replay.
+impl<O: Optimizer> Checkpoint for Logged<O> {
+    fn save_state(&self, w: &mut StateWriter) {
+        w.tag("logged");
+        let mut records: Vec<_> = self.log.records.iter().collect();
+        records.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        w.usize(records.len());
+        for (_, r) in records {
+            w.point(&r.point);
+            w.usize(r.visits);
+            w.f64(r.min_estimate);
+            w.f64(r.mean_estimate);
+        }
+        self.inner
+            .as_checkpoint()
+            .expect("Logged checkpoints only with a checkpointable inner optimizer")
+            .save_state(w);
+    }
+
+    fn restore_state(&mut self, r: &mut StateReader) -> Result<(), CodecError> {
+        r.tag("logged")?;
+        let n = r.usize()?;
+        let mut records = HashMap::new();
+        for _ in 0..n {
+            let point = r.point()?;
+            let record = PointRecord {
+                visits: r.usize()?,
+                min_estimate: r.f64()?,
+                mean_estimate: r.f64()?,
+                point,
+            };
+            records.insert(key_of(&record.point), record);
+        }
+        self.log = ObservationLog { records };
+        match self.inner.as_checkpoint_mut() {
+            Some(c) => c.restore_state(r),
+            None => Err(CodecError::BadValue(
+                "Logged wraps a non-checkpointable optimizer".into(),
+            )),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -304,6 +361,47 @@ mod tests {
             (Some(w), Some(c)) => assert!(w <= c, "warm {w} > cold {c}"),
             (Some(_), None) => {}
             other => panic!("unexpected quality outcome {other:?}"),
+        }
+    }
+
+    /// The log as a key-ordered list, for comparing logs.
+    fn entries(log: &ObservationLog) -> Vec<PointRecord> {
+        let mut v: Vec<PointRecord> = log.records().cloned().collect();
+        v.sort_by_key(|r| key_of(&r.point));
+        v
+    }
+
+    #[test]
+    fn journaled_logged_session_snapshots_and_resumes_from_one() {
+        use crate::server::{run_session, RecoveryConfig, ServerConfig, SessionOptions};
+        use harmony_cluster::FaultPlan;
+        use harmony_recovery::SessionJournal;
+
+        let obj = bowl();
+        let noise = Noise::paper_default(0.2);
+        let cfg = ServerConfig::new(4, 40, Estimator::MinOfK(2), 9).unwrap();
+        let run = |journal: &mut SessionJournal| {
+            let mut logged = Logged::new(ProOptimizer::with_defaults(space()));
+            let opts = SessionOptions {
+                plan: FaultPlan::new(12, 0.2, 0.0, 0.1, 0.0),
+                journal: Some(journal),
+                recovery: RecoveryConfig { snapshot_every: 1 },
+                ..SessionOptions::default()
+            };
+            let out = run_session(&obj, &noise, &mut logged, cfg, opts).unwrap();
+            (out.outcome, entries(logged.log()))
+        };
+
+        let mut journal = SessionJournal::in_memory();
+        let full = run(&mut journal);
+        assert!(journal.size_bytes().unwrap().1 > 0, "no snapshot taken");
+        let records = journal.wal_lines().unwrap().len() - 1;
+        for kill in 1..=records {
+            let mut part = journal.clone();
+            part.truncate_records(kill).unwrap();
+            assert!(part.latest_snapshot().unwrap().is_some());
+            // outcome and log both match: the log rides in the snapshot
+            assert_eq!(full, run(&mut part), "resume after record {kill}");
         }
     }
 

@@ -21,8 +21,8 @@
 //!
 //! The paper's setting — a live application on a shared cluster — is
 //! exactly where clients crash and reports go missing, so
-//! [`run_resilient`] tunes *through* injected faults (a
-//! [`FaultPlan`]) instead of panicking:
+//! [`run_session`] tunes *through* injected faults (the [`FaultPlan`]
+//! in [`SessionOptions::plan`]) instead of panicking:
 //!
 //! * every dispatched assignment carries a `(batch, slot, attempt)`
 //!   identity and a **deadline**: a report that is late, lost, or whose
@@ -48,6 +48,18 @@
 //!
 //! Under a fault-free plan the whole machinery reduces to the original
 //! behaviour exactly.
+//!
+//! # One entry point
+//!
+//! [`run_session`] is the only session driver. Its [`SessionOptions`]
+//! add a fault plan, telemetry, a write-ahead journal with snapshots
+//! and resume ([`RecoveryConfig`]), a supervisor, and shared
+//! cross-session database tiers ([`SharedSession`]) in any combination;
+//! the default is a plain fault-free session. Inside, every live round,
+//! batch and exploit step builds its WAL record and commits through the
+//! same code that replays the record on resume, so a resumed session
+//! reproduces the outcome and, from a WAL-only resume, the telemetry of
+//! an uninterrupted one.
 
 use crate::cache::CachedObjective;
 use crate::optimizer::Optimizer;
@@ -55,7 +67,7 @@ use crate::sampling::Estimator;
 use crate::tuner::{FaultStats, TuningOutcome};
 use harmony_cluster::fault::{Delivery, FaultPlan};
 use harmony_cluster::TuningTrace;
-use harmony_params::{ParamSpace, Point};
+use harmony_params::Point;
 use harmony_recovery::{
     BatchRecord, Checkpoint, ExploitKind, ExploitRecord, HeaderRecord, HealthTracker, RoundDelta,
     SessionJournal, StateReader, StateWriter, SupervisorConfig, TransitionKind, WalRecord,
@@ -66,7 +78,7 @@ use harmony_telemetry::{event, Field, Telemetry};
 use harmony_variability::counting::CountingRng;
 use harmony_variability::noise::NoiseModel;
 use harmony_variability::{seeded_rng, stream_seed};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::mpsc::{channel, Receiver, Sender};
 
@@ -223,7 +235,6 @@ enum Task {
 /// synthesised by the transport's timeout and heartbeat monitors; here
 /// the client surfaces them explicitly so fault timing stays logical
 /// (deterministic) instead of wall-clock.
-#[derive(Clone)]
 enum Event {
     /// A measurement arrived. `late` means it arrived after the
     /// assignment's deadline had already expired (the server discards
@@ -257,56 +268,6 @@ enum Event {
     Died { client: usize, assign: Assignment },
 }
 
-/// Runs one distributed tuning session with no fault injection: spawns
-/// `procs` client threads, drives `optimizer` to convergence or budget
-/// exhaustion, exploits the incumbent for the remaining steps, and joins
-/// all clients.
-///
-/// This is [`run_resilient`] under [`FaultPlan::none`]; a fault-free
-/// session cannot fail unless the configuration is invalid or the
-/// optimizer never proposes.
-///
-/// # Panics
-/// Panics when the configuration is invalid or the optimizer produces
-/// nothing to observe (see [`ServerError`] for the typed alternative).
-pub fn run_distributed<O, M>(
-    objective: &O,
-    noise: &M,
-    optimizer: &mut dyn Optimizer,
-    cfg: ServerConfig,
-) -> TuningOutcome
-where
-    O: Objective + Sync + ?Sized,
-    M: NoiseModel + Sync + ?Sized,
-{
-    run_resilient(objective, noise, optimizer, cfg, &FaultPlan::none())
-        .expect("fault-free distributed session failed")
-}
-
-/// Runs one distributed tuning session under a [`FaultPlan`]. See the
-/// module docs for the fault-handling policy. Clients are joined on
-/// every exit path, including errors.
-pub fn run_resilient<O, M>(
-    objective: &O,
-    noise: &M,
-    optimizer: &mut dyn Optimizer,
-    cfg: ServerConfig,
-    plan: &FaultPlan,
-) -> Result<TuningOutcome, ServerError>
-where
-    O: Objective + Sync + ?Sized,
-    M: NoiseModel + Sync + ?Sized,
-{
-    run_resilient_traced(
-        objective,
-        noise,
-        optimizer,
-        cfg,
-        plan,
-        &Telemetry::disabled(),
-    )
-}
-
 /// Persistence policy of a checkpointed session.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryConfig {
@@ -320,7 +281,8 @@ pub struct RecoveryConfig {
 }
 
 /// What the supervisor did during one session — all replay-derivable, so
-/// a resumed session reports identical numbers.
+/// a WAL-only resume reports identical numbers. Snapshots do not carry
+/// the report: a session resumed from one counts from the snapshot on.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SupervisorReport {
     /// Whether the session completed in degraded mode (at least one
@@ -346,135 +308,6 @@ pub struct SupervisedOutcome {
     /// Supervisor counters; `degraded` tells whether the result came
     /// from a full-width run or a degraded one.
     pub supervisor: SupervisorReport,
-}
-
-/// [`run_resilient`] with snapshot/WAL persistence: the session journals
-/// every committed batch (and exploit step) into `journal` and takes
-/// periodic snapshots per `recovery`. When `journal` is non-empty the
-/// session **resumes** instead of starting over — the optimizer and
-/// session state are restored (snapshot + WAL-tail replay) and clients
-/// fast-forward their RNG streams to the journaled positions, so the
-/// resumed run's [`TuningOutcome`] is byte-identical to an uninterrupted
-/// one.
-pub fn run_recoverable<O, M>(
-    objective: &O,
-    noise: &M,
-    optimizer: &mut dyn Optimizer,
-    cfg: ServerConfig,
-    plan: &FaultPlan,
-    journal: &mut SessionJournal,
-    recovery: RecoveryConfig,
-) -> Result<TuningOutcome, ServerError>
-where
-    O: Objective + Sync + ?Sized,
-    M: NoiseModel + Sync + ?Sized,
-{
-    run_session_traced(
-        objective,
-        noise,
-        optimizer,
-        cfg,
-        plan,
-        &Telemetry::disabled(),
-        Some(journal),
-        recovery,
-        None,
-    )
-    .map(|s| s.outcome)
-}
-
-/// [`run_recoverable`] with structured tracing. A WAL-only resume
-/// (no snapshot taken yet) re-emits the replayed records' telemetry, so
-/// the resumed trace is byte-identical to the uninterrupted one; a
-/// snapshot resume skips the pre-snapshot events (the outcome is still
-/// byte-identical).
-#[allow(clippy::too_many_arguments)]
-pub fn run_recoverable_traced<O, M>(
-    objective: &O,
-    noise: &M,
-    optimizer: &mut dyn Optimizer,
-    cfg: ServerConfig,
-    plan: &FaultPlan,
-    tel: &Telemetry,
-    journal: &mut SessionJournal,
-    recovery: RecoveryConfig,
-) -> Result<TuningOutcome, ServerError>
-where
-    O: Objective + Sync + ?Sized,
-    M: NoiseModel + Sync + ?Sized,
-{
-    run_session_traced(
-        objective,
-        noise,
-        optimizer,
-        cfg,
-        plan,
-        tel,
-        Some(journal),
-        recovery,
-        None,
-    )
-    .map(|s| s.outcome)
-}
-
-/// [`run_resilient`] under a supervisor: per-client circuit breakers
-/// narrow dispatch around unhealthy clients (recovering width when they
-/// return), and a batch that finishes below quorum is salvaged with
-/// escalating re-dispatches and — when at least one estimate survives —
-/// forced through `observe_partial` as a *degraded* advance instead of
-/// failing with [`ServerError::QuorumNotReached`]. Every supervisor
-/// state transition is emitted as a `recovery.*` telemetry event in
-/// canonical order.
-pub fn run_supervised<O, M>(
-    objective: &O,
-    noise: &M,
-    optimizer: &mut dyn Optimizer,
-    cfg: ServerConfig,
-    plan: &FaultPlan,
-    supervisor: SupervisorConfig,
-) -> Result<SupervisedOutcome, ServerError>
-where
-    O: Objective + Sync + ?Sized,
-    M: NoiseModel + Sync + ?Sized,
-{
-    run_session_traced(
-        objective,
-        noise,
-        optimizer,
-        cfg,
-        plan,
-        &Telemetry::disabled(),
-        None,
-        RecoveryConfig::default(),
-        Some(supervisor),
-    )
-}
-
-/// [`run_supervised`] with structured tracing.
-pub fn run_supervised_traced<O, M>(
-    objective: &O,
-    noise: &M,
-    optimizer: &mut dyn Optimizer,
-    cfg: ServerConfig,
-    plan: &FaultPlan,
-    tel: &Telemetry,
-    supervisor: SupervisorConfig,
-) -> Result<SupervisedOutcome, ServerError>
-where
-    O: Objective + Sync + ?Sized,
-    M: NoiseModel + Sync + ?Sized,
-{
-    run_session_traced(
-        objective,
-        noise,
-        optimizer,
-        cfg,
-        plan,
-        tel,
-        None,
-        RecoveryConfig::default(),
-        Some(supervisor),
-    )
 }
 
 /// The cross-session shared-database handles a session may attach (see
@@ -505,8 +338,7 @@ pub struct SharedSession<'a> {
 }
 
 impl<'a> SharedSession<'a> {
-    /// No shared tiers: the session behaves exactly like the legacy
-    /// entry points.
+    /// No shared tiers: the session touches no shared database.
     pub fn none() -> Self {
         SharedSession::default()
     }
@@ -520,133 +352,187 @@ impl<'a> SharedSession<'a> {
     }
 }
 
-/// Wraps an optimizer so every estimate it observes is also recorded
-/// (pending) into the shared estimate tier, paired with the proposal
-/// that produced it. Pure pass-through otherwise — checkpointing,
-/// convergence, and recommendations all delegate.
-struct PublishingOptimizer<'a> {
-    inner: &'a mut dyn Optimizer,
-    estimates: &'a SharedPerfDb,
-    last: Vec<Point>,
+/// Everything about a [`run_session`] beyond its objective, noise model,
+/// optimizer and [`ServerConfig`]. The default is a fault-free,
+/// untraced, unjournaled, unsupervised and unshared session; set only
+/// the fields a session needs:
+///
+/// ```
+/// use harmony_core::server::{RecoveryConfig, SessionOptions};
+/// use harmony_recovery::SessionJournal;
+///
+/// let mut journal = SessionJournal::in_memory();
+/// let opts = SessionOptions {
+///     journal: Some(&mut journal),
+///     recovery: RecoveryConfig { snapshot_every: 4 },
+///     ..SessionOptions::default()
+/// };
+/// # drop(opts);
+/// ```
+#[derive(Default)]
+pub struct SessionOptions<'a> {
+    /// Faults injected into the clients; see the module docs for how
+    /// the server tunes through them.
+    pub plan: FaultPlan,
+    /// Structured tracing. The session becomes a `server.session` span,
+    /// every fault-handling decision (miss, retry, abandonment,
+    /// eviction, duplicate, partial batch) becomes an event, and the
+    /// objective cache and final [`TuningTrace`] metrics are exported at
+    /// session end. Client reports arrive in scheduling-dependent
+    /// order, but every record is stamped with the *logical* clock
+    /// (consumed time steps) and fault events are derived from each
+    /// round's record in canonical order, so identical sessions produce
+    /// byte-identical traces regardless of thread interleaving.
+    pub telemetry: Telemetry,
+    /// Write-ahead journal. Every committed batch and exploit step is
+    /// appended, and snapshots are taken per `recovery`. A non-empty
+    /// journal makes the session **resume** instead of starting over:
+    /// the optimizer and session state are restored (snapshot +
+    /// WAL-tail replay) and clients fast-forward their RNG streams to
+    /// the journaled positions, so the resumed [`TuningOutcome`] is
+    /// byte-identical to an uninterrupted one. A WAL-only resume also
+    /// re-emits the replayed records' telemetry byte-identically; a
+    /// snapshot resume skips the pre-snapshot events.
+    pub journal: Option<&'a mut SessionJournal>,
+    /// Snapshot cadence of a journaled session.
+    pub recovery: RecoveryConfig,
+    /// Supervision: per-client circuit breakers narrow dispatch around
+    /// unhealthy clients (recovering width when they return), and a
+    /// batch that finishes below quorum is salvaged with escalating
+    /// re-dispatches and — when at least one estimate survives — forced
+    /// through `observe_partial` as a *degraded* advance instead of
+    /// failing with [`ServerError::QuorumNotReached`]. Every breaker
+    /// transition is emitted as a `recovery.*` event in canonical order.
+    pub supervisor: Option<SupervisorConfig>,
+    /// Cross-session shared database tiers: evaluations consult
+    /// `costs` before probing the objective, and observed batch
+    /// estimates are published (pending) into `estimates`. The caller
+    /// flushes the shared databases when the new measurements should
+    /// become visible.
+    pub shared: SharedSession<'a>,
 }
 
-impl Optimizer for PublishingOptimizer<'_> {
-    fn space(&self) -> &ParamSpace {
-        self.inner.space()
-    }
-
-    fn propose(&mut self) -> Vec<Point> {
-        let batch = self.inner.propose();
-        self.last = batch.clone();
-        batch
-    }
-
-    fn observe(&mut self, values: &[f64]) {
-        for (p, v) in self.last.iter().zip(values) {
-            self.estimates.record(p, *v);
-        }
-        self.inner.observe(values);
-    }
-
-    fn observe_partial(&mut self, values: &[Option<f64>]) {
-        for (p, v) in self.last.iter().zip(values) {
-            if let Some(v) = v {
-                self.estimates.record(p, *v);
-            }
-        }
-        self.inner.observe_partial(values);
-    }
-
-    fn best(&self) -> Option<(Point, f64)> {
-        self.inner.best()
-    }
-
-    fn recommendation(&self) -> Option<(Point, f64)> {
-        self.inner.recommendation()
-    }
-
-    fn converged(&self) -> bool {
-        self.inner.converged()
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn as_checkpoint(&self) -> Option<&dyn Checkpoint> {
-        self.inner.as_checkpoint()
-    }
-
-    fn as_checkpoint_mut(&mut self) -> Option<&mut dyn Checkpoint> {
-        self.inner.as_checkpoint_mut()
-    }
-}
-
-/// [`run_resilient`] with cross-session shared database tiers attached:
-/// evaluations consult `shared.costs` before probing the objective and
-/// record fresh probes back, and observed batch estimates are published
-/// (pending) into `shared.estimates`. The caller flushes the shared
-/// databases when the new measurements should become visible.
-pub fn run_resilient_shared<O, M>(
+/// Runs one tuning session: spawns `cfg.procs` client threads, drives
+/// `optimizer` to convergence or budget exhaustion, exploits the
+/// incumbent for the remaining steps, and joins every client on every
+/// exit path, including errors. `opts` adds fault injection, tracing,
+/// journaling with resume, supervision and shared database tiers in any
+/// combination. Under [`SessionOptions::default`] a session cannot fail
+/// unless the configuration is invalid or the optimizer never proposes.
+pub fn run_session<O, M>(
     objective: &O,
     noise: &M,
     optimizer: &mut dyn Optimizer,
     cfg: ServerConfig,
-    plan: &FaultPlan,
-    shared: SharedSession<'_>,
-) -> Result<TuningOutcome, ServerError>
-where
-    O: Objective + Sync + ?Sized,
-    M: NoiseModel + Sync + ?Sized,
-{
-    run_session_shared_traced(
-        objective,
-        noise,
-        optimizer,
-        cfg,
-        plan,
-        &Telemetry::disabled(),
-        None,
-        RecoveryConfig::default(),
-        None,
-        shared,
-    )
-    .map(|s| s.outcome)
-}
-
-/// [`run_supervised`] with cross-session shared database tiers attached
-/// (see [`run_resilient_shared`]).
-pub fn run_supervised_shared<O, M>(
-    objective: &O,
-    noise: &M,
-    optimizer: &mut dyn Optimizer,
-    cfg: ServerConfig,
-    plan: &FaultPlan,
-    supervisor: SupervisorConfig,
-    shared: SharedSession<'_>,
+    opts: SessionOptions<'_>,
 ) -> Result<SupervisedOutcome, ServerError>
 where
     O: Objective + Sync + ?Sized,
     M: NoiseModel + Sync + ?Sized,
 {
-    run_session_shared_traced(
-        objective,
-        noise,
-        optimizer,
-        cfg,
+    let SessionOptions {
         plan,
-        &Telemetry::disabled(),
-        None,
-        RecoveryConfig::default(),
-        Some(supervisor),
+        telemetry,
+        mut journal,
+        recovery,
+        supervisor,
         shared,
-    )
+    } = opts;
+    let cfg = cfg.validated()?;
+    let k = cfg.estimator.samples();
+    let resume = match journal.as_deref() {
+        Some(j) => scan_journal(j, &cfg, k, supervisor.is_some())?,
+        None => ResumePlan::fresh(cfg.procs),
+    };
+    if let (true, Some(j)) = (resume.fresh, journal.as_deref_mut()) {
+        let header = WalRecord::Header(HeaderRecord {
+            version: WAL_VERSION,
+            procs: cfg.procs,
+            max_steps: cfg.max_steps,
+            k,
+            seed: cfg.seed,
+            deadline: cfg.deadline,
+            max_retries: cfg.max_retries,
+            backoff: cfg.backoff,
+            quorum: cfg.quorum,
+            supervised: supervisor.is_some(),
+        });
+        j.append_record(&header).map_err(journal_io)?;
+    }
+    std::thread::scope(|scope| {
+        let (event_tx, events) = channel::<Event>();
+        let clients: Vec<Sender<Task>> = (0..cfg.procs)
+            .map(|c| {
+                let (task_tx, task_rx) = channel::<Task>();
+                let event_tx = event_tx.clone();
+                let (plan, start, costs) = (&plan, resume.starts[c], shared.costs);
+                scope.spawn(move || {
+                    client_loop(
+                        c, task_rx, event_tx, objective, noise, cfg.seed, plan, start, costs,
+                    )
+                });
+                task_tx
+            })
+            .collect();
+        drop(event_tx);
+
+        let tel = &telemetry;
+        let span = tel.enabled().then(|| {
+            tel.set_clock(0);
+            tel.span_open(
+                "server.session",
+                vec![
+                    Field::new("procs", cfg.procs),
+                    Field::new("max_steps", cfg.max_steps),
+                    Field::new("k", k),
+                    Field::new("seed", cfg.seed),
+                ],
+            )
+        });
+        let session = Session {
+            cfg,
+            tel,
+            span,
+            clients: &clients,
+            events: &events,
+            optimizer,
+            objective: match shared.costs {
+                Some(db) => CachedObjective::with_shared(objective, db),
+                None => CachedObjective::new(objective),
+            },
+            journal,
+            snapshot_every: recovery.snapshot_every,
+            supervisor,
+            health: supervisor.map(|sc| HealthTracker::new(cfg.procs, sc)),
+            report: SupervisorReport {
+                min_width: usize::MAX,
+                ..SupervisorReport::default()
+            },
+            shared,
+            trace: TuningTrace::new(),
+            evaluations: 0,
+            quality_curve: Vec::new(),
+            fleet: Fleet {
+                live: (0..cfg.procs).collect(),
+                stats: FaultStats::default(),
+                meters: resume.starts.clone(),
+            },
+            batch_id: 0,
+        };
+        let outcome = session.serve(&resume);
+        // tolerant shutdown: crashed clients have already dropped their
+        // receivers, so sends may fail — that is fine, the thread is
+        // gone. The scope joins every client on both Ok and Err paths.
+        for tx in &clients {
+            let _ = tx.send(Task::Stop);
+        }
+        outcome
+    })
 }
 
-/// The master session entry point: [`run_resilient_traced`] plus
-/// optional journaled persistence/resume and optional supervision, in
-/// any combination. With both options off it reduces to the legacy
-/// resilient session exactly.
+/// [`run_session`] with the options passed one by one. It keeps this
+/// signature only for the benchmark in `perfbench/`, which calls it;
+/// new code calls [`run_session`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_session_traced<O, M>(
     objective: &O,
@@ -663,161 +549,39 @@ where
     O: Objective + Sync + ?Sized,
     M: NoiseModel + Sync + ?Sized,
 {
-    run_session_shared_traced(
-        objective,
-        noise,
-        optimizer,
-        cfg,
-        plan,
-        tel,
+    let opts = SessionOptions {
+        plan: *plan,
+        telemetry: tel.clone(),
         journal,
         recovery,
         supervisor,
-        SharedSession::none(),
-    )
+        shared: SharedSession::none(),
+    };
+    run_session(objective, noise, optimizer, cfg, opts)
 }
 
-/// [`run_session_traced`] with cross-session shared database tiers (see
-/// [`SharedSession`]). With both tiers `None` it *is*
-/// [`run_session_traced`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_session_shared_traced<O, M>(
+/// [`run_session`] under `plan` with the `shared` tiers attached,
+/// returning only the tuning outcome. It keeps this signature only for
+/// the benchmark in `perfbench/`, which calls it; new code calls
+/// [`run_session`].
+pub fn run_resilient_shared<O, M>(
     objective: &O,
     noise: &M,
     optimizer: &mut dyn Optimizer,
     cfg: ServerConfig,
     plan: &FaultPlan,
-    tel: &Telemetry,
-    mut journal: Option<&mut SessionJournal>,
-    recovery: RecoveryConfig,
-    supervisor: Option<SupervisorConfig>,
     shared: SharedSession<'_>,
-) -> Result<SupervisedOutcome, ServerError>
-where
-    O: Objective + Sync + ?Sized,
-    M: NoiseModel + Sync + ?Sized,
-{
-    let mut publishing;
-    let optimizer: &mut dyn Optimizer = match shared.estimates {
-        Some(estimates) => {
-            publishing = PublishingOptimizer {
-                inner: optimizer,
-                estimates,
-                last: Vec::new(),
-            };
-            &mut publishing
-        }
-        None => optimizer,
-    };
-    let cfg = cfg.validated()?;
-    let k = cfg.estimator.samples();
-    let resume = match journal.as_deref() {
-        Some(j) => scan_journal(j, &cfg, k, supervisor.is_some())?,
-        None => ResumePlan::fresh(cfg.procs),
-    };
-    if resume.fresh {
-        if let Some(j) = journal.as_deref_mut() {
-            let header = WalRecord::Header(HeaderRecord {
-                version: WAL_VERSION,
-                procs: cfg.procs,
-                max_steps: cfg.max_steps,
-                k,
-                seed: cfg.seed,
-                deadline: cfg.deadline,
-                max_retries: cfg.max_retries,
-                backoff: cfg.backoff,
-                quorum: cfg.quorum,
-                supervised: supervisor.is_some(),
-            });
-            journal_append(j, header)?;
-        }
-    }
-    std::thread::scope(|scope| {
-        let (event_tx, event_rx) = channel::<Event>();
-        let mut client_txs: Vec<Sender<Task>> = Vec::with_capacity(cfg.procs);
-        for c in 0..cfg.procs {
-            let (task_tx, task_rx) = channel::<Task>();
-            client_txs.push(task_tx);
-            let event_tx = event_tx.clone();
-            let start = resume.starts[c];
-            let shared_costs = shared.costs;
-            scope.spawn(move || {
-                client_loop(
-                    c,
-                    task_rx,
-                    event_tx,
-                    objective,
-                    noise,
-                    cfg.seed,
-                    plan,
-                    start,
-                    shared_costs,
-                )
-            });
-        }
-        drop(event_tx);
-
-        let outcome = serve(
-            objective,
-            optimizer,
-            cfg,
-            &client_txs,
-            &event_rx,
-            tel,
-            SessionExtras {
-                journal,
-                snapshot_every: recovery.snapshot_every,
-                supervisor,
-                resume,
-                shared_costs: shared.costs,
-            },
-        );
-        // tolerant shutdown: crashed clients have already dropped their
-        // receivers, so sends may fail — that is fine, the thread is
-        // gone. The scope joins every client on both Ok and Err paths.
-        for tx in &client_txs {
-            let _ = tx.send(Task::Stop);
-        }
-        outcome
-    })
-}
-
-/// [`run_resilient`] with structured tracing: the session becomes a
-/// `server.session` span, every fault-handling decision (miss, retry,
-/// abandonment, eviction, duplicate, partial batch) becomes an event,
-/// and the objective cache and final [`TuningTrace`] metrics are
-/// exported at session end.
-///
-/// Although client reports arrive over mpsc channels in
-/// scheduling-dependent order, every emitted record is stamped with the
-/// *logical* clock (consumed time steps) and fault events are derived
-/// from the server's post-round state in canonical order — so identical
-/// `(seed, plan, config)` sessions produce byte-identical traces
-/// regardless of thread interleaving.
-pub fn run_resilient_traced<O, M>(
-    objective: &O,
-    noise: &M,
-    optimizer: &mut dyn Optimizer,
-    cfg: ServerConfig,
-    plan: &FaultPlan,
-    tel: &Telemetry,
 ) -> Result<TuningOutcome, ServerError>
 where
     O: Objective + Sync + ?Sized,
     M: NoiseModel + Sync + ?Sized,
 {
-    run_session_traced(
-        objective,
-        noise,
-        optimizer,
-        cfg,
-        plan,
-        tel,
-        None,
-        RecoveryConfig::default(),
-        None,
-    )
-    .map(|s| s.outcome)
+    let opts = SessionOptions {
+        plan: *plan,
+        shared,
+        ..SessionOptions::default()
+    };
+    run_session(objective, noise, optimizer, cfg, opts).map(|s| s.outcome)
 }
 
 /// One simulated SPMD process: fetch task, run (evaluate objective under
@@ -869,67 +633,36 @@ fn client_loop<O, M>(
                 let observed = noise.observe(cost, &mut rng);
                 serial += 1;
                 let draws = rng.draws();
-                let sent = match plan.delivery(id, serial - 1) {
-                    Delivery::OnTime => events
-                        .send(Event::Report {
-                            assign,
-                            observed,
-                            late: false,
-                            duplicate: false,
-                            client: id,
-                            serial,
-                            draws,
-                        })
-                        .is_ok(),
-                    Delivery::Duplicated => {
-                        let copy = Event::Report {
-                            assign,
-                            observed,
-                            late: false,
-                            duplicate: true,
-                            client: id,
-                            serial,
-                            draws,
-                        };
-                        let _ = events.send(copy.clone());
-                        events.send(copy).is_ok()
-                    }
-                    Delivery::Late => events
-                        .send(Event::Report {
-                            assign,
-                            observed,
-                            late: true,
-                            duplicate: false,
-                            client: id,
-                            serial,
-                            draws,
-                        })
-                        .is_ok(),
-                    Delivery::Lost => events
-                        .send(Event::Lost {
-                            assign,
-                            client: id,
-                            serial,
-                            draws,
-                        })
-                        .is_ok(),
+                let report = |late, duplicate| Event::Report {
+                    assign,
+                    observed,
+                    late,
+                    duplicate,
+                    client: id,
+                    serial,
+                    draws,
                 };
-                if !sent {
+                let sent = match plan.delivery(id, serial - 1) {
+                    Delivery::OnTime => events.send(report(false, false)),
+                    Delivery::Duplicated => {
+                        let _ = events.send(report(false, true));
+                        events.send(report(false, true))
+                    }
+                    Delivery::Late => events.send(report(true, false)),
+                    Delivery::Lost => events.send(Event::Lost {
+                        assign,
+                        client: id,
+                        serial,
+                        draws,
+                    }),
+                };
+                if sent.is_err() {
                     break; // server gone
                 }
             }
             Task::Stop => break,
         }
     }
-}
-
-/// Options threaded into [`serve`] by [`run_session_shared_traced`].
-struct SessionExtras<'a> {
-    journal: Option<&'a mut SessionJournal>,
-    snapshot_every: u64,
-    supervisor: Option<SupervisorConfig>,
-    resume: ResumePlan,
-    shared_costs: Option<&'a SharedPerfDb>,
 }
 
 /// What a journal scan found: the snapshot to restore (if any), the WAL
@@ -961,15 +694,12 @@ fn journal_io(e: std::io::Error) -> ServerError {
     recovery_err(format!("journal I/O: {e}"))
 }
 
-fn journal_append(journal: &mut SessionJournal, record: WalRecord) -> Result<(), ServerError> {
-    journal.append_record(record).map_err(journal_io)
-}
-
 /// Validates the journal against the session parameters and extracts the
 /// resume plan. Floats are compared bitwise — the WAL header echoes them
 /// as bits, so any drift in configuration fails loudly instead of
 /// replaying against different semantics. A torn final line (a kill
-/// mid-append) is dropped; corruption anywhere earlier is an error.
+/// mid-append) is dropped; corruption anywhere earlier, or a record the
+/// session could not have written (see [`record_fits`]), is an error.
 fn scan_journal(
     journal: &SessionJournal,
     cfg: &ServerConfig,
@@ -1012,6 +742,12 @@ fn scan_journal(
             Ok(WalRecord::Header(_)) => {
                 return Err(recovery_err(format!(
                     "unexpected second header at line {i}"
+                )))
+            }
+            Ok(rec) if !record_fits(&rec, cfg.procs) => {
+                return Err(recovery_err(format!(
+                    "WAL line {i} does not fit a {}-client session",
+                    cfg.procs
                 )))
             }
             Ok(rec) => records.push(rec),
@@ -1061,6 +797,40 @@ fn scan_journal(
     })
 }
 
+/// Whether a parsed record could come from a session with `procs`
+/// clients: every client index in range, one `ok` flag per dispatched
+/// client, per-round fault counts no larger than the round, and
+/// finite, non-negative step times and finite estimates. Replay
+/// indexes per-client state with these values, adds the counts to the
+/// fleet's and pushes the times onto the trace, so a record that fails
+/// is refused, not replayed.
+fn record_fits(rec: &WalRecord, procs: usize) -> bool {
+    let client = |c: &usize| *c < procs;
+    let time = |t: f64| t.is_finite() && t >= 0.0;
+    match rec {
+        WalRecord::Header(_) => true,
+        WalRecord::Batch(b) => {
+            b.live.iter().all(client)
+                && b.estimates.iter().flatten().all(|v| v.is_finite())
+                && b.rounds.iter().all(|r| {
+                    time(r.step)
+                        && r.ok.len() == r.clients.len()
+                        && [r.missed, r.retries, r.abandoned, r.duplicates]
+                            .iter()
+                            .all(|&n| n <= r.clients.len())
+                        && r.clients.iter().all(client)
+                        && r.evicted.iter().all(client)
+                })
+        }
+        WalRecord::Exploit(e) => {
+            time(e.step)
+                && e.live.iter().all(client)
+                && e.pre_evicted.iter().all(client)
+                && !matches!(e.kind, ExploitKind::Died(c) if c >= procs)
+        }
+    }
+}
+
 /// Cumulative fault counters in the WAL's canonical order.
 fn stats_to_array(s: &FaultStats) -> [usize; 6] {
     [
@@ -1082,93 +852,6 @@ fn stats_from_array(a: [usize; 6]) -> FaultStats {
         evicted_clients: a[4],
         partial_batches: a[5],
     }
-}
-
-/// Serialises the full mid-session state at a batch boundary: session
-/// progress, the optimizer, the objective memo, and (when supervised)
-/// the health tracker.
-#[allow(clippy::too_many_arguments)]
-fn save_snapshot<O: Objective + ?Sized>(
-    optimizer: &dyn Checkpoint,
-    cache: &CachedObjective<'_, O>,
-    health: Option<&HealthTracker>,
-    trace: &TuningTrace,
-    evaluations: usize,
-    quality_curve: &[(usize, f64)],
-    batch_id: u64,
-    fleet: &Fleet,
-) -> Vec<u8> {
-    let mut w = StateWriter::new();
-    w.tag("session");
-    w.u64(batch_id);
-    w.f64_slice(trace.step_times());
-    w.usize(evaluations);
-    w.usize(quality_curve.len());
-    for &(step, q) in quality_curve {
-        w.usize(step);
-        w.f64(q);
-    }
-    w.usize_slice(&fleet.live);
-    w.usize_slice(&stats_to_array(&fleet.stats));
-    optimizer.save_state(&mut w);
-    cache.save_state(&mut w);
-    w.bool(health.is_some());
-    if let Some(h) = health {
-        h.save_state(&mut w);
-    }
-    w.into_bytes()
-}
-
-/// Mirror of [`save_snapshot`]: restores the session state in place.
-#[allow(clippy::too_many_arguments)]
-fn restore_snapshot<O: Objective + ?Sized>(
-    bytes: &[u8],
-    optimizer: &mut dyn Optimizer,
-    cache: &mut CachedObjective<'_, O>,
-    health: Option<&mut HealthTracker>,
-    trace: &mut TuningTrace,
-    evaluations: &mut usize,
-    quality_curve: &mut Vec<(usize, f64)>,
-    batch_id: &mut u64,
-    fleet: &mut Fleet,
-) -> Result<(), ServerError> {
-    let snap = |e: harmony_recovery::CodecError| recovery_err(format!("snapshot: {e}"));
-    let mut r = StateReader::new(bytes).map_err(snap)?;
-    r.tag("session").map_err(snap)?;
-    *batch_id = r.u64().map_err(snap)?;
-    for t_k in r.f64_vec().map_err(snap)? {
-        trace
-            .try_push(t_k)
-            .map_err(|e| recovery_err(format!("snapshot trace: {e}")))?;
-    }
-    *evaluations = r.usize().map_err(snap)?;
-    let n = r.usize().map_err(snap)?;
-    quality_curve.clear();
-    for _ in 0..n {
-        let step = r.usize().map_err(snap)?;
-        let q = r.f64().map_err(snap)?;
-        quality_curve.push((step, q));
-    }
-    fleet.live = r.usize_vec().map_err(snap)?;
-    let stats: [usize; 6] = r
-        .usize_vec()
-        .map_err(snap)?
-        .try_into()
-        .map_err(|_| recovery_err("snapshot stats arity"))?;
-    fleet.stats = stats_from_array(stats);
-    optimizer
-        .as_checkpoint_mut()
-        .ok_or_else(|| recovery_err("optimizer is not checkpointable"))?
-        .restore_state(&mut r)
-        .map_err(snap)?;
-    cache.restore_state(&mut r).map_err(snap)?;
-    let has_health = r.bool().map_err(snap)?;
-    match (has_health, health) {
-        (true, Some(h)) => h.restore_state(&mut r).map_err(snap)?,
-        (false, None) => {}
-        _ => return Err(recovery_err("snapshot supervision flag mismatch")),
-    }
-    r.finish().map_err(snap)
 }
 
 /// Running state of the server's fault handling.
@@ -1221,14 +904,6 @@ impl Fleet {
     }
 }
 
-/// How one dispatched assignment resolved.
-enum Resolution {
-    /// An on-time observation.
-    Observed(f64),
-    /// Missed its deadline (late/lost/died); the slot may be retried.
-    Missed,
-}
-
 /// Emits the terminal `server.*` failure event, closes the session span
 /// (auto-closing anything still nested in it), and passes the error
 /// through.
@@ -1274,540 +949,469 @@ fn emit_transitions(
     }
 }
 
-/// Computes the dispatch order for one round. Unsupervised sessions
-/// dispatch to every live client in index order; supervised sessions
-/// first advance the breaker clock (emitting any expiry transitions) and
-/// then order live clients closed-first with half-open probes last.
-fn open_round(
-    tel: &Telemetry,
-    health: Option<&mut HealthTracker>,
-    report: &mut SupervisorReport,
-    fleet: &Fleet,
-    trace: &TuningTrace,
-) -> Vec<usize> {
-    match health {
-        Some(h) => {
-            tel.set_clock(trace.len() as u64);
-            let ts = h.begin_round();
-            emit_transitions(tel, &ts, report);
-            h.dispatch_order(&fleet.live)
-        }
-        None => fleet.live.clone(),
-    }
+/// Reduces each point's samples to its estimate (`None` = no sample
+/// survived).
+fn reduce(estimator: Estimator, samples: &[Vec<f64>]) -> Vec<Option<f64>> {
+    samples
+        .iter()
+        .map(|s| (!s.is_empty()).then(|| estimator.reduce_available(s)))
+        .collect()
 }
 
-/// The post-round bookkeeping shared by tuning and salvage rounds:
-/// canonical fault telemetry, breaker updates, the supervisor width
-/// floor, and (when journalling) the [`RoundDelta`] capturing exactly
-/// what replay must re-emit.
-#[allow(clippy::too_many_arguments)]
-fn finish_round(
-    tel: &Telemetry,
-    health: Option<&mut HealthTracker>,
-    report: &mut SupervisorReport,
-    rounds_rec: Option<&mut Vec<RoundDelta>>,
-    trace: &TuningTrace,
-    order: &[usize],
-    width: usize,
-    ok_flags: &[bool],
-    live_before: &[usize],
-    fleet: &Fleet,
-    stats_before: FaultStats,
-) {
-    tel.set_clock(trace.len() as u64);
-    emit_round_faults(tel, live_before, fleet, stats_before);
-    if let Some(h) = health {
-        let mut ts = Vec::new();
-        for (&c, &ok) in order[..width].iter().zip(ok_flags) {
-            if let Some(t) = h.record(c, ok) {
-                ts.push(t);
-            }
-        }
-        emit_transitions(tel, &ts, report);
-    }
-    // Per-round batch latency for the metrics layer. WAL replay emits
-    // the matching sample from `RoundDelta::step` at the same position,
-    // keeping resumed traces byte-identical.
-    if tel.enabled() {
-        if let Some(&step) = trace.step_times().last() {
-            tel.sample("server.step_time", step);
-        }
-    }
-    report.min_width = report.min_width.min(width);
-    if let Some(rec) = rounds_rec {
-        let evicted = live_before
-            .iter()
-            .copied()
-            .filter(|c| !fleet.live.contains(c))
-            .collect();
-        rec.push(RoundDelta {
-            step: *trace.step_times().last().expect("round pushed a step"),
-            clients: order[..width].to_vec(),
-            ok: ok_flags.to_vec(),
-            evicted,
-            missed: fleet.stats.missed_reports - stats_before.missed_reports,
-            retries: fleet.stats.retries - stats_before.retries,
-            abandoned: fleet.stats.abandoned_slots - stats_before.abandoned_slots,
-            duplicates: fleet.stats.duplicate_reports - stats_before.duplicate_reports,
-        });
-    }
-}
-
-/// Emits the fault handling of one dispatch round in canonical order:
-/// evictions ascending by client index (diff of the live set), then the
-/// per-round miss/retry/abandon/duplicate deltas. Client events arrive
-/// in scheduling-dependent order, so deriving the emission from
-/// post-round *state* is what keeps traces byte-identical across runs.
-fn emit_round_faults(tel: &Telemetry, live_before: &[usize], fleet: &Fleet, before: FaultStats) {
-    if !tel.enabled() {
-        return;
-    }
-    for &client in live_before {
-        if !fleet.live.contains(&client) {
-            event!(tel, "server.evict", client = client);
-        }
-    }
-    let after = fleet.stats;
-    let delta = after.missed_reports - before.missed_reports;
-    if delta > 0 {
-        event!(tel, "server.miss", count = delta);
-    }
-    let delta = after.retries - before.retries;
-    if delta > 0 {
-        event!(tel, "server.retry", count = delta);
-    }
-    let delta = after.abandoned_slots - before.abandoned_slots;
-    if delta > 0 {
-        event!(tel, "server.abandon", count = delta);
-    }
-    let delta = after.duplicate_reports - before.duplicate_reports;
-    if delta > 0 {
-        tel.counter("server.duplicate_reports", delta as u64);
-    }
-}
-
-/// The server side: batch scheduling, deadline/retry accounting,
-/// optimizer advancement, exploit fill — plus, per [`SessionExtras`],
-/// WAL/snapshot persistence with mid-run resume and supervised
-/// degraded-mode operation. With the extras off this is exactly the
-/// legacy resilient session.
-fn serve<O>(
-    objective: &O,
-    optimizer: &mut dyn Optimizer,
+/// The server side of one session: batch scheduling, deadline/retry
+/// accounting, optimizer advancement, exploit fill, persistence and
+/// supervision.
+///
+/// Every live round, batch and exploit step builds its WAL record
+/// ([`RoundDelta`], [`BatchRecord`], [`ExploitRecord`]) and then takes
+/// effect through [`Session::apply_round`], [`Session::commit_batch`]
+/// and [`Session::apply_exploit`] — the same functions resume replay
+/// calls. The journal only decides whether the record is also appended.
+struct Session<'a, O: Objective + ?Sized> {
     cfg: ServerConfig,
-    clients: &[Sender<Task>],
-    events: &Receiver<Event>,
-    tel: &Telemetry,
-    extras: SessionExtras<'_>,
-) -> Result<SupervisedOutcome, ServerError>
-where
-    O: Objective + ?Sized,
-{
-    let SessionExtras {
-        mut journal,
-        snapshot_every,
-        supervisor,
-        resume,
-        shared_costs,
-    } = extras;
-    // objectives are deterministic (noise is applied per-client), so
-    // memoizing the recommendation probes is exact — the quality curve
-    // and best_true_cost revisit the same points heavily. When a shared
-    // cost tier is attached it sits between the memo and the probe.
-    let mut objective = match shared_costs {
-        Some(db) => CachedObjective::with_shared(objective, db),
-        None => CachedObjective::new(objective),
-    };
-    let mut trace = TuningTrace::new();
-    let mut evaluations = 0usize;
-    let mut quality_curve: Vec<(usize, f64)> = Vec::new();
-    let mut fleet = Fleet {
-        live: (0..clients.len()).collect(),
-        stats: FaultStats::default(),
-        meters: resume.starts.clone(),
-    };
-    let k = cfg.estimator.samples();
-    let mut batch_id = 0u64;
-    let mut health = supervisor.map(|sc| HealthTracker::new(clients.len(), sc));
-    let mut report = SupervisorReport {
-        min_width: usize::MAX,
-        ..SupervisorReport::default()
-    };
-    let session = tel.enabled().then(|| {
-        tel.set_clock(0);
-        tel.span_open(
-            "server.session",
-            vec![
-                Field::new("procs", cfg.procs),
-                Field::new("max_steps", cfg.max_steps),
-                Field::new("k", k),
-                Field::new("seed", cfg.seed),
-            ],
-        )
-    });
+    tel: &'a Telemetry,
+    /// The `server.session` span, when tracing.
+    span: Option<u64>,
+    clients: &'a [Sender<Task>],
+    events: &'a Receiver<Event>,
+    optimizer: &'a mut dyn Optimizer,
+    /// Objectives are deterministic (noise is applied per client), so
+    /// memoizing the recommendation probes is exact — the quality curve
+    /// and best_true_cost revisit the same points heavily. A shared
+    /// cost tier sits between the memo and the probe.
+    objective: CachedObjective<'a, O>,
+    journal: Option<&'a mut SessionJournal>,
+    snapshot_every: u64,
+    supervisor: Option<SupervisorConfig>,
+    health: Option<HealthTracker>,
+    report: SupervisorReport,
+    shared: SharedSession<'a>,
+    trace: TuningTrace,
+    evaluations: usize,
+    quality_curve: Vec<(usize, f64)>,
+    fleet: Fleet,
+    batch_id: u64,
+}
 
-    // ---- resume: restore the snapshot, then replay the WAL tail ----
-    if let Some(bytes) = &resume.snapshot {
-        if let Err(e) = restore_snapshot(
-            bytes,
-            optimizer,
-            &mut objective,
-            health.as_mut(),
-            &mut trace,
-            &mut evaluations,
-            &mut quality_curve,
-            &mut batch_id,
-            &mut fleet,
-        ) {
-            return Err(session_fail(tel, session, e));
-        }
-    }
-    for rec in &resume.replay {
-        match rec {
-            WalRecord::Batch(b) => {
-                tel.set_clock(trace.len() as u64);
-                let batch = optimizer.propose();
-                if batch.len() != b.estimates.len() {
-                    return Err(session_fail(
-                        tel,
-                        session,
-                        recovery_err(format!(
-                            "replayed batch {} proposes {} points, WAL has {}",
-                            b.batch,
-                            batch.len(),
-                            b.estimates.len()
-                        )),
-                    ));
-                }
-                batch_id = b.batch;
-                for round in &b.rounds {
-                    if let Some(h) = health.as_mut() {
-                        tel.set_clock(trace.len() as u64);
-                        let ts = h.begin_round();
-                        emit_transitions(tel, &ts, &mut report);
-                    }
-                    report.min_width = report.min_width.min(round.clients.len());
-                    trace.push(round.step);
-                    tel.set_clock(trace.len() as u64);
-                    for &c in &round.evicted {
-                        event!(tel, "server.evict", client = c);
-                    }
-                    if round.missed > 0 {
-                        event!(tel, "server.miss", count = round.missed);
-                    }
-                    if round.retries > 0 {
-                        event!(tel, "server.retry", count = round.retries);
-                    }
-                    if round.abandoned > 0 {
-                        event!(tel, "server.abandon", count = round.abandoned);
-                    }
-                    if round.duplicates > 0 {
-                        tel.counter("server.duplicate_reports", round.duplicates as u64);
-                    }
-                    if let Some(h) = health.as_mut() {
-                        let mut ts = Vec::new();
-                        for (&c, &ok) in round.clients.iter().zip(&round.ok) {
-                            if let Some(t) = h.record(c, ok) {
-                                ts.push(t);
-                            }
-                        }
-                        emit_transitions(tel, &ts, &mut report);
-                    }
-                    // mirrors the live emission in `finish_round`
-                    if tel.enabled() {
-                        tel.sample("server.step_time", round.step);
-                    }
-                }
-                evaluations = b.evaluations;
-                fleet.live = b.live.clone();
-                fleet.stats = stats_from_array(b.stats);
-                let reported = b.estimates.iter().filter(|e| e.is_some()).count();
-                // mirrors the live per-batch estimate dispersion samples
-                if tel.enabled() {
-                    for v in b.estimates.iter().flatten() {
-                        tel.sample("server.estimate", *v);
-                    }
-                }
-                if b.forced {
-                    report.forced_batches += 1;
-                    event!(
-                        tel,
-                        "recovery.forced_partial",
-                        reported = reported,
-                        total = b.estimates.len()
-                    );
-                    optimizer.observe_partial(&b.estimates);
-                } else if reported == b.estimates.len() {
-                    let complete: Vec<f64> = b.estimates.iter().map(|e| e.unwrap()).collect();
-                    optimizer.observe(&complete);
-                } else {
-                    event!(
-                        tel,
-                        "server.partial_batch",
-                        reported = reported,
-                        total = b.estimates.len()
-                    );
-                    optimizer.observe_partial(&b.estimates);
-                }
-                event!(
-                    tel,
-                    "server.batch",
-                    batch = batch_id,
-                    points = batch.len(),
-                    steps = trace.len(),
-                    live = fleet.live.len()
-                );
-                if let Some((rec_point, _)) = optimizer.recommendation() {
-                    quality_curve.push((trace.len(), objective.eval(&rec_point)));
-                }
-            }
-            WalRecord::Exploit(e) => {
-                tel.set_clock(trace.len() as u64);
-                for &c in &e.pre_evicted {
-                    event!(tel, "server.evict", client = c);
-                }
-                batch_id = e.batch;
-                if e.duplicate {
-                    tel.counter("server.duplicate_reports", 1);
-                }
-                match e.kind {
-                    ExploitKind::OnTime => {}
-                    ExploitKind::Late | ExploitKind::Lost => {
-                        event!(tel, "server.miss", count = 1usize);
-                    }
-                    ExploitKind::Died(c) => {
-                        event!(tel, "server.evict", client = c);
-                        event!(tel, "server.miss", count = 1usize);
-                    }
-                }
-                trace.push(e.step);
-                fleet.live = e.live.clone();
-                fleet.stats = stats_from_array(e.stats);
-            }
-            WalRecord::Header(_) => unreachable!("scan_journal rejects stray headers"),
-        }
+impl<'a, O: Objective + ?Sized> Session<'a, O> {
+    /// [`session_fail`] for this session.
+    fn fail(&self, err: ServerError) -> ServerError {
+        session_fail(self.tel, self.span, err)
     }
 
-    while trace.len() < cfg.max_steps && !optimizer.converged() {
-        tel.set_clock(trace.len() as u64);
-        let batch = optimizer.propose();
+    /// Restores the resume point, tunes, exploits, and reports.
+    fn serve(mut self, resume: &ResumePlan) -> Result<SupervisedOutcome, ServerError> {
+        if let Some(bytes) = &resume.snapshot {
+            self.restore_snapshot(bytes).map_err(|e| self.fail(e))?;
+        }
+        for rec in &resume.replay {
+            match rec {
+                WalRecord::Batch(b) => self.replay_batch(b)?,
+                WalRecord::Exploit(e) => self.apply_exploit(e),
+                WalRecord::Header(_) => unreachable!("scan_journal rejects stray headers"),
+            }
+        }
+        while self.trace.len() < self.cfg.max_steps && !self.optimizer.converged() {
+            if !self.tune_batch()? {
+                break;
+            }
+        }
+        let Some((best_point, best_estimate)) = self.optimizer.recommendation() else {
+            return Err(self.fail(ServerError::NoObservations));
+        };
+        let best_true_cost = self.objective.eval(&best_point);
+        self.exploit(&best_point)?;
+
+        if let Some(id) = self.span {
+            let tel = self.tel;
+            tel.set_clock(self.trace.len() as u64);
+            event!(
+                tel,
+                "server.done",
+                batches = self.batch_id,
+                evaluations = self.evaluations,
+                best = best_true_cost,
+                evicted = self.fleet.stats.evicted_clients,
+                converged = self.optimizer.converged()
+            );
+            self.objective.emit_telemetry(tel);
+            self.trace.emit_telemetry(tel, None);
+            // Shared-tier flush contention is scheduling-dependent, so it
+            // is excluded from SharedPerfDb::stats and only surfaced here
+            // when the caller explicitly opted into the wall channel.
+            if tel.wall_enabled() {
+                if let Some(db) = self.shared.costs {
+                    tel.counter("shareddb.contended", db.stats_contended());
+                }
+            }
+            tel.span_close(id);
+        }
+
+        let mut report = self.report;
+        report.degraded = report.forced_batches > 0 || report.breaker_opens > 0;
+        Ok(SupervisedOutcome {
+            outcome: TuningOutcome {
+                trace: self.trace,
+                steps_budget: self.cfg.max_steps,
+                best_point,
+                best_estimate,
+                best_true_cost,
+                converged: self.optimizer.converged(),
+                evaluations: self.evaluations,
+                quality_curve: self.quality_curve,
+                faults: self.fleet.stats,
+            },
+            supervisor: report,
+        })
+    }
+
+    /// Runs one optimizer batch live: dispatch rounds until every slot
+    /// resolves, salvage below quorum when supervised, then commit.
+    /// Returns `false` when the optimizer has nothing left to propose.
+    fn tune_batch(&mut self) -> Result<bool, ServerError> {
+        let cfg = self.cfg;
+        let k = cfg.estimator.samples();
+        self.tel.set_clock(self.trace.len() as u64);
+        let batch = self.optimizer.propose();
         if batch.is_empty() {
-            break;
+            return Ok(false);
         }
-        batch_id += 1;
-        let mut rounds_rec: Vec<RoundDelta> = Vec::new();
+        self.batch_id += 1;
+        let mut rounds = Vec::new();
         // flat (point, sample) slots, packed densely over live clients;
         // missed slots requeue with the next attempt number
-        let mut pending: std::collections::VecDeque<(usize, u32)> =
-            (0..batch.len() * k).map(|s| (s, 0)).collect();
+        let mut pending: VecDeque<(usize, u32)> = (0..batch.len() * k).map(|s| (s, 0)).collect();
         let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(k); batch.len()];
         while !pending.is_empty() {
-            if fleet.live.is_empty() {
-                return Err(session_fail(
-                    tel,
-                    session,
-                    ServerError::AllClientsDead { step: trace.len() },
-                ));
+            if self.fleet.live.is_empty() {
+                let step = self.trace.len();
+                return Err(self.fail(ServerError::AllClientsDead { step }));
             }
-            let order = open_round(tel, health.as_mut(), &mut report, &fleet, &trace);
-            let take = order.len().min(pending.len());
-            let round: Vec<(usize, u32)> = pending.drain(..take).collect();
-            let live_before = fleet.live.clone();
-            let stats_before = fleet.stats;
-            let resolutions = match run_round(
-                &round,
-                &order,
-                batch_id,
-                &batch,
-                k,
-                cfg,
-                clients,
-                events,
-                &mut fleet,
-                &mut trace,
-                &mut evaluations,
-            ) {
-                Ok(r) => r,
-                Err(e) => return Err(session_fail(tel, session, e)),
-            };
-            let ok_flags: Vec<bool> = resolutions
-                .iter()
-                .map(|r| matches!(r, Resolution::Observed(_)))
-                .collect();
-            for (&(slot, attempt), resolution) in round.iter().zip(resolutions) {
-                match resolution {
-                    Resolution::Observed(obs) => samples[slot / k].push(obs),
-                    Resolution::Missed => {
-                        fleet.stats.missed_reports += 1;
-                        if attempt < cfg.max_retries {
-                            fleet.stats.retries += 1;
-                            pending.push_back((slot, attempt + 1));
-                        } else {
-                            fleet.stats.abandoned_slots += 1;
-                        }
-                    }
-                }
-            }
-            finish_round(
-                tel,
-                health.as_mut(),
-                &mut report,
-                journal.is_some().then_some(&mut rounds_rec),
-                &trace,
-                &order,
-                round.len(),
-                &ok_flags,
-                &live_before,
-                &fleet,
-                stats_before,
-            );
+            rounds.push(self.dispatch_round(&batch, &mut pending, &mut samples, false)?);
         }
-        let mut estimates: Vec<Option<f64>> = samples
-            .iter()
-            .map(|s| {
-                if s.is_empty() {
-                    None
-                } else {
-                    Some(cfg.estimator.reduce_available(s))
-                }
-            })
-            .collect();
-        let mut reported = estimates.iter().filter(|e| e.is_some()).count();
+        let mut estimates = reduce(cfg.estimator, &samples);
+        let mut reported = estimates.iter().flatten().count();
         let needed = quorum_needed(batch.len(), cfg.quorum);
-        if reported < needed {
-            if let Some(sup) = supervisor {
-                // salvage: re-dispatch each missing point's first sample
-                // slot with attempt numbers past the retry budget, so the
-                // deadline charge keeps escalating; re-reduce after every
-                // salvage round before deciding whether to try again
-                let mut salvage = 0u32;
-                while reported < needed && salvage < sup.salvage_retries && !fleet.live.is_empty() {
-                    let mut missing: std::collections::VecDeque<(usize, u32)> = estimates
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, e)| e.is_none())
-                        .map(|(i, _)| (i * k, cfg.max_retries + 1 + salvage))
-                        .collect();
-                    while !missing.is_empty() && !fleet.live.is_empty() {
-                        let order = open_round(tel, health.as_mut(), &mut report, &fleet, &trace);
-                        let take = order.len().min(missing.len());
-                        let round: Vec<(usize, u32)> = missing.drain(..take).collect();
-                        let live_before = fleet.live.clone();
-                        let stats_before = fleet.stats;
-                        fleet.stats.retries += round.len();
-                        let resolutions = match run_round(
-                            &round,
-                            &order,
-                            batch_id,
-                            &batch,
-                            k,
-                            cfg,
-                            clients,
-                            events,
-                            &mut fleet,
-                            &mut trace,
-                            &mut evaluations,
-                        ) {
-                            Ok(r) => r,
-                            Err(e) => return Err(session_fail(tel, session, e)),
-                        };
-                        let ok_flags: Vec<bool> = resolutions
-                            .iter()
-                            .map(|r| matches!(r, Resolution::Observed(_)))
-                            .collect();
-                        for (&(slot, _), resolution) in round.iter().zip(resolutions) {
-                            match resolution {
-                                Resolution::Observed(obs) => samples[slot / k].push(obs),
-                                Resolution::Missed => fleet.stats.missed_reports += 1,
-                            }
-                        }
-                        finish_round(
-                            tel,
-                            health.as_mut(),
-                            &mut report,
-                            journal.is_some().then_some(&mut rounds_rec),
-                            &trace,
-                            &order,
-                            round.len(),
-                            &ok_flags,
-                            &live_before,
-                            &fleet,
-                            stats_before,
-                        );
-                    }
-                    estimates = samples
-                        .iter()
-                        .map(|s| {
-                            if s.is_empty() {
-                                None
-                            } else {
-                                Some(cfg.estimator.reduce_available(s))
-                            }
-                        })
-                        .collect();
-                    reported = estimates.iter().filter(|e| e.is_some()).count();
-                    salvage += 1;
+        if let (true, Some(sup)) = (reported < needed, self.supervisor) {
+            // salvage: re-dispatch each missing point's first sample
+            // slot with attempt numbers past the retry budget, so the
+            // deadline charge keeps escalating; re-reduce after every
+            // salvage round before deciding whether to try again
+            for salvage in 0..sup.salvage_retries {
+                if reported >= needed || self.fleet.live.is_empty() {
+                    break;
                 }
+                let mut missing: VecDeque<(usize, u32)> = estimates
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, e)| e.is_none())
+                    .map(|(i, _)| (i * k, cfg.max_retries + 1 + salvage))
+                    .collect();
+                while !missing.is_empty() && !self.fleet.live.is_empty() {
+                    rounds.push(self.dispatch_round(&batch, &mut missing, &mut samples, true)?);
+                }
+                estimates = reduce(cfg.estimator, &samples);
+                reported = estimates.iter().flatten().count();
             }
         }
-        let forced = reported < needed && reported > 0 && supervisor.is_some();
+        let forced = reported < needed && reported > 0 && self.supervisor.is_some();
         if reported < needed && !forced {
-            return Err(session_fail(
-                tel,
-                session,
-                ServerError::QuorumNotReached {
-                    step: trace.len(),
-                    reported,
-                    needed,
-                },
-            ));
+            let step = self.trace.len();
+            return Err(self.fail(ServerError::QuorumNotReached {
+                step,
+                reported,
+                needed,
+            }));
         }
         let partial = !forced && reported < batch.len();
         if partial {
-            fleet.stats.partial_batches += 1;
+            self.fleet.stats.partial_batches += 1;
         }
+        let rec = WalRecord::Batch(BatchRecord {
+            batch: self.batch_id,
+            estimates,
+            rounds,
+            partial,
+            forced,
+            evaluations: self.evaluations,
+            live: self.fleet.live.clone(),
+            serials: self.fleet.serials(),
+            draws: self.fleet.draws(),
+            stats: stats_to_array(&self.fleet.stats),
+        });
         // write-ahead commit point: the record lands *before* the
         // optimizer advances, so a kill on either side of `observe`
         // replays to the same state
-        if let Some(j) = journal.as_deref_mut() {
-            if let Err(e) = journal_append(
-                j,
-                WalRecord::Batch(BatchRecord {
-                    batch: batch_id,
-                    estimates: estimates.clone(),
-                    rounds: std::mem::take(&mut rounds_rec),
-                    partial,
-                    forced,
-                    evaluations,
-                    live: fleet.live.clone(),
-                    serials: fleet.serials(),
-                    draws: fleet.draws(),
-                    stats: stats_to_array(&fleet.stats),
-                }),
-            ) {
-                return Err(session_fail(tel, session, e));
+        self.append(&rec)?;
+        if let WalRecord::Batch(b) = &rec {
+            self.commit_batch(&batch, b);
+        }
+        self.snapshot_if_due()?;
+        Ok(true)
+    }
+
+    /// Dispatches the front of `pending` as one round over the live
+    /// clients, folds its observations into `samples`, and applies its
+    /// record. A tuning round requeues each missed slot with the next
+    /// attempt number while retries remain and abandons it after; a
+    /// `salvage` round counts every dispatch as a retry and never
+    /// requeues.
+    fn dispatch_round(
+        &mut self,
+        batch: &[Point],
+        pending: &mut VecDeque<(usize, u32)>,
+        samples: &mut [Vec<f64>],
+        salvage: bool,
+    ) -> Result<RoundDelta, ServerError> {
+        let (k, max_retries) = (self.cfg.estimator.samples(), self.cfg.max_retries);
+        self.begin_round();
+        let mut clients = match &self.health {
+            Some(h) => h.dispatch_order(&self.fleet.live),
+            None => self.fleet.live.clone(),
+        };
+        let take = clients.len().min(pending.len());
+        clients.truncate(take);
+        let round: Vec<(usize, u32)> = pending.drain(..take).collect();
+        let mut delta = RoundDelta {
+            step: 0.0,
+            clients,
+            ok: Vec::with_capacity(take),
+            evicted: Vec::new(),
+            missed: 0,
+            retries: if salvage { take } else { 0 },
+            abandoned: 0,
+            duplicates: 0,
+        };
+        let observed = self
+            .run_round(&round, batch, &mut delta)
+            .map_err(|e| self.fail(e))?;
+        for (&(slot, attempt), value) in round.iter().zip(observed) {
+            delta.ok.push(value.is_some());
+            match value {
+                Some(v) => samples[slot / k].push(v),
+                None if salvage => delta.missed += 1,
+                None if attempt < max_retries => {
+                    delta.missed += 1;
+                    delta.retries += 1;
+                    pending.push_back((slot, attempt + 1));
+                }
+                None => {
+                    delta.missed += 1;
+                    delta.abandoned += 1;
+                }
             }
         }
-        // Per-batch estimate dispersion (observed Total_Time spread) for
-        // the metrics layer, in canonical slot order. Replay emits the
-        // identical samples from the WAL record before its observe call.
+        self.apply_round(&delta);
+        Ok(delta)
+    }
+
+    /// Sends slot `round[i]` to client `delta.clients[i]` and collects
+    /// until every assignment resolves. Returns each slot's observation
+    /// (`None` = missed) and fills in the round's barrier time (the
+    /// worst on-time observation, each miss charging the
+    /// backoff-escalated deadline), its dead clients (ascending) and
+    /// its matched duplicates.
+    fn run_round(
+        &mut self,
+        round: &[(usize, u32)],
+        batch: &[Point],
+        delta: &mut RoundDelta,
+    ) -> Result<Vec<Option<f64>>, ServerError> {
+        let cfg = self.cfg;
+        let k = cfg.estimator.samples();
+        // deadline charge escalates with the attempt number (backoff)
+        let charge = |attempt: u32| cfg.deadline * cfg.backoff.powi(attempt as i32);
+        let mut outstanding: HashMap<Assignment, usize> = HashMap::with_capacity(round.len());
+        let mut observed: Vec<Option<f64>> = vec![None; round.len()];
+        let mut dead: Vec<usize> = Vec::new();
+        let mut t_k = f64::NEG_INFINITY;
+        for (pos, (&client, &(slot, attempt))) in delta.clients.iter().zip(round).enumerate() {
+            let assign = Assignment {
+                batch: self.batch_id,
+                slot,
+                attempt,
+            };
+            let point = batch[slot / k].clone();
+            if self.clients[client]
+                .send(Task::Run { assign, point })
+                .is_err()
+            {
+                // client thread already gone (defensive: normally Died
+                // is seen first) — immediate miss, evict
+                dead.push(client);
+                t_k = t_k.max(charge(attempt));
+                continue;
+            }
+            outstanding.insert(assign, pos);
+        }
+        while !outstanding.is_empty() {
+            let Ok(event) = self.events.recv() else {
+                return Err(ServerError::AllClientsDead {
+                    step: self.trace.len(),
+                });
+            };
+            self.fleet.note(&event);
+            let (assign, value, duplicate) = match event {
+                Event::Report {
+                    assign,
+                    observed,
+                    late,
+                    duplicate,
+                    ..
+                } => (assign, (!late).then_some(observed), duplicate && !late),
+                Event::Lost { assign, .. } => (assign, None, false),
+                Event::Died { client, assign } => {
+                    dead.push(client);
+                    if outstanding.remove(&assign).is_some() {
+                        t_k = t_k.max(charge(assign.attempt));
+                    }
+                    continue;
+                }
+            };
+            // a non-outstanding assignment is a stale or extra copy of an
+            // already-resolved one: de-duplicated by the (batch, slot,
+            // attempt) key and discarded silently
+            if let Some(pos) = outstanding.remove(&assign) {
+                self.evaluations += 1;
+                // counted on the matched copy: the extra copy may or may
+                // not ever be read (it can still be in flight at
+                // shutdown), so counting discarded copies would make the
+                // statistic scheduling-dependent
+                delta.duplicates += usize::from(duplicate);
+                t_k = t_k.max(value.unwrap_or_else(|| charge(assign.attempt)));
+                observed[pos] = value;
+            }
+        }
+        delta.step = t_k;
+        delta.evicted = self
+            .fleet
+            .live
+            .iter()
+            .copied()
+            .filter(|c| dead.contains(c))
+            .collect();
+        Ok(observed)
+    }
+
+    /// Advances the breaker clock at the start of a dispatch round
+    /// (supervised sessions only), emitting any cooldown expiries.
+    fn begin_round(&mut self) {
+        if let Some(h) = self.health.as_mut() {
+            self.tel.set_clock(self.trace.len() as u64);
+            let ts = h.begin_round();
+            emit_transitions(self.tel, &ts, &mut self.report);
+        }
+    }
+
+    /// Applies one dispatch round, live or replayed: evicts its dead
+    /// clients, folds its fault counters into the fleet, pushes its
+    /// barrier time, and emits its fault handling in canonical order —
+    /// evictions ascending by client index, then the miss, retry,
+    /// abandon and duplicate counts. Client events arrive in
+    /// scheduling-dependent order, so deriving the emission from the
+    /// record is what keeps traces byte-identical across runs. Then the
+    /// breakers see each dispatched client's result, and the round's
+    /// time becomes a `server.step_time` sample.
+    fn apply_round(&mut self, r: &RoundDelta) {
+        let tel = self.tel;
+        for &c in &r.evicted {
+            self.fleet.evict(c);
+        }
+        let stats = &mut self.fleet.stats;
+        stats.missed_reports += r.missed;
+        stats.retries += r.retries;
+        stats.abandoned_slots += r.abandoned;
+        stats.duplicate_reports += r.duplicates;
+        self.report.min_width = self.report.min_width.min(r.clients.len());
+        self.trace.push(r.step);
+        tel.set_clock(self.trace.len() as u64);
+        for &c in &r.evicted {
+            event!(tel, "server.evict", client = c);
+        }
+        if r.missed > 0 {
+            event!(tel, "server.miss", count = r.missed);
+        }
+        if r.retries > 0 {
+            event!(tel, "server.retry", count = r.retries);
+        }
+        if r.abandoned > 0 {
+            event!(tel, "server.abandon", count = r.abandoned);
+        }
+        if r.duplicates > 0 {
+            tel.counter("server.duplicate_reports", r.duplicates as u64);
+        }
+        if let Some(h) = self.health.as_mut() {
+            let ts: Vec<_> = r
+                .clients
+                .iter()
+                .zip(&r.ok)
+                .filter_map(|(&c, &ok)| h.record(c, ok))
+                .collect();
+            emit_transitions(tel, &ts, &mut self.report);
+        }
         if tel.enabled() {
-            for v in estimates.iter().flatten() {
+            tel.sample("server.step_time", r.step);
+        }
+    }
+
+    /// Replays one journaled batch: re-proposes it, applies its rounds,
+    /// and commits it.
+    fn replay_batch(&mut self, b: &BatchRecord) -> Result<(), ServerError> {
+        self.tel.set_clock(self.trace.len() as u64);
+        let batch = self.optimizer.propose();
+        if batch.len() != b.estimates.len() {
+            return Err(self.fail(recovery_err(format!(
+                "replayed batch {} proposes {} points, WAL has {}",
+                b.batch,
+                batch.len(),
+                b.estimates.len()
+            ))));
+        }
+        for round in &b.rounds {
+            self.begin_round();
+            self.apply_round(round);
+        }
+        self.commit_batch(&batch, b);
+        Ok(())
+    }
+
+    /// Commits one batch, live or replayed: restores the session
+    /// cursors the record carries, samples its estimates as
+    /// `server.estimate`, publishes them into the shared estimate tier,
+    /// advances the optimizer (`observe` for a complete batch,
+    /// `observe_partial` for a partial or forced one), and pushes the
+    /// recommendation's true cost onto the quality curve.
+    fn commit_batch(&mut self, batch: &[Point], b: &BatchRecord) {
+        let tel = self.tel;
+        self.batch_id = b.batch;
+        self.evaluations = b.evaluations;
+        self.fleet.live.clone_from(&b.live);
+        self.fleet.stats = stats_from_array(b.stats);
+        let reported = b.estimates.iter().flatten().count();
+        if tel.enabled() {
+            for v in b.estimates.iter().flatten() {
                 tel.sample("server.estimate", *v);
             }
         }
-        if forced {
-            report.forced_batches += 1;
+        if let Some(db) = self.shared.estimates {
+            for (p, v) in batch.iter().zip(&b.estimates) {
+                if let Some(v) = v {
+                    db.record(p, *v);
+                }
+            }
+        }
+        if b.forced {
+            self.report.forced_batches += 1;
             event!(
                 tel,
                 "recovery.forced_partial",
                 reported = reported,
                 total = batch.len()
             );
-            optimizer.observe_partial(&estimates);
+            self.optimizer.observe_partial(&b.estimates);
         } else if reported == batch.len() {
-            let complete: Vec<f64> = estimates.into_iter().map(|e| e.unwrap()).collect();
-            optimizer.observe(&complete);
+            let complete: Vec<f64> = b.estimates.iter().flatten().copied().collect();
+            self.optimizer.observe(&complete);
         } else {
             event!(
                 tel,
@@ -1815,280 +1419,226 @@ where
                 reported = reported,
                 total = batch.len()
             );
-            optimizer.observe_partial(&estimates);
+            self.optimizer.observe_partial(&b.estimates);
         }
         event!(
             tel,
             "server.batch",
-            batch = batch_id,
+            batch = self.batch_id,
             points = batch.len(),
-            steps = trace.len(),
-            live = fleet.live.len()
+            steps = self.trace.len(),
+            live = self.fleet.live.len()
         );
-        if let Some((rec, _)) = optimizer.recommendation() {
-            quality_curve.push((trace.len(), objective.eval(&rec)));
-        }
-        if snapshot_every > 0 && batch_id.is_multiple_of(snapshot_every) {
-            if let (Some(j), Some(ckpt)) = (journal.as_deref_mut(), optimizer.as_checkpoint()) {
-                let bytes = save_snapshot(
-                    ckpt,
-                    &objective,
-                    health.as_ref(),
-                    &trace,
-                    evaluations,
-                    &quality_curve,
-                    batch_id,
-                    &fleet,
-                );
-                if let Err(e) = j.put_snapshot(batch_id, &bytes) {
-                    return Err(session_fail(tel, session, journal_io(e)));
-                }
-            }
+        if let Some((rec, _)) = self.optimizer.recommendation() {
+            let q = self.objective.eval(&rec);
+            self.quality_curve.push((self.trace.len(), q));
         }
     }
 
-    let Some((best_point, best_estimate)) = optimizer.recommendation() else {
-        return Err(session_fail(tel, session, ServerError::NoObservations));
-    };
-    let best_true_cost = objective.eval(&best_point);
-
-    // exploit: one live client keeps running the tuned configuration;
-    // if it dies the next live client takes over
-    let mut pre_evicted: Vec<usize> = Vec::new();
-    while trace.len() < cfg.max_steps {
-        let Some(&runner) = fleet.live.first() else {
-            return Err(session_fail(
-                tel,
-                session,
-                ServerError::AllClientsDead { step: trace.len() },
-            ));
-        };
-        tel.set_clock(trace.len() as u64);
-        batch_id += 1;
-        let assign = Assignment {
-            batch: batch_id,
-            slot: 0,
-            attempt: 0,
-        };
-        if clients[runner]
-            .send(Task::Run {
-                assign,
-                point: best_point.clone(),
-            })
-            .is_err()
-        {
-            fleet.evict(runner);
-            event!(tel, "server.evict", client = runner);
-            pre_evicted.push(runner);
-            continue;
-        }
-        let (kind, dup, step_val) = loop {
-            let event = match events.recv() {
-                Err(_) => {
-                    return Err(session_fail(
-                        tel,
-                        session,
-                        ServerError::AllClientsDead { step: trace.len() },
-                    ))
-                }
-                Ok(event) => event,
+    /// Exploit phase: one live client keeps running the tuned
+    /// configuration until the step budget is spent; if it dies the next
+    /// live client takes over.
+    fn exploit(&mut self, best: &Point) -> Result<(), ServerError> {
+        let deadline = self.cfg.deadline;
+        let mut pre_evicted: Vec<usize> = Vec::new();
+        while self.trace.len() < self.cfg.max_steps {
+            let step = self.trace.len();
+            let Some(&runner) = self.fleet.live.first() else {
+                return Err(self.fail(ServerError::AllClientsDead { step }));
             };
-            fleet.note(&event);
-            match event {
-                Event::Report {
-                    assign: a,
-                    observed,
-                    late,
-                    duplicate,
-                    ..
-                } if a == assign => {
-                    if duplicate {
-                        fleet.stats.duplicate_reports += 1;
-                        tel.counter("server.duplicate_reports", 1);
-                    }
-                    if late {
-                        fleet.stats.missed_reports += 1;
-                        event!(tel, "server.miss", count = 1usize);
-                        trace.push(cfg.deadline);
-                        break (ExploitKind::Late, duplicate, cfg.deadline);
-                    }
-                    trace.push(observed);
-                    break (ExploitKind::OnTime, duplicate, observed);
-                }
-                Event::Lost { assign: a, .. } if a == assign => {
-                    fleet.stats.missed_reports += 1;
-                    event!(tel, "server.miss", count = 1usize);
-                    trace.push(cfg.deadline);
-                    break (ExploitKind::Lost, false, cfg.deadline);
-                }
-                Event::Died { client, assign: a } if a == assign => {
-                    fleet.evict(client);
-                    fleet.stats.missed_reports += 1;
-                    event!(tel, "server.evict", client = client);
-                    event!(tel, "server.miss", count = 1usize);
-                    trace.push(cfg.deadline);
-                    break (ExploitKind::Died(client), false, cfg.deadline);
-                }
-                _ => {} // stale or extra copy: discard silently
-            }
-        };
-        if let Some(j) = journal.as_deref_mut() {
-            if let Err(e) = journal_append(
-                j,
-                WalRecord::Exploit(ExploitRecord {
-                    batch: batch_id,
-                    step: step_val,
-                    pre_evicted: std::mem::take(&mut pre_evicted),
-                    duplicate: dup,
-                    kind,
-                    live: fleet.live.clone(),
-                    serials: fleet.serials(),
-                    draws: fleet.draws(),
-                    stats: stats_to_array(&fleet.stats),
-                }),
-            ) {
-                return Err(session_fail(tel, session, e));
-            }
-        }
-    }
-
-    if let Some(id) = session {
-        tel.set_clock(trace.len() as u64);
-        event!(
-            tel,
-            "server.done",
-            batches = batch_id,
-            evaluations = evaluations,
-            best = best_true_cost,
-            evicted = fleet.stats.evicted_clients,
-            converged = optimizer.converged()
-        );
-        objective.emit_telemetry(tel);
-        trace.emit_telemetry(tel, None);
-        // Shared-tier flush contention is scheduling-dependent, so it is
-        // excluded from SharedPerfDb::stats and only surfaced here when
-        // the caller explicitly opted into the wall channel.
-        if tel.wall_enabled() {
-            if let Some(db) = shared_costs {
-                tel.counter("shareddb.contended", db.stats_contended());
-            }
-        }
-        tel.span_close(id);
-    }
-
-    report.degraded = report.forced_batches > 0 || report.breaker_opens > 0;
-    Ok(SupervisedOutcome {
-        outcome: TuningOutcome {
-            trace,
-            steps_budget: cfg.max_steps,
-            best_point,
-            best_estimate,
-            best_true_cost,
-            converged: optimizer.converged(),
-            evaluations,
-            quality_curve,
-            faults: fleet.stats,
-        },
-        supervisor: report,
-    })
-}
-
-/// Dispatches one round of assignments (one per live client) and
-/// collects until every one of them resolves. Returns the per-assignment
-/// resolutions in round order; pushes the round's barrier time
-/// (worst on-time observation, with misses charging the backoff-escalated
-/// deadline) onto `trace`.
-#[allow(clippy::too_many_arguments)]
-fn run_round(
-    round: &[(usize, u32)],
-    order: &[usize],
-    batch_id: u64,
-    batch: &[Point],
-    k: usize,
-    cfg: ServerConfig,
-    clients: &[Sender<Task>],
-    events: &Receiver<Event>,
-    fleet: &mut Fleet,
-    trace: &mut TuningTrace,
-    evaluations: &mut usize,
-) -> Result<Vec<Resolution>, ServerError> {
-    // deadline charge escalates with the attempt number (backoff)
-    let charge = |attempt: u32| cfg.deadline * cfg.backoff.powi(attempt as i32);
-    let mut outstanding: HashMap<Assignment, usize> = HashMap::with_capacity(round.len());
-    let mut resolutions: Vec<Option<Resolution>> = Vec::with_capacity(round.len());
-    let mut t_k = f64::NEG_INFINITY;
-    let mut waiting = 0usize;
-    for (pos, (&client, &(slot, attempt))) in order.iter().zip(round.iter()).enumerate() {
-        let assign = Assignment {
-            batch: batch_id,
-            slot,
-            attempt,
-        };
-        let point = batch[slot / k].clone();
-        if clients[client].send(Task::Run { assign, point }).is_err() {
-            // client thread already gone (defensive: normally Died is
-            // seen first) — immediate miss, evict
-            fleet.evict(client);
-            resolutions.push(Some(Resolution::Missed));
-            t_k = t_k.max(charge(attempt));
-            continue;
-        }
-        outstanding.insert(assign, pos);
-        resolutions.push(None);
-        waiting += 1;
-    }
-    while waiting > 0 {
-        let event = events
-            .recv()
-            .map_err(|_| ServerError::AllClientsDead { step: trace.len() })?;
-        fleet.note(&event);
-        let (assign, resolution, duplicate) = match event {
-            Event::Report {
-                assign,
-                observed,
-                late: false,
-                duplicate,
-                ..
-            } => (assign, Resolution::Observed(observed), duplicate),
-            Event::Report {
-                assign, late: true, ..
-            } => (assign, Resolution::Missed, false),
-            Event::Lost { assign, .. } => (assign, Resolution::Missed, false),
-            Event::Died { client, assign } => {
-                fleet.evict(client);
-                if let Some(pos) = outstanding.remove(&assign) {
-                    t_k = t_k.max(charge(assign.attempt));
-                    resolutions[pos] = Some(Resolution::Missed);
-                    waiting -= 1;
-                }
+            self.tel.set_clock(step as u64);
+            self.batch_id += 1;
+            let assign = Assignment {
+                batch: self.batch_id,
+                slot: 0,
+                attempt: 0,
+            };
+            let point = best.clone();
+            if self.clients[runner]
+                .send(Task::Run { assign, point })
+                .is_err()
+            {
+                self.fleet.evict(runner);
+                pre_evicted.push(runner);
                 continue;
             }
-        };
-        // a non-outstanding assignment is a stale or extra copy of an
-        // already-resolved one: de-duplicated by the (batch, slot,
-        // attempt) key and discarded silently
-        if let Some(pos) = outstanding.remove(&assign) {
-            *evaluations += 1;
-            if duplicate {
-                // counted on the matched copy: the extra copy may or may
-                // not ever be read (it can still be in flight at
-                // shutdown), so counting discarded copies would make the
-                // statistic scheduling-dependent
-                fleet.stats.duplicate_reports += 1;
+            let (kind, duplicate, t_k) = loop {
+                let Ok(event) = self.events.recv() else {
+                    return Err(self.fail(ServerError::AllClientsDead { step }));
+                };
+                self.fleet.note(&event);
+                let stats = &mut self.fleet.stats;
+                match event {
+                    Event::Report {
+                        assign: a,
+                        observed,
+                        late,
+                        duplicate,
+                        ..
+                    } if a == assign => {
+                        stats.duplicate_reports += usize::from(duplicate);
+                        if late {
+                            stats.missed_reports += 1;
+                            break (ExploitKind::Late, duplicate, deadline);
+                        }
+                        break (ExploitKind::OnTime, duplicate, observed);
+                    }
+                    Event::Lost { assign: a, .. } if a == assign => {
+                        stats.missed_reports += 1;
+                        break (ExploitKind::Lost, false, deadline);
+                    }
+                    Event::Died { client, assign: a } if a == assign => {
+                        stats.missed_reports += 1;
+                        self.fleet.evict(client);
+                        break (ExploitKind::Died(client), false, deadline);
+                    }
+                    _ => {} // stale or extra copy: discard silently
+                }
+            };
+            let rec = WalRecord::Exploit(ExploitRecord {
+                batch: self.batch_id,
+                step: t_k,
+                pre_evicted: std::mem::take(&mut pre_evicted),
+                duplicate,
+                kind,
+                live: self.fleet.live.clone(),
+                serials: self.fleet.serials(),
+                draws: self.fleet.draws(),
+                stats: stats_to_array(&self.fleet.stats),
+            });
+            self.append(&rec)?;
+            if let WalRecord::Exploit(e) = &rec {
+                self.apply_exploit(e);
             }
-            match resolution {
-                Resolution::Observed(obs) => t_k = t_k.max(obs),
-                Resolution::Missed => t_k = t_k.max(charge(assign.attempt)),
+        }
+        Ok(())
+    }
+
+    /// Applies one exploit step, live or replayed: emits its fault
+    /// handling, pushes its time, and restores the session cursors the
+    /// record carries.
+    fn apply_exploit(&mut self, e: &ExploitRecord) {
+        let tel = self.tel;
+        tel.set_clock(self.trace.len() as u64);
+        for &c in &e.pre_evicted {
+            event!(tel, "server.evict", client = c);
+        }
+        if e.duplicate {
+            tel.counter("server.duplicate_reports", 1);
+        }
+        match e.kind {
+            ExploitKind::OnTime => {}
+            ExploitKind::Late | ExploitKind::Lost => {
+                event!(tel, "server.miss", count = 1usize);
             }
-            resolutions[pos] = Some(resolution);
-            waiting -= 1;
+            ExploitKind::Died(c) => {
+                event!(tel, "server.evict", client = c);
+                event!(tel, "server.miss", count = 1usize);
+            }
+        }
+        self.batch_id = e.batch;
+        self.trace.push(e.step);
+        self.fleet.live.clone_from(&e.live);
+        self.fleet.stats = stats_from_array(e.stats);
+    }
+
+    /// Appends `rec` to the journal, when the session has one.
+    fn append(&mut self, rec: &WalRecord) -> Result<(), ServerError> {
+        match self.journal.as_deref_mut().map(|j| j.append_record(rec)) {
+            Some(Err(e)) => Err(self.fail(journal_io(e))),
+            _ => Ok(()),
         }
     }
-    trace.push(t_k);
-    Ok(resolutions
-        .into_iter()
-        .map(|r| r.expect("every round assignment resolved"))
-        .collect())
+
+    /// Takes a snapshot when one is due on a journaled session with a
+    /// checkpointable optimizer.
+    fn snapshot_if_due(&mut self) -> Result<(), ServerError> {
+        let every = self.snapshot_every;
+        if every == 0 || !self.batch_id.is_multiple_of(every) || self.journal.is_none() {
+            return Ok(());
+        }
+        let Some(bytes) = self.save_snapshot() else {
+            return Ok(());
+        };
+        let batch = self.batch_id;
+        match self
+            .journal
+            .as_deref_mut()
+            .map(|j| j.put_snapshot(batch, &bytes))
+        {
+            Some(Err(e)) => Err(self.fail(journal_io(e))),
+            _ => Ok(()),
+        }
+    }
+
+    /// Serialises the full mid-session state at a batch boundary:
+    /// session progress, the optimizer, the objective memo, and (when
+    /// supervised) the health tracker. `None` when the optimizer is not
+    /// checkpointable.
+    fn save_snapshot(&self) -> Option<Vec<u8>> {
+        let ckpt = self.optimizer.as_checkpoint()?;
+        let mut w = StateWriter::new();
+        w.tag("session");
+        w.u64(self.batch_id);
+        w.f64_slice(self.trace.step_times());
+        w.usize(self.evaluations);
+        w.usize(self.quality_curve.len());
+        for &(step, q) in &self.quality_curve {
+            w.usize(step);
+            w.f64(q);
+        }
+        w.usize_slice(&self.fleet.live);
+        w.usize_slice(&stats_to_array(&self.fleet.stats));
+        ckpt.save_state(&mut w);
+        self.objective.save_state(&mut w);
+        w.bool(self.health.is_some());
+        if let Some(h) = &self.health {
+            h.save_state(&mut w);
+        }
+        Some(w.into_bytes())
+    }
+
+    /// Mirror of [`Session::save_snapshot`]: restores the session state
+    /// in place.
+    fn restore_snapshot(&mut self, bytes: &[u8]) -> Result<(), ServerError> {
+        let snap = |e: harmony_recovery::CodecError| recovery_err(format!("snapshot: {e}"));
+        let mut r = StateReader::new(bytes).map_err(snap)?;
+        r.tag("session").map_err(snap)?;
+        self.batch_id = r.u64().map_err(snap)?;
+        for t_k in r.f64_vec().map_err(snap)? {
+            self.trace
+                .try_push(t_k)
+                .map_err(|e| recovery_err(format!("snapshot trace: {e}")))?;
+        }
+        self.evaluations = r.usize().map_err(snap)?;
+        let n = r.usize().map_err(snap)?;
+        self.quality_curve.clear();
+        for _ in 0..n {
+            let step = r.usize().map_err(snap)?;
+            let q = r.f64().map_err(snap)?;
+            self.quality_curve.push((step, q));
+        }
+        self.fleet.live = r.usize_vec().map_err(snap)?;
+        let stats: [usize; 6] = r
+            .usize_vec()
+            .map_err(snap)?
+            .try_into()
+            .map_err(|_| recovery_err("snapshot stats arity"))?;
+        self.fleet.stats = stats_from_array(stats);
+        self.optimizer
+            .as_checkpoint_mut()
+            .ok_or_else(|| recovery_err("optimizer is not checkpointable"))?
+            .restore_state(&mut r)
+            .map_err(snap)?;
+        self.objective.restore_state(&mut r).map_err(snap)?;
+        let has_health = r.bool().map_err(snap)?;
+        match (has_health, self.health.as_mut()) {
+            (true, Some(h)) => h.restore_state(&mut r).map_err(snap)?,
+            (false, None) => {}
+            _ => return Err(recovery_err("snapshot supervision flag mismatch")),
+        }
+        r.finish().map_err(snap)
+    }
 }
 
 /// The number of surviving estimates a batch of `n` points needs to
@@ -2121,11 +1671,69 @@ mod tests {
         ServerConfig::new(procs, steps, estimator, 42).unwrap()
     }
 
+    /// [`run_session`] returning only the tuning outcome.
+    fn outcome<O: Objective + Sync + ?Sized>(
+        obj: &O,
+        noise: &Noise,
+        opt: &mut dyn Optimizer,
+        config: ServerConfig,
+        opts: SessionOptions<'_>,
+    ) -> Result<TuningOutcome, ServerError> {
+        run_session(obj, noise, opt, config, opts).map(|s| s.outcome)
+    }
+
+    /// Options injecting `plan` and nothing else.
+    fn faults(plan: FaultPlan) -> SessionOptions<'static> {
+        SessionOptions {
+            plan,
+            ..SessionOptions::default()
+        }
+    }
+
+    /// Options injecting `plan` under tracing into `tel`.
+    fn traced(plan: FaultPlan, tel: &harmony_telemetry::Telemetry) -> SessionOptions<'static> {
+        SessionOptions {
+            plan,
+            telemetry: tel.clone(),
+            ..SessionOptions::default()
+        }
+    }
+
+    /// Options injecting `plan` with `journal` attached.
+    fn journaled(
+        plan: FaultPlan,
+        journal: &mut SessionJournal,
+        recovery: RecoveryConfig,
+    ) -> SessionOptions<'_> {
+        SessionOptions {
+            plan,
+            journal: Some(journal),
+            recovery,
+            ..SessionOptions::default()
+        }
+    }
+
+    /// Options injecting `plan` under the default supervisor.
+    fn supervised(plan: FaultPlan) -> SessionOptions<'static> {
+        SessionOptions {
+            plan,
+            supervisor: Some(SupervisorConfig::default()),
+            ..SessionOptions::default()
+        }
+    }
+
     #[test]
     fn distributed_session_finds_optimum() {
         let obj = bowl();
         let mut opt = ProOptimizer::with_defaults(space());
-        let out = run_distributed(&obj, &Noise::None, &mut opt, cfg(Estimator::Single, 80, 8));
+        let out = outcome(
+            &obj,
+            &Noise::None,
+            &mut opt,
+            cfg(Estimator::Single, 80, 8),
+            SessionOptions::default(),
+        )
+        .unwrap();
         assert!(out.converged);
         assert_eq!(out.best_point.as_slice(), &[0.0, 0.0]);
         assert_eq!(out.best_true_cost, 1.5);
@@ -2139,7 +1747,15 @@ mod tests {
         let noise = Noise::paper_default(0.2);
         let run = || {
             let mut opt = ProOptimizer::with_defaults(space());
-            run_distributed(&obj, &noise, &mut opt, cfg(Estimator::MinOfK(2), 60, 4)).total_time()
+            outcome(
+                &obj,
+                &noise,
+                &mut opt,
+                cfg(Estimator::MinOfK(2), 60, 4),
+                SessionOptions::default(),
+            )
+            .unwrap()
+            .total_time()
         };
         assert_eq!(run(), run());
     }
@@ -2154,19 +1770,21 @@ mod tests {
         let config = || cfg(Estimator::MinOfK(2), 60, 4);
         let baseline = {
             let mut opt = ProOptimizer::with_defaults(space());
-            run_distributed(&obj, &noise, &mut opt, config())
+            outcome(&obj, &noise, &mut opt, config(), SessionOptions::default()).unwrap()
         };
         let costs = SharedPerfDb::new(space(), 4);
         let estimates = SharedPerfDb::new(space(), 4);
         let shared_run = || {
             let mut opt = ProOptimizer::with_defaults(space());
-            run_resilient_shared(
+            outcome(
                 &obj,
                 &noise,
                 &mut opt,
                 config(),
-                &FaultPlan::none(),
-                SharedSession::new(&costs, &estimates),
+                SessionOptions {
+                    shared: SharedSession::new(&costs, &estimates),
+                    ..SessionOptions::default()
+                },
             )
             .unwrap()
         };
@@ -2197,7 +1815,14 @@ mod tests {
         let obj = bowl();
         let steps = |est: Estimator| {
             let mut opt = ProOptimizer::with_defaults(space());
-            let out = run_distributed(&obj, &Noise::None, &mut opt, cfg(est, 50, 64));
+            let out = outcome(
+                &obj,
+                &Noise::None,
+                &mut opt,
+                cfg(est, 50, 64),
+                SessionOptions::default(),
+            )
+            .unwrap();
             out.evaluations
         };
         let e1 = steps(Estimator::Single);
@@ -2211,7 +1836,14 @@ mod tests {
         let obj = bowl();
         let mut opt = ProOptimizer::with_defaults(space());
         // 4-point batches on 2 clients: every batch takes 2 steps
-        let out = run_distributed(&obj, &Noise::None, &mut opt, cfg(Estimator::Single, 30, 2));
+        let out = outcome(
+            &obj,
+            &Noise::None,
+            &mut opt,
+            cfg(Estimator::Single, 30, 2),
+            SessionOptions::default(),
+        )
+        .unwrap();
         assert!(out.trace.len() >= 30);
         assert_eq!(out.best_point.as_slice(), &[0.0, 0.0]);
     }
@@ -2224,7 +1856,14 @@ mod tests {
             rho: 0.3,
         };
         let mut opt = ProOptimizer::with_defaults(space());
-        let out = run_distributed(&obj, &noise, &mut opt, cfg(Estimator::MinOfK(5), 100, 32));
+        let out = outcome(
+            &obj,
+            &noise,
+            &mut opt,
+            cfg(Estimator::MinOfK(5), 100, 32),
+            SessionOptions::default(),
+        )
+        .unwrap();
         // heavy noise, but min-of-5 keeps the chosen point decent
         assert!(out.best_true_cost < 4.0, "true={}", out.best_true_cost);
     }
@@ -2261,12 +1900,12 @@ mod tests {
         let obj = bowl();
         let mut opt = ProOptimizer::with_defaults(space());
         let plan = FaultPlan::new(3, 1.0, 0.0, 0.0, 0.0);
-        let out = run_resilient(
+        let out = outcome(
             &obj,
             &Noise::None,
             &mut opt,
             cfg(Estimator::Single, 60, 4),
-            &plan,
+            faults(plan),
         );
         assert!(matches!(out, Err(ServerError::AllClientsDead { .. })));
     }
@@ -2277,12 +1916,12 @@ mod tests {
         let mut opt = ProOptimizer::with_defaults(space());
         // every report is dropped: slots exhaust retries, no estimates
         let plan = FaultPlan::new(5, 0.0, 0.0, 1.0, 0.0);
-        let out = run_resilient(
+        let out = outcome(
             &obj,
             &Noise::None,
             &mut opt,
             cfg(Estimator::Single, 60, 8),
-            &plan,
+            faults(plan),
         );
         assert!(matches!(out, Err(ServerError::QuorumNotReached { .. })));
     }
@@ -2293,12 +1932,12 @@ mod tests {
         let mut opt = ProOptimizer::with_defaults(space());
         // half the clients crash early; the session degrades and finishes
         let plan = FaultPlan::new(12, 0.5, 0.0, 0.0, 0.0);
-        let out = run_resilient(
+        let out = outcome(
             &obj,
             &Noise::None,
             &mut opt,
             cfg(Estimator::Single, 80, 16),
-            &plan,
+            faults(plan),
         )
         .expect("session survives partial crashes");
         assert!(out.faults.evicted_clients > 0);
@@ -2312,12 +1951,12 @@ mod tests {
         let noise = Noise::paper_default(0.2);
         let run = |dup: f64| {
             let mut opt = ProOptimizer::with_defaults(space());
-            run_resilient(
+            outcome(
                 &obj,
                 &noise,
                 &mut opt,
                 cfg(Estimator::MinOfK(2), 60, 4),
-                &FaultPlan::new(9, 0.0, 0.0, 0.0, dup),
+                faults(FaultPlan::new(9, 0.0, 0.0, 0.0, dup)),
             )
             .expect("duplicate-only plan cannot kill a session")
         };
@@ -2335,12 +1974,12 @@ mod tests {
         let obj = bowl();
         let run = |hang: f64| {
             let mut opt = ProOptimizer::with_defaults(space());
-            run_resilient(
+            outcome(
                 &obj,
                 &Noise::None,
                 &mut opt,
                 cfg(Estimator::Single, 40, 8),
-                &FaultPlan::new(17, 0.0, hang, 0.0, 0.0),
+                faults(FaultPlan::new(17, 0.0, hang, 0.0, 0.0)),
             )
             .expect("moderate hang rate survivable")
         };
@@ -2358,9 +1997,11 @@ mod tests {
         let noise = Noise::paper_default(0.3);
         let config = cfg(Estimator::MinOfK(2), 70, 6);
         let mut opt_a = ProOptimizer::with_defaults(space());
-        let a = run_distributed(&obj, &noise, &mut opt_a, config);
+        let a = outcome(&obj, &noise, &mut opt_a, config, SessionOptions::default()).unwrap();
+        // a zero-rate plan injects nothing, whatever its seed
         let mut opt_b = ProOptimizer::with_defaults(space());
-        let b = run_resilient(&obj, &noise, &mut opt_b, config, &FaultPlan::none()).unwrap();
+        let quiet = FaultPlan::new(5, 0.0, 0.0, 0.0, 0.0);
+        let b = outcome(&obj, &noise, &mut opt_b, config, faults(quiet)).unwrap();
         assert_eq!(a, b);
         assert!(b.faults.is_clean());
     }
@@ -2372,12 +2013,18 @@ mod tests {
         let config = cfg(Estimator::Single, 80, 16);
 
         let mut plain_opt = ProOptimizer::with_defaults(space());
-        let plain = run_resilient(&obj, &Noise::None, &mut plain_opt, config, &plan).unwrap();
+        let plain = outcome(&obj, &Noise::None, &mut plain_opt, config, faults(plan)).unwrap();
 
         let (tel, sink) = harmony_telemetry::Telemetry::memory();
         let mut traced_opt = ProOptimizer::with_defaults(space());
-        let traced =
-            run_resilient_traced(&obj, &Noise::None, &mut traced_opt, config, &plan, &tel).unwrap();
+        let traced = outcome(
+            &obj,
+            &Noise::None,
+            &mut traced_opt,
+            config,
+            traced(plan, &tel),
+        )
+        .unwrap();
 
         assert_eq!(plain, traced, "telemetry must not perturb the session");
         let summary = harmony_telemetry::Summary::from_records(&sink.take());
@@ -2396,13 +2043,12 @@ mod tests {
         let plan = FaultPlan::new(3, 1.0, 0.0, 0.0, 0.0);
         let (tel, sink) = harmony_telemetry::Telemetry::memory();
         let mut opt = ProOptimizer::with_defaults(space());
-        let out = run_resilient_traced(
+        let out = outcome(
             &obj,
             &Noise::None,
             &mut opt,
             cfg(Estimator::Single, 60, 4),
-            &plan,
-            &tel,
+            traced(plan, &tel),
         );
         assert!(matches!(out, Err(ServerError::AllClientsDead { .. })));
         let summary = harmony_telemetry::Summary::from_records(&sink.take());
@@ -2443,12 +2089,12 @@ mod tests {
     fn no_observations_is_a_typed_error() {
         let obj = bowl();
         let mut opt = NeverProposes(space());
-        let out = run_resilient(
+        let out = outcome(
             &obj,
             &Noise::None,
             &mut opt,
             cfg(Estimator::Single, 10, 2),
-            &FaultPlan::none(),
+            faults(FaultPlan::none()),
         );
         assert!(matches!(out, Err(ServerError::NoObservations)));
     }
@@ -2461,18 +2107,16 @@ mod tests {
         let plan = FaultPlan::new(12, 0.4, 0.0, 0.0, 0.0);
 
         let mut plain_opt = ProOptimizer::with_defaults(space());
-        let plain = run_resilient(&obj, &noise, &mut plain_opt, config, &plan).unwrap();
+        let plain = outcome(&obj, &noise, &mut plain_opt, config, faults(plan)).unwrap();
 
         let mut journal = SessionJournal::in_memory();
         let mut opt = ProOptimizer::with_defaults(space());
-        let journaled = run_recoverable(
+        let journaled = outcome(
             &obj,
             &noise,
             &mut opt,
             config,
-            &plan,
-            &mut journal,
-            RecoveryConfig::default(),
+            journaled(plan, &mut journal, RecoveryConfig::default()),
         )
         .unwrap();
 
@@ -2490,14 +2134,12 @@ mod tests {
 
         let mut journal = SessionJournal::in_memory();
         let mut opt = ProOptimizer::with_defaults(space());
-        let full = run_recoverable(
+        let full = outcome(
             &obj,
             &Noise::None,
             &mut opt,
             config,
-            &plan,
-            &mut journal,
-            RecoveryConfig::default(),
+            journaled(plan, &mut journal, RecoveryConfig::default()),
         )
         .unwrap();
 
@@ -2507,14 +2149,12 @@ mod tests {
             let mut part = journal.clone();
             part.truncate_records(kill).unwrap();
             let mut opt = ProOptimizer::with_defaults(space());
-            let resumed = run_recoverable(
+            let resumed = outcome(
                 &obj,
                 &Noise::None,
                 &mut opt,
                 config,
-                &plan,
-                &mut part,
-                RecoveryConfig::default(),
+                journaled(plan, &mut part, RecoveryConfig::default()),
             )
             .unwrap();
             assert_eq!(
@@ -2533,15 +2173,15 @@ mod tests {
         let (tel, sink) = harmony_telemetry::Telemetry::memory();
         let mut journal = SessionJournal::in_memory();
         let mut opt = ProOptimizer::with_defaults(space());
-        let full = run_recoverable_traced(
+        let full = outcome(
             &obj,
             &Noise::None,
             &mut opt,
             config,
-            &plan,
-            &tel,
-            &mut journal,
-            RecoveryConfig::default(),
+            SessionOptions {
+                telemetry: tel.clone(),
+                ..journaled(plan, &mut journal, RecoveryConfig::default())
+            },
         )
         .unwrap();
         let full_records = sink.take();
@@ -2550,15 +2190,15 @@ mod tests {
         assert_eq!(part.truncate_records(3).unwrap(), 3);
         let (tel2, sink2) = harmony_telemetry::Telemetry::memory();
         let mut opt2 = ProOptimizer::with_defaults(space());
-        let resumed = run_recoverable_traced(
+        let resumed = outcome(
             &obj,
             &Noise::None,
             &mut opt2,
             config,
-            &plan,
-            &tel2,
-            &mut part,
-            RecoveryConfig::default(),
+            SessionOptions {
+                telemetry: tel2.clone(),
+                ..journaled(plan, &mut part, RecoveryConfig::default())
+            },
         )
         .unwrap();
 
@@ -2579,14 +2219,12 @@ mod tests {
 
         let mut journal = SessionJournal::in_memory();
         let mut opt = ProOptimizer::with_defaults(space());
-        let full = run_recoverable(
+        let full = outcome(
             &obj,
             &Noise::None,
             &mut opt,
             config,
-            &plan,
-            &mut journal,
-            recovery,
+            journaled(plan, &mut journal, recovery),
         )
         .unwrap();
 
@@ -2597,14 +2235,12 @@ mod tests {
             let mut part = journal.clone();
             part.truncate_records(kill).unwrap();
             let mut opt = ProOptimizer::with_defaults(space());
-            let resumed = run_recoverable(
+            let resumed = outcome(
                 &obj,
                 &Noise::None,
                 &mut opt,
                 config,
-                &plan,
-                &mut part,
-                recovery,
+                journaled(plan, &mut part, recovery),
             )
             .unwrap();
             assert_eq!(full, resumed, "snapshot resume at record {kill}");
@@ -2619,14 +2255,12 @@ mod tests {
 
         let mut journal = SessionJournal::in_memory();
         let mut opt = ProOptimizer::with_defaults(space());
-        let full = run_recoverable(
+        let full = outcome(
             &obj,
             &Noise::None,
             &mut opt,
             config,
-            &plan,
-            &mut journal,
-            RecoveryConfig::default(),
+            journaled(plan, &mut journal, RecoveryConfig::default()),
         )
         .unwrap();
 
@@ -2635,14 +2269,12 @@ mod tests {
         // a kill mid-append leaves a torn, unparsable tail line
         part.append_wal("{\"t\":\"batch\",\"b\":9,\"est\"").unwrap();
         let mut opt2 = ProOptimizer::with_defaults(space());
-        let resumed = run_recoverable(
+        let resumed = outcome(
             &obj,
             &Noise::None,
             &mut opt2,
             config,
-            &plan,
-            &mut part,
-            RecoveryConfig::default(),
+            journaled(plan, &mut part, RecoveryConfig::default()),
         )
         .unwrap();
         assert_eq!(full, resumed, "torn tail is dropped, not fatal");
@@ -2656,29 +2288,165 @@ mod tests {
 
         let mut journal = SessionJournal::in_memory();
         let mut opt = ProOptimizer::with_defaults(space());
-        let _ = run_recoverable(
+        let _ = outcome(
             &obj,
             &Noise::None,
             &mut opt,
             config,
-            &plan,
-            &mut journal,
-            RecoveryConfig::default(),
+            journaled(plan, &mut journal, RecoveryConfig::default()),
         )
         .unwrap();
 
         let drifted = ServerConfig { seed: 43, ..config };
         let mut opt2 = ProOptimizer::with_defaults(space());
-        let out = run_recoverable(
+        let out = outcome(
             &obj,
             &Noise::None,
             &mut opt2,
             drifted,
-            &plan,
-            &mut journal,
-            RecoveryConfig::default(),
+            journaled(plan, &mut journal, RecoveryConfig::default()),
         );
         assert!(matches!(out, Err(ServerError::Recovery(_))), "{out:?}");
+    }
+
+    /// A journal holding the header and the first record of kind `want`
+    /// (`"batch"` or `"exploit"`) of a real 2-client session, with
+    /// `tamper` applied to that record.
+    fn tampered_journal(
+        supervisor: Option<SupervisorConfig>,
+        want: &str,
+        tamper: impl FnOnce(&mut WalRecord),
+    ) -> SessionJournal {
+        let mut journal = SessionJournal::in_memory();
+        let opts = SessionOptions {
+            journal: Some(&mut journal),
+            supervisor,
+            ..SessionOptions::default()
+        };
+        let mut opt = ProOptimizer::with_defaults(space());
+        run_session(
+            &bowl(),
+            &Noise::None,
+            &mut opt,
+            cfg(Estimator::Single, 30, 2),
+            opts,
+        )
+        .unwrap();
+        let lines = journal.wal_lines().unwrap();
+        let mut rec = lines[1..]
+            .iter()
+            .map(|l| WalRecord::from_line(l).unwrap())
+            .find(|r| r.to_line().starts_with(&format!("{{\"t\":\"{want}\"")))
+            .expect("session journaled a record of that kind");
+        tamper(&mut rec);
+        let mut tampered = SessionJournal::in_memory();
+        tampered.append_wal(&lines[0]).unwrap();
+        tampered.append_record(&rec).unwrap();
+        tampered
+    }
+
+    #[test]
+    fn resume_rejects_out_of_range_clients() {
+        // records that parse but name client 7 of a 2-client session,
+        // carry one ok flag too few, or count more misses than the round
+        // dispatched: replay would index per-client state out of bounds
+        // or overflow a counter, so the scan refuses them
+        let batch_cases: [fn(&mut BatchRecord); 5] = [
+            |b| b.live = vec![7],
+            |b| b.rounds[0].clients[0] = 7,
+            |b| b.rounds[0].evicted = vec![7],
+            |b| {
+                b.rounds[0].ok.pop();
+            },
+            |b| b.rounds[0].missed = usize::MAX,
+        ];
+        let exploit_cases: [fn(&mut ExploitRecord); 3] = [
+            |e| e.live = vec![7],
+            |e| e.pre_evicted = vec![7],
+            |e| e.kind = ExploitKind::Died(7),
+        ];
+        for supervisor in [None, Some(SupervisorConfig::default())] {
+            let mut journals = Vec::new();
+            for tamper in batch_cases {
+                journals.push(tampered_journal(supervisor, "batch", |r| {
+                    if let WalRecord::Batch(b) = r {
+                        tamper(b)
+                    }
+                }));
+            }
+            for tamper in exploit_cases {
+                journals.push(tampered_journal(supervisor, "exploit", |r| {
+                    if let WalRecord::Exploit(e) = r {
+                        tamper(e)
+                    }
+                }));
+            }
+            for mut journal in journals {
+                let opts = SessionOptions {
+                    journal: Some(&mut journal),
+                    supervisor,
+                    ..SessionOptions::default()
+                };
+                let mut opt = ProOptimizer::with_defaults(space());
+                let out = run_session(
+                    &bowl(),
+                    &Noise::None,
+                    &mut opt,
+                    cfg(Estimator::Single, 30, 2),
+                    opts,
+                );
+                assert!(matches!(out, Err(ServerError::Recovery(_))), "{out:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn shared_journaled_session_resumes_with_identical_tiers() {
+        let obj = bowl();
+        let noise = Noise::paper_default(0.2);
+        let config = cfg(Estimator::MinOfK(2), 40, 4);
+        let plan = FaultPlan::new(12, 0.2, 0.05, 0.05, 0.05);
+        let tiers = || (SharedPerfDb::new(space(), 4), SharedPerfDb::new(space(), 4));
+        let run = |journal: &mut SessionJournal,
+                   (costs, estimates): &(SharedPerfDb, SharedPerfDb)| {
+            let mut opt = ProOptimizer::with_defaults(space());
+            let opts = SessionOptions {
+                shared: SharedSession::new(costs, estimates),
+                ..journaled(plan, journal, RecoveryConfig::default())
+            };
+            run_session(&obj, &noise, &mut opt, config, opts)
+        };
+        let canonical = |(costs, estimates): &(SharedPerfDb, SharedPerfDb)| {
+            costs.flush();
+            estimates.flush();
+            (costs.entries_canonical(), estimates.entries_canonical())
+        };
+
+        let mut journal = SessionJournal::in_memory();
+        let uninterrupted = tiers();
+        let full = run(&mut journal, &uninterrupted).unwrap();
+        let want = canonical(&uninterrupted);
+        assert!(!want.0.is_empty() && !want.1.is_empty());
+        let records = journal.wal_lines().unwrap().len() - 1;
+        for kill in 0..=records {
+            // the tiers outlive the killed attempt, keeping what it
+            // published; the resumed run must leave them as an
+            // uninterrupted run would
+            let survived = tiers();
+            let mut attempt = SessionJournal::in_memory();
+            run(&mut attempt, &survived).unwrap();
+            attempt.truncate_records(kill).unwrap();
+            assert_eq!(full, run(&mut attempt, &survived).unwrap(), "kill {kill}");
+            assert_eq!(want, canonical(&survived), "tiers after kill {kill}");
+
+            // WAL replay republishes every replayed batch's estimates,
+            // so even empty tiers end with the full estimate tier
+            let fresh = tiers();
+            let mut part = journal.clone();
+            part.truncate_records(kill).unwrap();
+            assert_eq!(full, run(&mut part, &fresh).unwrap(), "kill {kill}");
+            assert_eq!(want.1, canonical(&fresh).1, "estimates after kill {kill}");
+        }
     }
 
     #[test]
@@ -2688,17 +2456,22 @@ mod tests {
         let config = cfg(Estimator::MinOfK(2), 60, 8);
 
         let mut plain_opt = ProOptimizer::with_defaults(space());
-        let plain =
-            run_resilient(&obj, &noise, &mut plain_opt, config, &FaultPlan::none()).unwrap();
+        let plain = outcome(
+            &obj,
+            &noise,
+            &mut plain_opt,
+            config,
+            faults(FaultPlan::none()),
+        )
+        .unwrap();
 
         let mut opt = ProOptimizer::with_defaults(space());
-        let sup = run_supervised(
+        let sup = run_session(
             &obj,
             &noise,
             &mut opt,
             config,
-            &FaultPlan::none(),
-            SupervisorConfig::default(),
+            supervised(FaultPlan::none()),
         )
         .unwrap();
 
@@ -2720,19 +2493,12 @@ mod tests {
         let plan = FaultPlan::new(11, 0.0, 0.0, 0.5, 0.0);
 
         let mut plain_opt = ProOptimizer::with_defaults(space());
-        let plain = run_resilient(&obj, &Noise::None, &mut plain_opt, config, &plan);
+        let plain = outcome(&obj, &Noise::None, &mut plain_opt, config, faults(plan));
         assert!(matches!(plain, Err(ServerError::QuorumNotReached { .. })));
 
         let mut opt = ProOptimizer::with_defaults(space());
-        let sup = run_supervised(
-            &obj,
-            &Noise::None,
-            &mut opt,
-            config,
-            &plan,
-            SupervisorConfig::default(),
-        )
-        .expect("supervisor completes the session degraded");
+        let sup = run_session(&obj, &Noise::None, &mut opt, config, supervised(plan))
+            .expect("supervisor completes the session degraded");
         assert!(sup.outcome.trace.len() >= 30);
         assert!(
             sup.supervisor.degraded,
@@ -2746,13 +2512,12 @@ mod tests {
         let obj = bowl();
         let plan = FaultPlan::new(5, 0.0, 0.0, 1.0, 0.0);
         let mut opt = ProOptimizer::with_defaults(space());
-        let out = run_supervised(
+        let out = run_session(
             &obj,
             &Noise::None,
             &mut opt,
             cfg(Estimator::Single, 30, 8),
-            &plan,
-            SupervisorConfig::default(),
+            supervised(plan),
         );
         assert!(matches!(out, Err(ServerError::QuorumNotReached { .. })));
     }
@@ -2764,15 +2529,8 @@ mod tests {
         // heavy hangs: some client strings 3 consecutive misses together
         let plan = FaultPlan::new(17, 0.0, 0.6, 0.0, 0.0);
         let mut opt = ProOptimizer::with_defaults(space());
-        let sup = run_supervised(
-            &obj,
-            &Noise::None,
-            &mut opt,
-            config,
-            &plan,
-            SupervisorConfig::default(),
-        )
-        .expect("hang-only plan is survivable under supervision");
+        let sup = run_session(&obj, &Noise::None, &mut opt, config, supervised(plan))
+            .expect("hang-only plan is survivable under supervision");
         assert!(sup.supervisor.breaker_opens > 0);
         assert!(sup.supervisor.degraded);
         assert!(sup.supervisor.min_width <= 4);
@@ -2812,13 +2570,12 @@ mod tests {
         for (label, plan, event) in cases {
             let (tel, fr) = flight_telemetry();
             let mut opt = ProOptimizer::with_defaults(space());
-            let out = run_resilient_traced(
+            let out = outcome(
                 &obj,
                 &Noise::None,
                 &mut opt,
                 cfg(Estimator::Single, 60, 4),
-                &plan,
-                &tel,
+                traced(plan, &tel),
             );
             assert!(out.is_err(), "{label} plan must fail the session");
             let pms = fr.post_mortems();
@@ -2833,13 +2590,12 @@ mod tests {
         // no observations: the optimizer proposes nothing at all
         let (tel, fr) = flight_telemetry();
         let mut opt = NeverProposes(space());
-        let out = run_resilient_traced(
+        let out = outcome(
             &obj,
             &Noise::None,
             &mut opt,
             cfg(Estimator::Single, 10, 2),
-            &FaultPlan::none(),
-            &tel,
+            traced(FaultPlan::none(), &tel),
         );
         assert!(matches!(out, Err(ServerError::NoObservations)));
         let pms = fr.post_mortems();
@@ -2854,14 +2610,15 @@ mod tests {
         let plan = FaultPlan::new(17, 0.0, 0.6, 0.0, 0.0);
         let (tel, fr) = flight_telemetry();
         let mut opt = ProOptimizer::with_defaults(space());
-        let sup = run_supervised_traced(
+        let sup = run_session(
             &obj,
             &Noise::None,
             &mut opt,
             cfg(Estimator::Single, 60, 4),
-            &plan,
-            &tel,
-            SupervisorConfig::default(),
+            SessionOptions {
+                telemetry: tel.clone(),
+                ..supervised(plan)
+            },
         )
         .expect("hang-only plan is survivable under supervision");
         assert!(sup.supervisor.breaker_opens > 0);
@@ -2885,13 +2642,12 @@ mod tests {
         let run = || {
             let (tel, fr) = flight_telemetry();
             let mut opt = ProOptimizer::with_defaults(space());
-            let _ = run_resilient_traced(
+            let _ = outcome(
                 &obj,
                 &Noise::None,
                 &mut opt,
                 cfg(Estimator::Single, 60, 4),
-                &plan,
-                &tel,
+                traced(plan, &tel),
             );
             fr.post_mortems()
         };

@@ -75,7 +75,7 @@ impl TunerConfig {
 /// Fault-handling counters of one tuning session. All zero on the
 /// fault-free paths ([`OnlineTuner`] and a server session with a
 /// fault-free plan); populated by
-/// [`crate::server::run_resilient`] when faults fire.
+/// [`crate::server::run_session`] when faults fire.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Reports that missed their deadline (client hang, dropped report,

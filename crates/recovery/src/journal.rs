@@ -122,14 +122,14 @@ impl SessionJournal {
         }
     }
 
-    /// Appends one typed WAL record. The in-memory backend stores the
-    /// record as-is (a move) and serialises lazily on read; the
-    /// directory backend serialises and writes immediately — the write
-    /// is what makes the record durable there.
-    pub fn append_record(&mut self, rec: WalRecord) -> io::Result<()> {
+    /// Appends one typed WAL record. The in-memory backend stores a
+    /// copy and serialises lazily on read; the directory backend
+    /// serialises and writes immediately — the write is what makes the
+    /// record durable there.
+    pub fn append_record(&mut self, rec: &WalRecord) -> io::Result<()> {
         match &mut self.store {
             Store::Memory { wal, .. } => {
-                wal.push(Line::Rec(rec));
+                wal.push(Line::Rec(rec.clone()));
                 Ok(())
             }
             Store::Dir(_) => self.append_wal(&rec.to_line()),

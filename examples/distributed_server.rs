@@ -19,7 +19,9 @@ fn main() {
     for est in [Estimator::Single, Estimator::MinOfK(4)] {
         let cfg = ServerConfig::new(16, 150, est, 11).expect("valid server config");
         let mut pro = ProOptimizer::with_defaults(gs2.space().clone());
-        let out = run_distributed(&gs2, &noise, &mut pro, cfg);
+        let out = run_session(&gs2, &noise, &mut pro, cfg, SessionOptions::default())
+            .expect("fault-free session")
+            .outcome;
         println!(
             "{:<10} {:>6} {:>6}   ({:>3}, {:>2}, {:>2})              {:>8.3}",
             est.label(),

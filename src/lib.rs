@@ -76,9 +76,8 @@ pub mod prelude {
     pub use harmony_core::baselines::{GeneticAlgorithm, RandomSearch, SimulatedAnnealing};
     pub use harmony_core::nelder_mead::{NelderMead, NelderMeadConfig};
     pub use harmony_core::server::{
-        run_distributed, run_recoverable, run_recoverable_traced, run_resilient,
-        run_resilient_traced, run_session_traced, run_supervised, run_supervised_traced,
-        RecoveryConfig, ServerConfig, ServerError, SupervisedOutcome, SupervisorReport,
+        run_session, RecoveryConfig, ServerConfig, ServerError, SessionOptions, SharedSession,
+        SupervisedOutcome, SupervisorReport,
     };
     pub use harmony_core::sro::{SroConfig, SroOptimizer};
     pub use harmony_core::{

@@ -24,12 +24,15 @@ fn server_with_a_single_client() {
     // every batch serialises through one client thread
     let obj = bowl();
     let mut pro = ProOptimizer::with_defaults(space());
-    let out = run_distributed(
+    let out = run_session(
         &obj,
         &Noise::None,
         &mut pro,
         ServerConfig::new(1, 60, Estimator::Single, 1).unwrap(),
-    );
+        SessionOptions::default(),
+    )
+    .expect("fault-free session")
+    .outcome;
     assert_eq!(out.best_point.as_slice(), &[0.0, 0.0]);
     assert!(out.trace.len() >= 60);
 }
@@ -39,12 +42,15 @@ fn server_with_more_samples_than_clients() {
     // k=7 samples on 3 clients: slots spill across multiple steps
     let obj = bowl();
     let mut pro = ProOptimizer::with_defaults(space());
-    let out = run_distributed(
+    let out = run_session(
         &obj,
         &Noise::paper_default(0.2),
         &mut pro,
         ServerConfig::new(3, 80, Estimator::MinOfK(7), 2).unwrap(),
-    );
+        SessionOptions::default(),
+    )
+    .expect("fault-free session")
+    .outcome;
     assert!(out.best_true_cost < 3.0, "bt={}", out.best_true_cost);
     assert!(out.evaluations > 7 * 4, "evals={}", out.evaluations);
 }
@@ -53,12 +59,15 @@ fn server_with_more_samples_than_clients() {
 fn server_fills_budget_for_non_converging_optimizers() {
     let obj = bowl();
     let mut sa = SimulatedAnnealing::new(space(), 2.0, 0.99, 3);
-    let out = run_distributed(
+    let out = run_session(
         &obj,
         &Noise::None,
         &mut sa,
         ServerConfig::new(4, 50, Estimator::Single, 3).unwrap(),
-    );
+        SessionOptions::default(),
+    )
+    .expect("fault-free session")
+    .outcome;
     assert!(!out.converged);
     assert!(out.trace.len() >= 50);
     assert!(out.best_true_cost.is_finite());
@@ -69,12 +78,15 @@ fn server_matches_tuner_on_deterministic_problems() {
     // no noise: client threading must not change the algorithm's path
     let obj = bowl();
     let mut a = ProOptimizer::with_defaults(space());
-    let server = run_distributed(
+    let server = run_session(
         &obj,
         &Noise::None,
         &mut a,
         ServerConfig::new(8, 100, Estimator::Single, 7).unwrap(),
-    );
+        SessionOptions::default(),
+    )
+    .expect("fault-free session")
+    .outcome;
     let mut b = ProOptimizer::with_defaults(space());
     let tuner = OnlineTuner::new(TunerConfig {
         full_occupancy: false,

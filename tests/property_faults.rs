@@ -12,7 +12,7 @@
 //! CI runs this file with an elevated `PROPTEST_CASES` as the chaos
 //! step.
 
-use harmony::core::{restarting_pro, run_session_traced};
+use harmony::core::restarting_pro;
 use harmony::prelude::*;
 use harmony::recovery::{restore_from_slice, save_to_vec};
 use harmony::surface::objective::FnObjective;
@@ -39,7 +39,11 @@ fn session(
     let obj = bowl();
     let mut pro = ProOptimizer::with_defaults(space());
     let cfg = ServerConfig::new(procs, steps, Estimator::Single, seed).unwrap();
-    run_resilient(&obj, &Noise::paper_default(0.2), &mut pro, cfg, plan)
+    let opts = SessionOptions {
+        plan: *plan,
+        ..SessionOptions::default()
+    };
+    run_session(&obj, &Noise::paper_default(0.2), &mut pro, cfg, opts).map(|s| s.outcome)
 }
 
 /// [`session`] through a flight recorder: returns the outcome plus
@@ -58,15 +62,13 @@ fn session_with_flight_recorder(
     let cfg = ServerConfig::new(procs, steps, Estimator::Single, seed).unwrap();
     let recorder = std::sync::Arc::new(FlightRecorder::new(64));
     let tel = Telemetry::with_config(recorder.clone(), TelemetryConfig::default());
-    let out = harmony::core::server::run_resilient_traced(
-        &obj,
-        &Noise::paper_default(0.2),
-        &mut pro,
-        cfg,
-        plan,
-        &tel,
-    );
-    (out, recorder.take_post_mortems())
+    let opts = SessionOptions {
+        plan: *plan,
+        telemetry: tel,
+        ..SessionOptions::default()
+    };
+    let out = run_session(&obj, &Noise::paper_default(0.2), &mut pro, cfg, opts);
+    (out.map(|s| s.outcome), recorder.take_post_mortems())
 }
 
 /// Deterministic pseudo-observations: the bowl cost plus a small
@@ -113,7 +115,7 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// A fault-free plan reproduces the plain distributed path exactly.
+    /// A fault-free plan reproduces the default session exactly.
     #[test]
     fn fault_free_plan_matches_run_distributed(
         seed in 0u64..2_000,
@@ -123,7 +125,9 @@ proptest! {
         let obj = bowl();
         let mut pro = ProOptimizer::with_defaults(space());
         let cfg = ServerConfig::new(procs, 30, Estimator::Single, seed).unwrap();
-        let plain = run_distributed(&obj, &Noise::paper_default(0.2), &mut pro, cfg);
+        let plain = run_session(&obj, &Noise::paper_default(0.2), &mut pro, cfg, SessionOptions::default())
+            .unwrap()
+            .outcome;
         prop_assert_eq!(&resilient, &plain);
         prop_assert!(resilient.faults.is_clean());
     }
@@ -145,19 +149,25 @@ proptest! {
         let obj = bowl();
         let noise = Noise::paper_default(0.2);
         let cfg = ServerConfig::new(procs, 25, Estimator::Single, seed).unwrap();
-        let recovery = RecoveryConfig { snapshot_every: snap };
+        let run = |journal: &mut SessionJournal| {
+            let mut pro = ProOptimizer::with_defaults(space());
+            let opts = SessionOptions {
+                plan,
+                journal: Some(journal),
+                recovery: RecoveryConfig { snapshot_every: snap },
+                ..SessionOptions::default()
+            };
+            run_session(&obj, &noise, &mut pro, cfg, opts).map(|s| s.outcome)
+        };
 
         let mut journal = SessionJournal::in_memory();
-        let mut pro = ProOptimizer::with_defaults(space());
-        let full = run_recoverable(&obj, &noise, &mut pro, cfg, &plan, &mut journal, recovery);
+        let full = run(&mut journal);
 
         let records = journal.wal_lines().unwrap().len().saturating_sub(1);
         let kill = ((records as f64) * kill_frac) as usize;
         let mut part = journal.clone();
         part.truncate_records(kill).unwrap();
-        let mut pro2 = ProOptimizer::with_defaults(space());
-        let resumed = run_recoverable(&obj, &noise, &mut pro2, cfg, &plan, &mut part, recovery);
-        prop_assert_eq!(full, resumed);
+        prop_assert_eq!(full, run(&mut part));
     }
 
     /// Checkpoint round-trip identity for every optimizer: saving after
@@ -222,7 +232,12 @@ proptest! {
         let cfg = ServerConfig::new(procs, 25, Estimator::Single, seed).unwrap();
         let run = || {
             let mut pro = ProOptimizer::with_defaults(space());
-            run_supervised(&obj, &noise, &mut pro, cfg, &plan, SupervisorConfig::default())
+            let opts = SessionOptions {
+                plan,
+                supervisor: Some(SupervisorConfig::default()),
+                ..SessionOptions::default()
+            };
+            run_session(&obj, &noise, &mut pro, cfg, opts)
         };
         prop_assert_eq!(run(), run());
     }
@@ -254,32 +269,77 @@ proptest! {
     }
 }
 
-/// ISSUE acceptance: exhaustive kill-point sweep. A journaled,
-/// supervised, traced session killed after *every* WAL record resumes to
-/// a byte-identical outcome, supervisor report, and telemetry stream
-/// (WAL-only mode re-emits the full trace).
-#[test]
-fn every_kill_point_resumes_byte_identically_with_supervision() {
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Replay ≡ live: a journaled, traced session cut after *every* WAL
+    /// record — batch and exploit alike, no snapshot — resumes to the
+    /// same outcome (Ok or Err), supervisor report, and telemetry stream
+    /// as the uninterrupted run, across seeds, every fault kind, and
+    /// supervision on or off. Live rounds and replayed ones commit
+    /// through the same code, so nothing may tell them apart.
+    #[test]
+    fn replay_is_indistinguishable_from_live(
+        seed in 0u64..2_000,
+        plan_seed in 0u64..2_000,
+        procs in 2usize..6,
+        (crash, hang) in (0.0f64..0.4, 0.0f64..0.2),
+        (drop, dup) in (0.0f64..0.2, 0.0f64..0.2),
+        supervised in 0u8..2,
+    ) {
+        let obj = bowl();
+        let noise = Noise::paper_default(0.2);
+        let cfg = ServerConfig::new(procs, 20, Estimator::Single, seed).unwrap();
+        let plan = FaultPlan::new(plan_seed, crash, hang, drop, dup);
+        let supervisor = (supervised == 1).then(SupervisorConfig::default);
+        let run = |journal: &mut SessionJournal| {
+            let (tel, sink) = Telemetry::memory();
+            let mut pro = ProOptimizer::with_defaults(space());
+            let opts = SessionOptions {
+                plan,
+                telemetry: tel,
+                journal: Some(journal),
+                supervisor,
+                ..SessionOptions::default()
+            };
+            let out = run_session(&obj, &noise, &mut pro, cfg, opts);
+            (out, sink.take())
+        };
+
+        let mut journal = SessionJournal::in_memory();
+        let (full, full_trace) = run(&mut journal);
+        let records = journal.wal_lines().unwrap().len().saturating_sub(1);
+        for cut in 0..=records {
+            let mut part = journal.clone();
+            part.truncate_records(cut).unwrap();
+            let (resumed, resumed_trace) = run(&mut part);
+            prop_assert_eq!(&full, &resumed, "cut after record {}", cut);
+            prop_assert_eq!(&full_trace, &resumed_trace, "telemetry, cut after record {}", cut);
+        }
+    }
+}
+
+/// Exhaustive kill-point sweep: a journaled, supervised, traced session
+/// killed after *every* WAL record resumes to a byte-identical outcome,
+/// supervisor report, and telemetry stream (WAL-only mode re-emits the
+/// full trace).
+fn assert_kill_matrix(make: impl Fn() -> Box<dyn Optimizer>) {
     let obj = bowl();
     let noise = Noise::paper_default(0.2);
     let cfg = ServerConfig::new(6, 30, Estimator::Single, 2005).unwrap();
     let plan = FaultPlan::new(41, 0.2, 0.15, 0.1, 0.05);
-    let sup = SupervisorConfig::default();
 
     let run = |journal: &mut SessionJournal| {
         let (tel, sink) = Telemetry::memory();
-        let mut pro = ProOptimizer::with_defaults(space());
-        let out = run_session_traced(
-            &obj,
-            &noise,
-            &mut pro,
-            cfg,
-            &plan,
-            &tel,
-            Some(journal),
-            RecoveryConfig::default(),
-            Some(sup),
-        );
+        let mut opt = make();
+        let opts = SessionOptions {
+            plan,
+            telemetry: tel,
+            journal: Some(journal),
+            supervisor: Some(SupervisorConfig::default()),
+            ..SessionOptions::default()
+        };
+        let out = run_session(&obj, &noise, opt.as_mut(), cfg, opts);
         (out, sink.take())
     };
 
@@ -296,46 +356,15 @@ fn every_kill_point_resumes_byte_identically_with_supervision() {
     }
 }
 
-/// The surrogate tier goes through the same kill matrix as PRO: a
-/// journaled, supervised, traced session killed after *every* WAL
-/// record resumes to a byte-identical outcome, supervisor report, and
-/// telemetry stream.
+#[test]
+fn every_kill_point_resumes_byte_identically_with_supervision() {
+    assert_kill_matrix(|| Box::new(ProOptimizer::with_defaults(space())));
+}
+
+/// The surrogate tier goes through the same kill matrix as PRO.
 #[test]
 fn surrogate_kill_matrix_resumes_byte_identically() {
-    let obj = bowl();
-    let noise = Noise::paper_default(0.2);
-    let cfg = ServerConfig::new(6, 30, Estimator::Single, 2005).unwrap();
-    let plan = FaultPlan::new(41, 0.2, 0.15, 0.1, 0.05);
-    let sup = SupervisorConfig::default();
-
-    let run = |journal: &mut SessionJournal| {
-        let (tel, sink) = Telemetry::memory();
-        let mut opt = SurrogateOptimizer::with_defaults(space(), 2005);
-        let out = run_session_traced(
-            &obj,
-            &noise,
-            &mut opt,
-            cfg,
-            &plan,
-            &tel,
-            Some(journal),
-            RecoveryConfig::default(),
-            Some(sup),
-        );
-        (out, sink.take())
-    };
-
-    let mut journal = SessionJournal::in_memory();
-    let (full, full_trace) = run(&mut journal);
-    let records = journal.wal_lines().unwrap().len() - 1;
-    assert!(records > 3, "session committed only {records} records");
-    for kill in 0..=records {
-        let mut part = journal.clone();
-        part.truncate_records(kill).unwrap();
-        let (resumed, resumed_trace) = run(&mut part);
-        assert_eq!(full, resumed, "kill after record {kill}");
-        assert_eq!(full_trace, resumed_trace, "telemetry after record {kill}");
-    }
+    assert_kill_matrix(|| Box::new(SurrogateOptimizer::with_defaults(space(), 2005)));
 }
 
 /// ISSUE acceptance: 25% crashes + 10% hangs on GS2 still terminates
@@ -347,7 +376,11 @@ fn gs2_survives_quarter_crashes_within_2x() {
     let run = |plan: &FaultPlan| {
         let mut pro = ProOptimizer::with_defaults(gs2.space().clone());
         let cfg = ServerConfig::new(16, 60, Estimator::Single, 2005).unwrap();
-        run_resilient(&gs2, &noise, &mut pro, cfg, plan)
+        let opts = SessionOptions {
+            plan: *plan,
+            ..SessionOptions::default()
+        };
+        run_session(&gs2, &noise, &mut pro, cfg, opts).map(|s| s.outcome)
     };
     let clean = run(&FaultPlan::none()).expect("fault-free session terminates");
     let faulty =
