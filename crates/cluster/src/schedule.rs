@@ -12,6 +12,8 @@
 //!   there are 64 parallel processors running GS2 concurrently, we can
 //!   set K = 10 with no additional cost").
 
+use std::ops::Range;
+
 /// One evaluation slot: which candidate point and which of its samples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalSlot {
@@ -47,40 +49,11 @@ impl Schedule {
     /// # Panics
     /// Panics when any argument is zero.
     pub fn plan(n_points: usize, k_samples: usize, procs: usize, mode: SamplingMode) -> Self {
-        assert!(n_points > 0, "need at least one point");
-        assert!(k_samples > 0, "need at least one sample");
-        assert!(procs > 0, "need at least one processor");
-        let slots: Vec<EvalSlot> = match mode {
-            SamplingMode::SequentialSteps => (0..k_samples)
-                .flat_map(|s| {
-                    (0..n_points).map(move |p| EvalSlot {
-                        point: p,
-                        sample: s,
-                    })
-                })
-                .collect(),
-            SamplingMode::Packed => (0..n_points)
-                .flat_map(|p| {
-                    (0..k_samples).map(move |s| EvalSlot {
-                        point: p,
-                        sample: s,
-                    })
-                })
-                .collect(),
-        };
-        let steps = match mode {
-            SamplingMode::SequentialSteps => {
-                // never mix samples of one point within a step
-                let mut steps = Vec::new();
-                for sample_chunk in slots.chunks(n_points) {
-                    for proc_chunk in sample_chunk.chunks(procs) {
-                        steps.push(proc_chunk.to_vec());
-                    }
-                }
-                steps
-            }
-            SamplingMode::Packed => slots.chunks(procs).map(<[EvalSlot]>::to_vec).collect(),
-        };
+        let layout = Layout::new(n_points, k_samples, procs, mode);
+        let steps = layout
+            .steps()
+            .map(|step| step.map(|i| layout.slot(i)).collect())
+            .collect();
         Schedule { steps }
     }
 
@@ -92,6 +65,70 @@ impl Schedule {
     /// Total number of evaluation slots.
     pub fn n_evals(&self) -> usize {
         self.steps.iter().map(Vec::len).sum()
+    }
+}
+
+/// The plan of [`Schedule::plan`] as arithmetic: every `(point, sample)`
+/// slot has a position in the mode's *slot order* (sample-major for
+/// [`SamplingMode::SequentialSteps`], point-major for
+/// [`SamplingMode::Packed`]), and each time step is a run of consecutive
+/// positions. The simulated cluster walks a batch through this view, so
+/// planning a batch allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Layout {
+    n_points: usize,
+    k_samples: usize,
+    procs: usize,
+    mode: SamplingMode,
+}
+
+impl Layout {
+    /// The layout of `n_points × k_samples` on `procs` processors under
+    /// `mode`.
+    ///
+    /// # Panics
+    /// Panics when any argument is zero.
+    pub fn new(n_points: usize, k_samples: usize, procs: usize, mode: SamplingMode) -> Self {
+        assert!(n_points > 0, "need at least one point");
+        assert!(k_samples > 0, "need at least one sample");
+        assert!(procs > 0, "need at least one processor");
+        Layout {
+            n_points,
+            k_samples,
+            procs,
+            mode,
+        }
+    }
+
+    /// The slot at `pos` in the slot order.
+    pub fn slot(&self, pos: usize) -> EvalSlot {
+        match self.mode {
+            SamplingMode::SequentialSteps => EvalSlot {
+                point: pos % self.n_points,
+                sample: pos / self.n_points,
+            },
+            SamplingMode::Packed => EvalSlot {
+                point: pos / self.k_samples,
+                sample: pos % self.k_samples,
+            },
+        }
+    }
+
+    /// The time steps, in order, as position ranges of at most `procs`
+    /// slots. Sequential sampling never mixes samples of one point within
+    /// a step: each sample round is split on its own.
+    pub fn steps(&self) -> impl Iterator<Item = Range<usize>> {
+        let (segment, segments) = match self.mode {
+            SamplingMode::SequentialSteps => (self.n_points, self.k_samples),
+            SamplingMode::Packed => (self.n_points * self.k_samples, 1),
+        };
+        let procs = self.procs;
+        (0..segments).flat_map(move |s| {
+            let base = s * segment;
+            (0..segment)
+                .step_by(procs)
+                .map(move |c| base + c..base + (c + procs).min(segment))
+        })
     }
 }
 

@@ -2,7 +2,7 @@
 
 use crate::fault::{Delivery, FaultPlan, FleetState};
 use crate::metrics::TuningTrace;
-use crate::schedule::{SamplingMode, Schedule};
+use crate::schedule::{Layout, SamplingMode};
 use harmony_variability::noise::NoiseModel;
 use rand::RngCore;
 
@@ -143,7 +143,8 @@ impl Cluster {
     }
 
     /// Evaluates `K` samples of each candidate (true costs
-    /// `point_costs`), laid out by [`Schedule::plan`] under `mode`.
+    /// `point_costs`), laid out by [`Schedule::plan`](crate::Schedule::plan)
+    /// under `mode`.
     /// Every consumed time step appends its `T_k` to `trace`; the
     /// returned vector holds the `K` observations of each point.
     pub fn run_batch<M: NoiseModel + ?Sized>(
@@ -155,16 +156,41 @@ impl Cluster {
         rng: &mut dyn RngCore,
         trace: &mut TuningTrace,
     ) -> Vec<Vec<f64>> {
-        self.run_batch_occupied(point_costs, k_samples, mode, noise, rng, trace, false)
+        let mut samples = Vec::new();
+        self.run_batch_occupied(
+            point_costs,
+            k_samples,
+            mode,
+            noise,
+            rng,
+            trace,
+            false,
+            &mut samples,
+        );
+        samples.chunks(k_samples).map(<[f64]>::to_vec).collect()
     }
 
-    /// [`Cluster::run_batch`] with optional *full occupancy*: in an SPMD
-    /// application every processor runs in every time step (eq. 1's max
-    /// ranges over all `P` processors), so when a step schedules fewer
-    /// evaluations than processors the idle processors rerun the
-    /// scheduled candidates round-robin. Their draws contribute to the
-    /// barrier time `T_k` but are *not* fed to the estimator — the
-    /// paper's §6.2 worst case explicitly forgoes parallel samples.
+    /// [`Cluster::run_batch`] with optional *full occupancy*, writing the
+    /// observations point-major into `samples` (the `K` samples of point
+    /// `i` end up at `samples[i·K..(i+1)·K]`, in sample order; the buffer
+    /// is cleared first, so callers reuse one across batches).
+    ///
+    /// In an SPMD application every processor runs in every time step
+    /// (eq. 1's max ranges over all `P` processors), so under full
+    /// occupancy a step that schedules fewer evaluations than processors
+    /// has the idle processors rerun the scheduled candidates
+    /// round-robin. Their draws contribute to the barrier time `T_k` but
+    /// are *not* fed to the estimator — the paper's §6.2 worst case
+    /// explicitly forgoes parallel samples.
+    ///
+    /// The batch walks the schedule's [`Layout`] and draws straight into
+    /// `samples`, so it allocates nothing once the buffer has grown. Draw
+    /// order and the left-to-right max are those of per-step
+    /// [`Cluster::execute_step`] calls, so results are bit-identical to
+    /// them.
+    ///
+    /// # Panics
+    /// Panics when `point_costs` is empty or `k_samples` is zero.
     #[allow(clippy::too_many_arguments)]
     pub fn run_batch_occupied<M: NoiseModel + ?Sized>(
         &self,
@@ -175,42 +201,25 @@ impl Cluster {
         rng: &mut dyn RngCore,
         trace: &mut TuningTrace,
         full_occupancy: bool,
-    ) -> Vec<Vec<f64>> {
-        let schedule = Schedule::plan(point_costs.len(), k_samples, self.procs, mode);
-        let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(k_samples); point_costs.len()];
-        // scratch buffers reused across every step of the batch — the
-        // schedule is fixed up front, so the old per-step cost/observation
-        // vectors were pure allocator churn on the simulator's hottest
-        // loop. Draw order and the left-to-right max are unchanged, so
-        // the result is bit-identical to per-step `execute_step` calls.
-        let mut costs: Vec<f64> = Vec::with_capacity(self.procs);
-        let mut observed: Vec<f64> = Vec::with_capacity(self.procs);
-        for step in &schedule.steps {
-            costs.clear();
-            costs.extend(step.iter().map(|slot| point_costs[slot.point]));
-            if full_occupancy {
-                let active = costs.len();
-                for i in active..self.procs {
-                    let repeat = costs[i % active];
-                    costs.push(repeat);
+        samples: &mut Vec<f64>,
+    ) {
+        let layout = Layout::new(point_costs.len(), k_samples, self.procs, mode);
+        samples.clear();
+        samples.resize(point_costs.len() * k_samples, 0.0);
+        for step in layout.steps() {
+            let active = step.len();
+            let width = if full_occupancy { self.procs } else { active };
+            let mut t_k = f64::NEG_INFINITY;
+            for j in 0..width {
+                let slot = layout.slot(step.start + j % active);
+                let obs = noise.observe(point_costs[slot.point], rng);
+                if j < active {
+                    samples[slot.point * k_samples + slot.sample] = obs;
                 }
+                t_k = t_k.max(obs);
             }
-            assert!(!costs.is_empty(), "a time step must run something");
-            assert!(
-                costs.len() <= self.procs,
-                "{} evaluations exceed {} processors",
-                costs.len(),
-                self.procs
-            );
-            observed.clear();
-            observed.extend(costs.iter().map(|&c| noise.observe(c, rng)));
-            let t_k = observed.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             trace.push(t_k);
-            for (slot, &obs) in step.iter().zip(observed.iter()) {
-                samples[slot.point].push(obs);
-            }
         }
-        samples
     }
 }
 

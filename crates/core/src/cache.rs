@@ -9,15 +9,16 @@
 //! measurement replay — those repeats are pure waste.
 //!
 //! [`CachedObjective`] wraps any [`Objective`] with a lattice-keyed memo
-//! (points keyed by their exact `f64` bit patterns, so no tolerance is
-//! involved). Because the wrapped objective must be deterministic —
+//! (points keyed by their exact `f64` bit patterns, held inline in a
+//! [`PointKey`], so no tolerance is involved and a lookup allocates
+//! nothing). Because the wrapped objective must be deterministic —
 //! everything in this workspace is; noise is applied *outside* the
 //! objective by the cluster layer — the memo returns exactly the value
 //! the inner objective would have, and tuning outcomes are unchanged
 //! bit for bit. [`OnlineTuner`](crate::tuner::OnlineTuner) wraps its
 //! objective automatically.
 
-use harmony_params::{ParamSpace, Point};
+use harmony_params::{ParamSpace, Point, PointKey};
 use harmony_recovery::{Checkpoint, CodecError, StateReader, StateWriter};
 use harmony_surface::{Objective, SharedPerfDb};
 use harmony_telemetry::Telemetry;
@@ -39,17 +40,13 @@ use std::sync::RwLock;
 /// bit for bit.
 pub struct CachedObjective<'a, O: Objective + ?Sized> {
     inner: &'a O,
-    memo: RwLock<HashMap<Vec<u64>, f64>>,
+    memo: RwLock<HashMap<PointKey, f64>>,
     /// Cross-session shared tier, consulted between the memo and the
     /// inner objective.
     shared: Option<&'a SharedPerfDb>,
     hits: AtomicUsize,
     shared_hits: AtomicUsize,
     misses: AtomicUsize,
-}
-
-fn key_of(p: &Point) -> Vec<u64> {
-    p.iter().map(f64::to_bits).collect()
 }
 
 impl<'a, O: Objective + ?Sized> CachedObjective<'a, O> {
@@ -107,8 +104,10 @@ impl<'a, O: Objective + ?Sized> CachedObjective<'a, O> {
 
     /// Fraction of evaluations answered without probing the inner
     /// objective — `(hits + shared_hits) / (hits + shared_hits +
-    /// misses)`; `None` before any evaluation. Deterministic: all three
-    /// counters are part of the checkpointed session state.
+    /// misses)`; `None` before any evaluation. Deterministic for a given
+    /// session. Checkpoints carry `hits` and `misses` but not
+    /// `shared_hits`, so after a restore the rate counts shared hits only
+    /// from the restore on.
     pub fn hit_rate(&self) -> Option<f64> {
         let served = self.hits() + self.shared_hits();
         let total = served + self.misses();
@@ -140,27 +139,34 @@ impl<O: Objective + ?Sized> Checkpoint for CachedObjective<'_, O> {
         w.usize(self.hits());
         w.usize(self.misses());
         let memo = self.memo.read().unwrap_or_else(|e| e.into_inner());
-        // HashMap iteration order is unstable; sort by key so identical
-        // logical state always serialises to identical bytes
-        let mut entries: Vec<(&Vec<u64>, &f64)> = memo.iter().collect();
-        entries.sort_by(|a, b| a.0.cmp(b.0));
+        // HashMap iteration order is unstable; sort by key (the order of
+        // the coordinate bit words) so identical logical state always
+        // serialises to identical bytes
+        let mut entries: Vec<(&PointKey, &f64)> = memo.iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
         w.usize(entries.len());
         for (k, v) in entries {
-            w.u64_slice(k);
+            // a point is written as its length-prefixed bit words
+            w.point(k.point());
             w.f64(*v);
         }
     }
 
+    /// Restores the counters and the memo; on any error the wrapper is
+    /// left unchanged. The memo grows as entries are read, so a corrupt
+    /// length prefix cannot reserve memory.
     fn restore_state(&mut self, r: &mut StateReader) -> Result<(), CodecError> {
         r.tag("memo")?;
-        self.hits.store(r.usize()?, Ordering::Relaxed);
-        self.misses.store(r.usize()?, Ordering::Relaxed);
+        let hits = r.usize()?;
+        let misses = r.usize()?;
         let n = r.usize()?;
-        let mut memo = HashMap::with_capacity(n.min(1 << 20));
+        let mut memo = HashMap::new();
         for _ in 0..n {
-            let k = r.u64_vec()?;
+            let k = PointKey::new(&r.point()?);
             memo.insert(k, r.f64()?);
         }
+        self.hits.store(hits, Ordering::Relaxed);
+        self.misses.store(misses, Ordering::Relaxed);
         *self.memo.write().unwrap_or_else(|e| e.into_inner()) = memo;
         Ok(())
     }
@@ -172,7 +178,7 @@ impl<O: Objective + ?Sized> Objective for CachedObjective<'_, O> {
     }
 
     fn eval(&self, x: &Point) -> f64 {
-        let key = key_of(x);
+        let key = PointKey::new(x);
         if let Some(&v) = self
             .memo
             .read()
@@ -292,6 +298,50 @@ mod tests {
         second.emit_telemetry(&tel);
         let summary = harmony_telemetry::Summary::from_records(&sink.take());
         assert_eq!(summary.counter_total("cache.shared_hits"), Some(1));
+    }
+
+    fn saved(cached: &CachedObjective<'_, impl Objective>) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        cached.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn save_restore_pins_hits_misses_and_entries() {
+        let obj = FnObjective::new("f", space(), |p| p[0] * 2.0);
+        let cached = CachedObjective::new(&obj);
+        for x in [1.0, 2.0, 1.0, -3.0, 2.0, 1.0] {
+            cached.eval(&Point::from(&[x][..]));
+        }
+        assert_eq!((cached.hits(), cached.misses(), cached.len()), (3, 3, 3));
+        let bytes = saved(&cached);
+        let mut back = CachedObjective::new(&obj);
+        let mut r = StateReader::new(&bytes).unwrap();
+        back.restore_state(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!((back.hits(), back.misses(), back.len()), (3, 3, 3));
+        assert_eq!(back.eval(&Point::from(&[-3.0][..])), -6.0);
+        assert_eq!((back.hits(), back.misses()), (4, 3));
+    }
+
+    #[test]
+    fn restore_rejects_an_oversized_length_prefix() {
+        // a 33-byte checkpoint claiming 2^40 entries must fail on the
+        // missing bytes, not reserve a table for the claim first
+        let obj = FnObjective::new("f", space(), |p| p[0]);
+        let mut cached = CachedObjective::new(&obj);
+        cached.eval(&Point::from(&[1.0][..]));
+        let before = saved(&cached);
+        let mut w = StateWriter::new();
+        w.tag("memo");
+        w.usize(7);
+        w.usize(9);
+        w.usize(1 << 40);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 33);
+        let mut r = StateReader::new(&bytes).unwrap();
+        assert_eq!(cached.restore_state(&mut r), Err(CodecError::UnexpectedEof));
+        assert_eq!(saved(&cached), before, "a failed restore changed the memo");
     }
 
     #[test]

@@ -1,8 +1,11 @@
-//! The batch ask/tell optimizer interface.
+//! The batch ask/tell optimizer interface, and the bookkeeping the
+//! direct-search optimizers share: the measured-history log that fills
+//! fault holes ([`HistoryInterpolator`]) and the incumbent.
 
-use harmony_params::{ParamSpace, Point};
+use harmony_params::{ParamSpace, Point, PointKey};
 use harmony_recovery::{Checkpoint, CodecError, StateReader, StateWriter};
-use harmony_surface::PerfDatabase;
+use harmony_surface::database::{idw_scan, inv_scales};
+use std::collections::hash_map::{Entry, HashMap};
 
 /// A direct-search optimizer driven in batches.
 ///
@@ -101,52 +104,77 @@ const HISTORY_NEIGHBORS: usize = 4;
 ///
 /// Optimizers that support [`Optimizer::observe_partial`] record every
 /// *measured* `(point, estimate)` pair here; when faults leave holes in
-/// a batch, the missing values are substituted with the performance
-/// database's inverse-distance-weighted interpolation over the measured
-/// history — §6's own mechanism for points the database does not
+/// a batch, the missing values are substituted with an
+/// inverse-distance-weighted interpolation over the measured history —
+/// §6's own mechanism for points the performance database does not
 /// contain. Synthetic substitutes are never recorded back, so the
 /// history stays purely measured.
+///
+/// The history is a plain insertion-ordered `(point, value)` log with a
+/// [`PointKey`] index: a later measurement of a point overwrites its
+/// value in place, so the entry keeps its first-seen position. On a
+/// fault-free session the log is only ever written, so recording costs
+/// one hash of the point's inline coordinate bits — no per-call
+/// allocation, spatial index or memo. Estimates scan the log
+/// ([`idw_scan`]) and are bit-identical to a
+/// [`harmony_surface::PerfDatabase`] filled by `insert_replacing` with
+/// the same measurements, and checkpoints use its `"perfdb"` encoding.
 #[derive(Debug)]
 pub struct HistoryInterpolator {
-    db: PerfDatabase,
+    space: ParamSpace,
+    inv_scale: Vec<f64>,
+    entries: Vec<(Point, f64)>,
+    slot_of: HashMap<PointKey, usize>,
 }
 
 impl HistoryInterpolator {
     /// An empty history over `space`.
     pub fn new(space: &ParamSpace) -> Self {
         HistoryInterpolator {
-            db: PerfDatabase::new(space.clone(), HISTORY_NEIGHBORS),
+            space: space.clone(),
+            inv_scale: inv_scales(space),
+            entries: Vec::new(),
+            slot_of: HashMap::new(),
         }
     }
 
     /// Records one measured estimate (later measurements of the same
     /// point replace earlier ones).
     pub fn record(&mut self, point: &Point, value: f64) {
-        self.db.insert_replacing(point.clone(), value);
+        match self.slot_of.entry(PointKey::new(point)) {
+            Entry::Occupied(slot) => self.entries[*slot.get()].1 = value,
+            Entry::Vacant(slot) => {
+                slot.insert(self.entries.len());
+                self.entries.push((point.clone(), value));
+            }
+        }
     }
 
-    /// Interpolated estimate for `point`, or `None` while the history
-    /// is empty.
+    /// Interpolated estimate for `point` (its recorded value when it was
+    /// measured), or `None` while the history is empty.
     pub fn estimate(&self, point: &Point) -> Option<f64> {
-        self.db.try_interpolate(point)
+        match self.slot_of.get(&PointKey::new(point)) {
+            Some(&i) => Some(self.entries[i].1),
+            None => idw_scan(&self.inv_scale, &self.entries, HISTORY_NEIGHBORS, point),
+        }
     }
 
     /// Number of distinct measured points recorded.
     pub fn len(&self) -> usize {
-        self.db.len()
+        self.entries.len()
     }
 
     /// True while nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.db.is_empty()
+        self.entries.is_empty()
     }
 
     /// Substitutes every hole in `values` with the interpolated estimate
-    /// of the corresponding point in `points`. When the history database
-    /// is still empty (the very first batch arriving with holes under
-    /// faults, before the caller has recorded anything), holes fall back
-    /// to the mean of the batch's own measured entries instead of
-    /// panicking — the least-informative finite substitute.
+    /// of the corresponding point in `points`. When the history is still
+    /// empty (the very first batch arriving with holes under faults,
+    /// before the caller has recorded anything), holes fall back to the
+    /// mean of the batch's own measured entries instead of panicking —
+    /// the least-informative finite substitute.
     ///
     /// # Panics
     /// Panics when the lengths differ, or when a hole needs filling
@@ -172,11 +200,37 @@ impl HistoryInterpolator {
 
 impl Checkpoint for HistoryInterpolator {
     fn save_state(&self, w: &mut StateWriter) {
-        self.db.save_state(w);
+        w.tag("perfdb");
+        w.usize(self.entries.len());
+        for (p, v) in &self.entries {
+            w.point(p);
+            w.f64(*v);
+        }
     }
 
+    /// Restores a saved log. Entries that are inadmissible, non-finite or
+    /// repeated are rejected with [`CodecError::BadValue`], leaving the
+    /// history unchanged; the log grows as entries are read, so a corrupt
+    /// length prefix cannot reserve memory.
     fn restore_state(&mut self, r: &mut StateReader) -> Result<(), CodecError> {
-        self.db.restore_state(r)
+        r.tag("perfdb")?;
+        let n = r.usize()?;
+        let mut restored = HistoryInterpolator::new(&self.space);
+        for _ in 0..n {
+            let p = r.point()?;
+            let v = r.f64()?;
+            if !self.space.is_admissible(&p) || !v.is_finite() {
+                return Err(CodecError::BadValue(format!("bad history entry {p:?}")));
+            }
+            if restored.slot_of.contains_key(&PointKey::new(&p)) {
+                return Err(CodecError::BadValue(format!(
+                    "repeated history entry {p:?}"
+                )));
+            }
+            restored.record(&p, v);
+        }
+        *self = restored;
+        Ok(())
     }
 }
 
@@ -331,6 +385,41 @@ mod tests {
         assert_eq!(filled[0], 11.0);
         assert_eq!(filled[2], 19.0);
         assert!(filled[1] > 10.0 && filled[1] < 20.0, "got {}", filled[1]);
+    }
+
+    #[test]
+    fn remeasured_points_keep_their_first_seen_slot() {
+        let space = space_1d();
+        let mut hist = HistoryInterpolator::new(&space);
+        for (x, v) in [(2.0, 1.0), (5.0, 2.0), (2.0, 3.0)] {
+            hist.record(&Point::from(&[x][..]), v);
+        }
+        assert_eq!(hist.len(), 2);
+        assert_eq!(hist.estimate(&Point::from(&[2.0][..])), Some(3.0));
+        let mut w = StateWriter::new();
+        hist.save_state(&mut w);
+        let mut expected = StateWriter::new();
+        expected.tag("perfdb");
+        expected.usize(2);
+        for (x, v) in [(2.0, 3.0), (5.0, 2.0)] {
+            expected.point(&Point::from(&[x][..]));
+            expected.f64(v);
+        }
+        assert_eq!(w.into_bytes(), expected.into_bytes());
+    }
+
+    #[test]
+    fn history_restore_rejects_an_oversized_length_prefix() {
+        let space = space_1d();
+        let mut hist = HistoryInterpolator::new(&space);
+        hist.record(&Point::from(&[4.0][..]), 1.5);
+        let mut w = StateWriter::new();
+        w.tag("perfdb");
+        w.usize(1 << 40);
+        let bytes = w.into_bytes();
+        let mut r = StateReader::new(&bytes).unwrap();
+        assert_eq!(hist.restore_state(&mut r), Err(CodecError::UnexpectedEof));
+        assert_eq!(hist.len(), 1, "a failed restore changed the history");
     }
 
     #[test]

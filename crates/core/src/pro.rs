@@ -45,10 +45,11 @@ pub(crate) fn write_pairs(w: &mut StateWriter, pairs: &[(Point, f64)]) {
     }
 }
 
-/// Reads a [`write_pairs`] list.
+/// Reads a [`write_pairs`] list. The list grows as pairs are read, so a
+/// corrupt length prefix cannot reserve memory.
 pub(crate) fn read_pairs(r: &mut StateReader) -> Result<Vec<(Point, f64)>, CodecError> {
     let n = r.usize()?;
-    let mut out = Vec::with_capacity(n.min(1 << 16));
+    let mut out = Vec::new();
     for _ in 0..n {
         out.push((r.point()?, r.f64()?));
     }
@@ -219,8 +220,16 @@ impl ProOptimizer {
     /// best value) and every state-machine branch emits a
     /// `pro.decision` event. The handle's logical clock is driven by
     /// the caller (the tuning driver stamps it with the step index).
+    ///
+    /// A handle whose sink is disabled when attached (a `NullSink`) is
+    /// kept as a detached handle, so each emit site on the per-batch path
+    /// costs one branch instead of a call into the sink.
     pub fn set_telemetry(&mut self, tel: Telemetry) {
-        self.tel = tel;
+        self.tel = if tel.enabled() {
+            tel
+        } else {
+            Telemetry::disabled()
+        };
     }
 
     /// Closes any open iteration span and opens the next one.
@@ -383,28 +392,29 @@ impl ProOptimizer {
 
     /// Advances the state machine with a complete value vector for the
     /// pending batch (measured, or measured + interpolated substitutes
-    /// from [`Optimizer::observe_partial`]).
+    /// from [`Optimizer::observe_partial`]). The pending buffer is reused
+    /// for the next batch; only a successful reflection, whose set must
+    /// be carried into the expansion phase, allocates.
     fn advance(&mut self, values: &[f64]) {
-        let pending = std::mem::take(&mut self.pending);
         let state = std::mem::replace(&mut self.state, State::Done);
         match state {
             State::Init => {
-                self.values = values.to_vec();
+                self.values.clear();
+                self.values.extend_from_slice(values);
                 self.enter_iteration();
             }
             State::Reflect => {
-                let reflections: Vec<(Point, f64)> =
-                    pending.into_iter().zip(values.iter().copied()).collect();
                 let l = argmin(values);
                 if values[l] < self.values[0] {
                     // successful reflection: check or perform expansion
+                    let reflections: Vec<(Point, f64)> =
+                        self.pending.drain(..).zip(values.iter().copied()).collect();
                     if self.cfg.expansion_check {
                         // expansion of the source vertex whose reflection
                         // won: source of r^j is vertex j+1
                         let source = self.simplex.vertex(l + 1);
                         let raw = source.expand_through(self.best_vertex());
                         let projected = self.project(&raw);
-                        self.pending.clear();
                         self.pending.push(projected);
                         event!(
                             self.tel,
@@ -463,13 +473,11 @@ impl ProOptimizer {
                         iter = self.iterations,
                         e_val = e_val
                     );
-                    let (pts, vals): (Vec<_>, Vec<_>) = reflections.into_iter().unzip();
-                    self.accept(pts, vals);
+                    self.install(reflections);
+                    self.next_iteration();
                 }
             }
             State::Expand { reflections } => {
-                let expansions: Vec<(Point, f64)> =
-                    pending.into_iter().zip(values.iter().copied()).collect();
                 if self.cfg.expansion_check {
                     // Algorithm 2 accepts the expansion set unconditionally
                     // once the check point succeeded
@@ -479,14 +487,10 @@ impl ProOptimizer {
                         action = "accept_expansions",
                         iter = self.iterations
                     );
-                    let (pts, vals): (Vec<_>, Vec<_>) = expansions.into_iter().unzip();
-                    self.accept(pts, vals);
+                    self.accept_pending(values);
                 } else {
                     // ablation: pick the better of the two parallel sets
-                    let best_e = expansions
-                        .iter()
-                        .map(|(_, v)| *v)
-                        .fold(f64::INFINITY, f64::min);
+                    let best_e = values.iter().copied().fold(f64::INFINITY, f64::min);
                     let best_r = reflections
                         .iter()
                         .map(|(_, v)| *v)
@@ -502,27 +506,23 @@ impl ProOptimizer {
                         },
                         iter = self.iterations
                     );
-                    let chosen = if keep_expansions {
-                        expansions
+                    if keep_expansions {
+                        self.accept_pending(values);
                     } else {
-                        reflections
-                    };
-                    let (pts, vals): (Vec<_>, Vec<_>) = chosen.into_iter().unzip();
-                    self.accept(pts, vals);
+                        self.install(reflections);
+                        self.next_iteration();
+                    }
                 }
             }
-            State::Shrink => {
-                let vals = values.to_vec();
-                self.accept(pending, vals);
-            }
+            State::Shrink => self.accept_pending(values),
             State::Probe => {
                 // in continuous mode the first batch entry is a fresh
                 // re-measurement of v0 itself; otherwise compare probes
                 // against the stored estimate
                 let (baseline, probe_pts, probe_vals) = if self.cfg.continuous {
-                    (values[0], &pending[1..], &values[1..])
+                    (values[0], &self.pending[1..], &values[1..])
                 } else {
-                    (self.values[0], pending.as_slice(), values)
+                    (self.values[0], self.pending.as_slice(), values)
                 };
                 let l = argmin(probe_vals);
                 if probe_vals[l] < baseline {
@@ -573,20 +573,36 @@ impl ProOptimizer {
                     self.close_iter_span();
                     self.converged = true;
                     self.state = State::Done;
+                    self.pending.clear();
                 }
             }
             State::Done => panic!("observe called after convergence"),
         }
     }
 
-    /// Replaces all non-best vertices (indices `1..m`) with `points` and
-    /// their `values`, then starts the next iteration.
-    fn accept(&mut self, points: Vec<Point>, values: Vec<f64>) {
-        debug_assert_eq!(points.len(), self.simplex.len() - 1);
-        for (j, (p, v)) in points.into_iter().zip(values).enumerate() {
+    /// Replaces all non-best vertices (indices `1..m`) with the
+    /// `accepted` points and their values.
+    fn install(&mut self, accepted: impl IntoIterator<Item = (Point, f64)>) {
+        let mut installed = 0;
+        for (j, (p, v)) in accepted.into_iter().enumerate() {
             self.simplex.set_vertex(j + 1, p);
             self.values[j + 1] = v;
+            installed += 1;
         }
+        debug_assert_eq!(installed, self.simplex.len() - 1);
+    }
+
+    /// Accepts the pending batch with `values` as the new non-best
+    /// vertices and starts the next iteration; the emptied pending buffer
+    /// is kept for it.
+    fn accept_pending(&mut self, values: &[f64]) {
+        let mut pending = std::mem::take(&mut self.pending);
+        self.install(pending.drain(..).zip(values.iter().copied()));
+        self.pending = pending;
+        self.next_iteration();
+    }
+
+    fn next_iteration(&mut self) {
         self.iterations += 1;
         self.enter_iteration();
     }
@@ -1114,5 +1130,18 @@ mod tests {
                 f(&probe)
             );
         }
+    }
+
+    #[test]
+    fn read_pairs_rejects_an_oversized_length_prefix() {
+        // a 2^40-pair claim backed by one pair's bytes must fail on the
+        // missing bytes, not reserve memory for the claim first
+        let mut w = StateWriter::new();
+        w.usize(1 << 40);
+        w.point(&Point::from(&[1.0, 2.0][..]));
+        w.f64(3.0);
+        let bytes = w.into_bytes();
+        let mut r = StateReader::new(&bytes).unwrap();
+        assert_eq!(read_pairs(&mut r), Err(CodecError::UnexpectedEof));
     }
 }

@@ -24,6 +24,16 @@ use harmony_surface::Objective;
 use harmony_telemetry::{event, Field, Telemetry};
 use harmony_variability::noise::NoiseModel;
 use harmony_variability::seeded_rng;
+use rand::RngCore;
+
+/// The per-batch buffers of a session loop: true costs, the point-major
+/// sample matrix, and the reduced estimates.
+#[derive(Default)]
+struct BatchScratch {
+    costs: Vec<f64>,
+    samples: Vec<f64>,
+    estimates: Vec<f64>,
+}
 
 /// Configuration of a tuning session.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -244,6 +254,7 @@ impl OnlineTuner {
             )
         });
         let mut batches = 0usize;
+        let mut scratch = BatchScratch::default();
 
         while trace.len() < self.cfg.max_steps && !optimizer.converged() {
             tel.set_clock(trace.len() as u64);
@@ -251,23 +262,17 @@ impl OnlineTuner {
             if batch.is_empty() {
                 break;
             }
-            let costs: Vec<f64> = batch.iter().map(|p| objective.eval(p)).collect();
-            let k = self.cfg.estimator.samples();
-            let samples = cluster.run_batch_occupied(
-                &costs,
-                k,
-                self.cfg.mode,
+            let estimates = self.measure(
+                &cluster,
+                &objective,
+                &batch,
                 noise,
                 &mut rng,
                 &mut trace,
-                self.cfg.full_occupancy,
+                &mut scratch,
             );
-            evaluations += batch.len() * k;
-            let estimates: Vec<f64> = samples
-                .iter()
-                .map(|s| self.cfg.estimator.reduce(s))
-                .collect();
-            optimizer.observe(&estimates);
+            evaluations += batch.len() * self.cfg.estimator.samples();
+            optimizer.observe(estimates);
             tel.set_clock(trace.len() as u64);
             event!(
                 tel,
@@ -359,6 +364,49 @@ impl OnlineTuner {
         })
     }
 
+    /// Measures one batch: evaluates each point's true cost, runs its
+    /// `K` samples per point on `cluster` (appending every consumed step
+    /// to `trace`) and reduces them, returning the estimates in batch
+    /// order. Everything goes through `scratch`, so a session's batches
+    /// share three buffers.
+    #[allow(clippy::too_many_arguments)]
+    fn measure<'s, O, M>(
+        &self,
+        cluster: &Cluster,
+        objective: &O,
+        batch: &[Point],
+        noise: &M,
+        rng: &mut dyn RngCore,
+        trace: &mut TuningTrace,
+        scratch: &'s mut BatchScratch,
+    ) -> &'s [f64]
+    where
+        O: Objective + ?Sized,
+        M: NoiseModel + ?Sized,
+    {
+        let BatchScratch {
+            costs,
+            samples,
+            estimates,
+        } = scratch;
+        costs.clear();
+        costs.extend(batch.iter().map(|p| objective.eval(p)));
+        let k = self.cfg.estimator.samples();
+        cluster.run_batch_occupied(
+            costs,
+            k,
+            self.cfg.mode,
+            noise,
+            rng,
+            trace,
+            self.cfg.full_occupancy,
+            samples,
+        );
+        estimates.clear();
+        estimates.extend(samples.chunks(k).map(|s| self.cfg.estimator.reduce(s)));
+        estimates
+    }
+
     /// Runs one session against a *non-stationary* environment: the
     /// objective in force switches at the given step boundaries
     /// (`phases[i] = (start_step, objective)`, starts ascending, first
@@ -413,6 +461,7 @@ impl OnlineTuner {
         let mut trace = TuningTrace::new();
         let mut evaluations = 0usize;
         let mut quality_curve: Vec<(usize, f64)> = Vec::new();
+        let mut scratch = BatchScratch::default();
 
         while trace.len() < self.cfg.max_steps && !optimizer.converged() {
             let batch = optimizer.propose();
@@ -422,23 +471,17 @@ impl OnlineTuner {
             // the environment during this batch is the one in force at
             // its first step (batches are short relative to phases)
             let objective = objective_at(trace.len());
-            let costs: Vec<f64> = batch.iter().map(|p| objective.eval(p)).collect();
-            let k = self.cfg.estimator.samples();
-            let samples = cluster.run_batch_occupied(
-                &costs,
-                k,
-                self.cfg.mode,
+            let estimates = self.measure(
+                &cluster,
+                objective,
+                &batch,
                 noise,
                 &mut rng,
                 &mut trace,
-                self.cfg.full_occupancy,
+                &mut scratch,
             );
-            evaluations += batch.len() * k;
-            let estimates: Vec<f64> = samples
-                .iter()
-                .map(|s| self.cfg.estimator.reduce(s))
-                .collect();
-            optimizer.observe(&estimates);
+            evaluations += batch.len() * self.cfg.estimator.samples();
+            optimizer.observe(estimates);
             if let Some((rec, _)) = optimizer.recommendation() {
                 let current = objective_at(trace.len().saturating_sub(1));
                 quality_curve.push((trace.len(), current.eval(&rec)));

@@ -1,0 +1,215 @@
+//! Properties pinning the bookkeeping of a simulated tuning session to
+//! the encodings and values it must reproduce exactly: the measured
+//! history log (`HistoryInterpolator`) against a newest-wins
+//! `PerfDatabase` holding the same measurements, and the objective memo's
+//! checkpoint (`CachedObjective`) against entries sorted by their
+//! `Vec<u64>` coordinate-bit keys. Both run at `PROPTEST_CASES=1024` in CI.
+
+use harmony_core::optimizer::HistoryInterpolator;
+use harmony_core::CachedObjective;
+use harmony_params::{ParamDef, ParamSpace, Point};
+use harmony_recovery::{Checkpoint, CodecError, StateReader, StateWriter};
+use harmony_surface::objective::FnObjective;
+use harmony_surface::{Objective, PerfDatabase};
+use proptest::prelude::*;
+use std::collections::BTreeMap;
+
+/// One integer, levels or continuous parameter (continuous ones may have
+/// zero width).
+fn arb_param() -> impl Strategy<Value = ParamDef> {
+    prop_oneof![
+        (-20i64..20, 0i64..40, 1i64..5).prop_map(|(lo, span, step)| {
+            ParamDef::integer("i", lo, lo + span, step).expect("valid integer param")
+        }),
+        prop::collection::btree_set(-400i64..400, 1..8).prop_map(|levels| {
+            let levels = levels.into_iter().map(|v| v as f64 * 0.25).collect();
+            ParamDef::levels("l", levels).expect("valid levels param")
+        }),
+        (-10.0f64..10.0, 0.0f64..20.0).prop_map(|(lo, width)| {
+            ParamDef::continuous("c", lo, lo + width).expect("valid continuous param")
+        }),
+    ]
+}
+
+fn arb_space() -> impl Strategy<Value = ParamSpace> {
+    prop::collection::vec(arb_param(), 1..=4)
+        .prop_map(|defs| ParamSpace::new(defs).expect("non-empty space"))
+}
+
+/// Unit-cube coordinates, mapped into a space by `point_from_unit` (the
+/// first `dims` of them are used).
+fn arb_units(len: impl Into<prop::collection::SizeRange>) -> impl Strategy<Value = Vec<Vec<f64>>> {
+    prop::collection::vec(prop::collection::vec(0.0f64..1.0, 4), len)
+}
+
+fn points(space: &ParamSpace, units: &[Vec<f64>]) -> Vec<Point> {
+    units
+        .iter()
+        .map(|u| space.point_from_unit(&u[..space.dims()]))
+        .collect()
+}
+
+fn saved(state: &dyn Checkpoint) -> Vec<u8> {
+    let mut w = StateWriter::new();
+    state.save_state(&mut w);
+    w.into_bytes()
+}
+
+fn restore(state: &mut dyn Checkpoint, bytes: &[u8]) -> Result<(), CodecError> {
+    let mut r = StateReader::new(bytes)?;
+    state.restore_state(&mut r)?;
+    r.finish()
+}
+
+fn bits(v: Option<f64>) -> Option<u64> {
+    v.map(f64::to_bits)
+}
+
+/// A `"perfdb"` checkpoint holding the single entry `(coords, value)`.
+fn one_entry(coords: &[f64], value: f64) -> Vec<u8> {
+    let mut w = StateWriter::new();
+    w.tag("perfdb");
+    w.usize(1);
+    w.f64_slice(coords);
+    w.f64(value);
+    w.into_bytes()
+}
+
+/// Coordinates the memo property draws from: signed zeros, a NaN, and
+/// values whose bit patterns order differently from their magnitudes.
+const COORDS: [f64; 7] = [0.0, -0.0, 1.5, -2.25, 1e300, f64::NAN, 7.0];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn history_log_matches_database_history(
+        space in arb_space(),
+        pool in arb_units(1..12),
+        records in prop::collection::vec((0usize..12, 0.1f64..1e3), 0..60),
+        queries in arb_units(1..8),
+    ) {
+        let pool = points(&space, &pool);
+        let mut hist = HistoryInterpolator::new(&space);
+        let mut db = PerfDatabase::new(space.clone(), 4);
+        for &(i, v) in &records {
+            let p = &pool[i % pool.len()];
+            hist.record(p, v);
+            db.insert_replacing(p.clone(), v);
+            prop_assert_eq!(hist.len(), db.len());
+        }
+        let queries: Vec<Point> = pool.iter().cloned().chain(points(&space, &queries)).collect();
+        for q in &queries {
+            prop_assert_eq!(bits(hist.estimate(q)), bits(db.try_interpolate(q)), "query {:?}", q);
+        }
+
+        // every other slot is a hole; the reference fills it from the
+        // database, or from the batch mean while nothing is recorded
+        let values: Vec<Option<f64>> = (0..queries.len())
+            .map(|j| (j % 2 == 0).then_some(j as f64 + 0.5))
+            .collect();
+        let measured: Vec<f64> = values.iter().flatten().copied().collect();
+        let mean = measured.iter().sum::<f64>() / measured.len() as f64;
+        let expected: Vec<u64> = queries
+            .iter()
+            .zip(&values)
+            .map(|(q, v)| v.unwrap_or_else(|| db.try_interpolate(q).unwrap_or(mean)).to_bits())
+            .collect();
+        let filled: Vec<u64> = hist.fill(&queries, &values).iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(filled, expected);
+
+        let bytes = saved(&hist);
+        prop_assert_eq!(&bytes, &saved(&db));
+        let mut back = HistoryInterpolator::new(&space);
+        back.record(&pool[0], 1.0); // restore replaces, not merges
+        prop_assert!(restore(&mut back, &bytes).is_ok());
+        prop_assert_eq!(back.len(), hist.len());
+        prop_assert_eq!(saved(&back), bytes);
+        for q in &queries {
+            prop_assert_eq!(bits(back.estimate(q)), bits(hist.estimate(q)));
+        }
+    }
+
+    #[test]
+    fn history_restore_rejects_bad_entries(
+        space in arb_space(),
+        pool in arb_units(1..6),
+        value in 0.1f64..1e3,
+    ) {
+        let pool = points(&space, &pool);
+        let mut hist = HistoryInterpolator::new(&space);
+        for (i, p) in pool.iter().enumerate() {
+            hist.record(p, value + i as f64);
+        }
+        let before = saved(&hist);
+        let p = pool[0].as_slice();
+        let upper = space.param(0).upper();
+        let mut above = p.to_vec();
+        above[0] = upper + 1.0 + upper.abs();
+        let mut extra_dim = p.to_vec();
+        extra_dim.push(0.0);
+        let bad = [
+            one_entry(&above, value),
+            one_entry(&extra_dim, value),
+            one_entry(p, f64::NAN),
+            one_entry(p, f64::INFINITY),
+        ];
+        for bytes in &bad {
+            let err = restore(&mut hist, bytes);
+            prop_assert!(matches!(err, Err(CodecError::BadValue(_))), "{:?}", err);
+            prop_assert_eq!(&saved(&hist), &before, "a rejected restore changed the history");
+        }
+        // a point listed twice is corrupt too
+        let mut w = StateWriter::new();
+        w.tag("perfdb");
+        w.usize(2);
+        for v in [value, value + 1.0] {
+            w.point(&pool[0]);
+            w.f64(v);
+        }
+        let err = restore(&mut hist, &w.into_bytes());
+        prop_assert!(matches!(err, Err(CodecError::BadValue(_))), "{:?}", err);
+        prop_assert_eq!(saved(&hist), before);
+    }
+
+    #[test]
+    fn memo_checkpoint_is_the_sorted_bit_key_encoding(
+        evals in prop::collection::vec(prop::collection::vec(0usize..COORDS.len(), 0..=12), 0..40),
+    ) {
+        let space = ParamSpace::new(vec![ParamDef::integer("x", 0, 1, 1).unwrap()]).unwrap();
+        let obj = FnObjective::new("bits", space, |p| {
+            p.iter().map(|c| (c.to_bits() % 1009) as f64).sum::<f64>() + 1.0
+        });
+        let cached = CachedObjective::new(&obj);
+        let mut reference: BTreeMap<Vec<u64>, f64> = BTreeMap::new();
+        let (mut hits, mut misses) = (0usize, 0usize);
+        for idx in &evals {
+            let p = Point::new(idx.iter().map(|&i| COORDS[i]).collect());
+            let v = cached.eval(&p);
+            let key: Vec<u64> = p.iter().map(f64::to_bits).collect();
+            if reference.insert(key, v).is_some() {
+                hits += 1;
+            } else {
+                misses += 1;
+            }
+        }
+        prop_assert_eq!((cached.hits(), cached.misses(), cached.len()), (hits, misses, reference.len()));
+
+        let mut w = StateWriter::new();
+        w.tag("memo");
+        w.usize(hits);
+        w.usize(misses);
+        w.usize(reference.len());
+        for (k, v) in &reference {
+            w.u64_slice(k);
+            w.f64(*v);
+        }
+        let bytes = saved(&cached);
+        prop_assert_eq!(&bytes, &w.into_bytes());
+
+        let mut back = CachedObjective::new(&obj);
+        prop_assert!(restore(&mut back, &bytes).is_ok());
+        prop_assert_eq!(saved(&back), bytes);
+        prop_assert_eq!((back.hits(), back.misses(), back.len()), (hits, misses, reference.len()));
+    }
+}

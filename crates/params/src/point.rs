@@ -208,6 +208,105 @@ impl From<&[f64]> for Point {
     }
 }
 
+/// Collects coordinates straight into the inline buffer, spilling to the
+/// heap only past [`Point::INLINE_CAP`] — no intermediate `Vec` for
+/// low-dimensional points.
+impl FromIterator<f64> for Point {
+    fn from_iter<I: IntoIterator<Item = f64>>(coords: I) -> Self {
+        let mut coords = coords.into_iter();
+        let mut buf = [0.0; Self::INLINE_CAP];
+        let mut len = 0;
+        while let Some(c) = coords.next() {
+            if len == Self::INLINE_CAP {
+                let mut heap = buf.to_vec();
+                heap.push(c);
+                heap.extend(coords);
+                return Point {
+                    storage: Storage::Heap(heap),
+                };
+            }
+            buf[len] = c;
+            len += 1;
+        }
+        Point {
+            storage: Storage::Inline {
+                buf,
+                len: len as u8,
+            },
+        }
+    }
+}
+
+/// A [`Point`] compared, ordered and hashed by the IEEE-754 bit patterns
+/// of its coordinates — the exact-identity key of memo tables (`-0.0`
+/// and `0.0` are distinct keys; a NaN equals itself bit for bit).
+///
+/// The key holds the point itself, so points of up to
+/// [`Point::INLINE_CAP`] dimensions key a table without touching the
+/// heap, and hashing covers only the live coordinates. The order is the
+/// lexicographic order of the coordinate bit words, shorter first on a
+/// common prefix — the order of the same words collected into a
+/// `Vec<u64>`.
+#[derive(Clone, Debug)]
+pub struct PointKey(Point);
+
+impl PointKey {
+    /// The key of `point`.
+    pub fn new(point: &Point) -> Self {
+        PointKey(point.clone())
+    }
+
+    /// The keyed point.
+    pub fn point(&self) -> &Point {
+        &self.0
+    }
+
+    fn bits(&self) -> impl Iterator<Item = u64> + '_ {
+        self.0.iter().map(f64::to_bits)
+    }
+}
+
+impl PartialEq for PointKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.bits().eq(other.bits())
+    }
+}
+
+impl Eq for PointKey {}
+
+impl std::hash::Hash for PointKey {
+    /// Feeds the coordinate bits and the length through a stack buffer:
+    /// hashers pay per call, so an inline point costs one `write`.
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        const FULL: usize = 8 * Point::INLINE_CAP;
+        let coords = self.0.as_slice();
+        let mut buf = [0u8; FULL + 8];
+        let mut at = 0;
+        for c in coords {
+            if at == FULL {
+                state.write(&buf[..at]);
+                at = 0;
+            }
+            buf[at..at + 8].copy_from_slice(&c.to_bits().to_ne_bytes());
+            at += 8;
+        }
+        buf[at..at + 8].copy_from_slice(&(coords.len() as u64).to_ne_bytes());
+        state.write(&buf[..at + 8]);
+    }
+}
+
+impl Ord for PointKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.bits().cmp(other.bits())
+    }
+}
+
+impl PartialOrd for PointKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 impl PartialEq for Point {
     fn eq(&self, other: &Self) -> bool {
         self.as_slice() == other.as_slice()
@@ -346,6 +445,40 @@ mod tests {
             let mut z = Point::zeros(n);
             z.as_mut_slice().copy_from_slice(&coords);
             assert_eq!(z, a);
+        }
+    }
+
+    #[test]
+    fn collect_matches_new_across_inline_boundary() {
+        for n in [0, 1, Point::INLINE_CAP, Point::INLINE_CAP + 1, 20] {
+            let coords: Vec<f64> = (0..n).map(|i| i as f64 - 2.5).collect();
+            let collected: Point = coords.iter().copied().collect();
+            assert_eq!(collected, Point::new(coords.clone()));
+            assert_eq!(collected.as_slice(), &coords[..]);
+        }
+    }
+
+    #[test]
+    fn point_key_is_bitwise_and_orders_like_bit_vectors() {
+        let key = |c: &[f64]| PointKey::new(&Point::from(c));
+        assert_ne!(key(&[0.0]), key(&[-0.0]));
+        assert_eq!(key(&[f64::NAN]), key(&[f64::NAN]));
+        assert_ne!(key(&[1.0]), key(&[1.0, 0.0]));
+        let long: Vec<f64> = (0..Point::INLINE_CAP + 3).map(|i| i as f64).collect();
+        assert_eq!(key(&long), key(&long));
+        let samples: Vec<Vec<f64>> = vec![
+            vec![],
+            vec![1.0],
+            vec![1.0, 0.0],
+            vec![-1.0, 2.0],
+            vec![0.5, -0.0, 3.0],
+            long,
+        ];
+        let words = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for a in &samples {
+            for b in &samples {
+                assert_eq!(key(a).cmp(&key(b)), words(a).cmp(&words(b)), "{a:?} {b:?}");
+            }
         }
     }
 

@@ -135,12 +135,10 @@ impl ParamSpace {
     /// parameter's range, rounded to the nearest admissible value. Used
     /// as the anchor of the initial simplex (§3.2.3).
     pub fn center(&self) -> Point {
-        Point::new(
-            self.params
-                .iter()
-                .map(|p| p.project_nearest(0.5 * (p.lower() + p.upper())))
-                .collect(),
-        )
+        self.params
+            .iter()
+            .map(|p| p.project_nearest(0.5 * (p.lower() + p.upper())))
+            .collect()
     }
 
     /// True when every coordinate of `x` is admissible.
@@ -156,6 +154,8 @@ impl ParamSpace {
     /// The projection operator `Π(·)` of §3.2.1: clamps to bounds and
     /// rounds each discrete coordinate according to `rounding`, using
     /// `center` (the transformation center `v⁰`) as the rounding anchor.
+    /// The result is built in place (no heap allocation for points of up
+    /// to [`Point::INLINE_CAP`] dimensions).
     ///
     /// # Panics
     /// Panics on dimension mismatch; transform outputs always share the
@@ -167,28 +167,24 @@ impl ParamSpace {
             self.dims(),
             "project: center dimension mismatch"
         );
-        Point::new(
-            self.params
-                .iter()
-                .zip(x.iter().zip(center.iter()))
-                .map(|(p, (xi, ci))| match rounding {
-                    Rounding::TowardCenter => p.project_toward(xi, ci),
-                    Rounding::Nearest => p.project_nearest(xi),
-                })
-                .collect(),
-        )
+        self.params
+            .iter()
+            .zip(x.iter().zip(center.iter()))
+            .map(|(p, (xi, ci))| match rounding {
+                Rounding::TowardCenter => p.project_toward(xi, ci),
+                Rounding::Nearest => p.project_nearest(xi),
+            })
+            .collect()
     }
 
     /// Clamps every coordinate into its `[l(i), u(i)]` box without any
     /// discreteness rounding.
     pub fn clamp(&self, x: &Point) -> Point {
-        Point::new(
-            self.params
-                .iter()
-                .zip(x.iter())
-                .map(|(p, c)| p.clamp(c))
-                .collect(),
-        )
+        self.params
+            .iter()
+            .zip(x.iter())
+            .map(|(p, c)| p.clamp(c))
+            .collect()
     }
 
     /// Maps unit-interval coordinates to an admissible point: continuous
@@ -204,19 +200,17 @@ impl ParamSpace {
             self.dims(),
             "point_from_unit: dimension mismatch"
         );
-        Point::new(
-            self.params
-                .iter()
-                .zip(unit.iter())
-                .map(|(p, &u)| {
-                    let u = u.clamp(0.0, 1.0 - f64::EPSILON);
-                    match p.cardinality() {
-                        None => p.lower() + u * p.width(),
-                        Some(card) => p.level((u * card as f64) as usize),
-                    }
-                })
-                .collect(),
-        )
+        self.params
+            .iter()
+            .zip(unit.iter())
+            .map(|(p, &u)| {
+                let u = u.clamp(0.0, 1.0 - f64::EPSILON);
+                match p.cardinality() {
+                    None => p.lower() + u * p.width(),
+                    Some(card) => p.level((u * card as f64) as usize),
+                }
+            })
+            .collect()
     }
 
     /// Total number of admissible lattice points, or `None` if any
@@ -252,9 +246,9 @@ impl ParamSpace {
         for (i, p) in self.params.iter().enumerate() {
             let (below, above) = p.neighbors(v0[i], eps);
             for nb in [below, above].into_iter().flatten() {
-                let mut coords = v0.as_slice().to_vec();
-                coords[i] = nb;
-                probes.push(Point::new(coords));
+                let mut probe = v0.clone();
+                probe.as_mut_slice()[i] = nb;
+                probes.push(probe);
             }
         }
         probes
@@ -277,14 +271,13 @@ impl Iterator for LatticeIter<'_> {
         if self.done {
             return None;
         }
-        let point = Point::new(
-            self.space
-                .params
-                .iter()
-                .zip(self.idx.iter())
-                .map(|(p, &i)| p.level(i))
-                .collect(),
-        );
+        let point: Point = self
+            .space
+            .params
+            .iter()
+            .zip(self.idx.iter())
+            .map(|(p, &i)| p.level(i))
+            .collect();
         // advance odometer, last coordinate fastest
         let mut pos = self.space.dims();
         loop {

@@ -103,9 +103,9 @@ pub(crate) fn key_of(p: &Point) -> Vec<u64> {
 }
 
 /// Inverse coordinate scales (1/width per parameter) for the
-/// width-normalised distance frame — shared with the sharded database so
-/// both compute bit-identical distances.
-pub(crate) fn inv_scales(space: &ParamSpace) -> Vec<f64> {
+/// width-normalised distance frame — shared with the sharded database and
+/// [`idw_scan`] callers so all compute bit-identical distances.
+pub fn inv_scales(space: &ParamSpace) -> Vec<f64> {
     space
         .params()
         .iter()
@@ -134,6 +134,59 @@ pub(crate) fn idw_average(pairs: impl Iterator<Item = (f64, f64)>) -> f64 {
         vsum += w * v;
     }
     vsum / wsum
+}
+
+/// Squared distance in the width-normalised frame.
+fn scaled_dist2(inv_scale: &[f64], a: &Point, b: &Point) -> f64 {
+    a.iter()
+        .zip(b.iter())
+        .zip(inv_scale.iter())
+        .map(|((x, y), s)| {
+            let d = (x - y) * s;
+            d * d
+        })
+        .sum()
+}
+
+/// Inserts `(d2, idx)` into the ascending `(d2, idx)`-ordered top-`k`
+/// buffer, dropping the worst element when full.
+fn offer(nearest: &mut Vec<(f64, usize)>, k: usize, d2: f64, idx: usize) {
+    if nearest.len() == k {
+        let (wd2, widx) = nearest[k - 1];
+        if (d2, idx) >= (wd2, widx) {
+            return;
+        }
+    }
+    let pos = nearest.partition_point(|&(ed2, eidx)| (ed2, eidx) < (d2, idx));
+    nearest.insert(pos, (d2, idx));
+    nearest.truncate(k);
+}
+
+/// The inverse-distance-weighted average of the `k` entries nearest to
+/// `point` (fewer when `entries` is shorter), found by a linear scan —
+/// the selection by `(distance², entry index)` and the weighting order
+/// of [`PerfDatabase::interpolate_scan`], so any caller holding the same
+/// entries in the same order gets bit-identical values. `inv_scale` is
+/// the space's [`inv_scales`]. Exact entries are not special-cased:
+/// callers answer a point they hold from their own index first. `None`
+/// when `entries` is empty.
+pub fn idw_scan(
+    inv_scale: &[f64],
+    entries: &[(Point, f64)],
+    k: usize,
+    point: &Point,
+) -> Option<f64> {
+    let k = k.min(entries.len());
+    if k == 0 {
+        return None;
+    }
+    let mut nearest: Vec<(f64, usize)> = Vec::with_capacity(k + 1);
+    for (i, (p, _)) in entries.iter().enumerate() {
+        offer(&mut nearest, k, scaled_dist2(inv_scale, point, p), i);
+    }
+    Some(idw_average(
+        nearest.iter().map(|&(d2, idx)| (d2, entries[idx].1)),
+    ))
 }
 
 /// Reads a lock, recovering from poisoning (the data is a plain memo and
@@ -334,31 +387,6 @@ impl PerfDatabase {
         read_lock(&self.memo).len()
     }
 
-    fn scaled_dist2(&self, a: &Point, b: &Point) -> f64 {
-        a.iter()
-            .zip(b.iter())
-            .zip(self.inv_scale.iter())
-            .map(|((x, y), s)| {
-                let d = (x - y) * s;
-                d * d
-            })
-            .sum()
-    }
-
-    /// Inserts `(d2, idx)` into the ascending `(d2, idx)`-ordered top-`k`
-    /// buffer, dropping the worst element when full.
-    fn offer(nearest: &mut Vec<(f64, usize)>, k: usize, d2: f64, idx: usize) {
-        if nearest.len() == k {
-            let (wd2, widx) = nearest[k - 1];
-            if (d2, idx) >= (wd2, widx) {
-                return;
-            }
-        }
-        let pos = nearest.partition_point(|&(ed2, eidx)| (ed2, eidx) < (d2, idx));
-        nearest.insert(pos, (d2, idx));
-        nearest.truncate(k);
-    }
-
     /// Weights the selected neighbours (ascending `(d2, idx)` order) —
     /// shared verbatim by the indexed and scan paths so both produce
     /// bit-identical sums.
@@ -389,13 +417,7 @@ impl PerfDatabase {
         if let Some(&i) = self.index_of.get(&key_of(point)) {
             return Some(self.entries[i].1);
         }
-        let k = self.k_neighbors.min(self.entries.len());
-        let mut nearest: Vec<(f64, usize)> = Vec::with_capacity(k + 1);
-        for (i, (p, _)) in self.entries.iter().enumerate() {
-            let d2 = self.scaled_dist2(point, p);
-            Self::offer(&mut nearest, k, d2, i);
-        }
-        Some(self.weighted_average(&nearest))
+        idw_scan(&self.inv_scale, &self.entries, self.k_neighbors, point)
     }
 
     /// Selects the `k` nearest entries via the bucket grid: visits cell
@@ -425,8 +447,8 @@ impl PerfDatabase {
             for_each_ring_cell(&qcell, r, res as i64, &mut |cell| {
                 if let Some(indices) = self.grid.cells.get(cell) {
                     for &i in indices {
-                        let d2 = self.scaled_dist2(point, &self.entries[i].0);
-                        Self::offer(&mut nearest, k, d2, i);
+                        let d2 = scaled_dist2(&self.inv_scale, point, &self.entries[i].0);
+                        offer(&mut nearest, k, d2, i);
                     }
                 }
             });
