@@ -250,7 +250,7 @@ pub fn assemble_monitoring(cells: &[(f64, f64)]) -> Table {
 /// against the adaptive policy across idle throughputs — NTT, delivered
 /// configuration quality, and average samples actually spent.
 pub fn adaptive_k(steps: usize, reps: usize, seed: u64) -> Table {
-    use harmony_core::adaptive::{AdaptiveSampling, AdaptiveTuner, AdaptiveTunerConfig};
+    use harmony_core::adaptive::AdaptiveSampling;
     let gs2 = Gs2Model::paper_scale();
     let mut table = Table::new(
         "ablation_adaptive_k",
@@ -282,17 +282,17 @@ pub fn adaptive_k(steps: usize, reps: usize, seed: u64) -> Table {
         };
         let (f1, f3, f5) = (fixed(1), fixed(3), fixed(5));
         let adaptive = average_sessions(reps, stream_seed(seed, 99), rho, |s| {
-            let tuner = AdaptiveTuner::new(AdaptiveTunerConfig {
-                procs: 64,
-                max_steps: steps,
-                policy: AdaptiveSampling {
+            let tuner = OnlineTuner::adaptive(
+                TunerConfig {
+                    full_occupancy: false,
+                    ..TunerConfig::paper_default(steps, Estimator::Single, s)
+                },
+                AdaptiveSampling {
                     min_k: 1,
                     max_k: 6,
                     patience: 2,
                 },
-                seed: s,
-                exploit_width: 6,
-            });
+            );
             let mut opt = ProOptimizer::with_defaults(gs2.space().clone());
             tuner
                 .run(&gs2, &noise, &mut opt)

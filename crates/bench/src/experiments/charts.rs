@@ -153,33 +153,9 @@ pub fn fig10(table: &Table) -> String {
     )
 }
 
-/// Emits the full set of figure SVGs given the already-computed tables.
-pub fn emit_all(
-    fig01_table: &Table,
-    fig03_table: &Table,
-    fig05_table: &Table,
-    fig07_table: &Table,
-    fig08_table: &Table,
-    fig09_table: &Table,
-    fig10_table: &Table,
-) {
-    let mut buf = String::new();
-    emit_all_to(
-        &mut buf,
-        &crate::report::results_dir(),
-        fig01_table,
-        fig03_table,
-        fig05_table,
-        fig07_table,
-        fig08_table,
-        fig09_table,
-        fig10_table,
-    );
-    print!("{buf}");
-}
-
-/// [`emit_all`] into a string buffer and an explicit output directory
-/// (see [`crate::report::emit_to`]).
+/// Renders the full set of figure SVGs from the already-computed tables
+/// into `dir`, reporting each file into `buf` (see
+/// [`crate::report::emit_to`]).
 #[allow(clippy::too_many_arguments)]
 pub fn emit_all_to(
     buf: &mut String,

@@ -193,23 +193,13 @@ pub fn assemble_baselines(rows: &[Vec<f64>]) -> Table {
     table
 }
 
-/// Time-to-quality: mean number of time steps until each algorithm's
+/// One time-to-quality row (one algorithm), with an explicit inner
+/// worker count: the mean number of time steps until the algorithm's
 /// deployed configuration is within each `factor` of the global
 /// optimum, and the fraction of sessions that ever get there.
 /// Complements T3: `Total_Time` rewards cheap transients, this rewards
 /// fast descent — at the loose threshold the local methods shine, at
 /// the tight one only global searchers reliably arrive.
-pub fn time_to_quality(steps: usize, reps: usize, rho: f64, factors: &[f64], seed: u64) -> Table {
-    let workers = worker_count(reps);
-    let rows: Vec<Vec<f64>> = BASELINES
-        .iter()
-        .map(|name| time_to_quality_row_in(workers, name, steps, reps, rho, factors, seed))
-        .collect();
-    assemble_time_to_quality(factors, &rows)
-}
-
-/// One time-to-quality row (one algorithm), with an explicit inner
-/// worker count; same seed stream as the monolithic table.
 pub fn time_to_quality_row_in(
     workers: usize,
     name: &str,

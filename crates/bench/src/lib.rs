@@ -1,9 +1,9 @@
 //! Experiment harness regenerating every figure and table of the paper.
 //!
-//! Each `experiments::figNN` / `experiments::table_*` module exposes a
-//! pure `run(cfg) -> Data` function consumed both by the `src/bin/`
-//! regeneration binaries (full paper-scale parameters, CSV output) and
-//! by the Criterion benchmarks (reduced sizes). See `DESIGN.md` §3 for
+//! Each `experiments::figNN` / `experiments::table_*` module exposes
+//! pure functions consumed both by the [`harness`] task graph behind the
+//! `run_all` binary (full paper-scale parameters, CSV output; `--only`
+//! selects experiments) and by the Criterion benchmarks (reduced sizes). See `DESIGN.md` §3 for
 //! the experiment ↔ paper-artifact index and `EXPERIMENTS.md` for the
 //! recorded paper-vs-measured comparison.
 

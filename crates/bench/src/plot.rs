@@ -333,15 +333,8 @@ pub fn save_svg(dir: impl AsRef<Path>, name: &str, svg: &str) -> std::io::Result
     Ok(path)
 }
 
-/// Renders the SVG into the default results directory and reports it.
-pub fn emit_svg(name: &str, svg: &str) {
-    let mut buf = String::new();
-    emit_svg_to(&mut buf, &crate::report::results_dir(), name, svg);
-    print!("{buf}");
-}
-
-/// [`emit_svg`] into a string buffer and an explicit output directory
-/// (see [`crate::report::emit_to`]).
+/// Saves the SVG into `dir` and reports the file into `buf` (see
+/// [`crate::report::emit_to`]).
 pub fn emit_svg_to(buf: &mut String, dir: &Path, name: &str, svg: &str) {
     match save_svg(dir, name, svg) {
         Ok(path) => {

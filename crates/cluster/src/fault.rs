@@ -10,11 +10,9 @@
 //! Because every decision is a hash (not a wall-clock race), a session
 //! replayed with the same seeds and the same plan produces bit-identical
 //! results regardless of thread scheduling — faults are reproducible
-//! experiments, not flakes. The same plan drives both the simulated
-//! [`crate::spmd::Cluster`] step path ([`Cluster::execute_step_faulty`])
-//! and the real-thread tuning server's client loops.
-//!
-//! [`Cluster::execute_step_faulty`]: crate::spmd::Cluster::execute_step_faulty
+//! experiments, not flakes. The plan drives the real-thread tuning
+//! server's client loops; the simulated [`crate::spmd::Cluster`] is
+//! fault-free.
 
 use harmony_stats::splitmix;
 
@@ -158,66 +156,6 @@ impl FaultPlan {
     }
 }
 
-/// Liveness and task-serial bookkeeping for a fleet of processors
-/// subjected to a [`FaultPlan`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FleetState {
-    alive: Vec<bool>,
-    serial: Vec<usize>,
-}
-
-impl FleetState {
-    /// A fleet of `procs` live processors, none of which has run a task.
-    ///
-    /// # Panics
-    /// Panics when `procs == 0`.
-    pub fn new(procs: usize) -> Self {
-        assert!(procs > 0, "a fleet needs at least one processor");
-        FleetState {
-            alive: vec![true; procs],
-            serial: vec![0; procs],
-        }
-    }
-
-    /// Total fleet size (live + dead).
-    pub fn len(&self) -> usize {
-        self.alive.len()
-    }
-
-    /// `true` when the fleet has size zero (never: construction requires
-    /// at least one processor).
-    pub fn is_empty(&self) -> bool {
-        self.alive.is_empty()
-    }
-
-    /// Number of processors still alive.
-    pub fn alive_count(&self) -> usize {
-        self.alive.iter().filter(|&&a| a).count()
-    }
-
-    /// Whether processor `p` is alive.
-    pub fn is_alive(&self, p: usize) -> bool {
-        self.alive[p]
-    }
-
-    /// Indices of live processors, ascending.
-    pub fn live_procs(&self) -> Vec<usize> {
-        (0..self.alive.len()).filter(|&p| self.alive[p]).collect()
-    }
-
-    /// Marks processor `p` permanently dead.
-    pub fn kill(&mut self, p: usize) {
-        self.alive[p] = false;
-    }
-
-    /// Returns processor `p`'s next task serial and advances it.
-    pub fn next_serial(&mut self, p: usize) -> usize {
-        let s = self.serial[p];
-        self.serial[p] += 1;
-        s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,26 +240,5 @@ mod tests {
     #[should_panic(expected = "sum to")]
     fn oversubscribed_report_rates_rejected() {
         FaultPlan::new(0, 0.0, 0.5, 0.4, 0.2);
-    }
-
-    #[test]
-    fn fleet_tracks_liveness_and_serials() {
-        let mut fleet = FleetState::new(4);
-        assert_eq!(fleet.alive_count(), 4);
-        assert_eq!(fleet.next_serial(2), 0);
-        assert_eq!(fleet.next_serial(2), 1);
-        assert_eq!(fleet.next_serial(0), 0);
-        fleet.kill(2);
-        assert!(!fleet.is_alive(2));
-        assert_eq!(fleet.alive_count(), 3);
-        assert_eq!(fleet.live_procs(), vec![0, 1, 3]);
-        assert_eq!(fleet.len(), 4);
-        assert!(!fleet.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one processor")]
-    fn empty_fleet_rejected() {
-        FleetState::new(0);
     }
 }

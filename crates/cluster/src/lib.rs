@@ -23,9 +23,7 @@
 //!   (one slow node dominates every barrier, eq. 1),
 //! * [`fault`] — seeded, deterministic injection of client crashes,
 //!   hangs, dropped reports and duplicate reports
-//!   ([`fault::FaultPlan`]), driving both the simulated step path
-//!   ([`spmd::Cluster::execute_step_faulty`]) and the real-thread
-//!   tuning server.
+//!   ([`fault::FaultPlan`]) for the real-thread tuning server.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,8 +35,8 @@ pub mod pool;
 pub mod schedule;
 pub mod spmd;
 
-pub use fault::{Delivery, FaultPlan, FleetState};
+pub use fault::{Delivery, FaultPlan};
 pub use hetero::Heterogeneity;
 pub use metrics::{TraceError, TuningTrace};
 pub use schedule::{SamplingMode, Schedule};
-pub use spmd::{Cluster, FaultyStepOutcome, StepOutcome};
+pub use spmd::{Cluster, StepOutcome};

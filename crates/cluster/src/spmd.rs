@@ -1,6 +1,5 @@
 //! Barrier-synchronised SPMD execution of candidate evaluations.
 
-use crate::fault::{Delivery, FaultPlan, FleetState};
 use crate::metrics::TuningTrace;
 use crate::schedule::{Layout, SamplingMode};
 use harmony_variability::noise::NoiseModel;
@@ -24,21 +23,6 @@ pub struct StepOutcome {
     pub observed: Vec<f64>,
     /// The cluster-wide iteration time `T_k = max` of the observations.
     pub t_k: f64,
-}
-
-/// The result of one fault-injected time step.
-#[derive(Debug, Clone, PartialEq)]
-#[must_use]
-pub struct FaultyStepOutcome {
-    /// Per-evaluation observations in schedule order; `None` when the
-    /// report missed the step's deadline (processor crashed, report
-    /// dropped, or report delayed past the deadline).
-    pub observed: Vec<Option<f64>>,
-    /// The cluster-wide iteration time: the worst on-time observation,
-    /// or the deadline when any report was missed.
-    pub t_k: f64,
-    /// Processors that crashed permanently during this step.
-    pub crashed: Vec<usize>,
 }
 
 impl Cluster {
@@ -73,73 +57,6 @@ impl Cluster {
         let observed: Vec<f64> = costs.iter().map(|&c| noise.observe(c, rng)).collect();
         let t_k = observed.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         StepOutcome { observed, t_k }
-    }
-
-    /// [`Cluster::execute_step`] under a [`FaultPlan`]: evaluations are
-    /// assigned to the fleet's live processors in ascending order, each
-    /// processor advances its task serial, and the plan decides per
-    /// assignment whether the processor crashes (permanently, recorded
-    /// in `fleet`) or how its report is delivered. Crashed, dropped and
-    /// late reports yield `None` and charge the step `deadline` instead
-    /// of their observation — the barrier waits for the slowest
-    /// processor, and a missing report holds it until the deadline
-    /// expires.
-    ///
-    /// A crashed processor draws no noise; late and lost reports still
-    /// draw (the evaluation ran, only its report was mishandled), so the
-    /// RNG stream advances identically whether or not a given report
-    /// survives delivery. Under a fault-free plan this is bit-identical
-    /// to [`Cluster::execute_step`].
-    ///
-    /// # Panics
-    /// Panics when `costs` is empty, exceeds the fleet's live processor
-    /// count, or when `deadline` is not finite and positive.
-    pub fn execute_step_faulty<M: NoiseModel + ?Sized>(
-        &self,
-        costs: &[f64],
-        noise: &M,
-        rng: &mut dyn RngCore,
-        plan: &FaultPlan,
-        fleet: &mut FleetState,
-        deadline: f64,
-    ) -> FaultyStepOutcome {
-        assert!(!costs.is_empty(), "a time step must run something");
-        assert!(
-            deadline.is_finite() && deadline > 0.0,
-            "deadline must be finite and positive, got {deadline}"
-        );
-        let live = fleet.live_procs();
-        assert!(
-            costs.len() <= live.len(),
-            "{} evaluations exceed {} live processors",
-            costs.len(),
-            live.len()
-        );
-        let mut observed: Vec<Option<f64>> = Vec::with_capacity(costs.len());
-        let mut crashed = Vec::new();
-        for (&cost, &proc) in costs.iter().zip(live.iter()) {
-            let serial = fleet.next_serial(proc);
-            if plan.crash_point(proc) == Some(serial) {
-                fleet.kill(proc);
-                crashed.push(proc);
-                observed.push(None);
-                continue;
-            }
-            let obs = noise.observe(cost, rng);
-            observed.push(match plan.delivery(proc, serial) {
-                Delivery::OnTime | Delivery::Duplicated => Some(obs),
-                Delivery::Late | Delivery::Lost => None,
-            });
-        }
-        let mut t_k = f64::NEG_INFINITY;
-        for o in &observed {
-            t_k = t_k.max(o.unwrap_or(deadline));
-        }
-        FaultyStepOutcome {
-            observed,
-            t_k,
-            crashed,
-        }
     }
 
     /// Evaluates `K` samples of each candidate (true costs
@@ -326,103 +243,5 @@ mod tests {
         let c = Cluster::new(2);
         let mut rng = seeded_rng(7);
         let _ = c.execute_step(&[], &Noise::None, &mut rng);
-    }
-
-    #[test]
-    fn fault_free_faulty_step_matches_execute_step() {
-        let c = Cluster::new(8);
-        let noise = Noise::paper_default(0.3);
-        let costs = [2.0, 3.0, 4.0, 5.0];
-        let plain = {
-            let mut rng = seeded_rng(9);
-            c.execute_step(&costs, &noise, &mut rng)
-        };
-        let faulty = {
-            let mut rng = seeded_rng(9);
-            let mut fleet = FleetState::new(8);
-            c.execute_step_faulty(
-                &costs,
-                &noise,
-                &mut rng,
-                &FaultPlan::none(),
-                &mut fleet,
-                50.0,
-            )
-        };
-        let unwrapped: Vec<f64> = faulty.observed.iter().map(|o| o.unwrap()).collect();
-        assert_eq!(unwrapped, plain.observed);
-        assert_eq!(faulty.t_k, plain.t_k);
-        assert!(faulty.crashed.is_empty());
-    }
-
-    #[test]
-    fn missed_reports_charge_the_deadline() {
-        let c = Cluster::new(4);
-        let mut rng = seeded_rng(10);
-        let mut fleet = FleetState::new(4);
-        // every report hangs: all observations missed, step costs the deadline
-        let plan = FaultPlan::new(3, 0.0, 1.0, 0.0, 0.0);
-        let out = c.execute_step_faulty(&[1.0; 4], &Noise::None, &mut rng, &plan, &mut fleet, 25.0);
-        assert!(out.observed.iter().all(Option::is_none));
-        assert_eq!(out.t_k, 25.0);
-        assert_eq!(fleet.alive_count(), 4);
-    }
-
-    #[test]
-    fn crashes_shrink_the_fleet_permanently() {
-        let c = Cluster::new(6);
-        let mut rng = seeded_rng(11);
-        let mut fleet = FleetState::new(6);
-        let plan = FaultPlan::new(5, 1.0, 0.0, 0.0, 0.0);
-        // every processor crashes at some serial < CRASH_HORIZON; step
-        // repeatedly until the fleet thins out
-        let mut survivors = fleet.alive_count();
-        for _ in 0..crate::fault::CRASH_HORIZON + 1 {
-            if fleet.alive_count() == 0 {
-                break;
-            }
-            let n = fleet.alive_count().min(6);
-            let out = c.execute_step_faulty(
-                &vec![1.0; n],
-                &Noise::None,
-                &mut rng,
-                &plan,
-                &mut fleet,
-                9.0,
-            );
-            for &p in &out.crashed {
-                assert!(!fleet.is_alive(p));
-            }
-            assert!(fleet.alive_count() <= survivors);
-            survivors = fleet.alive_count();
-        }
-        assert_eq!(fleet.alive_count(), 0, "all-crash plan left survivors");
-    }
-
-    #[test]
-    fn faulty_step_is_deterministic() {
-        let c = Cluster::new(8);
-        let plan = FaultPlan::new(21, 0.3, 0.2, 0.1, 0.05);
-        let run = || {
-            let mut rng = seeded_rng(12);
-            let mut fleet = FleetState::new(8);
-            let mut outs = Vec::new();
-            for _ in 0..10 {
-                let n = fleet.alive_count();
-                if n == 0 {
-                    break;
-                }
-                outs.push(c.execute_step_faulty(
-                    &vec![2.0; n],
-                    &Noise::paper_default(0.2),
-                    &mut rng,
-                    &plan,
-                    &mut fleet,
-                    40.0,
-                ));
-            }
-            (outs, fleet)
-        };
-        assert_eq!(run(), run());
     }
 }

@@ -19,14 +19,12 @@
 //! ones (close points under heavy noise) automatically buy more
 //! samples — exactly the behaviour eq. 22 prescribes, without knowing
 //! `λ` up front.
+//!
+//! [`crate::OnlineTuner::adaptive`] runs whole tuning sessions under a
+//! policy.
 
-use crate::optimizer::Optimizer;
-use crate::server::ServerError;
-use crate::tuner::{FaultStats, TuningOutcome};
-use harmony_cluster::{Cluster, TuningTrace};
-use harmony_surface::Objective;
+use harmony_cluster::{Cluster, SamplingMode, TuningTrace};
 use harmony_variability::noise::NoiseModel;
-use harmony_variability::seeded_rng;
 use rand::RngCore;
 
 /// The adaptive sampling policy.
@@ -64,7 +62,8 @@ impl AdaptiveSampling {
 
     /// Samples `point_costs` in rounds on `cluster` until the winner is
     /// stable; returns the per-point min estimates and the number of
-    /// rounds consumed. Every round appends one `T_k` to `trace`.
+    /// rounds consumed. Every round appends its time steps (one per
+    /// `procs`-wide chunk of the batch) to `trace`.
     pub fn sample_batch<M: NoiseModel + ?Sized>(
         &self,
         cluster: &Cluster,
@@ -76,22 +75,26 @@ impl AdaptiveSampling {
         self.validate();
         assert!(!point_costs.is_empty(), "adaptive sampling of empty batch");
         let mut mins = vec![f64::INFINITY; point_costs.len()];
+        let mut round = Vec::with_capacity(point_costs.len());
         let mut stable_rounds = 0usize;
         let mut last_winner = usize::MAX;
         let mut rounds = 0usize;
         while rounds < self.max_k {
             // one round: every candidate evaluated once, in parallel
             // (chunked if the batch exceeds the cluster width)
-            for chunk_start in (0..point_costs.len()).step_by(cluster.procs) {
-                let chunk_end = (chunk_start + cluster.procs).min(point_costs.len());
-                let outcome =
-                    cluster.execute_step(&point_costs[chunk_start..chunk_end], noise, rng);
-                trace.push(outcome.t_k);
-                for (i, &obs) in outcome.observed.iter().enumerate() {
-                    let idx = chunk_start + i;
-                    if obs < mins[idx] {
-                        mins[idx] = obs;
-                    }
+            cluster.run_batch_occupied(
+                point_costs,
+                1,
+                SamplingMode::SequentialSteps,
+                noise,
+                rng,
+                trace,
+                false,
+                &mut round,
+            );
+            for (min, &obs) in mins.iter_mut().zip(&round) {
+                if obs < *min {
+                    *min = obs;
                 }
             }
             rounds += 1;
@@ -119,111 +122,16 @@ fn argmin(values: &[f64]) -> usize {
         .0
 }
 
-/// Configuration of an adaptive tuning session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptiveTunerConfig {
-    /// Simulated processors.
-    pub procs: usize,
-    /// Time-step budget `K` of eq. 2.
-    pub max_steps: usize,
-    /// The adaptive sampling policy.
-    pub policy: AdaptiveSampling,
-    /// RNG seed.
-    pub seed: u64,
-    /// Parallel instances of the tuned configuration charged per
-    /// exploit step (see `TunerConfig::exploit_width`).
-    pub exploit_width: usize,
-}
-
-/// The adaptive-K counterpart of [`crate::tuner::OnlineTuner`].
-#[derive(Debug, Clone, Copy)]
-pub struct AdaptiveTuner {
-    cfg: AdaptiveTunerConfig,
-}
-
-impl AdaptiveTuner {
-    /// Creates the tuner.
-    ///
-    /// # Panics
-    /// Panics on a zero budget/processor count or an invalid policy.
-    pub fn new(cfg: AdaptiveTunerConfig) -> Self {
-        assert!(cfg.procs > 0, "tuner needs processors");
-        assert!(cfg.max_steps > 0, "tuner needs a positive step budget");
-        cfg.policy.validate();
-        AdaptiveTuner { cfg }
-    }
-
-    /// Runs one session; semantics mirror `OnlineTuner::run` with the
-    /// fixed-K schedule replaced by per-batch adaptive rounds.
-    ///
-    /// # Errors
-    /// [`ServerError::NoObservations`] when the optimizer never produced
-    /// a recommendation (it proposed no batches at all).
-    pub fn run<O, M>(
-        &self,
-        objective: &O,
-        noise: &M,
-        optimizer: &mut dyn Optimizer,
-    ) -> Result<TuningOutcome, ServerError>
-    where
-        O: Objective + ?Sized,
-        M: NoiseModel + ?Sized,
-    {
-        let cluster = Cluster::new(self.cfg.procs);
-        let mut rng = seeded_rng(self.cfg.seed);
-        let mut trace = TuningTrace::new();
-        let mut evaluations = 0usize;
-        let mut quality_curve: Vec<(usize, f64)> = Vec::new();
-
-        while trace.len() < self.cfg.max_steps && !optimizer.converged() {
-            let batch = optimizer.propose();
-            if batch.is_empty() {
-                break;
-            }
-            let costs: Vec<f64> = batch.iter().map(|p| objective.eval(p)).collect();
-            let (estimates, rounds) = self
-                .cfg
-                .policy
-                .sample_batch(&cluster, &costs, noise, &mut rng, &mut trace);
-            evaluations += batch.len() * rounds;
-            optimizer.observe(&estimates);
-            if let Some((rec, _)) = optimizer.recommendation() {
-                quality_curve.push((trace.len(), objective.eval(&rec)));
-            }
-        }
-
-        let Some((best_point, best_estimate)) = optimizer.recommendation() else {
-            return Err(ServerError::NoObservations);
-        };
-        let best_true_cost = objective.eval(&best_point);
-        let exploit_costs = vec![best_true_cost; self.cfg.exploit_width.clamp(1, self.cfg.procs)];
-        while trace.len() < self.cfg.max_steps {
-            let outcome = cluster.execute_step(&exploit_costs, noise, &mut rng);
-            trace.push(outcome.t_k);
-        }
-
-        Ok(TuningOutcome {
-            trace,
-            steps_budget: self.cfg.max_steps,
-            best_point,
-            best_estimate,
-            best_true_cost,
-            converged: optimizer.converged(),
-            evaluations,
-            quality_curve,
-            faults: FaultStats::default(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pro::ProOptimizer;
-    use harmony_cluster::Cluster;
+    use crate::sampling::Estimator;
+    use crate::tuner::{OnlineTuner, TunerConfig};
     use harmony_params::{ParamDef, ParamSpace, Point};
     use harmony_surface::objective::FnObjective;
     use harmony_variability::noise::Noise;
+    use harmony_variability::seeded_rng;
 
     fn space() -> ParamSpace {
         ParamSpace::new(vec![
@@ -327,13 +235,14 @@ mod tests {
         let obj = FnObjective::new("bowl", space(), |p: &Point| {
             2.0 + 0.05 * (p[0] * p[0] + p[1] * p[1])
         });
-        let tuner = AdaptiveTuner::new(AdaptiveTunerConfig {
-            procs: 16,
-            max_steps: 120,
-            policy: AdaptiveSampling::default(),
-            seed: 4,
-            exploit_width: 6,
-        });
+        let tuner = OnlineTuner::adaptive(
+            TunerConfig {
+                procs: 16,
+                full_occupancy: false,
+                ..TunerConfig::paper_default(120, Estimator::Single, 4)
+            },
+            AdaptiveSampling::default(),
+        );
         let mut opt = ProOptimizer::with_defaults(space());
         let out = tuner
             .run(&obj, &Noise::paper_default(0.2), &mut opt)
@@ -349,28 +258,21 @@ mod tests {
             2.0 + 0.05 * (p[0] * p[0] + p[1] * p[1])
         });
         let noise = Noise::paper_default(0.2);
-        let tuner = AdaptiveTuner::new(AdaptiveTunerConfig {
-            procs: 64,
-            max_steps: 100,
-            policy: AdaptiveSampling {
+        let cfg = TunerConfig {
+            full_occupancy: false,
+            ..TunerConfig::paper_default(100, Estimator::MinOfK(6), 5)
+        };
+        let tuner = OnlineTuner::adaptive(
+            cfg,
+            AdaptiveSampling {
                 min_k: 1,
                 max_k: 6,
                 patience: 2,
             },
-            seed: 5,
-            exploit_width: 6,
-        });
+        );
         let mut opt = ProOptimizer::with_defaults(space());
         let out = tuner.run(&obj, &noise, &mut opt).unwrap();
-        let fixed6 = crate::tuner::OnlineTuner::new(crate::tuner::TunerConfig {
-            procs: 64,
-            max_steps: 100,
-            estimator: crate::sampling::Estimator::MinOfK(6),
-            mode: harmony_cluster::SamplingMode::SequentialSteps,
-            seed: 5,
-            full_occupancy: false,
-            exploit_width: 6,
-        });
+        let fixed6 = OnlineTuner::new(cfg);
         let mut opt6 = ProOptimizer::with_defaults(space());
         let out6 = fixed6.run(&obj, &noise, &mut opt6).unwrap();
         assert!(

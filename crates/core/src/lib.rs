@@ -28,7 +28,8 @@
 //!   the tuner re-probes the same points constantly and the wrapped
 //!   objective is deterministic, so the memo is exact,
 //! * [`adaptive`] — the paper's future-work item: per-batch adaptive
-//!   sample counts that stop as soon as the pending decision is stable,
+//!   sample counts that stop as soon as the pending decision is stable
+//!   (a sampling policy of [`OnlineTuner::adaptive`]),
 //! * [`surrogate`] — the Bayesian-optimization tier: a from-scratch
 //!   TPE-style density-ratio surrogate that models the observed
 //!   (point, min-of-K estimate) history and proposes each batch from a
@@ -41,7 +42,8 @@
 //!   performance database or warm-start the next session,
 //! * [`tuner`] — the on-line tuning driver: runs an optimizer against an
 //!   objective + noise model on a simulated SPMD cluster for exactly `K`
-//!   time steps, producing the `Total_Time`/NTT record of eq. 2/23,
+//!   time steps, producing the `Total_Time`/NTT record of eq. 2/23; one
+//!   loop runs fixed-K, adaptive-K and phased (non-stationary) sessions,
 //! * [`server`] — a fault-tolerant Active-Harmony-style tuning
 //!   **server** with real client threads exchanging fetch/report
 //!   messages over channels, including free parallel multi-sampling
@@ -75,7 +77,7 @@ pub mod surrogate;
 pub mod tuner;
 pub mod warm;
 
-pub use adaptive::{AdaptiveSampling, AdaptiveTuner, AdaptiveTunerConfig};
+pub use adaptive::AdaptiveSampling;
 pub use cache::CachedObjective;
 pub use logged::{Logged, ObservationLog};
 pub use optimizer::Optimizer;

@@ -12,8 +12,12 @@
 //! Multi-sample estimation (§5.2) is applied here: each proposed point
 //! is measured `K` times according to the configured
 //! [`Estimator`]/[`SamplingMode`] and only the reduced estimate reaches
-//! the optimizer.
+//! the optimizer. The same loop runs adaptive-K sessions
+//! ([`OnlineTuner::adaptive`], where an [`AdaptiveSampling`] policy picks
+//! each batch's `K`) and non-stationary ones ([`OnlineTuner::run_phases`],
+//! where the objective changes at given steps).
 
+use crate::adaptive::AdaptiveSampling;
 use crate::cache::CachedObjective;
 use crate::optimizer::Optimizer;
 use crate::sampling::Estimator;
@@ -169,6 +173,9 @@ impl TuningOutcome {
 #[derive(Debug, Clone, Copy)]
 pub struct OnlineTuner {
     cfg: TunerConfig,
+    /// Per-batch adaptive sample counts in place of the fixed
+    /// `cfg.estimator`/`cfg.mode` schedule.
+    policy: Option<AdaptiveSampling>,
 }
 
 impl OnlineTuner {
@@ -179,7 +186,25 @@ impl OnlineTuner {
     pub fn new(cfg: TunerConfig) -> Self {
         assert!(cfg.procs > 0, "tuner needs processors");
         assert!(cfg.max_steps > 0, "tuner needs a positive step budget");
-        OnlineTuner { cfg }
+        OnlineTuner { cfg, policy: None }
+    }
+
+    /// Creates a tuner that picks each batch's sample count adaptively
+    /// (the paper's §5.2 future work): every batch is sampled in rounds
+    /// by [`AdaptiveSampling::sample_batch`] and the per-point minima
+    /// reach the optimizer. `cfg.estimator` and `cfg.mode` are not read;
+    /// every other field means what it does for [`OnlineTuner::new`].
+    ///
+    /// # Panics
+    /// Panics when the budget or processor count is zero, or when the
+    /// policy is invalid ([`AdaptiveSampling::validate`]).
+    pub fn adaptive(cfg: TunerConfig, policy: AdaptiveSampling) -> Self {
+        let tuner = OnlineTuner::new(cfg);
+        policy.validate();
+        OnlineTuner {
+            policy: Some(policy),
+            ..tuner
+        }
     }
 
     /// The configuration.
@@ -232,179 +257,8 @@ impl OnlineTuner {
         O: Objective + ?Sized,
         M: NoiseModel + ?Sized,
     {
-        // objectives are deterministic (noise is applied by the cluster
-        // layer), so memoizing repeated probes is exact — converged
-        // batches and the quality curve revisit the same points heavily
-        let objective = CachedObjective::new(objective);
-        let cluster = Cluster::new(self.cfg.procs);
-        let mut rng = seeded_rng(self.cfg.seed);
-        let mut trace = TuningTrace::new();
-        let mut evaluations = 0usize;
-        let mut quality_curve: Vec<(usize, f64)> = Vec::new();
-        let session = tel.enabled().then(|| {
-            tel.set_clock(0);
-            tel.span_open(
-                "tuner.session",
-                vec![
-                    Field::new("procs", self.cfg.procs),
-                    Field::new("max_steps", self.cfg.max_steps),
-                    Field::new("k", self.cfg.estimator.samples()),
-                    Field::new("seed", self.cfg.seed),
-                ],
-            )
-        });
-        let mut batches = 0usize;
-        let mut scratch = BatchScratch::default();
-
-        while trace.len() < self.cfg.max_steps && !optimizer.converged() {
-            tel.set_clock(trace.len() as u64);
-            let batch = optimizer.propose();
-            if batch.is_empty() {
-                break;
-            }
-            let estimates = self.measure(
-                &cluster,
-                &objective,
-                &batch,
-                noise,
-                &mut rng,
-                &mut trace,
-                &mut scratch,
-            );
-            evaluations += batch.len() * self.cfg.estimator.samples();
-            optimizer.observe(estimates);
-            tel.set_clock(trace.len() as u64);
-            event!(
-                tel,
-                "tuner.batch",
-                batch = batches,
-                points = batch.len(),
-                steps = trace.len()
-            );
-            batches += 1;
-            if let Some((rec, _)) = optimizer.recommendation() {
-                quality_curve.push((trace.len(), objective.eval(&rec)));
-            }
-        }
-
-        // deploy what the algorithm recommends (its converged vertex),
-        // not the luckiest raw observation — under heavy-tailed noise
-        // the two can differ substantially
-        let Some((best_point, best_estimate)) = optimizer.recommendation() else {
-            if let Some(id) = session {
-                tel.set_clock(trace.len() as u64);
-                event!(tel, "tuner.failed", error = "no_observations");
-                tel.span_close(id);
-            }
-            return Err(ServerError::NoObservations);
-        };
-        let best_true_cost = objective.eval(&best_point);
-
-        // exploit: the application keeps running with the tuned
-        // parameters for the rest of the budget. Under full occupancy
-        // every processor runs it and the barrier waits for the slowest
-        // of P draws; otherwise `exploit_width` parallel instances keep
-        // running (the paper's simulation: the converged simplex's 2N
-        // identical vertices stay the points evaluated each step).
-        let width = if self.cfg.full_occupancy {
-            self.cfg.procs
-        } else {
-            self.cfg.exploit_width.clamp(1, self.cfg.procs)
-        };
-        tel.set_clock(trace.len() as u64);
-        let exploit_start = trace.len();
-        // every exploit step runs `width` instances of the same cost, so
-        // draw each step's observations through the batch observe_n path
-        // into one reusable scratch buffer: the per-draw constants (eq.
-        // 17's β) derive once per step instead of once per draw, and no
-        // step allocates. The uniform stream and the left-to-right max
-        // are exactly those of per-draw `execute_step` calls.
-        let mut exploit_obs = vec![0.0_f64; width];
-        while trace.len() < self.cfg.max_steps {
-            noise.observe_n(best_true_cost, &mut rng, &mut exploit_obs);
-            let t_k = exploit_obs
-                .iter()
-                .copied()
-                .fold(f64::NEG_INFINITY, f64::max);
-            trace.push(t_k);
-        }
-
-        if let Some(id) = session {
-            tel.set_clock(trace.len() as u64);
-            event!(
-                tel,
-                "tuner.exploit",
-                steps = trace.len() - exploit_start,
-                cost = best_true_cost,
-                width = width
-            );
-            event!(
-                tel,
-                "tuner.done",
-                batches = batches,
-                evaluations = evaluations,
-                best = best_true_cost,
-                converged = optimizer.converged()
-            );
-            objective.emit_telemetry(tel);
-            trace.emit_telemetry(tel, None);
-            tel.span_close(id);
-        }
-
-        Ok(TuningOutcome {
-            trace,
-            steps_budget: self.cfg.max_steps,
-            best_point,
-            best_estimate,
-            best_true_cost,
-            converged: optimizer.converged(),
-            evaluations,
-            quality_curve,
-            faults: FaultStats::default(),
-        })
-    }
-
-    /// Measures one batch: evaluates each point's true cost, runs its
-    /// `K` samples per point on `cluster` (appending every consumed step
-    /// to `trace`) and reduces them, returning the estimates in batch
-    /// order. Everything goes through `scratch`, so a session's batches
-    /// share three buffers.
-    #[allow(clippy::too_many_arguments)]
-    fn measure<'s, O, M>(
-        &self,
-        cluster: &Cluster,
-        objective: &O,
-        batch: &[Point],
-        noise: &M,
-        rng: &mut dyn RngCore,
-        trace: &mut TuningTrace,
-        scratch: &'s mut BatchScratch,
-    ) -> &'s [f64]
-    where
-        O: Objective + ?Sized,
-        M: NoiseModel + ?Sized,
-    {
-        let BatchScratch {
-            costs,
-            samples,
-            estimates,
-        } = scratch;
-        costs.clear();
-        costs.extend(batch.iter().map(|p| objective.eval(p)));
-        let k = self.cfg.estimator.samples();
-        cluster.run_batch_occupied(
-            costs,
-            k,
-            self.cfg.mode,
-            noise,
-            rng,
-            trace,
-            self.cfg.full_occupancy,
-            samples,
-        );
-        estimates.clear();
-        estimates.extend(samples.chunks(k).map(|s| self.cfg.estimator.reduce(s)));
-        estimates
+        let phases = [(0, CachedObjective::new(objective))];
+        self.session(&phases, noise, optimizer, tel)
     }
 
     /// Runs one session against a *non-stationary* environment: the
@@ -442,72 +296,163 @@ impl OnlineTuner {
             phases.windows(2).all(|w| w[0].0 < w[1].0),
             "phase starts must be strictly ascending"
         );
-        // one memo per phase: phase objectives differ, so each gets its
-        // own exact cache (see `CachedObjective`)
         let cached: Vec<(usize, CachedObjective<'_, dyn Objective>)> = phases
             .iter()
             .map(|&(start, obj)| (start, CachedObjective::new(obj)))
             .collect();
-        let objective_at = |step: usize| -> &CachedObjective<'_, dyn Objective> {
-            &cached
-                .iter()
-                .rev()
-                .find(|(start, _)| *start <= step)
-                .expect("phase exists for every step")
-                .1
-        };
+        self.session(&cached, noise, optimizer, &Telemetry::disabled())
+    }
+
+    /// The one session loop behind [`OnlineTuner::run_traced`] and
+    /// [`OnlineTuner::run_phases`]; a stationary session is a one-phase
+    /// session.
+    ///
+    /// Objectives are deterministic (noise is applied by the cluster
+    /// layer), so each phase memoizes its objective exactly — converged
+    /// batches and the quality curve revisit the same points heavily.
+    fn session<O, M>(
+        &self,
+        phases: &[(usize, CachedObjective<'_, O>)],
+        noise: &M,
+        optimizer: &mut dyn Optimizer,
+        tel: &Telemetry,
+    ) -> Result<TuningOutcome, ServerError>
+    where
+        O: Objective + ?Sized,
+        M: NoiseModel + ?Sized,
+    {
         let cluster = Cluster::new(self.cfg.procs);
         let mut rng = seeded_rng(self.cfg.seed);
         let mut trace = TuningTrace::new();
         let mut evaluations = 0usize;
         let mut quality_curve: Vec<(usize, f64)> = Vec::new();
+        let session = tel.enabled().then(|| {
+            tel.set_clock(0);
+            let k = self
+                .policy
+                .map_or(self.cfg.estimator.samples(), |p| p.max_k);
+            tel.span_open(
+                "tuner.session",
+                vec![
+                    Field::new("procs", self.cfg.procs),
+                    Field::new("max_steps", self.cfg.max_steps),
+                    Field::new("k", k),
+                    Field::new("seed", self.cfg.seed),
+                ],
+            )
+        });
+        let mut batches = 0usize;
         let mut scratch = BatchScratch::default();
+        // the phase in force; steps only grow, so it only moves forward
+        let mut phase = 0usize;
 
         while trace.len() < self.cfg.max_steps && !optimizer.converged() {
+            tel.set_clock(trace.len() as u64);
             let batch = optimizer.propose();
             if batch.is_empty() {
                 break;
             }
             // the environment during this batch is the one in force at
             // its first step (batches are short relative to phases)
-            let objective = objective_at(trace.len());
-            let estimates = self.measure(
+            phase = phase_at(phases, phase, trace.len());
+            let (estimates, samples) = self.measure(
                 &cluster,
-                objective,
+                &phases[phase].1,
                 &batch,
                 noise,
                 &mut rng,
                 &mut trace,
                 &mut scratch,
             );
-            evaluations += batch.len() * self.cfg.estimator.samples();
+            evaluations += batch.len() * samples;
             optimizer.observe(estimates);
+            tel.set_clock(trace.len() as u64);
+            event!(
+                tel,
+                "tuner.batch",
+                batch = batches,
+                points = batch.len(),
+                steps = trace.len()
+            );
+            batches += 1;
             if let Some((rec, _)) = optimizer.recommendation() {
-                let current = objective_at(trace.len().saturating_sub(1));
-                quality_curve.push((trace.len(), current.eval(&rec)));
+                phase = phase_at(phases, phase, trace.len().saturating_sub(1));
+                quality_curve.push((trace.len(), phases[phase].1.eval(&rec)));
             }
         }
 
+        // deploy what the algorithm recommends (its converged vertex),
+        // not the luckiest raw observation — under heavy-tailed noise
+        // the two can differ substantially
         let Some((best_point, best_estimate)) = optimizer.recommendation() else {
+            if let Some(id) = session {
+                tel.set_clock(trace.len() as u64);
+                event!(tel, "tuner.failed", error = "no_observations");
+                tel.span_close(id);
+            }
             return Err(ServerError::NoObservations);
         };
-        let final_objective = &cached.last().expect("non-empty phases").1;
-        let best_true_cost = final_objective.eval(&best_point);
+        let last = phases.len() - 1;
+        let best_true_cost = phases[last].1.eval(&best_point);
 
+        // exploit: the application keeps running with the tuned
+        // parameters for the rest of the budget. Under full occupancy
+        // every processor runs it and the barrier waits for the slowest
+        // of P draws; otherwise `exploit_width` parallel instances keep
+        // running (the paper's simulation: the converged simplex's 2N
+        // identical vertices stay the points evaluated each step).
         let width = if self.cfg.full_occupancy {
             self.cfg.procs
         } else {
             self.cfg.exploit_width.clamp(1, self.cfg.procs)
         };
+        tel.set_clock(trace.len() as u64);
+        let exploit_start = trace.len();
+        // every exploit step runs `width` instances of the same cost, so
+        // draw each step's observations through the batch observe_n path
+        // into one reusable scratch buffer: the per-draw constants (eq.
+        // 17's β) derive once per step instead of once per draw, and no
+        // step allocates. The uniform stream and the left-to-right max
+        // are exactly those of per-draw `execute_step` calls. The
+        // incumbent is re-costed only when the phase changes.
         let mut exploit_obs = vec![0.0_f64; width];
+        let (mut cost_phase, mut cost) = (last, best_true_cost);
         while trace.len() < self.cfg.max_steps {
-            let cost = objective_at(trace.len()).eval(&best_point);
+            phase = phase_at(phases, phase, trace.len());
+            if phase != cost_phase {
+                cost_phase = phase;
+                cost = phases[phase].1.eval(&best_point);
+            }
             noise.observe_n(cost, &mut rng, &mut exploit_obs);
             let t_k = exploit_obs
                 .iter()
                 .copied()
                 .fold(f64::NEG_INFINITY, f64::max);
             trace.push(t_k);
+        }
+
+        if let Some(id) = session {
+            tel.set_clock(trace.len() as u64);
+            event!(
+                tel,
+                "tuner.exploit",
+                steps = trace.len() - exploit_start,
+                cost = best_true_cost,
+                width = width
+            );
+            event!(
+                tel,
+                "tuner.done",
+                batches = batches,
+                evaluations = evaluations,
+                best = best_true_cost,
+                converged = optimizer.converged()
+            );
+            for (_, objective) in phases {
+                objective.emit_telemetry(tel);
+            }
+            trace.emit_telemetry(tel, None);
+            tel.span_close(id);
         }
 
         Ok(TuningOutcome {
@@ -522,6 +467,65 @@ impl OnlineTuner {
             faults: FaultStats::default(),
         })
     }
+
+    /// Measures one batch: evaluates each point's true cost, samples it
+    /// on `cluster` (appending every consumed step to `trace`) and
+    /// reduces the samples, returning the estimates in batch order and
+    /// the number of samples each point received. A fixed-K session runs
+    /// `K` samples per point under the configured estimator and mode, an
+    /// adaptive one runs its policy's rounds. Everything goes through
+    /// `scratch`, so a session's batches share three buffers.
+    #[allow(clippy::too_many_arguments)]
+    fn measure<'s, O, M>(
+        &self,
+        cluster: &Cluster,
+        objective: &O,
+        batch: &[Point],
+        noise: &M,
+        rng: &mut dyn RngCore,
+        trace: &mut TuningTrace,
+        scratch: &'s mut BatchScratch,
+    ) -> (&'s [f64], usize)
+    where
+        O: Objective + ?Sized,
+        M: NoiseModel + ?Sized,
+    {
+        let BatchScratch {
+            costs,
+            samples,
+            estimates,
+        } = scratch;
+        costs.clear();
+        costs.extend(batch.iter().map(|p| objective.eval(p)));
+        if let Some(policy) = &self.policy {
+            let (mins, rounds) = policy.sample_batch(cluster, costs, noise, rng, trace);
+            *estimates = mins;
+            return (estimates, rounds);
+        }
+        let k = self.cfg.estimator.samples();
+        cluster.run_batch_occupied(
+            costs,
+            k,
+            self.cfg.mode,
+            noise,
+            rng,
+            trace,
+            self.cfg.full_occupancy,
+            samples,
+        );
+        estimates.clear();
+        estimates.extend(samples.chunks(k).map(|s| self.cfg.estimator.reduce(s)));
+        (estimates, k)
+    }
+}
+
+/// The index of the phase in force at `step`, searching forward from
+/// `phase`.
+fn phase_at<T>(phases: &[(usize, T)], mut phase: usize, step: usize) -> usize {
+    while phase + 1 < phases.len() && phases[phase + 1].0 <= step {
+        phase += 1;
+    }
+    phase
 }
 
 #[cfg(test)]
@@ -765,6 +769,35 @@ mod tests {
         assert!(out.converged);
         assert_eq!(out.best_point.as_slice(), &[5.0, 5.0]); // stale!
         assert!(out.best_true_cost > 2.0);
+    }
+
+    #[test]
+    fn one_phase_session_is_a_stationary_session() {
+        let obj = bowl();
+        let noise = Noise::paper_default(0.3);
+        for seed in [1, 2, 3] {
+            for est in [Estimator::Single, Estimator::MinOfK(3)] {
+                for mode in [SamplingMode::SequentialSteps, SamplingMode::Packed] {
+                    for full_occupancy in [false, true] {
+                        let tuner = OnlineTuner::new(TunerConfig {
+                            procs: 8,
+                            mode,
+                            full_occupancy,
+                            ..cfg(est, 90, seed)
+                        });
+                        let mut a = ProOptimizer::with_defaults(space());
+                        let plain = tuner.run(&obj, &noise, &mut a).unwrap();
+                        let mut b = ProOptimizer::with_defaults(space());
+                        let phased = tuner.run_phases(&[(0, &obj)], &noise, &mut b).unwrap();
+                        let bits = |o: &TuningOutcome| -> Vec<u64> {
+                            o.trace.step_times().iter().map(|t| t.to_bits()).collect()
+                        };
+                        assert_eq!(bits(&plain), bits(&phased));
+                        assert_eq!(plain, phased);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

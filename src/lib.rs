@@ -72,7 +72,7 @@ pub use harmony_variability as variability;
 
 /// The most commonly used items in one import.
 pub mod prelude {
-    pub use harmony_cluster::{Cluster, FaultPlan, FleetState, SamplingMode, TuningTrace};
+    pub use harmony_cluster::{Cluster, FaultPlan, SamplingMode, TuningTrace};
     pub use harmony_core::baselines::{GeneticAlgorithm, RandomSearch, SimulatedAnnealing};
     pub use harmony_core::nelder_mead::{NelderMead, NelderMeadConfig};
     pub use harmony_core::server::{

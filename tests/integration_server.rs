@@ -1,7 +1,7 @@
 //! Integration tests of the threaded tuning server and the adaptive
 //! tuner under edge-case configurations.
 
-use harmony::core::adaptive::{AdaptiveSampling, AdaptiveTuner, AdaptiveTunerConfig};
+use harmony::core::adaptive::AdaptiveSampling;
 use harmony::core::baselines::SimulatedAnnealing;
 use harmony::prelude::*;
 
@@ -100,17 +100,19 @@ fn server_matches_tuner_on_deterministic_problems() {
 #[test]
 fn adaptive_tuner_handles_tiny_clusters() {
     let obj = bowl();
-    let tuner = AdaptiveTuner::new(AdaptiveTunerConfig {
-        procs: 2,
-        max_steps: 60,
-        policy: AdaptiveSampling {
+    let tuner = OnlineTuner::adaptive(
+        TunerConfig {
+            procs: 2,
+            full_occupancy: false,
+            exploit_width: 2,
+            ..TunerConfig::paper_default(60, Estimator::Single, 4)
+        },
+        AdaptiveSampling {
             min_k: 2,
             max_k: 4,
             patience: 1,
         },
-        seed: 4,
-        exploit_width: 2,
-    });
+    );
     let mut pro = ProOptimizer::with_defaults(space());
     let out = tuner
         .run(&obj, &Noise::paper_default(0.3), &mut pro)
@@ -123,17 +125,17 @@ fn adaptive_tuner_handles_tiny_clusters() {
 fn adaptive_tuner_on_gs2_is_frugal() {
     let gs2 = Gs2Model::paper_scale();
     let noise = Noise::paper_default(0.2);
-    let adaptive = AdaptiveTuner::new(AdaptiveTunerConfig {
-        procs: 64,
-        max_steps: 100,
-        policy: AdaptiveSampling {
+    let adaptive = OnlineTuner::adaptive(
+        TunerConfig {
+            full_occupancy: false,
+            ..TunerConfig::paper_default(100, Estimator::Single, 5)
+        },
+        AdaptiveSampling {
             min_k: 1,
             max_k: 5,
             patience: 2,
         },
-        seed: 5,
-        exploit_width: 6,
-    });
+    );
     let mut a = ProOptimizer::with_defaults(gs2.space().clone());
     let out_a = adaptive.run(&gs2, &noise, &mut a).unwrap();
 

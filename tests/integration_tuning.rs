@@ -157,3 +157,72 @@ fn trace_analysis_pipeline_is_heavy_tailed() {
     let hist = Histogram::from_samples(&samples, 15);
     assert!(hist.tail_mass(3) > 0.0);
 }
+
+/// The fingerprint a golden session is pinned to: `Total_Time` bits,
+/// evaluations, deployed point and quality-curve length.
+fn fingerprint(out: &TuningOutcome) -> (u64, usize, Vec<f64>, usize) {
+    (
+        out.total_time().to_bits(),
+        out.evaluations,
+        out.best_point.as_slice().to_vec(),
+        out.quality_curve.len(),
+    )
+}
+
+#[test]
+fn adaptive_gs2_session_is_pinned() {
+    use harmony::core::adaptive::AdaptiveSampling;
+    let gs2 = Gs2Model::paper_scale();
+    let tuner = OnlineTuner::adaptive(
+        TunerConfig {
+            full_occupancy: false,
+            ..TunerConfig::paper_default(200, Estimator::Single, 2005)
+        },
+        AdaptiveSampling {
+            min_k: 1,
+            max_k: 6,
+            patience: 2,
+        },
+    );
+    let mut pro = ProOptimizer::with_defaults(gs2.space().clone());
+    let out = tuner
+        .run(&gs2, &Noise::paper_default(0.2), &mut pro)
+        .unwrap();
+    assert_eq!(
+        fingerprint(&out),
+        (4652449418089697796, 154, vec![56.0, 28.0, 32.0], 10)
+    );
+}
+
+#[test]
+fn two_phase_bowl_session_is_pinned() {
+    // the stopping PRO converges in the first phase, so the exploit
+    // phase runs across the shift and re-costs the incumbent there
+    let space = ParamSpace::new(vec![
+        ParamDef::integer("x", -20, 20, 1).unwrap(),
+        ParamDef::integer("y", -20, 20, 1).unwrap(),
+    ])
+    .unwrap();
+    let a = harmony::surface::objective::FnObjective::new("a", space.clone(), |p| {
+        2.0 + 0.05 * ((p[0] - 5.0).powi(2) + (p[1] - 5.0).powi(2))
+    });
+    let b = harmony::surface::objective::FnObjective::new("b", space.clone(), |p| {
+        2.0 + 0.05 * ((p[0] + 5.0).powi(2) + (p[1] + 5.0).powi(2))
+    });
+    let tuner = OnlineTuner::new(TunerConfig {
+        full_occupancy: false,
+        ..TunerConfig::paper_default(300, Estimator::MinOfK(2), 77)
+    });
+    let mut pro = ProOptimizer::with_defaults(space);
+    let noise = Noise::Pareto {
+        alpha: 1.7,
+        rho: 0.2,
+    };
+    let out = tuner
+        .run_phases(&[(0, &a), (150, &b)], &noise, &mut pro)
+        .unwrap();
+    assert_eq!(
+        fingerprint(&out),
+        (4659344733799578752, 88, vec![5.0, 5.0], 16)
+    );
+}
