@@ -16,7 +16,7 @@ use crate::report::Table;
 use harmony_cluster::pool::worker_count;
 use harmony_cluster::SamplingMode;
 use harmony_core::{Estimator, OnlineTuner, ProOptimizer, TunerConfig};
-use harmony_surface::{Gs2Model, Objective};
+use harmony_surface::{Gs2Model, LatticeTable, Objective};
 use harmony_variability::noise::Noise;
 
 /// Experiment parameters.
@@ -65,8 +65,13 @@ pub fn cell_with_sem(rho: f64, k: usize, cfg: &Fig10Config) -> (f64, f64) {
 /// Harness subtasks pass `workers == 1` so the task-graph pool owns all
 /// parallelism; the cell value is bit-identical for any worker count
 /// because every replication seed is `stream_seed(cell_seed, rep)`.
+///
+/// Like the paper's recorded database, the GS2 model is tabulated once
+/// per cell ([`LatticeTable`]) and the table is shared by the cell's
+/// replications; it returns the model's values bit for bit.
 pub fn cell_with_sem_in(workers: usize, rho: f64, k: usize, cfg: &Fig10Config) -> (f64, f64) {
-    let gs2 = Gs2Model::paper_scale();
+    let model = Gs2Model::paper_scale();
+    let gs2 = LatticeTable::new(&model);
     let noise = if rho == 0.0 {
         Noise::None
     } else {
@@ -102,9 +107,11 @@ pub fn cell_with_sem_in(workers: usize, rho: f64, k: usize, cfg: &Fig10Config) -
 /// Average NTT for one *packed-scheduling* `(ρ, K)` cell (§5.2 sweep).
 ///
 /// Seed stream `cfg.seed ^ (k << 40)` is disjoint from the sequential
-/// sweep's `cfg.seed ^ (k << 32)` by construction.
+/// sweep's `cfg.seed ^ (k << 32)` by construction. The model is
+/// tabulated once per cell, as in [`cell_with_sem_in`].
 pub fn packed_cell_in(workers: usize, rho: f64, k: usize, cfg: &Fig10Config) -> f64 {
-    let gs2 = Gs2Model::paper_scale();
+    let model = Gs2Model::paper_scale();
+    let gs2 = LatticeTable::new(&model);
     let noise = if rho == 0.0 {
         Noise::None
     } else {

@@ -348,8 +348,9 @@ impl ExhaustiveSweep {
     /// Creates a sweep over a fully discrete space.
     ///
     /// # Panics
-    /// Panics when the space is continuous (no finite lattice) or the
-    /// batch size is zero.
+    /// Panics when the space has no finite lattice, or one too large to
+    /// count ([`ParamSpace::lattice_size`] is `None`), or the batch size
+    /// is zero.
     pub fn new(space: ParamSpace, batch_size: usize) -> Self {
         assert!(batch_size >= 1, "batch size must be positive");
         assert!(
@@ -578,6 +579,16 @@ mod tests {
     #[should_panic(expected = "finite lattice")]
     fn exhaustive_rejects_continuous_spaces() {
         let sp = ParamSpace::new(vec![ParamDef::continuous("x", 0.0, 1.0).unwrap()]).unwrap();
+        ExhaustiveSweep::new(sp, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite lattice")]
+    fn exhaustive_rejects_an_uncountable_lattice() {
+        let sp = harmony_params::spec::parse_space(
+            "a int 0 1000000; b int 0 1000000; c int 0 1000000; d int 0 1000000",
+        )
+        .unwrap();
         ExhaustiveSweep::new(sp, 8);
     }
 

@@ -18,11 +18,10 @@
 //! bit for bit. [`OnlineTuner`](crate::tuner::OnlineTuner) wraps its
 //! objective automatically.
 
-use harmony_params::{ParamSpace, Point, PointKey};
+use harmony_params::{ParamSpace, Point, PointKey, PointMap};
 use harmony_recovery::{Checkpoint, CodecError, StateReader, StateWriter};
 use harmony_surface::{Objective, SharedPerfDb};
 use harmony_telemetry::Telemetry;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::RwLock;
 
@@ -40,7 +39,7 @@ use std::sync::RwLock;
 /// bit for bit.
 pub struct CachedObjective<'a, O: Objective + ?Sized> {
     inner: &'a O,
-    memo: RwLock<HashMap<PointKey, f64>>,
+    memo: RwLock<PointMap<f64>>,
     /// Cross-session shared tier, consulted between the memo and the
     /// inner objective.
     shared: Option<&'a SharedPerfDb>,
@@ -54,7 +53,7 @@ impl<'a, O: Objective + ?Sized> CachedObjective<'a, O> {
     pub fn new(inner: &'a O) -> Self {
         CachedObjective {
             inner,
-            memo: RwLock::new(HashMap::new()),
+            memo: RwLock::new(PointMap::default()),
             shared: None,
             hits: AtomicUsize::new(0),
             shared_hits: AtomicUsize::new(0),
@@ -139,7 +138,7 @@ impl<O: Objective + ?Sized> Checkpoint for CachedObjective<'_, O> {
         w.usize(self.hits());
         w.usize(self.misses());
         let memo = self.memo.read().unwrap_or_else(|e| e.into_inner());
-        // HashMap iteration order is unstable; sort by key (the order of
+        // table iteration order is unobservable; sort by key (the order of
         // the coordinate bit words) so identical logical state always
         // serialises to identical bytes
         let mut entries: Vec<(&PointKey, &f64)> = memo.iter().collect();
@@ -160,7 +159,7 @@ impl<O: Objective + ?Sized> Checkpoint for CachedObjective<'_, O> {
         let hits = r.usize()?;
         let misses = r.usize()?;
         let n = r.usize()?;
-        let mut memo = HashMap::new();
+        let mut memo = PointMap::default();
         for _ in 0..n {
             let k = PointKey::new(&r.point()?);
             memo.insert(k, r.f64()?);

@@ -11,10 +11,9 @@
 //! warm-start center for the next session.
 
 use crate::optimizer::Optimizer;
-use harmony_params::{ParamSpace, Point};
+use harmony_params::{ParamSpace, Point, PointKey, PointMap};
 use harmony_recovery::{Checkpoint, CodecError, StateReader, StateWriter};
 use harmony_surface::PerfDatabase;
-use std::collections::HashMap;
 
 /// Per-point record: visits and running estimate statistics.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,11 +31,7 @@ pub struct PointRecord {
 /// Everything a tuning session measured, keyed by configuration.
 #[derive(Debug, Clone, Default)]
 pub struct ObservationLog {
-    records: HashMap<Vec<u64>, PointRecord>,
-}
-
-fn key_of(p: &Point) -> Vec<u64> {
-    p.iter().map(f64::to_bits).collect()
+    records: PointMap<PointRecord>,
 }
 
 impl ObservationLog {
@@ -50,7 +45,7 @@ impl ObservationLog {
         assert!(estimate.is_finite(), "log estimates must be finite");
         let entry = self
             .records
-            .entry(key_of(point))
+            .entry(PointKey::new(point))
             .or_insert_with(|| PointRecord {
                 point: point.clone(),
                 visits: 0,
@@ -82,12 +77,26 @@ impl ObservationLog {
         self.records.values()
     }
 
+    /// The records in key order (the order of their coordinate bit
+    /// words), independent of the table's iteration order.
+    fn sorted(&self) -> Vec<(&PointKey, &PointRecord)> {
+        let mut records: Vec<_> = self.records.iter().collect();
+        records.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        records
+    }
+
     /// The best configuration by minimum estimate — the natural
-    /// warm-start center for a follow-up session.
+    /// warm-start center for a follow-up session. Ties go to the first
+    /// in key order.
     pub fn best(&self) -> Option<&PointRecord> {
         self.records
-            .values()
-            .min_by(|a, b| a.min_estimate.total_cmp(&b.min_estimate))
+            .iter()
+            .min_by(|a, b| {
+                a.1.min_estimate
+                    .total_cmp(&b.1.min_estimate)
+                    .then_with(|| a.0.cmp(b.0))
+            })
+            .map(|(_, r)| r)
     }
 
     /// Exports the log as a performance database over `space` (per-point
@@ -105,7 +114,8 @@ impl ObservationLog {
             self.len()
         );
         let mut db = PerfDatabase::new(space, k_neighbors);
-        for rec in self.records.values() {
+        // key order: interpolation breaks distance ties by insertion
+        for (_, rec) in self.sorted() {
             db.insert(rec.point.clone(), rec.min_estimate);
         }
         db
@@ -201,8 +211,7 @@ impl<O: Optimizer> Optimizer for Logged<O> {
 impl<O: Optimizer> Checkpoint for Logged<O> {
     fn save_state(&self, w: &mut StateWriter) {
         w.tag("logged");
-        let mut records: Vec<_> = self.log.records.iter().collect();
-        records.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        let records = self.log.sorted();
         w.usize(records.len());
         for (_, r) in records {
             w.point(&r.point);
@@ -219,7 +228,7 @@ impl<O: Optimizer> Checkpoint for Logged<O> {
     fn restore_state(&mut self, r: &mut StateReader) -> Result<(), CodecError> {
         r.tag("logged")?;
         let n = r.usize()?;
-        let mut records = HashMap::new();
+        let mut records = PointMap::default();
         for _ in 0..n {
             let point = r.point()?;
             let record = PointRecord {
@@ -228,7 +237,7 @@ impl<O: Optimizer> Checkpoint for Logged<O> {
                 mean_estimate: r.f64()?,
                 point,
             };
-            records.insert(key_of(&record.point), record);
+            records.insert(PointKey::new(&record.point), record);
         }
         self.log = ObservationLog { records };
         match self.inner.as_checkpoint_mut() {
@@ -367,7 +376,7 @@ mod tests {
     /// The log as a key-ordered list, for comparing logs.
     fn entries(log: &ObservationLog) -> Vec<PointRecord> {
         let mut v: Vec<PointRecord> = log.records().cloned().collect();
-        v.sort_by_key(|r| key_of(&r.point));
+        v.sort_by_key(|r| PointKey::new(&r.point));
         v
     }
 

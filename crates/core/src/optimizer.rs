@@ -2,10 +2,10 @@
 //! direct-search optimizers share: the measured-history log that fills
 //! fault holes ([`HistoryInterpolator`]) and the incumbent.
 
-use harmony_params::{ParamSpace, Point, PointKey};
+use harmony_params::{ParamSpace, Point, PointKey, PointMap};
 use harmony_recovery::{Checkpoint, CodecError, StateReader, StateWriter};
 use harmony_surface::database::{idw_scan, inv_scales};
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::hash_map::Entry;
 
 /// A direct-search optimizer driven in batches.
 ///
@@ -124,7 +124,7 @@ pub struct HistoryInterpolator {
     space: ParamSpace,
     inv_scale: Vec<f64>,
     entries: Vec<(Point, f64)>,
-    slot_of: HashMap<PointKey, usize>,
+    slot_of: PointMap<usize>,
 }
 
 impl HistoryInterpolator {
@@ -134,7 +134,7 @@ impl HistoryInterpolator {
             space: space.clone(),
             inv_scale: inv_scales(space),
             entries: Vec::new(),
-            slot_of: HashMap::new(),
+            slot_of: PointMap::default(),
         }
     }
 

@@ -408,13 +408,14 @@ impl OnlineTuner {
         };
         tel.set_clock(trace.len() as u64);
         let exploit_start = trace.len();
-        // every exploit step runs `width` instances of the same cost, so
-        // draw each step's observations through the batch observe_n path
-        // into one reusable scratch buffer: the per-draw constants (eq.
-        // 17's β) derive once per step instead of once per draw, and no
-        // step allocates. The uniform stream and the left-to-right max
-        // are exactly those of per-draw `execute_step` calls. The
-        // incumbent is re-costed only when the phase changes.
+        // every exploit step runs `width` instances of the same cost and
+        // keeps only the slowest, so each step is one `observe_max` into
+        // a reusable scratch buffer: the per-draw constants (eq. 17's β)
+        // derive once per step, no step allocates, and Pareto noise
+        // transforms only the draws that can hold the max. The uniform
+        // stream and the max are exactly those of per-draw
+        // `execute_step` calls. The incumbent is re-costed only when the
+        // phase changes.
         let mut exploit_obs = vec![0.0_f64; width];
         let (mut cost_phase, mut cost) = (last, best_true_cost);
         while trace.len() < self.cfg.max_steps {
@@ -423,12 +424,7 @@ impl OnlineTuner {
                 cost_phase = phase;
                 cost = phases[phase].1.eval(&best_point);
             }
-            noise.observe_n(cost, &mut rng, &mut exploit_obs);
-            let t_k = exploit_obs
-                .iter()
-                .copied()
-                .fold(f64::NEG_INFINITY, f64::max);
-            trace.push(t_k);
+            trace.push(noise.observe_max(cost, &mut rng, &mut exploit_obs));
         }
 
         if let Some(id) = session {

@@ -41,6 +41,6 @@ pub mod spec;
 
 pub use error::ParamError;
 pub use param::{ParamDef, ParamKind};
-pub use point::{Point, PointKey};
+pub use point::{Point, PointBuildHasher, PointHasher, PointKey, PointMap};
 pub use simplex::{Simplex, StepKind};
 pub use space::{LatticeIter, ParamSpace, Rounding};

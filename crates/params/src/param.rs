@@ -173,6 +173,25 @@ impl ParamDef {
         }
     }
 
+    /// The index of the level whose bit pattern is exactly `x` (the
+    /// inverse of [`ParamDef::level`]), or `None` for a continuous
+    /// parameter or a value that is no level (`-0.0` is not `0.0`).
+    pub(crate) fn level_index(&self, x: f64) -> Option<usize> {
+        match &self.kind {
+            ParamKind::Continuous { .. } => None,
+            ParamKind::Integer { lo, step, .. } => {
+                let idx = ((x - *lo as f64) / *step as f64).round();
+                if !(0.0..self.cardinality()? as f64).contains(&idx) {
+                    return None;
+                }
+                let level = (lo + idx as i64 * step) as f64;
+                (level.to_bits() == x.to_bits()).then_some(idx as usize)
+            }
+            // `total_cmp` equality is bit equality
+            ParamKind::Levels(v) => v.binary_search_by(|l| l.total_cmp(&x)).ok(),
+        }
+    }
+
     /// True when `x` is an admissible value for this parameter.
     pub fn is_admissible(&self, x: f64) -> bool {
         if !x.is_finite() {

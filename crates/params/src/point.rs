@@ -1,5 +1,9 @@
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
 use std::ops::Index;
+use std::sync::OnceLock;
 
 /// A point in `R^N`.
 ///
@@ -246,7 +250,7 @@ impl FromIterator<f64> for Point {
 /// heap, and hashing covers only the live coordinates. The order is the
 /// lexicographic order of the coordinate bit words, shorter first on a
 /// common prefix — the order of the same words collected into a
-/// `Vec<u64>`.
+/// `Vec<u64>`. Tables of keys are [`PointMap`]s.
 #[derive(Clone, Debug)]
 pub struct PointKey(Point);
 
@@ -275,23 +279,85 @@ impl PartialEq for PointKey {
 impl Eq for PointKey {}
 
 impl std::hash::Hash for PointKey {
-    /// Feeds the coordinate bits and the length through a stack buffer:
-    /// hashers pay per call, so an inline point costs one `write`.
+    /// Feeds one `write_u64` per coordinate bit word, then the length
+    /// (so a [`PointHasher`] mixes the last coordinate once more).
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        const FULL: usize = 8 * Point::INLINE_CAP;
-        let coords = self.0.as_slice();
-        let mut buf = [0u8; FULL + 8];
-        let mut at = 0;
-        for c in coords {
-            if at == FULL {
-                state.write(&buf[..at]);
-                at = 0;
-            }
-            buf[at..at + 8].copy_from_slice(&c.to_bits().to_ne_bytes());
-            at += 8;
+        for word in self.bits() {
+            state.write_u64(word);
         }
-        buf[at..at + 8].copy_from_slice(&(coords.len() as u64).to_ne_bytes());
-        state.write(&buf[..at + 8]);
+        state.write_u64(self.0.dims() as u64);
+    }
+}
+
+/// A hash table keyed by [`PointKey`] with the [`PointBuildHasher`].
+pub type PointMap<V> = HashMap<PointKey, V, PointBuildHasher>;
+
+/// The [`BuildHasher`] of [`PointKey`] tables: a [`PointHasher`] seeded
+/// with one random word per process.
+///
+/// The seed keeps a table's iteration order unobservable (code that
+/// needs an order sorts by key) and keeps keys that collide by
+/// construction, such as crafted checkpoint bytes, from being computed
+/// ahead of time.
+#[derive(Clone, Copy, Debug)]
+pub struct PointBuildHasher {
+    seed: u64,
+}
+
+impl Default for PointBuildHasher {
+    fn default() -> Self {
+        static SEED: OnceLock<u64> = OnceLock::new();
+        let seed = *SEED.get_or_init(|| RandomState::new().build_hasher().finish());
+        PointBuildHasher { seed }
+    }
+}
+
+impl BuildHasher for PointBuildHasher {
+    type Hasher = PointHasher;
+
+    fn build_hasher(&self) -> PointHasher {
+        PointHasher { hash: self.seed }
+    }
+}
+
+/// A folded-multiply hasher over 64-bit words: each word is XORed into
+/// the state, which becomes the XOR of the two halves of its 128-bit
+/// product with an odd constant. Built by [`PointBuildHasher`].
+///
+/// The high half brings the bits of integer-valued `f64` coordinates,
+/// which differ only in their high bits, down to the low bits a table
+/// indexes with. Folding also makes every input difference reach the
+/// state through carries that depend on the seed: a plain
+/// multiply-and-rotate passes a flipped top bit (a coordinate's sign)
+/// through unchanged, so keys colliding for every seed could be written
+/// down in advance.
+#[derive(Clone, Copy, Debug)]
+pub struct PointHasher {
+    hash: u64,
+}
+
+impl PointHasher {
+    const MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+}
+
+impl Hasher for PointHasher {
+    fn write_u64(&mut self, word: u64) {
+        let product = u128::from(self.hash ^ word) * u128::from(Self::MULTIPLIER);
+        self.hash = product as u64 ^ (product >> 64) as u64;
+    }
+
+    /// Byte input (keys other than [`PointKey`]) as little-endian words,
+    /// the last one zero-padded.
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
     }
 }
 
@@ -478,6 +544,48 @@ mod tests {
         for a in &samples {
             for b in &samples {
                 assert_eq!(key(a).cmp(&key(b)), words(a).cmp(&words(b)), "{a:?} {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn point_hasher_spreads_integer_lattice_keys() {
+        // integer-valued coordinates vary only in their high bits; the
+        // table indexes with the low bits and tags with the top seven
+        use std::collections::HashSet;
+        let nodes = [1.0, 2.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 48.0, 64.0];
+        let build = PointBuildHasher::default();
+        let mut hashes = Vec::new();
+        for a in (16..=128).step_by(8) {
+            for b in (4..=48).step_by(4) {
+                for &c in &nodes {
+                    let key = PointKey::new(&p(&[a as f64, b as f64, c]));
+                    hashes.push(build.hash_one(&key));
+                }
+            }
+        }
+        let n = hashes.len();
+        let distinct =
+            |f: &dyn Fn(u64) -> u64| hashes.iter().map(|&h| f(h)).collect::<HashSet<_>>().len();
+        assert_eq!(distinct(&|h| h), n);
+        // a uniform hash fills 2048·(1 − e^(−1980/2048)) ≈ 1268 buckets
+        assert!(distinct(&|h| h & 2047) > 1150);
+        assert_eq!(distinct(&|h| h >> 57), 128);
+    }
+
+    #[test]
+    fn point_hasher_has_no_seed_independent_sign_flip_collisions() {
+        // flipping a coordinate's sign and one bit of the next must not
+        // collide whatever the seed (it does under multiply-and-rotate)
+        for seed in [0, 1, 0x5EED_5EED_5EED_5EED] {
+            let build = PointBuildHasher { seed };
+            for (x, y) in [(16.0, 4.0), (1.5, -2.0), (0.0, 64.0)] {
+                let h = build.hash_one(PointKey::new(&p(&[x, y])));
+                for bit in 0..64 {
+                    let flipped = f64::from_bits(y.to_bits() ^ (1 << bit));
+                    let g = build.hash_one(PointKey::new(&p(&[-x, flipped])));
+                    assert_ne!(h, g, "seed {seed:#x}: ({x}, {y}) bit {bit}");
+                }
             }
         }
     }

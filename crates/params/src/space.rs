@@ -214,12 +214,33 @@ impl ParamSpace {
     }
 
     /// Total number of admissible lattice points, or `None` if any
-    /// parameter is continuous.
+    /// parameter is continuous or the count overflows `usize` (such a
+    /// lattice cannot be enumerated or tabulated either).
     pub fn lattice_size(&self) -> Option<usize> {
         self.params
             .iter()
-            .map(|p| p.cardinality())
-            .try_fold(1usize, |acc, c| c.map(|c| acc.saturating_mul(c)))
+            .try_fold(1usize, |acc, p| acc.checked_mul(p.cardinality()?))
+    }
+
+    /// The position of `x` in [`ParamSpace::lattice`] order, or `None`
+    /// when `x` is not a lattice point: wrong dimension, a continuous
+    /// parameter, a lattice too large to count, or a coordinate whose
+    /// bit pattern matches no level (so `-0.0` is not the level `0.0`,
+    /// and NaN matches nothing).
+    ///
+    /// The exact inverse of the lattice order: for the `i`-th point `p`
+    /// of `lattice()`, `lattice_index(&p) == Some(i)`.
+    pub fn lattice_index(&self, x: &Point) -> Option<usize> {
+        if x.dims() != self.dims() {
+            return None;
+        }
+        self.params
+            .iter()
+            .zip(x.iter())
+            .try_fold(0usize, |acc, (p, c)| {
+                acc.checked_mul(p.cardinality()?)?
+                    .checked_add(p.level_index(c)?)
+            })
     }
 
     /// Iterates over every admissible lattice point (row-major, first
@@ -385,6 +406,23 @@ mod tests {
         for p in &pts {
             assert!(s.is_admissible(p));
         }
+    }
+
+    #[test]
+    fn lattice_size_overflow_is_none() {
+        // 1_000_001^4 ≈ 1e24 points: more than usize can count
+        let huge = crate::spec::parse_space(
+            "a int 0 1000000; b int 0 1000000; c int 0 1000000; d int 0 1000000",
+        )
+        .unwrap();
+        assert_eq!(huge.lattice_size(), None);
+        assert_eq!(huge.lattice_index(&huge.center()), None);
+        // three of them still fit
+        let big =
+            crate::spec::parse_space("a int 0 1000000; b int 0 1000000; c int 0 1000000").unwrap();
+        assert_eq!(big.lattice_size(), Some(1_000_001usize.pow(3)));
+        let last = Point::from(&[1e6, 1e6, 1e6][..]);
+        assert_eq!(big.lattice_index(&last), Some(1_000_001usize.pow(3) - 1));
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! lattice-keyed memo that is invalidated on every write.
 
 use crate::objective::Objective;
-use harmony_params::{ParamSpace, Point};
+use harmony_params::{ParamSpace, Point, PointKey, PointMap};
 use harmony_recovery::{Checkpoint, CodecError, StateReader, StateWriter};
 use rand::Rng;
 use std::collections::HashMap;
@@ -65,7 +65,7 @@ const GRID_CELL_BUDGET: f64 = 4096.0;
 pub struct PerfDatabase {
     space: ParamSpace,
     /// Point key → index into `entries` (O(1) exact lookup and replace).
-    index_of: HashMap<Vec<u64>, usize>,
+    index_of: PointMap<usize>,
     entries: Vec<(Point, f64)>,
     /// Inverse coordinate scales (1/width per parameter) for distance.
     inv_scale: Vec<f64>,
@@ -77,7 +77,7 @@ pub struct PerfDatabase {
     grid: Grid,
     /// Memo of interpolated values for missing points, keyed like
     /// `index_of`; cleared on every insert.
-    memo: RwLock<HashMap<Vec<u64>, f64>>,
+    memo: RwLock<PointMap<f64>>,
 }
 
 impl Clone for PerfDatabase {
@@ -96,8 +96,9 @@ impl Clone for PerfDatabase {
     }
 }
 
-/// The exact-match lattice key: per-coordinate IEEE-754 bit patterns.
-/// Shared with the sharded database so both agree on point identity.
+/// The per-coordinate IEEE-754 bit patterns of a point, as the sharded
+/// database's snapshots store them; they order and compare like the
+/// point's [`PointKey`], so both databases agree on point identity.
 pub(crate) fn key_of(p: &Point) -> Vec<u64> {
     p.iter().map(f64::to_bits).collect()
 }
@@ -232,14 +233,14 @@ impl PerfDatabase {
         let origin = space.params().iter().map(|p| p.lower()).collect();
         PerfDatabase {
             space,
-            index_of: HashMap::new(),
+            index_of: PointMap::default(),
             entries: Vec::new(),
             inv_scale,
             origin,
             k_neighbors,
             name: "perf-database".into(),
             grid: Grid::default(),
-            memo: RwLock::new(HashMap::new()),
+            memo: RwLock::new(PointMap::default()),
         }
     }
 
@@ -294,7 +295,7 @@ impl PerfDatabase {
             "database point must be admissible: {point:?}"
         );
         assert!(value.is_finite(), "database value must be finite");
-        let k = key_of(&point);
+        let k = PointKey::new(&point);
         if let Some(&i) = self.index_of.get(&k) {
             if !replace && value >= self.entries[i].1 {
                 // keep-min no-op: stored state unchanged, memo stays valid
@@ -320,7 +321,8 @@ impl PerfDatabase {
 
     /// Samples `source` on its lattice, keeping each point independently
     /// with probability `keep_fraction` (the paper's database "does not
-    /// contain all possible combinations"). The lattice must be finite.
+    /// contain all possible combinations"). The lattice must be finite
+    /// and countable ([`ParamSpace::lattice_size`] is `Some`).
     pub fn from_objective<O: Objective + ?Sized, R: Rng + ?Sized>(
         source: &O,
         keep_fraction: f64,
@@ -371,14 +373,14 @@ impl PerfDatabase {
 
     /// True when the point has an exact entry.
     pub fn contains(&self, point: &Point) -> bool {
-        self.index_of.contains_key(&key_of(point))
+        self.index_of.contains_key(&PointKey::new(point))
     }
 
     /// The stored value at an exact entry, if present (no
     /// interpolation).
     pub fn get(&self, point: &Point) -> Option<f64> {
         self.index_of
-            .get(&key_of(point))
+            .get(&PointKey::new(point))
             .map(|&i| self.entries[i].1)
     }
 
@@ -414,7 +416,7 @@ impl PerfDatabase {
         if self.entries.is_empty() {
             return None;
         }
-        if let Some(&i) = self.index_of.get(&key_of(point)) {
+        if let Some(&i) = self.index_of.get(&PointKey::new(point)) {
             return Some(self.entries[i].1);
         }
         idw_scan(&self.inv_scale, &self.entries, self.k_neighbors, point)
@@ -484,7 +486,7 @@ impl PerfDatabase {
         if self.entries.is_empty() {
             return None;
         }
-        if let Some(&i) = self.index_of.get(&key_of(point)) {
+        if let Some(&i) = self.index_of.get(&PointKey::new(point)) {
             return Some(self.entries[i].1);
         }
         let k = self.k_neighbors.min(self.entries.len());
@@ -501,7 +503,7 @@ impl PerfDatabase {
     /// guarantee a non-empty history use [`Self::try_interpolate`].
     pub fn interpolate(&self, point: &Point) -> f64 {
         assert!(!self.entries.is_empty(), "interpolating an empty database");
-        let key = key_of(point);
+        let key = PointKey::new(point);
         if let Some(&i) = self.index_of.get(&key) {
             return self.entries[i].1;
         }
@@ -864,5 +866,16 @@ mod tests {
     fn empty_interpolation_rejected() {
         let db = PerfDatabase::new(space(), 1);
         db.interpolate(&Point::from(&[1.0, 1.0][..]));
+    }
+
+    #[test]
+    #[should_panic(expected = "discrete objective")]
+    fn from_objective_refuses_an_uncountable_lattice() {
+        let huge = harmony_params::spec::parse_space(
+            "a int 0 1000000; b int 0 1000000; c int 0 1000000; d int 0 1000000",
+        )
+        .unwrap();
+        let obj = FnObjective::new("huge", huge, |p| p[0]);
+        let _ = PerfDatabase::from_objective(&obj, 1.0, 1, &mut SmallRng::seed_from_u64(1));
     }
 }

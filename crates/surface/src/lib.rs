@@ -42,5 +42,5 @@ pub mod testfns;
 pub use database::PerfDatabase;
 pub use gs2::Gs2Model;
 pub use kernels::{StencilHalo, TiledMatMul};
-pub use objective::{best_on_lattice, Objective};
+pub use objective::{best_on_lattice, LatticeTable, Objective};
 pub use sharded::{SharedDbStats, SharedPerfDb};

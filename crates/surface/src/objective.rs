@@ -54,6 +54,55 @@ pub fn best_on_lattice<O: Objective + ?Sized>(obj: &O) -> Option<(Point, f64)> {
     best
 }
 
+/// An objective tabulated over its lattice: the inner objective is
+/// evaluated once per lattice point up front, and every lattice point
+/// is then answered from the table. Off-lattice points fall back to
+/// the inner objective, so the table equals `inner.eval` bit for bit on
+/// any input.
+///
+/// The stand-in for the paper's §6 methodology, which prices each
+/// configuration by looking it up in a recorded GS2 performance
+/// database: a sweep cell builds one table and shares it across its
+/// replications instead of recomputing the model in every session.
+pub struct LatticeTable<'a, O: Objective + ?Sized> {
+    inner: &'a O,
+    /// `inner.eval` of the `i`-th point of `space().lattice()`.
+    values: Vec<f64>,
+}
+
+impl<'a, O: Objective + ?Sized> LatticeTable<'a, O> {
+    /// Tabulates `inner` over its lattice.
+    ///
+    /// # Panics
+    /// Panics when the space has no finite lattice, or one too large to
+    /// count ([`ParamSpace::lattice_size`] is `None`).
+    pub fn new(inner: &'a O) -> Self {
+        assert!(
+            inner.space().lattice_size().is_some(),
+            "a lattice table needs a finite, countable lattice"
+        );
+        let values = inner.space().lattice().map(|p| inner.eval(&p)).collect();
+        LatticeTable { inner, values }
+    }
+}
+
+impl<O: Objective + ?Sized> Objective for LatticeTable<'_, O> {
+    fn space(&self) -> &ParamSpace {
+        self.inner.space()
+    }
+
+    fn eval(&self, x: &Point) -> f64 {
+        match self.inner.space().lattice_index(x) {
+            Some(i) => self.values[i],
+            None => self.inner.eval(x),
+        }
+    }
+
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+}
+
 /// A closure-backed objective, convenient for tests.
 pub struct FnObjective<F: Fn(&Point) -> f64> {
     space: ParamSpace,
@@ -112,6 +161,42 @@ mod tests {
         let space = ParamSpace::new(vec![ParamDef::continuous("x", 0.0, 1.0).unwrap()]).unwrap();
         let obj = FnObjective::new("id", space, |p| p[0]);
         assert!(best_on_lattice(&obj).is_none());
+    }
+
+    #[test]
+    fn lattice_table_equals_gs2_bit_for_bit() {
+        let gs2 = crate::Gs2Model::paper_scale();
+        let table = LatticeTable::new(&gs2);
+        assert_eq!(table.name(), gs2.name());
+        let bits = |o: &dyn Objective, p: &Point| o.eval(p).to_bits();
+        for p in gs2.space().lattice() {
+            assert_eq!(bits(&table, &p), bits(&gs2, &p), "{p:?}");
+        }
+        // off the lattice: between steps, between levels, -0.0 against
+        // no level, and outside the box all reach the model itself
+        for c in [
+            [20.0, 8.0, 4.0],
+            [16.0, 6.0, 4.0],
+            [16.0, 8.0, 5.0],
+            [16.0, 8.0, 3.5],
+            [136.0, 8.0, 4.0],
+            [16.0, 8.0, -0.0],
+        ] {
+            let p = Point::from(&c[..]);
+            assert_eq!(gs2.space().lattice_index(&p), None, "{p:?}");
+            assert_eq!(bits(&table, &p), bits(&gs2, &p), "{p:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "finite, countable lattice")]
+    fn lattice_table_refuses_an_uncountable_lattice() {
+        let space = harmony_params::spec::parse_space(
+            "a int 0 1000000; b int 0 1000000; c int 0 1000000; d int 0 1000000",
+        )
+        .unwrap();
+        let obj = FnObjective::new("huge", space, |p| p[0]);
+        let _ = LatticeTable::new(&obj);
     }
 
     #[test]

@@ -258,15 +258,10 @@ impl std::fmt::Debug for SharedPerfDb {
     }
 }
 
-/// The shard a lattice key hashes to: a splitmix fold over the key's
-/// bit-pattern words. Purely a function of the key, so placement is
-/// deterministic across runs and thread interleavings.
-fn shard_of(key: &[u64]) -> usize {
-    shard_of_words(key.iter().copied())
-}
-
-/// [`shard_of`] over a word stream — lets the hot read path route
-/// without materialising the key vector first.
+/// The shard a point's coordinate bit words hash to: a splitmix fold
+/// over the words. Purely a function of the point, so placement is
+/// deterministic across runs and thread interleavings, and routing
+/// never materialises a key vector.
 fn shard_of_words(words: impl Iterator<Item = u64>) -> usize {
     let mut h = 0u64;
     for w in words {
@@ -298,7 +293,7 @@ impl SharedPerfDb {
     /// `None` means no flushed measurement exists (pending records are
     /// invisible); the caller should measure and [`record`](Self::record).
     pub fn query(&self, point: &Point) -> Option<f64> {
-        let shard = &self.shards[shard_of_words(point.iter().map(|x| x.to_bits()))];
+        let shard = &self.shards[shard_of_words(point.iter().map(f64::to_bits))];
         let found = shard.snap.read(|snap| {
             snap.binary_search_by(|e| {
                 // lexicographic key comparison straight against the
@@ -330,8 +325,7 @@ impl SharedPerfDb {
             "database point must be admissible: {point:?}"
         );
         assert!(value.is_finite(), "database value must be finite");
-        let key = key_of(point);
-        let shard = &self.shards[shard_of(&key)];
+        let shard = &self.shards[shard_of_words(point.iter().map(f64::to_bits))];
         let mut pending = match shard.pending.try_lock() {
             Ok(guard) => guard,
             Err(std::sync::TryLockError::WouldBlock) => {

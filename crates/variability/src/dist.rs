@@ -90,6 +90,52 @@ impl Pareto {
         assert!(alpha > 0.0 && beta > 0.0, "Pareto requires alpha, beta > 0");
         Pareto { alpha, beta }
     }
+
+    /// The largest of `out.len()` draws of `shift + X`, bit-identical
+    /// to [`Distribution::fill_samples`] into `out`, adding `shift` to
+    /// each sample, and folding with `f64::max` from `−∞`; the RNG
+    /// advances by exactly the same draws. `out` is scratch: it holds
+    /// the uniforms afterwards.
+    ///
+    /// `X = β·u^(−1/α)` falls as `u` grows, so only uniforms near the
+    /// smallest one, `u_min`, can hold the maximum, and only those are
+    /// transformed. The window is `u ≤ u_min·(1 + δ)` with
+    /// `δ = α·2⁻³⁰`. A uniform above it has an exact power below
+    /// `u_min`'s by a factor of at most about `1 − 2⁻³⁰` (the rounding
+    /// of the bound costs less than `2⁻⁵³/α`), far more than the
+    /// sub-ULP error of `powf`, so its computed sample is smaller and
+    /// cannot be the maximum. Every uniform inside the window, ties and
+    /// neighbours included, is transformed. Multiplying by `β > 0` and
+    /// adding `shift` round monotonically, so `shift + max(β·p)` equals
+    /// the max of `shift + β·p` bit for bit. Outside
+    /// `2⁻²⁰ ≤ α ≤ 2²⁰`, where those bounds lose their margin, every
+    /// uniform is transformed.
+    pub fn shifted_max<R: Rng + ?Sized>(&self, shift: f64, rng: &mut R, out: &mut [f64]) -> f64 {
+        const WINDOW_PER_ALPHA: f64 = 1.0 / (1u64 << 30) as f64;
+        const ALPHA_RANGE: std::ops::RangeInclusive<f64> =
+            1.0 / (1u64 << 20) as f64..=(1u64 << 20) as f64;
+        if out.is_empty() {
+            return f64::NEG_INFINITY;
+        }
+        let mut u_min = f64::INFINITY;
+        for slot in out.iter_mut() {
+            *slot = rng.random::<f64>().max(f64::MIN_POSITIVE);
+            u_min = u_min.min(*slot);
+        }
+        let cut = if ALPHA_RANGE.contains(&self.alpha) {
+            u_min * (1.0 + self.alpha * WINDOW_PER_ALPHA)
+        } else {
+            f64::INFINITY
+        };
+        let exp = -1.0 / self.alpha;
+        let mut best = f64::NEG_INFINITY;
+        for &u in out.iter() {
+            if u <= cut {
+                best = best.max(self.beta * u.powf(exp));
+            }
+        }
+        shift + best
+    }
 }
 
 impl Distribution for Pareto {

@@ -39,6 +39,19 @@ pub trait NoiseModel {
         }
     }
 
+    /// The largest of `out.len()` observations of the same point — the
+    /// barrier time of a step whose instances all run one
+    /// configuration (eq. 1).
+    ///
+    /// Bit-identical to [`NoiseModel::observe_n`] into `out` followed by
+    /// a left-to-right `f64::max` fold from `−∞`, and consumes the same
+    /// uniform stream; that is the default. `out` is scratch, and its
+    /// contents afterwards are unspecified.
+    fn observe_max(&self, f_v: f64, rng: &mut dyn RngCore, out: &mut [f64]) -> f64 {
+        self.observe_n(f_v, rng, out);
+        out.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+    }
+
     /// The expected observation `E[y] = f(v)/(1−ρ)` (eq. 6).
     fn expected(&self, f_v: f64) -> f64 {
         f_v / (1.0 - self.rho())
@@ -299,6 +312,22 @@ impl PreparedNoise {
     }
 }
 
+impl PreparedNoise {
+    /// The largest of `out.len()` observations, as
+    /// [`NoiseModel::observe_max`]: Pareto noise transforms only the
+    /// uniforms that can hold the maximum ([`Pareto::shifted_max`]),
+    /// every other model draws all observations and folds them.
+    pub fn observe_max(&self, rng: &mut dyn RngCore, out: &mut [f64]) -> f64 {
+        match self.kind {
+            Prepared::Pareto(d) => d.shifted_max(self.f_v, rng, out),
+            _ => {
+                self.observe_n(rng, out);
+                out.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+            }
+        }
+    }
+}
+
 impl NoiseModel for Noise {
     fn rho(&self) -> f64 {
         match *self {
@@ -316,6 +345,10 @@ impl NoiseModel for Noise {
 
     fn observe_n(&self, f_v: f64, rng: &mut dyn RngCore, out: &mut [f64]) {
         self.prepared(f_v).observe_n(rng, out);
+    }
+
+    fn observe_max(&self, f_v: f64, rng: &mut dyn RngCore, out: &mut [f64]) -> f64 {
+        self.prepared(f_v).observe_max(rng, out)
     }
 
     fn n_min(&self, f_v: f64) -> f64 {

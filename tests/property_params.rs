@@ -163,10 +163,32 @@ proptest! {
             if n <= 4096 {
                 let pts: Vec<Point> = space.lattice().collect();
                 prop_assert_eq!(pts.len(), n);
-                for p in &pts {
+                for (i, p) in pts.iter().enumerate() {
                     prop_assert!(space.is_admissible(p));
+                    prop_assert_eq!(space.lattice_index(p), Some(i));
+                    // every level is an integer within ±1000, so `x + 0.5`
+                    // and `x + 1e4` are off the lattice; `-0.0` is not the
+                    // level `0.0`
+                    for j in 0..p.dims() {
+                        let mut bad: Vec<f64> = vec![p[j] + 0.5, p[j] + 1e4, f64::NAN];
+                        if p[j] == 0.0 {
+                            bad.push(-p[j]);
+                        }
+                        for x in bad {
+                            let mut q = p.clone();
+                            q.as_mut_slice()[j] = x;
+                            prop_assert_eq!(space.lattice_index(&q), None, "{:?}", q);
+                        }
+                    }
+                    let mut longer = p.clone().into_vec();
+                    longer.push(0.0);
+                    prop_assert_eq!(space.lattice_index(&Point::new(longer)), None);
+                    let shorter = &p.as_slice()[..p.dims() - 1];
+                    prop_assert_eq!(space.lattice_index(&Point::from(shorter)), None);
                 }
             }
+        } else {
+            prop_assert_eq!(space.lattice_index(&space.center()), None);
         }
     }
 }

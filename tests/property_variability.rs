@@ -8,6 +8,7 @@ use harmony::variability::dist::{
 };
 use harmony::variability::noise::{mean_of_k, min_of_k};
 use proptest::prelude::*;
+use rand::RngCore;
 
 proptest! {
     #[test]
@@ -214,4 +215,114 @@ proptest! {
             prop_assert_eq!(a.random::<u64>(), b.random::<u64>());
         }
     }
+
+    #[test]
+    fn pareto_shifted_max_is_the_fold_of_the_samples(
+        alpha in 0.3f64..64.0,
+        beta in 0.001f64..1000.0,
+        shift in 0.0f64..100.0,
+        width in 1usize..=128,
+        script in arb_script(),
+    ) {
+        let d = Pareto::new(alpha, beta);
+        let (mut a, mut b) = (script.clone(), script);
+        let mut buf = vec![0.0; width];
+        d.fill_samples(&mut a, &mut buf);
+        let fold = buf.iter().map(|x| x + shift).fold(f64::NEG_INFINITY, f64::max);
+        let max = d.shifted_max(shift, &mut b, &mut buf);
+        prop_assert_eq!(max.to_bits(), fold.to_bits(), "alpha {} width {}", alpha, width);
+        prop_assert_eq!(a.next_u64(), b.next_u64());
+    }
+
+    #[test]
+    fn observe_max_is_observe_n_then_the_max(
+        alpha in 1.05f64..64.0,
+        rho in 0.01f64..0.8,
+        f_v in 0.01f64..50.0,
+        width in 1usize..=128,
+        script in arb_script(),
+    ) {
+        use harmony::variability::noise::NoiseModel as _;
+        // Pareto noise needs alpha > 1 (eq. 17's beta is positive);
+        // smaller tail indices are covered by the distribution-level
+        // property above
+        for model in [
+            Noise::None,
+            Noise::Pareto { alpha, rho },
+            Noise::Exponential { rho },
+            Noise::Gaussian { rho, cv: 0.4 },
+            Noise::Spiky { rho },
+        ] {
+            let (mut a, mut b) = (script.clone(), script.clone());
+            let mut buf = vec![0.0; width];
+            model.observe_n(f_v, &mut a, &mut buf);
+            let fold = buf.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let max = model.observe_max(f_v, &mut b, &mut buf);
+            prop_assert_eq!(max.to_bits(), fold.to_bits(), "{:?} width {}", model, width);
+            prop_assert_eq!(a.next_u64(), b.next_u64(), "{:?} stream diverged", model);
+        }
+    }
+}
+
+/// An RNG that replays scripted words, then continues with a seeded
+/// stream: the script puts the uniforms where a windowed maximum is
+/// easiest to get wrong.
+#[derive(Clone, Debug)]
+struct Scripted {
+    words: Vec<u64>,
+    at: usize,
+    tail: rand::rngs::SmallRng,
+}
+
+impl RngCore for Scripted {
+    fn next_u32(&mut self) -> u32 {
+        (self.next_u64() >> 32) as u32
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        match self.words.get(self.at) {
+            Some(&w) => {
+                self.at += 1;
+                w
+            }
+            None => self.tail.next_u64(),
+        }
+    }
+
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        for chunk in dest.chunks_mut(8) {
+            let bytes = self.next_u64().to_le_bytes();
+            chunk.copy_from_slice(&bytes[..chunk.len()]);
+        }
+    }
+}
+
+/// Scripts of up to 128 words. Each word is, by kind: a 53-bit uniform
+/// a few ULPs below 1.0; one a few ULPs above a per-script base (so the
+/// smallest uniform has adjacent neighbours); 0 (clamped to
+/// `MIN_POSITIVE`); or an ordinary draw. Small offsets repeat, giving
+/// exact ties.
+fn arb_script() -> impl Strategy<Value = Scripted> {
+    (
+        1u64..(1 << 53) - 8,
+        0u64..10_000,
+        prop::collection::vec((0u64..4, 0u64..4), 0..=128),
+    )
+        .prop_map(|(base, seed, kinds)| {
+            let words = kinds
+                .iter()
+                .enumerate()
+                .map(|(i, &(kind, off))| match kind {
+                    0 => ((1 << 53) - 1 - off) << 11,
+                    1 => (base + off) << 11,
+                    2 => off,
+                    _ => stream_seed(seed, i as u64),
+                })
+                .collect();
+            Scripted {
+                words,
+                at: 0,
+                tail: seeded_rng(seed),
+            }
+        })
 }
