@@ -196,21 +196,24 @@ fn bench_database_scaling(c: &mut Criterion) {
         c.bench_function(&format!("database{label}/interpolate_scan"), |b| {
             b.iter(|| {
                 i += 1;
-                db.interpolate_scan(black_box(&queries[i % queries.len()]))
+                db.try_interpolate_scan(black_box(&queries[i % queries.len()]))
+                    .unwrap()
             })
         });
         let mut i = 0usize;
         c.bench_function(&format!("database{label}/interpolate_indexed"), |b| {
             b.iter(|| {
                 i += 1;
-                db.interpolate_indexed(black_box(&queries[i % queries.len()]))
+                db.try_interpolate_indexed(black_box(&queries[i % queries.len()]))
+                    .unwrap()
             })
         });
         let mut i = 0usize;
         c.bench_function(&format!("database{label}/interpolate_memoized"), |b| {
             b.iter(|| {
                 i += 1;
-                db.interpolate(black_box(&queries[i % queries.len()]))
+                db.try_interpolate(black_box(&queries[i % queries.len()]))
+                    .unwrap()
             })
         });
     }

@@ -147,7 +147,7 @@ impl TuningTrace {
         if let Some(rho) = rho {
             tel.gauge("trace.ntt", self.ntt(rho));
         }
-        let mut hist = harmony_telemetry::Histogram::new();
+        let mut hist = harmony_telemetry::QuantileSketch::new();
         for &t in &self.steps {
             hist.push(t);
         }

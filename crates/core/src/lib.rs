@@ -37,9 +37,6 @@
 //!   head-to-head with PRO/SRO/Nelder–Mead in the T8 experiment),
 //! * [`restart`] — multi-start wrapping for global coverage on deceptive
 //!   surfaces,
-//! * [`logged`] — transparent observation logging and prior-run reuse
-//!   (the paper's reference \[3\]): export a session's measurements as a
-//!   performance database or warm-start the next session,
 //! * [`tuner`] — the on-line tuning driver: runs an optimizer against an
 //!   objective + noise model on a simulated SPMD cluster for exactly `K`
 //!   time steps, producing the `Total_Time`/NTT record of eq. 2/23; one
@@ -54,7 +51,7 @@
 //!   cross-session [`harmony_surface::SharedPerfDb`]
 //!   ([`server::SharedSession`]) so concurrent sessions reuse each
 //!   other's measurements (cache-before-evaluate) and publish their
-//!   estimates back,
+//!   estimates back — the paper's reference \[3\] prior-run reuse,
 //! * [`warm`] — warm-start seeding: a new session picks its simplex
 //!   center from neighbours' published estimates, smoothed by §6's
 //!   nearest-neighbour interpolation to damp lucky min-of-K outliers.
@@ -65,7 +62,6 @@
 pub mod adaptive;
 pub mod baselines;
 pub mod cache;
-pub mod logged;
 pub mod nelder_mead;
 pub mod optimizer;
 pub mod pro;
@@ -79,7 +75,6 @@ pub mod warm;
 
 pub use adaptive::AdaptiveSampling;
 pub use cache::CachedObjective;
-pub use logged::{Logged, ObservationLog};
 pub use optimizer::Optimizer;
 pub use pro::{ProConfig, ProOptimizer};
 pub use restart::{restarting_pro, Restarting};

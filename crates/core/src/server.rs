@@ -1807,6 +1807,46 @@ mod tests {
     }
 
     #[test]
+    fn only_measured_estimates_reach_the_estimate_tier() {
+        // partial batches are completed with synthetic fills inside the
+        // optimizer; the tier must see exactly the journaled estimates
+        for seed in [3, 11, 29] {
+            let tier = SharedPerfDb::new(space(), 4);
+            let mut journal = SessionJournal::in_memory();
+            let mut opt = ProOptimizer::with_defaults(space());
+            let opts = SessionOptions {
+                plan: FaultPlan::new(seed, 0.0, 0.0, 0.5, 0.0),
+                journal: Some(&mut journal),
+                shared: SharedSession {
+                    costs: None,
+                    estimates: Some(&tier),
+                },
+                ..SessionOptions::default()
+            };
+            let config = cfg(Estimator::Single, 60, 8);
+            let out = outcome(&bowl(), &Noise::paper_default(0.2), &mut opt, config, opts).unwrap();
+            assert!(out.faults.partial_batches > 0, "seed {seed}");
+            let measured: Vec<f64> = journal.wal_lines().unwrap()[1..]
+                .iter()
+                .filter_map(|l| match WalRecord::from_line(l).unwrap() {
+                    WalRecord::Batch(b) => Some(b.estimates),
+                    _ => None,
+                })
+                .flatten()
+                .flatten()
+                .collect();
+            assert_eq!(tier.stats().records, measured.len() as u64, "seed {seed}");
+            tier.flush();
+            for (p, v) in tier.entries_canonical() {
+                assert!(
+                    measured.iter().any(|m| m.to_bits() == v.to_bits()),
+                    "seed {seed}: {v} at {p:?} was never measured"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn free_parallel_multisampling() {
         // §5.2: with plenty of processors, K samples cost no extra steps.
         // The 2-D symmetric simplex proposes 4 points; with 64 clients a

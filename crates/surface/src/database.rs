@@ -23,7 +23,7 @@
 //! `k`-th best candidate is provably closer than any unvisited cell.
 //! Only a neighbourhood of the query is ever touched instead of the full
 //! entry list. Results are *bit-identical* to the brute-force scan
-//! ([`PerfDatabase::interpolate_scan`]): both select the `k` nearest by
+//! ([`PerfDatabase::try_interpolate_scan`]): both select the `k` nearest by
 //! `(distance², insertion index)` and accumulate weights in that
 //! ascending order.
 //!
@@ -56,9 +56,9 @@ const GRID_CELL_BUDGET: f64 = 4096.0;
 /// db.insert(Point::from(&[0.0][..]), 10.0);
 /// db.insert(Point::from(&[10.0][..]), 20.0);
 /// // exact hit
-/// assert_eq!(db.interpolate(&Point::from(&[0.0][..])), 10.0);
+/// assert_eq!(db.try_interpolate(&Point::from(&[0.0][..])), Some(10.0));
 /// // missing point: inverse-distance-weighted neighbours
-/// let mid = db.interpolate(&Point::from(&[5.0][..]));
+/// let mid = db.try_interpolate(&Point::from(&[5.0][..])).unwrap();
 /// assert!((mid - 15.0).abs() < 1e-9);
 /// ```
 #[derive(Debug)]
@@ -166,7 +166,7 @@ fn offer(nearest: &mut Vec<(f64, usize)>, k: usize, d2: f64, idx: usize) {
 /// The inverse-distance-weighted average of the `k` entries nearest to
 /// `point` (fewer when `entries` is shorter), found by a linear scan —
 /// the selection by `(distance², entry index)` and the weighting order
-/// of [`PerfDatabase::interpolate_scan`], so any caller holding the same
+/// of [`PerfDatabase::try_interpolate_scan`], so any caller holding the same
 /// entries in the same order gets bit-identical values. `inv_scale` is
 /// the space's [`inv_scales`]. Exact entries are not special-cased:
 /// callers answer a point they hold from their own index first. `None`
@@ -396,22 +396,11 @@ impl PerfDatabase {
         idw_average(nearest.iter().map(|&(d2, idx)| (d2, self.entries[idx].1)))
     }
 
-    /// Brute-force reference interpolation: linear scan over all entries.
-    /// Kept public as the semantic reference for [`Self::interpolate`]
-    /// (property tests assert exact equality) and as the baseline the
-    /// micro-benchmarks compare against. Does not consult or fill the
-    /// memo.
-    ///
-    /// # Panics
-    /// Panics on an empty database; external callers that cannot
-    /// guarantee a non-empty history use [`Self::try_interpolate_scan`].
-    pub fn interpolate_scan(&self, point: &Point) -> f64 {
-        self.try_interpolate_scan(point)
-            .expect("interpolating an empty database")
-    }
-
-    /// [`Self::interpolate_scan`] that returns `None` instead of
-    /// panicking on an empty database.
+    /// Brute-force reference interpolation: linear scan over all entries,
+    /// or `None` on an empty database. Kept public as the semantic
+    /// reference for [`Self::try_interpolate`] (property tests assert
+    /// exact equality) and as the baseline the micro-benchmarks compare
+    /// against. Does not consult or fill the memo.
     pub fn try_interpolate_scan(&self, point: &Point) -> Option<f64> {
         if self.entries.is_empty() {
             return None;
@@ -467,21 +456,9 @@ impl PerfDatabase {
     }
 
     /// Grid-indexed interpolation without consulting or filling the
-    /// memo — the kernel of [`Self::interpolate`], exposed so
-    /// benchmarks and tests can measure the index itself rather than
-    /// memo hits.
-    ///
-    /// # Panics
-    /// Panics on an empty database; external callers that cannot
-    /// guarantee a non-empty history use
-    /// [`Self::try_interpolate_indexed`].
-    pub fn interpolate_indexed(&self, point: &Point) -> f64 {
-        self.try_interpolate_indexed(point)
-            .expect("interpolating an empty database")
-    }
-
-    /// [`Self::interpolate_indexed`] that returns `None` instead of
-    /// panicking on an empty database.
+    /// memo, or `None` on an empty database — the kernel of
+    /// [`Self::try_interpolate`], exposed so benchmarks and tests can
+    /// measure the index itself rather than memo hits.
     pub fn try_interpolate_indexed(&self, point: &Point) -> Option<f64> {
         if self.entries.is_empty() {
             return None;
@@ -494,39 +471,26 @@ impl PerfDatabase {
     }
 
     /// Inverse-distance-weighted average of the `k` nearest stored
-    /// neighbours (exact hit returns the stored value). Served from the
-    /// bucket-grid index plus a lattice-keyed memo; bit-identical to
-    /// [`Self::interpolate_scan`].
-    ///
-    /// # Panics
-    /// Panics on an empty database; external callers that cannot
-    /// guarantee a non-empty history use [`Self::try_interpolate`].
-    pub fn interpolate(&self, point: &Point) -> f64 {
-        assert!(!self.entries.is_empty(), "interpolating an empty database");
+    /// neighbours (exact hit returns the stored value), or `None` on an
+    /// empty database. Served from the bucket-grid index plus a
+    /// lattice-keyed memo; bit-identical to
+    /// [`Self::try_interpolate_scan`].
+    pub fn try_interpolate(&self, point: &Point) -> Option<f64> {
+        if self.entries.is_empty() {
+            return None;
+        }
         let key = PointKey::new(point);
         if let Some(&i) = self.index_of.get(&key) {
-            return self.entries[i].1;
+            return Some(self.entries[i].1);
         }
         if let Some(&v) = read_lock(&self.memo).get(&key) {
-            return v;
+            return Some(v);
         }
         let k = self.k_neighbors.min(self.entries.len());
         let nearest = self.select_grid(point, k);
         let v = self.weighted_average(&nearest);
         write_lock(&self.memo).insert(key, v);
-        v
-    }
-
-    /// [`Self::interpolate`] that returns `None` instead of panicking on
-    /// an empty database — the fallback hook for fault-tolerant callers
-    /// (a partial-batch optimizer substituting estimates for lost
-    /// measurements may have recorded no history yet).
-    pub fn try_interpolate(&self, point: &Point) -> Option<f64> {
-        if self.entries.is_empty() {
-            None
-        } else {
-            Some(self.interpolate(point))
-        }
+        Some(v)
     }
 }
 
@@ -601,8 +565,11 @@ impl Objective for PerfDatabase {
         &self.space
     }
 
+    /// # Panics
+    /// Panics on an empty database.
     fn eval(&self, x: &Point) -> f64 {
-        self.interpolate(x)
+        self.try_interpolate(x)
+            .expect("interpolating an empty database")
     }
 
     fn name(&self) -> &str {
@@ -636,7 +603,7 @@ mod tests {
         let p = Point::from(&[2.0, 3.0][..]);
         db.insert(p.clone(), 42.0);
         assert!(db.contains(&p));
-        assert_eq!(db.interpolate(&p), 42.0);
+        assert_eq!(db.eval(&p), 42.0);
         assert_eq!(db.len(), 1);
     }
 
@@ -649,12 +616,10 @@ mod tests {
         assert_eq!(db.try_interpolate_indexed(&p), None);
         db.insert(Point::from(&[1.0, 1.0][..]), 7.0);
         db.insert(Point::from(&[4.0, 4.0][..]), 9.0);
-        assert_eq!(db.try_interpolate(&p), Some(db.interpolate(&p)));
-        assert_eq!(db.try_interpolate_scan(&p), Some(db.interpolate_scan(&p)));
-        assert_eq!(
-            db.try_interpolate_indexed(&p),
-            Some(db.interpolate_indexed(&p))
-        );
+        let want = db.try_interpolate_scan(&p);
+        assert!(want.is_some());
+        assert_eq!(db.try_interpolate(&p), want);
+        assert_eq!(db.try_interpolate_indexed(&p), want);
     }
 
     #[test]
@@ -664,10 +629,10 @@ mod tests {
         db.insert(p.clone(), 2.0);
         db.insert(p.clone(), 1.0); // better: kept
         assert_eq!(db.len(), 1);
-        assert_eq!(db.interpolate(&p), 1.0);
+        assert_eq!(db.eval(&p), 1.0);
         db.insert(p.clone(), 3.0); // worse: discarded
         assert_eq!(db.len(), 1);
-        assert_eq!(db.interpolate(&p), 1.0);
+        assert_eq!(db.eval(&p), 1.0);
     }
 
     #[test]
@@ -685,24 +650,18 @@ mod tests {
         // any lookup — exact hits or interpolations — bit for bit
         let mut rng = SmallRng::seed_from_u64(5);
         let mut db = PerfDatabase::from_objective(&plane(), 0.5, 3, &mut rng);
-        let before: Vec<u64> = space()
-            .lattice()
-            .map(|p| db.interpolate(&p).to_bits())
-            .collect();
+        let before: Vec<u64> = space().lattice().map(|p| db.eval(&p).to_bits()).collect();
         let dup: Vec<(Point, f64)> = space()
             .lattice()
             .filter(|p| db.contains(p))
-            .map(|p| (p.clone(), db.interpolate(&p) + 5.0))
+            .map(|p| (p.clone(), db.eval(&p) + 5.0))
             .collect();
         let len = db.len();
         for (p, worse) in dup {
             db.insert(p, worse);
         }
         assert_eq!(db.len(), len, "duplicates must not grow the database");
-        let after: Vec<u64> = space()
-            .lattice()
-            .map(|p| db.interpolate(&p).to_bits())
-            .collect();
+        let after: Vec<u64> = space().lattice().map(|p| db.eval(&p).to_bits()).collect();
         assert_eq!(before, after);
     }
 
@@ -713,7 +672,7 @@ mod tests {
         db.insert_replacing(p.clone(), 1.0);
         db.insert_replacing(p.clone(), 2.0);
         assert_eq!(db.len(), 1);
-        assert_eq!(db.interpolate(&p), 2.0);
+        assert_eq!(db.eval(&p), 2.0);
     }
 
     #[test]
@@ -723,7 +682,7 @@ mod tests {
         db.insert(Point::from(&[10.0, 0.0][..]), 20.0);
         db.insert(Point::from(&[0.0, 10.0][..]), 30.0);
         db.insert(Point::from(&[10.0, 10.0][..]), 40.0);
-        let v = db.interpolate(&Point::from(&[5.0, 5.0][..]));
+        let v = db.eval(&Point::from(&[5.0, 5.0][..]));
         assert!((10.0..=40.0).contains(&v), "v={v}");
         // symmetric center: equal weights -> exact average
         assert!((v - 25.0).abs() < 1e-9, "v={v}");
@@ -734,7 +693,7 @@ mod tests {
         let mut db = PerfDatabase::new(space(), 2);
         db.insert(Point::from(&[0.0, 0.0][..]), 10.0);
         db.insert(Point::from(&[10.0, 0.0][..]), 50.0);
-        let near_left = db.interpolate(&Point::from(&[1.0, 0.0][..]));
+        let near_left = db.eval(&Point::from(&[1.0, 0.0][..]));
         assert!(near_left < 20.0, "near_left={near_left}");
     }
 
@@ -777,7 +736,7 @@ mod tests {
         db.insert(Point::from(&[40.0, 1.0][..]), 200.0);
         // query at (49, 1): normalised distance to the b=1 entry is
         // smaller than to the b=0 entry
-        let v = db.interpolate(&Point::from(&[49.0, 1.0][..]));
+        let v = db.eval(&Point::from(&[49.0, 1.0][..]));
         assert_eq!(v, 200.0);
     }
 
@@ -786,8 +745,8 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(7);
         let db = PerfDatabase::from_objective(&plane(), 0.4, 3, &mut rng);
         for p in space().lattice() {
-            let a = db.interpolate(&p);
-            let b = db.interpolate_scan(&p);
+            let a = db.eval(&p);
+            let b = db.try_interpolate_scan(&p).unwrap();
             assert_eq!(a.to_bits(), b.to_bits(), "at {p:?}");
         }
     }
@@ -798,15 +757,15 @@ mod tests {
         db.insert(Point::from(&[0.0, 0.0][..]), 10.0);
         db.insert(Point::from(&[10.0, 10.0][..]), 20.0);
         let q = Point::from(&[5.0, 5.0][..]);
-        let v1 = db.interpolate(&q);
+        let v1 = db.eval(&q);
         assert_eq!(db.memo_len(), 1);
-        assert_eq!(db.interpolate(&q).to_bits(), v1.to_bits());
+        assert_eq!(db.eval(&q).to_bits(), v1.to_bits());
         // a write must invalidate: the same query now sees 3 entries
         db.insert(Point::from(&[5.0, 6.0][..]), 99.0);
         assert_eq!(db.memo_len(), 0);
-        let v2 = db.interpolate(&q);
+        let v2 = db.eval(&q);
         assert_ne!(v1.to_bits(), v2.to_bits());
-        assert_eq!(v2.to_bits(), db.interpolate_scan(&q).to_bits());
+        assert_eq!(v2.to_bits(), db.try_interpolate_scan(&q).unwrap().to_bits());
     }
 
     #[test]
@@ -814,10 +773,10 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         let db = PerfDatabase::from_objective(&plane(), 0.6, 2, &mut rng);
         let q = Point::from(&[3.0, 4.0][..]);
-        let v = db.interpolate(&q);
+        let v = db.eval(&q);
         let copy = db.clone();
         assert_eq!(copy.len(), db.len());
-        assert_eq!(copy.interpolate(&q).to_bits(), v.to_bits());
+        assert_eq!(copy.eval(&q).to_bits(), v.to_bits());
     }
 
     #[test]
@@ -848,7 +807,7 @@ mod tests {
         harmony_recovery::restore_from_slice(&mut back, &bytes).unwrap();
         assert_eq!(back.len(), db.len());
         for p in space().lattice() {
-            assert_eq!(back.interpolate(&p).to_bits(), db.interpolate(&p).to_bits());
+            assert_eq!(back.eval(&p).to_bits(), db.eval(&p).to_bits());
         }
         // insertion order is preserved, so a re-save is byte-identical
         assert_eq!(harmony_recovery::save_to_vec(&back), bytes);
@@ -865,7 +824,7 @@ mod tests {
     #[should_panic(expected = "empty database")]
     fn empty_interpolation_rejected() {
         let db = PerfDatabase::new(space(), 1);
-        db.interpolate(&Point::from(&[1.0, 1.0][..]));
+        db.eval(&Point::from(&[1.0, 1.0][..]));
     }
 
     #[test]

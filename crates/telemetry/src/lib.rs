@@ -14,8 +14,9 @@
 //!   wall-clock channel ([`TelemetryConfig::wall`]) exists for CI
 //!   timing jobs and is explicitly excluded from that guarantee.
 //! * **Primitives.** Structured events (the [`event!`] macro), monotonic
-//!   counters, gauges, streaming histograms ([`Histogram`], built on
-//!   `harmony_stats::streaming`), and nestable spans ([`SpanGuard`]).
+//!   counters, gauges, streaming quantile sketches ([`QuantileSketch`],
+//!   built on `harmony_stats::streaming`), and nestable spans
+//!   ([`SpanGuard`]).
 //! * **Pluggable sinks.** [`NullSink`] (reports itself disabled, so emit
 //!   sites skip record construction entirely — near-zero overhead),
 //!   [`MemorySink`] for tests, [`JsonlSink`] for files; [`Summary`]
@@ -46,7 +47,6 @@
 
 mod flight;
 mod handle;
-mod hist;
 mod metrics;
 mod profile;
 mod record;
@@ -55,7 +55,6 @@ mod summary;
 
 pub use flight::{FlightRecorder, PostMortem, TERMINAL_EVENTS};
 pub use handle::{SpanGuard, Telemetry, TelemetryConfig};
-pub use hist::Histogram;
 pub use metrics::{MetricsRegistry, MetricsSink, QuantileSketch, WindowedCounter, DEFAULT_WINDOW};
 pub use profile::{PathStep, Profile, SpanStats};
 pub use record::{Field, Kind, Record, Value};

@@ -25,6 +25,7 @@ use std::sync::{Arc, Mutex};
 
 use harmony_stats::streaming::{P2Quantile, RunningMax, RunningMin, Welford};
 
+use crate::handle::Telemetry;
 use crate::record::{Kind, Record, Value};
 use crate::sink::Sink;
 
@@ -179,6 +180,31 @@ impl QuantileSketch {
     /// Largest observation, if any.
     pub fn max(&self) -> Option<f64> {
         self.max.get()
+    }
+
+    /// Emits the summary as gauges `{name}.count/mean/sd/min/max/p50`
+    /// (only the gauges that are defined for the observed count).
+    pub fn emit_to(&self, tel: &Telemetry, name: &str) {
+        if !tel.enabled() {
+            return;
+        }
+        tel.gauge(&format!("{name}.count"), self.count() as f64);
+        if self.count() == 0 {
+            return;
+        }
+        tel.gauge(&format!("{name}.mean"), self.mean());
+        if self.count() > 1 {
+            tel.gauge(&format!("{name}.sd"), self.sd());
+        }
+        for (suffix, v) in [
+            ("min", self.min()),
+            ("max", self.max()),
+            ("p50", self.quantile(0.5)),
+        ] {
+            if let Some(v) = v {
+                tel.gauge(&format!("{name}.{suffix}"), v);
+            }
+        }
     }
 }
 
@@ -523,7 +549,6 @@ impl Sink for MetricsSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::handle::Telemetry;
     use crate::sink::MemorySink;
 
     #[test]
@@ -556,6 +581,27 @@ mod tests {
         assert!(cv > 0.0 && cv < 1.0);
         assert_eq!(s.min(), Some(1.0));
         assert_eq!(s.max(), Some(100.0));
+    }
+
+    #[test]
+    fn emits_gauges() {
+        let (tel, sink) = Telemetry::memory();
+        let mut s = QuantileSketch::new();
+        s.push(2.0);
+        s.push(4.0);
+        s.emit_to(&tel, "step_time");
+        let names: Vec<String> = sink.take().into_iter().map(|r| r.name).collect();
+        let want = ["count", "mean", "sd", "min", "max", "p50"].map(|g| format!("step_time.{g}"));
+        assert_eq!(names, want);
+    }
+
+    #[test]
+    fn empty_emits_count_only() {
+        let (tel, sink) = Telemetry::memory();
+        QuantileSketch::new().emit_to(&tel, "empty");
+        let records = sink.take();
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].name, "empty.count");
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use harmony_stats::streaming::Welford;
 
-use crate::hist::Histogram;
+use crate::metrics::QuantileSketch;
 use crate::record::{Field, Kind, Record, Value};
 
 // ---------------------------------------------------------------- parsing
@@ -289,7 +289,7 @@ pub struct Summary {
     total_records: usize,
     counters: BTreeMap<String, CounterAgg>,
     gauges: BTreeMap<String, GaugeAgg>,
-    samples: BTreeMap<String, Histogram>,
+    samples: BTreeMap<String, QuantileSketch>,
     events: BTreeMap<String, u64>,
     spans: BTreeMap<String, SpanAgg>,
     tree: BTreeMap<Vec<String>, TreeAgg>,

@@ -1,60 +1,67 @@
 //! Prior-run reuse (the paper's reference [3], Chung & Hollingsworth
-//! SC'04): log everything a tuning session measures, export it as a
-//! performance database, and warm-start the next session from the
-//! prior best.
+//! SC'04): publish everything a tuning session measures into a shared
+//! estimate tier, export the tier as a performance database, and
+//! warm-start the next session from it.
 //!
 //! ```text
 //! cargo run --release --example prior_runs
 //! ```
 
-use harmony::core::Logged;
+use harmony::core::warm_start_center;
 use harmony::prelude::*;
+use harmony::surface::SharedPerfDb;
 
-fn config(seed: u64) -> TunerConfig {
-    TunerConfig {
-        full_occupancy: false,
-        ..TunerConfig::paper_default(120, Estimator::MinOfK(2), seed)
-    }
+/// One 8-client, 120-step min-of-2 server session, publishing its
+/// measured estimates into `tier`.
+fn session(
+    gs2: &Gs2Model,
+    noise: &Noise,
+    pro: &mut ProOptimizer,
+    tier: &SharedPerfDb,
+    seed: u64,
+) -> TuningOutcome {
+    let cfg = ServerConfig::new(8, 120, Estimator::MinOfK(2), seed).expect("valid server config");
+    let opts = SessionOptions {
+        shared: SharedSession {
+            costs: None,
+            estimates: Some(tier),
+        },
+        ..SessionOptions::default()
+    };
+    run_session(gs2, noise, pro, cfg, opts)
+        .expect("fault-free session")
+        .outcome
 }
 
 fn main() {
     let gs2 = Gs2Model::paper_scale();
     let noise = Noise::paper_default(0.2);
+    let tier = SharedPerfDb::new(gs2.space().clone(), 4);
 
-    // --- run 1: cold start, with logging ---
-    let mut cold = Logged::new(ProOptimizer::with_defaults(gs2.space().clone()));
-    let cold_out = OnlineTuner::new(config(1))
-        .run(&gs2, &noise, &mut cold)
-        .expect("tuning session produced a recommendation");
-    let log = cold.log().clone();
+    // --- run 1: cold start, publishing every measured estimate ---
+    let mut cold = ProOptimizer::with_defaults(gs2.space().clone());
+    let cold_out = session(&gs2, &noise, &mut cold, &tier, 1);
+    tier.flush();
     println!(
         "cold run:  best {} -> {:.3} s/iter  ({} configs measured, {} estimates)",
         gs2.space().describe(&cold_out.best_point),
         cold_out.best_true_cost,
-        log.len(),
-        log.total_visits(),
+        tier.len(),
+        tier.stats().records,
     );
 
-    // --- the log is itself a performance database (§6 shape) ---
-    let db = log.into_database(gs2.space().clone(), 4);
+    // --- the tier is itself a performance database (§6 shape) ---
+    let db = tier.to_database();
     println!(
         "exported:  prior-run database with {} entries ({:.1}% of the lattice)",
         db.len(),
         100.0 * db.coverage()
     );
 
-    // --- run 2: warm start at the prior best ---
-    let prior_best = log
-        .best()
-        .expect("cold run measured something")
-        .point
-        .clone();
-    let mut warm_inner = ProOptimizer::with_defaults(gs2.space().clone());
-    warm_inner.recenter(&prior_best);
-    let mut warm = Logged::new(warm_inner);
-    let warm_out = OnlineTuner::new(config(2))
-        .run(&gs2, &noise, &mut warm)
-        .expect("tuning session produced a recommendation");
+    // --- run 2: warm start at the smoothed prior best ---
+    let mut warm = ProOptimizer::with_defaults(gs2.space().clone());
+    warm.recenter(&warm_start_center(&tier).expect("cold run published estimates"));
+    let warm_out = session(&gs2, &noise, &mut warm, &tier, 2);
     println!(
         "warm run:  best {} -> {:.3} s/iter",
         gs2.space().describe(&warm_out.best_point),
