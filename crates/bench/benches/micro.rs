@@ -149,8 +149,8 @@ fn bench_database(c: &mut Criterion) {
     let gs2 = Gs2Model::paper_scale();
     let mut rng = seeded_rng(3);
     let db = PerfDatabase::from_objective(&gs2, 0.5, 4, &mut rng);
-    let hit = gs2.space().center();
-    let miss = Point::from(&[24.0, 8.0, 2.0][..]);
+    let hit = gs2.space().lattice().find(|p| db.contains(p)).unwrap();
+    let miss = gs2.space().lattice().find(|p| !db.contains(p)).unwrap();
     c.bench_function("database/exact_hit", |b| {
         b.iter(|| db.eval(black_box(&hit)))
     });
@@ -193,23 +193,7 @@ fn bench_database_scaling(c: &mut Criterion) {
     for (label, n) in [("1k", 32i64), ("10k", 100i64)] {
         let (db, queries) = grid_db(n, 4);
         let mut i = 0usize;
-        c.bench_function(&format!("database{label}/interpolate_scan"), |b| {
-            b.iter(|| {
-                i += 1;
-                db.try_interpolate_scan(black_box(&queries[i % queries.len()]))
-                    .unwrap()
-            })
-        });
-        let mut i = 0usize;
-        c.bench_function(&format!("database{label}/interpolate_indexed"), |b| {
-            b.iter(|| {
-                i += 1;
-                db.try_interpolate_indexed(black_box(&queries[i % queries.len()]))
-                    .unwrap()
-            })
-        });
-        let mut i = 0usize;
-        c.bench_function(&format!("database{label}/interpolate_memoized"), |b| {
+        c.bench_function(&format!("database{label}/interpolate"), |b| {
             b.iter(|| {
                 i += 1;
                 db.try_interpolate(black_box(&queries[i % queries.len()]))
@@ -232,41 +216,9 @@ fn bench_database_build(c: &mut Criterion) {
 }
 
 fn bench_pool(c: &mut Criterion) {
-    use harmony_cluster::pool::{par_map_indexed, par_map_reduce};
+    use harmony_cluster::pool::par_map_indexed;
     c.bench_function("pool/par_map_1k", |b| {
         b.iter(|| black_box(par_map_indexed(1_000, |i| (i as f64).sqrt())))
-    });
-    c.bench_function("pool/par_map_reduce_1k", |b| {
-        b.iter(|| {
-            black_box(par_map_reduce(
-                1_000,
-                |i| (i as f64).sqrt(),
-                0.0,
-                |a, x| a + x,
-                |a, b| a + b,
-            ))
-        })
-    });
-}
-
-fn bench_hetero(c: &mut Criterion) {
-    use harmony_cluster::{Cluster, Heterogeneity, TuningTrace};
-    let cluster = Cluster::new(64);
-    let hetero = Heterogeneity::with_stragglers(64, 2, 2.0);
-    let mut rng = seeded_rng(4);
-    c.bench_function("cluster/hetero_step_64", |b| {
-        b.iter(|| {
-            let mut trace = TuningTrace::new();
-            cluster.run_fixed_hetero(
-                2.0,
-                1,
-                &hetero,
-                &Noise::paper_default(0.2),
-                &mut rng,
-                &mut trace,
-            );
-            black_box(trace.total_time())
-        })
     });
 }
 
@@ -356,7 +308,6 @@ criterion_group!(
     bench_database_scaling,
     bench_database_build,
     bench_pool,
-    bench_hetero,
     bench_adaptive,
     bench_arrivals,
     bench_stats

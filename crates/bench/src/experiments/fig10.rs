@@ -55,12 +55,8 @@ impl Default for Fig10Config {
 /// The extended-sweep idle throughputs (`run_extended` row order).
 pub const EXTENDED_RHOS: [f64; 5] = [0.40, 0.45, 0.50, 0.55, 0.60];
 
-/// Average NTT for one `(ρ, K)` cell, with its standard error.
-pub fn cell_with_sem(rho: f64, k: usize, cfg: &Fig10Config) -> (f64, f64) {
-    cell_with_sem_in(worker_count(cfg.reps), rho, k, cfg)
-}
-
-/// [`cell_with_sem`] with an explicit inner replication worker count.
+/// Average NTT for one `(ρ, K)` cell, with its standard error, on
+/// `workers` inner replication threads.
 ///
 /// Harness subtasks pass `workers == 1` so the task-graph pool owns all
 /// parallelism; the cell value is bit-identical for any worker count
@@ -142,11 +138,6 @@ pub fn packed_cell_in(workers: usize, rho: f64, k: usize, cfg: &Fig10Config) -> 
         },
     );
     avg.mean_ntt
-}
-
-/// Average NTT for one `(ρ, K)` cell.
-pub fn cell(rho: f64, k: usize, cfg: &Fig10Config) -> f64 {
-    cell_with_sem(rho, k, cfg).0
 }
 
 /// The extension beyond the paper's grid: on our synthetic surface the

@@ -114,18 +114,8 @@ pub fn fleet_with(
     ]
 }
 
-/// Computes the whole T7 table, `workers` threads inside each cell —
-/// byte-identical to the harness fan-out (cells are
-/// worker-count-independent).
-pub fn t7_multi_session(workers: usize, steps: usize, seed: u64) -> Table {
-    let cells: Vec<Vec<f64>> = (0..SESSION_COUNTS.len())
-        .map(|ci| multi_session_cell_in(workers, ci, steps, seed))
-        .collect();
-    assemble_multi_session(&cells)
-}
-
 /// Reassembles the T7 table from per-cell values in [`SESSION_COUNTS`]
-/// order — byte-identical to the monolithic computation.
+/// order.
 pub fn assemble_multi_session(cells: &[Vec<f64>]) -> Table {
     assert_eq!(cells.len(), SESSION_COUNTS.len());
     let mut table = Table::new(

@@ -2,7 +2,7 @@
 //!
 //! `run_all` used to regenerate every figure and table serially; this
 //! module turns the regeneration into a *task graph* executed on the
-//! work-stealing pool ([`harmony_cluster::pool::par_graph_in`]). Every
+//! work-stealing pool ([`harmony_cluster::pool::par_graph_stats_in`]). Every
 //! experiment is a named task, and the expensive sweeps (`fig10*`, the
 //! baseline tables, the estimator/monitoring ablations) are further
 //! split into per-cell *subtasks* — one job per `(ρ, K)` cell or per

@@ -10,17 +10,15 @@
 //! * [`metrics`] — [`metrics::TuningTrace`] accumulates `T_k` per time
 //!   step and reports `Total_Time` and the normalised
 //!   `NTT = (1−ρ)·Total_Time` of eq. 23,
-//! * [`spmd`] — [`spmd::Cluster`] executes one barrier-synchronised time
-//!   step: every scheduled evaluation observes its own noise draw and the
-//!   step costs the maximum,
-//! * [`schedule`] — maps `(n points) × (K samples)` onto `P` processors:
-//!   the paper's sequential-steps worst case (§6.2) or dense packing
-//!   (§5.2's "with 64 processors we can set K=10 with no additional
-//!   cost"),
+//! * [`spmd`] — [`spmd::Cluster`] runs a batch of candidate evaluations
+//!   as barrier-synchronised time steps: every scheduled evaluation
+//!   observes its own noise draw and each step costs the maximum,
+//! * [`schedule`] — [`schedule::Layout`] maps `(n points) × (K samples)`
+//!   onto `P` processors: the paper's sequential-steps worst case (§6.2)
+//!   or dense packing (§5.2's "with 64 processors we can set K=10 with
+//!   no additional cost"),
 //! * [`pool`] — a scoped work-stealing worker pool for running thousands
 //!   of independent replications in parallel on real threads,
-//! * [`hetero`] — per-processor speed factors and straggler injection
-//!   (one slow node dominates every barrier, eq. 1),
 //! * [`fault`] — seeded, deterministic injection of client crashes,
 //!   hangs, dropped reports and duplicate reports
 //!   ([`fault::FaultPlan`]) for the real-thread tuning server.
@@ -29,14 +27,12 @@
 #![warn(missing_docs)]
 
 pub mod fault;
-pub mod hetero;
 pub mod metrics;
 pub mod pool;
 pub mod schedule;
 pub mod spmd;
 
 pub use fault::{Delivery, FaultPlan};
-pub use hetero::Heterogeneity;
 pub use metrics::{TraceError, TuningTrace};
-pub use schedule::{SamplingMode, Schedule};
-pub use spmd::{Cluster, StepOutcome};
+pub use schedule::SamplingMode;
+pub use spmd::Cluster;

@@ -16,11 +16,7 @@
 //!   claim order;
 //! * each worker buffers `(index, value)` pairs locally and the buffers
 //!   are merged into index order after the scope joins — no lock is held
-//!   while jobs run, and the output is identical for any worker count;
-//! * [`par_map_reduce`] folds over *fixed-size index blocks* whose
-//!   layout depends only on `n`, then combines block partials in block
-//!   order, so even non-associative reductions (floating-point sums)
-//!   give bit-identical results for 1, 2, or `hw` workers.
+//!   while jobs run, and the output is identical for any worker count.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -98,7 +94,7 @@ where
         .collect()
 }
 
-/// Shared scheduler state of [`par_graph_in`]: the ready set, live
+/// Shared scheduler state of [`par_graph_stats_in`]: the ready set, live
 /// indegrees, and completion/panic bookkeeping, all behind one mutex.
 struct GraphQueue {
     ready: Vec<usize>,
@@ -151,7 +147,8 @@ impl PoolStats {
 }
 
 /// Executes `n` dependency-ordered tasks on a scoped work-stealing pool
-/// and returns the results in index order.
+/// and returns the results in index order, with [`PoolStats`]
+/// scheduling observations (queue depths, per-worker task counts).
 ///
 /// `deps[i]` lists the task indices that must complete before task `i`
 /// may start. Workers claim any ready task the moment they become free,
@@ -159,33 +156,13 @@ impl PoolStats {
 /// its last dependency finishes. As with [`par_map_indexed`], `f` must
 /// derive all randomness from the task index — never from claim order or
 /// thread identity — and the results are then identical for every
-/// `workers ≥ 1`.
+/// `workers ≥ 1`; the stats are not.
 ///
 /// # Panics
 /// Panics when `deps.len() != n`, a dependency index is out of range or
 /// self-referential, or the graph contains a cycle. A panic inside `f`
 /// stops the pool (no new tasks start), and the first payload is
 /// re-raised on the caller's thread after all workers drain.
-pub fn par_graph<T, F>(n: usize, deps: &[Vec<usize>], f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    par_graph_in(worker_count(n), n, deps, f)
-}
-
-/// [`par_graph`] with an explicit worker count.
-pub fn par_graph_in<T, F>(workers: usize, n: usize, deps: &[Vec<usize>], f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    par_graph_stats_in(workers, n, deps, f).0
-}
-
-/// [`par_graph_in`] that additionally reports [`PoolStats`] scheduling
-/// observations (queue depths, per-worker task counts). The task
-/// results are deterministic as ever; the stats are not.
 pub fn par_graph_stats_in<T, F>(
     workers: usize,
     n: usize,
@@ -356,100 +333,6 @@ where
     (results, stats)
 }
 
-/// The fixed reduction-block size for `n` jobs: depends only on `n`, so
-/// the combine order — and therefore the floating-point result — is
-/// independent of the worker count. Targets ~256 blocks for ample
-/// stealing granularity.
-fn reduce_block(n: usize) -> usize {
-    n.div_ceil(256).max(1)
-}
-
-/// Maps every index in `0..n` to a value and folds the values into one
-/// accumulator *without materialising the per-index vector* — the
-/// "average of 2 000 replications" reduction at O(blocks) memory.
-///
-/// Work is stolen in fixed blocks of indices; each block folds
-/// `init.clone()` over its indices in ascending order and the block
-/// partials are combined in block order, so the result is deterministic
-/// and identical across worker counts even for non-associative `fold`s
-/// (floating-point accumulation).
-pub fn par_map_reduce<T, A, F, G, H>(n: usize, map: F, init: A, fold: G, combine: H) -> A
-where
-    T: Send,
-    A: Clone + Send + Sync,
-    F: Fn(usize) -> T + Sync,
-    G: Fn(A, T) -> A + Sync,
-    H: Fn(A, A) -> A,
-{
-    par_map_reduce_in(worker_count(n), n, map, init, fold, combine)
-}
-
-/// [`par_map_reduce`] with an explicit worker count.
-pub fn par_map_reduce_in<T, A, F, G, H>(
-    workers: usize,
-    n: usize,
-    map: F,
-    init: A,
-    fold: G,
-    combine: H,
-) -> A
-where
-    T: Send,
-    A: Clone + Send + Sync,
-    F: Fn(usize) -> T + Sync,
-    G: Fn(A, T) -> A + Sync,
-    H: Fn(A, A) -> A,
-{
-    if n == 0 {
-        return init;
-    }
-    let block = reduce_block(n);
-    let n_blocks = n.div_ceil(block);
-    let fold_block = |b: usize| {
-        let lo = b * block;
-        let hi = (lo + block).min(n);
-        let mut acc = init.clone();
-        for i in lo..hi {
-            acc = fold(acc, map(i));
-        }
-        acc
-    };
-    let workers = workers.clamp(1, n_blocks);
-    let partials: Vec<A> = if workers == 1 {
-        (0..n_blocks).map(fold_block).collect()
-    } else {
-        par_map_indexed_in(workers, n_blocks, fold_block)
-    };
-    let mut iter = partials.into_iter();
-    let first = iter.next().expect("at least one block");
-    iter.fold(first, combine)
-}
-
-/// Parallel mean of `f(i)` over `0..n` — the common replication-average
-/// reduction, at O(blocks) memory.
-///
-/// # Panics
-/// Panics when `n == 0`.
-pub fn par_mean<F>(n: usize, f: F) -> f64
-where
-    F: Fn(usize) -> f64 + Sync,
-{
-    par_mean_in(worker_count(n), n, f)
-}
-
-/// [`par_mean`] with an explicit worker count; the sum — and thus the
-/// mean — is bit-identical for every worker count.
-///
-/// # Panics
-/// Panics when `n == 0`.
-pub fn par_mean_in<F>(workers: usize, n: usize, f: F) -> f64
-where
-    F: Fn(usize) -> f64 + Sync,
-{
-    assert!(n > 0, "mean over zero replications");
-    par_map_reduce_in(workers, n, f, 0.0, |acc, x| acc + x, |a, b| a + b) / n as f64
-}
-
 /// Runs `0..n` in fixed *waves* of at most `wave` indices: every index
 /// inside a wave runs concurrently on the pool, then `between(next)` is
 /// called on the caller's thread before the next wave starts — a full
@@ -489,6 +372,16 @@ where
 mod tests {
     use super::*;
 
+    /// The task results of [`par_graph_stats_in`].
+    fn graph<T: Send>(
+        workers: usize,
+        n: usize,
+        deps: &[Vec<usize>],
+        f: impl Fn(usize) -> T + Sync,
+    ) -> Vec<T> {
+        par_graph_stats_in(workers, n, deps, f).0
+    }
+
     #[test]
     fn results_in_index_order() {
         let out = par_map_indexed(100, |i| i * i);
@@ -510,13 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn par_mean_matches_serial() {
-        let serial: f64 = (0..1_000).map(|i| (i as f64).sqrt()).sum::<f64>() / 1_000.0;
-        let parallel = par_mean(1_000, |i| (i as f64).sqrt());
-        assert!((serial - parallel).abs() < 1e-9);
-    }
-
-    #[test]
     fn deterministic_across_runs() {
         let a = par_map_indexed(500, |i| i as f64 * 1.5);
         let b = par_map_indexed(500, |i| i as f64 * 1.5);
@@ -530,37 +416,6 @@ mod tests {
         for workers in [1, 2, 3, 8, worker_count(333)] {
             assert_eq!(par_map_indexed_in(workers, 333, f), expect);
         }
-    }
-
-    #[test]
-    fn mean_bit_identical_across_worker_counts() {
-        // non-associative float accumulation: only the fixed block
-        // structure makes these exactly equal
-        let f = |i: usize| 1.0 / (i as f64 + 1.0);
-        let m1 = par_mean_in(1, 10_001, f);
-        let m2 = par_mean_in(2, 10_001, f);
-        let mhw = par_mean_in(worker_count(10_001), 10_001, f);
-        assert_eq!(m1.to_bits(), m2.to_bits());
-        assert_eq!(m1.to_bits(), mhw.to_bits());
-    }
-
-    #[test]
-    fn map_reduce_counts_and_sums() {
-        let (count, sum) = par_map_reduce(
-            1_000,
-            |i| i as u64,
-            (0u64, 0u64),
-            |(c, s), x| (c + 1, s + x),
-            |(c1, s1), (c2, s2)| (c1 + c2, s1 + s2),
-        );
-        assert_eq!(count, 1_000);
-        assert_eq!(sum, 999 * 1_000 / 2);
-    }
-
-    #[test]
-    fn map_reduce_empty_returns_init() {
-        let out = par_map_reduce(0, |i| i, 42usize, |a, b| a + b, |a, b| a + b);
-        assert_eq!(out, 42);
     }
 
     #[test]
@@ -587,12 +442,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "zero replications")]
-    fn par_mean_rejects_empty() {
-        par_mean(0, |_| 0.0);
-    }
-
-    #[test]
     fn graph_respects_dependencies() {
         // diamond fan-out/fan-in repeated: 0 -> {1..=6} -> 7 -> {8..=13} -> 14;
         // every task asserts all its dependencies already completed
@@ -613,7 +462,7 @@ mod tests {
             for flag in &done {
                 flag.store(false, Ordering::SeqCst);
             }
-            let out = par_graph_in(workers, n, &deps, |i| {
+            let out = graph(workers, n, &deps, |i| {
                 for &d in &deps[i] {
                     assert!(
                         done[d].load(Ordering::SeqCst),
@@ -636,7 +485,7 @@ mod tests {
         let f = |i: usize| (i as f64).sin() * 1e6;
         let expect: Vec<f64> = (0..n).map(f).collect();
         for workers in [1, 2, 3, 7] {
-            assert_eq!(par_graph_in(workers, n, &deps, f), expect);
+            assert_eq!(graph(workers, n, &deps, f), expect);
         }
     }
 
@@ -644,14 +493,14 @@ mod tests {
     fn graph_without_edges_matches_par_map() {
         let deps = vec![Vec::new(); 50];
         assert_eq!(
-            par_graph(50, &deps, |i| i * i),
+            graph(worker_count(50), 50, &deps, |i| i * i),
             (0..50).map(|i| i * i).collect::<Vec<_>>()
         );
     }
 
     #[test]
     fn graph_empty() {
-        let out: Vec<u32> = par_graph(0, &[], |_| 1);
+        let out: Vec<u32> = graph(4, 0, &[], |_| 1);
         assert!(out.is_empty());
     }
 
@@ -659,21 +508,21 @@ mod tests {
     #[should_panic(expected = "cycle")]
     fn graph_rejects_cycle() {
         let deps = vec![vec![1], vec![0]];
-        par_graph_in(2, 2, &deps, |i| i);
+        graph(2, 2, &deps, |i| i);
     }
 
     #[test]
     #[should_panic(expected = "depends on itself")]
     fn graph_rejects_self_dependency() {
         let deps = vec![vec![0]];
-        par_graph_in(1, 1, &deps, |i| i);
+        graph(1, 1, &deps, |i| i);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn graph_rejects_out_of_range_dependency() {
         let deps = vec![vec![5]];
-        par_graph_in(1, 1, &deps, |i| i);
+        graph(1, 1, &deps, |i| i);
     }
 
     #[test]
@@ -737,7 +586,7 @@ mod tests {
     fn graph_propagates_task_panic() {
         let deps = vec![Vec::new(); 8];
         let caught = std::panic::catch_unwind(|| {
-            par_graph_in(4, 8, &deps, |i| {
+            graph(4, 8, &deps, |i| {
                 if i == 3 {
                     panic!("task 3 exploded");
                 }

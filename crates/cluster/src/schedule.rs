@@ -34,46 +34,12 @@ pub enum SamplingMode {
     Packed,
 }
 
-/// A concrete layout: `steps[t]` lists the evaluations running in
-/// barrier-synchronised time step `t`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Schedule {
-    /// Per-step evaluation slots; every inner list has length ≤ `P`.
-    pub steps: Vec<Vec<EvalSlot>>,
-}
-
-impl Schedule {
-    /// Plans the evaluation of `n_points × k_samples` on `procs`
-    /// processors under `mode`.
-    ///
-    /// # Panics
-    /// Panics when any argument is zero.
-    pub fn plan(n_points: usize, k_samples: usize, procs: usize, mode: SamplingMode) -> Self {
-        let layout = Layout::new(n_points, k_samples, procs, mode);
-        let steps = layout
-            .steps()
-            .map(|step| step.map(|i| layout.slot(i)).collect())
-            .collect();
-        Schedule { steps }
-    }
-
-    /// Number of time steps the phase will consume.
-    pub fn n_steps(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// Total number of evaluation slots.
-    pub fn n_evals(&self) -> usize {
-        self.steps.iter().map(Vec::len).sum()
-    }
-}
-
-/// The plan of [`Schedule::plan`] as arithmetic: every `(point, sample)`
-/// slot has a position in the mode's *slot order* (sample-major for
-/// [`SamplingMode::SequentialSteps`], point-major for
-/// [`SamplingMode::Packed`]), and each time step is a run of consecutive
-/// positions. The simulated cluster walks a batch through this view, so
-/// planning a batch allocates nothing.
+/// The evaluation plan of one phase, as arithmetic: every
+/// `(point, sample)` slot has a position in the mode's *slot order*
+/// (sample-major for [`SamplingMode::SequentialSteps`], point-major for
+/// [`SamplingMode::Packed`]), and each barrier-synchronised time step is
+/// a run of consecutive positions. The simulated cluster walks a batch
+/// through this view, so planning a batch allocates nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Layout {
     n_points: usize,
@@ -136,13 +102,21 @@ impl Layout {
 mod tests {
     use super::*;
 
+    /// The layout's steps as lists of slots.
+    fn plan(n: usize, k: usize, procs: usize, mode: SamplingMode) -> Vec<Vec<EvalSlot>> {
+        let layout = Layout::new(n, k, procs, mode);
+        layout
+            .steps()
+            .map(|step| step.map(|i| layout.slot(i)).collect())
+            .collect()
+    }
+
     #[test]
     fn sequential_is_k_steps_when_points_fit() {
-        let s = Schedule::plan(6, 4, 64, SamplingMode::SequentialSteps);
-        assert_eq!(s.n_steps(), 4);
-        assert_eq!(s.n_evals(), 24);
+        let steps = plan(6, 4, 64, SamplingMode::SequentialSteps);
+        assert_eq!(steps.len(), 4);
         // each step holds one full sample round
-        for (t, step) in s.steps.iter().enumerate() {
+        for (t, step) in steps.iter().enumerate() {
             assert_eq!(step.len(), 6);
             for slot in step {
                 assert_eq!(slot.sample, t);
@@ -153,33 +127,32 @@ mod tests {
     #[test]
     fn packed_single_step_when_capacity_allows() {
         // the paper's example: 6 points, K = 10, 64 processors -> free
-        let s = Schedule::plan(6, 10, 64, SamplingMode::Packed);
-        assert_eq!(s.n_steps(), 1);
-        assert_eq!(s.n_evals(), 60);
+        let steps = plan(6, 10, 64, SamplingMode::Packed);
+        assert_eq!(steps.len(), 1);
+        assert_eq!(steps[0].len(), 60);
     }
 
     #[test]
     fn packed_chunks_by_processor_count() {
-        let s = Schedule::plan(6, 10, 16, SamplingMode::Packed);
-        assert_eq!(s.n_steps(), 4); // ceil(60/16)
-        assert!(s.steps.iter().all(|st| st.len() <= 16));
-        assert_eq!(s.n_evals(), 60);
+        let steps = plan(6, 10, 16, SamplingMode::Packed);
+        assert_eq!(steps.len(), 4); // ceil(60/16)
+        assert!(steps.iter().all(|st| st.len() <= 16));
+        assert_eq!(steps.iter().map(Vec::len).sum::<usize>(), 60);
     }
 
     #[test]
     fn sequential_splits_oversized_point_sets() {
-        let s = Schedule::plan(10, 2, 4, SamplingMode::SequentialSteps);
+        let steps = plan(10, 2, 4, SamplingMode::SequentialSteps);
         // per sample round: ceil(10/4) = 3 steps; 2 rounds -> 6 steps
-        assert_eq!(s.n_steps(), 6);
-        assert_eq!(s.n_evals(), 20);
+        assert_eq!(steps.len(), 6);
+        assert_eq!(steps.iter().map(Vec::len).sum::<usize>(), 20);
     }
 
     #[test]
     fn every_pair_appears_exactly_once() {
         for mode in [SamplingMode::SequentialSteps, SamplingMode::Packed] {
-            let s = Schedule::plan(5, 3, 4, mode);
             let mut seen = std::collections::HashSet::new();
-            for step in &s.steps {
+            for step in plan(5, 3, 4, mode) {
                 for slot in step {
                     assert!(seen.insert((slot.point, slot.sample)), "{mode:?} duplicate");
                 }
@@ -190,15 +163,15 @@ mod tests {
 
     #[test]
     fn single_sample_modes_agree_on_step_count() {
-        let a = Schedule::plan(7, 1, 3, SamplingMode::SequentialSteps);
-        let b = Schedule::plan(7, 1, 3, SamplingMode::Packed);
-        assert_eq!(a.n_steps(), b.n_steps());
-        assert_eq!(a.n_steps(), 3); // ceil(7/3)
+        let a = Layout::new(7, 1, 3, SamplingMode::SequentialSteps);
+        let b = Layout::new(7, 1, 3, SamplingMode::Packed);
+        assert_eq!(a.steps().count(), b.steps().count());
+        assert_eq!(a.steps().count(), 3); // ceil(7/3)
     }
 
     #[test]
     #[should_panic(expected = "at least one processor")]
     fn zero_procs_rejected() {
-        Schedule::plan(1, 1, 0, SamplingMode::Packed);
+        Layout::new(1, 1, 0, SamplingMode::Packed);
     }
 }

@@ -14,17 +14,6 @@ pub struct Cluster {
     pub procs: usize,
 }
 
-/// The result of one barrier-synchronised time step.
-#[derive(Debug, Clone, PartialEq)]
-#[must_use]
-pub struct StepOutcome {
-    /// Observed (noisy) time of each evaluation scheduled in the step,
-    /// in schedule order.
-    pub observed: Vec<f64>,
-    /// The cluster-wide iteration time `T_k = max` of the observations.
-    pub t_k: f64,
-}
-
 impl Cluster {
     /// Creates a cluster.
     ///
@@ -35,60 +24,11 @@ impl Cluster {
         Cluster { procs }
     }
 
-    /// Executes one time step in which the evaluations with true costs
-    /// `costs` run concurrently (one per processor). Each evaluation
-    /// draws its own noise; the step's `T_k` is the worst observation.
-    ///
-    /// # Panics
-    /// Panics when `costs` is empty or exceeds the processor count.
-    pub fn execute_step<M: NoiseModel + ?Sized>(
-        &self,
-        costs: &[f64],
-        noise: &M,
-        rng: &mut dyn RngCore,
-    ) -> StepOutcome {
-        assert!(!costs.is_empty(), "a time step must run something");
-        assert!(
-            costs.len() <= self.procs,
-            "{} evaluations exceed {} processors",
-            costs.len(),
-            self.procs
-        );
-        let observed: Vec<f64> = costs.iter().map(|&c| noise.observe(c, rng)).collect();
-        let t_k = observed.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        StepOutcome { observed, t_k }
-    }
-
     /// Evaluates `K` samples of each candidate (true costs
-    /// `point_costs`), laid out by [`Schedule::plan`](crate::Schedule::plan)
-    /// under `mode`.
-    /// Every consumed time step appends its `T_k` to `trace`; the
-    /// returned vector holds the `K` observations of each point.
-    pub fn run_batch<M: NoiseModel + ?Sized>(
-        &self,
-        point_costs: &[f64],
-        k_samples: usize,
-        mode: SamplingMode,
-        noise: &M,
-        rng: &mut dyn RngCore,
-        trace: &mut TuningTrace,
-    ) -> Vec<Vec<f64>> {
-        let mut samples = Vec::new();
-        self.run_batch_occupied(
-            point_costs,
-            k_samples,
-            mode,
-            noise,
-            rng,
-            trace,
-            false,
-            &mut samples,
-        );
-        samples.chunks(k_samples).map(<[f64]>::to_vec).collect()
-    }
-
-    /// [`Cluster::run_batch`] with optional *full occupancy*, writing the
-    /// observations point-major into `samples` (the `K` samples of point
+    /// `point_costs`), laid out by [`Layout`] under `mode`, with optional
+    /// *full occupancy*. Every consumed time step appends its `T_k` (the
+    /// worst observation of the step, eq. 1) to `trace`; the observations
+    /// are written point-major into `samples` (the `K` samples of point
     /// `i` end up at `samples[i·K..(i+1)·K]`, in sample order; the buffer
     /// is cleared first, so callers reuse one across batches).
     ///
@@ -100,11 +40,11 @@ impl Cluster {
     /// are *not* fed to the estimator — the paper's §6.2 worst case
     /// explicitly forgoes parallel samples.
     ///
-    /// The batch walks the schedule's [`Layout`] and draws straight into
-    /// `samples`, so it allocates nothing once the buffer has grown. Draw
-    /// order and the left-to-right max are those of per-step
-    /// [`Cluster::execute_step`] calls, so results are bit-identical to
-    /// them.
+    /// The batch walks the layout's steps and draws straight into
+    /// `samples`, so it allocates nothing once the buffer has grown. Each
+    /// step draws one observation per slot in layout order (idle
+    /// processors after them, round-robin) and folds `T_k` left to right
+    /// with `f64::max` from `−∞`.
     ///
     /// # Panics
     /// Panics when `point_costs` is empty or `k_samples` is zero.
@@ -146,45 +86,73 @@ mod tests {
     use harmony_variability::noise::Noise;
     use harmony_variability::seeded_rng;
 
+    /// One batch without full occupancy: the observations and the trace.
+    fn batch(
+        c: &Cluster,
+        costs: &[f64],
+        k: usize,
+        mode: SamplingMode,
+        noise: &Noise,
+        seed: u64,
+    ) -> (Vec<f64>, TuningTrace) {
+        let mut rng = seeded_rng(seed);
+        let mut trace = TuningTrace::new();
+        let mut samples = Vec::new();
+        c.run_batch_occupied(
+            costs,
+            k,
+            mode,
+            noise,
+            &mut rng,
+            &mut trace,
+            false,
+            &mut samples,
+        );
+        (samples, trace)
+    }
+
     #[test]
     fn noise_free_step_is_exact_max() {
         let c = Cluster::new(4);
-        let mut rng = seeded_rng(1);
-        let out = c.execute_step(&[2.0, 5.0, 1.0], &Noise::None, &mut rng);
-        assert_eq!(out.observed, vec![2.0, 5.0, 1.0]);
-        assert_eq!(out.t_k, 5.0);
+        let (samples, trace) = batch(
+            &c,
+            &[2.0, 5.0, 1.0],
+            1,
+            SamplingMode::Packed,
+            &Noise::None,
+            1,
+        );
+        assert_eq!(samples, vec![2.0, 5.0, 1.0]);
+        assert_eq!(trace.step_times(), &[5.0]);
     }
 
     #[test]
     fn noisy_step_never_beats_true_cost() {
         let c = Cluster::new(8);
-        let mut rng = seeded_rng(2);
         let noise = Noise::paper_default(0.3);
-        for _ in 0..100 {
-            let out = c.execute_step(&[2.0, 3.0], &noise, &mut rng);
-            assert!(out.observed[0] >= 2.0);
-            assert!(out.observed[1] >= 3.0);
-            assert!(out.t_k >= 3.0);
+        for seed in 0..100 {
+            let (samples, trace) = batch(&c, &[2.0, 3.0], 1, SamplingMode::Packed, &noise, seed);
+            assert!(samples[0] >= 2.0);
+            assert!(samples[1] >= 3.0);
+            assert_eq!(trace.len(), 1);
+            assert!(trace.step_times()[0] >= 3.0);
         }
     }
 
     #[test]
     fn run_batch_sequential_consumes_k_steps() {
         let c = Cluster::new(64);
-        let mut rng = seeded_rng(3);
-        let mut trace = TuningTrace::new();
-        let samples = c.run_batch(
+        let (samples, trace) = batch(
+            &c,
             &[1.0, 2.0, 3.0],
             4,
             SamplingMode::SequentialSteps,
             &Noise::None,
-            &mut rng,
-            &mut trace,
+            3,
         );
         assert_eq!(trace.len(), 4);
-        assert_eq!(samples.len(), 3);
-        for (i, s) in samples.iter().enumerate() {
-            assert_eq!(s.len(), 4);
+        assert_eq!(samples.len(), 12);
+        for (i, s) in samples.chunks(4).enumerate() {
             assert!(s.iter().all(|&x| x == (i + 1) as f64));
         }
         // noise-free: every step's T_k is the worst candidate
@@ -194,54 +162,41 @@ mod tests {
     #[test]
     fn run_batch_packed_is_one_step_with_capacity() {
         let c = Cluster::new(64);
-        let mut rng = seeded_rng(4);
-        let mut trace = TuningTrace::new();
-        let samples = c.run_batch(
-            &[1.0; 6],
-            10,
-            SamplingMode::Packed,
-            &Noise::None,
-            &mut rng,
-            &mut trace,
-        );
+        let (samples, trace) = batch(&c, &[1.0; 6], 10, SamplingMode::Packed, &Noise::None, 4);
         assert_eq!(trace.len(), 1);
-        assert_eq!(samples.iter().map(Vec::len).sum::<usize>(), 60);
+        assert_eq!(samples.len(), 60);
     }
 
     #[test]
     fn multi_sample_total_time_scales_linearly_without_noise() {
         // the rho = 0 line of Fig. 10 in miniature
         let c = Cluster::new(16);
-        let mut totals = Vec::new();
-        for k in 1..=3 {
-            let mut rng = seeded_rng(5);
-            let mut trace = TuningTrace::new();
-            c.run_batch(
-                &[2.0, 4.0],
-                k,
-                SamplingMode::SequentialSteps,
-                &Noise::None,
-                &mut rng,
-                &mut trace,
-            );
-            totals.push(trace.total_time());
-        }
+        let totals: Vec<f64> = (1..=3)
+            .map(|k| {
+                let (_, trace) = batch(
+                    &c,
+                    &[2.0, 4.0],
+                    k,
+                    SamplingMode::SequentialSteps,
+                    &Noise::None,
+                    5,
+                );
+                trace.total_time()
+            })
+            .collect();
         assert_eq!(totals, vec![4.0, 8.0, 12.0]);
     }
 
     #[test]
-    #[should_panic(expected = "exceed")]
-    fn overcommitted_step_rejected() {
-        let c = Cluster::new(2);
-        let mut rng = seeded_rng(6);
-        let _ = c.execute_step(&[1.0, 1.0, 1.0], &Noise::None, &mut rng);
-    }
-
-    #[test]
-    #[should_panic(expected = "must run something")]
+    #[should_panic(expected = "at least one point")]
     fn empty_step_rejected() {
-        let c = Cluster::new(2);
-        let mut rng = seeded_rng(7);
-        let _ = c.execute_step(&[], &Noise::None, &mut rng);
+        let _ = batch(
+            &Cluster::new(2),
+            &[],
+            1,
+            SamplingMode::Packed,
+            &Noise::None,
+            7,
+        );
     }
 }

@@ -114,8 +114,8 @@ const HISTORY_NEIGHBORS: usize = 4;
 /// [`PointKey`] index: a later measurement of a point overwrites its
 /// value in place, so the entry keeps its first-seen position. On a
 /// fault-free session the log is only ever written, so recording costs
-/// one hash of the point's inline coordinate bits — no per-call
-/// allocation, spatial index or memo. Estimates scan the log
+/// one hash of the point's inline coordinate bits and no per-call
+/// allocation. Estimates scan the log
 /// ([`idw_scan`]) and are bit-identical to a
 /// [`harmony_surface::PerfDatabase`] filled by `insert_replacing` with
 /// the same measurements, and checkpoints use its `"perfdb"` encoding.

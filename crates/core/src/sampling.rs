@@ -67,32 +67,15 @@ impl Estimator {
             self.samples(),
             samples.len()
         );
-        match *self {
-            Estimator::Single => samples[0],
-            Estimator::MinOfK(_) => samples.iter().copied().fold(f64::INFINITY, f64::min),
-            Estimator::MeanOfK(k) => samples.iter().sum::<f64>() / k as f64,
-            Estimator::MedianOfK(_) => {
-                let mut s = samples.to_vec();
-                // total_cmp: NaN samples sort to the top instead of
-                // panicking, so the median still comes from the finite
-                // majority
-                s.sort_by(|a, b| a.total_cmp(b));
-                let n = s.len();
-                if n % 2 == 1 {
-                    s[n / 2]
-                } else {
-                    0.5 * (s[n / 2 - 1] + s[n / 2])
-                }
-            }
-        }
+        self.reduce_available(samples)
     }
 
     /// Reduces however many observations actually arrived — the
     /// fault-tolerant variant of [`Estimator::reduce`] for slots whose
     /// reports were lost or abandoned. With the full `K` samples this is
-    /// bit-identical to `reduce` (the mean divides by the actual count,
-    /// which then equals `K`); with fewer it degrades gracefully to the
-    /// same statistic over the survivors.
+    /// `reduce` itself (the mean divides by the actual count, which then
+    /// equals `K`); with fewer it degrades gracefully to the same
+    /// statistic over the survivors.
     ///
     /// # Panics
     /// Panics when `samples` is empty or exceeds [`Estimator::samples`].
@@ -141,6 +124,17 @@ impl Estimator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use harmony_variability::noise::{Noise, NoiseModel};
+    use harmony_variability::seeded_rng;
+    use rand::RngCore;
+
+    /// One estimate from `est.samples()` fresh observations of `f_v`,
+    /// drawn in one batch as sessions draw a point's samples.
+    fn estimate(est: Estimator, m: &Noise, f_v: f64, rng: &mut dyn RngCore) -> f64 {
+        let mut obs = vec![0.0; est.samples()];
+        m.observe_n(f_v, rng, &mut obs);
+        est.reduce(&obs)
+    }
 
     #[test]
     fn sample_counts() {
@@ -226,5 +220,82 @@ mod tests {
             (Estimator::MeanOfK(3).reduce(&dirty) - Estimator::MeanOfK(3).reduce(&clean)).abs();
         assert!(min_shift < 1e-12);
         assert!(mean_shift > 100.0);
+    }
+
+    #[test]
+    fn min_of_k_converges_to_floor() {
+        // eq. 14: P[min > f + n_min + ε] → 0 as K → ∞
+        let m = Noise::Pareto {
+            alpha: 1.7,
+            rho: 0.3,
+        };
+        let f_v = 5.0;
+        let floor = f_v + m.n_min(f_v);
+        let mut rng = seeded_rng(7);
+        let eps = 0.2 * m.n_min(f_v);
+        let trials = 2_000;
+        let exceed_k1 = (0..trials)
+            .filter(|_| estimate(Estimator::MinOfK(1), &m, f_v, &mut rng) > floor + eps)
+            .count();
+        let exceed_k20 = (0..trials)
+            .filter(|_| estimate(Estimator::MinOfK(20), &m, f_v, &mut rng) > floor + eps)
+            .count();
+        assert!(
+            exceed_k20 < exceed_k1 / 4,
+            "k1={exceed_k1} k20={exceed_k20}"
+        );
+    }
+
+    #[test]
+    fn min_of_k_preserves_ordering_where_mean_fails_less() {
+        // With heavy-tail noise, comparing two close points by min-of-K
+        // should misorder less often than a single sample.
+        let m = Noise::Pareto {
+            alpha: 1.1,
+            rho: 0.4,
+        }; // nastier tail
+        let (f1, f2) = (5.0, 6.0); // f1 truly better
+        let trials = 3_000;
+        let mut rng = seeded_rng(8);
+        let mis_single = (0..trials)
+            .filter(|_| m.observe(f1, &mut rng) > m.observe(f2, &mut rng))
+            .count();
+        let min5 = Estimator::MinOfK(5);
+        let mis_min5 = (0..trials)
+            .filter(|_| estimate(min5, &m, f1, &mut rng) > estimate(min5, &m, f2, &mut rng))
+            .count();
+        assert!(
+            mis_min5 * 2 < mis_single,
+            "single={mis_single} min5={mis_min5}"
+        );
+    }
+
+    #[test]
+    fn mean_of_k_matches_expectation_for_light_tails() {
+        let m = Noise::Exponential { rho: 0.2 };
+        let mut rng = seeded_rng(9);
+        let trials = 20_000;
+        let avg: f64 = (0..trials)
+            .map(|_| estimate(Estimator::MeanOfK(8), &m, 4.0, &mut rng))
+            .sum::<f64>()
+            / trials as f64;
+        assert!((avg - 5.0).abs() < 0.02, "avg={avg}");
+    }
+
+    #[test]
+    fn k_estimators_match_sequential_reference() {
+        let m = Noise::paper_default(0.3);
+        for k in [1, 5, 32, 33, 100] {
+            let mut a = seeded_rng(79);
+            let mut b = seeded_rng(79);
+            let obs: Vec<f64> = (0..k).map(|_| m.observe(4.0, &mut a)).collect();
+            let min = obs.iter().copied().fold(f64::INFINITY, f64::min);
+            let got = estimate(Estimator::MinOfK(k), &m, 4.0, &mut b);
+            assert_eq!(got.to_bits(), min.to_bits(), "k={k}");
+            let mut b = seeded_rng(79);
+            let mean = obs.iter().fold(0.0, |acc, y| acc + y) / k as f64;
+            let got = estimate(Estimator::MeanOfK(k), &m, 4.0, &mut b);
+            assert_eq!(got.to_bits(), mean.to_bits(), "k={k}");
+        }
     }
 }

@@ -2321,6 +2321,41 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_wal_line_fails_resume_loudly() {
+        let obj = bowl();
+        let config = cfg(Estimator::Single, 30, 8);
+        let plan = FaultPlan::new(7, 0.3, 0.0, 0.0, 0.0);
+
+        let mut journal = SessionJournal::in_memory();
+        let mut opt = ProOptimizer::with_defaults(space());
+        let _ = outcome(
+            &obj,
+            &Noise::None,
+            &mut opt,
+            config,
+            journaled(plan, &mut journal, RecoveryConfig::default()),
+        )
+        .unwrap();
+
+        let lines = journal.wal_lines().unwrap();
+        let mut part = journal.clone();
+        part.truncate_records(4).unwrap();
+        // corruption inside the tail (not its torn final line): a line
+        // of a million open brackets, then a record that parses
+        part.append_wal(&"[".repeat(1_000_000)).unwrap();
+        part.append_wal(&lines[5]).unwrap();
+        let mut opt2 = ProOptimizer::with_defaults(space());
+        let out = outcome(
+            &obj,
+            &Noise::None,
+            &mut opt2,
+            config,
+            journaled(plan, &mut part, RecoveryConfig::default()),
+        );
+        assert!(matches!(out, Err(ServerError::Recovery(_))), "{out:?}");
+    }
+
+    #[test]
     fn config_drift_fails_resume_loudly() {
         let obj = bowl();
         let config = cfg(Estimator::Single, 30, 8);

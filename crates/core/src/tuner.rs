@@ -413,9 +413,9 @@ impl OnlineTuner {
         // a reusable scratch buffer: the per-draw constants (eq. 17's β)
         // derive once per step, no step allocates, and Pareto noise
         // transforms only the draws that can hold the max. The uniform
-        // stream and the max are exactly those of per-draw
-        // `execute_step` calls. The incumbent is re-costed only when the
-        // phase changes.
+        // stream and the max are exactly those of `width` `observe` calls
+        // folded left to right with `f64::max`. The incumbent is
+        // re-costed only when the phase changes.
         let mut exploit_obs = vec![0.0_f64; width];
         let (mut cost_phase, mut cost) = (last, best_true_cost);
         while trace.len() < self.cfg.max_steps {

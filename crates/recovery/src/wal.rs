@@ -251,13 +251,13 @@ impl WalRecord {
         let obj = v.obj()?;
         match obj.str_field("t")?.as_str() {
             "hdr" => Ok(WalRecord::Header(HeaderRecord {
-                version: obj.u64_field("v")? as u32,
+                version: obj.u32_field("v")?,
                 procs: obj.usize_field("procs")?,
                 max_steps: obj.usize_field("steps")?,
                 k: obj.usize_field("k")?,
                 seed: obj.u64_field("seed")?,
                 deadline: f64::from_bits(obj.u64_field("deadline")?),
-                max_retries: obj.u64_field("retries")? as u32,
+                max_retries: obj.u32_field("retries")?,
                 backoff: f64::from_bits(obj.u64_field("backoff")?),
                 quorum: f64::from_bits(obj.u64_field("quorum")?),
                 supervised: obj.u64_field("sup")? != 0,
@@ -406,6 +406,11 @@ fn push_opt_bits(s: &mut String, vs: &[Option<f64>]) {
     s.push(']');
 }
 
+/// How deep WAL records nest containers: record object → `rounds` array
+/// → round object → `cl` array. The decoder refuses deeper input instead
+/// of recursing once per bracket of a corrupt line.
+const MAX_NESTING: usize = 4;
+
 /// The minimal JSON value subset WAL records use.
 #[derive(Debug, Clone, PartialEq)]
 enum Val {
@@ -429,6 +434,11 @@ impl Obj {
     }
     fn u64_field(&self, key: &str) -> Result<u64, CodecError> {
         self.field(key)?.u64()
+    }
+    fn u32_field(&self, key: &str) -> Result<u32, CodecError> {
+        let v = self.u64_field(key)?;
+        u32::try_from(v)
+            .map_err(|_| CodecError::BadValue(format!("field {key:?} overflows u32: {v}")))
     }
     fn usize_field(&self, key: &str) -> Result<usize, CodecError> {
         Ok(self.u64_field(key)? as usize)
@@ -479,7 +489,7 @@ impl Val {
     fn parse(s: &str) -> Result<Val, CodecError> {
         let bytes = s.as_bytes();
         let mut pos = 0usize;
-        let v = Self::parse_value(bytes, &mut pos)?;
+        let v = Self::parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(CodecError::BadValue(format!("trailing JSON at byte {pos}")));
@@ -487,10 +497,14 @@ impl Val {
         Ok(v)
     }
 
-    fn parse_value(b: &[u8], pos: &mut usize) -> Result<Val, CodecError> {
+    /// Parses the value at `pos`, inside `depth` open containers.
+    fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Val, CodecError> {
         skip_ws(b, pos);
         match b.get(*pos) {
             None => Err(CodecError::UnexpectedEof),
+            Some(b'{' | b'[') if depth == MAX_NESTING => Err(CodecError::BadValue(format!(
+                "JSON nested deeper than {MAX_NESTING} containers at byte {pos}"
+            ))),
             Some(b'{') => {
                 *pos += 1;
                 let mut obj = Obj::default();
@@ -501,7 +515,7 @@ impl Val {
                 }
                 loop {
                     skip_ws(b, pos);
-                    let key = match Self::parse_value(b, pos)? {
+                    let key = match Self::parse_value(b, pos, depth + 1)? {
                         Val::Str(s) => s,
                         other => {
                             return Err(CodecError::BadValue(format!(
@@ -511,7 +525,7 @@ impl Val {
                     };
                     skip_ws(b, pos);
                     expect(b, pos, b':')?;
-                    let val = Self::parse_value(b, pos)?;
+                    let val = Self::parse_value(b, pos, depth + 1)?;
                     obj.fields.insert(key, val);
                     skip_ws(b, pos);
                     match b.get(*pos) {
@@ -533,7 +547,7 @@ impl Val {
                     return Ok(Val::Arr(arr));
                 }
                 loop {
-                    arr.push(Self::parse_value(b, pos)?);
+                    arr.push(Self::parse_value(b, pos, depth + 1)?);
                     skip_ws(b, pos);
                     match b.get(*pos) {
                         Some(b',') => *pos += 1,
@@ -692,5 +706,52 @@ mod tests {
         assert!(WalRecord::from_line("{\"t\":\"batch\",").is_err());
         let good = sample_batch().to_line();
         assert!(WalRecord::from_line(&good[..good.len() - 2]).is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"t\":"] {
+            let line = open.repeat(1_000_000);
+            assert!(
+                matches!(WalRecord::from_line(&line), Err(CodecError::BadValue(_))),
+                "{open}"
+            );
+        }
+        // one container past the deepest a record uses
+        let line = sample_batch()
+            .to_line()
+            .replace("\"cl\":[0,2]", "\"cl\":[[0],2]");
+        assert!(matches!(
+            WalRecord::from_line(&line),
+            Err(CodecError::BadValue(_))
+        ));
+    }
+
+    #[test]
+    fn header_integers_past_u32_are_errors() {
+        let hdr = WalRecord::Header(HeaderRecord {
+            version: WAL_VERSION,
+            procs: 4,
+            max_steps: 60,
+            k: 2,
+            seed: 42,
+            deadline: 25.0,
+            max_retries: 2,
+            backoff: 1.5,
+            quorum: 0.5,
+            supervised: true,
+        })
+        .to_line();
+        for (field, wide) in [
+            ("\"v\":1,", "\"v\":4294967297,"),
+            ("\"retries\":2,", "\"retries\":4294967298,"),
+        ] {
+            assert!(hdr.contains(field), "{hdr}");
+            let line = hdr.replace(field, wide);
+            assert!(
+                matches!(WalRecord::from_line(&line), Err(CodecError::BadValue(_))),
+                "{line}"
+            );
+        }
     }
 }

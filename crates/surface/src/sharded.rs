@@ -39,7 +39,7 @@
 //! deterministic: within a wave every session sees the same snapshot
 //! no matter how its threads interleave.
 
-use crate::database::{idw_average, inv_scales, key_of};
+use crate::database::{idw_average, inv_scales, key_of, scaled_dist2};
 use harmony_params::{ParamSpace, Point};
 use harmony_recovery::{Checkpoint, CodecError, StateReader, StateWriter};
 use harmony_stats::splitmix::mix64;
@@ -375,17 +375,6 @@ impl SharedPerfDb {
         }
     }
 
-    fn scaled_dist2(&self, a: &Point, b: &Point) -> f64 {
-        a.iter()
-            .zip(b.iter())
-            .zip(self.inv_scale.iter())
-            .map(|((x, y), s)| {
-                let d = (x - y) * s;
-                d * d
-            })
-            .sum()
-    }
-
     /// Inverse-distance-weighted estimate from published entries, or
     /// `None` while nothing is published. Exact hits return the stored
     /// value. Lock-free (reads each shard's pinned snapshot).
@@ -406,7 +395,7 @@ impl SharedPerfDb {
         for shard in &self.shards {
             shard.snap.read(|snap| {
                 for (ekey, ep, ev) in snap.iter() {
-                    let d2 = self.scaled_dist2(point, ep);
+                    let d2 = scaled_dist2(&self.inv_scale, point, ep);
                     if nearest.len() == k {
                         let worst = &nearest[k - 1];
                         if (d2, ekey.as_slice()) >= (worst.0, worst.1.as_slice()) {

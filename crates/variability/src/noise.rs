@@ -371,82 +371,6 @@ impl NoiseModel for Noise {
     }
 }
 
-/// Batched observation chunk size for the K-estimators: large enough to
-/// amortise per-call constant derivation, small enough to stay on the
-/// stack.
-const K_CHUNK: usize = 32;
-
-/// Minimum of `k` observations of the same point — the estimator
-/// `L_y^{(K)}(v)` of eq. 13.
-///
-/// Draws through the batch [`NoiseModel::observe_n`] path in
-/// stack-resident chunks; the sample stream and the running minimum are
-/// bit-identical to `k` sequential `observe` calls.
-pub fn min_of_k<M: NoiseModel + ?Sized>(
-    model: &M,
-    f_v: f64,
-    k: usize,
-    rng: &mut dyn RngCore,
-) -> f64 {
-    assert!(k >= 1, "min_of_k requires k >= 1");
-    let mut buf = [0.0_f64; K_CHUNK];
-    let mut best = f64::INFINITY;
-    let mut remaining = k;
-    while remaining > 0 {
-        let chunk = &mut buf[..remaining.min(K_CHUNK)];
-        model.observe_n(f_v, rng, chunk);
-        // 8-lane blocked reduction: observations are non-negative (no
-        // NaN, no -0.0), where `min` is exactly associative and
-        // commutative, so regrouping into lanes is bit-identical to the
-        // sequential fold — unlike a float *sum*, which is why
-        // `mean_of_k` below must stay strictly left-to-right.
-        let mut lanes = [f64::INFINITY; 8];
-        let mut blocks = chunk.chunks_exact(8);
-        for block in blocks.by_ref() {
-            for (lane, &y) in lanes.iter_mut().zip(block) {
-                *lane = lane.min(y);
-            }
-        }
-        for &y in blocks.remainder() {
-            best = best.min(y);
-        }
-        for &lane in &lanes {
-            best = best.min(lane);
-        }
-        remaining -= chunk.len();
-    }
-    best
-}
-
-/// Mean of `k` observations — the conventional estimator that fails
-/// under infinite variance (§5.1).
-///
-/// Batched like [`min_of_k`], but the accumulation stays strictly
-/// left-to-right: float addition is not associative, so a lane-blocked
-/// sum would change the low bits and break the byte-identity guarantee
-/// of the committed artifacts (the estimator ablation measures
-/// mean-of-K directly).
-pub fn mean_of_k<M: NoiseModel + ?Sized>(
-    model: &M,
-    f_v: f64,
-    k: usize,
-    rng: &mut dyn RngCore,
-) -> f64 {
-    assert!(k >= 1, "mean_of_k requires k >= 1");
-    let mut buf = [0.0_f64; K_CHUNK];
-    let mut sum = 0.0;
-    let mut remaining = k;
-    while remaining > 0 {
-        let chunk = &mut buf[..remaining.min(K_CHUNK)];
-        model.observe_n(f_v, rng, chunk);
-        for &y in chunk.iter() {
-            sum += y;
-        }
-        remaining -= chunk.len();
-    }
-    sum / k as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -575,65 +499,6 @@ mod tests {
     }
 
     #[test]
-    fn min_of_k_converges_to_floor() {
-        // eq. 14: P[min > f + n_min + ε] → 0 as K → ∞
-        let m = Noise::Pareto {
-            alpha: 1.7,
-            rho: 0.3,
-        };
-        let f_v = 5.0;
-        let floor = f_v + m.n_min(f_v);
-        let mut rng = seeded_rng(7);
-        let eps = 0.2 * m.n_min(f_v);
-        let trials = 2_000;
-        let exceed_k1 = (0..trials)
-            .filter(|_| min_of_k(&m, f_v, 1, &mut rng) > floor + eps)
-            .count();
-        let exceed_k20 = (0..trials)
-            .filter(|_| min_of_k(&m, f_v, 20, &mut rng) > floor + eps)
-            .count();
-        assert!(
-            exceed_k20 < exceed_k1 / 4,
-            "k1={exceed_k1} k20={exceed_k20}"
-        );
-    }
-
-    #[test]
-    fn min_of_k_preserves_ordering_where_mean_fails_less() {
-        // With heavy-tail noise, comparing two close points by min-of-K
-        // should misorder less often than a single sample.
-        let m = Noise::Pareto {
-            alpha: 1.1,
-            rho: 0.4,
-        }; // nastier tail
-        let (f1, f2) = (5.0, 6.0); // f1 truly better
-        let trials = 3_000;
-        let mut rng = seeded_rng(8);
-        let mis_single = (0..trials)
-            .filter(|_| m.observe(f1, &mut rng) > m.observe(f2, &mut rng))
-            .count();
-        let mis_min5 = (0..trials)
-            .filter(|_| min_of_k(&m, f1, 5, &mut rng) > min_of_k(&m, f2, 5, &mut rng))
-            .count();
-        assert!(
-            mis_min5 * 2 < mis_single,
-            "single={mis_single} min5={mis_min5}"
-        );
-    }
-
-    #[test]
-    fn mean_of_k_matches_expectation_for_light_tails() {
-        let m = Noise::Exponential { rho: 0.2 };
-        let mut rng = seeded_rng(9);
-        let trials = 20_000;
-        let avg: f64 = (0..trials)
-            .map(|_| mean_of_k(&m, 4.0, 8, &mut rng))
-            .sum::<f64>()
-            / trials as f64;
-        assert!((avg - 5.0).abs() < 0.02, "avg={avg}");
-    }
-
-    #[test]
     #[should_panic(expected = "rho must be in [0, 1)")]
     fn invalid_rho_rejected() {
         let mut rng = seeded_rng(10);
@@ -682,23 +547,6 @@ mod tests {
             // streams stay aligned after the batch
             use rand::Rng as _;
             assert_eq!(a.random::<u64>(), b.random::<u64>());
-        }
-    }
-
-    #[test]
-    fn k_estimators_match_sequential_reference() {
-        let m = Noise::paper_default(0.3);
-        for k in [1, 5, 32, 33, 100] {
-            let mut a = seeded_rng(79);
-            let mut b = seeded_rng(79);
-            let reference_min = (0..k)
-                .map(|_| m.observe(4.0, &mut a))
-                .fold(f64::INFINITY, f64::min);
-            assert_eq!(min_of_k(&m, 4.0, k, &mut b), reference_min, "k={k}");
-            let mut a = seeded_rng(80);
-            let mut b = seeded_rng(80);
-            let reference_mean = (0..k).map(|_| m.observe(4.0, &mut a)).sum::<f64>() / k as f64;
-            assert_eq!(mean_of_k(&m, 4.0, k, &mut b), reference_mean, "k={k}");
         }
     }
 

@@ -152,15 +152,3 @@ fn adaptive_tuner_on_gs2_is_frugal() {
         out_a.trace.len()
     );
 }
-
-#[test]
-fn hetero_cluster_slows_everything_by_the_straggler() {
-    use harmony::cluster::{Cluster, Heterogeneity};
-    let cluster = Cluster::new(16);
-    let hetero = Heterogeneity::with_stragglers(16, 2, 2.5);
-    let mut rng = seeded_rng(6);
-    let mut trace = TuningTrace::new();
-    cluster.run_fixed_hetero(2.0, 40, &hetero, &Noise::None, &mut rng, &mut trace);
-    assert!(trace.step_times().iter().all(|&t| (t - 5.0).abs() < 1e-12));
-    assert_eq!(hetero.barrier_factor(), 2.5);
-}

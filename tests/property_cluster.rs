@@ -1,8 +1,9 @@
-//! Property-based tests of the cluster layer (scheduling, execution,
-//! heterogeneity) and of the parameter-spec parser round-trip.
+//! Property-based tests of the cluster layer (scheduling, execution, the
+//! replication pool) and of the parameter-spec parser round-trip.
 
-use harmony::cluster::pool::{par_map_indexed, par_map_indexed_in, par_map_reduce_in, par_mean_in};
-use harmony::cluster::{Cluster, Heterogeneity, SamplingMode, Schedule, TuningTrace};
+use harmony::cluster::pool::{par_map_indexed, par_map_indexed_in};
+use harmony::cluster::schedule::{EvalSlot, Layout};
+use harmony::cluster::{Cluster, SamplingMode, TuningTrace};
 use harmony::params::spec::{format_space, parse_space};
 use harmony::params::{ParamDef, ParamSpace};
 use harmony::prelude::*;
@@ -16,6 +17,42 @@ fn arb_mode() -> impl Strategy<Value = SamplingMode> {
     ]
 }
 
+/// The layout's time steps as lists of slots.
+fn plan(n: usize, k: usize, procs: usize, mode: SamplingMode) -> Vec<Vec<EvalSlot>> {
+    let layout = Layout::new(n, k, procs, mode);
+    layout
+        .steps()
+        .map(|step| step.map(|i| layout.slot(i)).collect())
+        .collect()
+}
+
+/// One `run_batch_occupied` call from a fresh stream: the point-major
+/// observations, the trace, and the stream for continuing it.
+fn run_batch(
+    cluster: &Cluster,
+    costs: &[f64],
+    k: usize,
+    mode: SamplingMode,
+    noise: &Noise,
+    seed: u64,
+    full_occupancy: bool,
+) -> (Vec<f64>, TuningTrace, rand::rngs::SmallRng) {
+    let mut rng = seeded_rng(seed);
+    let mut trace = TuningTrace::new();
+    let mut samples = Vec::new();
+    cluster.run_batch_occupied(
+        costs,
+        k,
+        mode,
+        noise,
+        &mut rng,
+        &mut trace,
+        full_occupancy,
+        &mut samples,
+    );
+    (samples, trace, rng)
+}
+
 proptest! {
     #[test]
     fn schedule_covers_every_pair_exactly_once(
@@ -24,10 +61,9 @@ proptest! {
         procs in 1usize..70,
         mode in arb_mode(),
     ) {
-        let s = Schedule::plan(n, k, procs, mode);
-        prop_assert_eq!(s.n_evals(), n * k);
+        let steps = plan(n, k, procs, mode);
         let mut seen = std::collections::HashSet::new();
-        for step in &s.steps {
+        for step in &steps {
             prop_assert!(step.len() <= procs, "step exceeds processor count");
             prop_assert!(!step.is_empty(), "empty step scheduled");
             for slot in step {
@@ -44,10 +80,10 @@ proptest! {
         k in 1usize..8,
         procs in 1usize..70,
     ) {
-        let seq = Schedule::plan(n, k, procs, SamplingMode::SequentialSteps);
-        prop_assert_eq!(seq.n_steps(), k * n.div_ceil(procs));
-        let packed = Schedule::plan(n, k, procs, SamplingMode::Packed);
-        prop_assert_eq!(packed.n_steps(), (n * k).div_ceil(procs));
+        let seq = Layout::new(n, k, procs, SamplingMode::SequentialSteps);
+        prop_assert_eq!(seq.steps().count(), k * n.div_ceil(procs));
+        let packed = Layout::new(n, k, procs, SamplingMode::Packed);
+        prop_assert_eq!(packed.steps().count(), (n * k).div_ceil(procs));
     }
 
     #[test]
@@ -56,8 +92,7 @@ proptest! {
         k in 2usize..6,
         procs in 1usize..40,
     ) {
-        let s = Schedule::plan(n, k, procs, SamplingMode::SequentialSteps);
-        for step in &s.steps {
+        for step in plan(n, k, procs, SamplingMode::SequentialSteps) {
             let mut points = std::collections::HashSet::new();
             for slot in step {
                 prop_assert!(points.insert(slot.point), "point repeated within a step");
@@ -74,23 +109,22 @@ proptest! {
         seed in 0u64..500,
     ) {
         let cluster = Cluster::new(procs);
-        let mut rng = seeded_rng(seed);
-        let mut trace = TuningTrace::new();
-        let samples = cluster.run_batch(&costs, k, mode, &Noise::None, &mut rng, &mut trace);
-        prop_assert_eq!(samples.len(), costs.len());
-        for (i, s) in samples.iter().enumerate() {
-            prop_assert_eq!(s.len(), k);
-            // no noise: every sample is the true cost
-            prop_assert!(s.iter().all(|&x| x == costs[i]));
-        }
-        // total time = sum over steps of per-step maxima: bounded below
-        // by the dearest single evaluation and by steps x cheapest cost
+        let n_steps = Layout::new(costs.len(), k, procs, mode).steps().count();
         let max_cost = costs.iter().copied().fold(0.0, f64::max);
         let min_cost = costs.iter().copied().fold(f64::INFINITY, f64::min);
-        let n_steps = Schedule::plan(costs.len(), k, procs, mode).n_steps();
-        prop_assert_eq!(trace.len(), n_steps);
-        prop_assert!(trace.total_time() >= max_cost - 1e-9);
-        prop_assert!(trace.total_time() >= n_steps as f64 * min_cost - 1e-9);
+        for full in [false, true] {
+            let (samples, trace, _) = run_batch(&cluster, &costs, k, mode, &Noise::None, seed, full);
+            prop_assert_eq!(samples.len(), costs.len() * k);
+            for (i, s) in samples.chunks(k).enumerate() {
+                // no noise: every sample is the true cost
+                prop_assert!(s.iter().all(|&x| x == costs[i]));
+            }
+            // total time = sum over steps of per-step maxima: bounded below
+            // by the dearest single evaluation and by steps x cheapest cost
+            prop_assert_eq!(trace.len(), n_steps);
+            prop_assert!(trace.total_time() >= max_cost - 1e-9);
+            prop_assert!(trace.total_time() >= n_steps as f64 * min_cost - 1e-9);
+        }
     }
 
     #[test]
@@ -99,22 +133,50 @@ proptest! {
         rho in 0.05f64..0.6,
         seed in 0u64..300,
     ) {
+        // at most 8 evaluations on 8 processors: one barrier step
         let cluster = Cluster::new(8);
-        let mut rng = seeded_rng(seed);
         let noise = Noise::Pareto { alpha: 1.7, rho };
-        let out = cluster.execute_step(&costs[..costs.len().min(8)], &noise, &mut rng);
-        let max_cost = costs[..costs.len().min(8)].iter().copied().fold(0.0, f64::max);
-        prop_assert!(out.t_k >= max_cost);
+        let (_, trace, _) = run_batch(&cluster, &costs, 1, SamplingMode::Packed, &noise, seed, false);
+        let max_cost = costs.iter().copied().fold(0.0, f64::max);
+        prop_assert_eq!(trace.len(), 1);
+        prop_assert!(trace.step_times()[0] >= max_cost);
     }
 
     #[test]
-    fn heterogeneity_barrier_is_the_worst_factor(
-        factors in prop::collection::vec(1.0f64..5.0, 1..16),
+    fn run_batch_matches_per_step_reference(
+        costs in prop::collection::vec(0.1f64..20.0, 1..10),
+        k in 1usize..5,
+        procs in 1usize..20,
+        rho in 0.0f64..0.6,
+        seed in 0u64..500,
     ) {
-        let h = Heterogeneity::from_factors(factors.clone());
-        let max = factors.iter().copied().fold(1.0, f64::max);
-        prop_assert!((h.barrier_factor() - max).abs() < 1e-12);
-        prop_assert!(h.imbalance() >= -1e-12);
+        // eq. 1 step by step: one observation per slot in layout order,
+        // then (under full occupancy) the idle processors rerun the
+        // step's slots round-robin; T_k is the left fold of f64::max
+        let cluster = Cluster::new(procs);
+        let noise = Noise::Pareto { alpha: 1.7, rho };
+        for mode in [SamplingMode::SequentialSteps, SamplingMode::Packed] {
+            for full in [false, true] {
+                let (samples, trace, mut rng) = run_batch(&cluster, &costs, k, mode, &noise, seed, full);
+                let mut ref_rng = seeded_rng(seed);
+                let mut want = vec![f64::NAN; costs.len() * k];
+                let mut want_steps = Vec::new();
+                for step in plan(costs.len(), k, procs, mode) {
+                    let width = if full { procs } else { step.len() };
+                    let obs: Vec<f64> = (0..width)
+                        .map(|j| noise.observe(costs[step[j % step.len()].point], &mut ref_rng))
+                        .collect();
+                    for (slot, &y) in step.iter().zip(&obs) {
+                        want[slot.point * k + slot.sample] = y;
+                    }
+                    want_steps.push(obs.iter().copied().fold(f64::NEG_INFINITY, f64::max));
+                }
+                let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&samples), bits(&want), "{:?} full={}", mode, full);
+                prop_assert_eq!(bits(trace.step_times()), bits(&want_steps), "{:?} full={}", mode, full);
+                prop_assert_eq!(rng.random::<u64>(), ref_rng.random::<u64>());
+            }
+        }
     }
 
     #[test]
@@ -136,23 +198,6 @@ proptest! {
                 .map(f64::to_bits)
                 .collect();
             prop_assert_eq!(&got, &expect, "workers={}", workers);
-        }
-    }
-
-    #[test]
-    fn pool_reductions_bit_identical_across_worker_counts(
-        n in 1usize..400,
-        seed in 0u64..100,
-    ) {
-        // floating-point sums are not associative: only the fixed block
-        // structure makes different worker counts agree exactly
-        let f = |i: usize| seeded_rng(stream_seed(seed, i as u64)).random::<f64>() * 10.0;
-        let mean1 = par_mean_in(1, n, f);
-        let sum1 = par_map_reduce_in(1, n, f, 0.0, |a, x| a + x, |a, b| a + b);
-        for workers in [2usize, 3, 8] {
-            prop_assert_eq!(par_mean_in(workers, n, f).to_bits(), mean1.to_bits());
-            let sum = par_map_reduce_in(workers, n, f, 0.0, |a, x| a + x, |a, b| a + b);
-            prop_assert_eq!(sum.to_bits(), sum1.to_bits());
         }
     }
 
@@ -182,19 +227,16 @@ proptest! {
 fn regression_packed_single_point_two_procs() {
     let costs = [0.1];
     let (k, procs) = (2, 2);
-    let cluster = Cluster::new(procs);
-    let mut rng = seeded_rng(0);
-    let mut trace = TuningTrace::new();
-    let samples = cluster.run_batch(
+    let (samples, trace, _) = run_batch(
+        &Cluster::new(procs),
         &costs,
         k,
         SamplingMode::Packed,
         &Noise::None,
-        &mut rng,
-        &mut trace,
+        0,
+        false,
     );
-    assert_eq!(samples.len(), 1);
-    assert_eq!(samples[0], vec![0.1, 0.1]);
+    assert_eq!(samples, vec![0.1, 0.1]);
     assert_eq!(trace.len(), 1, "both samples pack into one step");
     assert!((trace.total_time() - 0.1).abs() < 1e-12);
 }

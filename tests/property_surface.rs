@@ -3,7 +3,9 @@
 //! interpolator must stay within the convex hull of its data; the
 //! measurement-band compression must never reorder configurations.
 
+use harmony::params::PointKey;
 use harmony::prelude::*;
+use harmony::surface::database::{idw_scan, inv_scales};
 use harmony::surface::{PerfDatabase, StencilHalo, TiledMatMul};
 use proptest::prelude::*;
 use rand::Rng;
@@ -86,8 +88,8 @@ proptest! {
     ) {
         // random anisotropic integer spaces (widths differ per dim), a
         // random sparse subset stored, k possibly exceeding the entry
-        // count: the bucket-grid path must agree with the brute-force
-        // linear scan bit for bit, including on repeat (memoized) calls
+        // count: a stored point answers with its value, any other with
+        // the IDW scan over the entries in insertion order, bit for bit
         let space = ParamSpace::new(
             defs.iter()
                 .enumerate()
@@ -99,18 +101,24 @@ proptest! {
         .unwrap();
         let mut rng = seeded_rng(seed);
         let mut db = PerfDatabase::new(space.clone(), k);
+        let mut entries = Vec::new();
         for (i, p) in space.lattice().enumerate() {
             if i == 0 || rng.random::<f64>() < keep {
-                db.insert(p, rng.random::<f64>() * 100.0 + 0.1);
+                let v = rng.random::<f64>() * 100.0 + 0.1;
+                db.insert(p.clone(), v);
+                entries.push((p, v));
             }
         }
+        let inv_scale = inv_scales(&space);
         for _ in 0..20 {
             let u: Vec<f64> = (0..space.dims()).map(|_| rng.random::<f64>()).collect();
             let q = space.point_from_unit(&u);
-            let scan = db.try_interpolate_scan(&q).unwrap();
-            prop_assert_eq!(db.try_interpolate(&q).unwrap().to_bits(), scan.to_bits(), "at {:?}", &q);
-            // second call exercises the memo
-            prop_assert_eq!(db.try_interpolate(&q).unwrap().to_bits(), scan.to_bits());
+            let key = PointKey::new(&q);
+            let want = match entries.iter().find(|(p, _)| PointKey::new(p) == key) {
+                Some(&(_, v)) => v,
+                None => idw_scan(&inv_scale, &entries, k, &q).unwrap(),
+            };
+            prop_assert_eq!(db.try_interpolate(&q).unwrap().to_bits(), want.to_bits(), "at {:?}", &q);
         }
     }
 
