@@ -100,6 +100,12 @@ pub trait Optimizer {
 /// missing measurement.
 const HISTORY_NEIGHBORS: usize = 4;
 
+/// Entries a new [`HistoryInterpolator`] has room for before its log and
+/// index grow: over the 90,000 PRO sessions of `fig10 --full` a session
+/// records 20 distinct points at the median and 57 at the 99th
+/// percentile.
+const HISTORY_RESERVE: usize = 64;
+
 /// Measured-history fallback for partial batches.
 ///
 /// Optimizers that support [`Optimizer::observe_partial`] record every
@@ -128,13 +134,19 @@ pub struct HistoryInterpolator {
 }
 
 impl HistoryInterpolator {
-    /// An empty history over `space`.
+    /// An empty history over `space`, with room for [`HISTORY_RESERVE`]
+    /// entries (or the whole lattice, when smaller).
     pub fn new(space: &ParamSpace) -> Self {
+        let reserve = space
+            .lattice_size()
+            .map_or(HISTORY_RESERVE, |n| n.min(HISTORY_RESERVE));
+        let mut slot_of = PointMap::default();
+        slot_of.reserve(reserve);
         HistoryInterpolator {
             space: space.clone(),
             inv_scale: inv_scales(space),
-            entries: Vec::new(),
-            slot_of: PointMap::default(),
+            entries: Vec::with_capacity(reserve),
+            slot_of,
         }
     }
 

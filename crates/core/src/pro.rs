@@ -35,13 +35,17 @@ use harmony_params::init::{initial_simplex, InitialShape, DEFAULT_RELATIVE_SIZE}
 use harmony_params::{ParamSpace, Point, Rounding, Simplex, StepKind};
 use harmony_recovery::{Checkpoint, CodecError, StateReader, StateWriter};
 use harmony_telemetry::{event, Field, Telemetry};
+use std::ops::Range;
 
 /// Writes a `(point, value)` list (a carried reflection set).
-pub(crate) fn write_pairs(w: &mut StateWriter, pairs: &[(Point, f64)]) {
+pub(crate) fn write_pairs<'a>(
+    w: &mut StateWriter,
+    pairs: impl ExactSizeIterator<Item = (&'a Point, f64)>,
+) {
     w.usize(pairs.len());
     for (p, v) in pairs {
         w.point(p);
-        w.f64(*v);
+        w.f64(v);
     }
 }
 
@@ -59,6 +63,33 @@ pub(crate) fn read_pairs(r: &mut StateReader) -> Result<Vec<(Point, f64)>, Codec
 /// Rebuilds a simplex from checkpointed vertices.
 pub(crate) fn simplex_from_vertices(verts: Vec<Point>) -> Result<Simplex, CodecError> {
     Simplex::new(verts).map_err(|e| CodecError::BadValue(format!("bad simplex: {e:?}")))
+}
+
+/// Rejects checkpointed `points` (named `what`) that are not all
+/// admissible in `space`.
+pub(crate) fn check_admissible(
+    space: &ParamSpace,
+    what: &str,
+    points: &[Point],
+) -> Result<(), CodecError> {
+    match points.iter().find(|p| !space.is_admissible(p)) {
+        Some(p) => Err(CodecError::BadValue(format!("inadmissible {what} {p:?}"))),
+        None => Ok(()),
+    }
+}
+
+/// Rejects a checkpointed simplex value vector that has not one finite
+/// value per vertex, or (before the initial vertices are measured, when
+/// `init`) any value at all.
+pub(crate) fn check_values(values: &[f64], vertices: usize, init: bool) -> Result<(), CodecError> {
+    let expected = if init { 0 } else { vertices };
+    if values.len() != expected || values.iter().any(|v| !v.is_finite()) {
+        return Err(CodecError::BadValue(format!(
+            "{} simplex values {values:?} for {vertices} vertices",
+            values.len()
+        )));
+    }
+    Ok(())
 }
 
 /// Tunable knobs of the PRO algorithm.
@@ -109,18 +140,18 @@ impl Default for ProConfig {
 }
 
 /// Which batch the optimizer is waiting on.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum State {
     /// Waiting for the initial vertices' values.
     Init,
     /// Waiting for the `n` parallel reflections.
     Reflect,
-    /// Waiting for the single expansion-check point; carries the
-    /// reflected points and their values.
-    ExpandCheck { reflections: Vec<(Point, f64)> },
-    /// Waiting for the `n` parallel expansions; carries the reflections
-    /// as the fallback set for the no-check ablation.
-    Expand { reflections: Vec<(Point, f64)> },
+    /// Waiting for the single expansion-check point; the reflected
+    /// points and their values are carried in `reflections`.
+    ExpandCheck,
+    /// Waiting for the `n` parallel expansions; `reflections` holds the
+    /// fallback set for the no-check ablation.
+    Expand,
     /// Waiting for the `n` parallel shrink points.
     Shrink,
     /// Waiting for the stopping-criterion probe points.
@@ -162,15 +193,19 @@ pub struct ProOptimizer {
     values: Vec<f64>,
     state: State,
     pending: Vec<Point>,
+    /// The successful reflection set and its values, live in
+    /// [`State::ExpandCheck`] and [`State::Expand`]. The buffer is
+    /// swapped with `pending`, never copied.
+    reflections: Vec<Point>,
+    reflection_vals: Vec<f64>,
     incumbent: Incumbent,
     history: HistoryInterpolator,
     iterations: usize,
     converged: bool,
-    /// Reused per-iteration buffers (sort order, sorted values, raw
-    /// transform outputs) so steady-state iterations allocate nothing.
+    /// Reused per-iteration buffers (sort order, sorted values) so
+    /// steady-state iterations allocate nothing.
     scratch_order: Vec<usize>,
     scratch_vals: Vec<f64>,
-    scratch_raw: Vec<Point>,
     /// Telemetry handle (disabled by default); the driver owns the
     /// logical clock, PRO only emits spans and decision events.
     tel: Telemetry,
@@ -183,22 +218,27 @@ impl ProOptimizer {
     pub fn new(space: ParamSpace, cfg: ProConfig) -> Self {
         let simplex =
             initial_simplex(&space, cfg.shape, cfg.relative_size).expect("valid initial simplex");
-        let pending = simplex.vertices().to_vec();
+        // every buffer is sized once for the largest batch and simplex:
+        // the initial vertices, or v⁰ plus its 2N probes
+        let cap = simplex.len().max(2 * space.dims() + 1);
+        let mut pending = Vec::with_capacity(cap);
+        pending.extend_from_slice(simplex.vertices());
         let history = HistoryInterpolator::new(&space);
         ProOptimizer {
             space,
             cfg,
             simplex,
-            values: Vec::new(),
+            values: Vec::with_capacity(cap),
             state: State::Init,
             pending,
+            reflections: Vec::with_capacity(cap),
+            reflection_vals: Vec::with_capacity(cap),
             incumbent: Incumbent::new(),
             history,
             iterations: 0,
             converged: false,
-            scratch_order: Vec::new(),
-            scratch_vals: Vec::new(),
-            scratch_raw: Vec::new(),
+            scratch_order: Vec::with_capacity(cap),
+            scratch_vals: Vec::with_capacity(cap),
             tel: Telemetry::disabled(),
             iter_span: 0,
         }
@@ -269,8 +309,9 @@ impl ProOptimizer {
             center,
         )
         .expect("valid recentered simplex");
-        self.values = Vec::new();
-        self.pending = self.simplex.vertices().to_vec();
+        self.values.clear();
+        self.pending.clear();
+        self.pending.extend_from_slice(self.simplex.vertices());
         self.state = State::Init;
         self.converged = false;
         self.close_iter_span();
@@ -292,44 +333,46 @@ impl ProOptimizer {
         &self.cfg
     }
 
-    fn best_vertex(&self) -> &Point {
-        self.simplex.vertex(0)
+    /// Points in continuous-monitoring mode's probe batch ahead of the
+    /// probes: `v⁰` itself.
+    fn probe_lead(&self) -> usize {
+        usize::from(self.cfg.continuous)
     }
 
-    /// Projects a transformed point back into the admissible region,
-    /// rounding toward the transformation center `v⁰`.
-    fn project(&self, raw: &Point) -> Point {
-        self.space
-            .project(raw, self.best_vertex(), self.cfg.rounding)
-    }
-
-    /// The stopping-criterion evaluation batch: the 2N neighbour probes,
-    /// preceded (in continuous-monitoring mode) by `v⁰` itself so the
-    /// running configuration is re-measured with fresh noise instead of
-    /// trusting a possibly extreme-value-lucky stored estimate.
-    fn probe_batch(&self, probes: Vec<Point>) -> Vec<Point> {
-        if self.cfg.continuous {
-            let mut batch = Vec::with_capacity(probes.len() + 1);
-            batch.push(self.best_vertex().clone());
-            batch.extend(probes);
-            batch
-        } else {
-            probes
-        }
-    }
-
-    /// Applies `kind` to every non-best vertex, projects, and installs
-    /// the result as the pending batch — through reused scratch buffers,
-    /// so the steady-state iteration path performs no heap allocation.
-    fn refill_pending_transformed(&mut self, kind: StepKind) {
-        let mut raw = std::mem::take(&mut self.scratch_raw);
-        self.simplex.transform_around_into(0, kind, &mut raw);
+    /// Refills the pending batch with the stopping-criterion batch: the
+    /// 2N neighbour probes, preceded (in continuous-monitoring mode) by
+    /// `v⁰` itself so the running configuration is re-measured with fresh
+    /// noise instead of trusting a possibly extreme-value-lucky stored
+    /// estimate. Returns false when `v⁰` has no neighbour to probe.
+    fn refill_pending_probes(&mut self) -> bool {
+        let v0 = self.simplex.vertex(0);
         self.pending.clear();
-        for p in &raw {
-            let projected = self.project(p);
-            self.pending.push(projected);
+        if self.cfg.continuous {
+            self.pending.push(v0.clone());
         }
-        self.scratch_raw = raw;
+        self.space
+            .probe_points(v0, self.cfg.probe_eps, &mut self.pending);
+        self.pending.len() > self.probe_lead()
+    }
+
+    /// Refills the pending batch with `Π(kind(vʲ))` around `v⁰` for the
+    /// vertices `j ∈ sources`, through the fused step of
+    /// [`ParamSpace::project_step`]: no heap allocation.
+    fn refill_pending_transformed(&mut self, kind: StepKind, sources: Range<usize>) {
+        let verts = self.simplex.vertices();
+        self.pending.clear();
+        self.space.project_step(
+            kind,
+            &verts[0],
+            &verts[sources],
+            self.cfg.rounding,
+            &mut self.pending,
+        );
+    }
+
+    /// The whole non-best vertex range `1..m`.
+    fn non_best(&self) -> Range<usize> {
+        1..self.simplex.len()
     }
 
     /// Sorts the simplex by value and decides the next phase: probe when
@@ -351,10 +394,7 @@ impl ProOptimizer {
 
         self.telemetry_iteration_boundary();
         if self.simplex.collapsed(self.cfg.collapse_tol) {
-            let probes = self
-                .space
-                .probe_points(self.best_vertex(), self.cfg.probe_eps);
-            if probes.is_empty() {
+            if !self.refill_pending_probes() {
                 event!(
                     self.tel,
                     "pro.decision",
@@ -364,9 +404,8 @@ impl ProOptimizer {
                 self.close_iter_span();
                 self.converged = true;
                 self.state = State::Done;
-                self.pending = Vec::new();
+                self.pending.clear();
             } else {
-                self.pending = self.probe_batch(probes);
                 event!(
                     self.tel,
                     "pro.decision",
@@ -377,7 +416,7 @@ impl ProOptimizer {
                 self.state = State::Probe;
             }
         } else {
-            self.refill_pending_transformed(StepKind::Reflect);
+            self.refill_pending_transformed(StepKind::Reflect, self.non_best());
             event!(
                 self.tel,
                 "pro.decision",
@@ -392,9 +431,8 @@ impl ProOptimizer {
 
     /// Advances the state machine with a complete value vector for the
     /// pending batch (measured, or measured + interpolated substitutes
-    /// from [`Optimizer::observe_partial`]). The pending buffer is reused
-    /// for the next batch; only a successful reflection, whose set must
-    /// be carried into the expansion phase, allocates.
+    /// from [`Optimizer::observe_partial`]). Every buffer is reused, so
+    /// no state transition allocates.
     fn advance(&mut self, values: &[f64]) {
         let state = std::mem::replace(&mut self.state, State::Done);
         match state {
@@ -406,16 +444,15 @@ impl ProOptimizer {
             State::Reflect => {
                 let l = argmin(values);
                 if values[l] < self.values[0] {
-                    // successful reflection: check or perform expansion
-                    let reflections: Vec<(Point, f64)> =
-                        self.pending.drain(..).zip(values.iter().copied()).collect();
+                    // successful reflection: carry the set, then check or
+                    // perform expansion
+                    std::mem::swap(&mut self.pending, &mut self.reflections);
+                    self.reflection_vals.clear();
+                    self.reflection_vals.extend_from_slice(values);
                     if self.cfg.expansion_check {
                         // expansion of the source vertex whose reflection
                         // won: source of r^j is vertex j+1
-                        let source = self.simplex.vertex(l + 1);
-                        let raw = source.expand_through(self.best_vertex());
-                        let projected = self.project(&raw);
-                        self.pending.push(projected);
+                        self.refill_pending_transformed(StepKind::Expand, l + 1..l + 2);
                         event!(
                             self.tel,
                             "pro.decision",
@@ -423,9 +460,9 @@ impl ProOptimizer {
                             iter = self.iterations,
                             r_best = values[l]
                         );
-                        self.state = State::ExpandCheck { reflections };
+                        self.state = State::ExpandCheck;
                     } else {
-                        self.refill_pending_transformed(StepKind::Expand);
+                        self.refill_pending_transformed(StepKind::Expand, self.non_best());
                         event!(
                             self.tel,
                             "pro.decision",
@@ -433,11 +470,11 @@ impl ProOptimizer {
                             iter = self.iterations,
                             r_best = values[l]
                         );
-                        self.state = State::Expand { reflections };
+                        self.state = State::Expand;
                     }
                 } else {
                     // failed reflection: shrink around the best vertex
-                    self.refill_pending_transformed(StepKind::Shrink);
+                    self.refill_pending_transformed(StepKind::Shrink, self.non_best());
                     event!(
                         self.tel,
                         "pro.decision",
@@ -448,15 +485,16 @@ impl ProOptimizer {
                     self.state = State::Shrink;
                 }
             }
-            State::ExpandCheck { reflections } => {
+            State::ExpandCheck => {
                 let e_val = values[0];
-                let best_reflection = reflections
+                let best_reflection = self
+                    .reflection_vals
                     .iter()
-                    .map(|(_, v)| *v)
+                    .copied()
                     .fold(f64::INFINITY, f64::min);
                 if e_val < best_reflection {
                     // commit the full parallel expansion step
-                    self.refill_pending_transformed(StepKind::Expand);
+                    self.refill_pending_transformed(StepKind::Expand, self.non_best());
                     event!(
                         self.tel,
                         "pro.decision",
@@ -464,7 +502,7 @@ impl ProOptimizer {
                         iter = self.iterations,
                         e_val = e_val
                     );
-                    self.state = State::Expand { reflections };
+                    self.state = State::Expand;
                 } else {
                     event!(
                         self.tel,
@@ -473,11 +511,10 @@ impl ProOptimizer {
                         iter = self.iterations,
                         e_val = e_val
                     );
-                    self.install(reflections);
-                    self.next_iteration();
+                    self.accept_reflections();
                 }
             }
-            State::Expand { reflections } => {
+            State::Expand => {
                 if self.cfg.expansion_check {
                     // Algorithm 2 accepts the expansion set unconditionally
                     // once the check point succeeded
@@ -491,9 +528,10 @@ impl ProOptimizer {
                 } else {
                     // ablation: pick the better of the two parallel sets
                     let best_e = values.iter().copied().fold(f64::INFINITY, f64::min);
-                    let best_r = reflections
+                    let best_r = self
+                        .reflection_vals
                         .iter()
-                        .map(|(_, v)| *v)
+                        .copied()
                         .fold(f64::INFINITY, f64::min);
                     let keep_expansions = best_e < best_r;
                     event!(
@@ -509,8 +547,7 @@ impl ProOptimizer {
                     if keep_expansions {
                         self.accept_pending(values);
                     } else {
-                        self.install(reflections);
-                        self.next_iteration();
+                        self.accept_reflections();
                     }
                 }
             }
@@ -519,11 +556,13 @@ impl ProOptimizer {
                 // in continuous mode the first batch entry is a fresh
                 // re-measurement of v0 itself; otherwise compare probes
                 // against the stored estimate
-                let (baseline, probe_pts, probe_vals) = if self.cfg.continuous {
-                    (values[0], &self.pending[1..], &values[1..])
+                let lead = self.probe_lead();
+                let baseline = if self.cfg.continuous {
+                    values[0]
                 } else {
-                    (self.values[0], self.pending.as_slice(), values)
+                    self.values[0]
                 };
+                let probe_vals = &values[lead..];
                 let l = argmin(probe_vals);
                 if probe_vals[l] < baseline {
                     // a neighbour improves: continue with the probe
@@ -536,14 +575,11 @@ impl ProOptimizer {
                         iter = self.iterations,
                         found = probe_vals[l]
                     );
-                    let mut verts = vec![self.best_vertex().clone()];
-                    let mut vals = vec![baseline];
-                    verts.extend(probe_pts.iter().cloned());
-                    vals.extend_from_slice(probe_vals);
-                    self.simplex = Simplex::new(verts).expect("probe simplex is valid");
-                    self.values = vals;
-                    self.iterations += 1;
-                    self.enter_iteration();
+                    self.simplex.replace_tail(&self.pending[lead..]);
+                    self.values.clear();
+                    self.values.push(baseline);
+                    self.values.extend_from_slice(probe_vals);
+                    self.next_iteration();
                 } else if self.cfg.continuous {
                     // keep monitoring: adopt the fresh estimate of v0 and
                     // re-probe the neighbourhood next phase
@@ -557,10 +593,7 @@ impl ProOptimizer {
                     for v in self.values.iter_mut() {
                         *v = baseline;
                     }
-                    let probes = self
-                        .space
-                        .probe_points(self.best_vertex(), self.cfg.probe_eps);
-                    self.pending = self.probe_batch(probes);
+                    self.refill_pending_probes();
                     self.state = State::Probe;
                 } else {
                     // v0 is a local minimum: stop (§3.2.2)
@@ -580,26 +613,24 @@ impl ProOptimizer {
         }
     }
 
-    /// Replaces all non-best vertices (indices `1..m`) with the
-    /// `accepted` points and their values.
-    fn install(&mut self, accepted: impl IntoIterator<Item = (Point, f64)>) {
-        let mut installed = 0;
-        for (j, (p, v)) in accepted.into_iter().enumerate() {
+    /// Accepts the pending batch with `values` as the new non-best
+    /// vertices (indices `1..m`) and starts the next iteration; the
+    /// emptied pending buffer is kept for it.
+    fn accept_pending(&mut self, values: &[f64]) {
+        debug_assert_eq!(self.pending.len(), self.simplex.len() - 1);
+        for (j, (p, &v)) in self.pending.drain(..).zip(values).enumerate() {
             self.simplex.set_vertex(j + 1, p);
             self.values[j + 1] = v;
-            installed += 1;
         }
-        debug_assert_eq!(installed, self.simplex.len() - 1);
+        self.next_iteration();
     }
 
-    /// Accepts the pending batch with `values` as the new non-best
-    /// vertices and starts the next iteration; the emptied pending buffer
-    /// is kept for it.
-    fn accept_pending(&mut self, values: &[f64]) {
-        let mut pending = std::mem::take(&mut self.pending);
-        self.install(pending.drain(..).zip(values.iter().copied()));
-        self.pending = pending;
-        self.next_iteration();
+    /// Accepts the carried reflection set as the new non-best vertices.
+    fn accept_reflections(&mut self) {
+        std::mem::swap(&mut self.pending, &mut self.reflections);
+        let vals = std::mem::take(&mut self.reflection_vals);
+        self.accept_pending(&vals);
+        self.reflection_vals = vals;
     }
 
     fn next_iteration(&mut self) {
@@ -613,16 +644,21 @@ impl Checkpoint for ProOptimizer {
         w.tag("pro");
         w.points(self.simplex.vertices());
         w.f64_slice(&self.values);
-        match &self.state {
+        let reflections = || {
+            self.reflections
+                .iter()
+                .zip(self.reflection_vals.iter().copied())
+        };
+        match self.state {
             State::Init => w.u8(0),
             State::Reflect => w.u8(1),
-            State::ExpandCheck { reflections } => {
+            State::ExpandCheck => {
                 w.u8(2);
-                write_pairs(w, reflections);
+                write_pairs(w, reflections());
             }
-            State::Expand { reflections } => {
+            State::Expand => {
                 w.u8(3);
-                write_pairs(w, reflections);
+                write_pairs(w, reflections());
             }
             State::Shrink => w.u8(4),
             State::Probe => w.u8(5),
@@ -635,29 +671,68 @@ impl Checkpoint for ProOptimizer {
         w.bool(self.converged);
     }
 
+    /// Restores a saved state. A simplex with an inadmissible vertex or
+    /// not one finite value per vertex, inadmissible pending or carried
+    /// points, or a batch whose length does not fit the state are
+    /// rejected with [`CodecError::BadValue`], so every vertex the fused
+    /// step of [`ParamSpace::project_step`] reads is admissible.
     fn restore_state(&mut self, r: &mut StateReader) -> Result<(), CodecError> {
         r.tag("pro")?;
-        self.simplex = simplex_from_vertices(r.points()?)?;
-        self.values = r.f64_vec()?;
-        self.state = match r.u8()? {
-            0 => State::Init,
-            1 => State::Reflect,
-            2 => State::ExpandCheck {
-                reflections: read_pairs(r)?,
-            },
-            3 => State::Expand {
-                reflections: read_pairs(r)?,
-            },
-            4 => State::Shrink,
-            5 => State::Probe,
-            6 => State::Done,
+        let simplex = simplex_from_vertices(r.points()?)?;
+        let values = r.f64_vec()?;
+        let state_byte = r.u8()?;
+        let (state, reflections) = match state_byte {
+            0 => (State::Init, Vec::new()),
+            1 => (State::Reflect, Vec::new()),
+            2 => (State::ExpandCheck, read_pairs(r)?),
+            3 => (State::Expand, read_pairs(r)?),
+            4 => (State::Shrink, Vec::new()),
+            5 => (State::Probe, Vec::new()),
+            6 => (State::Done, Vec::new()),
             b => return Err(CodecError::BadValue(format!("bad pro state {b}"))),
         };
-        self.pending = r.points()?;
+        let pending = r.points()?;
+        let m = simplex.len();
+        check_admissible(&self.space, "vertex", simplex.vertices())?;
+        check_values(&values, m, matches!(state, State::Init))?;
+        check_admissible(&self.space, "pending point", &pending)?;
+        let (carried, carried_vals): (Vec<Point>, Vec<f64>) = reflections.into_iter().unzip();
+        check_admissible(&self.space, "reflection", &carried)?;
+        let batch_ok = match state {
+            State::Init => pending.len() == m,
+            State::Reflect | State::Shrink => pending.len() == m - 1,
+            State::ExpandCheck => pending.len() == 1,
+            State::Expand => pending.len() == m - 1,
+            State::Probe => pending.len() > self.probe_lead(),
+            State::Done => pending.is_empty(),
+        };
+        let carried_ok = match state {
+            State::ExpandCheck | State::Expand => {
+                carried.len() == m - 1 && carried_vals.iter().all(|v| v.is_finite())
+            }
+            _ => true,
+        };
+        if !batch_ok || !carried_ok {
+            return Err(CodecError::BadValue(format!(
+                "pro state {state_byte} with {} pending and {} carried points for {m} vertices",
+                pending.len(),
+                carried.len()
+            )));
+        }
         self.incumbent.restore_state(r)?;
         self.history.restore_state(r)?;
         self.iterations = r.usize()?;
         self.converged = r.bool()?;
+        self.simplex = simplex;
+        self.values.clear();
+        self.values.extend_from_slice(&values);
+        self.state = state;
+        self.pending.clear();
+        self.pending.extend_from_slice(&pending);
+        self.reflections.clear();
+        self.reflections.extend_from_slice(&carried);
+        self.reflection_vals.clear();
+        self.reflection_vals.extend_from_slice(&carried_vals);
         // span bookkeeping belongs to the previous process's telemetry
         self.iter_span = 0;
         Ok(())
@@ -1123,13 +1198,168 @@ mod tests {
         drive(&mut opt, f, 2_000);
         assert!(opt.converged());
         let (best, val) = opt.best().unwrap();
-        for probe in space.probe_points(&best, 0.01) {
+        let mut probes = Vec::new();
+        space.probe_points(&best, 0.01, &mut probes);
+        for probe in probes {
             assert!(
                 f(&probe) >= val,
                 "probe {probe:?} ({}) beats best {best:?} ({val})",
                 f(&probe)
             );
         }
+    }
+
+    /// Checkpoint bytes of a PRO over `lattice_space(-5, 5)` in state
+    /// `state` (with `carried` as the reflection set of states 2 and 3),
+    /// an empty incumbent and history.
+    fn crafted_pro(
+        verts: &[Point],
+        values: &[f64],
+        state: u8,
+        carried: &[(Point, f64)],
+        pending: &[Point],
+    ) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        w.tag("pro");
+        w.points(verts);
+        w.f64_slice(values);
+        w.u8(state);
+        if matches!(state, 2 | 3) {
+            write_pairs(&mut w, carried.iter().map(|(p, v)| (p, *v)));
+        }
+        w.points(pending);
+        Incumbent::new().save_state(&mut w);
+        HistoryInterpolator::new(&lattice_space(-5, 5)).save_state(&mut w);
+        w.usize(3);
+        w.bool(false);
+        w.into_bytes()
+    }
+
+    fn pt(x: f64, y: f64) -> Point {
+        Point::from(&[x, y][..])
+    }
+
+    #[test]
+    fn restore_validates_crafted_checkpoints() {
+        let verts = [pt(1.0, 0.0), pt(-1.0, 0.0), pt(0.0, 1.0), pt(0.0, -1.0)];
+        let vals = [1.0, 2.0, 3.0, 4.0];
+        let refl = [pt(-1.0, 0.0), pt(0.0, -1.0), pt(0.0, 1.0)];
+        let carried: Vec<(Point, f64)> = refl.iter().map(|p| (p.clone(), 0.5)).collect();
+        let off = pt(0.5, 0.0); // between two lattice points
+        let restore = |bytes: &[u8]| {
+            let mut opt = ProOptimizer::with_defaults(lattice_space(-5, 5));
+            let before = opt.simplex().clone();
+            let got = opt.restore_state(&mut StateReader::new(bytes).unwrap());
+            if got.is_err() {
+                assert_eq!(
+                    opt.simplex(),
+                    &before,
+                    "a rejected restore changed the simplex"
+                );
+            }
+            got
+        };
+        let bad = |bytes: &[u8], why: &str| {
+            assert!(
+                matches!(restore(bytes), Err(CodecError::BadValue(_))),
+                "accepted {why}"
+            );
+        };
+        // well-formed states restore
+        for (state, pending) in [
+            (1, &refl[..]),
+            (2, &refl[..1]),
+            (3, &refl[..]),
+            (4, &refl[..]),
+            (5, &refl[..2]),
+        ] {
+            restore(&crafted_pro(&verts, &vals, state, &carried, pending))
+                .unwrap_or_else(|e| panic!("state {state}: {e:?}"));
+        }
+        restore(&crafted_pro(&verts, &[], 0, &[], &verts)).unwrap();
+        restore(&crafted_pro(&verts, &vals, 6, &[], &[])).unwrap();
+
+        let mut off_vertex = verts.clone();
+        off_vertex[2] = off.clone();
+        bad(
+            &crafted_pro(&off_vertex, &vals, 1, &[], &refl),
+            "an inadmissible vertex",
+        );
+        let mut outside = verts.clone();
+        outside[1] = pt(-6.0, 0.0);
+        bad(
+            &crafted_pro(&outside, &vals, 1, &[], &refl),
+            "a vertex out of bounds",
+        );
+        bad(
+            &crafted_pro(&verts, &vals[..3], 1, &[], &refl),
+            "too few values",
+        );
+        bad(
+            &crafted_pro(&verts, &[], 1, &[], &refl),
+            "no values past Init",
+        );
+        bad(
+            &crafted_pro(&verts, &vals, 0, &[], &verts),
+            "values in Init",
+        );
+        let nan = [1.0, f64::NAN, 3.0, 4.0];
+        bad(&crafted_pro(&verts, &nan, 1, &[], &refl), "a NaN value");
+        let off_pending = [pt(-1.0, 0.0), off.clone(), pt(0.0, 1.0)];
+        bad(
+            &crafted_pro(&verts, &vals, 1, &[], &off_pending),
+            "an inadmissible pending point",
+        );
+        bad(
+            &crafted_pro(&verts, &vals, 1, &[], &refl[..2]),
+            "a short reflect batch",
+        );
+        bad(
+            &crafted_pro(&verts, &vals, 2, &carried, &refl),
+            "a 3-point expansion check",
+        );
+        bad(
+            &crafted_pro(&verts, &vals, 6, &[], &refl[..1]),
+            "a pending batch after Done",
+        );
+        bad(
+            &crafted_pro(&verts, &vals, 5, &[], &[]),
+            "an empty probe batch",
+        );
+        let mut off_carried = carried.clone();
+        off_carried[1].0 = off;
+        bad(
+            &crafted_pro(&verts, &vals, 2, &off_carried, &refl[..1]),
+            "an inadmissible reflection",
+        );
+        bad(
+            &crafted_pro(&verts, &vals, 3, &carried[..2], &refl),
+            "a short reflection set",
+        );
+    }
+
+    #[test]
+    fn restored_state_resumes_like_the_original() {
+        let space = lattice_space(-20, 20);
+        let f = |p: &Point| (p[0] - 3.0).powi(2) + (p[1] + 7.0).powi(2);
+        let mut a = ProOptimizer::with_defaults(space.clone());
+        let mut b = ProOptimizer::with_defaults(space);
+        for step in 0..60 {
+            // round-trip every state a session passes through
+            let mut w = StateWriter::new();
+            a.save_state(&mut w);
+            let bytes = w.into_bytes();
+            b.restore_state(&mut StateReader::new(&bytes).unwrap())
+                .unwrap_or_else(|e| panic!("step {step}: {e:?}"));
+            let batch = a.propose();
+            assert_eq!(batch, b.propose(), "step {step}");
+            if batch.is_empty() {
+                break;
+            }
+            let vals: Vec<f64> = batch.iter().map(f).collect();
+            a.observe(&vals);
+        }
+        assert!(a.converged());
     }
 
     #[test]

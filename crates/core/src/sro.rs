@@ -10,11 +10,12 @@
 //! parallelised the algorithm.
 
 use crate::optimizer::{HistoryInterpolator, Incumbent, Optimizer};
-use crate::pro::simplex_from_vertices;
+use crate::pro::{check_admissible, check_values, simplex_from_vertices};
 use harmony_params::init::{initial_simplex, InitialShape, DEFAULT_RELATIVE_SIZE};
 use harmony_params::{ParamSpace, Point, Rounding, Simplex, StepKind};
 use harmony_recovery::{Checkpoint, CodecError, StateReader, StateWriter};
 use harmony_telemetry::{event, Field, Telemetry};
+use std::ops::Range;
 
 /// Configuration of Sequential Rank Ordering.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,12 +83,10 @@ pub struct SroOptimizer {
     history: HistoryInterpolator,
     iterations: usize,
     converged: bool,
-    /// Reused buffers: rank order, sorted values, raw (unprojected)
-    /// transform output. Retaining their capacity keeps the steady-state
-    /// phase machine allocation-free.
+    /// Reused buffers: rank order, sorted values. Retaining their
+    /// capacity keeps the steady-state phase machine allocation-free.
     scratch_order: Vec<usize>,
     scratch_vals: Vec<f64>,
-    scratch_raw: Vec<Point>,
     /// Telemetry handle (disabled by default); the driver owns the
     /// logical clock.
     tel: Telemetry,
@@ -117,7 +116,6 @@ impl SroOptimizer {
             converged: false,
             scratch_order: Vec::new(),
             scratch_vals: Vec::new(),
-            scratch_raw: Vec::new(),
             tel: Telemetry::disabled(),
             iter_span: 0,
         }
@@ -163,32 +161,31 @@ impl SroOptimizer {
         }
     }
 
-    fn best_vertex(&self) -> &Point {
-        self.simplex.vertex(0)
-    }
-
-    fn project(&self, raw: &Point) -> Point {
-        self.space
-            .project(raw, self.best_vertex(), self.cfg.rounding)
-    }
-
-    /// Refills `queue` with the projected transform of the full simplex,
-    /// reusing the raw-transform and queue buffers.
-    fn refill_queue_transformed(&mut self, kind: StepKind) {
-        let mut raw = std::mem::take(&mut self.scratch_raw);
-        self.simplex.transform_around_into(0, kind, &mut raw);
+    /// Starts `phase` on a queue of `Π(kind(vʲ))` around `v⁰` for the
+    /// vertices `j ∈ sources`, built by the fused step of
+    /// [`ParamSpace::project_step`] into the reused queue buffer.
+    fn start_transformed(&mut self, phase: Phase, kind: StepKind, sources: Range<usize>) {
+        let verts = self.simplex.vertices();
         self.queue.clear();
-        for p in &raw {
-            let projected = self.project(p);
-            self.queue.push(projected);
-        }
-        self.scratch_raw = raw;
+        self.space.project_step(
+            kind,
+            &verts[0],
+            &verts[sources],
+            self.cfg.rounding,
+            &mut self.queue,
+        );
+        self.got.clear();
+        self.phase = phase;
     }
 
-    fn start_phase(&mut self, phase: Phase, queue: Vec<Point>) {
-        self.phase = phase;
-        self.queue = queue;
-        self.got.clear();
+    /// The worst vertex alone, the source of the check points.
+    fn worst(&self) -> Range<usize> {
+        self.simplex.len() - 1..self.simplex.len()
+    }
+
+    /// The whole non-best vertex range `1..m`.
+    fn non_best(&self) -> Range<usize> {
+        1..self.simplex.len()
     }
 
     fn enter_iteration(&mut self) {
@@ -208,10 +205,11 @@ impl SroOptimizer {
 
         self.telemetry_iteration_boundary();
         if self.simplex.collapsed(self.cfg.collapse_tol) {
-            let probes = self
-                .space
-                .probe_points(self.best_vertex(), self.cfg.probe_eps);
-            if probes.is_empty() {
+            self.queue.clear();
+            self.space
+                .probe_points(self.simplex.vertex(0), self.cfg.probe_eps, &mut self.queue);
+            self.got.clear();
+            if self.queue.is_empty() {
                 event!(
                     self.tel,
                     "sro.decision",
@@ -221,25 +219,19 @@ impl SroOptimizer {
                 self.close_iter_span();
                 self.converged = true;
                 self.phase = Phase::Done;
-                self.queue.clear();
-                self.got.clear();
             } else {
                 event!(
                     self.tel,
                     "sro.decision",
                     action = "probe",
                     iter = self.iterations,
-                    points = probes.len()
+                    points = self.queue.len()
                 );
-                self.start_phase(Phase::Probe, probes);
+                self.phase = Phase::Probe;
             }
         } else {
             // reflection check of the worst vertex only
-            let worst = self.simplex.vertex(self.simplex.len() - 1);
-            let r = self.project(&worst.reflect_through(self.best_vertex()));
-            self.queue.clear();
-            self.queue.push(r);
-            self.got.clear();
+            self.start_transformed(Phase::ReflectCheck, StepKind::Reflect, self.worst());
             event!(
                 self.tel,
                 "sro.decision",
@@ -247,7 +239,6 @@ impl SroOptimizer {
                 iter = self.iterations,
                 best = self.values[0]
             );
-            self.phase = Phase::ReflectCheck;
         }
     }
 
@@ -263,11 +254,7 @@ impl SroOptimizer {
                 let f_r = self.got[0];
                 if f_r < self.values[0] {
                     self.reflect_check_val = f_r;
-                    let worst = self.simplex.vertex(self.simplex.len() - 1);
-                    let e = self.project(&worst.expand_through(self.best_vertex()));
-                    self.queue.clear();
-                    self.queue.push(e);
-                    self.got.clear();
+                    self.start_transformed(Phase::ExpandCheck, StepKind::Expand, self.worst());
                     event!(
                         self.tel,
                         "sro.decision",
@@ -275,10 +262,8 @@ impl SroOptimizer {
                         iter = self.iterations,
                         f_r = f_r
                     );
-                    self.phase = Phase::ExpandCheck;
                 } else {
-                    self.refill_queue_transformed(StepKind::Shrink);
-                    self.got.clear();
+                    self.start_transformed(Phase::Shrink, StepKind::Shrink, self.non_best());
                     event!(
                         self.tel,
                         "sro.decision",
@@ -286,20 +271,16 @@ impl SroOptimizer {
                         iter = self.iterations,
                         f_r = f_r
                     );
-                    self.phase = Phase::Shrink;
                 }
             }
             Phase::ExpandCheck => {
                 let f_e = self.got[0];
                 let expand = f_e < self.reflect_check_val;
                 if expand {
-                    self.refill_queue_transformed(StepKind::Expand);
-                    self.phase = Phase::ExpandAll;
+                    self.start_transformed(Phase::ExpandAll, StepKind::Expand, self.non_best());
                 } else {
-                    self.refill_queue_transformed(StepKind::Reflect);
-                    self.phase = Phase::ReflectAll;
+                    self.start_transformed(Phase::ReflectAll, StepKind::Reflect, self.non_best());
                 }
-                self.got.clear();
                 event!(
                     self.tel,
                     "sro.decision",
@@ -332,16 +313,9 @@ impl SroOptimizer {
                         iter = self.iterations,
                         found = min_v
                     );
-                    let mut queue = std::mem::take(&mut self.queue);
-                    let mut verts = Vec::with_capacity(queue.len() + 1);
-                    verts.push(self.simplex.vertex(0).clone());
-                    verts.append(&mut queue);
-                    self.queue = queue;
-                    let mut vals = Vec::with_capacity(self.got.len() + 1);
-                    vals.push(self.values[0]);
-                    vals.extend_from_slice(&self.got);
-                    self.simplex = Simplex::new(verts).expect("probe simplex is valid");
-                    self.values = vals;
+                    self.simplex.replace_tail(&self.queue);
+                    self.values.truncate(1);
+                    self.values.extend_from_slice(&self.got);
                     self.iterations += 1;
                     self.enter_iteration();
                 } else {
@@ -385,11 +359,15 @@ impl Checkpoint for SroOptimizer {
         w.bool(self.converged);
     }
 
+    /// Restores a saved state. A simplex with an inadmissible vertex or
+    /// not one finite value per vertex, an inadmissible queued point, or
+    /// more received values than queued points (all of them, outside
+    /// [`Phase::Done`]) are rejected with [`CodecError::BadValue`].
     fn restore_state(&mut self, r: &mut StateReader) -> Result<(), CodecError> {
         r.tag("sro")?;
-        self.simplex = simplex_from_vertices(r.points()?)?;
-        self.values = r.f64_vec()?;
-        self.phase = match r.u8()? {
+        let simplex = simplex_from_vertices(r.points()?)?;
+        let values = r.f64_vec()?;
+        let phase = match r.u8()? {
             0 => Phase::Init,
             1 => Phase::ReflectCheck,
             2 => Phase::ExpandCheck,
@@ -400,8 +378,27 @@ impl Checkpoint for SroOptimizer {
             7 => Phase::Done,
             b => return Err(CodecError::BadValue(format!("bad sro phase {b}"))),
         };
-        self.queue = r.points()?;
-        self.got = r.f64_vec()?;
+        let queue = r.points()?;
+        let got = r.f64_vec()?;
+        check_admissible(&self.space, "vertex", simplex.vertices())?;
+        check_values(&values, simplex.len(), phase == Phase::Init)?;
+        check_admissible(&self.space, "queued point", &queue)?;
+        let got_ok = match phase {
+            Phase::Done => got.len() <= queue.len(),
+            _ => got.len() < queue.len(),
+        };
+        if !got_ok || got.iter().any(|v| !v.is_finite()) {
+            return Err(CodecError::BadValue(format!(
+                "sro phase {phase:?} with {} values for {} queued points",
+                got.len(),
+                queue.len()
+            )));
+        }
+        self.simplex = simplex;
+        self.values = values;
+        self.phase = phase;
+        self.queue = queue;
+        self.got = got;
         self.reflect_check_val = r.f64()?;
         self.incumbent.restore_state(r)?;
         self.history.restore_state(r)?;
@@ -631,6 +628,96 @@ mod tests {
         let mut opt = SroOptimizer::with_defaults(space);
         let _ = opt.propose();
         opt.observe_partial(&[None]);
+    }
+
+    /// Checkpoint bytes of an SRO over `lattice_space(-5, 5)` in `phase`,
+    /// with an empty incumbent and history.
+    fn crafted_sro(
+        verts: &[Point],
+        values: &[f64],
+        phase: u8,
+        queue: &[Point],
+        got: &[f64],
+    ) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        w.tag("sro");
+        w.points(verts);
+        w.f64_slice(values);
+        w.u8(phase);
+        w.points(queue);
+        w.f64_slice(got);
+        w.f64(f64::NAN);
+        Incumbent::new().save_state(&mut w);
+        HistoryInterpolator::new(&lattice_space(-5, 5)).save_state(&mut w);
+        w.usize(2);
+        w.bool(false);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn restore_validates_crafted_checkpoints() {
+        let pt = |x: f64, y: f64| Point::from(&[x, y][..]);
+        let verts = [pt(1.0, 0.0), pt(-1.0, 0.0), pt(0.0, 1.0), pt(0.0, -1.0)];
+        let vals = [1.0, 2.0, 3.0, 4.0];
+        let queue = [pt(-1.0, 0.0), pt(0.0, -1.0), pt(0.0, 1.0)];
+        let restore = |bytes: &[u8]| {
+            let mut opt = SroOptimizer::with_defaults(lattice_space(-5, 5));
+            let before = opt.simplex.clone();
+            let got = opt.restore_state(&mut StateReader::new(bytes).unwrap());
+            if got.is_err() {
+                assert_eq!(
+                    opt.simplex, before,
+                    "a rejected restore changed the simplex"
+                );
+            }
+            got
+        };
+        let bad = |bytes: &[u8], why: &str| {
+            assert!(
+                matches!(restore(bytes), Err(CodecError::BadValue(_))),
+                "accepted {why}"
+            );
+        };
+        restore(&crafted_sro(&verts, &[], 0, &verts, &[1.0])).unwrap();
+        restore(&crafted_sro(&verts, &vals, 3, &queue, &[2.0, 5.0])).unwrap();
+        restore(&crafted_sro(&verts, &vals, 7, &queue, &[2.0, 5.0, 6.0])).unwrap();
+
+        let mut off_vertex = verts.clone();
+        off_vertex[3] = pt(0.0, -0.5);
+        bad(
+            &crafted_sro(&off_vertex, &vals, 3, &queue, &[]),
+            "an inadmissible vertex",
+        );
+        bad(
+            &crafted_sro(&verts, &vals[..2], 3, &queue, &[]),
+            "too few values",
+        );
+        bad(
+            &crafted_sro(&verts, &vals, 0, &verts, &[]),
+            "values in Init",
+        );
+        let inf = [1.0, 2.0, f64::INFINITY, 4.0];
+        bad(
+            &crafted_sro(&verts, &inf, 3, &queue, &[]),
+            "an infinite value",
+        );
+        let off_queue = [pt(-1.0, 0.0), pt(9.0, 0.0)];
+        bad(
+            &crafted_sro(&verts, &vals, 3, &off_queue, &[]),
+            "a queued point out of bounds",
+        );
+        bad(
+            &crafted_sro(&verts, &vals, 3, &queue, &[1.0, 2.0, 3.0]),
+            "a complete queue",
+        );
+        bad(
+            &crafted_sro(&verts, &vals, 1, &[], &[]),
+            "an empty check queue",
+        );
+        bad(
+            &crafted_sro(&verts, &vals, 3, &queue, &[f64::NAN]),
+            "a NaN received value",
+        );
     }
 
     #[test]

@@ -487,7 +487,7 @@ impl Checkpoint for SurrogateOptimizer {
     fn save_state(&self, w: &mut StateWriter) {
         w.tag("surrogate");
         w.u64(self.seed);
-        write_pairs(w, &self.history);
+        write_pairs(w, self.history.iter().map(|(p, v)| (p, *v)));
         w.points(&self.pending);
         w.usize(self.round);
         self.incumbent.save_state(w);

@@ -58,18 +58,16 @@ pub fn initial_simplex_at(
         "initial simplex center must be admissible: {center:?}"
     );
     let n = space.dims();
-    let center = center.clone();
-    let mut verts = Vec::with_capacity(match shape {
-        InitialShape::Minimal => n + 1,
-        InitialShape::Symmetric => 2 * n,
-    });
+    // room for the largest simplex an optimizer builds from this one:
+    // v⁰ plus up to 2N stopping-criterion probes (§3.2.2)
+    let mut verts = Vec::with_capacity(2 * n + 1);
     if shape == InitialShape::Minimal {
         verts.push(center.clone());
     }
     for i in 0..n {
-        verts.push(offset_vertex(space, &center, i, relative_size));
+        verts.push(offset_vertex(space, center, i, relative_size));
         if shape == InitialShape::Symmetric {
-            verts.push(offset_vertex(space, &center, i, -relative_size));
+            verts.push(offset_vertex(space, center, i, -relative_size));
         }
     }
     Simplex::new(verts)
@@ -79,9 +77,8 @@ pub fn initial_simplex_at(
 fn offset_vertex(space: &ParamSpace, center: &Point, axis: usize, r: f64) -> Point {
     let p = space.param(axis);
     let b = r * p.width() / 2.0;
-    let mut coords = center.as_slice().to_vec();
-    coords[axis] += b;
-    let raw = Point::new(coords);
+    let mut raw = center.clone();
+    raw.as_mut_slice()[axis] += b;
     // Round *away* from the center (Nearest then fix-up) so small offsets
     // survive on coarse lattices.
     let mut proj = space.project(&raw, center, Rounding::Nearest);
@@ -93,9 +90,7 @@ fn offset_vertex(space: &ParamSpace, center: &Point, axis: usize, r: f64) -> Poi
             below.or(above)
         };
         if let Some(nb) = nudged {
-            let mut c = proj.as_slice().to_vec();
-            c[axis] = nb;
-            proj = Point::new(c);
+            proj.as_mut_slice()[axis] = nb;
         }
     }
     proj

@@ -1,4 +1,4 @@
-use crate::ParamError;
+use crate::{ParamError, Rounding};
 
 /// The admissible-value structure of a single tunable parameter.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,11 +31,29 @@ pub enum ParamKind {
 
 /// A named tunable parameter: what the user hands to the tuning system
 /// ("a list of the tunable parameters, and their type and range", §1).
+///
+/// The bounds `l(i)`, `u(i)` and the cardinality are computed once, at
+/// construction, so the projection on every simplex step does no integer
+/// division.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParamDef {
     name: String,
     kind: ParamKind,
+    lower: f64,
+    /// The highest admissible value (the step-aligned bound of an
+    /// integer parameter, not its `hi`).
+    upper: f64,
+    cardinality: Option<usize>,
+    /// True for an integer parameter whose lattice lies within `±2⁵⁰`:
+    /// there every value `3c − 2v` of lattice points `c`, `v` is computed
+    /// exactly, so a reflected or expanded lattice point clamped into
+    /// `[l(i), u(i)]` is already a lattice point.
+    exact_lattice: bool,
 }
+
+/// Bound on integer-lattice magnitudes within which reflection and
+/// expansion of lattice points are exact in `f64` (`5·2⁵⁰ < 2⁵³`).
+const EXACT_LATTICE_BOUND: f64 = (1u64 << 50) as f64;
 
 impl ParamDef {
     /// A continuous parameter on `[lo, hi]`.
@@ -50,6 +68,10 @@ impl ParamDef {
         Ok(ParamDef {
             name,
             kind: ParamKind::Continuous { lo, hi },
+            lower: lo,
+            upper: hi,
+            cardinality: None,
+            exact_lattice: false,
         })
     }
 
@@ -73,9 +95,28 @@ impl ParamDef {
                 name,
             });
         }
+        // the last level index k = (hi − lo)/step and the level count
+        // k + 1; a span past i64::MAX would overflow every level formula
+        let Some(k) = hi.checked_sub(lo).map(|span| span / step) else {
+            return Err(ParamError::InvalidRange {
+                reason: format!("integer range [{lo}, {hi}] is wider than {}", i64::MAX),
+                name,
+            });
+        };
+        let Some(cardinality) = usize::try_from(k).ok().and_then(|k| k.checked_add(1)) else {
+            return Err(ParamError::InvalidRange {
+                reason: format!("integer range [{lo}, {hi}] has more levels than a usize counts"),
+                name,
+            });
+        };
+        let (lower, upper) = (lo as f64, (lo + k * step) as f64);
         Ok(ParamDef {
             name,
             kind: ParamKind::Integer { lo, hi, step },
+            lower,
+            upper,
+            cardinality: Some(cardinality),
+            exact_lattice: lower.abs().max(upper.abs()) <= EXACT_LATTICE_BOUND,
         })
     }
 
@@ -102,6 +143,10 @@ impl ParamDef {
         }
         Ok(ParamDef {
             name,
+            lower: values[0],
+            upper: values[values.len() - 1],
+            cardinality: Some(values.len()),
+            exact_lattice: false,
             kind: ParamKind::Levels(values),
         })
     }
@@ -118,23 +163,12 @@ impl ParamDef {
 
     /// Lowest admissible value `l(i)`.
     pub fn lower(&self) -> f64 {
-        match &self.kind {
-            ParamKind::Continuous { lo, .. } => *lo,
-            ParamKind::Integer { lo, .. } => *lo as f64,
-            ParamKind::Levels(v) => v[0],
-        }
+        self.lower
     }
 
     /// Highest admissible value `u(i)`.
     pub fn upper(&self) -> f64 {
-        match &self.kind {
-            ParamKind::Continuous { hi, .. } => *hi,
-            ParamKind::Integer { lo, hi, step } => {
-                let k = (hi - lo) / step;
-                (lo + k * step) as f64
-            }
-            ParamKind::Levels(v) => *v.last().expect("levels non-empty"),
-        }
+        self.upper
     }
 
     /// Range width `u(i) − l(i)` used to scale initial simplex offsets
@@ -150,11 +184,7 @@ impl ParamDef {
 
     /// Number of admissible values, or `None` for a continuous parameter.
     pub fn cardinality(&self) -> Option<usize> {
-        match &self.kind {
-            ParamKind::Continuous { .. } => None,
-            ParamKind::Integer { lo, hi, step } => Some(((hi - lo) / step + 1) as usize),
-            ParamKind::Levels(v) => Some(v.len()),
-        }
+        self.cardinality
     }
 
     /// The `idx`-th admissible value of a discrete parameter (ascending).
@@ -275,6 +305,21 @@ impl ParamDef {
         }
     }
 
+    /// Projects `x` onto an admissible value under `rounding`, `center`
+    /// being the transformation center's coordinate (§3.2.1).
+    pub(crate) fn project(&self, x: f64, center: f64, rounding: Rounding) -> f64 {
+        match rounding {
+            Rounding::TowardCenter => self.project_toward(x, center),
+            Rounding::Nearest => self.project_nearest(x),
+        }
+    }
+
+    /// True for an integer parameter on which a reflected or expanded
+    /// lattice point, clamped into `[l(i), u(i)]`, is a lattice point.
+    pub(crate) fn exact_lattice(&self) -> bool {
+        self.exact_lattice
+    }
+
     /// Projects `x` onto the nearest admissible value (plain rounding;
     /// used as an ablation alternative to [`ParamDef::project_toward`]).
     pub fn project_nearest(&self, x: f64) -> f64 {
@@ -351,6 +396,62 @@ mod tests {
         assert!(ParamDef::levels("l", vec![2.0, 1.0]).is_err());
         assert!(ParamDef::levels("l", vec![1.0, 1.0]).is_err());
         assert!(ParamDef::levels("l", vec![1.0, f64::INFINITY]).is_err());
+    }
+
+    #[test]
+    fn integer_range_wider_than_i64_is_rejected() {
+        for (lo, hi, step) in [
+            (i64::MIN, i64::MAX, 1),
+            (i64::MIN, i64::MAX, 1 << 62),
+            (i64::MIN, 0, 1),
+            (-1, i64::MAX, 7),
+        ] {
+            let err = ParamDef::integer("a", lo, hi, step).unwrap_err();
+            assert!(
+                matches!(&err, ParamError::InvalidRange { name, .. } if name == "a"),
+                "[{lo}, {hi}] step {step}: {err:?}"
+            );
+        }
+        // the widest span that fits still counts its levels
+        let widest = ParamDef::integer("a", -1, i64::MAX - 1, 1).unwrap();
+        assert_eq!(widest.cardinality(), Some(1usize << 63));
+        assert_eq!(widest.upper(), (i64::MAX - 1) as f64);
+        let coarse = ParamDef::integer("a", i64::MIN, -1, 1 << 62).unwrap();
+        assert_eq!(coarse.cardinality(), Some(2));
+        assert_eq!(coarse.upper(), -(2f64.powi(62)));
+    }
+
+    #[test]
+    fn cached_bounds_equal_the_formulas() {
+        for (lo, hi, step) in [(2, 10, 3), (0, 10, 2), (-7, 7, 5), (16, 128, 8), (5, 5, 9)] {
+            let p = ParamDef::integer("n", lo, hi, step).unwrap();
+            let k = (hi - lo) / step;
+            assert_eq!(
+                p.upper(),
+                (lo + k * step) as f64,
+                "[{lo}, {hi}] step {step}"
+            );
+            assert_eq!(p.cardinality(), Some((k + 1) as usize));
+            assert_eq!(p.lower(), lo as f64);
+            assert!(p.exact_lattice());
+        }
+        let l = ParamDef::levels("l", vec![1.0, 2.0, 4.0]).unwrap();
+        assert_eq!((l.lower(), l.upper(), l.cardinality()), (1.0, 4.0, Some(3)));
+        assert!(!l.exact_lattice());
+        let c = ParamDef::continuous("c", -1.5, 2.5).unwrap();
+        assert_eq!((c.lower(), c.upper(), c.cardinality()), (-1.5, 2.5, None));
+        assert!(!c.exact_lattice());
+        // past ±2⁵⁰ reflections of lattice points may round: no shortcut
+        let big = 1i64 << 50;
+        assert!(ParamDef::integer("b", -big, big, 1)
+            .unwrap()
+            .exact_lattice());
+        assert!(!ParamDef::integer("b", -big - 1, big, 1)
+            .unwrap()
+            .exact_lattice());
+        assert!(!ParamDef::integer("b", 0, big + 1, 1)
+            .unwrap()
+            .exact_lattice());
     }
 
     #[test]

@@ -13,13 +13,19 @@ pub enum StepKind {
 }
 
 impl StepKind {
+    /// The weights `(w₀, w₁)` of the transform `vʲ ↦ w₀·v⁰ + w₁·vʲ`.
+    pub(crate) fn weights(self) -> (f64, f64) {
+        match self {
+            StepKind::Reflect => (2.0, -1.0),
+            StepKind::Expand => (3.0, -2.0),
+            StepKind::Shrink => (0.5, 0.5),
+        }
+    }
+
     /// Applies the transform to a single vertex around `center`.
     pub fn apply(self, vertex: &Point, center: &Point) -> Point {
-        match self {
-            StepKind::Reflect => vertex.reflect_through(center),
-            StepKind::Expand => vertex.expand_through(center),
-            StepKind::Shrink => vertex.shrink_toward(center),
-        }
+        let (w0, w1) = self.weights();
+        Point::affine(&[(w0, center), (w1, vertex)])
     }
 }
 
@@ -151,26 +157,37 @@ impl Simplex {
 
     /// Applies `kind` to every vertex except `center_idx`, returning the
     /// transformed points in vertex order (the center keeps its place).
-    /// This is one whole-simplex step of Algorithms 1/2.
+    /// This is one whole-simplex step of Algorithms 1/2, unprojected; the
+    /// optimizers take the step with [`crate::ParamSpace::project_step`].
     pub fn transform_around(&self, center_idx: usize, kind: StepKind) -> Vec<Point> {
-        let mut out = Vec::with_capacity(self.len() - 1);
-        self.transform_around_into(center_idx, kind, &mut out);
-        out
+        let center = &self.verts[center_idx];
+        self.verts
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| *i != center_idx)
+            .map(|(_, v)| kind.apply(v, center))
+            .collect()
     }
 
-    /// [`Simplex::transform_around`] writing into a caller-owned buffer
-    /// (cleared first), so optimizer iterations reuse one allocation for
-    /// every whole-simplex step.
-    pub fn transform_around_into(&self, center_idx: usize, kind: StepKind, out: &mut Vec<Point>) {
-        out.clear();
-        let center = &self.verts[center_idx];
-        out.extend(
-            self.verts
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != center_idx)
-                .map(|(_, v)| kind.apply(v, center)),
+    /// Replaces every vertex after `v⁰` with a copy of `points`, reusing
+    /// the vertex buffer; the simplex then has `1 + points.len()`
+    /// vertices (the stopping-criterion probe simplex of §3.2.2).
+    ///
+    /// # Panics
+    /// Panics when `points` is empty or holds a point of another
+    /// dimension or with non-finite coordinates.
+    pub fn replace_tail(&mut self, points: &[Point]) {
+        assert!(
+            !points.is_empty(),
+            "replace_tail: a simplex keeps at least 2 vertices"
         );
+        let n = self.dims();
+        assert!(
+            points.iter().all(|p| p.dims() == n && !p.has_non_finite()),
+            "replace_tail: vertex of wrong dimension or non-finite"
+        );
+        self.verts.truncate(1);
+        self.verts.extend_from_slice(points);
     }
 
     /// The centroid of all vertices.
@@ -206,9 +223,14 @@ impl Simplex {
         d
     }
 
-    /// True when every vertex is within `tol` (Chebyshev) of the first.
+    /// True when every pair of vertices is within `tol` (Chebyshev), i.e.
+    /// `diameter() <= tol`. A vertex farther than `tol` from `v⁰` already
+    /// bounds the diameter from below, so that case is rejected in O(m);
+    /// only a simplex within `tol` of `v⁰` pays for the O(m²) pairwise
+    /// scan.
     pub fn collapsed(&self, tol: f64) -> bool {
-        self.diameter() <= tol
+        let v0 = &self.verts[0];
+        self.verts[1..].iter().all(|v| v0.chebyshev(v) <= tol) && self.diameter() <= tol
     }
 
     /// The rank of the edge matrix `{vʲ − v⁰}` computed by Gaussian
@@ -416,13 +438,30 @@ mod tests {
     }
 
     #[test]
-    fn transform_around_into_reuses_buffer() {
-        let s = tri();
-        let mut buf = Vec::new();
-        s.transform_around_into(0, StepKind::Reflect, &mut buf);
-        assert_eq!(buf, s.transform_around(0, StepKind::Reflect));
-        s.transform_around_into(1, StepKind::Shrink, &mut buf);
-        assert_eq!(buf, s.transform_around(1, StepKind::Shrink));
+    fn replace_tail_keeps_v0_and_resizes() {
+        let mut s = tri();
+        s.replace_tail(&[p(&[5.0, 5.0])]);
+        assert_eq!(s.vertices(), &[p(&[1.0, 1.0]), p(&[5.0, 5.0])]);
+        s.replace_tail(&[p(&[0.0, 1.0]), p(&[2.0, 1.0]), p(&[1.0, 0.0])]);
+        assert_eq!(s.len(), 4);
+        assert_eq!(s.vertex(0), &p(&[1.0, 1.0]));
+        assert_eq!(s.vertex(3), &p(&[1.0, 0.0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "replace_tail")]
+    fn replace_tail_rejects_a_wrong_dimension() {
+        tri().replace_tail(&[p(&[1.0])]);
+    }
+
+    #[test]
+    fn collapsed_rejects_early_exactly_when_the_diameter_does() {
+        // v2 is within 1 of v0 but 2 from v1: only the pairwise scan sees it
+        let s = Simplex::new(vec![p(&[0.0]), p(&[1.0]), p(&[-1.0])]).unwrap();
+        assert!(!s.collapsed(1.0));
+        assert!(s.collapsed(2.0));
+        assert!(!tri().collapsed(1.9));
+        assert!(tri().collapsed(2.0));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use crate::{ParamDef, ParamError, Point};
+use crate::{ParamDef, ParamError, Point, StepKind};
 
 /// How the projection operator rounds inadmissible discrete coordinates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,11 +170,72 @@ impl ParamSpace {
         self.params
             .iter()
             .zip(x.iter().zip(center.iter()))
-            .map(|(p, (xi, ci))| match rounding {
-                Rounding::TowardCenter => p.project_toward(xi, ci),
-                Rounding::Nearest => p.project_nearest(xi),
-            })
+            .map(|(p, (xi, ci))| p.project(xi, ci, rounding))
             .collect()
+    }
+
+    /// One fused simplex step: appends `Π(w₀·v⁰ + w₁·vʲ)` to `out` for
+    /// every `vʲ` of `vertices`, where `(w₀, w₁)` are `kind`'s weights
+    /// and `v⁰` is `center`, the rounding anchor. Bit for bit the same as
+    /// [`crate::Simplex::transform_around`] followed by
+    /// [`ParamSpace::project`] of each point, but each coordinate is
+    /// transformed and projected in one pass, straight into the caller's
+    /// reused batch (no heap allocation for points of up to
+    /// [`Point::INLINE_CAP`] dimensions).
+    ///
+    /// Each raw coordinate is `0.0 + w₀·c + w₁·v`, the order of
+    /// [`Point::affine`]; starting from `0.0` turns a `−0.0` sum into
+    /// `+0.0`. Under reflect and expand, an integer coordinate whose
+    /// lattice is computed exactly (see [`ParamDef`]) skips the bracket
+    /// search: `2c − v` and `3c − 2v` of lattice points lie on the
+    /// unbounded lattice, so clamping to `[l(i), u(i)]` is the whole
+    /// projection. That shortcut needs `center` and every vertex to be
+    /// admissible, as the vertices of an optimizer's simplex always are.
+    ///
+    /// # Panics
+    /// Panics on dimension mismatch.
+    pub fn project_step(
+        &self,
+        kind: StepKind,
+        center: &Point,
+        vertices: &[Point],
+        rounding: Rounding,
+        out: &mut Vec<Point>,
+    ) {
+        assert_eq!(
+            center.dims(),
+            self.dims(),
+            "project_step: center dimension mismatch"
+        );
+        debug_assert!(
+            self.is_admissible(center),
+            "project_step: inadmissible center"
+        );
+        let (w0, w1) = kind.weights();
+        let lattice_closed = kind != StepKind::Shrink;
+        for v in vertices {
+            assert_eq!(
+                v.dims(),
+                self.dims(),
+                "project_step: vertex dimension mismatch"
+            );
+            debug_assert!(self.is_admissible(v), "project_step: inadmissible vertex");
+            let mut p = v.clone();
+            for ((x, &c), param) in p
+                .as_mut_slice()
+                .iter_mut()
+                .zip(center.as_slice())
+                .zip(&self.params)
+            {
+                let raw = 0.0 + w0 * c + w1 * *x;
+                *x = if lattice_closed && param.exact_lattice() {
+                    param.clamp(raw)
+                } else {
+                    param.project(raw, c, rounding)
+                };
+            }
+            out.push(p);
+        }
     }
 
     /// Clamps every coordinate into its `[l(i), u(i)]` box without any
@@ -256,23 +317,22 @@ impl ParamSpace {
         }
     }
 
-    /// The stopping-criterion probe points of §3.2.2: up to `2N` points
-    /// `{v⁰ + uᵢ·eᵢ, v⁰ − lᵢ·eᵢ}` where the offsets step to the discrete
-    /// neighbours of `v⁰(i)` (or `eps·width` for continuous parameters).
-    /// Probes falling outside the boundary are omitted ("if v⁰(i) is a
-    /// lower (upper) boundary value, then lᵢ (uᵢ) is zero").
-    pub fn probe_points(&self, v0: &Point, eps: f64) -> Vec<Point> {
+    /// The stopping-criterion probe points of §3.2.2, appended to `out`:
+    /// up to `2N` points `{v⁰ + uᵢ·eᵢ, v⁰ − lᵢ·eᵢ}` where the offsets step
+    /// to the discrete neighbours of `v⁰(i)` (or `eps·width` for
+    /// continuous parameters). Probes falling outside the boundary are
+    /// omitted ("if v⁰(i) is a lower (upper) boundary value, then lᵢ (uᵢ)
+    /// is zero").
+    pub fn probe_points(&self, v0: &Point, eps: f64, out: &mut Vec<Point>) {
         assert_eq!(v0.dims(), self.dims(), "probe_points: dimension mismatch");
-        let mut probes = Vec::with_capacity(2 * self.dims());
         for (i, p) in self.params.iter().enumerate() {
             let (below, above) = p.neighbors(v0[i], eps);
             for nb in [below, above].into_iter().flatten() {
                 let mut probe = v0.clone();
                 probe.as_mut_slice()[i] = nb;
-                probes.push(probe);
+                out.push(probe);
             }
         }
-        probes
     }
 }
 
@@ -440,7 +500,9 @@ mod tests {
         ])
         .unwrap();
         let v0 = Point::from(&[4.0, 2.0][..]);
-        let probes = s.probe_points(&v0, 0.01);
+        let mut probes = vec![v0.clone()];
+        s.probe_points(&v0, 0.01, &mut probes);
+        assert_eq!(probes.remove(0), v0, "probes are appended");
         assert_eq!(probes.len(), 4);
         let slices: Vec<_> = probes.iter().map(|p| p.as_slice().to_vec()).collect();
         assert!(slices.contains(&vec![2.0, 2.0]));
@@ -452,10 +514,12 @@ mod tests {
     #[test]
     fn probe_points_skip_boundary_sides() {
         let s = ParamSpace::new(vec![ParamDef::integer("a", 0, 4, 1).unwrap()]).unwrap();
-        let at_lo = s.probe_points(&Point::from(&[0.0][..]), 0.01);
+        let mut at_lo = Vec::new();
+        s.probe_points(&Point::from(&[0.0][..]), 0.01, &mut at_lo);
         assert_eq!(at_lo.len(), 1);
         assert_eq!(at_lo[0][0], 1.0);
-        let at_hi = s.probe_points(&Point::from(&[4.0][..]), 0.01);
+        let mut at_hi = Vec::new();
+        s.probe_points(&Point::from(&[4.0][..]), 0.01, &mut at_hi);
         assert_eq!(at_hi.len(), 1);
         assert_eq!(at_hi[0][0], 3.0);
     }

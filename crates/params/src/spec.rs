@@ -177,6 +177,16 @@ mod tests {
     }
 
     #[test]
+    fn rejects_an_integer_range_wider_than_i64() {
+        let err = parse_space("a int -9223372036854775808 9223372036854775807").unwrap_err();
+        assert!(
+            matches!(&err, ParamError::InvalidRange { name, .. } if name == "a"),
+            "{err:?}"
+        );
+        assert!(parse_space("a int -9223372036854775808 -1").is_ok());
+    }
+
+    #[test]
     fn error_messages_name_the_parameter() {
         let err = parse_space("knob int x 5").unwrap_err();
         assert!(err.to_string().contains("knob"), "{err}");

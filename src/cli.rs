@@ -487,6 +487,19 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_space_is_an_error_not_a_panic() {
+        let cfg = CliConfig::parse([
+            "--objective",
+            "sphere",
+            "--space",
+            "a int -9223372036854775808 9223372036854775807",
+        ])
+        .unwrap();
+        let err = cfg.run().unwrap_err();
+        assert!(err.contains("invalid range for parameter `a`"), "{err}");
+    }
+
+    #[test]
     fn trace_flag_prints_steps() {
         let cfg = CliConfig {
             steps: 10,

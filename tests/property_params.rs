@@ -30,6 +30,75 @@ fn arb_param() -> impl Strategy<Value = ParamDef> {
     ]
 }
 
+/// Strategy: a parameter for checking the fused simplex step: integers
+/// whose `hi` is mostly off the step lattice, levels, and continuous
+/// ranges, many of them containing 0 so `±0.0` coordinates occur.
+fn arb_step_param() -> impl Strategy<Value = ParamDef> {
+    prop_oneof![
+        (-30i64..30, 1i64..7, 0i64..6, 0i64..7).prop_map(|(lo, step, k, r)| {
+            ParamDef::integer("i", lo, lo + k * step + r % step, step).expect("valid integer")
+        }),
+        prop::collection::btree_set(-40i64..40, 2..8).prop_map(|set| {
+            let levels: Vec<f64> = set.into_iter().map(|v| v as f64).collect();
+            ParamDef::levels("l", levels).expect("valid levels")
+        }),
+        (-100.0f64..0.0, 0.0f64..100.0)
+            .prop_map(|(lo, hi)| ParamDef::continuous("z", lo, hi).expect("valid continuous")),
+        (-100.0f64..100.0, 0.1f64..200.0)
+            .prop_map(|(lo, w)| ParamDef::continuous("c", lo, lo + w).expect("valid continuous")),
+    ]
+}
+
+/// An admissible coordinate of `p` chosen by `sel`: a bound, `+0.0` or
+/// `-0.0` where 0 is admissible, else the value at unit position `u`.
+fn step_coordinate(p: &ParamDef, (sel, u): (u8, f64)) -> f64 {
+    match sel {
+        0 => p.lower(),
+        1 => p.upper(),
+        2 if p.is_admissible(0.0) => 0.0,
+        3 if p.is_admissible(-0.0) => -0.0,
+        _ => match p.cardinality() {
+            Some(card) => p.level(((u * card as f64) as usize).min(card - 1)),
+            None => (p.lower() + u * p.width()).min(p.upper()),
+        },
+    }
+}
+
+/// Strategy: a mixed space with an admissible center and 1–5 admissible
+/// vertices, rich in bounds and signed zeros.
+fn space_center_vertices() -> impl Strategy<Value = (ParamSpace, Point, Vec<Point>)> {
+    prop::collection::vec(arb_step_param(), 1..=4).prop_flat_map(|defs| {
+        let space = ParamSpace::new(defs).expect("valid space");
+        let n = space.dims();
+        let coord = || (0u8..6, 0.0f64..1.0);
+        (
+            Just(space),
+            prop::collection::vec(coord(), n),
+            prop::collection::vec(prop::collection::vec(coord(), n), 1..=5),
+        )
+            .prop_map(|(space, c, vs)| {
+                let point = |sel: &[(u8, f64)]| -> Point {
+                    space
+                        .params()
+                        .iter()
+                        .zip(sel)
+                        .map(|(p, &s)| step_coordinate(p, s))
+                        .collect()
+                };
+                let center = point(&c);
+                let vertices = vs.iter().map(|v| point(v)).collect();
+                (space, center, vertices)
+            })
+    })
+}
+
+fn bits(points: &[Point]) -> Vec<Vec<u64>> {
+    points
+        .iter()
+        .map(|p| p.iter().map(f64::to_bits).collect())
+        .collect()
+}
+
 /// Strategy: a space plus a wild raw point of matching dimension.
 fn space_and_point() -> impl Strategy<Value = (ParamSpace, Point)> {
     arb_space().prop_flat_map(|space| {
@@ -149,12 +218,63 @@ proptest! {
     #[test]
     fn probe_points_are_admissible_neighbors(space in arb_space(), u in prop::collection::vec(0.0f64..1.0, 4)) {
         let v0 = space.point_from_unit(&u[..space.dims()]);
-        for probe in space.probe_points(&v0, 0.01) {
+        let mut probes = Vec::new();
+        space.probe_points(&v0, 0.01, &mut probes);
+        for probe in probes {
             prop_assert!(space.is_admissible(&probe));
             // differs from v0 in exactly one coordinate
             let diffs = (0..space.dims()).filter(|&i| probe[i] != v0[i]).count();
             prop_assert_eq!(diffs, 1);
         }
+    }
+
+    #[test]
+    fn step_kernel_matches_transform_then_project((space, center, vertices) in space_center_vertices()) {
+        for v in std::iter::once(&center).chain(&vertices) {
+            prop_assert!(space.is_admissible(v), "{v:?}");
+        }
+        let mut verts = vec![center.clone()];
+        verts.extend(vertices.iter().cloned());
+        let simplex = Simplex::new(verts).expect("valid simplex");
+        let sentinel = Point::from(&[f64::NAN][..]);
+        for kind in [StepKind::Reflect, StepKind::Expand, StepKind::Shrink] {
+            for rounding in [Rounding::TowardCenter, Rounding::Nearest] {
+                let reference: Vec<Point> = simplex
+                    .transform_around(0, kind)
+                    .iter()
+                    .map(|raw| space.project(raw, &center, rounding))
+                    .collect();
+                let mut fused = vec![sentinel.clone()];
+                space.project_step(kind, &center, &vertices, rounding, &mut fused);
+                prop_assert_eq!(fused[0].as_slice()[0].to_bits(), f64::NAN.to_bits(), "appends");
+                prop_assert_eq!(
+                    bits(&fused[1..]),
+                    bits(&reference),
+                    "{:?} {:?} around {:?} of {:?}",
+                    kind,
+                    rounding,
+                    center,
+                    vertices
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn step_kernel_collapse_rejection_matches_diameter(
+        coords in prop::collection::vec(prop::collection::vec(0usize..5, 3), 2..7),
+        t in 0usize..6,
+    ) {
+        // a coarse grid with signed zeros, so collapsed and spread
+        // simplices, and ones within `tol` of v0 but not pairwise, all occur
+        const GRID: [f64; 5] = [-1.0, -0.0, 0.0, 0.5, 1.0];
+        let tol = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0][t];
+        let verts: Vec<Point> = coords
+            .iter()
+            .map(|c| c.iter().map(|&i| GRID[i]).collect())
+            .collect();
+        let s = Simplex::new(verts).expect("valid simplex");
+        prop_assert_eq!(s.collapsed(tol), s.diameter() <= tol, "{:?} tol {}", s, tol);
     }
 
     #[test]
