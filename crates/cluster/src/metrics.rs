@@ -1,6 +1,6 @@
 //! On-line tuning performance metrics (§2, eq. 1–2, eq. 23).
 
-use harmony_telemetry::{event, Telemetry};
+use harmony_telemetry::Telemetry;
 
 /// A step time rejected by [`TuningTrace::try_push`]: non-finite or
 /// negative.
@@ -57,16 +57,6 @@ impl TuningTrace {
         }
     }
 
-    /// Like [`TuningTrace::try_push`], additionally emitting a
-    /// `trace.reject` telemetry event when the value is refused.
-    pub fn push_reported(&mut self, t_k: f64, tel: &Telemetry) -> Result<(), TraceError> {
-        let result = self.try_push(t_k);
-        if let Err(e) = &result {
-            event!(tel, "trace.reject", value = e.value, step = self.len());
-        }
-        result
-    }
-
     /// Number of recorded time steps `K`.
     pub fn len(&self) -> usize {
         self.steps.len()
@@ -118,12 +108,6 @@ impl TuningTrace {
     /// The best (smallest) single-step time seen so far.
     pub fn best_step(&self) -> Option<f64> {
         self.steps.iter().copied().reduce(f64::min)
-    }
-
-    /// Extends this trace with another (used when a convergence-probe
-    /// phase follows the main loop).
-    pub fn extend_from(&mut self, other: &TuningTrace) {
-        self.steps.extend_from_slice(&other.steps);
     }
 
     /// Exports the trace through the telemetry metrics path shared by
@@ -199,16 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn extend_concatenates() {
-        let mut a = TuningTrace::new();
-        a.push(1.0);
-        let mut b = TuningTrace::new();
-        b.push(2.0);
-        a.extend_from(&b);
-        assert_eq!(a.step_times(), &[1.0, 2.0]);
-    }
-
-    #[test]
     #[should_panic(expected = "invalid step time")]
     fn rejects_negative() {
         TuningTrace::new().push(-1.0);
@@ -230,17 +204,6 @@ mod tests {
             "invalid step time inf"
         );
         assert_eq!(tr.len(), 1, "rejected values are not recorded");
-    }
-
-    #[test]
-    fn push_reported_emits_rejection_event() {
-        let (tel, sink) = Telemetry::memory();
-        let mut tr = TuningTrace::new();
-        assert!(tr.push_reported(2.0, &tel).is_ok());
-        assert!(tr.push_reported(-1.0, &tel).is_err());
-        let records = sink.take();
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].name, "trace.reject");
     }
 
     #[test]

@@ -143,26 +143,27 @@ impl<O: Objective + ?Sized> Checkpoint for CachedObjective<'_, O> {
         // serialises to identical bytes
         let mut entries: Vec<(&PointKey, &f64)> = memo.iter().collect();
         entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        w.usize(entries.len());
-        for (k, v) in entries {
-            // a point is written as its length-prefixed bit words
-            w.point(k.point());
-            w.f64(*v);
-        }
+        // a point is written as its length-prefixed bit words
+        w.pairs(entries.into_iter().map(|(k, v)| (k.point(), *v)));
     }
 
-    /// Restores the counters and the memo; on any error the wrapper is
-    /// left unchanged. The memo grows as entries are read, so a corrupt
-    /// length prefix cannot reserve memory.
+    /// Restores the counters and the memo. A point listed twice, or one
+    /// whose dimension is not the space's, is rejected with
+    /// [`CodecError::BadValue`]; on any error the wrapper is left
+    /// unchanged.
     fn restore_state(&mut self, r: &mut StateReader) -> Result<(), CodecError> {
         r.tag("memo")?;
         let hits = r.usize()?;
         let misses = r.usize()?;
-        let n = r.usize()?;
+        let entries = r.pairs()?;
+        let dims = self.inner.space().dims();
         let mut memo = PointMap::default();
-        for _ in 0..n {
-            let k = PointKey::new(&r.point()?);
-            memo.insert(k, r.f64()?);
+        for (p, v) in entries {
+            if p.dims() != dims || memo.insert(PointKey::new(&p), v).is_some() {
+                return Err(CodecError::BadValue(format!(
+                    "misshapen or repeated memo entry {p:?}"
+                )));
+            }
         }
         self.hits.store(hits, Ordering::Relaxed);
         self.misses.store(misses, Ordering::Relaxed);

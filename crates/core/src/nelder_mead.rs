@@ -14,11 +14,12 @@
 //! [`NelderMead::simplex_rank`]), and the method is inherently
 //! sequential: proposals are singletons except for the shrink step.
 
-use crate::optimizer::{HistoryInterpolator, Incumbent, Optimizer};
+use crate::optimizer::{Incumbent, Optimizer, HISTORY_NEIGHBORS};
 use crate::pro::simplex_from_vertices;
 use harmony_params::init::{initial_simplex, InitialShape, DEFAULT_RELATIVE_SIZE};
 use harmony_params::{ParamSpace, Point, Rounding, Simplex};
 use harmony_recovery::{Checkpoint, CodecError, StateReader, StateWriter};
+use harmony_surface::PerfDatabase;
 
 /// Configuration of the Nelder–Mead baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,7 +66,7 @@ pub struct NelderMead {
     /// decision, together with the reflected point.
     reflected: Option<(Point, f64)>,
     incumbent: Incumbent,
-    history: HistoryInterpolator,
+    history: PerfDatabase,
     iterations: usize,
     converged: bool,
 }
@@ -77,7 +78,7 @@ impl NelderMead {
         let simplex = initial_simplex(&space, InitialShape::Minimal, cfg.relative_size)
             .expect("valid initial simplex");
         let queue = simplex.vertices().to_vec();
-        let history = HistoryInterpolator::new(&space);
+        let history = PerfDatabase::new(space.clone(), HISTORY_NEIGHBORS);
         NelderMead {
             space,
             cfg,
@@ -293,7 +294,7 @@ impl Optimizer for NelderMead {
         assert!(v.is_finite(), "observe: non-finite objective value");
         let point = &self.queue[self.got.len()];
         self.incumbent.offer(point, v);
-        self.history.record(point, v);
+        self.history.insert_replacing(point, v);
         self.got.push(v);
         if self.got.len() == self.queue.len() {
             self.phase_complete();
@@ -311,7 +312,7 @@ impl Optimizer for NelderMead {
                 let point = &self.queue[self.got.len()];
                 let v = self
                     .history
-                    .estimate(point)
+                    .try_interpolate(point)
                     .expect("history has at least one measurement to interpolate from");
                 self.got.push(v);
                 if self.got.len() == self.queue.len() {

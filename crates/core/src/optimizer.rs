@@ -1,11 +1,17 @@
 //! The batch ask/tell optimizer interface, and the bookkeeping the
-//! direct-search optimizers share: the measured-history log that fills
-//! fault holes ([`HistoryInterpolator`]) and the incumbent.
+//! direct-search optimizers share: the incumbent, and the fault-hole
+//! [`fill`] over their measured history.
+//!
+//! PRO, SRO and Nelder–Mead keep that history in a
+//! [`PerfDatabase`] — §6's performance database, interpolating over the
+//! four nearest measured points — and record every measured estimate
+//! with [`PerfDatabase::insert_replacing`]: a re-measured point keeps its
+//! first-seen slot and takes the newest value. Synthetic fills are never
+//! recorded back, so the history stays purely measured.
 
-use harmony_params::{ParamSpace, Point, PointKey, PointMap};
+use harmony_params::{ParamSpace, Point};
 use harmony_recovery::{Checkpoint, CodecError, StateReader, StateWriter};
-use harmony_surface::database::{idw_scan, inv_scales};
-use std::collections::hash_map::Entry;
+use harmony_surface::PerfDatabase;
 
 /// A direct-search optimizer driven in batches.
 ///
@@ -96,154 +102,37 @@ pub trait Optimizer {
     }
 }
 
-/// Neighbours blended by [`HistoryInterpolator`] when estimating a
+/// Neighbours an optimizer's measured history blends when estimating a
 /// missing measurement.
-const HISTORY_NEIGHBORS: usize = 4;
+pub(crate) const HISTORY_NEIGHBORS: usize = 4;
 
-/// Entries a new [`HistoryInterpolator`] has room for before its log and
-/// index grow: over the 90,000 PRO sessions of `fig10 --full` a session
-/// records 20 distinct points at the median and 57 at the 99th
-/// percentile.
-const HISTORY_RESERVE: usize = 64;
-
-/// Measured-history fallback for partial batches.
+/// Substitutes every hole in `values` with `history`'s interpolated
+/// estimate of the corresponding point in `points` — §6's own mechanism
+/// for points the performance database does not contain. When the
+/// history is still empty (the very first batch arriving with holes
+/// under faults, before the caller has recorded anything), holes fall
+/// back to the mean of the batch's own measured entries instead of
+/// panicking — the least-informative finite substitute.
 ///
-/// Optimizers that support [`Optimizer::observe_partial`] record every
-/// *measured* `(point, estimate)` pair here; when faults leave holes in
-/// a batch, the missing values are substituted with an
-/// inverse-distance-weighted interpolation over the measured history —
-/// §6's own mechanism for points the performance database does not
-/// contain. Synthetic substitutes are never recorded back, so the
-/// history stays purely measured.
-///
-/// The history is a plain insertion-ordered `(point, value)` log with a
-/// [`PointKey`] index: a later measurement of a point overwrites its
-/// value in place, so the entry keeps its first-seen position. On a
-/// fault-free session the log is only ever written, so recording costs
-/// one hash of the point's inline coordinate bits and no per-call
-/// allocation. Estimates scan the log
-/// ([`idw_scan`]) and are bit-identical to a
-/// [`harmony_surface::PerfDatabase`] filled by `insert_replacing` with
-/// the same measurements, and checkpoints use its `"perfdb"` encoding.
-#[derive(Debug)]
-pub struct HistoryInterpolator {
-    space: ParamSpace,
-    inv_scale: Vec<f64>,
-    entries: Vec<(Point, f64)>,
-    slot_of: PointMap<usize>,
-}
-
-impl HistoryInterpolator {
-    /// An empty history over `space`, with room for [`HISTORY_RESERVE`]
-    /// entries (or the whole lattice, when smaller).
-    pub fn new(space: &ParamSpace) -> Self {
-        let reserve = space
-            .lattice_size()
-            .map_or(HISTORY_RESERVE, |n| n.min(HISTORY_RESERVE));
-        let mut slot_of = PointMap::default();
-        slot_of.reserve(reserve);
-        HistoryInterpolator {
-            space: space.clone(),
-            inv_scale: inv_scales(space),
-            entries: Vec::with_capacity(reserve),
-            slot_of,
-        }
-    }
-
-    /// Records one measured estimate (later measurements of the same
-    /// point replace earlier ones).
-    pub fn record(&mut self, point: &Point, value: f64) {
-        match self.slot_of.entry(PointKey::new(point)) {
-            Entry::Occupied(slot) => self.entries[*slot.get()].1 = value,
-            Entry::Vacant(slot) => {
-                slot.insert(self.entries.len());
-                self.entries.push((point.clone(), value));
-            }
-        }
-    }
-
-    /// Interpolated estimate for `point` (its recorded value when it was
-    /// measured), or `None` while the history is empty.
-    pub fn estimate(&self, point: &Point) -> Option<f64> {
-        match self.slot_of.get(&PointKey::new(point)) {
-            Some(&i) => Some(self.entries[i].1),
-            None => idw_scan(&self.inv_scale, &self.entries, HISTORY_NEIGHBORS, point),
-        }
-    }
-
-    /// Number of distinct measured points recorded.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True while nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Substitutes every hole in `values` with the interpolated estimate
-    /// of the corresponding point in `points`. When the history is still
-    /// empty (the very first batch arriving with holes under faults,
-    /// before the caller has recorded anything), holes fall back to the
-    /// mean of the batch's own measured entries instead of panicking —
-    /// the least-informative finite substitute.
-    ///
-    /// # Panics
-    /// Panics when the lengths differ, or when a hole needs filling
-    /// while *both* the history and the batch are empty of measurements
-    /// (drivers guarantee a quorum of at least one `Some` per batch).
-    pub fn fill(&self, points: &[Point], values: &[Option<f64>]) -> Vec<f64> {
-        assert_eq!(points.len(), values.len(), "points/values length mismatch");
-        let measured: Vec<f64> = values.iter().flatten().copied().collect();
-        let batch_mean = || {
-            assert!(
-                !measured.is_empty(),
-                "cannot fill a hole: empty history and no measured value in the batch"
-            );
-            measured.iter().sum::<f64>() / measured.len() as f64
-        };
-        points
-            .iter()
-            .zip(values.iter())
-            .map(|(p, v)| v.unwrap_or_else(|| self.estimate(p).unwrap_or_else(batch_mean)))
-            .collect()
-    }
-}
-
-impl Checkpoint for HistoryInterpolator {
-    fn save_state(&self, w: &mut StateWriter) {
-        w.tag("perfdb");
-        w.usize(self.entries.len());
-        for (p, v) in &self.entries {
-            w.point(p);
-            w.f64(*v);
-        }
-    }
-
-    /// Restores a saved log. Entries that are inadmissible, non-finite or
-    /// repeated are rejected with [`CodecError::BadValue`], leaving the
-    /// history unchanged; the log grows as entries are read, so a corrupt
-    /// length prefix cannot reserve memory.
-    fn restore_state(&mut self, r: &mut StateReader) -> Result<(), CodecError> {
-        r.tag("perfdb")?;
-        let n = r.usize()?;
-        let mut restored = HistoryInterpolator::new(&self.space);
-        for _ in 0..n {
-            let p = r.point()?;
-            let v = r.f64()?;
-            if !self.space.is_admissible(&p) || !v.is_finite() {
-                return Err(CodecError::BadValue(format!("bad history entry {p:?}")));
-            }
-            if restored.slot_of.contains_key(&PointKey::new(&p)) {
-                return Err(CodecError::BadValue(format!(
-                    "repeated history entry {p:?}"
-                )));
-            }
-            restored.record(&p, v);
-        }
-        *self = restored;
-        Ok(())
-    }
+/// # Panics
+/// Panics when the lengths differ, or when a hole needs filling while
+/// *both* the history and the batch are empty of measurements (drivers
+/// guarantee a quorum of at least one `Some` per batch).
+pub fn fill(history: &PerfDatabase, points: &[Point], values: &[Option<f64>]) -> Vec<f64> {
+    assert_eq!(points.len(), values.len(), "points/values length mismatch");
+    let measured: Vec<f64> = values.iter().flatten().copied().collect();
+    let batch_mean = || {
+        assert!(
+            !measured.is_empty(),
+            "cannot fill a hole: empty history and no measured value in the batch"
+        );
+        measured.iter().sum::<f64>() / measured.len() as f64
+    };
+    points
+        .iter()
+        .zip(values.iter())
+        .map(|(p, v)| v.unwrap_or_else(|| history.try_interpolate(p).unwrap_or_else(batch_mean)))
+        .collect()
 }
 
 /// Book-keeping shared by all optimizers: remembers the best estimate
@@ -379,18 +268,17 @@ mod tests {
 
     #[test]
     fn history_interpolator_fills_holes() {
-        let space = space_1d();
-        let mut hist = HistoryInterpolator::new(&space);
-        assert!(hist.is_empty());
+        let mut hist = PerfDatabase::new(space_1d(), HISTORY_NEIGHBORS);
         let p2 = Point::from(&[2.0][..]);
         let p4 = Point::from(&[4.0][..]);
         let p3 = Point::from(&[3.0][..]);
-        assert_eq!(hist.estimate(&p3), None);
-        hist.record(&p2, 10.0);
-        hist.record(&p4, 20.0);
+        assert_eq!(hist.try_interpolate(&p3), None);
+        hist.insert_replacing(&p2, 10.0);
+        hist.insert_replacing(&p4, 20.0);
         assert_eq!(hist.len(), 2);
         // exact hits come back verbatim; holes get a convex combination
-        let filled = hist.fill(
+        let filled = fill(
+            &hist,
             &[p2.clone(), p3.clone(), p4.clone()],
             &[Some(11.0), None, Some(19.0)],
         );
@@ -401,13 +289,12 @@ mod tests {
 
     #[test]
     fn remeasured_points_keep_their_first_seen_slot() {
-        let space = space_1d();
-        let mut hist = HistoryInterpolator::new(&space);
+        let mut hist = PerfDatabase::new(space_1d(), HISTORY_NEIGHBORS);
         for (x, v) in [(2.0, 1.0), (5.0, 2.0), (2.0, 3.0)] {
-            hist.record(&Point::from(&[x][..]), v);
+            hist.insert_replacing(&Point::from(&[x][..]), v);
         }
         assert_eq!(hist.len(), 2);
-        assert_eq!(hist.estimate(&Point::from(&[2.0][..])), Some(3.0));
+        assert_eq!(hist.try_interpolate(&Point::from(&[2.0][..])), Some(3.0));
         let mut w = StateWriter::new();
         hist.save_state(&mut w);
         let mut expected = StateWriter::new();
@@ -422,9 +309,8 @@ mod tests {
 
     #[test]
     fn history_restore_rejects_an_oversized_length_prefix() {
-        let space = space_1d();
-        let mut hist = HistoryInterpolator::new(&space);
-        hist.record(&Point::from(&[4.0][..]), 1.5);
+        let mut hist = PerfDatabase::new(space_1d(), HISTORY_NEIGHBORS);
+        hist.insert_replacing(&Point::from(&[4.0][..]), 1.5);
         let mut w = StateWriter::new();
         w.tag("perfdb");
         w.usize(1 << 40);
@@ -438,9 +324,9 @@ mod tests {
     fn empty_history_falls_back_to_batch_mean() {
         // first batch with holes under faults: nothing recorded yet, so
         // holes take the mean of the batch's own measured entries
-        let space = space_1d();
-        let hist = HistoryInterpolator::new(&space);
-        let filled = hist.fill(
+        let hist = PerfDatabase::new(space_1d(), HISTORY_NEIGHBORS);
+        let filled = fill(
+            &hist,
             &[
                 Point::from(&[1.0][..]),
                 Point::from(&[2.0][..]),
@@ -454,8 +340,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty history and no measured value")]
     fn history_interpolator_cannot_fill_from_nothing() {
-        let space = space_1d();
-        let hist = HistoryInterpolator::new(&space);
-        let _ = hist.fill(&[Point::from(&[1.0][..])], &[None]);
+        let hist = PerfDatabase::new(space_1d(), HISTORY_NEIGHBORS);
+        let _ = fill(&hist, &[Point::from(&[1.0][..])], &[None]);
     }
 }

@@ -30,35 +30,13 @@
 //! minimum and the search stops, otherwise PRO continues with the probe
 //! simplex (we keep `v⁰` in it so the incumbent stays a vertex).
 
-use crate::optimizer::{HistoryInterpolator, Incumbent, Optimizer};
+use crate::optimizer::{fill, Incumbent, Optimizer, HISTORY_NEIGHBORS};
 use harmony_params::init::{initial_simplex, InitialShape, DEFAULT_RELATIVE_SIZE};
 use harmony_params::{ParamSpace, Point, Rounding, Simplex, StepKind};
 use harmony_recovery::{Checkpoint, CodecError, StateReader, StateWriter};
+use harmony_surface::PerfDatabase;
 use harmony_telemetry::{event, Field, Telemetry};
 use std::ops::Range;
-
-/// Writes a `(point, value)` list (a carried reflection set).
-pub(crate) fn write_pairs<'a>(
-    w: &mut StateWriter,
-    pairs: impl ExactSizeIterator<Item = (&'a Point, f64)>,
-) {
-    w.usize(pairs.len());
-    for (p, v) in pairs {
-        w.point(p);
-        w.f64(v);
-    }
-}
-
-/// Reads a [`write_pairs`] list. The list grows as pairs are read, so a
-/// corrupt length prefix cannot reserve memory.
-pub(crate) fn read_pairs(r: &mut StateReader) -> Result<Vec<(Point, f64)>, CodecError> {
-    let n = r.usize()?;
-    let mut out = Vec::new();
-    for _ in 0..n {
-        out.push((r.point()?, r.f64()?));
-    }
-    Ok(out)
-}
 
 /// Rebuilds a simplex from checkpointed vertices.
 pub(crate) fn simplex_from_vertices(verts: Vec<Point>) -> Result<Simplex, CodecError> {
@@ -199,7 +177,7 @@ pub struct ProOptimizer {
     reflections: Vec<Point>,
     reflection_vals: Vec<f64>,
     incumbent: Incumbent,
-    history: HistoryInterpolator,
+    history: PerfDatabase,
     iterations: usize,
     converged: bool,
     /// Reused per-iteration buffers (sort order, sorted values) so
@@ -223,7 +201,7 @@ impl ProOptimizer {
         let cap = simplex.len().max(2 * space.dims() + 1);
         let mut pending = Vec::with_capacity(cap);
         pending.extend_from_slice(simplex.vertices());
-        let history = HistoryInterpolator::new(&space);
+        let history = PerfDatabase::new(space.clone(), HISTORY_NEIGHBORS);
         ProOptimizer {
             space,
             cfg,
@@ -654,11 +632,11 @@ impl Checkpoint for ProOptimizer {
             State::Reflect => w.u8(1),
             State::ExpandCheck => {
                 w.u8(2);
-                write_pairs(w, reflections());
+                w.pairs(reflections());
             }
             State::Expand => {
                 w.u8(3);
-                write_pairs(w, reflections());
+                w.pairs(reflections());
             }
             State::Shrink => w.u8(4),
             State::Probe => w.u8(5),
@@ -684,8 +662,8 @@ impl Checkpoint for ProOptimizer {
         let (state, reflections) = match state_byte {
             0 => (State::Init, Vec::new()),
             1 => (State::Reflect, Vec::new()),
-            2 => (State::ExpandCheck, read_pairs(r)?),
-            3 => (State::Expand, read_pairs(r)?),
+            2 => (State::ExpandCheck, r.pairs()?),
+            3 => (State::Expand, r.pairs()?),
             4 => (State::Shrink, Vec::new()),
             5 => (State::Probe, Vec::new()),
             6 => (State::Done, Vec::new()),
@@ -765,7 +743,7 @@ impl Optimizer for ProOptimizer {
         );
         for (p, &v) in self.pending.iter().zip(values.iter()) {
             self.incumbent.offer(p, v);
-            self.history.record(p, v);
+            self.history.insert_replacing(p, v);
         }
         self.advance(values);
     }
@@ -782,13 +760,13 @@ impl Optimizer for ProOptimizer {
             if let Some(v) = *v {
                 assert!(v.is_finite(), "observe_partial: non-finite objective value");
                 self.incumbent.offer(p, v);
-                self.history.record(p, v);
+                self.history.insert_replacing(p, v);
             }
         }
-        // measured entries are on record now, so the interpolator has at
+        // measured entries are on record now, so the history has at
         // least one point (the driver's quorum rule guarantees ≥ 1 Some
         // per batch); synthetic fills are NOT recorded back
-        let filled = self.history.fill(&self.pending, values);
+        let filled = fill(&self.history, &self.pending, values);
         self.advance(&filled);
     }
 
@@ -1225,11 +1203,11 @@ mod tests {
         w.f64_slice(values);
         w.u8(state);
         if matches!(state, 2 | 3) {
-            write_pairs(&mut w, carried.iter().map(|(p, v)| (p, *v)));
+            w.pairs(carried.iter().map(|(p, v)| (p, *v)));
         }
         w.points(pending);
         Incumbent::new().save_state(&mut w);
-        HistoryInterpolator::new(&lattice_space(-5, 5)).save_state(&mut w);
+        PerfDatabase::new(lattice_space(-5, 5), HISTORY_NEIGHBORS).save_state(&mut w);
         w.usize(3);
         w.bool(false);
         w.into_bytes()
@@ -1360,18 +1338,5 @@ mod tests {
             a.observe(&vals);
         }
         assert!(a.converged());
-    }
-
-    #[test]
-    fn read_pairs_rejects_an_oversized_length_prefix() {
-        // a 2^40-pair claim backed by one pair's bytes must fail on the
-        // missing bytes, not reserve memory for the claim first
-        let mut w = StateWriter::new();
-        w.usize(1 << 40);
-        w.point(&Point::from(&[1.0, 2.0][..]));
-        w.f64(3.0);
-        let bytes = w.into_bytes();
-        let mut r = StateReader::new(&bytes).unwrap();
-        assert_eq!(read_pairs(&mut r), Err(CodecError::UnexpectedEof));
     }
 }

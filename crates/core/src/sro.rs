@@ -9,11 +9,12 @@
 //! configuration change per time step, which is exactly why the paper
 //! parallelised the algorithm.
 
-use crate::optimizer::{HistoryInterpolator, Incumbent, Optimizer};
+use crate::optimizer::{Incumbent, Optimizer, HISTORY_NEIGHBORS};
 use crate::pro::{check_admissible, check_values, simplex_from_vertices};
 use harmony_params::init::{initial_simplex, InitialShape, DEFAULT_RELATIVE_SIZE};
 use harmony_params::{ParamSpace, Point, Rounding, Simplex, StepKind};
 use harmony_recovery::{Checkpoint, CodecError, StateReader, StateWriter};
+use harmony_surface::PerfDatabase;
 use harmony_telemetry::{event, Field, Telemetry};
 use std::ops::Range;
 
@@ -80,7 +81,7 @@ pub struct SroOptimizer {
     /// `f(r)` kept across the expansion check.
     reflect_check_val: f64,
     incumbent: Incumbent,
-    history: HistoryInterpolator,
+    history: PerfDatabase,
     iterations: usize,
     converged: bool,
     /// Reused buffers: rank order, sorted values. Retaining their
@@ -100,7 +101,7 @@ impl SroOptimizer {
         let simplex =
             initial_simplex(&space, cfg.shape, cfg.relative_size).expect("valid initial simplex");
         let queue = simplex.vertices().to_vec();
-        let history = HistoryInterpolator::new(&space);
+        let history = PerfDatabase::new(space.clone(), HISTORY_NEIGHBORS);
         SroOptimizer {
             space,
             cfg,
@@ -362,7 +363,7 @@ impl Checkpoint for SroOptimizer {
     /// Restores a saved state. A simplex with an inadmissible vertex or
     /// not one finite value per vertex, an inadmissible queued point, or
     /// more received values than queued points (all of them, outside
-    /// [`Phase::Done`]) are rejected with [`CodecError::BadValue`].
+    /// `Phase::Done`) are rejected with [`CodecError::BadValue`].
     fn restore_state(&mut self, r: &mut StateReader) -> Result<(), CodecError> {
         r.tag("sro")?;
         let simplex = simplex_from_vertices(r.points()?)?;
@@ -427,7 +428,7 @@ impl Optimizer for SroOptimizer {
         assert!(v.is_finite(), "observe: non-finite objective value");
         let point = &self.queue[self.got.len()];
         self.incumbent.offer(point, v);
-        self.history.record(point, v);
+        self.history.insert_replacing(point, v);
         self.got.push(v);
         if self.got.len() == self.queue.len() {
             self.phase_complete();
@@ -445,7 +446,7 @@ impl Optimizer for SroOptimizer {
                 let point = &self.queue[self.got.len()];
                 let v = self
                     .history
-                    .estimate(point)
+                    .try_interpolate(point)
                     .expect("history has at least one measurement to interpolate from");
                 self.got.push(v);
                 if self.got.len() == self.queue.len() {
@@ -648,7 +649,7 @@ mod tests {
         w.f64_slice(got);
         w.f64(f64::NAN);
         Incumbent::new().save_state(&mut w);
-        HistoryInterpolator::new(&lattice_space(-5, 5)).save_state(&mut w);
+        PerfDatabase::new(lattice_space(-5, 5), HISTORY_NEIGHBORS).save_state(&mut w);
         w.usize(2);
         w.bool(false);
         w.into_bytes()

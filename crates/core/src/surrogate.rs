@@ -32,11 +32,12 @@
 //! checkpoint/restore resumes the exact candidate stream and a resumed
 //! session is bit-identical to an uninterrupted one.
 
-use crate::optimizer::{HistoryInterpolator, Incumbent, Optimizer};
-use crate::pro::{read_pairs, write_pairs};
+use crate::optimizer::{Incumbent, Optimizer, HISTORY_NEIGHBORS};
+use crate::pro::check_admissible;
 use harmony_params::{ParamSpace, Point};
-use harmony_recovery::{Checkpoint, CodecError, StateReader, StateWriter};
+use harmony_recovery::{save_to_vec, Checkpoint, CodecError, StateReader, StateWriter};
 use harmony_stats::splitmix::hash01;
+use harmony_surface::PerfDatabase;
 use harmony_telemetry::{event, Telemetry};
 
 /// Salt decorrelating the startup space-filling stream.
@@ -119,10 +120,6 @@ pub struct SurrogateOptimizer {
     /// Batches observed so far; indexes the candidate hash streams.
     round: usize,
     incumbent: Incumbent,
-    /// Measured-history interpolation for [`Optimizer::observe_partial`]
-    /// hole filling (kept consistent with PRO/SRO so recovery paths
-    /// treat all optimizers alike).
-    interp: HistoryInterpolator,
     /// Ascending admissible levels per discrete dimension (`None` for
     /// continuous axes); derived from the space, not checkpointed.
     levels: Vec<Option<Vec<f64>>>,
@@ -213,7 +210,6 @@ impl SurrogateOptimizer {
                     .map(|m| (0..m).map(|i| p.level(i)).collect())
             })
             .collect();
-        let interp = HistoryInterpolator::new(&space);
         SurrogateOptimizer {
             space,
             cfg,
@@ -222,7 +218,6 @@ impl SurrogateOptimizer {
             pending: Vec::new(),
             round: 0,
             incumbent: Incumbent::new(),
-            interp,
             levels,
             tel: Telemetry::disabled(),
         }
@@ -383,11 +378,21 @@ impl SurrogateOptimizer {
         }
     }
 
-    /// Records one measured pair into every history structure.
+    /// Records one measured pair.
     fn record(&mut self, point: &Point, value: f64) {
         self.incumbent.offer(point, value);
-        self.interp.record(point, value);
         self.history.push((point.clone(), value));
+    }
+
+    /// `history` as a measured-history [`PerfDatabase`] (newest value per
+    /// point, first-seen order): the `"perfdb"` section the PRO, SRO and
+    /// Nelder–Mead checkpoints carry, derived rather than kept.
+    fn measured(&self, history: &[(Point, f64)]) -> PerfDatabase {
+        let mut db = PerfDatabase::new(self.space.clone(), HISTORY_NEIGHBORS);
+        for (p, v) in history {
+            db.insert_replacing(p, *v);
+        }
+        db
     }
 }
 
@@ -436,8 +441,7 @@ impl Optimizer for SurrogateOptimizer {
         assert!(!self.pending.is_empty(), "observe before propose");
         // a population model needs no synthetic substitutes: only the
         // measured pairs enter the densities, so holes simply shrink
-        // this round's training contribution (the interpolator still
-        // records them for parity with PRO/SRO recovery semantics)
+        // this round's training contribution
         let pending = std::mem::take(&mut self.pending);
         let mut holes = 0usize;
         for (p, v) in pending.iter().zip(values.iter()) {
@@ -487,21 +491,46 @@ impl Checkpoint for SurrogateOptimizer {
     fn save_state(&self, w: &mut StateWriter) {
         w.tag("surrogate");
         w.u64(self.seed);
-        write_pairs(w, self.history.iter().map(|(p, v)| (p, *v)));
+        w.pairs(self.history.iter().map(|(p, v)| (p, *v)));
         w.points(&self.pending);
         w.usize(self.round);
         self.incumbent.save_state(w);
-        self.interp.save_state(w);
+        self.measured(&self.history).save_state(w);
     }
 
+    /// Restores a saved state. Inadmissible or non-finite history
+    /// entries, inadmissible pending points, and a `"perfdb"` section
+    /// that is not the one the history derives are rejected with
+    /// [`CodecError::BadValue`]; on any error the optimizer is left
+    /// unchanged.
     fn restore_state(&mut self, r: &mut StateReader) -> Result<(), CodecError> {
         r.tag("surrogate")?;
-        self.seed = r.u64()?;
-        self.history = read_pairs(r)?;
-        self.pending = r.points()?;
-        self.round = r.usize()?;
-        self.incumbent.restore_state(r)?;
-        self.interp.restore_state(r)
+        let seed = r.u64()?;
+        let history = r.pairs()?;
+        let pending = r.points()?;
+        let round = r.usize()?;
+        let mut incumbent = Incumbent::new();
+        incumbent.restore_state(r)?;
+        let mut section = PerfDatabase::new(self.space.clone(), HISTORY_NEIGHBORS);
+        section.restore_state(r)?;
+        if let Some((p, _)) = history
+            .iter()
+            .find(|(p, v)| !self.space.is_admissible(p) || !v.is_finite())
+        {
+            return Err(CodecError::BadValue(format!("bad history entry {p:?}")));
+        }
+        check_admissible(&self.space, "pending point", &pending)?;
+        if save_to_vec(&section) != save_to_vec(&self.measured(&history)) {
+            return Err(CodecError::BadValue(
+                "perfdb section disagrees with the history".into(),
+            ));
+        }
+        self.seed = seed;
+        self.history = history;
+        self.pending = pending;
+        self.round = round;
+        self.incumbent = incumbent;
+        Ok(())
     }
 }
 
@@ -673,6 +702,112 @@ mod tests {
         assert_eq!(opt.best(), restored.best());
     }
 
+    /// A surrogate on a 3×3 lattice after 6 batches whose values drift
+    /// up and down between visits, so points are re-measured with both
+    /// better and worse values.
+    fn remeasured_session() -> SurrogateOptimizer {
+        let mut opt = SurrogateOptimizer::with_defaults(lattice_space(0, 2), 3);
+        let mut k = 0.0;
+        for _ in 0..6 {
+            let batch = opt.propose();
+            let vals: Vec<f64> = batch
+                .iter()
+                .map(|p| {
+                    k += 1.0;
+                    p[0] + 3.0 * p[1] + (k * 1.7f64).sin()
+                })
+                .collect();
+            opt.observe(&vals);
+        }
+        opt.propose();
+        opt
+    }
+
+    #[test]
+    fn checkpoint_bytes_derive_the_history_section() {
+        let opt = remeasured_session();
+        let same = |a: &Point, b: &Point| {
+            a.iter()
+                .map(|x| x.to_bits())
+                .eq(b.iter().map(|x| x.to_bits()))
+        };
+        // newest value per point, in first-seen order
+        let mut latest: Vec<(Point, f64)> = Vec::new();
+        let mut worse_remeasure = false;
+        for (p, v) in &opt.history {
+            match latest.iter_mut().find(|(q, _)| same(q, p)) {
+                Some(entry) => {
+                    worse_remeasure |= *v > entry.1;
+                    entry.1 = *v;
+                }
+                None => latest.push((p.clone(), *v)),
+            }
+        }
+        assert!(
+            worse_remeasure,
+            "no point was re-measured with a worse value"
+        );
+        assert!(
+            latest
+                .windows(2)
+                .any(|w| w[0].0.as_slice() > w[1].0.as_slice()),
+            "first-seen order is key order"
+        );
+
+        let mut w = StateWriter::new();
+        w.tag("surrogate");
+        w.u64(3);
+        w.usize(opt.history.len());
+        for (p, v) in &opt.history {
+            w.point(p);
+            w.f64(*v);
+        }
+        w.points(&opt.pending);
+        w.usize(6);
+        let (best, best_val) = opt.best().unwrap();
+        w.tag("incumbent");
+        w.bool(true);
+        w.point(&best);
+        w.f64(best_val);
+        w.tag("perfdb");
+        w.usize(latest.len());
+        for (p, v) in &latest {
+            w.point(p);
+            w.f64(*v);
+        }
+        assert_eq!(save_to_vec(&opt), w.into_bytes());
+    }
+
+    #[test]
+    fn restore_rejects_a_section_that_disagrees_with_the_history() {
+        let opt = remeasured_session();
+        let bytes = save_to_vec(&opt);
+        let mut fresh = SurrogateOptimizer::with_defaults(lattice_space(0, 2), 0);
+        restore_from_slice(&mut fresh, &bytes).unwrap();
+        assert_eq!(save_to_vec(&fresh), bytes);
+
+        // the checkpoint ends with the derived section; swap in the one
+        // a keep-better database would write
+        let header = harmony_recovery::codec::MAGIC.len();
+        let section = save_to_vec(&opt.measured(&opt.history)).len() - header;
+        let mut keep_better = PerfDatabase::new(lattice_space(0, 2), HISTORY_NEIGHBORS);
+        for (p, v) in &opt.history {
+            keep_better.insert(p.clone(), *v);
+        }
+        let mut tampered = bytes[..bytes.len() - section].to_vec();
+        tampered.extend_from_slice(&save_to_vec(&keep_better)[header..]);
+        assert_ne!(tampered, bytes);
+
+        let before = save_to_vec(&fresh);
+        let err = restore_from_slice(&mut fresh, &tampered).unwrap_err();
+        assert!(matches!(err, CodecError::BadValue(_)), "{err:?}");
+        assert_eq!(
+            save_to_vec(&fresh),
+            before,
+            "a failed restore changed the optimizer"
+        );
+    }
+
     #[test]
     fn model_phase_engages_after_startup() {
         let space = lattice_space(-10, 10);
@@ -693,9 +828,9 @@ mod tests {
 
     #[test]
     fn nan_estimate_does_not_poison_the_model() {
-        // NaN cannot arrive via observe (asserted finite), but a
-        // checkpoint written by a future version might carry one; the
-        // total_cmp sort must keep the model usable
+        // NaN cannot arrive via observe (asserted finite) or restore
+        // (rejected), but the total_cmp sort must keep the model usable
+        // whatever the history holds
         let space = lattice_space(-10, 10);
         let mut opt = SurrogateOptimizer::with_defaults(space.clone(), 2);
         drive(&mut opt, |p| p[0] * p[0] + p[1] * p[1], 4);

@@ -1,14 +1,16 @@
 //! Properties pinning the bookkeeping of a simulated tuning session to
-//! the encodings and values it must reproduce exactly: the measured
-//! history log (`HistoryInterpolator`) against a newest-wins
-//! `PerfDatabase` holding the same measurements, and the objective memo's
-//! checkpoint (`CachedObjective`) against entries sorted by their
-//! `Vec<u64>` coordinate-bit keys. Both run at `PROPTEST_CASES=1024` in CI.
+//! the encodings and values it must reproduce exactly: the optimizers'
+//! measured history (a `PerfDatabase` filled by `insert_replacing`)
+//! against a plain first-seen log, and the objective memo's checkpoint
+//! (`CachedObjective`) against entries sorted by their `Vec<u64>`
+//! coordinate-bit keys, with the restores of both rejecting corrupt
+//! lists. All run at `PROPTEST_CASES=1024` in CI.
 
-use harmony_core::optimizer::HistoryInterpolator;
+use harmony_core::optimizer::fill;
 use harmony_core::CachedObjective;
 use harmony_params::{ParamDef, ParamSpace, Point};
 use harmony_recovery::{Checkpoint, CodecError, StateReader, StateWriter};
+use harmony_surface::database::{idw_scan, inv_scales};
 use harmony_surface::objective::FnObjective;
 use harmony_surface::{Objective, PerfDatabase};
 use proptest::prelude::*;
@@ -65,14 +67,44 @@ fn bits(v: Option<f64>) -> Option<u64> {
     v.map(f64::to_bits)
 }
 
-/// A `"perfdb"` checkpoint holding the single entry `(coords, value)`.
-fn one_entry(coords: &[f64], value: f64) -> Vec<u8> {
+fn same_bits(a: &Point, b: &Point) -> bool {
+    a.iter()
+        .map(|x| x.to_bits())
+        .eq(b.iter().map(|x| x.to_bits()))
+}
+
+/// The neighbours an optimizer's history blends.
+const K: usize = 4;
+
+/// A `tag` checkpoint listing `entries` after `prefix` (the memo's
+/// counters), with its length prefix claiming `len` entries, written
+/// field by field.
+fn raw_list(tag: &str, prefix: &[usize], len: usize, entries: &[(&[f64], f64)]) -> Vec<u8> {
     let mut w = StateWriter::new();
-    w.tag("perfdb");
-    w.usize(1);
-    w.f64_slice(coords);
-    w.f64(value);
+    w.tag(tag);
+    for &n in prefix {
+        w.usize(n);
+    }
+    w.usize(len);
+    for (coords, v) in entries {
+        w.f64_slice(coords);
+        w.f64(*v);
+    }
     w.into_bytes()
+}
+
+/// Restores `bytes` into `state`, demanding `want` (compared by variant)
+/// and that the saved state is unchanged.
+fn rejected(state: &mut dyn Checkpoint, bytes: &[u8], want: &CodecError) -> Result<(), String> {
+    let before = saved(state);
+    let err = restore(state, bytes);
+    prop_assert!(
+        matches!(&err, Err(e) if std::mem::discriminant(e) == std::mem::discriminant(want)),
+        "{:?}",
+        err
+    );
+    prop_assert_eq!(saved(state), before, "a rejected restore changed the state");
+    Ok(())
 }
 
 /// Coordinates the memo property draws from: signed zeros, a NaN, and
@@ -90,21 +122,31 @@ proptest! {
         queries in arb_units(1..8),
     ) {
         let pool = points(&space, &pool);
-        let mut hist = HistoryInterpolator::new(&space);
-        let mut db = PerfDatabase::new(space.clone(), 4);
+        let mut db = PerfDatabase::new(space.clone(), K);
+        // the reference: a log that overwrites a re-measured point in
+        // place, at the slot where it was first seen
+        let mut log: Vec<(Point, f64)> = Vec::new();
         for &(i, v) in &records {
             let p = &pool[i % pool.len()];
-            hist.record(p, v);
-            db.insert_replacing(p.clone(), v);
-            prop_assert_eq!(hist.len(), db.len());
+            db.insert_replacing(p, v);
+            match log.iter_mut().find(|(q, _)| same_bits(q, p)) {
+                Some(entry) => entry.1 = v,
+                None => log.push((p.clone(), v)),
+            }
+            prop_assert_eq!(db.len(), log.len());
         }
+        let inv_scale = inv_scales(&space);
+        let estimate = |q: &Point| match log.iter().find(|(p, _)| same_bits(p, q)) {
+            Some(&(_, v)) => Some(v),
+            None => idw_scan(&inv_scale, &log, K, q),
+        };
         let queries: Vec<Point> = pool.iter().cloned().chain(points(&space, &queries)).collect();
         for q in &queries {
-            prop_assert_eq!(bits(hist.estimate(q)), bits(db.try_interpolate(q)), "query {:?}", q);
+            prop_assert_eq!(bits(db.try_interpolate(q)), bits(estimate(q)), "query {:?}", q);
         }
 
         // every other slot is a hole; the reference fills it from the
-        // database, or from the batch mean while nothing is recorded
+        // log, or from the batch mean while nothing is recorded
         let values: Vec<Option<f64>> = (0..queries.len())
             .map(|j| (j % 2 == 0).then_some(j as f64 + 0.5))
             .collect();
@@ -113,20 +155,21 @@ proptest! {
         let expected: Vec<u64> = queries
             .iter()
             .zip(&values)
-            .map(|(q, v)| v.unwrap_or_else(|| db.try_interpolate(q).unwrap_or(mean)).to_bits())
+            .map(|(q, v)| v.unwrap_or_else(|| estimate(q).unwrap_or(mean)).to_bits())
             .collect();
-        let filled: Vec<u64> = hist.fill(&queries, &values).iter().map(|v| v.to_bits()).collect();
+        let filled: Vec<u64> = fill(&db, &queries, &values).iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(filled, expected);
 
-        let bytes = saved(&hist);
-        prop_assert_eq!(&bytes, &saved(&db));
-        let mut back = HistoryInterpolator::new(&space);
-        back.record(&pool[0], 1.0); // restore replaces, not merges
+        let bytes = saved(&db);
+        let listed: Vec<(&[f64], f64)> = log.iter().map(|(p, v)| (p.as_slice(), *v)).collect();
+        prop_assert_eq!(&bytes, &raw_list("perfdb", &[], listed.len(), &listed));
+        let mut back = PerfDatabase::new(space.clone(), K);
+        back.insert_replacing(&pool[0], 1.0); // restore replaces, not merges
         prop_assert!(restore(&mut back, &bytes).is_ok());
-        prop_assert_eq!(back.len(), hist.len());
+        prop_assert_eq!(back.len(), db.len());
         prop_assert_eq!(saved(&back), bytes);
         for q in &queries {
-            prop_assert_eq!(bits(back.estimate(q)), bits(hist.estimate(q)));
+            prop_assert_eq!(bits(back.try_interpolate(q)), bits(db.try_interpolate(q)));
         }
     }
 
@@ -137,46 +180,37 @@ proptest! {
         value in 0.1f64..1e3,
     ) {
         let pool = points(&space, &pool);
-        let mut hist = HistoryInterpolator::new(&space);
+        let mut db = PerfDatabase::new(space.clone(), K);
         for (i, p) in pool.iter().enumerate() {
-            hist.record(p, value + i as f64);
+            db.insert_replacing(p, value + i as f64);
         }
-        let before = saved(&hist);
         let p = pool[0].as_slice();
         let upper = space.param(0).upper();
         let mut above = p.to_vec();
         above[0] = upper + 1.0 + upper.abs();
         let mut extra_dim = p.to_vec();
         extra_dim.push(0.0);
-        let bad = [
-            one_entry(&above, value),
-            one_entry(&extra_dim, value),
-            one_entry(p, f64::NAN),
-            one_entry(p, f64::INFINITY),
-        ];
-        for bytes in &bad {
-            let err = restore(&mut hist, bytes);
-            prop_assert!(matches!(err, Err(CodecError::BadValue(_))), "{:?}", err);
-            prop_assert_eq!(&saved(&hist), &before, "a rejected restore changed the history");
+        // each corrupt entry follows a good one, which a restore that
+        // inserts as it reads would already have taken in
+        let good = (pool[pool.len() - 1].as_slice(), value + 7.0);
+        let bad_value = CodecError::BadValue(String::new());
+        for second in [(&above[..], value), (&extra_dim[..], value), (p, f64::NAN), (p, f64::INFINITY), good] {
+            rejected(&mut db, &raw_list("perfdb", &[], 2, &[good, second]), &bad_value)?;
         }
-        // a point listed twice is corrupt too
-        let mut w = StateWriter::new();
-        w.tag("perfdb");
-        w.usize(2);
-        for v in [value, value + 1.0] {
-            w.point(&pool[0]);
-            w.f64(v);
-        }
-        let err = restore(&mut hist, &w.into_bytes());
-        prop_assert!(matches!(err, Err(CodecError::BadValue(_))), "{:?}", err);
-        prop_assert_eq!(saved(&hist), before);
+        let whole = raw_list("perfdb", &[], 2, &[good, (p, value)]);
+        rejected(&mut db, &whole[..whole.len() - 3], &CodecError::UnexpectedEof)?;
+        rejected(&mut db, &raw_list("perfdb", &[], 1 << 40, &[good]), &CodecError::UnexpectedEof)?;
     }
 
     #[test]
     fn memo_checkpoint_is_the_sorted_bit_key_encoding(
-        evals in prop::collection::vec(prop::collection::vec(0usize..COORDS.len(), 0..=12), 0..40),
+        (dims, evals) in (1usize..=4).prop_flat_map(|dims| {
+            let point = prop::collection::vec(0usize..COORDS.len(), dims);
+            (Just(dims), prop::collection::vec(point, 0..40))
+        }),
     ) {
-        let space = ParamSpace::new(vec![ParamDef::integer("x", 0, 1, 1).unwrap()]).unwrap();
+        let defs = (0..dims).map(|_| ParamDef::integer("x", 0, 1, 1).unwrap()).collect();
+        let space = ParamSpace::new(defs).unwrap();
         let obj = FnObjective::new("bits", space, |p| {
             p.iter().map(|c| (c.to_bits() % 1009) as f64).sum::<f64>() + 1.0
         });
@@ -211,5 +245,18 @@ proptest! {
         prop_assert!(restore(&mut back, &bytes).is_ok());
         prop_assert_eq!(saved(&back), bytes);
         prop_assert_eq!((back.hits(), back.misses(), back.len()), (hits, misses, reference.len()));
+
+        // a point listed twice, or one of another dimension, after a good
+        // entry: rejected, leaving the memo as it was
+        let one = vec![1.0; dims];
+        let other_dims = vec![1.0; dims + 1];
+        let bad_value = CodecError::BadValue(String::new());
+        for second in [(&one[..], f64::NAN), (&other_dims[..], 1.0)] {
+            let bytes = raw_list("memo", &[0, 0], 2, &[(&one[..], 100.0), second]);
+            rejected(&mut back, &bytes, &bad_value)?;
+        }
+        let whole = raw_list("memo", &[0, 0], 1, &[(&one[..], 100.0)]);
+        rejected(&mut back, &whole[..whole.len() - 3], &CodecError::UnexpectedEof)?;
+        rejected(&mut back, &raw_list("memo", &[0, 0], 1 << 40, &[(&one[..], 100.0)]), &CodecError::UnexpectedEof)?;
     }
 }

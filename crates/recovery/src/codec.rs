@@ -175,6 +175,15 @@ impl StateWriter {
         }
     }
 
+    /// Writes a length-prefixed list of `(point, value)` pairs.
+    pub fn pairs<'a>(&mut self, pairs: impl ExactSizeIterator<Item = (&'a Point, f64)>) {
+        self.usize(pairs.len());
+        for (p, v) in pairs {
+            self.point(p);
+            self.f64(v);
+        }
+    }
+
     /// Writes an `Option<f64>` (presence byte + bits).
     pub fn opt_f64(&mut self, v: Option<f64>) {
         match v {
@@ -322,6 +331,12 @@ impl<'a> StateReader<'a> {
         (0..n).map(|_| self.point()).collect()
     }
 
+    /// Reads a length-prefixed list of `(point, value)` pairs.
+    pub fn pairs(&mut self) -> Result<Vec<(Point, f64)>, CodecError> {
+        let n = self.bounded_len()?;
+        (0..n).map(|_| Ok((self.point()?, self.f64()?))).collect()
+    }
+
     /// Reads an `Option<f64>`.
     pub fn opt_f64(&mut self) -> Result<Option<f64>, CodecError> {
         if self.bool()? {
@@ -411,6 +426,37 @@ mod tests {
         let mut r = StateReader::new(&bytes).unwrap();
         r.u8().unwrap();
         assert_eq!(r.finish().unwrap_err(), CodecError::TrailingBytes(1));
+    }
+
+    #[test]
+    fn pairs_round_trip_and_reject_an_oversized_prefix() {
+        let pairs = [
+            (Point::new(vec![1.0, -0.0]), 2.5),
+            (Point::new(vec![]), f64::NAN),
+        ];
+        let mut w = StateWriter::new();
+        w.pairs(pairs.iter().map(|(p, v)| (p, *v)));
+        w.pairs(std::iter::empty());
+        let bytes = w.into_bytes();
+        let mut r = StateReader::new(&bytes).unwrap();
+        let back = r.pairs().unwrap();
+        assert_eq!(back.len(), 2);
+        for ((p, v), (q, u)) in back.iter().zip(&pairs) {
+            let bits = |p: &Point| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(p), bits(q));
+            assert_eq!(v.to_bits(), u.to_bits());
+        }
+        assert_eq!(r.pairs().unwrap(), vec![]);
+        r.finish().unwrap();
+
+        // a prefix claiming 2^40 pairs fails on the missing bytes
+        let mut w = StateWriter::new();
+        w.usize(1 << 40);
+        w.point(&Point::new(vec![1.0]));
+        w.f64(1.0);
+        let bytes = w.into_bytes();
+        let mut r = StateReader::new(&bytes).unwrap();
+        assert_eq!(r.pairs(), Err(CodecError::UnexpectedEof));
     }
 
     #[test]

@@ -12,19 +12,28 @@
 //! neighbours (coordinates normalised by parameter width so unlike units
 //! mix sensibly).
 //!
+//! The same type is the optimizers' measured history: PRO, SRO and
+//! Nelder–Mead record every measured estimate with
+//! [`PerfDatabase::insert_replacing`] and fill the holes a fault leaves
+//! in a batch by interpolating over it (`harmony_core::optimizer::fill`),
+//! so a missing measurement is estimated exactly as §6 estimates a
+//! missing database entry.
+//!
 //! # Lookup
 //!
 //! An exact hit is one hash lookup; a missing point is answered by a
 //! linear scan over the stored entries ([`idw_scan`]), selecting the `k`
 //! nearest by `(distance², insertion index)`. Interpolation is off the
 //! hot paths: the simulated experiments tabulate their objectives
-//! directly, and the sessions that do tune against a database memoize
-//! every probe above it (`CachedObjective` in `harmony-core`).
+//! directly, the sessions that do tune against a database memoize
+//! every probe above it (`CachedObjective` in `harmony-core`), and a
+//! fault-free session only ever writes its history.
 
 use crate::objective::Objective;
 use harmony_params::{ParamSpace, Point, PointKey, PointMap};
 use harmony_recovery::{Checkpoint, CodecError, StateReader, StateWriter};
 use rand::Rng;
+use std::collections::hash_map::Entry;
 
 /// A recorded `parameter-point → running-time` table over a discrete
 /// space, usable as an [`Objective`].
@@ -57,6 +66,12 @@ pub struct PerfDatabase {
     pub k_neighbors: usize,
     name: String,
 }
+
+/// Entries a new [`PerfDatabase`] has room for before its log and index
+/// grow (or the whole lattice, when smaller): over the 90,000 PRO
+/// sessions of `fig10 --full` an optimizer's history holds 20 distinct
+/// points at the median and 57 at the 99th percentile.
+const RESERVE: usize = 64;
 
 /// The per-coordinate IEEE-754 bit patterns of a point, as the sharded
 /// database's snapshots store them; they order and compare like the
@@ -158,10 +173,11 @@ impl PerfDatabase {
     pub fn new(space: ParamSpace, k_neighbors: usize) -> Self {
         assert!(k_neighbors >= 1, "need at least one neighbour");
         let inv_scale = inv_scales(&space);
+        let reserve = space.lattice_size().map_or(RESERVE, |n| n.min(RESERVE));
         PerfDatabase {
             space,
-            index_of: PointMap::default(),
-            entries: Vec::new(),
+            index_of: PointMap::with_capacity_and_hasher(reserve, Default::default()),
+            entries: Vec::with_capacity(reserve),
             inv_scale,
             k_neighbors,
             name: "perf-database".into(),
@@ -172,34 +188,45 @@ impl PerfDatabase {
     /// *better* (lower) of the two observations — re-measuring a lattice
     /// point can only improve its entry, matching the min-of-visits
     /// reduction the paper's resilient estimators already apply.
-    /// Amortised O(1): duplicates resolve via the key index.
+    /// Amortised O(1): duplicates resolve via the key index. Panics on a
+    /// non-finite value or an inadmissible new point.
     pub fn insert(&mut self, point: Point, value: f64) {
-        self.upsert(point, value, false);
+        if let Some(old) = self.slot(&point, value) {
+            if value < *old {
+                *old = value;
+            }
+        }
     }
 
     /// Records one measurement with *newest-wins* semantics: any
-    /// previous value at the same point is replaced unconditionally.
-    /// Rolling measured histories use this (a later estimate of the same
-    /// configuration supersedes the earlier one); cross-run aggregation
-    /// should prefer [`Self::insert`].
-    pub fn insert_replacing(&mut self, point: Point, value: f64) {
-        self.upsert(point, value, true);
+    /// previous value at the same point is replaced unconditionally, and
+    /// the entry keeps its first-seen position. Measured histories use
+    /// this (a later estimate of the same configuration supersedes the
+    /// earlier one); cross-run aggregation should prefer
+    /// [`Self::insert`]. Panics as [`Self::insert`] does; only a new
+    /// point is cloned and checked for admissibility (a key with the same
+    /// bits as an admitted point is that point).
+    pub fn insert_replacing(&mut self, point: &Point, value: f64) {
+        if let Some(old) = self.slot(point, value) {
+            *old = value;
+        }
     }
 
-    fn upsert(&mut self, point: Point, value: f64, replace: bool) {
-        assert!(
-            self.space.is_admissible(&point),
-            "database point must be admissible: {point:?}"
-        );
+    /// The value slot of an entry already held at `point`; a new point
+    /// is appended with `value` instead (and `None` returned).
+    fn slot(&mut self, point: &Point, value: f64) -> Option<&mut f64> {
         assert!(value.is_finite(), "database value must be finite");
-        let k = PointKey::new(&point);
-        if let Some(&i) = self.index_of.get(&k) {
-            if replace || value < self.entries[i].1 {
-                self.entries[i].1 = value;
+        match self.index_of.entry(PointKey::new(point)) {
+            Entry::Occupied(slot) => Some(&mut self.entries[*slot.get()].1),
+            Entry::Vacant(slot) => {
+                assert!(
+                    self.space.is_admissible(point),
+                    "database point must be admissible: {point:?}"
+                );
+                slot.insert(self.entries.len());
+                self.entries.push((point.clone(), value));
+                None
             }
-        } else {
-            self.index_of.insert(k, self.entries.len());
-            self.entries.push((point, value));
         }
     }
 
@@ -282,26 +309,30 @@ impl PerfDatabase {
 impl Checkpoint for PerfDatabase {
     fn save_state(&self, w: &mut StateWriter) {
         w.tag("perfdb");
-        w.usize(self.entries.len());
-        for (p, v) in &self.entries {
-            w.point(p);
-            w.f64(*v);
-        }
+        w.pairs(self.entries.iter().map(|(p, v)| (p, *v)));
     }
 
+    /// Restores a saved entry list in its saved order. Entries that are
+    /// inadmissible, non-finite or repeated are rejected with
+    /// [`CodecError::BadValue`]; the whole list is checked before it
+    /// replaces the current one, so a failed restore leaves the database
+    /// unchanged.
     fn restore_state(&mut self, r: &mut StateReader) -> Result<(), CodecError> {
         r.tag("perfdb")?;
-        let n = r.usize()?;
-        self.index_of.clear();
-        self.entries.clear();
-        for _ in 0..n {
-            let p = r.point()?;
-            let v = r.f64()?;
-            if !self.space.is_admissible(&p) || !v.is_finite() {
-                return Err(CodecError::BadValue(format!("bad database entry {p:?}")));
+        let entries = r.pairs()?;
+        let mut index_of = PointMap::default();
+        for (i, (p, v)) in entries.iter().enumerate() {
+            if !self.space.is_admissible(p)
+                || !v.is_finite()
+                || index_of.insert(PointKey::new(p), i).is_some()
+            {
+                return Err(CodecError::BadValue(format!(
+                    "bad or repeated database entry {p:?}"
+                )));
             }
-            self.insert(p, v);
         }
+        self.index_of = index_of;
+        self.entries = entries;
         Ok(())
     }
 }
@@ -417,8 +448,8 @@ mod tests {
     fn insert_replacing_overwrites() {
         let mut db = PerfDatabase::new(space(), 1);
         let p = Point::from(&[1.0, 1.0][..]);
-        db.insert_replacing(p.clone(), 1.0);
-        db.insert_replacing(p.clone(), 2.0);
+        db.insert_replacing(&p, 1.0);
+        db.insert_replacing(&p, 2.0);
         assert_eq!(db.len(), 1);
         assert_eq!(db.eval(&p), 2.0);
     }

@@ -40,7 +40,7 @@
 //! no matter how its threads interleave.
 
 use crate::database::{idw_average, inv_scales, key_of, scaled_dist2};
-use harmony_params::{ParamSpace, Point};
+use harmony_params::{ParamSpace, Point, PointKey, PointMap};
 use harmony_recovery::{Checkpoint, CodecError, StateReader, StateWriter};
 use harmony_stats::splitmix::mix64;
 use std::collections::btree_map::Entry;
@@ -449,27 +449,6 @@ impl SharedPerfDb {
         all.into_iter().map(|(_, p, v)| (p, v)).collect()
     }
 
-    /// The published entry with the lowest value (ties broken by
-    /// lattice key), or `None` while empty — the warm-start seed for a
-    /// session joining an ongoing tuning effort.
-    pub fn best_entry(&self) -> Option<(Point, f64)> {
-        let mut best: Option<(f64, Vec<u64>, Point)> = None;
-        for shard in &self.shards {
-            shard.snap.read(|snap| {
-                for (k, p, v) in snap.iter() {
-                    let candidate = (*v, k.as_slice());
-                    if best
-                        .as_ref()
-                        .is_none_or(|(bv, bk, _)| candidate < (*bv, bk.as_slice()))
-                    {
-                        best = Some((*v, k.clone(), p.clone()));
-                    }
-                }
-            });
-        }
-        best.map(|(v, _, p)| (p, v))
-    }
-
     /// Materialises the published state as a single-owner
     /// [`PerfDatabase`](crate::PerfDatabase) (canonical insertion
     /// order), whose lookups are bit-identical to this database's.
@@ -548,24 +527,31 @@ impl Checkpoint for SharedPerfDb {
         self.flush();
         let entries = self.entries_canonical();
         w.tag("shareddb");
-        w.usize(entries.len());
-        for (p, v) in &entries {
-            w.point(p);
-            w.f64(*v);
-        }
+        w.pairs(entries.iter().map(|(p, v)| (p, *v)));
     }
 
+    /// Replaces the published entries (and drops pending records) with a
+    /// saved list. Entries that are inadmissible, non-finite or repeated
+    /// are rejected with [`CodecError::BadValue`]; the whole list is
+    /// checked first, so a failed restore changes neither the entries nor
+    /// the counters.
     fn restore_state(&mut self, r: &mut StateReader) -> Result<(), CodecError> {
         r.tag("shareddb")?;
-        let n = r.usize()?;
-        self.clear();
-        for _ in 0..n {
-            let p = r.point()?;
-            let v = r.f64()?;
-            if !self.space.is_admissible(&p) || !v.is_finite() {
-                return Err(CodecError::BadValue(format!("bad shared entry {p:?}")));
+        let entries = r.pairs()?;
+        let mut seen = PointMap::default();
+        for (p, v) in &entries {
+            if !self.space.is_admissible(p)
+                || !v.is_finite()
+                || seen.insert(PointKey::new(p), ()).is_some()
+            {
+                return Err(CodecError::BadValue(format!(
+                    "bad or repeated shared entry {p:?}"
+                )));
             }
-            self.record(&p, v);
+        }
+        self.clear();
+        for (p, v) in &entries {
+            self.record(p, *v);
         }
         self.flush();
         Ok(())
@@ -660,17 +646,6 @@ mod tests {
         assert_eq!(s.pending, 0);
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
         assert_eq!(db.per_shard().len(), SHARD_COUNT);
-    }
-
-    #[test]
-    fn best_entry_breaks_ties_by_key() {
-        let db = SharedPerfDb::new(space(), 1);
-        let a = Point::from(&[1.0, 1.0][..]);
-        let b = Point::from(&[9.0, 9.0][..]);
-        db.record(&b, 5.0);
-        db.record(&a, 5.0);
-        db.flush();
-        assert_eq!(db.best_entry(), Some((a, 5.0)));
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Integration tests pinning [`SharedPerfDb`] to the single-owner
 //! [`PerfDatabase`] semantics: a lockstep property test over random
-//! operation sequences, a thread-interleaving equivalence check, and a
-//! reader/writer stress test of the lock-free snapshot path.
+//! operation sequences, a restore property over corrupt entry lists for
+//! both, a thread-interleaving equivalence check, and a reader/writer
+//! stress test of the lock-free snapshot path.
 
-use harmony_surface::SharedPerfDb;
+use harmony_surface::{PerfDatabase, SharedPerfDb};
 use proptest::prelude::*;
 
 use harmony_params::{ParamDef, ParamSpace, Point};
+use harmony_recovery::{restore_from_slice, save_to_vec, CodecError, StateWriter};
 use std::collections::BTreeMap;
 
 fn space() -> ParamSpace {
@@ -72,6 +74,89 @@ proptest! {
             let b = single.try_interpolate(&p).map(f64::to_bits);
             prop_assert_eq!(a, b);
         }
+    }
+
+    /// A saved entry list with one corruption — an inadmissible, non-
+    /// finite or repeated entry at any position, a cut at any byte, or a
+    /// length prefix claiming 2^40 entries — fails to restore into either
+    /// database and changes nothing: entries, pending records and
+    /// counters stay as they were. The uncorrupted list restores.
+    #[test]
+    fn corrupt_entry_lists_restore_atomically(
+        start in prop::collection::vec((0i64..7, 0i64..7, 0.0f64..100.0, 0usize..2), 0..12),
+        points in prop::collection::btree_set((0i64..7, 0i64..7), 1..10),
+        values in prop::collection::vec(0.0f64..100.0, 10),
+        kind in 0usize..5,
+        at in 0usize..1000,
+    ) {
+        let mut shared = SharedPerfDb::new(space(), 2);
+        let mut single = PerfDatabase::new(space(), 2);
+        for &(x, y, v, flushed) in &start {
+            shared.record(&pt(x, y), v);
+            if flushed == 1 {
+                shared.flush();
+            }
+            single.insert(pt(x, y), v);
+        }
+        let mut entries: Vec<(Point, f64)> =
+            points.iter().zip(&values).map(|(&(x, y), &v)| (pt(x, y), v)).collect();
+        let encode = |tag: &str, len: usize, entries: &[(Point, f64)]| {
+            let mut w = StateWriter::new();
+            w.tag(tag);
+            w.usize(len);
+            for (p, v) in entries {
+                w.point(p);
+                w.f64(*v);
+            }
+            w.into_bytes()
+        };
+        let whole = |tag: &str, entries: &[(Point, f64)]| encode(tag, entries.len(), entries);
+        let (good_shared, good_single) = (whole("shareddb", &entries), whole("perfdb", &entries));
+        let i = at % (entries.len() + 1);
+        let (bad_shared, bad_single, eof) = match kind {
+            0..=2 => {
+                let corrupt = match kind {
+                    0 => (Point::new(vec![0.5, 0.0]), 1.0),
+                    1 => (pt(3, 3), f64::NAN),
+                    _ => entries[at % entries.len()].clone(),
+                };
+                entries.insert(i, corrupt);
+                (whole("shareddb", &entries), whole("perfdb", &entries), false)
+            }
+            3 => {
+                // keep the header and at least one byte of the tag
+                let cut = |b: &[u8]| b[..b.len() - 1 - at % (b.len() - 5)].to_vec();
+                (cut(&good_shared), cut(&good_single), true)
+            }
+            _ => (
+                encode("shareddb", 1 << 40, &entries),
+                encode("perfdb", 1 << 40, &entries),
+                true,
+            ),
+        };
+        let failed = |err: CodecError| {
+            if eof {
+                err == CodecError::UnexpectedEof
+            } else {
+                matches!(err, CodecError::BadValue(_))
+            }
+        };
+
+        let (canonical, stats) = (shared.entries_canonical(), shared.stats());
+        let err = restore_from_slice(&mut shared, &bad_shared).unwrap_err();
+        prop_assert!(failed(err.clone()), "{:?}", err);
+        prop_assert_eq!(shared.entries_canonical(), canonical);
+        prop_assert_eq!(shared.stats(), stats);
+
+        let before = save_to_vec(&single);
+        let err = restore_from_slice(&mut single, &bad_single).unwrap_err();
+        prop_assert!(failed(err.clone()), "{:?}", err);
+        prop_assert_eq!(save_to_vec(&single), before);
+
+        prop_assert!(restore_from_slice(&mut shared, &good_shared).is_ok());
+        prop_assert_eq!(shared.len(), points.len());
+        prop_assert!(restore_from_slice(&mut single, &good_single).is_ok());
+        prop_assert_eq!(save_to_vec(&single), good_single);
     }
 }
 
