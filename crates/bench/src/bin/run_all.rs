@@ -165,8 +165,8 @@ fn main() {
             eprintln!("--check-against {path}: {e}");
             std::process::exit(2);
         });
-        harness::json_number(&text, "total_wall_s").unwrap_or_else(|| {
-            eprintln!("--check-against {path}: no total_wall_s field");
+        harness::baseline_total_wall_s(&text).unwrap_or_else(|e| {
+            eprintln!("--check-against {path}: {e}");
             std::process::exit(2);
         })
     });

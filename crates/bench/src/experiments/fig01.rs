@@ -10,12 +10,12 @@
 
 use crate::report::Table;
 use harmony_cluster::pool::par_map_indexed;
-use harmony_core::nelder_mead::NelderMead;
-use harmony_core::sro::SroOptimizer;
-use harmony_core::{Estimator, OnlineTuner, Optimizer, ProOptimizer, TunerConfig};
-use harmony_surface::{Gs2Model, Objective};
+use harmony_core::{Estimator, OnlineTuner, TunerConfig};
+use harmony_surface::Gs2Model;
 use harmony_variability::noise::Noise;
 use harmony_variability::stream_seed;
+
+use super::tables::make_optimizer;
 
 /// Experiment parameters.
 #[derive(Debug, Clone, Copy)]
@@ -50,16 +50,6 @@ impl Default for Fig01Config {
 /// The algorithms compared in Fig. 1.
 pub const ALGORITHMS: [&str; 3] = ["nelder-mead", "sro", "pro"];
 
-fn make_optimizer(name: &str, gs2: &Gs2Model) -> Box<dyn Optimizer> {
-    let space = gs2.space().clone();
-    match name {
-        "nelder-mead" => Box::new(NelderMead::with_defaults(space)),
-        "sro" => Box::new(SroOptimizer::with_defaults(space)),
-        "pro" => Box::new(ProOptimizer::with_defaults(space)),
-        other => panic!("unknown algorithm {other}"),
-    }
-}
-
 /// Average per-step series of one algorithm: `(T_k, Total_Time(k))` per
 /// step.
 fn algorithm_series(name: &str, cfg: &Fig01Config) -> (Vec<f64>, Vec<f64>) {
@@ -79,7 +69,7 @@ fn algorithm_series(name: &str, cfg: &Fig01Config) -> (Vec<f64>, Vec<f64>) {
             full_occupancy: false,
             exploit_width: 6,
         });
-        let mut opt = make_optimizer(name, &gs2);
+        let mut opt = make_optimizer(name, &gs2, seed);
         let out = tuner
             .run(&gs2, &noise, opt.as_mut())
             .expect("tuning session produced a recommendation");

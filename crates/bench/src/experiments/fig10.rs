@@ -66,6 +66,28 @@ pub const EXTENDED_RHOS: [f64; 5] = [0.40, 0.45, 0.50, 0.55, 0.60];
 /// per cell ([`LatticeTable`]) and the table is shared by the cell's
 /// replications; it returns the model's values bit for bit.
 pub fn cell_with_sem_in(workers: usize, rho: f64, k: usize, cfg: &Fig10Config) -> (f64, f64) {
+    cell(workers, rho, k, cfg, 32, SamplingMode::SequentialSteps)
+}
+
+/// Average NTT for one *packed-scheduling* `(ρ, K)` cell (§5.2 sweep).
+///
+/// Seed stream `cfg.seed ^ (k << 40)` is disjoint from the sequential
+/// sweep's `cfg.seed ^ (k << 32)` by construction. The model is
+/// tabulated once per cell, as in [`cell_with_sem_in`].
+pub fn packed_cell_in(workers: usize, rho: f64, k: usize, cfg: &Fig10Config) -> f64 {
+    cell(workers, rho, k, cfg, 40, SamplingMode::Packed).0
+}
+
+/// `(mean NTT, SEM)` of one cell under `mode`, on the seed stream
+/// `cfg.seed ^ (k << salt_shift)`.
+fn cell(
+    workers: usize,
+    rho: f64,
+    k: usize,
+    cfg: &Fig10Config,
+    salt_shift: u32,
+    mode: SamplingMode,
+) -> (f64, f64) {
     let model = Gs2Model::paper_scale();
     let gs2 = LatticeTable::new(&model);
     let noise = if rho == 0.0 {
@@ -79,14 +101,14 @@ pub fn cell_with_sem_in(workers: usize, rho: f64, k: usize, cfg: &Fig10Config) -
     let avg = average_sessions_in(
         workers,
         cfg.reps,
-        cfg.seed ^ (k as u64) << 32,
+        cfg.seed ^ ((k as u64) << salt_shift),
         rho,
         |seed| {
             let tuner = OnlineTuner::new(TunerConfig {
                 procs: cfg.procs,
                 max_steps: cfg.steps,
                 estimator: Estimator::MinOfK(k),
-                mode: SamplingMode::SequentialSteps,
+                mode,
                 seed,
                 full_occupancy: false,
                 exploit_width: 6,
@@ -98,46 +120,6 @@ pub fn cell_with_sem_in(workers: usize, rho: f64, k: usize, cfg: &Fig10Config) -
         },
     );
     (avg.mean_ntt, avg.sem_ntt)
-}
-
-/// Average NTT for one *packed-scheduling* `(ρ, K)` cell (§5.2 sweep).
-///
-/// Seed stream `cfg.seed ^ (k << 40)` is disjoint from the sequential
-/// sweep's `cfg.seed ^ (k << 32)` by construction. The model is
-/// tabulated once per cell, as in [`cell_with_sem_in`].
-pub fn packed_cell_in(workers: usize, rho: f64, k: usize, cfg: &Fig10Config) -> f64 {
-    let model = Gs2Model::paper_scale();
-    let gs2 = LatticeTable::new(&model);
-    let noise = if rho == 0.0 {
-        Noise::None
-    } else {
-        Noise::Pareto {
-            alpha: cfg.alpha,
-            rho,
-        }
-    };
-    let avg = average_sessions_in(
-        workers,
-        cfg.reps,
-        cfg.seed ^ ((k as u64) << 40),
-        rho,
-        |seed| {
-            let tuner = OnlineTuner::new(TunerConfig {
-                procs: cfg.procs,
-                max_steps: cfg.steps,
-                estimator: Estimator::MinOfK(k),
-                mode: SamplingMode::Packed,
-                seed,
-                full_occupancy: false,
-                exploit_width: 6,
-            });
-            let mut opt = ProOptimizer::with_defaults(gs2.space().clone());
-            tuner
-                .run(&gs2, &noise, &mut opt)
-                .expect("tuning session produced a recommendation")
-        },
-    );
-    avg.mean_ntt
 }
 
 /// The extension beyond the paper's grid: on our synthetic surface the

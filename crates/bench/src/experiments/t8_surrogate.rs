@@ -20,6 +20,7 @@ use crate::report::Table;
 use harmony_cluster::pool::par_map_indexed_in;
 use harmony_cluster::SamplingMode;
 use harmony_core::{Estimator, OnlineTuner, TunerConfig};
+use harmony_stats::splitmix::hash_str;
 use harmony_surface::Gs2Model;
 use harmony_variability::noise::Noise;
 use harmony_variability::stream_seed;
@@ -39,16 +40,12 @@ const SAMPLES: usize = 3;
 /// Seed-stream salt separating T8 from every other experiment family.
 const T8_SALT: u64 = 0x78;
 
-fn hash_name(name: &str) -> u64 {
-    harmony_stats::splitmix::hash_str(name)
-}
-
 /// The seed stream of one `(optimizer, rho)` cell — a pure function of
 /// `(seed, name, ri)`, independent of subtask scheduling.
 fn cell_seed(seed: u64, oi: usize, ri: usize) -> u64 {
     stream_seed(
         stream_seed(seed, T8_SALT),
-        stream_seed(hash_name(T8_OPTIMIZERS[oi]), ri as u64),
+        stream_seed(hash_str(T8_OPTIMIZERS[oi]), ri as u64),
     )
 }
 

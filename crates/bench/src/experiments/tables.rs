@@ -15,6 +15,7 @@ use harmony_core::{
     TunerConfig,
 };
 use harmony_stats::minop;
+use harmony_stats::splitmix::hash_str;
 use harmony_surface::{Gs2Model, Objective};
 use harmony_variability::des::TwoPriorityDes;
 use harmony_variability::dist::{Distribution, Exponential, Pareto};
@@ -151,27 +152,21 @@ pub fn baselines_row_in(
 ) -> Vec<f64> {
     let gs2 = Gs2Model::paper_scale();
     let noise = Noise::paper_default(rho);
-    let avg = average_sessions_in(
-        workers,
-        reps,
-        stream_seed(seed, hash_name(name)),
-        rho,
-        |s| {
-            let tuner = OnlineTuner::new(TunerConfig {
-                procs: 64,
-                max_steps: steps,
-                estimator: Estimator::Single,
-                mode: SamplingMode::SequentialSteps,
-                seed: s,
-                full_occupancy: false,
-                exploit_width: 6,
-            });
-            let mut opt = make_optimizer(name, &gs2, s);
-            tuner
-                .run(&gs2, &noise, opt.as_mut())
-                .expect("tuning session produced a recommendation")
-        },
-    );
+    let avg = average_sessions_in(workers, reps, stream_seed(seed, hash_str(name)), rho, |s| {
+        let tuner = OnlineTuner::new(TunerConfig {
+            procs: 64,
+            max_steps: steps,
+            estimator: Estimator::Single,
+            mode: SamplingMode::SequentialSteps,
+            seed: s,
+            full_occupancy: false,
+            exploit_width: 6,
+        });
+        let mut opt = make_optimizer(name, &gs2, s);
+        tuner
+            .run(&gs2, &noise, opt.as_mut())
+            .expect("tuning session produced a recommendation")
+    });
     vec![
         avg.mean_total,
         avg.mean_ntt,
@@ -213,7 +208,7 @@ pub fn time_to_quality_row_in(
     let noise = Noise::paper_default(rho);
     let (_, global) = harmony_surface::best_on_lattice(&gs2).expect("discrete lattice");
     let rows = par_map_indexed_in(workers, reps, |i| {
-        let s = stream_seed(stream_seed(seed, hash_name(name)), i as u64);
+        let s = stream_seed(stream_seed(seed, hash_str(name)), i as u64);
         let tuner = OnlineTuner::new(TunerConfig {
             procs: 64,
             max_steps: steps,
@@ -264,10 +259,6 @@ pub fn assemble_time_to_quality(factors: &[f64], rows: &[Vec<f64>]) -> Table {
         table.push_labeled(*name, row.clone());
     }
     table
-}
-
-fn hash_name(name: &str) -> u64 {
-    harmony_stats::splitmix::hash_str(name)
 }
 
 #[cfg(test)]

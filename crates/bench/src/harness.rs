@@ -38,6 +38,7 @@ use crate::experiments::{
 };
 use crate::report::{emit_table_telemetry, emit_to, results_dir, Table};
 use harmony_cluster::pool;
+use harmony_recovery::{json, CodecError};
 use harmony_telemetry::{
     to_jsonl, Field, Kind, MemorySink, MetricsRegistry, Record, Telemetry, TelemetryConfig,
 };
@@ -551,18 +552,12 @@ impl HarnessReport {
     }
 }
 
-/// Extracts the first numeric value of `"key":` from a flat JSON
-/// document — just enough parsing to read a committed
-/// `BENCH_harness.json` back for regression checks without a JSON
-/// dependency.
-pub fn json_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let pos = json.find(&needle)? + needle.len();
-    let rest = json[pos..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// Reads `total_wall_s` back from a [`HarnessReport::to_json`] document
+/// (a committed `BENCH_harness.json`) for the `--check-against`
+/// regression gate. A document that is not JSON, or has no numeric
+/// `total_wall_s`, is an error.
+pub fn baseline_total_wall_s(report: &str) -> Result<f64, CodecError> {
+    json::parse(report)?.field("total_wall_s")?.as_f64()
 }
 
 /// Cost of session persistence ([`measure_recovery_overhead`]).
@@ -1354,14 +1349,17 @@ mod tests {
             shared_cache_hit_rate: Some(0.42),
         };
         let json = r.to_json();
-        assert_eq!(json_number(&json, "total_wall_s"), Some(1.5));
-        assert_eq!(json_number(&json, "recovery_overhead_pct"), Some(1.75));
-        assert_eq!(json_number(&json, "shared_cache_hit_rate"), Some(0.42));
-        assert_eq!(json_number(&json, "serial_wall_s"), Some(3.0));
-        assert_eq!(json_number(&json, "workers"), Some(4.0));
-        assert_eq!(json_number(&json, "speedup"), Some(2.0));
-        assert_eq!(json_number(&json, "critical_path_s"), Some(1.25));
-        assert_eq!(json_number(&json, "parallel_efficiency"), Some(0.5));
+        // five containers deep: report → experiments → task → subtasks → subtask
+        let doc = json::parse(&json).expect("the report is one JSON document");
+        let num = |key: &str| doc.field(key).and_then(|v| v.as_f64()).unwrap();
+        assert_eq!(baseline_total_wall_s(&json), Ok(1.5));
+        assert_eq!(num("recovery_overhead_pct"), 1.75);
+        assert_eq!(num("shared_cache_hit_rate"), 0.42);
+        assert_eq!(num("serial_wall_s"), 3.0);
+        assert_eq!(num("workers"), 4.0);
+        assert_eq!(num("speedup"), 2.0);
+        assert_eq!(num("critical_path_s"), 1.25);
+        assert_eq!(num("parallel_efficiency"), 0.5);
         assert!(json.contains("{\"name\": \"a\", \"wall_s\": 1.000},"));
         assert!(json.contains("{\"name\": \"b\", \"wall_s\": 2.000, \"subtasks\": ["));
         assert!(json.contains("{\"name\": \"b.k1\", \"wall_s\": 1.500},"));
@@ -1369,11 +1367,12 @@ mod tests {
     }
 
     #[test]
-    fn json_number_handles_missing_and_malformed() {
-        assert_eq!(json_number("{}", "total_wall_s"), None);
-        assert_eq!(json_number("{\"x\": \"str\"}", "x"), None);
-        assert_eq!(json_number("{\"x\":  42.5,", "x"), Some(42.5));
-        assert_eq!(json_number("{\"x\":7}", "x"), Some(7.0));
+    fn baseline_total_wall_s_rejects_missing_and_malformed() {
+        assert!(baseline_total_wall_s("{}").is_err());
+        assert!(baseline_total_wall_s("{\"total_wall_s\": \"str\"}").is_err());
+        assert!(baseline_total_wall_s("{\"total_wall_s\":  42.5,").is_err());
+        assert!(baseline_total_wall_s("{\"total_wall_s\": 1} x").is_err());
+        assert_eq!(baseline_total_wall_s("{\"total_wall_s\":7}"), Ok(7.0));
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! [`NelderMead::simplex_rank`]), and the method is inherently
 //! sequential: proposals are singletons except for the shrink step.
 
-use crate::optimizer::{Incumbent, Optimizer, HISTORY_NEIGHBORS};
-use crate::pro::simplex_from_vertices;
+use crate::optimizer::{read_tail, Incumbent, Optimizer, HISTORY_NEIGHBORS};
+use crate::pro::{check_admissible, check_values, simplex_from_vertices};
 use harmony_params::init::{initial_simplex, InitialShape, DEFAULT_RELATIVE_SIZE};
 use harmony_params::{ParamSpace, Point, Rounding, Simplex};
 use harmony_recovery::{Checkpoint, CodecError, StateReader, StateWriter};
@@ -248,11 +248,14 @@ impl Checkpoint for NelderMead {
         w.bool(self.converged);
     }
 
+    /// Restores a saved state, checking all of it before assigning any:
+    /// inadmissible points, non-finite values, or a queue or value count
+    /// that does not fit the phase are rejected with `BadValue`.
     fn restore_state(&mut self, r: &mut StateReader) -> Result<(), CodecError> {
         r.tag("nm")?;
-        self.simplex = simplex_from_vertices(r.points()?)?;
-        self.values = r.f64_vec()?;
-        self.phase = match r.u8()? {
+        let simplex = simplex_from_vertices(r.points()?)?;
+        let values = r.f64_vec()?;
+        let phase = match r.u8()? {
             0 => Phase::Init,
             1 => Phase::Reflect,
             2 => Phase::Expand,
@@ -261,17 +264,50 @@ impl Checkpoint for NelderMead {
             5 => Phase::Done,
             b => return Err(CodecError::BadValue(format!("bad nm phase {b}"))),
         };
-        self.queue = r.points()?;
-        self.got = r.f64_vec()?;
-        self.reflected = if r.bool()? {
+        let queue = r.points()?;
+        let got = r.f64_vec()?;
+        let reflected = if r.bool()? {
             Some((r.point()?, r.f64()?))
         } else {
             None
         };
-        self.incumbent.restore_state(r)?;
-        self.history.restore_state(r)?;
-        self.iterations = r.usize()?;
-        self.converged = r.bool()?;
+        let (incumbent, history, iterations, converged) = read_tail(&self.space, r)?;
+        let m = simplex.len();
+        check_admissible(&self.space, "vertex", simplex.vertices())?;
+        check_values(&values, m, phase == Phase::Init)?;
+        check_admissible(&self.space, "queued point", &queue)?;
+        let queue_len = match phase {
+            Phase::Init => m,
+            Phase::Reflect | Phase::Expand | Phase::Contract => 1,
+            Phase::Shrink => m - 1,
+            Phase::Done => 0,
+        };
+        let reflected_ok = match &reflected {
+            Some((p, v)) => self.space.is_admissible(p) && v.is_finite(),
+            None => phase != Phase::Expand,
+        };
+        // the value of a phase's last queued point completes the phase,
+        // so a saved `got` never covers its queue
+        if queue.len() != queue_len
+            || got.len() >= queue_len.max(1)
+            || got.iter().any(|v| !v.is_finite())
+            || !reflected_ok
+        {
+            return Err(CodecError::BadValue(format!(
+                "nm phase {phase:?} with {} queued points, {got:?} and {reflected:?}",
+                queue.len()
+            )));
+        }
+        self.simplex = simplex;
+        self.values = values;
+        self.phase = phase;
+        self.queue = queue;
+        self.got = got;
+        self.reflected = reflected;
+        self.incumbent = incumbent;
+        self.history = history;
+        self.iterations = iterations;
+        self.converged = converged;
         Ok(())
     }
 }
@@ -474,5 +510,151 @@ mod tests {
         let (best, _) = opt.best().unwrap();
         // should walk toward the (10, 10) corner
         assert!(best[0] > 5.0 && best[1] > 5.0, "best={best:?}");
+    }
+
+    fn lattice_space() -> ParamSpace {
+        ParamSpace::new(vec![
+            ParamDef::integer("x", -5, 5, 1).unwrap(),
+            ParamDef::integer("y", -5, 5, 1).unwrap(),
+        ])
+        .unwrap()
+    }
+
+    #[test]
+    fn failed_restores_leave_the_optimizer_unchanged() {
+        use crate::optimizer::testing::{cut_restores_change_nothing, run};
+        let mut src = NelderMead::with_defaults(lattice_space());
+        run(&mut src, |p| (p[0] - 2.0).powi(2) + (p[1] + 1.0).powi(2), 7);
+        let bytes = harmony_recovery::save_to_vec(&src);
+        cut_restores_change_nothing(&bytes, || NelderMead::with_defaults(lattice_space()));
+        cut_restores_change_nothing(&bytes, || {
+            let mut opt = NelderMead::with_defaults(lattice_space());
+            run(&mut opt, |p| p[0] + p[1] + 20.0, 4);
+            opt
+        });
+    }
+
+    /// A checkpoint of an `nm` section with an empty incumbent and
+    /// history; `reflected` is written as given.
+    fn crafted_nm(
+        verts: &[Point],
+        values: &[f64],
+        phase: u8,
+        queue: &[Point],
+        got: &[f64],
+        reflected: Option<(&Point, f64)>,
+    ) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        w.tag("nm");
+        w.points(verts);
+        w.f64_slice(values);
+        w.u8(phase);
+        w.points(queue);
+        w.f64_slice(got);
+        match reflected {
+            Some((p, v)) => {
+                w.bool(true);
+                w.point(p);
+                w.f64(v);
+            }
+            None => w.bool(false),
+        }
+        Incumbent::new().save_state(&mut w);
+        PerfDatabase::new(lattice_space(), HISTORY_NEIGHBORS).save_state(&mut w);
+        w.usize(1);
+        w.bool(false);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn restore_validates_crafted_checkpoints() {
+        let pt = |x: f64, y: f64| Point::from(&[x, y][..]);
+        let verts = [pt(0.0, 0.0), pt(1.0, 0.0), pt(0.0, 1.0)];
+        let vals = [1.0, 2.0, 3.0];
+        let r = pt(-1.0, -1.0);
+        let refl = std::slice::from_ref(&r);
+        let restore = |bytes: &[u8]| {
+            let mut opt = NelderMead::with_defaults(lattice_space());
+            let before = opt.propose();
+            let got = harmony_recovery::restore_from_slice(&mut opt, bytes);
+            if got.is_err() {
+                assert_eq!(opt.propose(), before, "a rejected restore moved the queue");
+            }
+            got
+        };
+        let bad = |bytes: &[u8], why: &str| {
+            assert!(
+                matches!(restore(bytes), Err(CodecError::BadValue(_))),
+                "accepted {why}"
+            );
+        };
+        // well-formed states restore
+        restore(&crafted_nm(&verts, &[], 0, &verts, &[1.0], None)).unwrap();
+        restore(&crafted_nm(&verts, &vals, 1, refl, &[], None)).unwrap();
+        restore(&crafted_nm(&verts, &vals, 2, refl, &[], Some((&r, 0.5)))).unwrap();
+        restore(&crafted_nm(
+            &verts,
+            &vals,
+            4,
+            &verts[1..],
+            &[2.0],
+            Some((&r, 4.0)),
+        ))
+        .unwrap();
+        restore(&crafted_nm(&verts, &vals, 5, &[], &[], None)).unwrap();
+
+        // the first byte where the two differ is the reflection flag
+        let mut flag = crafted_nm(&verts, &vals, 1, refl, &[], None);
+        let with = crafted_nm(&verts, &vals, 1, refl, &[], Some((&r, 0.5)));
+        let at = flag.iter().zip(&with).position(|(a, b)| a != b).unwrap();
+        flag[at] = 7;
+        bad(&flag, "a reflection flag byte of 7");
+        bad(
+            &crafted_nm(&verts, &vals, 1, &[pt(9.0, 9.0)], &[], None),
+            "a queued point outside the space",
+        );
+        bad(
+            &crafted_nm(
+                &[pt(0.5, 0.0), verts[1].clone(), verts[2].clone()],
+                &vals,
+                1,
+                refl,
+                &[],
+                None,
+            ),
+            "an inadmissible vertex",
+        );
+        bad(
+            &crafted_nm(&verts, &vals, 1, refl, &[1.0], None),
+            "a value for every queued point",
+        );
+        bad(
+            &crafted_nm(&verts, &vals, 1, &[r.clone(), r.clone()], &[], None),
+            "a two-point reflection",
+        );
+        bad(
+            &crafted_nm(&verts, &vals, 4, &verts, &[], None),
+            "a shrink of every vertex",
+        );
+        bad(
+            &crafted_nm(&verts, &vals, 2, refl, &[], None),
+            "an expansion without its reflection",
+        );
+        bad(
+            &crafted_nm(&verts, &vals, 2, refl, &[], Some((&pt(0.5, 0.5), 1.0))),
+            "an inadmissible reflection",
+        );
+        bad(
+            &crafted_nm(&verts, &vals[..2], 1, refl, &[], None),
+            "too few values",
+        );
+        bad(
+            &crafted_nm(&verts, &[1.0, f64::NAN, 3.0], 1, refl, &[], None),
+            "a NaN value",
+        );
+        bad(
+            &crafted_nm(&verts, &vals, 5, refl, &[], None),
+            "a queue after Done",
+        );
     }
 }

@@ -186,6 +186,69 @@ impl Checkpoint for Incumbent {
     }
 }
 
+/// Decodes the incumbent, history, iteration count and convergence flag
+/// that end the PRO, SRO and Nelder–Mead checkpoints into fresh values;
+/// an inadmissible or non-finite incumbent is rejected.
+pub(crate) fn read_tail(
+    space: &ParamSpace,
+    r: &mut StateReader,
+) -> Result<(Incumbent, PerfDatabase, usize, bool), CodecError> {
+    let mut incumbent = Incumbent::new();
+    incumbent.restore_state(r)?;
+    if let Some((p, v)) = &incumbent.best {
+        if !space.is_admissible(p) || !v.is_finite() {
+            return Err(CodecError::BadValue(format!("bad incumbent {p:?} -> {v}")));
+        }
+    }
+    let mut history = PerfDatabase::new(space.clone(), HISTORY_NEIGHBORS);
+    history.restore_state(r)?;
+    Ok((incumbent, history, r.usize()?, r.bool()?))
+}
+
+/// Test support shared by the optimizers' restore tests.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::Optimizer;
+    use harmony_params::Point;
+    use harmony_recovery::{restore_from_slice, Checkpoint};
+
+    /// Answers up to `batches` proposals of `opt` with `f`.
+    pub(crate) fn run(opt: &mut dyn Optimizer, f: impl Fn(&Point) -> f64, batches: usize) {
+        for _ in 0..batches {
+            let batch = opt.propose();
+            if batch.is_empty() {
+                break;
+            }
+            let values: Vec<f64> = batch.iter().map(&f).collect();
+            opt.observe(&values);
+        }
+    }
+
+    /// Restores every proper prefix of `checkpoint` into an optimizer
+    /// built by `make`, and asserts that each restore fails and leaves
+    /// `best()` and `propose()` as they are on an untouched `make()`.
+    pub(crate) fn cut_restores_change_nothing<O: Optimizer + Checkpoint>(
+        checkpoint: &[u8],
+        make: impl Fn() -> O,
+    ) {
+        let mut untouched = make();
+        let (best, batch) = (untouched.best(), untouched.propose());
+        for cut in 0..checkpoint.len() {
+            let mut opt = make();
+            assert!(
+                restore_from_slice(&mut opt, &checkpoint[..cut]).is_err(),
+                "a checkpoint cut at byte {cut} restored"
+            );
+            assert_eq!(opt.best(), best, "a restore cut at byte {cut} moved best()");
+            assert_eq!(
+                opt.propose(),
+                batch,
+                "a restore cut at byte {cut} moved propose()"
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -30,7 +30,7 @@
 //! minimum and the search stops, otherwise PRO continues with the probe
 //! simplex (we keep `v⁰` in it so the incumbent stays a vertex).
 
-use crate::optimizer::{fill, Incumbent, Optimizer, HISTORY_NEIGHBORS};
+use crate::optimizer::{fill, read_tail, Incumbent, Optimizer, HISTORY_NEIGHBORS};
 use harmony_params::init::{initial_simplex, InitialShape, DEFAULT_RELATIVE_SIZE};
 use harmony_params::{ParamSpace, Point, Rounding, Simplex, StepKind};
 use harmony_recovery::{Checkpoint, CodecError, StateReader, StateWriter};
@@ -697,10 +697,11 @@ impl Checkpoint for ProOptimizer {
                 carried.len()
             )));
         }
-        self.incumbent.restore_state(r)?;
-        self.history.restore_state(r)?;
-        self.iterations = r.usize()?;
-        self.converged = r.bool()?;
+        let (incumbent, history, iterations, converged) = read_tail(&self.space, r)?;
+        self.incumbent = incumbent;
+        self.history = history;
+        self.iterations = iterations;
+        self.converged = converged;
         self.simplex = simplex;
         self.values.clear();
         self.values.extend_from_slice(&values);
@@ -1338,5 +1339,20 @@ mod tests {
             a.observe(&vals);
         }
         assert!(a.converged());
+    }
+
+    #[test]
+    fn failed_restores_leave_the_optimizer_unchanged() {
+        use crate::optimizer::testing::{cut_restores_change_nothing, run};
+        let space = || lattice_space(-5, 5);
+        let mut src = ProOptimizer::with_defaults(space());
+        run(&mut src, |p| (p[0] - 2.0).powi(2) + (p[1] + 1.0).powi(2), 6);
+        let bytes = harmony_recovery::save_to_vec(&src);
+        cut_restores_change_nothing(&bytes, || ProOptimizer::with_defaults(space()));
+        cut_restores_change_nothing(&bytes, || {
+            let mut opt = ProOptimizer::with_defaults(space());
+            run(&mut opt, |p| p[0] + p[1] + 20.0, 3);
+            opt
+        });
     }
 }

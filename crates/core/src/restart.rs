@@ -104,26 +104,36 @@ impl Checkpoint for Restarting {
             .save_state(w);
     }
 
+    /// Restores a saved state; everything, the inner optimizer included,
+    /// is decoded before any of it is assigned, so a failed restore
+    /// changes nothing.
     fn restore_state(&mut self, r: &mut StateReader) -> Result<(), CodecError> {
         r.tag("restart")?;
         let state: [u64; 4] = r
             .u64_vec()?
             .try_into()
             .map_err(|_| CodecError::BadValue("bad rng state length".into()))?;
-        self.rng = SmallRng::from_state(state);
-        self.starts = r.usize()?;
-        self.current_start = r.usize()?;
-        self.current_center = r.point()?;
-        self.incumbent.restore_state(r)?;
+        let starts = r.usize()?;
+        let current_start = r.usize()?;
+        let current_center = r.point()?;
+        let mut incumbent = Incumbent::new();
+        incumbent.restore_state(r)?;
         // rebuild the inner optimizer exactly as the factory originally
         // did, then restore its internal state on top
-        self.inner = (self.factory)(self.current_start, &self.current_center);
-        match self.inner.as_checkpoint_mut() {
-            Some(c) => c.restore_state(r),
-            None => Err(CodecError::BadValue(
+        let mut inner = (self.factory)(current_start, &current_center);
+        let Some(state_of_inner) = inner.as_checkpoint_mut() else {
+            return Err(CodecError::BadValue(
                 "factory built a non-checkpointable optimizer".into(),
-            )),
-        }
+            ));
+        };
+        state_of_inner.restore_state(r)?;
+        self.rng = SmallRng::from_state(state);
+        self.starts = starts;
+        self.current_start = current_start;
+        self.current_center = current_center;
+        self.incumbent = incumbent;
+        self.inner = inner;
+        Ok(())
     }
 }
 
@@ -351,5 +361,18 @@ mod tests {
         }
         assert_eq!(multi.starts(), resumed.starts());
         assert_eq!(multi.recommendation(), resumed.recommendation());
+    }
+
+    #[test]
+    fn failed_restores_leave_the_optimizer_unchanged() {
+        use crate::optimizer::testing::cut_restores_change_nothing;
+        let mut multi = restarting_pro(space(), ProConfig::default(), 6, 7);
+        drive(&mut multi, 120);
+        let bytes = harmony_recovery::save_to_vec(&multi);
+        cut_restores_change_nothing(&bytes, || {
+            let mut opt = restarting_pro(space(), ProConfig::default(), 6, 7);
+            drive(&mut opt, 20);
+            opt
+        });
     }
 }

@@ -9,7 +9,7 @@
 //! configuration change per time step, which is exactly why the paper
 //! parallelised the algorithm.
 
-use crate::optimizer::{Incumbent, Optimizer, HISTORY_NEIGHBORS};
+use crate::optimizer::{read_tail, Incumbent, Optimizer, HISTORY_NEIGHBORS};
 use crate::pro::{check_admissible, check_values, simplex_from_vertices};
 use harmony_params::init::{initial_simplex, InitialShape, DEFAULT_RELATIVE_SIZE};
 use harmony_params::{ParamSpace, Point, Rounding, Simplex, StepKind};
@@ -381,6 +381,8 @@ impl Checkpoint for SroOptimizer {
         };
         let queue = r.points()?;
         let got = r.f64_vec()?;
+        let reflect_check_val = r.f64()?;
+        let (incumbent, history, iterations, converged) = read_tail(&self.space, r)?;
         check_admissible(&self.space, "vertex", simplex.vertices())?;
         check_values(&values, simplex.len(), phase == Phase::Init)?;
         check_admissible(&self.space, "queued point", &queue)?;
@@ -400,11 +402,11 @@ impl Checkpoint for SroOptimizer {
         self.phase = phase;
         self.queue = queue;
         self.got = got;
-        self.reflect_check_val = r.f64()?;
-        self.incumbent.restore_state(r)?;
-        self.history.restore_state(r)?;
-        self.iterations = r.usize()?;
-        self.converged = r.bool()?;
+        self.reflect_check_val = reflect_check_val;
+        self.incumbent = incumbent;
+        self.history = history;
+        self.iterations = iterations;
+        self.converged = converged;
         self.iter_span = 0;
         Ok(())
     }
@@ -728,5 +730,20 @@ mod tests {
         let mut opt = SroOptimizer::with_defaults(space);
         let _ = opt.propose();
         opt.observe(&[1.0, 2.0]);
+    }
+
+    #[test]
+    fn failed_restores_leave_the_optimizer_unchanged() {
+        use crate::optimizer::testing::{cut_restores_change_nothing, run};
+        let space = || lattice_space(-5, 5);
+        let mut src = SroOptimizer::with_defaults(space());
+        run(&mut src, |p| (p[0] - 2.0).powi(2) + (p[1] + 1.0).powi(2), 9);
+        let bytes = harmony_recovery::save_to_vec(&src);
+        cut_restores_change_nothing(&bytes, || SroOptimizer::with_defaults(space()));
+        cut_restores_change_nothing(&bytes, || {
+            let mut opt = SroOptimizer::with_defaults(space());
+            run(&mut opt, |p| p[0] + p[1] + 20.0, 5);
+            opt
+        });
     }
 }

@@ -18,7 +18,7 @@ pub const MAGIC: [u8; 4] = *b"HRC\x01";
 /// A typed serialisation/deserialisation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
-    /// The buffer ended before the value was complete.
+    /// The buffer (or JSON line) ended before the value was complete.
     UnexpectedEof,
     /// The buffer does not start with the codec magic.
     BadMagic,
@@ -41,7 +41,7 @@ pub enum CodecError {
 impl fmt::Display for CodecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CodecError::UnexpectedEof => write!(f, "checkpoint truncated"),
+            CodecError::UnexpectedEof => write!(f, "input truncated"),
             CodecError::BadMagic => write!(f, "not a harmony checkpoint (bad magic)"),
             CodecError::BadVersion(v) => write!(f, "unsupported checkpoint version {v}"),
             CodecError::BadTag { expected, found } => {
@@ -50,7 +50,7 @@ impl fmt::Display for CodecError {
                     "checkpoint section mismatch: expected {expected:?}, found {found:?}"
                 )
             }
-            CodecError::BadValue(why) => write!(f, "invalid checkpoint value: {why}"),
+            CodecError::BadValue(why) => write!(f, "invalid value: {why}"),
             CodecError::TrailingBytes(n) => {
                 write!(f, "{n} trailing bytes after checkpoint")
             }

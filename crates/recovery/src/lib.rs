@@ -11,6 +11,9 @@
 //!   Every record carries enough to re-apply the batch to the optimizer
 //!   *and* to re-emit its telemetry, so a session killed at any batch
 //!   boundary replays to a byte-identical [`TuningOutcome`] and trace.
+//! * [`json`] — the workspace's one JSON reader, behind WAL lines,
+//!   telemetry traces and the harness report: exact integers, typed
+//!   errors, bounded nesting.
 //! * [`journal`] — the storage container binding snapshots and the WAL
 //!   together, with an in-memory backend (tests simulate kills by
 //!   truncating it) and a directory backend for real persistence.
@@ -29,6 +32,7 @@
 pub mod codec;
 pub mod health;
 pub mod journal;
+pub mod json;
 pub mod wal;
 
 pub use codec::{CodecError, StateReader, StateWriter};

@@ -3,14 +3,17 @@
 //! needed to *re-apply* the batch to the optimizer and to *re-emit* its
 //! telemetry without touching clients or the objective.
 //!
-//! Records are valid single-line JSON, but the schema is fixed and the
-//! parser is a minimal hand-rolled subset (objects, arrays, unsigned
-//! integers, strings, `null`, booleans) — no serde exists in this build.
-//! Floats travel as their `f64::to_bits` words rendered as decimal
-//! `u64`s, so replay is bit-exact; `null` encodes an absent estimate.
+//! Records are single-line JSON with a fixed schema. [`WalRecord::to_line`]
+//! writes them by hand (the batch arms sit on the session hot path);
+//! [`WalRecord::from_line`] maps the workspace's one JSON reader,
+//! [`crate::json`], onto the schema, so a corrupt line is a typed
+//! [`CodecError`]. Integers are read exactly; floats travel as their
+//! `f64::to_bits` words rendered as decimal `u64`s, so replay is
+//! bit-exact; `null` encodes an absent estimate, and flags are written
+//! as `0`/`1`.
 
 use crate::codec::CodecError;
-use std::collections::HashMap;
+use crate::json::{self, Value};
 use std::fmt::Write as _;
 
 /// WAL schema version; bump on breaking record changes.
@@ -247,86 +250,64 @@ impl WalRecord {
 
     /// Parses one JSON line back into a record.
     pub fn from_line(line: &str) -> Result<Self, CodecError> {
-        let v = Val::parse(line)?;
-        let obj = v.obj()?;
-        match obj.str_field("t")?.as_str() {
+        let rec = json::parse(line)?;
+        match rec.field("t")?.as_str()? {
             "hdr" => Ok(WalRecord::Header(HeaderRecord {
-                version: obj.u32_field("v")?,
-                procs: obj.usize_field("procs")?,
-                max_steps: obj.usize_field("steps")?,
-                k: obj.usize_field("k")?,
-                seed: obj.u64_field("seed")?,
-                deadline: f64::from_bits(obj.u64_field("deadline")?),
-                max_retries: obj.u32_field("retries")?,
-                backoff: f64::from_bits(obj.u64_field("backoff")?),
-                quorum: f64::from_bits(obj.u64_field("quorum")?),
-                supervised: obj.u64_field("sup")? != 0,
+                version: int(rec.field("v")?)?,
+                procs: int(rec.field("procs")?)?,
+                max_steps: int(rec.field("steps")?)?,
+                k: int(rec.field("k")?)?,
+                seed: rec.field("seed")?.as_u64()?,
+                deadline: bits_field(&rec, "deadline")?,
+                max_retries: int(rec.field("retries")?)?,
+                backoff: bits_field(&rec, "backoff")?,
+                quorum: bits_field(&rec, "quorum")?,
+                supervised: rec.field("sup")?.as_u64()? != 0,
             })),
-            "batch" => {
-                let mut rounds = Vec::new();
-                for rv in obj.arr_field("rounds")? {
-                    let r = rv.obj()?;
-                    rounds.push(RoundDelta {
-                        step: f64::from_bits(r.u64_field("s")?),
-                        clients: r.usize_vec_field("cl")?,
-                        ok: r
-                            .arr_field("ok")?
-                            .iter()
-                            .map(|v| Ok(v.u64()? != 0))
-                            .collect::<Result<_, CodecError>>()?,
-                        evicted: r.usize_vec_field("ev")?,
-                        missed: r.usize_field("miss")?,
-                        retries: r.usize_field("retry")?,
-                        abandoned: r.usize_field("aband")?,
-                        duplicates: r.usize_field("dup")?,
-                    });
-                }
-                Ok(WalRecord::Batch(BatchRecord {
-                    batch: obj.u64_field("b")?,
-                    estimates: obj
-                        .arr_field("est")?
-                        .iter()
-                        .map(|v| match v {
-                            Val::Null => Ok(None),
-                            other => Ok(Some(f64::from_bits(other.u64()?))),
-                        })
-                        .collect::<Result<_, CodecError>>()?,
-                    rounds,
-                    partial: obj.u64_field("partial")? != 0,
-                    forced: obj.u64_field("forced")? != 0,
-                    evaluations: obj.usize_field("evals")?,
-                    live: obj.usize_vec_field("live")?,
-                    serials: obj.usize_vec_field("ser")?,
-                    draws: obj
-                        .arr_field("draws")?
-                        .iter()
-                        .map(Val::u64)
-                        .collect::<Result<_, CodecError>>()?,
-                    stats: stats_array(obj)?,
-                }))
-            }
+            "batch" => Ok(WalRecord::Batch(BatchRecord {
+                batch: rec.field("b")?.as_u64()?,
+                estimates: list(&rec, "est", |v| match v {
+                    Value::Null => Ok(None),
+                    v => Ok(Some(f64::from_bits(v.as_u64()?))),
+                })?,
+                rounds: list(&rec, "rounds", |r| {
+                    Ok(RoundDelta {
+                        step: bits_field(r, "s")?,
+                        clients: list(r, "cl", int)?,
+                        ok: list(r, "ok", |v| Ok(v.as_u64()? != 0))?,
+                        evicted: list(r, "ev", int)?,
+                        missed: int(r.field("miss")?)?,
+                        retries: int(r.field("retry")?)?,
+                        abandoned: int(r.field("aband")?)?,
+                        duplicates: int(r.field("dup")?)?,
+                    })
+                })?,
+                partial: rec.field("partial")?.as_u64()? != 0,
+                forced: rec.field("forced")?.as_u64()? != 0,
+                evaluations: int(rec.field("evals")?)?,
+                live: list(&rec, "live", int)?,
+                serials: list(&rec, "ser", int)?,
+                draws: list(&rec, "draws", Value::as_u64)?,
+                stats: stats_array(&rec)?,
+            })),
             "exploit" => {
-                let kind = match (obj.u64_field("kind")?, obj.field("dc")?) {
-                    (0, _) => ExploitKind::OnTime,
-                    (1, _) => ExploitKind::Late,
-                    (2, _) => ExploitKind::Lost,
-                    (3, Val::Num(c)) => ExploitKind::Died(*c as usize),
-                    (k, _) => return Err(CodecError::BadValue(format!("bad exploit kind {k}"))),
+                let kind = match rec.field("kind")?.as_u64()? {
+                    0 => ExploitKind::OnTime,
+                    1 => ExploitKind::Late,
+                    2 => ExploitKind::Lost,
+                    3 => ExploitKind::Died(int(rec.field("dc")?)?),
+                    k => return Err(CodecError::BadValue(format!("bad exploit kind {k}"))),
                 };
                 Ok(WalRecord::Exploit(ExploitRecord {
-                    batch: obj.u64_field("b")?,
-                    step: f64::from_bits(obj.u64_field("s")?),
-                    pre_evicted: obj.usize_vec_field("pe")?,
-                    duplicate: obj.u64_field("dup")? != 0,
+                    batch: rec.field("b")?.as_u64()?,
+                    step: bits_field(&rec, "s")?,
+                    pre_evicted: list(&rec, "pe", int)?,
+                    duplicate: rec.field("dup")?.as_u64()? != 0,
                     kind,
-                    live: obj.usize_vec_field("live")?,
-                    serials: obj.usize_vec_field("ser")?,
-                    draws: obj
-                        .arr_field("draws")?
-                        .iter()
-                        .map(Val::u64)
-                        .collect::<Result<_, CodecError>>()?,
-                    stats: stats_array(obj)?,
+                    live: list(&rec, "live", int)?,
+                    serials: list(&rec, "ser", int)?,
+                    draws: list(&rec, "draws", Value::as_u64)?,
+                    stats: stats_array(&rec)?,
                 }))
             }
             t => Err(CodecError::BadValue(format!(
@@ -336,8 +317,28 @@ impl WalRecord {
     }
 }
 
-fn stats_array(obj: &Obj) -> Result<[usize; 6], CodecError> {
-    let v = obj.usize_vec_field("stats")?;
+/// An unsigned integer that fits `T`.
+fn int<T: TryFrom<u64>>(v: &Value) -> Result<T, CodecError> {
+    let n = v.as_u64()?;
+    T::try_from(n).map_err(|_| CodecError::BadValue(format!("{n} is out of range")))
+}
+
+/// An `f64` written as its `to_bits` word.
+fn bits_field(obj: &Value, key: &str) -> Result<f64, CodecError> {
+    Ok(f64::from_bits(obj.field(key)?.as_u64()?))
+}
+
+/// The array `key` of `obj`, each element mapped by `f`.
+fn list<'a, T>(
+    obj: &Value<'a>,
+    key: &str,
+    f: impl Fn(&Value<'a>) -> Result<T, CodecError>,
+) -> Result<Vec<T>, CodecError> {
+    obj.field(key)?.as_array()?.iter().map(f).collect()
+}
+
+fn stats_array(obj: &Value) -> Result<[usize; 6], CodecError> {
+    let v = list(obj, "stats", int)?;
     v.try_into()
         .map_err(|v: Vec<usize>| CodecError::BadValue(format!("stats arity {}", v.len())))
 }
@@ -404,232 +405,6 @@ fn push_opt_bits(s: &mut String, vs: &[Option<f64>]) {
         }
     }
     s.push(']');
-}
-
-/// How deep WAL records nest containers: record object → `rounds` array
-/// → round object → `cl` array. The decoder refuses deeper input instead
-/// of recursing once per bracket of a corrupt line.
-const MAX_NESTING: usize = 4;
-
-/// The minimal JSON value subset WAL records use.
-#[derive(Debug, Clone, PartialEq)]
-enum Val {
-    Null,
-    Num(u64),
-    Str(String),
-    Arr(Vec<Val>),
-    Obj(Obj),
-}
-
-#[derive(Debug, Clone, PartialEq, Default)]
-struct Obj {
-    fields: HashMap<String, Val>,
-}
-
-impl Obj {
-    fn field(&self, key: &str) -> Result<&Val, CodecError> {
-        self.fields
-            .get(key)
-            .ok_or_else(|| CodecError::BadValue(format!("missing WAL field {key:?}")))
-    }
-    fn u64_field(&self, key: &str) -> Result<u64, CodecError> {
-        self.field(key)?.u64()
-    }
-    fn u32_field(&self, key: &str) -> Result<u32, CodecError> {
-        let v = self.u64_field(key)?;
-        u32::try_from(v)
-            .map_err(|_| CodecError::BadValue(format!("field {key:?} overflows u32: {v}")))
-    }
-    fn usize_field(&self, key: &str) -> Result<usize, CodecError> {
-        Ok(self.u64_field(key)? as usize)
-    }
-    fn str_field(&self, key: &str) -> Result<String, CodecError> {
-        match self.field(key)? {
-            Val::Str(s) => Ok(s.clone()),
-            other => Err(CodecError::BadValue(format!(
-                "field {key:?} not a string: {other:?}"
-            ))),
-        }
-    }
-    fn arr_field(&self, key: &str) -> Result<&[Val], CodecError> {
-        match self.field(key)? {
-            Val::Arr(vs) => Ok(vs),
-            other => Err(CodecError::BadValue(format!(
-                "field {key:?} not an array: {other:?}"
-            ))),
-        }
-    }
-    fn usize_vec_field(&self, key: &str) -> Result<Vec<usize>, CodecError> {
-        self.arr_field(key)?
-            .iter()
-            .map(|v| Ok(v.u64()? as usize))
-            .collect()
-    }
-}
-
-impl Val {
-    fn u64(&self) -> Result<u64, CodecError> {
-        match self {
-            Val::Num(n) => Ok(*n),
-            other => Err(CodecError::BadValue(format!(
-                "expected number, got {other:?}"
-            ))),
-        }
-    }
-
-    fn obj(&self) -> Result<&Obj, CodecError> {
-        match self {
-            Val::Obj(o) => Ok(o),
-            other => Err(CodecError::BadValue(format!(
-                "expected object, got {other:?}"
-            ))),
-        }
-    }
-
-    fn parse(s: &str) -> Result<Val, CodecError> {
-        let bytes = s.as_bytes();
-        let mut pos = 0usize;
-        let v = Self::parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(CodecError::BadValue(format!("trailing JSON at byte {pos}")));
-        }
-        Ok(v)
-    }
-
-    /// Parses the value at `pos`, inside `depth` open containers.
-    fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Val, CodecError> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            None => Err(CodecError::UnexpectedEof),
-            Some(b'{' | b'[') if depth == MAX_NESTING => Err(CodecError::BadValue(format!(
-                "JSON nested deeper than {MAX_NESTING} containers at byte {pos}"
-            ))),
-            Some(b'{') => {
-                *pos += 1;
-                let mut obj = Obj::default();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Val::Obj(obj));
-                }
-                loop {
-                    skip_ws(b, pos);
-                    let key = match Self::parse_value(b, pos, depth + 1)? {
-                        Val::Str(s) => s,
-                        other => {
-                            return Err(CodecError::BadValue(format!(
-                                "object key not a string: {other:?}"
-                            )))
-                        }
-                    };
-                    skip_ws(b, pos);
-                    expect(b, pos, b':')?;
-                    let val = Self::parse_value(b, pos, depth + 1)?;
-                    obj.fields.insert(key, val);
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Val::Obj(obj));
-                        }
-                        _ => return Err(CodecError::BadValue("unterminated object".into())),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *pos += 1;
-                let mut arr = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Val::Arr(arr));
-                }
-                loop {
-                    arr.push(Self::parse_value(b, pos, depth + 1)?);
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Val::Arr(arr));
-                        }
-                        _ => return Err(CodecError::BadValue("unterminated array".into())),
-                    }
-                }
-            }
-            Some(b'"') => {
-                *pos += 1;
-                let start = *pos;
-                while let Some(&c) = b.get(*pos) {
-                    if c == b'"' {
-                        let raw = &b[start..*pos];
-                        *pos += 1;
-                        let s = std::str::from_utf8(raw)
-                            .map_err(|_| CodecError::BadValue("non-UTF-8 JSON string".into()))?;
-                        // WAL strings are plain identifiers; escapes unsupported
-                        if s.contains('\\') {
-                            return Err(CodecError::BadValue("escaped JSON string".into()));
-                        }
-                        return Ok(Val::Str(s.to_owned()));
-                    }
-                    *pos += 1;
-                }
-                Err(CodecError::UnexpectedEof)
-            }
-            Some(b'n') => {
-                expect_word(b, pos, b"null")?;
-                Ok(Val::Null)
-            }
-            Some(b't') => {
-                expect_word(b, pos, b"true")?;
-                Ok(Val::Num(1))
-            }
-            Some(b'f') => {
-                expect_word(b, pos, b"false")?;
-                Ok(Val::Num(0))
-            }
-            Some(c) if c.is_ascii_digit() => {
-                let start = *pos;
-                while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-                    *pos += 1;
-                }
-                let raw = std::str::from_utf8(&b[start..*pos]).unwrap();
-                raw.parse::<u64>()
-                    .map(Val::Num)
-                    .map_err(|_| CodecError::BadValue(format!("bad number {raw:?}")))
-            }
-            Some(&c) => Err(CodecError::BadValue(format!(
-                "unexpected JSON byte {:?}",
-                c as char
-            ))),
-        }
-    }
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while b.get(*pos).is_some_and(|c| c.is_ascii_whitespace()) {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), CodecError> {
-    if b.get(*pos) == Some(&c) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(CodecError::BadValue(format!("expected {:?}", c as char)))
-    }
-}
-
-fn expect_word(b: &[u8], pos: &mut usize, word: &[u8]) -> Result<(), CodecError> {
-    if b.len() - *pos >= word.len() && &b[*pos..*pos + word.len()] == word {
-        *pos += word.len();
-        Ok(())
-    } else {
-        Err(CodecError::BadValue("bad JSON literal".into()))
-    }
 }
 
 #[cfg(test)]
@@ -753,5 +528,19 @@ mod tests {
                 "{line}"
             );
         }
+    }
+
+    #[test]
+    fn escaped_strings_decode_like_plain_ones() {
+        let line = sample_batch().to_line();
+        let escaped = line.replace("\"batch\"", "\"b\\u0061tch\"");
+        assert_ne!(escaped, line);
+        assert_eq!(WalRecord::from_line(&escaped).unwrap(), sample_batch());
+        let wide = line.replace("\"b\":3", "\"b\":18446744073709551616");
+        assert_ne!(wide, line);
+        assert!(matches!(
+            WalRecord::from_line(&wide),
+            Err(CodecError::BadValue(_))
+        ));
     }
 }

@@ -59,7 +59,7 @@ pub use metrics::{MetricsRegistry, MetricsSink, QuantileSketch, WindowedCounter,
 pub use profile::{PathStep, Profile, SpanStats};
 pub use record::{Field, Kind, Record, Value};
 pub use sink::{to_jsonl, JsonlSink, MemorySink, NullSink, Sink};
-pub use summary::{parse_jsonl, parse_line, Summary};
+pub use summary::{parse_jsonl, parse_line, Summary, TraceError};
 
 /// Emits a structured event with `key = value` fields, skipping all
 /// argument evaluation when the handle is disabled.

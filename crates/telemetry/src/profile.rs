@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use crate::record::{Kind, Record};
-use crate::summary::parse_jsonl;
+use crate::summary::{parse_jsonl, TraceError};
 
 #[derive(Debug, Clone)]
 struct Node {
@@ -128,7 +128,7 @@ impl Profile {
     }
 
     /// Parses a JSONL trace and profiles it.
-    pub fn from_jsonl(text: &str) -> Result<Profile, String> {
+    pub fn from_jsonl(text: &str) -> Result<Profile, TraceError> {
         Ok(Profile::from_records(&parse_jsonl(text)?))
     }
 

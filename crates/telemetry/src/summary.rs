@@ -1,12 +1,18 @@
 //! Trace aggregation: parse a JSONL trace back into [`Record`]s and
 //! fold it into per-span / per-counter summaries plus a span-tree view.
 //!
-//! The parser handles exactly the subset of JSON that
-//! [`Record::to_json`] emits (flat object, one nested `fields` object,
-//! scalar values); it is not a general JSON parser.
+//! Reading is a schema mapper over the workspace's one JSON reader,
+//! [`harmony_recovery::json`]: integers (`clock`, `parent`, `id`,
+//! `ticks`, `delta`, `wall_ns`, integer field values) are read exactly,
+//! and every malformed line is a typed [`TraceError`] naming its line.
+//! For every record, `to_json(parse_line(to_json(r)))` equals
+//! `to_json(r)`.
 
 use std::collections::{BTreeMap, HashMap};
+use std::fmt;
 
+use harmony_recovery::json::{self, Value as Json};
+use harmony_recovery::CodecError;
 use harmony_stats::streaming::Welford;
 
 use crate::metrics::QuantileSketch;
@@ -14,244 +20,97 @@ use crate::record::{Field, Kind, Record, Value};
 
 // ---------------------------------------------------------------- parsing
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// A malformed trace line: its 1-based number and why.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TraceError {
+    /// 1-based line number within the trace.
+    pub line: usize,
+    /// What is wrong with the line.
+    pub error: CodecError,
 }
 
-enum Scalar {
-    Str(String),
-    Num(f64, bool), // value, is_integer_literal
-    Bool(bool),
-    Null,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(line: &'a str) -> Self {
-        Cursor {
-            bytes: line.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", char::from(b), self.pos))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek().ok_or("unterminated string")? {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match self.peek().ok_or("unterminated escape")? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("unknown escape '\\{}'", char::from(other))),
-                    }
-                    self.pos += 1;
-                }
-                _ => {
-                    // advance one UTF-8 char
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8")?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_scalar(&mut self) -> Result<Scalar, String> {
-        match self.peek().ok_or("unexpected end of line")? {
-            b'"' => Ok(Scalar::Str(self.parse_string()?)),
-            b't' => self.parse_lit("true").map(|_| Scalar::Bool(true)),
-            b'f' => self.parse_lit("false").map(|_| Scalar::Bool(false)),
-            b'n' => self.parse_lit("null").map(|_| Scalar::Null),
-            _ => {
-                let start = self.pos;
-                while matches!(
-                    self.peek(),
-                    Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-                ) {
-                    self.pos += 1;
-                }
-                let text = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| "invalid UTF-8")?;
-                let v: f64 = text.parse().map_err(|_| format!("bad number '{text}'"))?;
-                let integer = !text.contains(['.', 'e', 'E']);
-                Ok(Scalar::Num(v, integer))
-            }
-        }
-    }
-
-    fn parse_lit(&mut self, lit: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(format!("expected '{lit}' at byte {}", self.pos))
-        }
+impl fmt::Display for TraceError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "line {}: {}", self.line, self.error)
     }
 }
 
-fn scalar_to_u64(s: Scalar, key: &str) -> Result<u64, String> {
-    match s {
-        Scalar::Num(v, true) if v >= 0.0 => Ok(v as u64),
-        _ => Err(format!("field '{key}' must be a non-negative integer")),
-    }
-}
+impl std::error::Error for TraceError {}
 
-fn scalar_to_value(s: Scalar) -> Result<Value, String> {
-    Ok(match s {
-        Scalar::Str(v) => Value::Str(v),
-        Scalar::Bool(v) => Value::Bool(v),
-        Scalar::Null => Value::F64(f64::NAN),
-        Scalar::Num(v, integer) => {
-            if !integer {
-                Value::F64(v)
-            } else if v < 0.0 {
-                Value::I64(v as i64)
-            } else {
-                Value::U64(v as u64)
-            }
+/// A field value: integers as `U64` (or `I64` when negative), other
+/// numbers as `F64` — as is an integer literal past both ranges or
+/// `-0`, which only an `f64` writes — and `null` as `F64(NaN)`.
+fn field_value(v: &Json) -> Result<Value, CodecError> {
+    Ok(match v {
+        Json::Null => Value::F64(f64::NAN),
+        Json::Bool(b) => Value::Bool(*b),
+        Json::Str(s) => Value::Str(s.to_string()),
+        Json::Num(_) => match (v.as_u64(), v.as_i64()) {
+            (Ok(u), _) => Value::U64(u),
+            (_, Ok(i)) if i != 0 => Value::I64(i),
+            _ => Value::F64(v.as_f64()?),
+        },
+        other => {
+            return Err(CodecError::BadValue(format!(
+                "field value {other:?} is not a scalar"
+            )))
         }
     })
 }
 
-/// Parses one `Record::to_json` line.
-pub fn parse_line(line: &str) -> Result<Record, String> {
-    let mut c = Cursor::new(line.trim());
-    c.eat(b'{')?;
-    let mut clock = 0u64;
-    let mut parent = 0u64;
-    let mut kind_label = String::new();
-    let mut id = 0u64;
-    let mut ticks = 0u64;
-    let mut delta = 0u64;
-    let mut value = f64::NAN;
-    let mut name = String::new();
-    let mut fields: Vec<Field> = Vec::new();
-    let mut wall_ns: Option<u64> = None;
-    loop {
-        let key = c.parse_string()?;
-        c.eat(b':')?;
-        match key.as_str() {
+/// Parses one `Record::to_json` line. Absent integers read as 0, an
+/// absent `value` as NaN; unknown keys are errors.
+pub fn parse_line(line: &str) -> Result<Record, CodecError> {
+    let doc = json::parse(line)?;
+    let mut fields = Vec::new();
+    for (key, v) in doc.members()? {
+        match &**key {
+            "clock" | "parent" | "kind" | "id" | "ticks" | "delta" | "value" | "name"
+            | "wall_ns" => {}
             "fields" => {
-                c.eat(b'{')?;
-                if c.peek() == Some(b'}') {
-                    c.pos += 1;
-                } else {
-                    loop {
-                        let fkey = c.parse_string()?;
-                        c.eat(b':')?;
-                        let fval = scalar_to_value(c.parse_scalar()?)?;
-                        fields.push(Field {
-                            key: fkey.into(),
-                            value: fval,
-                        });
-                        if c.peek() == Some(b',') {
-                            c.pos += 1;
-                        } else {
-                            c.eat(b'}')?;
-                            break;
-                        }
-                    }
+                for (k, fv) in v.members()? {
+                    fields.push(Field::new(k.to_string(), field_value(fv)?));
                 }
             }
-            _ => {
-                let scalar = c.parse_scalar()?;
-                match key.as_str() {
-                    "clock" => clock = scalar_to_u64(scalar, "clock")?,
-                    "parent" => parent = scalar_to_u64(scalar, "parent")?,
-                    "id" => id = scalar_to_u64(scalar, "id")?,
-                    "ticks" => ticks = scalar_to_u64(scalar, "ticks")?,
-                    "delta" => delta = scalar_to_u64(scalar, "delta")?,
-                    "wall_ns" => wall_ns = Some(scalar_to_u64(scalar, "wall_ns")?),
-                    "kind" => match scalar {
-                        Scalar::Str(s) => kind_label = s,
-                        _ => return Err("'kind' must be a string".into()),
-                    },
-                    "name" => match scalar {
-                        Scalar::Str(s) => name = s,
-                        _ => return Err("'name' must be a string".into()),
-                    },
-                    "value" => match scalar {
-                        Scalar::Num(v, _) => value = v,
-                        Scalar::Null => value = f64::NAN,
-                        _ => return Err("'value' must be a number or null".into()),
-                    },
-                    other => return Err(format!("unknown key '{other}'")),
-                }
-            }
-        }
-        if c.peek() == Some(b',') {
-            c.pos += 1;
-        } else {
-            c.eat(b'}')?;
-            break;
+            other => return Err(CodecError::BadValue(format!("unknown key {other:?}"))),
         }
     }
-    let kind = match kind_label.as_str() {
+    let int = |key| doc.get(key).map_or(Ok(0), Json::as_u64);
+    let value = || match doc.get("value") {
+        None | Some(Json::Null) => Ok(f64::NAN),
+        Some(v) => v.as_f64(),
+    };
+    let kind = match doc.get("kind").map_or(Ok(""), Json::as_str)? {
         "event" => Kind::Event,
-        "span_enter" => Kind::SpanEnter { id },
-        "span_exit" => Kind::SpanExit { id, ticks },
-        "counter" => Kind::Counter { delta },
-        "gauge" => Kind::Gauge { value },
-        "sample" => Kind::Sample { value },
-        other => return Err(format!("unknown kind '{other}'")),
+        "span_enter" => Kind::SpanEnter { id: int("id")? },
+        "span_exit" => Kind::SpanExit {
+            id: int("id")?,
+            ticks: int("ticks")?,
+        },
+        "counter" => Kind::Counter {
+            delta: int("delta")?,
+        },
+        "gauge" => Kind::Gauge { value: value()? },
+        "sample" => Kind::Sample { value: value()? },
+        other => return Err(CodecError::BadValue(format!("unknown kind {other:?}"))),
     };
     Ok(Record {
-        clock,
-        parent,
+        clock: int("clock")?,
+        parent: int("parent")?,
         kind,
-        name,
+        name: doc.get("name").map_or(Ok(""), Json::as_str)?.to_owned(),
         fields,
-        wall_ns,
+        wall_ns: doc.get("wall_ns").map(Json::as_u64).transpose()?,
     })
 }
 
 /// Parses a whole JSONL trace; blank lines are skipped.
-pub fn parse_jsonl(text: &str) -> Result<Vec<Record>, String> {
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        out.push(parse_line(line).map_err(|e| format!("line {}: {e}", i + 1))?);
-    }
-    Ok(out)
+pub fn parse_jsonl(text: &str) -> Result<Vec<Record>, TraceError> {
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| parse_line(line).map_err(|error| TraceError { line: i + 1, error }))
+        .collect()
 }
 
 // ------------------------------------------------------------ aggregation
@@ -361,7 +220,7 @@ impl Summary {
     }
 
     /// Parses JSONL text and summarizes it.
-    pub fn from_jsonl(text: &str) -> Result<Self, String> {
+    pub fn from_jsonl(text: &str) -> Result<Self, TraceError> {
         Ok(Self::from_records(&parse_jsonl(text)?))
     }
 
@@ -593,6 +452,27 @@ mod tests {
     fn parse_rejects_garbage() {
         assert!(parse_line("{not json}").is_err());
         assert!(parse_jsonl("{\"clock\":0}\nnope\n").is_err());
+    }
+
+    #[test]
+    fn malformed_lines_are_typed_errors_with_their_line() {
+        let good = "{\"clock\":9007199254740993,\"parent\":0,\"kind\":\"event\",\"name\":\"e\"}";
+        assert_eq!(parse_line(good).unwrap().clock, (1 << 53) + 1);
+        for bad in [
+            format!("{good}trailing"),
+            good.replace("9007199254740993", "18446744073709551616"),
+            good.replace("9007199254740993", "-1"),
+            good.replace("9007199254740993", "1.5"),
+        ] {
+            assert!(
+                matches!(parse_line(&bad), Err(CodecError::BadValue(_))),
+                "{bad}"
+            );
+        }
+        let err = parse_jsonl(&format!("{good}\n\n{}", &good[..10])).unwrap_err();
+        assert_eq!(err.line, 3);
+        assert_eq!(err.error, CodecError::UnexpectedEof);
+        assert!(err.to_string().starts_with("line 3: "), "{err}");
     }
 
     #[test]
