@@ -1,6 +1,9 @@
 //! The tentpole guarantee of the parallel harness: a run on N workers
 //! produces byte-identical artifacts and an identical (modulo output
-//! directory) stdout report to a serial run.
+//! directory) stdout report to a serial run — and the serial run's
+//! artifacts match the committed quick-scale fingerprint
+//! (`tests/golden/quick_artifacts_seed2005.txt`; re-bless with
+//! `HARMONY_BLESS=1 cargo test`).
 
 use harmony_bench::harness::{self, RunConfig};
 use std::collections::BTreeMap;
@@ -28,6 +31,62 @@ fn dir_fingerprint(dir: &Path) -> BTreeMap<String, (u64, u64)> {
         );
     }
     out
+}
+
+/// Renders a fingerprint as one `name length fnv1a` line per artifact.
+fn render_fingerprint(fp: &BTreeMap<String, (u64, u64)>) -> String {
+    fp.iter()
+        .map(|(name, (len, hash))| format!("{name} {len} {hash:016x}\n"))
+        .collect()
+}
+
+/// Compares the serial quick-scale run with the committed fingerprint,
+/// naming every artifact that is new, missing or changed; rewrites the
+/// file instead when `HARMONY_BLESS` is set (non-empty, non-`0`).
+fn assert_quick_fingerprint(fp: &BTreeMap<String, (u64, u64)>) {
+    let path =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/quick_artifacts_seed2005.txt");
+    let actual = render_fingerprint(fp);
+    if std::env::var("HARMONY_BLESS").is_ok_and(|v| !v.is_empty() && v != "0") {
+        fs::write(&path, actual).expect("bless quick-scale fingerprint");
+        return;
+    }
+    let expected = fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing {} ({e}); re-run with HARMONY_BLESS=1",
+            path.display()
+        )
+    });
+    let committed: BTreeMap<&str, &str> = expected
+        .lines()
+        .filter_map(|line| line.split_once(' '))
+        .collect();
+    let rendered: BTreeMap<&str, &str> = actual
+        .lines()
+        .filter_map(|line| line.split_once(' '))
+        .collect();
+    let drifted: Vec<String> = committed
+        .keys()
+        .chain(rendered.keys())
+        .collect::<std::collections::BTreeSet<_>>()
+        .into_iter()
+        .filter(|name| committed.get(*name) != rendered.get(*name))
+        .map(|name| {
+            let show = |v: Option<&&str>| v.map_or("absent".to_string(), |s| s.to_string());
+            format!(
+                "{name}: committed {}, now {}",
+                show(committed.get(name)),
+                show(rendered.get(name))
+            )
+        })
+        .collect();
+    assert!(
+        drifted.is_empty(),
+        "quick-scale artifacts at seed 2005 drifted from {}:\n  {}\n\
+         if intentional, re-bless with HARMONY_BLESS=1",
+        path.display(),
+        drifted.join("\n  ")
+    );
 }
 
 fn quick_config(workers: usize, seed: u64, dir: &Path) -> RunConfig {
@@ -89,6 +148,7 @@ fn parallel_run_byte_identical_to_serial() {
     );
     assert_eq!(f1, f4, "artifacts differ between 1 and 4 workers");
     assert_eq!(f1, f8, "artifacts differ between 1 and 8 workers");
+    assert_quick_fingerprint(&f1);
 
     let _ = fs::remove_dir_all(&base);
 }
