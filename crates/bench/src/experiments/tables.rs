@@ -16,7 +16,7 @@ use harmony_core::{
 };
 use harmony_stats::minop;
 use harmony_stats::splitmix::hash_str;
-use harmony_surface::{Gs2Model, Objective};
+use harmony_surface::{Gs2Model, LatticeTable, Objective};
 use harmony_variability::des::TwoPriorityDes;
 use harmony_variability::dist::{Distribution, Exponential, Pareto};
 use harmony_variability::noise::Noise;
@@ -141,7 +141,9 @@ pub fn baselines(steps: usize, reps: usize, rho: f64, seed: u64) -> Table {
 /// One T3 row (one algorithm), with an explicit inner worker count.
 ///
 /// The row's seed stream depends only on `(seed, name)`, so per-name
-/// harness subtasks reproduce the monolithic table bit-for-bit.
+/// harness subtasks reproduce the monolithic table bit-for-bit. As in
+/// fig10, the sessions tune against one [`LatticeTable`] of the GS2
+/// model, which returns the model's values bit for bit.
 pub fn baselines_row_in(
     workers: usize,
     name: &str,
@@ -150,7 +152,8 @@ pub fn baselines_row_in(
     rho: f64,
     seed: u64,
 ) -> Vec<f64> {
-    let gs2 = Gs2Model::paper_scale();
+    let model = Gs2Model::paper_scale();
+    let gs2 = LatticeTable::new(&model);
     let noise = Noise::paper_default(rho);
     let avg = average_sessions_in(workers, reps, stream_seed(seed, hash_str(name)), rho, |s| {
         let tuner = OnlineTuner::new(TunerConfig {
@@ -162,7 +165,7 @@ pub fn baselines_row_in(
             full_occupancy: false,
             exploit_width: 6,
         });
-        let mut opt = make_optimizer(name, &gs2, s);
+        let mut opt = make_optimizer(name, &model, s);
         tuner
             .run(&gs2, &noise, opt.as_mut())
             .expect("tuning session produced a recommendation")
@@ -194,7 +197,9 @@ pub fn assemble_baselines(rows: &[Vec<f64>]) -> Table {
 /// optimum, and the fraction of sessions that ever get there.
 /// Complements T3: `Total_Time` rewards cheap transients, this rewards
 /// fast descent — at the loose threshold the local methods shine, at
-/// the tight one only global searchers reliably arrive.
+/// the tight one only global searchers reliably arrive. The sessions
+/// tune against one [`LatticeTable`] of the GS2 model, as in
+/// [`baselines_row_in`].
 pub fn time_to_quality_row_in(
     workers: usize,
     name: &str,
@@ -204,7 +209,8 @@ pub fn time_to_quality_row_in(
     factors: &[f64],
     seed: u64,
 ) -> Vec<f64> {
-    let gs2 = Gs2Model::paper_scale();
+    let model = Gs2Model::paper_scale();
+    let gs2 = LatticeTable::new(&model);
     let noise = Noise::paper_default(rho);
     let (_, global) = harmony_surface::best_on_lattice(&gs2).expect("discrete lattice");
     let rows = par_map_indexed_in(workers, reps, |i| {
@@ -218,7 +224,7 @@ pub fn time_to_quality_row_in(
             full_occupancy: false,
             exploit_width: 6,
         });
-        let mut opt = make_optimizer(name, &gs2, s);
+        let mut opt = make_optimizer(name, &model, s);
         let out = tuner
             .run(&gs2, &noise, opt.as_mut())
             .expect("tuning session produced a recommendation");

@@ -134,26 +134,6 @@ impl FaultPlan {
             Delivery::OnTime
         }
     }
-
-    /// Per-client crash probability.
-    pub fn crash_rate(&self) -> f64 {
-        self.crash
-    }
-
-    /// Per-report hang (late delivery) probability.
-    pub fn hang_rate(&self) -> f64 {
-        self.hang
-    }
-
-    /// Per-report drop (lost delivery) probability.
-    pub fn drop_rate(&self) -> f64 {
-        self.drop
-    }
-
-    /// Per-report duplication probability.
-    pub fn duplicate_rate(&self) -> f64 {
-        self.duplicate
-    }
 }
 
 #[cfg(test)]

@@ -37,6 +37,14 @@ impl TuningTrace {
         TuningTrace::default()
     }
 
+    /// An empty trace with room for `steps` time steps, so a session that
+    /// knows its budget grows the record once.
+    pub fn with_capacity(steps: usize) -> Self {
+        TuningTrace {
+            steps: Vec::with_capacity(steps),
+        }
+    }
+
     /// Records one time step's worst-case iteration time `T_k`.
     ///
     /// # Panics

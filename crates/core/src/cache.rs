@@ -15,8 +15,16 @@
 //! everything in this workspace is; noise is applied *outside* the
 //! objective by the cluster layer — the memo returns exactly the value
 //! the inner objective would have, and tuning outcomes are unchanged
-//! bit for bit. [`OnlineTuner`](crate::tuner::OnlineTuner) wraps its
-//! objective automatically.
+//! bit for bit. [`OnlineTuner`](crate::tuner::OnlineTuner) and the
+//! threaded server wrap their objective automatically.
+//!
+//! One rule decides whether the memo runs at all: an objective that
+//! answers from a precomputed exact table
+//! ([`Objective::is_exact_table`], e.g. a
+//! [`LatticeTable`](harmony_surface::LatticeTable)) is already one index
+//! computation and an array read, so without a shared tier the wrapper
+//! passes every evaluation straight through. It then counts nothing and
+//! exports no `cache.*` telemetry.
 
 use harmony_params::{ParamSpace, Point, PointKey, PointMap};
 use harmony_recovery::{Checkpoint, CodecError, StateReader, StateWriter};
@@ -39,6 +47,9 @@ use std::sync::RwLock;
 /// bit for bit.
 pub struct CachedObjective<'a, O: Objective + ?Sized> {
     inner: &'a O,
+    /// Evaluations bypass the memo: the inner objective is an exact
+    /// table and no shared tier is attached.
+    direct: bool,
     memo: RwLock<PointMap<f64>>,
     /// Cross-session shared tier, consulted between the memo and the
     /// inner objective.
@@ -49,25 +60,31 @@ pub struct CachedObjective<'a, O: Objective + ?Sized> {
 }
 
 impl<'a, O: Objective + ?Sized> CachedObjective<'a, O> {
-    /// Wraps `inner` with an empty memo.
+    /// Wraps `inner` with an empty memo, or passes evaluations straight
+    /// through when `inner` is an exact table.
     pub fn new(inner: &'a O) -> Self {
-        CachedObjective {
-            inner,
-            memo: RwLock::new(PointMap::default()),
-            shared: None,
-            hits: AtomicUsize::new(0),
-            shared_hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-        }
+        CachedObjective::tiered(inner, None)
     }
 
     /// Wraps `inner` with an empty memo backed by the cross-session
     /// shared tier `shared`: misses consult it before probing `inner`,
-    /// and fresh probes are recorded back for other sessions.
+    /// and fresh probes are recorded back for other sessions. The memo
+    /// stays on even over an exact table, since the tier it fronts
+    /// records what the session probes.
     pub fn with_shared(inner: &'a O, shared: &'a SharedPerfDb) -> Self {
-        let mut cached = CachedObjective::new(inner);
-        cached.shared = Some(shared);
-        cached
+        CachedObjective::tiered(inner, Some(shared))
+    }
+
+    fn tiered(inner: &'a O, shared: Option<&'a SharedPerfDb>) -> Self {
+        CachedObjective {
+            inner,
+            direct: shared.is_none() && inner.is_exact_table(),
+            memo: RwLock::new(PointMap::default()),
+            shared,
+            hits: AtomicUsize::new(0),
+            shared_hits: AtomicUsize::new(0),
+            misses: AtomicUsize::new(0),
+        }
     }
 
     /// The wrapped objective.
@@ -116,8 +133,10 @@ impl<'a, O: Objective + ?Sized> CachedObjective<'a, O> {
     /// Exports the memo's effectiveness as `cache.hits` / `cache.misses`
     /// / `cache.entries` telemetry counters (`cache.shared_hits` too
     /// when a shared tier is attached) plus a `cache.hit_rate` gauge.
+    /// A wrapper that passes evaluations straight to an exact table has
+    /// no memo and exports nothing.
     pub fn emit_telemetry(&self, tel: &Telemetry) {
-        if !tel.enabled() {
+        if !tel.enabled() || self.direct {
             return;
         }
         tel.counter("cache.hits", self.hits() as u64);
@@ -178,6 +197,9 @@ impl<O: Objective + ?Sized> Objective for CachedObjective<'_, O> {
     }
 
     fn eval(&self, x: &Point) -> f64 {
+        if self.direct {
+            return self.inner.eval(x);
+        }
         let key = PointKey::new(x);
         if let Some(&v) = self
             .memo
@@ -342,6 +364,38 @@ mod tests {
         let mut r = StateReader::new(&bytes).unwrap();
         assert_eq!(cached.restore_state(&mut r), Err(CodecError::UnexpectedEof));
         assert_eq!(saved(&cached), before, "a failed restore changed the memo");
+    }
+
+    #[test]
+    fn an_exact_table_skips_the_memo_unless_a_shared_tier_is_attached() {
+        let calls = Counter::new(0);
+        let obj = FnObjective::new("f", space(), |p| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            p[0] * 5.0
+        });
+        let table = harmony_surface::LatticeTable::new(&obj);
+        let tabulated = calls.load(Ordering::Relaxed);
+        let p = Point::from(&[3.0][..]);
+        let direct = CachedObjective::new(&table);
+        assert_eq!((direct.eval(&p), direct.eval(&p)), (15.0, 15.0));
+        assert_eq!((direct.hits(), direct.misses(), direct.len()), (0, 0, 0));
+        assert_eq!(calls.load(Ordering::Relaxed), tabulated);
+        let (tel, sink) = Telemetry::memory();
+        direct.emit_telemetry(&tel);
+        assert!(
+            sink.take().is_empty(),
+            "a direct wrapper has no memo to report"
+        );
+        // behind a reference the table is still a table
+        let by_ref = &table;
+        let through_ref = CachedObjective::new(&by_ref);
+        through_ref.eval(&p);
+        assert_eq!(through_ref.misses(), 0);
+        // a shared tier keeps the memo, so the tier sees the probes
+        let shared = SharedPerfDb::new(space(), 1);
+        let tiered = CachedObjective::with_shared(&table, &shared);
+        assert_eq!((tiered.eval(&p), tiered.eval(&p)), (15.0, 15.0));
+        assert_eq!((tiered.hits(), tiered.misses()), (1, 1));
     }
 
     #[test]

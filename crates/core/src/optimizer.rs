@@ -6,8 +6,11 @@
 //! [`PerfDatabase`] — §6's performance database, interpolating over the
 //! four nearest measured points — and record every measured estimate
 //! with [`PerfDatabase::insert_replacing`]: a re-measured point keeps its
-//! first-seen slot and takes the newest value. Synthetic fills are never
-//! recorded back, so the history stays purely measured.
+//! first-seen slot and takes the newest value. The database only
+//! appends each record and indexes them on the first read, so a
+//! fault-free session, which never reads its history, never hashes a
+//! point for it. Synthetic fills are never recorded back, so the history
+//! stays purely measured.
 
 use harmony_params::{ParamSpace, Point};
 use harmony_recovery::{Checkpoint, CodecError, StateReader, StateWriter};

@@ -274,8 +274,10 @@ impl ProOptimizer {
     }
 
     /// Re-anchors the search: rebuilds the initial simplex around
-    /// `center` and resets the state machine (the incumbent is kept).
-    /// Used by the multi-start wrapper to explore a fresh region.
+    /// `center` and resets the state machine (the incumbent and the
+    /// measured history are kept; the history is compacted with
+    /// [`PerfDatabase::compact`]). Used by the multi-start wrapper to
+    /// explore a fresh region.
     ///
     /// # Panics
     /// Panics when `center` is inadmissible.
@@ -292,6 +294,9 @@ impl ProOptimizer {
         self.pending.extend_from_slice(self.simplex.vertices());
         self.state = State::Init;
         self.converged = false;
+        // the new descent re-measures known ground: fold the history at
+        // the boundary so those records append without growing it
+        self.history.compact();
         self.close_iter_span();
         event!(
             self.tel,

@@ -237,8 +237,9 @@ impl OnlineTuner {
 
     /// [`OnlineTuner::run`] with structured tracing: the session becomes
     /// a `tuner.session` span, every optimizer batch emits a
-    /// `tuner.batch` event, and the exploit phase, objective cache and
-    /// final [`TuningTrace`] metrics are exported at session end.
+    /// `tuner.batch` event, and the exploit phase, objective memo (none
+    /// over an exact table, see [`CachedObjective`]) and final
+    /// [`TuningTrace`] metrics are exported at session end.
     ///
     /// The tuner *owns the logical clock*: it is set to the number of
     /// consumed time steps `trace.len()` at every batch boundary, so
@@ -309,7 +310,9 @@ impl OnlineTuner {
     ///
     /// Objectives are deterministic (noise is applied by the cluster
     /// layer), so each phase memoizes its objective exactly — converged
-    /// batches and the quality curve revisit the same points heavily.
+    /// batches and the quality curve revisit the same points heavily —
+    /// unless the objective is an exact table, which a memo would only
+    /// slow down.
     fn session<O, M>(
         &self,
         phases: &[(usize, CachedObjective<'_, O>)],
@@ -323,7 +326,7 @@ impl OnlineTuner {
     {
         let cluster = Cluster::new(self.cfg.procs);
         let mut rng = seeded_rng(self.cfg.seed);
-        let mut trace = TuningTrace::new();
+        let mut trace = TuningTrace::with_capacity(self.cfg.max_steps);
         let mut evaluations = 0usize;
         let mut quality_curve: Vec<(usize, f64)> = Vec::new();
         let session = tel.enabled().then(|| {
@@ -410,13 +413,15 @@ impl OnlineTuner {
         let exploit_start = trace.len();
         // every exploit step runs `width` instances of the same cost and
         // keeps only the slowest, so each step is one `observe_max` into
-        // a reusable scratch buffer: the per-draw constants (eq. 17's β)
+        // the batches' sample buffer: the per-draw constants (eq. 17's β)
         // derive once per step, no step allocates, and Pareto noise
         // transforms only the draws that can hold the max. The uniform
         // stream and the max are exactly those of `width` `observe` calls
         // folded left to right with `f64::max`. The incumbent is
         // re-costed only when the phase changes.
-        let mut exploit_obs = vec![0.0_f64; width];
+        let exploit_obs = &mut scratch.samples;
+        exploit_obs.clear();
+        exploit_obs.resize(width, 0.0);
         let (mut cost_phase, mut cost) = (last, best_true_cost);
         while trace.len() < self.cfg.max_steps {
             phase = phase_at(phases, phase, trace.len());
@@ -424,7 +429,7 @@ impl OnlineTuner {
                 cost_phase = phase;
                 cost = phases[phase].1.eval(&best_point);
             }
-            trace.push(noise.observe_max(cost, &mut rng, &mut exploit_obs));
+            trace.push(noise.observe_max(cost, &mut rng, exploit_obs));
         }
 
         if let Some(id) = session {

@@ -25,6 +25,14 @@ pub trait Objective {
     fn name(&self) -> &str {
         "objective"
     }
+
+    /// True when every admissible point is answered from a precomputed
+    /// table of exact values, so an evaluation is already as cheap as a
+    /// memo lookup would be ([`LatticeTable`]). Session drivers skip
+    /// their memo over such an objective.
+    fn is_exact_table(&self) -> bool {
+        false
+    }
 }
 
 impl<T: Objective + ?Sized> Objective for &T {
@@ -36,6 +44,9 @@ impl<T: Objective + ?Sized> Objective for &T {
     }
     fn name(&self) -> &str {
         (**self).name()
+    }
+    fn is_exact_table(&self) -> bool {
+        (**self).is_exact_table()
     }
 }
 
@@ -63,7 +74,9 @@ pub fn best_on_lattice<O: Objective + ?Sized>(obj: &O) -> Option<(Point, f64)> {
 /// The stand-in for the paper's §6 methodology, which prices each
 /// configuration by looking it up in a recorded GS2 performance
 /// database: a sweep cell builds one table and shares it across its
-/// replications instead of recomputing the model in every session.
+/// replications instead of recomputing the model in every session. It
+/// reports [`Objective::is_exact_table`], so a session evaluates it
+/// directly instead of through a memo.
 pub struct LatticeTable<'a, O: Objective + ?Sized> {
     inner: &'a O,
     /// `inner.eval` of the `i`-th point of `space().lattice()`.
@@ -100,6 +113,10 @@ impl<O: Objective + ?Sized> Objective for LatticeTable<'_, O> {
 
     fn name(&self) -> &str {
         self.inner.name()
+    }
+
+    fn is_exact_table(&self) -> bool {
+        true
     }
 }
 
@@ -209,5 +226,10 @@ mod tests {
         // &T forwards
         let by_ref = &obj;
         assert_eq!(Objective::eval(&by_ref, &p), 3.0);
+        assert!(!Objective::is_exact_table(&by_ref));
+        let table = LatticeTable::new(&obj);
+        let (by_ref, dyn_table): (&LatticeTable<'_, _>, &dyn Objective) = (&table, &table);
+        assert!(Objective::is_exact_table(&by_ref));
+        assert!(dyn_table.is_exact_table());
     }
 }

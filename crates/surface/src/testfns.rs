@@ -107,14 +107,6 @@ impl TestFunction {
         }
     }
 
-    /// Location of the global minimum (per coordinate).
-    pub fn argmin_coord(&self) -> f64 {
-        match self {
-            TestFunction::Rosenbrock => 1.0,
-            _ => 0.0,
-        }
-    }
-
     /// Display name.
     pub fn name(&self) -> &'static str {
         match self {

@@ -521,11 +521,6 @@ impl MetricsSink {
     pub fn render(&self) -> String {
         self.registry.lock().expect("metrics poisoned").render()
     }
-
-    /// Runs `f` against the registry (for targeted assertions).
-    pub fn with_registry<T>(&self, f: impl FnOnce(&MetricsRegistry) -> T) -> T {
-        f(&self.registry.lock().expect("metrics poisoned"))
-    }
 }
 
 impl Sink for MetricsSink {
