@@ -1,5 +1,7 @@
 //! Ablations A1/A2 plus the projection-rounding study — the design
-//! choices DESIGN.md calls out.
+//! choices DESIGN.md calls out. Every study tunes against one
+//! [`LatticeTable`] of the GS2 model per task, as fig10 does; the table
+//! returns the model's values bit for bit.
 
 use crate::report::Table;
 use crate::{average_sessions, average_sessions_in};
@@ -7,12 +9,12 @@ use harmony_cluster::pool::worker_count;
 use harmony_cluster::SamplingMode;
 use harmony_core::{Estimator, OnlineTuner, ProConfig, ProOptimizer, TunerConfig};
 use harmony_params::Rounding;
-use harmony_surface::{Gs2Model, Objective};
+use harmony_surface::{Gs2Model, LatticeTable, Objective};
 use harmony_variability::noise::Noise;
 use harmony_variability::stream_seed;
 
-fn session(
-    gs2: &Gs2Model,
+fn session<O: Objective + ?Sized>(
+    gs2: &O,
     noise: &Noise,
     pro_cfg: ProConfig,
     estimator: Estimator,
@@ -38,7 +40,8 @@ fn session(
 /// probing the single most promising expansion point first avoids
 /// stalling the whole cluster on poor expansion configurations.
 pub fn expansion_check(steps: usize, reps: usize, rho: f64, seed: u64) -> Table {
-    let gs2 = Gs2Model::paper_scale();
+    let model = Gs2Model::paper_scale();
+    let gs2 = LatticeTable::new(&model);
     let noise = Noise::paper_default(rho);
     let mut table = Table::new(
         "ablation_expansion_check",
@@ -110,7 +113,8 @@ pub fn estimators_cell_in(
     rho: f64,
     seed: u64,
 ) -> f64 {
-    let gs2 = Gs2Model::paper_scale();
+    let model = Gs2Model::paper_scale();
+    let gs2 = LatticeTable::new(&model);
     let est = ESTIMATORS[est_idx];
     let noises = estimator_noises(rho);
     let (_, ref noise) = noises[noise_idx];
@@ -146,7 +150,8 @@ pub fn assemble_estimators(rho: f64, cells: &[f64]) -> Table {
 /// nearest rounding — toward-center guarantees discrete shrink collapse
 /// (and therefore termination of the stopping criterion).
 pub fn projection(steps: usize, reps: usize, rho: f64, seed: u64) -> Table {
-    let gs2 = Gs2Model::paper_scale();
+    let model = Gs2Model::paper_scale();
+    let gs2 = LatticeTable::new(&model);
     let noise = Noise::paper_default(rho);
     let mut table = Table::new(
         "ablation_projection",
@@ -203,7 +208,8 @@ pub fn monitoring_cell_in(
     reps: usize,
     seed: u64,
 ) -> (f64, f64) {
-    let gs2 = Gs2Model::paper_scale();
+    let model = Gs2Model::paper_scale();
+    let gs2 = LatticeTable::new(&model);
     let rho = MONITORING_RHOS[rho_idx];
     let noise = if rho == 0.0 {
         Noise::None
@@ -251,7 +257,8 @@ pub fn assemble_monitoring(cells: &[(f64, f64)]) -> Table {
 /// configuration quality, and average samples actually spent.
 pub fn adaptive_k(steps: usize, reps: usize, seed: u64) -> Table {
     use harmony_core::adaptive::AdaptiveSampling;
-    let gs2 = Gs2Model::paper_scale();
+    let model = Gs2Model::paper_scale();
+    let gs2 = LatticeTable::new(&model);
     let mut table = Table::new(
         "ablation_adaptive_k",
         &[

@@ -21,7 +21,7 @@ use harmony_cluster::pool::par_map_indexed_in;
 use harmony_cluster::SamplingMode;
 use harmony_core::{Estimator, OnlineTuner, TunerConfig};
 use harmony_stats::splitmix::hash_str;
-use harmony_surface::Gs2Model;
+use harmony_surface::{Gs2Model, LatticeTable};
 use harmony_variability::noise::Noise;
 use harmony_variability::stream_seed;
 
@@ -63,7 +63,8 @@ pub fn t8_cell_in(
 ) -> Vec<f64> {
     let name = T8_OPTIMIZERS[oi];
     let rho = T8_RHOS[ri];
-    let gs2 = Gs2Model::paper_scale();
+    let model = Gs2Model::paper_scale();
+    let gs2 = LatticeTable::new(&model);
     let noise = Noise::paper_default(rho);
     let (_, global) = harmony_surface::best_on_lattice(&gs2).expect("discrete lattice");
     let base = cell_seed(seed, oi, ri);
@@ -78,7 +79,7 @@ pub fn t8_cell_in(
             full_occupancy: false,
             exploit_width: 6,
         });
-        let mut opt = make_optimizer(name, &gs2, s);
+        let mut opt = make_optimizer(name, &model, s);
         let out = tuner
             .run(&gs2, &noise, opt.as_mut())
             .expect("tuning session produced a recommendation");
