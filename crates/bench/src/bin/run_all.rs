@@ -21,10 +21,6 @@
 //! * `--min-speedup X` — exit nonzero when the run's effective speedup
 //!   (serial-equivalent over wall-clock) falls below `X`; meaningful
 //!   only on hosts with at least that many cores (CI timing gates)
-//! * `--recovery-overhead PCT` — after the graph run, time paired
-//!   plain/journalled sessions (see the `recovery_overhead` binary),
-//!   record the median slowdown as `recovery_overhead_pct` in
-//!   `BENCH_harness.json`, and exit nonzero when it exceeds `PCT`
 //! * `--trace PATH` — write a JSONL telemetry trace of the run (byte-
 //!   identical for every worker count; read it with `trace_summary`)
 //! * `--trace-wall` — additionally stamp wall-clock nanoseconds and
@@ -37,7 +33,8 @@
 //! Every invocation writes `BENCH_harness.json` (per-experiment and
 //! per-subtask wall-clock, critical-path length, worker count,
 //! effective speedup, parallel efficiency) next to the results
-//! directory.
+//! directory. The telemetry and journal overhead budgets are gated by
+//! the `overhead` binary, not here.
 
 use harmony_bench::harness::{self, RunConfig};
 
@@ -60,7 +57,6 @@ fn main() {
     cfg.progress = harmony_telemetry::TelemetryConfig::from_env().verbose;
     let mut check_against: Option<String> = None;
     let mut min_speedup: Option<f64> = None;
-    let mut recovery_limit: Option<f64> = None;
     let mut only: Vec<String> = Vec::new();
     let mut list = false;
     let mut i = 0;
@@ -120,9 +116,6 @@ fn main() {
         } else if a == "--min-speedup" {
             i += 1;
             min_speedup = Some(parse_or_die("--min-speedup", args.get(i)));
-        } else if a == "--recovery-overhead" {
-            i += 1;
-            recovery_limit = Some(parse_or_die("--recovery-overhead", args.get(i)));
         } else {
             eprintln!("unknown argument: {a}");
             std::process::exit(2);
@@ -177,14 +170,7 @@ fn main() {
         cfg.workers, cfg.seed
     );
 
-    let mut report = harness::run(&cfg);
-
-    let recovery = recovery_limit.map(|limit| {
-        let (reps, steps) = if cfg.full { (151, 60) } else { (151, 30) };
-        let m = harness::measure_recovery_overhead(reps, steps);
-        report.recovery_overhead_pct = Some(m.overhead_pct());
-        (m, limit)
-    });
+    let report = harness::run(&cfg);
 
     for t in &report.tasks {
         print!("{}", t.stdout);
@@ -240,17 +226,6 @@ fn main() {
                 "FAIL: effective speedup {:.2}x below required {min:.2}x",
                 report.speedup()
             );
-            failed = true;
-        }
-    }
-    if let Some((m, limit)) = recovery {
-        let pct = m.overhead_pct();
-        println!(
-            "[check] recovery overhead {pct:+.2}% (plain {:.6}s, journalled {:.6}s, limit {limit:.2}%)",
-            m.plain_s, m.journaled_s
-        );
-        if pct > limit {
-            eprintln!("FAIL: snapshot/WAL overhead {pct:.2}% exceeds {limit:.2}%");
             failed = true;
         }
     }

@@ -467,10 +467,6 @@ pub struct HarnessReport {
     /// Per-task reports in canonical task order (only the experiments
     /// selected by `--only`).
     pub tasks: Vec<TaskReport>,
-    /// Median journalled-session slowdown over plain sessions, percent
-    /// (see [`measure_recovery_overhead`]); `None` when the gate was
-    /// not requested.
-    pub recovery_overhead_pct: Option<f64>,
     /// Cross-session shared-cache hit rate of the largest T7 fleet, in
     /// `[0, 1]`; `None` when `t7_multi_session` was not selected.
     pub shared_cache_hit_rate: Option<f64>,
@@ -515,9 +511,6 @@ impl HarnessReport {
             "  \"parallel_efficiency\": {:.3},",
             self.parallel_efficiency()
         );
-        if let Some(pct) = self.recovery_overhead_pct {
-            let _ = writeln!(s, "  \"recovery_overhead_pct\": {pct:.2},");
-        }
         if let Some(rate) = self.shared_cache_hit_rate {
             let _ = writeln!(s, "  \"shared_cache_hit_rate\": {rate:.4},");
         }
@@ -558,88 +551,6 @@ impl HarnessReport {
 /// `total_wall_s`, is an error.
 pub fn baseline_total_wall_s(report: &str) -> Result<f64, CodecError> {
     json::parse(report)?.field("total_wall_s")?.as_f64()
-}
-
-/// Cost of session persistence ([`measure_recovery_overhead`]).
-pub struct RecoveryOverhead {
-    /// Median seconds per plain resilient session.
-    pub plain_s: f64,
-    /// Median seconds per journalled session (WAL + snapshots every 2
-    /// batches, in-memory journal).
-    pub journaled_s: f64,
-    /// Median over pairs of the within-pair journalled/plain time
-    /// ratio.
-    pub ratio: f64,
-}
-
-impl RecoveryOverhead {
-    /// Journalled slowdown over plain, in percent (from the paired
-    /// ratio, which cancels clock drift the separate medians keep).
-    pub fn overhead_pct(&self) -> f64 {
-        (self.ratio - 1.0) * 100.0
-    }
-}
-
-fn median_of(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-    xs[xs.len() / 2]
-}
-
-/// Times `reps` back-to-back pairs of identical GS2 tuning sessions —
-/// plain resilient vs. additionally writing the WAL and a snapshot
-/// every 2 batches into an in-memory journal — and summarises the
-/// journalled slowdown as the *median of the within-pair time ratios*:
-/// each pair runs adjacently, so frequency scaling and noisy neighbours
-/// cancel inside the ratio, and the median discards scheduler outliers.
-/// A warm-up pair asserts the outcomes equal first (persistence must be
-/// observationally free), so the timing cannot be satisfied by skipping
-/// work.
-pub fn measure_recovery_overhead(reps: usize, steps: usize) -> RecoveryOverhead {
-    use harmony_core::server::{run_session, ServerConfig, SessionOptions};
-    use harmony_core::{Estimator, ProOptimizer};
-    use harmony_recovery::SessionJournal;
-    use harmony_surface::Objective;
-
-    let gs2 = harmony_surface::Gs2Model::paper_scale();
-    let noise = harmony_variability::noise::Noise::paper_default(0.1);
-    let session = |seed: u64, journal: Option<&mut SessionJournal>| {
-        let cfg = ServerConfig::new(8, steps, Estimator::Single, seed)
-            .expect("valid overhead-gate config");
-        let mut opt = ProOptimizer::with_defaults(gs2.space().clone());
-        let opts = SessionOptions {
-            journal,
-            ..SessionOptions::default()
-        };
-        let t0 = Instant::now();
-        let out =
-            run_session(&gs2, &noise, &mut opt, cfg, opts).expect("fault-free session terminates");
-        (t0.elapsed().as_secs_f64(), out)
-    };
-    let plain = |seed: u64| session(seed, None);
-    let journaled = |seed: u64| session(seed, Some(&mut SessionJournal::in_memory()));
-
-    // warm-up pair doubles as the observational-freeness check
-    let (_, a) = plain(2005);
-    let (_, b) = journaled(2005);
-    assert_eq!(a, b, "journalling must not change the outcome");
-
-    let reps = reps.max(3);
-    let mut plain_times = Vec::with_capacity(reps);
-    let mut journaled_times = Vec::with_capacity(reps);
-    let mut ratios = Vec::with_capacity(reps);
-    for i in 0..reps {
-        let seed = 2005 + i as u64;
-        let p = plain(seed).0;
-        let j = journaled(seed).0;
-        plain_times.push(p);
-        journaled_times.push(j);
-        ratios.push(j / p);
-    }
-    RecoveryOverhead {
-        plain_s: median_of(plain_times),
-        journaled_s: median_of(journaled_times),
-        ratio: median_of(ratios),
-    }
 }
 
 /// Builds experiment `e`'s private telemetry: an in-memory sink and a
@@ -889,7 +800,6 @@ pub fn run(cfg: &RunConfig) -> HarnessReport {
         total_wall_s: start.elapsed().as_secs_f64(),
         critical_path_s,
         tasks,
-        recovery_overhead_pct: None,
         shared_cache_hit_rate,
     }
 }
@@ -1345,7 +1255,6 @@ mod tests {
                     ],
                 },
             ],
-            recovery_overhead_pct: Some(1.75),
             shared_cache_hit_rate: Some(0.42),
         };
         let json = r.to_json();
@@ -1353,7 +1262,6 @@ mod tests {
         let doc = json::parse(&json).expect("the report is one JSON document");
         let num = |key: &str| doc.field(key).and_then(|v| v.as_f64()).unwrap();
         assert_eq!(baseline_total_wall_s(&json), Ok(1.5));
-        assert_eq!(num("recovery_overhead_pct"), 1.75);
         assert_eq!(num("shared_cache_hit_rate"), 0.42);
         assert_eq!(num("serial_wall_s"), 3.0);
         assert_eq!(num("workers"), 4.0);
@@ -1384,7 +1292,6 @@ mod tests {
             total_wall_s: 0.0,
             critical_path_s: 0.0,
             tasks: Vec::new(),
-            recovery_overhead_pct: None,
             shared_cache_hit_rate: None,
         };
         assert_eq!(r.speedup(), 1.0);

@@ -12,6 +12,7 @@
 
 pub mod experiments;
 pub mod harness;
+pub mod overhead;
 pub mod plot;
 pub mod report;
 

@@ -19,7 +19,7 @@ use crate::pro::{check_admissible, check_values, simplex_from_vertices};
 use harmony_params::init::{initial_simplex, InitialShape, DEFAULT_RELATIVE_SIZE};
 use harmony_params::{ParamSpace, Point, Rounding, Simplex};
 use harmony_recovery::{Checkpoint, CodecError, StateReader, StateWriter};
-use harmony_surface::PerfDatabase;
+use harmony_surface::{Objective, PerfDatabase};
 
 /// Configuration of the Nelder–Mead baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,7 +55,6 @@ enum Phase {
 
 /// The Nelder–Mead optimizer over a (possibly discrete) parameter space.
 pub struct NelderMead {
-    space: ParamSpace,
     cfg: NelderMeadConfig,
     simplex: Simplex,
     values: Vec<f64>,
@@ -66,6 +65,7 @@ pub struct NelderMead {
     /// decision, together with the reflected point.
     reflected: Option<(Point, f64)>,
     incumbent: Incumbent,
+    /// Measured points; it also holds the one `ParamSpace` searched.
     history: PerfDatabase,
     iterations: usize,
     converged: bool,
@@ -78,9 +78,8 @@ impl NelderMead {
         let simplex = initial_simplex(&space, InitialShape::Minimal, cfg.relative_size)
             .expect("valid initial simplex");
         let queue = simplex.vertices().to_vec();
-        let history = PerfDatabase::new(space.clone(), HISTORY_NEIGHBORS);
+        let history = PerfDatabase::new(space, HISTORY_NEIGHBORS);
         NelderMead {
-            space,
             cfg,
             simplex,
             values: Vec::new(),
@@ -112,7 +111,8 @@ impl NelderMead {
     }
 
     fn project(&self, raw: &Point) -> Point {
-        self.space
+        self.history
+            .space()
             .project(raw, self.simplex.vertex(0), self.cfg.rounding)
     }
 
@@ -271,11 +271,11 @@ impl Checkpoint for NelderMead {
         } else {
             None
         };
-        let (incumbent, history, iterations, converged) = read_tail(&self.space, r)?;
+        let (incumbent, history, iterations, converged) = read_tail(self.history.space(), r)?;
         let m = simplex.len();
-        check_admissible(&self.space, "vertex", simplex.vertices())?;
+        check_admissible(self.history.space(), "vertex", simplex.vertices())?;
         check_values(&values, m, phase == Phase::Init)?;
-        check_admissible(&self.space, "queued point", &queue)?;
+        check_admissible(self.history.space(), "queued point", &queue)?;
         let queue_len = match phase {
             Phase::Init => m,
             Phase::Reflect | Phase::Expand | Phase::Contract => 1,
@@ -283,7 +283,7 @@ impl Checkpoint for NelderMead {
             Phase::Done => 0,
         };
         let reflected_ok = match &reflected {
-            Some((p, v)) => self.space.is_admissible(p) && v.is_finite(),
+            Some((p, v)) => self.history.space().is_admissible(p) && v.is_finite(),
             None => phase != Phase::Expand,
         };
         // the value of a phase's last queued point completes the phase,
@@ -314,7 +314,7 @@ impl Checkpoint for NelderMead {
 
 impl Optimizer for NelderMead {
     fn space(&self) -> &ParamSpace {
-        &self.space
+        self.history.space()
     }
 
     fn propose(&mut self) -> Vec<Point> {

@@ -34,7 +34,7 @@ use crate::optimizer::{fill, read_tail, Incumbent, Optimizer, HISTORY_NEIGHBORS}
 use harmony_params::init::{initial_simplex, InitialShape, DEFAULT_RELATIVE_SIZE};
 use harmony_params::{ParamSpace, Point, Rounding, Simplex, StepKind};
 use harmony_recovery::{Checkpoint, CodecError, StateReader, StateWriter};
-use harmony_surface::PerfDatabase;
+use harmony_surface::{Objective, PerfDatabase};
 use harmony_telemetry::{event, Field, Telemetry};
 use std::ops::Range;
 
@@ -165,7 +165,6 @@ enum State {
 /// assert_eq!(pro.best().unwrap().0.as_slice(), &[0.0, 0.0]);
 /// ```
 pub struct ProOptimizer {
-    space: ParamSpace,
     cfg: ProConfig,
     simplex: Simplex,
     values: Vec<f64>,
@@ -177,6 +176,7 @@ pub struct ProOptimizer {
     reflections: Vec<Point>,
     reflection_vals: Vec<f64>,
     incumbent: Incumbent,
+    /// Measured points; it also holds the one `ParamSpace` searched.
     history: PerfDatabase,
     iterations: usize,
     converged: bool,
@@ -201,9 +201,8 @@ impl ProOptimizer {
         let cap = simplex.len().max(2 * space.dims() + 1);
         let mut pending = Vec::with_capacity(cap);
         pending.extend_from_slice(simplex.vertices());
-        let history = PerfDatabase::new(space.clone(), HISTORY_NEIGHBORS);
+        let history = PerfDatabase::new(space, HISTORY_NEIGHBORS);
         ProOptimizer {
-            space,
             cfg,
             simplex,
             values: Vec::with_capacity(cap),
@@ -283,7 +282,7 @@ impl ProOptimizer {
     /// Panics when `center` is inadmissible.
     pub fn recenter(&mut self, center: &Point) {
         self.simplex = harmony_params::init::initial_simplex_at(
-            &self.space,
+            self.history.space(),
             self.cfg.shape,
             self.cfg.relative_size,
             center,
@@ -333,7 +332,8 @@ impl ProOptimizer {
         if self.cfg.continuous {
             self.pending.push(v0.clone());
         }
-        self.space
+        self.history
+            .space()
             .probe_points(v0, self.cfg.probe_eps, &mut self.pending);
         self.pending.len() > self.probe_lead()
     }
@@ -344,7 +344,7 @@ impl ProOptimizer {
     fn refill_pending_transformed(&mut self, kind: StepKind, sources: Range<usize>) {
         let verts = self.simplex.vertices();
         self.pending.clear();
-        self.space.project_step(
+        self.history.space().project_step(
             kind,
             &verts[0],
             &verts[sources],
@@ -676,11 +676,11 @@ impl Checkpoint for ProOptimizer {
         };
         let pending = r.points()?;
         let m = simplex.len();
-        check_admissible(&self.space, "vertex", simplex.vertices())?;
+        check_admissible(self.history.space(), "vertex", simplex.vertices())?;
         check_values(&values, m, matches!(state, State::Init))?;
-        check_admissible(&self.space, "pending point", &pending)?;
+        check_admissible(self.history.space(), "pending point", &pending)?;
         let (carried, carried_vals): (Vec<Point>, Vec<f64>) = reflections.into_iter().unzip();
-        check_admissible(&self.space, "reflection", &carried)?;
+        check_admissible(self.history.space(), "reflection", &carried)?;
         let batch_ok = match state {
             State::Init => pending.len() == m,
             State::Reflect | State::Shrink => pending.len() == m - 1,
@@ -702,7 +702,7 @@ impl Checkpoint for ProOptimizer {
                 carried.len()
             )));
         }
-        let (incumbent, history, iterations, converged) = read_tail(&self.space, r)?;
+        let (incumbent, history, iterations, converged) = read_tail(self.history.space(), r)?;
         self.incumbent = incumbent;
         self.history = history;
         self.iterations = iterations;
@@ -725,7 +725,7 @@ impl Checkpoint for ProOptimizer {
 
 impl Optimizer for ProOptimizer {
     fn space(&self) -> &ParamSpace {
-        &self.space
+        self.history.space()
     }
 
     fn propose(&mut self) -> Vec<Point> {

@@ -1620,7 +1620,16 @@ impl<'a, O: Objective + ?Sized> Session<'a, O> {
             let q = r.f64().map_err(snap)?;
             self.quality_curve.push((step, q));
         }
-        self.fleet.live = r.usize_vec().map_err(snap)?;
+        // the bytes come from disk: a live list the session could not
+        // have written would index `clients` out of bounds later
+        let live = r.usize_vec().map_err(snap)?;
+        if !live.windows(2).all(|w| w[0] < w[1]) || live.last() >= Some(&self.cfg.procs) {
+            return Err(recovery_err(format!(
+                "snapshot live clients {live:?} are not ascending indices below {}",
+                self.cfg.procs
+            )));
+        }
+        self.fleet.live = live;
         let stats: [usize; 6] = r
             .usize_vec()
             .map_err(snap)?
@@ -2473,6 +2482,110 @@ mod tests {
                     opts,
                 );
                 assert!(matches!(out, Err(ServerError::Recovery(_))), "{out:?}");
+            }
+        }
+    }
+
+    /// A fault-free 8-client session journaled into `journal` with a
+    /// snapshot every 2 batches (resuming when the journal holds one).
+    fn snapshot_session(
+        journal: &mut SessionJournal,
+        supervisor: Option<SupervisorConfig>,
+    ) -> Result<SupervisedOutcome, ServerError> {
+        let mut opt = ProOptimizer::with_defaults(space());
+        let recovery = RecoveryConfig { snapshot_every: 2 };
+        let opts = SessionOptions {
+            supervisor,
+            ..journaled(FaultPlan::none(), journal, recovery)
+        };
+        run_session(
+            &bowl(),
+            &Noise::None,
+            &mut opt,
+            cfg(Estimator::Single, 40, 8),
+            opts,
+        )
+    }
+
+    /// A journal of [`snapshot_session`] cut after its 4th record, so
+    /// its latest snapshot is the resume point and nothing is replayed
+    /// on top of it; and that snapshot's bytes.
+    fn snapshot_journal(supervisor: Option<SupervisorConfig>) -> (SessionJournal, Vec<u8>) {
+        let mut journal = SessionJournal::in_memory();
+        snapshot_session(&mut journal, supervisor).unwrap();
+        journal.truncate_records(4).unwrap();
+        let (batch, bytes) = journal.latest_snapshot().unwrap().unwrap();
+        assert_eq!(batch, 4, "the cut journal resumes from its last snapshot");
+        (journal, bytes)
+    }
+
+    /// Resumes `journal` with its latest snapshot replaced by `bytes`.
+    fn resume_with_snapshot(
+        journal: &SessionJournal,
+        bytes: &[u8],
+        supervisor: Option<SupervisorConfig>,
+    ) -> Result<SupervisedOutcome, ServerError> {
+        let mut journal = journal.clone();
+        journal.put_snapshot(4, bytes).unwrap();
+        snapshot_session(&mut journal, supervisor)
+    }
+
+    /// `bytes` with the snapshot's live-client list replaced by `live`.
+    fn with_live(bytes: &[u8], live: &[usize]) -> Vec<u8> {
+        let mut r = StateReader::new(bytes).unwrap();
+        let mut w = StateWriter::new();
+        r.tag("session").unwrap();
+        w.tag("session");
+        w.u64(r.u64().unwrap());
+        w.f64_slice(&r.f64_vec().unwrap());
+        w.usize(r.usize().unwrap());
+        let n = r.usize().unwrap();
+        w.usize(n);
+        for _ in 0..n {
+            w.usize(r.usize().unwrap());
+            w.f64(r.f64().unwrap());
+        }
+        // the codec is flat, so the rest of the snapshot follows the
+        // live list unchanged
+        let header = StateWriter::new().len();
+        let mut old = StateWriter::new();
+        old.usize_slice(&r.usize_vec().unwrap());
+        let rest = w.len() + old.len() - header;
+        w.usize_slice(live);
+        let mut out = w.into_bytes();
+        out.extend_from_slice(&bytes[rest..]);
+        out
+    }
+
+    #[test]
+    fn resume_refuses_snapshot_live_clients_out_of_range_or_repeated() {
+        for supervisor in [None, Some(SupervisorConfig::default())] {
+            let (journal, bytes) = snapshot_journal(supervisor);
+            let fleet: Vec<usize> = (0..8).collect();
+            assert_eq!(with_live(&bytes, &fleet), bytes, "a fault-free fleet");
+            let intact = resume_with_snapshot(&journal, &bytes, supervisor);
+            assert!(intact.is_ok(), "{intact:?}");
+            for live in [&[8][..], &[0, 1, 99], &[usize::MAX], &[3, 3], &[0, 5, 2]] {
+                let out = resume_with_snapshot(&journal, &with_live(&bytes, live), supervisor);
+                assert!(
+                    matches!(out, Err(ServerError::Recovery(_))),
+                    "live {live:?}: {out:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn resume_refuses_a_snapshot_cut_at_any_byte() {
+        for supervisor in [None, Some(SupervisorConfig::default())] {
+            let (journal, bytes) = snapshot_journal(supervisor);
+            for cut in 0..bytes.len() {
+                let out = resume_with_snapshot(&journal, &bytes[..cut], supervisor);
+                assert!(
+                    matches!(out, Err(ServerError::Recovery(_))),
+                    "cut at {cut} of {}: {out:?}",
+                    bytes.len()
+                );
             }
         }
     }

@@ -14,7 +14,7 @@ use crate::pro::{check_admissible, check_values, simplex_from_vertices};
 use harmony_params::init::{initial_simplex, InitialShape, DEFAULT_RELATIVE_SIZE};
 use harmony_params::{ParamSpace, Point, Rounding, Simplex, StepKind};
 use harmony_recovery::{Checkpoint, CodecError, StateReader, StateWriter};
-use harmony_surface::PerfDatabase;
+use harmony_surface::{Objective, PerfDatabase};
 use harmony_telemetry::{event, Field, Telemetry};
 use std::ops::Range;
 
@@ -70,7 +70,6 @@ enum Phase {
 
 /// The Sequential Rank Ordering optimizer (proposals are singletons).
 pub struct SroOptimizer {
-    space: ParamSpace,
     cfg: SroConfig,
     simplex: Simplex,
     values: Vec<f64>,
@@ -81,6 +80,7 @@ pub struct SroOptimizer {
     /// `f(r)` kept across the expansion check.
     reflect_check_val: f64,
     incumbent: Incumbent,
+    /// Measured points; it also holds the one `ParamSpace` searched.
     history: PerfDatabase,
     iterations: usize,
     converged: bool,
@@ -101,9 +101,8 @@ impl SroOptimizer {
         let simplex =
             initial_simplex(&space, cfg.shape, cfg.relative_size).expect("valid initial simplex");
         let queue = simplex.vertices().to_vec();
-        let history = PerfDatabase::new(space.clone(), HISTORY_NEIGHBORS);
+        let history = PerfDatabase::new(space, HISTORY_NEIGHBORS);
         SroOptimizer {
-            space,
             cfg,
             simplex,
             values: Vec::new(),
@@ -168,7 +167,7 @@ impl SroOptimizer {
     fn start_transformed(&mut self, phase: Phase, kind: StepKind, sources: Range<usize>) {
         let verts = self.simplex.vertices();
         self.queue.clear();
-        self.space.project_step(
+        self.history.space().project_step(
             kind,
             &verts[0],
             &verts[sources],
@@ -207,8 +206,11 @@ impl SroOptimizer {
         self.telemetry_iteration_boundary();
         if self.simplex.collapsed(self.cfg.collapse_tol) {
             self.queue.clear();
-            self.space
-                .probe_points(self.simplex.vertex(0), self.cfg.probe_eps, &mut self.queue);
+            self.history.space().probe_points(
+                self.simplex.vertex(0),
+                self.cfg.probe_eps,
+                &mut self.queue,
+            );
             self.got.clear();
             if self.queue.is_empty() {
                 event!(
@@ -382,10 +384,10 @@ impl Checkpoint for SroOptimizer {
         let queue = r.points()?;
         let got = r.f64_vec()?;
         let reflect_check_val = r.f64()?;
-        let (incumbent, history, iterations, converged) = read_tail(&self.space, r)?;
-        check_admissible(&self.space, "vertex", simplex.vertices())?;
+        let (incumbent, history, iterations, converged) = read_tail(self.history.space(), r)?;
+        check_admissible(self.history.space(), "vertex", simplex.vertices())?;
         check_values(&values, simplex.len(), phase == Phase::Init)?;
-        check_admissible(&self.space, "queued point", &queue)?;
+        check_admissible(self.history.space(), "queued point", &queue)?;
         let got_ok = match phase {
             Phase::Done => got.len() <= queue.len(),
             _ => got.len() < queue.len(),
@@ -414,7 +416,7 @@ impl Checkpoint for SroOptimizer {
 
 impl Optimizer for SroOptimizer {
     fn space(&self) -> &ParamSpace {
-        &self.space
+        self.history.space()
     }
 
     fn propose(&mut self) -> Vec<Point> {

@@ -234,11 +234,6 @@ impl SurrogateOptimizer {
         &self.cfg
     }
 
-    /// Observed `(point, estimate)` pairs (the model's training set).
-    pub fn history_len(&self) -> usize {
-        self.history.len()
-    }
-
     /// Batches observed so far.
     pub fn rounds(&self) -> usize {
         self.round
@@ -678,7 +673,7 @@ mod tests {
             opt.observe_partial(&vals);
         }
         assert!(opt.best().is_some());
-        assert!(opt.history_len() > 0);
+        assert!(!opt.history.is_empty());
     }
 
     #[test]
@@ -814,7 +809,7 @@ mod tests {
         let cfg = SurrogateConfig::default();
         let mut opt = SurrogateOptimizer::new(space, cfg, 21);
         let mut rounds = 0;
-        while opt.history_len() < cfg.startup {
+        while opt.history.len() < cfg.startup {
             let batch = opt.propose();
             let vals: Vec<f64> = batch.iter().map(|p| p[0] * p[0] + p[1] * p[1]).collect();
             opt.observe(&vals);

@@ -67,44 +67,6 @@ impl ParamSpace {
         point[i]
     }
 
-    /// Builds an admissible point from `name = value` pairs (every
-    /// parameter exactly once, order-free).
-    ///
-    /// # Errors
-    /// Returns [`ParamError`] on unknown/duplicate/missing names or an
-    /// inadmissible value.
-    pub fn point_from_pairs(&self, pairs: &[(&str, f64)]) -> Result<Point, ParamError> {
-        let mut coords = vec![f64::NAN; self.dims()];
-        for &(name, value) in pairs {
-            let i = self
-                .index_of(name)
-                .ok_or_else(|| ParamError::InvalidRange {
-                    name: name.to_string(),
-                    reason: "unknown parameter".into(),
-                })?;
-            if !coords[i].is_nan() {
-                return Err(ParamError::InvalidRange {
-                    name: name.to_string(),
-                    reason: "parameter given twice".into(),
-                });
-            }
-            if !self.params[i].is_admissible(value) {
-                return Err(ParamError::InvalidRange {
-                    name: name.to_string(),
-                    reason: format!("value {value} is not admissible"),
-                });
-            }
-            coords[i] = value;
-        }
-        if let Some(i) = coords.iter().position(|c| c.is_nan()) {
-            return Err(ParamError::InvalidRange {
-                name: self.params[i].name().to_string(),
-                reason: "parameter missing from pair list".into(),
-            });
-        }
-        Ok(Point::new(coords))
-    }
-
     /// Formats a point with parameter names: `ntheta=64, nodes=8`.
     ///
     /// # Panics
@@ -117,18 +79,6 @@ impl ParamSpace {
             .map(|(p, v)| format!("{}={v}", p.name()))
             .collect::<Vec<_>>()
             .join(", ")
-    }
-
-    /// Validates that `x` has the right dimensionality.
-    pub fn check_dims(&self, x: &Point) -> Result<(), ParamError> {
-        if x.dims() != self.dims() {
-            Err(ParamError::DimensionMismatch {
-                expected: self.dims(),
-                actual: x.dims(),
-            })
-        } else {
-            Ok(())
-        }
     }
 
     /// The center `c` of the admissible region: the midpoint of each
@@ -525,19 +475,6 @@ mod tests {
     }
 
     #[test]
-    fn check_dims() {
-        let s = space_2d();
-        assert!(s.check_dims(&Point::zeros(2)).is_ok());
-        assert!(matches!(
-            s.check_dims(&Point::zeros(3)),
-            Err(ParamError::DimensionMismatch {
-                expected: 2,
-                actual: 3
-            })
-        ));
-    }
-
-    #[test]
     fn names() {
         assert_eq!(space_2d().names(), vec!["a", "b"]);
     }
@@ -547,18 +484,8 @@ mod tests {
         let s = space_2d();
         assert_eq!(s.index_of("b"), Some(1));
         assert_eq!(s.index_of("zzz"), None);
-        let p = s.point_from_pairs(&[("b", 0.5), ("a", 4.0)]).unwrap();
-        assert_eq!(p.as_slice(), &[4.0, 0.5]);
+        let p = Point::from(&[4.0, 0.5][..]);
         assert_eq!(s.value_of(&p, "a"), 4.0);
         assert_eq!(s.describe(&p), "a=4, b=0.5");
-    }
-
-    #[test]
-    fn point_from_pairs_validation() {
-        let s = space_2d();
-        assert!(s.point_from_pairs(&[("a", 4.0)]).is_err()); // missing b
-        assert!(s.point_from_pairs(&[("a", 4.0), ("a", 2.0)]).is_err()); // dup
-        assert!(s.point_from_pairs(&[("a", 3.0), ("b", 0.0)]).is_err()); // 3 inadmissible
-        assert!(s.point_from_pairs(&[("a", 2.0), ("q", 0.0)]).is_err()); // unknown
     }
 }

@@ -145,9 +145,9 @@ pub enum WalRecord {
 impl WalRecord {
     /// Serialises the record as one JSON line (no trailing newline).
     /// The batch/exploit arms sit on the session hot path, so all
-    /// numbers go through `push_int` instead of `fmt` — the overhead
-    /// gate (`recovery_overhead`) budgets the whole write at ~5% of a
-    /// synthetic sub-millisecond session.
+    /// numbers go through `push_int` instead of `fmt` — the
+    /// `recovery.journal` gate of the `overhead` binary budgets the
+    /// whole journal at 5% of a synthetic 8-client session.
     pub fn to_line(&self) -> String {
         let mut s = String::with_capacity(512);
         match self {

@@ -110,32 +110,6 @@ pub fn bootstrap_mean_ci(xs: &[f64], resamples: usize, level: f64, seed: u64) ->
     )
 }
 
-/// Two-sample Kolmogorov–Smirnov statistic
-/// `sup_x |F̂_a(x) − F̂_b(x)|` — used to compare empirical trace
-/// distributions (e.g. truncated vs full, or synthetic vs model).
-///
-/// # Panics
-/// Panics when either sample is empty.
-pub fn ks_two_sample(a: &[f64], b: &[f64]) -> f64 {
-    assert!(!a.is_empty() && !b.is_empty(), "KS of empty sample");
-    let mut sa = a.to_vec();
-    let mut sb = b.to_vec();
-    sa.sort_by(|x, y| x.partial_cmp(y).expect("finite values"));
-    sb.sort_by(|x, y| x.partial_cmp(y).expect("finite values"));
-    let (mut i, mut j) = (0usize, 0usize);
-    let (na, nb) = (sa.len() as f64, sb.len() as f64);
-    let mut d: f64 = 0.0;
-    while i < sa.len() && j < sb.len() {
-        if sa[i] <= sb[j] {
-            i += 1;
-        } else {
-            j += 1;
-        }
-        d = d.max((i as f64 / na - j as f64 / nb).abs());
-    }
-    d
-}
-
 /// Sample autocorrelation at the given lag (biased, normalised by the
 /// lag-0 variance) — quantifies the burstiness of iteration-time
 /// series.
@@ -199,26 +173,6 @@ mod tests {
         let ci = bootstrap_mean_ci(&[5.0, 5.0, 5.0], 100, 0.95, 1);
         assert_eq!(ci.lo, 5.0);
         assert_eq!(ci.hi, 5.0);
-    }
-
-    #[test]
-    fn ks_identical_samples_is_small() {
-        let xs = ramp(200);
-        assert!(ks_two_sample(&xs, &xs) < 1.0 / 200.0 + 1e-12);
-    }
-
-    #[test]
-    fn ks_disjoint_samples_is_one() {
-        let a = ramp(50);
-        let b: Vec<f64> = (100..150).map(|i| i as f64).collect();
-        assert!((ks_two_sample(&a, &b) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ks_detects_shift() {
-        let a = ramp(500);
-        let b: Vec<f64> = a.iter().map(|x| x + 100.0).collect();
-        assert!(ks_two_sample(&a, &b) > 0.15);
     }
 
     #[test]

@@ -82,18 +82,6 @@ pub fn hash_str(name: &str) -> u64 {
     })
 }
 
-/// Per-experiment stream seed: `stream_seed(global, hash_str(name))`.
-///
-/// The harness gives every experiment a stream that is a pure function
-/// of the global seed and the experiment's *name*, never of scheduling
-/// order or worker identity, so a parallel run replays the serial run
-/// bit for bit.
-#[inline]
-#[must_use]
-pub fn experiment_seed(global: u64, name: &str) -> u64 {
-    stream_seed(global, hash_str(name))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,22 +141,6 @@ mod tests {
         for name in ["pro", "nelder-mead", "sro", "fig10_packed", ""] {
             assert_eq!(hash_str(name), legacy(name));
         }
-    }
-
-    #[test]
-    fn experiment_seeds_are_distinct_per_name() {
-        let names = [
-            "fig01", "fig02", "fig03", "fig08", "fig09", "fig10", "charts",
-        ];
-        let mut seen = std::collections::HashSet::new();
-        for n in names {
-            assert!(seen.insert(experiment_seed(2005, n)), "collision on {n}");
-        }
-        assert_ne!(
-            experiment_seed(1, "fig01"),
-            experiment_seed(2, "fig01"),
-            "global seed must matter"
-        );
     }
 
     #[test]

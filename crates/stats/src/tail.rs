@@ -75,12 +75,6 @@ pub fn hill_estimate(xs: &[f64], k: usize) -> f64 {
     k as f64 / s
 }
 
-/// Hill estimates across a range of `k` values — the "Hill plot" used to
-/// pick a stable region.
-pub fn hill_plot(xs: &[f64], ks: impl IntoIterator<Item = usize>) -> Vec<(usize, f64)> {
-    ks.into_iter().map(|k| (k, hill_estimate(xs, k))).collect()
-}
-
 /// Fits a line to the log-log survival series over the largest
 /// `tail_fraction` of distinct sample values and returns the fit; the
 /// estimated tail index is `−fit.slope`.
@@ -186,16 +180,6 @@ mod tests {
         let xs = exp_sample(20_000);
         let a_hat = hill_estimate(&xs, 200);
         assert!(a_hat > 2.0, "a_hat={a_hat}");
-    }
-
-    #[test]
-    fn hill_plot_is_monotone_in_nothing_but_runs() {
-        let xs = pareto_sample(1.5, 5_000);
-        let plot = hill_plot(&xs, [100, 200, 400]);
-        assert_eq!(plot.len(), 3);
-        for (_, a) in plot {
-            assert!(a > 0.5 && a < 3.0);
-        }
     }
 
     #[test]

@@ -141,13 +141,6 @@ impl TestObjective {
         }
     }
 
-    /// Overrides the positivity offset.
-    pub fn with_base_cost(mut self, base: f64) -> Self {
-        assert!(base > 0.0, "base cost must be positive");
-        self.base_cost = base;
-        self
-    }
-
     /// The wrapped classical function.
     pub fn function(&self) -> TestFunction {
         self.function
@@ -241,17 +234,6 @@ mod tests {
             3,
         );
         assert_eq!(o.space().lattice_size(), Some(125));
-    }
-
-    #[test]
-    fn base_cost_override() {
-        let o = TestObjective::new(
-            TestFunction::Sphere,
-            Domain::Continuous { lo: -1.0, hi: 1.0 },
-            1,
-        )
-        .with_base_cost(3.0);
-        assert_eq!(o.eval(&Point::zeros(1)), 3.0);
     }
 
     #[test]

@@ -111,11 +111,6 @@ impl FlightRecorder {
         self.state.lock().expect("flight state poisoned")
     }
 
-    /// Number of records currently retained in the ring.
-    pub fn ring_len(&self) -> usize {
-        self.lock().ring.len()
-    }
-
     /// Post-mortems captured so far (clones; the recorder keeps them).
     pub fn post_mortems(&self) -> Vec<PostMortem> {
         self.lock().post_mortems.clone()
@@ -216,7 +211,7 @@ mod tests {
         for i in 0..10u64 {
             tel.counter("n", i);
         }
-        assert_eq!(rec.ring_len(), 4);
+        assert_eq!(rec.lock().ring.len(), 4);
         assert!(rec.post_mortems().is_empty());
     }
 
@@ -258,7 +253,7 @@ mod tests {
         tel.counter("a", 1);
         tel.counter("b", 1);
         tel.counter("c", 1);
-        assert_eq!(rec.ring_len(), 2, "ring bounded");
+        assert_eq!(rec.lock().ring.len(), 2, "ring bounded");
         assert_eq!(inner.len(), 3, "inner sink sees everything");
     }
 

@@ -320,21 +320,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Direct counter increment at the current `last_clock` (for callers
-    /// without a record stream).
-    pub fn add_counter(&mut self, name: &str, delta: u64) {
-        let (clock, width) = (self.last_clock, self.window);
-        self.counters
-            .entry(name.to_string())
-            .or_default()
-            .add(clock, delta, width);
-    }
-
-    /// Direct gauge set.
-    pub fn set_gauge(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
-    }
-
     /// Direct sample observation.
     pub fn observe(&mut self, name: &str, value: f64) {
         self.samples
@@ -626,10 +611,12 @@ mod tests {
     #[test]
     fn render_is_deterministic_and_ordered() {
         let build = || {
+            let (tel, sink) = Telemetry::memory();
+            tel.counter("b.second", 2);
+            tel.counter("a.first", 1);
+            tel.gauge("z", 1.5);
             let mut reg = MetricsRegistry::new();
-            reg.add_counter("b.second", 2);
-            reg.add_counter("a.first", 1);
-            reg.set_gauge("z", 1.5);
+            reg.ingest_all(&sink.take());
             reg.observe("lat", 3.0);
             reg.render()
         };

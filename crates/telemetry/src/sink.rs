@@ -21,7 +21,8 @@ pub trait Sink: Send + Sync {
     ///
     /// [`NullSink`] returns `false`, which lets the emitting macros skip
     /// record construction entirely — the "zero overhead when disabled"
-    /// guarantee checked by the `telemetry_overhead` bench gate.
+    /// guarantee checked by the `telemetry.nullsink` gate of the
+    /// `overhead` binary.
     fn enabled(&self) -> bool {
         true
     }

@@ -67,20 +67,6 @@ impl ClusterTraceModel {
         }
     }
 
-    /// The GS2-like model with episodic interference: bursty epochs of
-    /// mean length `burst_len` separated by quiet epochs of mean length
-    /// `quiet_len`.
-    pub fn gs2_like_clustered(procs: usize, iters: usize, quiet_len: f64, burst_len: f64) -> Self {
-        assert!(
-            quiet_len > 0.0 && burst_len > 0.0,
-            "epoch lengths must be positive"
-        );
-        ClusterTraceModel {
-            burst_epochs: Some((quiet_len, burst_len)),
-            ..ClusterTraceModel::gs2_like(procs, iters)
-        }
-    }
-
     /// Generates the `[proc][iter]` trace deterministically from `seed`.
     pub fn generate(&self, seed: u64) -> ClusterTrace {
         assert!(self.procs > 0 && self.iters > 0, "empty trace requested");
@@ -168,19 +154,6 @@ impl ClusterTrace {
         self.times.iter().flatten().copied().collect()
     }
 
-    /// The per-iteration cluster-wide worst case `T_k = max_p t_{p,k}`
-    /// (eq. 1).
-    pub fn worst_case_per_iter(&self) -> Vec<f64> {
-        (0..self.iters())
-            .map(|k| {
-                self.times
-                    .iter()
-                    .map(|row| row[k])
-                    .fold(f64::NEG_INFINITY, f64::max)
-            })
-            .collect()
-    }
-
     /// Pearson correlation between two processors' series — Fig. 3 notes
     /// "high correlation and similarity between the curves".
     pub fn pearson(&self, p: usize, q: usize) -> f64 {
@@ -262,18 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn worst_case_dominates_each_processor() {
-        let t = trace();
-        let wc = t.worst_case_per_iter();
-        assert_eq!(wc.len(), t.iters());
-        for p in 0..t.procs() {
-            for (k, &w) in wc.iter().enumerate() {
-                assert!(w >= t.proc(p)[k]);
-            }
-        }
-    }
-
-    #[test]
     fn times_are_positive() {
         for x in trace().flatten() {
             assert!(x > 0.0);
@@ -283,7 +244,10 @@ mod tests {
     #[test]
     fn clustered_bursts_preserve_long_run_rate() {
         let plain = ClusterTraceModel::gs2_like(1, 60_000);
-        let clustered = ClusterTraceModel::gs2_like_clustered(1, 60_000, 40.0, 10.0);
+        let clustered = ClusterTraceModel {
+            burst_epochs: Some((40.0, 10.0)),
+            ..ClusterTraceModel::gs2_like(1, 60_000)
+        };
         let count_spikes = |t: &ClusterTrace| {
             t.proc(0).iter().filter(|&&x| x > 5.0).count() as f64 / t.iters() as f64
         };
@@ -312,7 +276,11 @@ mod tests {
             cov / var
         };
         let plain = ClusterTraceModel::gs2_like(1, 40_000).generate(9);
-        let clustered = ClusterTraceModel::gs2_like_clustered(1, 40_000, 90.0, 10.0).generate(9);
+        let clustered = ClusterTraceModel {
+            burst_epochs: Some((90.0, 10.0)),
+            ..ClusterTraceModel::gs2_like(1, 40_000)
+        }
+        .generate(9);
         let a_plain = autocorr(&plain);
         let a_clustered = autocorr(&clustered);
         assert!(a_plain.abs() < 0.05, "plain autocorr {a_plain}");

@@ -74,7 +74,7 @@ const SEEDS: u64 = 8;
 
 /// Mean heap allocations of one session. This bound may only go down:
 /// lower it when a change makes sessions cheaper, never raise it.
-const MAX_ALLOCATIONS_PER_SESSION: f64 = 36.0;
+const MAX_ALLOCATIONS_PER_SESSION: f64 = 30.0;
 
 #[test]
 fn fig10_session_stays_within_its_allocation_budget() {
