@@ -7,10 +7,17 @@
 //! multi-session tuning service. The sharded reads never take a lock,
 //! so throughput should scale with readers while the mutex baseline
 //! serialises them.
+//!
+//! The `warm_start` group times [`warm_start_center`] over published
+//! estimate tiers of 64 and 256 GS2 estimates — the read a fleet session
+//! makes before it starts.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use harmony_bench::experiments::multi_session::K_NEIGHBORS;
+use harmony_core::warm_start_center;
 use harmony_params::{ParamDef, ParamSpace, Point};
-use harmony_surface::{PerfDatabase, SharedPerfDb};
+use harmony_stats::splitmix::hash01;
+use harmony_surface::{Gs2Model, Objective, PerfDatabase, SharedPerfDb};
 use std::sync::Mutex;
 
 /// Queries issued per reader thread per iteration.
@@ -90,5 +97,38 @@ fn bench_contention(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_contention);
+/// An estimate tier holding `n` distinct GS2 lattice points drawn
+/// around the middle of the space (where a fleet's sessions cluster, so
+/// neighbour probes both hit and miss), each published at its cost
+/// scaled by up to +20% noise.
+fn gs2_estimates(gs2: &Gs2Model, n: usize) -> SharedPerfDb {
+    let space = gs2.space();
+    let db = SharedPerfDb::new(space.clone(), K_NEIGHBORS);
+    let mut draw = 0u64;
+    while db.len() < n {
+        let unit: Vec<f64> = (0..space.dims())
+            .map(|d| 0.2 + 0.6 * hash01(n as u64, 1, draw, d as u64))
+            .collect();
+        let p = space.point_from_unit(&unit);
+        db.record(
+            &p,
+            gs2.eval(&p) * (1.0 + 0.2 * hash01(n as u64, 2, draw, 0)),
+        );
+        db.flush();
+        draw += 1;
+    }
+    db
+}
+
+fn bench_warm_start(c: &mut Criterion) {
+    let gs2 = Gs2Model::paper_scale();
+    for n in [64, 256] {
+        let estimates = gs2_estimates(&gs2, n);
+        c.bench_function(&format!("warm_start/gs2/{n}"), |b| {
+            b.iter(|| warm_start_center(black_box(&estimates)))
+        });
+    }
+}
+
+criterion_group!(benches, bench_contention, bench_warm_start);
 criterion_main!(benches);

@@ -17,21 +17,80 @@
 //! points) one lattice step away in every direction — a lucky outlier
 //! surrounded by expensive neighbourhoods scores poorly, while a point
 //! inside a genuinely cheap basin keeps its low score. The center is
-//! the published point with the lowest smoothed score.
+//! the published point with the lowest smoothed score; among equal
+//! scores, the first in canonical (lattice-key ascending) order.
 //!
-//! The selection is a pure function of the published snapshot (entries
-//! scanned in canonical key order, dimensions ascending, below before
-//! above, strict improvement required), so every session warm-starting
-//! from the same flushed state picks the same center regardless of
-//! scheduling.
+//! # Cost
+//!
+//! One call reads the published snapshot once
+//! ([`SharedPerfDb::entries_canonical`]) and probes each admissible
+//! neighbour of each entry once through [`SharedPerfDb::query`], so the
+//! tier's [`SharedDbStats`](harmony_surface::SharedDbStats) count one
+//! hit or miss per probe. A miss must be interpolated over the whole
+//! snapshot ([`idw_scan`], O(E) for E entries), and that is the only
+//! O(E)-per-probe work; it runs only for the entries the bound below
+//! cannot exclude. Buffers are O(E · dims).
+//!
+//! # Exactness
+//!
+//! An inverse-distance average of published values is a convex
+//! combination, so it is never below `v_min`, the lowest published
+//! value. An entry with value `v`, hit values `h` and `m` misses among
+//! its `n − 1` probes therefore scores at least
+//! `(v + Σh + m·v_min) / n`. Floating-point rounding in the averages and
+//! the sums can undercut that by a few ulps of the magnitudes involved,
+//! so the bound is lowered by `2⁻³⁰·(|v| + Σ|h| + m·max|v|) / n` (plus
+//! the smallest normal number, for subnormal inputs) — orders of
+//! magnitude above any rounding error for the few neighbours a point
+//! has, for values of either sign. Entries are then scored exactly in
+//! ascending order of that bound, and the scan stops at the first entry
+//! whose bound exceeds the best exact score: every entry after it
+//! scores strictly worse. A visited entry is scored exactly as a
+//! plain scan over all entries would score it — probes summed in the
+//! same order, each miss interpolated over the canonical entries by
+//! `(distance², canonical index)`, which is
+//! [`SharedPerfDb::interpolate`]'s `(distance², key)` selection — and
+//! the winner is the minimum of `(score, canonical index)`, the entry a
+//! canonical-order scan keeping only strict improvements picks. So the
+//! center is bit-identical to scoring every entry.
+//!
+//! # Precondition
+//!
+//! The center is a pure function of the published snapshot only if no
+//! flush publishes between the snapshot read and the probes. The
+//! drivers meet this: they flush only at wave barriers
+//! ([`par_waves_in`](harmony_cluster::pool::par_waves_in)), so every
+//! session warm-starting within a wave sees the same snapshot and picks
+//! the same center regardless of scheduling.
 
-use harmony_params::Point;
+use harmony_params::{ParamSpace, Point};
+use harmony_surface::database::{idw_scan, inv_scales};
 use harmony_surface::SharedPerfDb;
 
 /// Relative step used for continuous parameters when probing a
 /// neighbour of a published point (lattice parameters step by their own
 /// stride instead).
 const WARM_EPS: f64 = 0.05;
+
+/// Relative rounding slack subtracted from each entry's lower bound
+/// (see the module docs).
+const BOUND_SLACK: f64 = 1.0 / (1u64 << 30) as f64;
+
+/// Calls `f` on each admissible lattice neighbour of `p`: dimensions
+/// ascending, below before above — the order the score sums them in.
+fn for_each_probe(space: &ParamSpace, p: &Point, mut f: impl FnMut(&Point)) {
+    let mut q = p.clone();
+    for (d, def) in space.params().iter().enumerate() {
+        let (below, above) = def.neighbors(p[d], WARM_EPS);
+        for coord in [below, above].into_iter().flatten() {
+            q.as_mut_slice()[d] = coord;
+            if space.is_admissible(&q) {
+                f(&q);
+            }
+        }
+        q.as_mut_slice()[d] = p[d];
+    }
+}
 
 /// The starting center for a new session: the published point with the
 /// lowest neighbourhood-smoothed estimate (see the module docs), or
@@ -40,31 +99,62 @@ const WARM_EPS: f64 = 0.05;
 /// it is one of the published entries.
 pub fn warm_start_center(estimates: &SharedPerfDb) -> Option<Point> {
     let entries = estimates.entries_canonical();
-    let space = estimates.space().clone();
-    let mut best: Option<(f64, Point)> = None;
-    for (p, v) in &entries {
+    let space = estimates.space();
+    let v_min = entries.iter().map(|e| e.1).fold(f64::INFINITY, f64::min);
+    let v_abs = entries.iter().map(|e| e.1.abs()).fold(0.0, f64::max);
+
+    // Pass 1: every probe once, and a lower bound on every score.
+    // `probes` holds each probe's hit value (`None`: a miss) in probe
+    // order; `ranked` holds (bound, canonical index, first probe).
+    let mut probes: Vec<Option<f64>> = Vec::new();
+    let mut ranked: Vec<(f64, usize, usize)> = Vec::with_capacity(entries.len());
+    for (i, (p, v)) in entries.iter().enumerate() {
+        let start = probes.len();
+        let (mut lo, mut mag, mut n) = (*v, v.abs(), 1.0);
+        for_each_probe(space, p, |q| {
+            let hit = estimates.query(q);
+            let (term, size) = hit.map_or((v_min, v_abs), |h| (h, h.abs()));
+            lo += term;
+            mag += size;
+            n += 1.0;
+            probes.push(hit);
+        });
+        let bound = (lo - BOUND_SLACK * mag) / n - f64::MIN_POSITIVE;
+        // an overflowed bound (NaN) excludes nothing
+        let bound = if bound.is_nan() {
+            f64::NEG_INFINITY
+        } else {
+            bound
+        };
+        ranked.push((bound, i, start));
+    }
+    ranked.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+
+    // Pass 2: exact scores in bound order until the bound excludes the
+    // rest.
+    let inv_scale = inv_scales(space);
+    let k = estimates.k_neighbors;
+    let mut best: Option<(f64, usize)> = None;
+    for &(bound, i, start) in &ranked {
+        if best.is_some_and(|(score, _)| bound > score) {
+            break;
+        }
+        let (p, v) = &entries[i];
+        let mut outcomes = probes[start..].iter().copied();
         let mut sum = *v;
         let mut n = 1.0;
-        for (d, def) in space.params().iter().enumerate() {
-            let (below, above) = def.neighbors(p[d], WARM_EPS);
-            for coord in [below, above].into_iter().flatten() {
-                let mut q = p.clone();
-                q.as_mut_slice()[d] = coord;
-                if !space.is_admissible(&q) {
-                    continue;
-                }
-                if let Some(iv) = estimates.interpolate(&q) {
-                    sum += iv;
-                    n += 1.0;
-                }
-            }
-        }
+        for_each_probe(space, p, |q| {
+            sum += outcomes.next().flatten().unwrap_or_else(|| {
+                idw_scan(&inv_scale, &entries, k, q).expect("the snapshot is not empty")
+            });
+            n += 1.0;
+        });
         let score = sum / n;
-        if best.as_ref().is_none_or(|(bs, _)| score < *bs) {
-            best = Some((score, p.clone()));
+        if best.is_none_or(|b| (score, i) < b) {
+            best = Some((score, i));
         }
     }
-    best.map(|(_, p)| p)
+    best.map(|(_, i)| entries[i].0.clone())
 }
 
 #[cfg(test)]

@@ -38,6 +38,14 @@
 //! barriers, which is what keeps multi-session experiments
 //! deterministic: within a wave every session sees the same snapshot
 //! no matter how its threads interleave.
+//!
+//! Warm start (`harmony_core::warm_start_center`) does not call
+//! [`SharedPerfDb::interpolate`]: it reads [`SharedPerfDb::entries_canonical`]
+//! once, probes through [`SharedPerfDb::query`], and interpolates misses
+//! over that one snapshot with [`idw_scan`](crate::database::idw_scan),
+//! whose `(distance², canonical index)` ranking is `interpolate`'s
+//! `(distance², key)`. `interpolate` stays as the independent reference
+//! the lockstep tests pin both against.
 
 use crate::database::{idw_average, inv_scales, key_of, scaled_dist2};
 use harmony_params::{ParamSpace, Point, PointKey, PointMap};
