@@ -10,7 +10,10 @@
 //!
 //! The `warm_start` group times [`warm_start_center`] over published
 //! estimate tiers of 64 and 256 GS2 estimates — the read a fleet session
-//! makes before it starts.
+//! makes before it starts. `…/compute` republishes the tier (same
+//! entries, new publication) before each timed call, so every call
+//! scores the snapshot; `…/hit` times the calls after the first in a
+//! publication, which reuse its center.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use harmony_bench::experiments::multi_session::K_NEIGHBORS;
@@ -19,6 +22,7 @@ use harmony_params::{ParamDef, ParamSpace, Point};
 use harmony_stats::splitmix::hash01;
 use harmony_surface::{Gs2Model, Objective, PerfDatabase, SharedPerfDb};
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 /// Queries issued per reader thread per iteration.
 const QUERIES: usize = 1_000;
@@ -124,7 +128,23 @@ fn bench_warm_start(c: &mut Criterion) {
     let gs2 = Gs2Model::paper_scale();
     for n in [64, 256] {
         let estimates = gs2_estimates(&gs2, n);
-        c.bench_function(&format!("warm_start/gs2/{n}"), |b| {
+        let (p, v) = estimates.entries_canonical().swap_remove(0);
+        c.bench_function(&format!("warm_start/gs2/{n}/compute"), |b| {
+            b.iter_custom(|iters| {
+                let mut timed = Duration::ZERO;
+                for _ in 0..iters {
+                    // re-recording an entry at its own value publishes
+                    // the same snapshot under a new generation
+                    estimates.record(&p, v);
+                    estimates.flush();
+                    let start = Instant::now();
+                    black_box(warm_start_center(black_box(&estimates)));
+                    timed += start.elapsed();
+                }
+                timed
+            })
+        });
+        c.bench_function(&format!("warm_start/gs2/{n}/hit"), |b| {
             b.iter(|| warm_start_center(black_box(&estimates)))
         });
     }

@@ -150,6 +150,22 @@ mod tests {
     }
 
     #[test]
+    fn tier_counters_are_worker_count_independent() {
+        // which session of a wave computes the warm-start center and
+        // which reuses it must not move a counter of either tier
+        let run = |workers| {
+            let space = Gs2Model::paper_scale().space().clone();
+            let costs = SharedPerfDb::new(space.clone(), K_NEIGHBORS);
+            let estimates = SharedPerfDb::new(space, K_NEIGHBORS);
+            fleet_with(workers, 24, 6, 77, &costs, &estimates);
+            (costs.stats(), estimates.stats())
+        };
+        let one = run(1);
+        assert!(one.1.hits + one.1.misses > 0, "later waves warm-start");
+        assert_eq!(one, run(4));
+    }
+
+    #[test]
     fn first_wave_is_cold_later_fleets_warm_start() {
         // fleet of 2 fits in one wave: nothing published yet, no warm
         // starts, and every probe is fresh

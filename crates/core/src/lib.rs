@@ -52,8 +52,9 @@
 //!   ([`server::SharedSession`]) so concurrent sessions reuse each
 //!   other's measurements (cache-before-evaluate) and publish their
 //!   estimates back — the paper's reference \[3\] prior-run reuse,
-//! * [`warm`] — warm-start seeding: a new session picks its simplex
-//!   center from neighbours' published estimates, smoothed by §6's
+//! * [`warm_start_center`] (re-exported from `harmony_surface::warm`) —
+//!   warm-start seeding: a new session picks its simplex center from
+//!   neighbours' published estimates, smoothed by §6's
 //!   nearest-neighbour interpolation to damp lucky min-of-K outliers.
 
 #![forbid(unsafe_code)]
@@ -71,10 +72,10 @@ pub mod server;
 pub mod sro;
 pub mod surrogate;
 pub mod tuner;
-pub mod warm;
 
 pub use adaptive::AdaptiveSampling;
 pub use cache::CachedObjective;
+pub use harmony_surface::warm_start_center;
 pub use optimizer::Optimizer;
 pub use pro::{ProConfig, ProOptimizer};
 pub use restart::{restarting_pro, Restarting};
@@ -85,4 +86,3 @@ pub use server::{
 };
 pub use surrogate::{SurrogateConfig, SurrogateOptimizer};
 pub use tuner::{FaultStats, OnlineTuner, TunerConfig, TuningOutcome};
-pub use warm::warm_start_center;

@@ -321,8 +321,9 @@ pub struct SupervisedOutcome {
 ///   tuning outcomes are unchanged bit for bit.
 /// * `estimates` — the *noisy* min-of-K batch estimates the optimizer
 ///   observed, published back so new sessions can warm-start from
-///   neighbours' measurements ([`crate::warm`]). Estimates are never
-///   substituted for evaluations — they only seed starting points.
+///   neighbours' measurements ([`crate::warm_start_center`]). Estimates
+///   are never substituted for evaluations — they only seed starting
+///   points.
 ///
 /// Records stay pending (invisible to readers) until someone calls
 /// [`SharedPerfDb::flush`]. Sessions deliberately do **not** flush:
@@ -1814,7 +1815,7 @@ mod tests {
             "warm session never hit the shared tier"
         );
         // published estimates give later sessions a warm-start center
-        assert!(crate::warm::warm_start_center(&estimates).is_some());
+        assert!(crate::warm_start_center(&estimates).is_some());
     }
 
     #[test]

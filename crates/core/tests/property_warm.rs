@@ -1,10 +1,13 @@
 //! Properties pinning `warm_start_center` to a plain scan that scores
 //! every published entry: for random estimate tiers the chosen center
 //! is bit-identical, and the tier's query counters end up exactly where
-//! the scan leaves its twin's. Runs at `PROPTEST_CASES=1024` in CI.
+//! the scan leaves its twin's — also along random sequences of records,
+//! publications, clears, restores and `k_neighbors` changes, which the
+//! memoised center must follow. Runs at `PROPTEST_CASES=1024` in CI.
 
 use harmony_core::warm_start_center;
 use harmony_params::{ParamDef, ParamSpace, Point};
+use harmony_recovery::{restore_from_slice, save_to_vec};
 use harmony_surface::SharedPerfDb;
 use proptest::prelude::*;
 
@@ -155,6 +158,97 @@ proptest! {
         }
         // a second call reads the same snapshot and picks the same center
         prop_assert_eq!(bits(&matches_scan(&ours, &twin)?), bits(&center));
+    }
+}
+
+/// One step of a tier's life, applied to both twins.
+#[derive(Debug, Clone)]
+enum Op {
+    /// A pending record: invisible until flushed, so the memo stays.
+    Record(usize, f64),
+    /// A publishing flush (when anything is pending), then an empty one.
+    Flush,
+    Clear,
+    /// `save_state`, which flushes, kept for a later `Restore`.
+    Save,
+    Restore,
+    SetK(usize),
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    (0u8..11, 0usize..60, arb_value(), 1usize..=6).prop_map(|(kind, i, v, k)| match kind {
+        0..=3 => Op::Record(i, v),
+        4..=6 => Op::Flush,
+        7 => Op::Clear,
+        8 => Op::Save,
+        9 => Op::Restore,
+        _ => Op::SetK(k),
+    })
+}
+
+/// `calls` centers from `ours` (memoised) and the scan over `twin`,
+/// compared after every call.
+fn centers(ours: &SharedPerfDb, twin: &SharedPerfDb, calls: usize) -> Result<(), String> {
+    for _ in 0..calls {
+        matches_scan(ours, twin)?;
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn memoised_center_and_counters_follow_every_publication(
+        space in arb_space(),
+        units in prop::collection::vec(prop::collection::vec(arb_unit(), 4), 1..=60),
+        records in prop::collection::vec((0usize..60, arb_value(), 0u8..8), 0..=80),
+        k in 1usize..=6,
+        ops in prop::collection::vec((arb_op(), 1usize..=3), 1..=16),
+    ) {
+        let points: Vec<Point> = units
+            .iter()
+            .map(|u| space.point_from_unit(&u[..space.dims()]))
+            .collect();
+        let records: Vec<(usize, f64, bool)> =
+            records.into_iter().map(|(i, v, f)| (i, v, f == 0)).collect();
+        let (mut ours, mut twin) = twin_tiers(&space, k, &points, &records, &[]);
+        let mut saved = save_to_vec(&ours);
+        centers(&ours, &twin, 2)?;
+        for (op, calls) in ops {
+            match op {
+                Op::Record(i, v) => {
+                    for db in [&ours, &twin] {
+                        db.record(&points[i % points.len()], v);
+                    }
+                }
+                Op::Flush => {
+                    ours.flush();
+                    twin.flush();
+                    centers(&ours, &twin, calls)?;
+                    prop_assert_eq!(ours.pending_len(), 0);
+                    ours.flush();
+                    twin.flush();
+                }
+                Op::Clear => {
+                    ours.clear();
+                    twin.clear();
+                }
+                Op::Save => {
+                    saved = save_to_vec(&ours);
+                    prop_assert_eq!(&save_to_vec(&twin), &saved);
+                }
+                Op::Restore => {
+                    restore_from_slice(&mut ours, &saved).expect("a saved tier restores");
+                    restore_from_slice(&mut twin, &saved).expect("a saved tier restores");
+                }
+                Op::SetK(k) => {
+                    ours.k_neighbors = k;
+                    twin.k_neighbors = k;
+                }
+            }
+            centers(&ours, &twin, calls)?;
+        }
     }
 }
 

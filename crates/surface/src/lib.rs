@@ -24,7 +24,10 @@
 //! * [`sharded`] — a concurrent, sharded cross-session performance
 //!   database with lock-free snapshot reads, deterministic write
 //!   combining, and results bit-identical to the single-owner
-//!   [`PerfDatabase`].
+//!   [`PerfDatabase`],
+//! * [`warm`] — warm-start seeding: the center a new session starts
+//!   from, scored from a shared tier's published estimates and
+//!   computed once per publication.
 
 // `deny` (not `forbid`) so the one vetted lock-free module in
 // `sharded::swap` can locally `allow` its AtomicPtr snapshot cell;
@@ -38,9 +41,11 @@ pub mod kernels;
 pub mod objective;
 pub mod sharded;
 pub mod testfns;
+pub mod warm;
 
 pub use database::PerfDatabase;
 pub use gs2::Gs2Model;
 pub use kernels::{StencilHalo, TiledMatMul};
 pub use objective::{best_on_lattice, LatticeTable, Objective};
 pub use sharded::{SharedDbStats, SharedPerfDb};
+pub use warm::warm_start_center;

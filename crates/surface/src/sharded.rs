@@ -39,13 +39,16 @@
 //! deterministic: within a wave every session sees the same snapshot
 //! no matter how its threads interleave.
 //!
-//! Warm start (`harmony_core::warm_start_center`) does not call
-//! [`SharedPerfDb::interpolate`]: it reads [`SharedPerfDb::entries_canonical`]
-//! once, probes through [`SharedPerfDb::query`], and interpolates misses
-//! over that one snapshot with [`idw_scan`](crate::database::idw_scan),
-//! whose `(distance², canonical index)` ranking is `interpolate`'s
-//! `(distance², key)`. `interpolate` stays as the independent reference
-//! the lockstep tests pin both against.
+//! Warm start ([`warm_start_center`](crate::warm::warm_start_center))
+//! does not call [`SharedPerfDb::interpolate`]: it reads
+//! [`SharedPerfDb::entries_canonical`] once, probes each neighbour's
+//! exact value, and interpolates misses over that one snapshot with
+//! [`idw_scan`](crate::database::idw_scan), whose `(distance², canonical
+//! index)` ranking is `interpolate`'s `(distance², key)`. `interpolate`
+//! stays as the independent reference the lockstep tests pin both
+//! against. The tier keeps the last center it computed, keyed by its
+//! publication generation (see [`SharedPerfDb::flush`]) and
+//! `k_neighbors`, so the sessions of a wave compute it once.
 
 use crate::database::{idw_average, inv_scales, key_of, scaled_dist2};
 use harmony_params::{ParamSpace, Point, PointKey, PointMap};
@@ -187,6 +190,20 @@ impl Shard {
     }
 }
 
+/// Per-shard `[hits, misses]` that a run of uncounted probes made,
+/// indexed by shard number; [`SharedPerfDb::memo_center`] adds them to
+/// the shard counters.
+pub(crate) type ProbeCounts = [[u64; 2]; SHARD_COUNT];
+
+/// The last warm-start center a tier computed, with the key it is
+/// valid for and the probe counts computing it made.
+struct CenterMemo {
+    generation: u64,
+    k_neighbors: usize,
+    center: Option<Point>,
+    counts: ProbeCounts,
+}
+
 /// Operation counters for a [`SharedPerfDb`] (or one of its shards).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SharedDbStats {
@@ -254,6 +271,15 @@ pub struct SharedPerfDb {
     pub k_neighbors: usize,
     inv_scale: Vec<f64>,
     shards: Vec<Shard>,
+    /// Publication generation: bumped before the first and after the
+    /// last snapshot a `flush` or `clear` publishes, so it is odd while
+    /// a lone publication is in progress (see [`Self::flush`]). `SeqCst`,
+    /// as are the snapshot cells, so a computation that reads the same
+    /// generation before and after its snapshot reads saw no publish.
+    generation: AtomicU64,
+    /// The warm-start center of the snapshot at `generation`, if one
+    /// was computed; its lock makes concurrent callers compute once.
+    memo: Mutex<Option<CenterMemo>>,
 }
 
 impl std::fmt::Debug for SharedPerfDb {
@@ -289,6 +315,8 @@ impl SharedPerfDb {
             k_neighbors,
             inv_scale,
             shards: (0..SHARD_COUNT).map(|_| Shard::new()).collect(),
+            generation: AtomicU64::new(0),
+            memo: Mutex::new(None),
         }
     }
 
@@ -301,8 +329,28 @@ impl SharedPerfDb {
     /// `None` means no flushed measurement exists (pending records are
     /// invisible); the caller should measure and [`record`](Self::record).
     pub fn query(&self, point: &Point) -> Option<f64> {
-        let shard = &self.shards[shard_of_words(point.iter().map(f64::to_bits))];
-        let found = shard.snap.read(|snap| {
+        let (i, found) = self.lookup(point);
+        let counter = match found {
+            Some(_) => &self.shards[i].hits,
+            None => &self.shards[i].misses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
+    /// [`Self::query`] without touching the shard counters: the probe
+    /// is tallied into `counts` instead, for [`Self::memo_center`] to
+    /// replay.
+    pub(crate) fn probe(&self, point: &Point, counts: &mut ProbeCounts) -> Option<f64> {
+        let (i, found) = self.lookup(point);
+        counts[i][usize::from(found.is_none())] += 1;
+        found
+    }
+
+    /// The shard `point` routes to and its published value there.
+    fn lookup(&self, point: &Point) -> (usize, Option<f64>) {
+        let i = shard_of_words(point.iter().map(f64::to_bits));
+        let found = self.shards[i].snap.read(|snap| {
             snap.binary_search_by(|e| {
                 // lexicographic key comparison straight against the
                 // point's bit patterns — no per-query allocation
@@ -311,16 +359,7 @@ impl SharedPerfDb {
             .ok()
             .map(|i| snap[i].2)
         });
-        match found {
-            Some(v) => {
-                shard.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                shard.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        (i, found)
     }
 
     /// Appends one measurement to its shard's pending buffer. Invisible
@@ -353,11 +392,25 @@ impl SharedPerfDb {
     /// so concurrent flushes serialise per shard; because the keep-min
     /// merge is commutative, the state after all flushes complete is
     /// the same for every interleaving.
+    ///
+    /// A flush that publishes bumps the publication generation before
+    /// its first and after its last shard; one that finds nothing
+    /// pending publishes nothing and leaves the generation (and the
+    /// memoised warm-start center) alone. Concurrent flushes may
+    /// interleave their bumps, so an even generation does not prove
+    /// that no flush is running; but every flush bumps after its last
+    /// publish, so a generation current while a flush runs is never
+    /// current once it returns.
     pub fn flush(&self) {
+        let mut published = false;
         for shard in &self.shards {
             let mut pending = shard.pending.lock().unwrap_or_else(|e| e.into_inner());
             if pending.is_empty() {
                 continue;
+            }
+            if !published {
+                self.generation.fetch_add(1, Ordering::SeqCst);
+                published = true;
             }
             let mut map: BTreeMap<Vec<u64>, (Point, f64)> = shard
                 .snap
@@ -381,6 +434,55 @@ impl SharedPerfDb {
             shard.snap.publish(snap);
             shard.publishes.fetch_add(1, Ordering::Relaxed);
         }
+        if published {
+            self.generation.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// The warm-start center `compute` finds in the published snapshot,
+    /// computed at most once per publication generation and
+    /// `k_neighbors`.
+    ///
+    /// `compute` probes through [`Self::probe`]; the counts it tallies
+    /// are kept with the center and added to the shard counters on
+    /// every call, so [`Self::stats`] and [`Self::per_shard`] move as if
+    /// each call had computed. The memo's lock is held while computing,
+    /// so concurrent callers wait for one computation instead of
+    /// repeating it. A result is stored only if the generation was even
+    /// and did not change while it was computed; one computed across a
+    /// publication is returned but not kept.
+    pub(crate) fn memo_center(
+        &self,
+        compute: impl FnOnce(&mut ProbeCounts) -> Option<Point>,
+    ) -> Option<Point> {
+        let mut memo = self.memo.lock().unwrap_or_else(|e| e.into_inner());
+        let generation = self.generation.load(Ordering::SeqCst);
+        let (center, counts) = match memo.as_ref() {
+            Some(m) if m.generation == generation && m.k_neighbors == self.k_neighbors => {
+                (m.center.clone(), m.counts)
+            }
+            _ => {
+                let mut counts = [[0; 2]; SHARD_COUNT];
+                let center = compute(&mut counts);
+                if generation.is_multiple_of(2)
+                    && self.generation.load(Ordering::SeqCst) == generation
+                {
+                    *memo = Some(CenterMemo {
+                        generation,
+                        k_neighbors: self.k_neighbors,
+                        center: center.clone(),
+                        counts,
+                    });
+                }
+                (center, counts)
+            }
+        };
+        drop(memo);
+        for (shard, [hits, misses]) in self.shards.iter().zip(counts) {
+            shard.hits.fetch_add(hits, Ordering::Relaxed);
+            shard.misses.fetch_add(misses, Ordering::Relaxed);
+        }
+        center
     }
 
     /// Inverse-distance-weighted estimate from published entries, or
@@ -520,13 +622,16 @@ impl SharedPerfDb {
     }
 
     /// Discards all published entries and pending records (counters are
-    /// kept; they are cumulative).
+    /// kept; they are cumulative). Bumps the publication generation like
+    /// a [`flush`](Self::flush) that publishes.
     pub fn clear(&self) {
+        self.generation.fetch_add(1, Ordering::SeqCst);
         for shard in &self.shards {
             let mut pending = shard.pending.lock().unwrap_or_else(|e| e.into_inner());
             pending.clear();
             shard.snap.publish(Vec::new());
         }
+        self.generation.fetch_add(1, Ordering::SeqCst);
     }
 }
 
@@ -654,6 +759,62 @@ mod tests {
         assert_eq!(s.pending, 0);
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
         assert_eq!(db.per_shard().len(), SHARD_COUNT);
+    }
+
+    #[test]
+    fn memo_center_computes_once_per_publication_and_k() {
+        let mut db = SharedPerfDb::new(space(), 2);
+        let p = Point::from(&[2.0, 2.0][..]);
+        let computes = std::cell::Cell::new(0);
+        let center = |db: &SharedPerfDb| {
+            db.memo_center(|counts| {
+                computes.set(computes.get() + 1);
+                db.probe(&p, counts);
+                db.probe(&Point::from(&[3.0, 2.0][..]), counts);
+                Some(p.clone())
+            })
+        };
+        let calls = |db: &SharedPerfDb, n: u64, computed: u64| {
+            let before = (db.stats(), computes.get());
+            for _ in 0..n {
+                assert_eq!(center(db), Some(p.clone()));
+            }
+            let s = db.stats();
+            // every call replays the two probes, computed or not
+            assert_eq!(s.hits + s.misses, before.0.hits + before.0.misses + 2 * n);
+            assert_eq!(computes.get(), before.1 + computed);
+        };
+        calls(&db, 3, 1);
+        assert_eq!(db.stats().misses, 6);
+        db.flush(); // empty: no publication keeps the memo
+        calls(&db, 2, 0);
+        db.record(&p, 1.0);
+        db.flush();
+        calls(&db, 2, 1);
+        assert_eq!(db.stats().hits, 2, "the new snapshot's probe hits");
+        db.k_neighbors = 3;
+        calls(&db, 2, 1);
+        db.clear();
+        calls(&db, 2, 1);
+        let bytes = harmony_recovery::save_to_vec(&db);
+        harmony_recovery::restore_from_slice(&mut db, &bytes).unwrap();
+        calls(&db, 2, 1);
+
+        // a publication in progress, or one during the computation:
+        // the result is returned but not kept
+        db.generation.fetch_add(1, Ordering::SeqCst);
+        calls(&db, 2, 2);
+        db.generation.fetch_add(1, Ordering::SeqCst);
+        let start = db.generation.load(Ordering::SeqCst);
+        let during = db.memo_center(|_| {
+            db.record(&p, 0.5);
+            db.flush();
+            None
+        });
+        assert_eq!(during, None);
+        let kept = db.memo.lock().unwrap().as_ref().map(|m| m.generation);
+        assert_ne!(kept, Some(start), "kept a center computed across a flush");
+        calls(&db, 2, 1);
     }
 
     #[test]

@@ -1,15 +1,18 @@
 //! Integration tests pinning [`SharedPerfDb`] to the single-owner
 //! [`PerfDatabase`] semantics: a lockstep property test over random
 //! operation sequences, a restore property over corrupt entry lists for
-//! both, a thread-interleaving equivalence check, and a reader/writer
-//! stress test of the lock-free snapshot path.
+//! both, a thread-interleaving equivalence check, a reader/writer
+//! stress test of the lock-free snapshot path, and two races on the
+//! memoised warm-start center.
 
-use harmony_surface::{PerfDatabase, SharedPerfDb};
+use harmony_surface::{warm_start_center, PerfDatabase, SharedPerfDb};
 use proptest::prelude::*;
 
 use harmony_params::{ParamDef, ParamSpace, Point};
 use harmony_recovery::{restore_from_slice, save_to_vec, CodecError, StateWriter};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Barrier, Mutex};
 
 fn space() -> ParamSpace {
     ParamSpace::new(vec![
@@ -283,4 +286,145 @@ fn readers_never_observe_torn_or_rising_values() {
     }
     replay.flush();
     assert_eq!(entries, replay.entries_canonical());
+}
+
+/// `HARMONY_STRESS_ITERS`, or `default` when unset.
+fn stress_iters(default: usize) -> usize {
+    std::env::var("HARMONY_STRESS_ITERS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
+/// The `i`-th record of the warm-start races: points sweep the grid,
+/// values fall over time so keep-min keeps moving the center.
+fn race_record(i: usize) -> (Point, f64) {
+    let p = pt((i * 3 % 7) as i64, (i * 5 / 7 % 7) as i64);
+    (p, 500.0 - (i % 487) as f64 + ((i * 37) % 11) as f64)
+}
+
+/// Per-shard `(hits, misses)`.
+fn probe_counts(db: &SharedPerfDb) -> Vec<(u64, u64)> {
+    db.per_shard().iter().map(|s| (s.hits, s.misses)).collect()
+}
+
+/// A fresh tier publishing `db`'s entries: nothing memoised, so its
+/// first warm start computes the center of `db`'s snapshot.
+fn republished(db: &SharedPerfDb) -> SharedPerfDb {
+    let fresh = SharedPerfDb::new(db.space().clone(), db.k_neighbors);
+    for (p, v) in db.entries_canonical() {
+        fresh.record(&p, v);
+    }
+    fresh.flush();
+    fresh
+}
+
+/// 8 readers released by one barrier onto each new publication all get
+/// the center a single call computes on a fresh copy of the snapshot,
+/// and the tier's hit and miss counters advance by exactly 8 times that
+/// call's probes, shard by shard — whichever reader computed. Rounds
+/// scale with `HARMONY_STRESS_ITERS`.
+#[test]
+fn barrier_released_readers_share_one_center_and_count_every_call() {
+    const READERS: usize = 8;
+    let rounds = stress_iters(300) / 20;
+    let shared = SharedPerfDb::new(space(), 3);
+    let start = Barrier::new(READERS + 1);
+    let done = Barrier::new(READERS + 1);
+    let got: Mutex<Vec<Option<Point>>> = Mutex::new(Vec::new());
+    // the coordinator must not panic while readers wait at a barrier:
+    // it notes the first wrong round and asserts after the join
+    let mut wrong: Option<String> = None;
+
+    std::thread::scope(|s| {
+        for _ in 0..READERS {
+            s.spawn(|| {
+                for _ in 0..rounds {
+                    start.wait();
+                    let center = warm_start_center(&shared);
+                    got.lock().expect("no reader panicked").push(center);
+                    done.wait();
+                }
+            });
+        }
+        for round in 0..rounds {
+            for i in round * 3..round * 3 + 3 {
+                let (p, v) = race_record(i);
+                shared.record(&p, v);
+            }
+            shared.flush();
+            let single = republished(&shared);
+            let want = warm_start_center(&single);
+            let one_call = probe_counts(&single);
+            let before = probe_counts(&shared);
+
+            start.wait();
+            done.wait();
+            let got = std::mem::take(&mut *got.lock().expect("no reader panicked"));
+            let after = probe_counts(&shared);
+            let gained = after
+                .iter()
+                .zip(&before)
+                .map(|(a, b)| (a.0 - b.0, a.1 - b.1));
+            let want_gained = one_call
+                .iter()
+                .map(|c| (c.0 * READERS as u64, c.1 * READERS as u64));
+            if got != vec![want.clone(); READERS] {
+                wrong.get_or_insert(format!("round {round}: centers {got:?}, want {want:?}"));
+            } else if !gained.eq(want_gained) {
+                wrong.get_or_insert(format!(
+                    "round {round}: counters must move as {READERS} computed calls"
+                ));
+            }
+        }
+    });
+    assert_eq!(wrong, None);
+}
+
+/// A flusher publishes a record at a time while 4 readers keep asking
+/// for the center. The flusher's first call after each `flush()`
+/// returns must give that snapshot's center (as a fresh tier holding the
+/// same entries computes it) — a reader that computed across the
+/// publication must not have left its result behind — and once all
+/// threads join, a call gives the last snapshot's center. Iterations
+/// scale with `HARMONY_STRESS_ITERS`.
+#[test]
+fn the_first_center_after_a_flush_is_the_new_snapshots() {
+    let iters = stress_iters(300) / 4;
+    let twin = SharedPerfDb::new(space(), 2);
+    let want: Vec<Option<Point>> = (0..iters)
+        .map(|i| {
+            let (p, v) = race_record(i);
+            twin.record(&p, v);
+            twin.flush();
+            warm_start_center(&republished(&twin))
+        })
+        .collect();
+
+    let shared = SharedPerfDb::new(space(), 2);
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        for _ in 0..4 {
+            s.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    if let Some(c) = warm_start_center(&shared) {
+                        assert!(shared.space().is_admissible(&c), "center {c:?}");
+                    }
+                }
+            });
+        }
+        for (i, want) in want.iter().enumerate() {
+            let (p, v) = race_record(i);
+            shared.record(&p, v);
+            shared.flush();
+            let got = warm_start_center(&shared);
+            if &got != want {
+                stop.store(true, Ordering::Relaxed);
+                panic!("after flush {i}: center {got:?}, want {want:?}");
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+    assert_eq!(&warm_start_center(&shared), want.last().expect("iters > 0"));
+    assert_eq!(shared.entries_canonical(), twin.entries_canonical());
 }
