@@ -13,8 +13,8 @@
 //!   artifacts' seed)
 //! * `--only GLOB` — run only the experiments matching the `*`-glob
 //!   (repeatable; dependencies are pulled in automatically)
-//! * `--list` — print the experiment names and their subtask counts,
-//!   then exit
+//! * `--list` — print the experiment names, their subtask counts and
+//!   the experiments whose results each reads, then exit
 //! * `--check-against PATH` — read a previously committed
 //!   `BENCH_harness.json` and exit nonzero when this run's total
 //!   wall-clock regresses by more than 25%
@@ -126,11 +126,19 @@ fn main() {
 
     if list {
         for (e, t) in harness::TASKS.iter().enumerate() {
+            let mut notes = Vec::new();
             let parts = harness::subtask_count(e);
-            if parts == 0 {
+            if parts > 0 {
+                notes.push(format!("{parts} subtasks"));
+            }
+            if !t.deps.is_empty() {
+                let reads: Vec<&str> = t.deps.iter().map(|&d| harness::TASKS[d].name).collect();
+                notes.push(format!("reads {}", reads.join(", ")));
+            }
+            if notes.is_empty() {
                 println!("{}", t.name);
             } else {
-                println!("{} ({parts} subtasks)", t.name);
+                println!("{} ({})", t.name, notes.join("; "));
             }
         }
         println!(

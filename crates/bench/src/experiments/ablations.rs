@@ -1,15 +1,15 @@
 //! Ablations A1/A2 plus the projection-rounding study — the design
-//! choices DESIGN.md calls out. Every study tunes against one
-//! [`LatticeTable`] of the GS2 model per task, as fig10 does; the table
-//! returns the model's values bit for bit.
+//! choices DESIGN.md calls out. Every study tunes against the shared
+//! [`gs2_table`] of the GS2 model, as fig10 does; the table returns the
+//! model's values bit for bit.
 
 use crate::report::Table;
-use crate::{average_sessions, average_sessions_in};
+use crate::{average_sessions, average_sessions_in, gs2_table, repeat_session};
 use harmony_cluster::pool::worker_count;
 use harmony_cluster::SamplingMode;
 use harmony_core::{Estimator, OnlineTuner, ProConfig, ProOptimizer, TunerConfig};
 use harmony_params::Rounding;
-use harmony_surface::{Gs2Model, LatticeTable, Objective};
+use harmony_surface::Objective;
 use harmony_variability::noise::Noise;
 use harmony_variability::stream_seed;
 
@@ -40,8 +40,7 @@ fn session<O: Objective + ?Sized>(
 /// probing the single most promising expansion point first avoids
 /// stalling the whole cluster on poor expansion configurations.
 pub fn expansion_check(steps: usize, reps: usize, rho: f64, seed: u64) -> Table {
-    let model = Gs2Model::paper_scale();
-    let gs2 = LatticeTable::new(&model);
+    let gs2 = gs2_table();
     let noise = Noise::paper_default(rho);
     let mut table = Table::new(
         "ablation_expansion_check",
@@ -53,7 +52,7 @@ pub fn expansion_check(steps: usize, reps: usize, rho: f64, seed: u64) -> Table 
             ..ProConfig::default()
         };
         let avg = average_sessions(reps, stream_seed(seed, check as u64), rho, |s| {
-            session(&gs2, &noise, cfg, Estimator::Single, steps, s)
+            session(gs2, &noise, cfg, Estimator::Single, steps, s)
         });
         table.push_labeled(
             label,
@@ -113,8 +112,7 @@ pub fn estimators_cell_in(
     rho: f64,
     seed: u64,
 ) -> f64 {
-    let model = Gs2Model::paper_scale();
-    let gs2 = LatticeTable::new(&model);
+    let gs2 = gs2_table();
     let est = ESTIMATORS[est_idx];
     let noises = estimator_noises(rho);
     let (_, ref noise) = noises[noise_idx];
@@ -123,7 +121,7 @@ pub fn estimators_cell_in(
         reps,
         stream_seed(seed, (noise_idx as u64) << 8 | est.samples() as u64),
         rho,
-        |s| session(&gs2, noise, ProConfig::default(), est, steps, s),
+        |s| session(gs2, noise, ProConfig::default(), est, steps, s),
     );
     avg.mean_best_true
 }
@@ -150,8 +148,7 @@ pub fn assemble_estimators(rho: f64, cells: &[f64]) -> Table {
 /// nearest rounding — toward-center guarantees discrete shrink collapse
 /// (and therefore termination of the stopping criterion).
 pub fn projection(steps: usize, reps: usize, rho: f64, seed: u64) -> Table {
-    let model = Gs2Model::paper_scale();
-    let gs2 = LatticeTable::new(&model);
+    let gs2 = gs2_table();
     let noise = Noise::paper_default(rho);
     let mut table = Table::new(
         "ablation_projection",
@@ -166,7 +163,7 @@ pub fn projection(steps: usize, reps: usize, rho: f64, seed: u64) -> Table {
             ..ProConfig::default()
         };
         let avg = average_sessions(reps, stream_seed(seed, label.len() as u64), rho, |s| {
-            session(&gs2, &noise, cfg, Estimator::Single, steps, s)
+            session(gs2, &noise, cfg, Estimator::Single, steps, s)
         });
         table.push_labeled(
             label,
@@ -197,6 +194,28 @@ pub fn monitoring(steps: usize, reps: usize, seed: u64) -> Table {
     assemble_monitoring(&cells)
 }
 
+/// One replication of a monitoring cell: a PRO session that stops at
+/// convergence or keeps re-probing (`continuous`), at
+/// `MONITORING_RHOS[rho_idx]` (no noise at ρ = 0).
+pub fn monitoring_session(
+    rho_idx: usize,
+    continuous: bool,
+    steps: usize,
+    seed: u64,
+) -> harmony_core::TuningOutcome {
+    let rho = MONITORING_RHOS[rho_idx];
+    let noise = if rho == 0.0 {
+        Noise::None
+    } else {
+        Noise::paper_default(rho)
+    };
+    let cfg = ProConfig {
+        continuous,
+        ..ProConfig::default()
+    };
+    session(gs2_table(), &noise, cfg, Estimator::Single, steps, seed)
+}
+
 /// One monitoring cell: `(mean NTT, mean best-true)` for
 /// `(MONITORING_RHOS[rho_idx], continuous)`, with an explicit inner
 /// worker count; same seed stream as the monolithic sweep.
@@ -208,25 +227,15 @@ pub fn monitoring_cell_in(
     reps: usize,
     seed: u64,
 ) -> (f64, f64) {
-    let model = Gs2Model::paper_scale();
-    let gs2 = LatticeTable::new(&model);
     let rho = MONITORING_RHOS[rho_idx];
-    let noise = if rho == 0.0 {
-        Noise::None
+    let base_seed = stream_seed(seed, u64::from(continuous) + 2);
+    let run = |s| monitoring_session(rho_idx, continuous, steps, s);
+    // noise-free: every replication is the same session (see fig10)
+    let avg = if rho == 0.0 {
+        repeat_session(reps, base_seed, rho, run)
     } else {
-        Noise::paper_default(rho)
+        average_sessions_in(workers, reps, base_seed, rho, run)
     };
-    let cfg = ProConfig {
-        continuous,
-        ..ProConfig::default()
-    };
-    let avg = average_sessions_in(
-        workers,
-        reps,
-        stream_seed(seed, u64::from(continuous) + 2),
-        rho,
-        |s| session(&gs2, &noise, cfg, Estimator::Single, steps, s),
-    );
     (avg.mean_ntt, avg.mean_best_true)
 }
 
@@ -257,8 +266,7 @@ pub fn assemble_monitoring(cells: &[(f64, f64)]) -> Table {
 /// configuration quality, and average samples actually spent.
 pub fn adaptive_k(steps: usize, reps: usize, seed: u64) -> Table {
     use harmony_core::adaptive::AdaptiveSampling;
-    let model = Gs2Model::paper_scale();
-    let gs2 = LatticeTable::new(&model);
+    let gs2 = gs2_table();
     let mut table = Table::new(
         "ablation_adaptive_k",
         &[
@@ -278,7 +286,7 @@ pub fn adaptive_k(steps: usize, reps: usize, seed: u64) -> Table {
         let fixed = |k: usize| {
             average_sessions(reps, stream_seed(seed, k as u64), rho, |s| {
                 session(
-                    &gs2,
+                    gs2,
                     &noise,
                     ProConfig::default(),
                     Estimator::MinOfK(k),
@@ -302,7 +310,7 @@ pub fn adaptive_k(steps: usize, reps: usize, seed: u64) -> Table {
             );
             let mut opt = ProOptimizer::with_defaults(gs2.space().clone());
             tuner
-                .run(&gs2, &noise, &mut opt)
+                .run(gs2, &noise, &mut opt)
                 .expect("tuning session produced a recommendation")
         });
         table.push(vec![

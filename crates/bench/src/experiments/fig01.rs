@@ -11,7 +11,7 @@
 use crate::report::Table;
 use harmony_cluster::pool::par_map_indexed;
 use harmony_core::{Estimator, OnlineTuner, TunerConfig};
-use harmony_surface::Gs2Model;
+use harmony_surface::{Gs2Model, Objective};
 use harmony_variability::noise::Noise;
 use harmony_variability::stream_seed;
 
@@ -69,7 +69,7 @@ fn algorithm_series(name: &str, cfg: &Fig01Config) -> (Vec<f64>, Vec<f64>) {
             full_occupancy: false,
             exploit_width: 6,
         });
-        let mut opt = make_optimizer(name, &gs2, seed);
+        let mut opt = make_optimizer(name, gs2.space(), seed);
         let out = tuner
             .run(&gs2, &noise, opt.as_mut())
             .expect("tuning session produced a recommendation");

@@ -11,12 +11,12 @@
 //! (`ρ = 0.05` dipping below `ρ = 0`) by kicking the search out of poor
 //! local minima.
 
-use crate::average_sessions_in;
 use crate::report::Table;
+use crate::{average_sessions_in, gs2_table, repeat_session};
 use harmony_cluster::pool::worker_count;
 use harmony_cluster::SamplingMode;
-use harmony_core::{Estimator, OnlineTuner, ProOptimizer, TunerConfig};
-use harmony_surface::{Gs2Model, LatticeTable, Objective};
+use harmony_core::{Estimator, OnlineTuner, ProOptimizer, TunerConfig, TuningOutcome};
+use harmony_surface::Objective;
 use harmony_variability::noise::Noise;
 
 /// Experiment parameters.
@@ -55,6 +55,17 @@ impl Default for Fig10Config {
 /// The extended-sweep idle throughputs (`run_extended` row order).
 pub const EXTENDED_RHOS: [f64; 5] = [0.40, 0.45, 0.50, 0.55, 0.60];
 
+/// Index of the Fig. 10 grid column whose ρ equals `rho` bit for bit.
+///
+/// An extended row with such a column is that column, cell for cell:
+/// both run [`cell_with_sem_in`] with the same `(ρ, K, cfg)`. The default
+/// grid's last ρ, `0.05 * 8.0`, is `0.40` in f64, so the harness computes
+/// the extended ρ = 0.40 row once, as part of Fig. 10, and runs only the
+/// other extended rows.
+pub fn grid_column(cfg: &Fig10Config, rho: f64) -> Option<usize> {
+    cfg.rhos.iter().position(|&r| r == rho)
+}
+
 /// Average NTT for one `(ρ, K)` cell, with its standard error, on
 /// `workers` inner replication threads.
 ///
@@ -63,8 +74,11 @@ pub const EXTENDED_RHOS: [f64; 5] = [0.40, 0.45, 0.50, 0.55, 0.60];
 /// because every replication seed is `stream_seed(cell_seed, rep)`.
 ///
 /// Like the paper's recorded database, the GS2 model is tabulated once
-/// per cell ([`LatticeTable`]) and the table is shared by the cell's
-/// replications; it returns the model's values bit for bit.
+/// per process ([`gs2_table`]) and the table is shared by every cell's
+/// replications; it returns the model's values bit for bit. The
+/// noise-free column (ρ = 0) runs one session and folds it `reps` times
+/// ([`repeat_session`]): with no noise and PRO's seedless proposals,
+/// every replication is the same session.
 pub fn cell_with_sem_in(workers: usize, rho: f64, k: usize, cfg: &Fig10Config) -> (f64, f64) {
     cell(workers, rho, k, cfg, 32, SamplingMode::SequentialSteps)
 }
@@ -72,10 +86,44 @@ pub fn cell_with_sem_in(workers: usize, rho: f64, k: usize, cfg: &Fig10Config) -
 /// Average NTT for one *packed-scheduling* `(ρ, K)` cell (§5.2 sweep).
 ///
 /// Seed stream `cfg.seed ^ (k << 40)` is disjoint from the sequential
-/// sweep's `cfg.seed ^ (k << 32)` by construction. The model is
-/// tabulated once per cell, as in [`cell_with_sem_in`].
+/// sweep's `cfg.seed ^ (k << 32)` by construction. The model table and
+/// the noise-free column are shared as in [`cell_with_sem_in`].
 pub fn packed_cell_in(workers: usize, rho: f64, k: usize, cfg: &Fig10Config) -> f64 {
     cell(workers, rho, k, cfg, 40, SamplingMode::Packed).0
+}
+
+/// One replication of a `(ρ, K)` cell under `mode`: a PRO session on the
+/// shared [`gs2_table`] with min-of-`K` estimates and Pareto noise
+/// (none at ρ = 0).
+pub fn session(
+    rho: f64,
+    k: usize,
+    cfg: &Fig10Config,
+    mode: SamplingMode,
+    seed: u64,
+) -> TuningOutcome {
+    let gs2 = gs2_table();
+    let noise = if rho == 0.0 {
+        Noise::None
+    } else {
+        Noise::Pareto {
+            alpha: cfg.alpha,
+            rho,
+        }
+    };
+    let tuner = OnlineTuner::new(TunerConfig {
+        procs: cfg.procs,
+        max_steps: cfg.steps,
+        estimator: Estimator::MinOfK(k),
+        mode,
+        seed,
+        full_occupancy: false,
+        exploit_width: 6,
+    });
+    let mut opt = ProOptimizer::with_defaults(gs2.space().clone());
+    tuner
+        .run(gs2, &noise, &mut opt)
+        .expect("tuning session produced a recommendation")
 }
 
 /// `(mean NTT, SEM)` of one cell under `mode`, on the seed stream
@@ -88,37 +136,13 @@ fn cell(
     salt_shift: u32,
     mode: SamplingMode,
 ) -> (f64, f64) {
-    let model = Gs2Model::paper_scale();
-    let gs2 = LatticeTable::new(&model);
-    let noise = if rho == 0.0 {
-        Noise::None
+    let base_seed = cfg.seed ^ ((k as u64) << salt_shift);
+    let run = |seed| session(rho, k, cfg, mode, seed);
+    let avg = if rho == 0.0 {
+        repeat_session(cfg.reps, base_seed, rho, run)
     } else {
-        Noise::Pareto {
-            alpha: cfg.alpha,
-            rho,
-        }
+        average_sessions_in(workers, cfg.reps, base_seed, rho, run)
     };
-    let avg = average_sessions_in(
-        workers,
-        cfg.reps,
-        cfg.seed ^ ((k as u64) << salt_shift),
-        rho,
-        |seed| {
-            let tuner = OnlineTuner::new(TunerConfig {
-                procs: cfg.procs,
-                max_steps: cfg.steps,
-                estimator: Estimator::MinOfK(k),
-                mode,
-                seed,
-                full_occupancy: false,
-                exploit_width: 6,
-            });
-            let mut opt = ProOptimizer::with_defaults(gs2.space().clone());
-            tuner
-                .run(&gs2, &noise, &mut opt)
-                .expect("tuning session produced a recommendation")
-        },
-    );
     (avg.mean_ntt, avg.sem_ntt)
 }
 
@@ -259,6 +283,16 @@ mod tests {
             t.rows[2][col],
             t.rows[0][col]
         );
+    }
+
+    #[test]
+    fn extended_row_040_is_the_default_grids_last_column() {
+        let cfg = Fig10Config::default();
+        let shared: Vec<Option<usize>> = EXTENDED_RHOS
+            .iter()
+            .map(|&r| grid_column(&cfg, r))
+            .collect();
+        assert_eq!(shared, [Some(8), None, None, None, None]);
     }
 
     #[test]

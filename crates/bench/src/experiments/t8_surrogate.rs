@@ -16,12 +16,13 @@
 //! so the merged table is bit-identical to the monolithic computation
 //! at any worker count.
 
+use crate::gs2_table;
 use crate::report::Table;
 use harmony_cluster::pool::par_map_indexed_in;
 use harmony_cluster::SamplingMode;
 use harmony_core::{Estimator, OnlineTuner, TunerConfig};
 use harmony_stats::splitmix::hash_str;
-use harmony_surface::{Gs2Model, LatticeTable};
+use harmony_surface::Objective;
 use harmony_variability::noise::Noise;
 use harmony_variability::stream_seed;
 
@@ -63,10 +64,9 @@ pub fn t8_cell_in(
 ) -> Vec<f64> {
     let name = T8_OPTIMIZERS[oi];
     let rho = T8_RHOS[ri];
-    let model = Gs2Model::paper_scale();
-    let gs2 = LatticeTable::new(&model);
+    let gs2 = gs2_table();
     let noise = Noise::paper_default(rho);
-    let (_, global) = harmony_surface::best_on_lattice(&gs2).expect("discrete lattice");
+    let (_, global) = harmony_surface::best_on_lattice(gs2).expect("discrete lattice");
     let base = cell_seed(seed, oi, ri);
     let rows = par_map_indexed_in(workers, reps, |i| {
         let s = stream_seed(base, i as u64);
@@ -79,9 +79,9 @@ pub fn t8_cell_in(
             full_occupancy: false,
             exploit_width: 6,
         });
-        let mut opt = make_optimizer(name, &model, s);
+        let mut opt = make_optimizer(name, gs2.space(), s);
         let out = tuner
-            .run(&gs2, &noise, opt.as_mut())
+            .run(gs2, &noise, opt.as_mut())
             .expect("tuning session produced a recommendation");
         (
             out.total_time(),

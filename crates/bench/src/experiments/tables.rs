@@ -1,8 +1,8 @@
 //! Companion tables T1–T3: queue-model validation, min-operator theory
 //! validation, and the §2 baseline comparison.
 
-use crate::average_sessions_in;
 use crate::report::Table;
+use crate::{gs2_table, AvgResult, SessionRow};
 use harmony_cluster::pool::{par_map_indexed_in, worker_count};
 use harmony_cluster::SamplingMode;
 use harmony_core::baselines::{
@@ -14,9 +14,10 @@ use harmony_core::{
     Estimator, OnlineTuner, Optimizer, ProOptimizer, SurrogateConfig, SurrogateOptimizer,
     TunerConfig,
 };
+use harmony_params::ParamSpace;
 use harmony_stats::minop;
 use harmony_stats::splitmix::hash_str;
-use harmony_surface::{Gs2Model, LatticeTable, Objective};
+use harmony_surface::Objective;
 use harmony_variability::des::TwoPriorityDes;
 use harmony_variability::dist::{Distribution, Exponential, Pareto};
 use harmony_variability::noise::Noise;
@@ -96,9 +97,9 @@ pub fn min_operator(reps: usize, seed: u64) -> Table {
     table
 }
 
-/// Creates each baseline optimizer by name.
-pub fn make_optimizer(name: &str, gs2: &Gs2Model, seed: u64) -> Box<dyn Optimizer> {
-    let space = gs2.space().clone();
+/// Creates each baseline optimizer by name over `space`.
+pub fn make_optimizer(name: &str, space: &ParamSpace, seed: u64) -> Box<dyn Optimizer> {
+    let space = space.clone();
     match name {
         "pro" => Box::new(ProOptimizer::with_defaults(space)),
         "sro" => Box::new(SroOptimizer::with_defaults(space)),
@@ -127,35 +128,70 @@ pub const BASELINES: [&str; 7] = [
     "exhaustive",
 ];
 
+/// Quality thresholds of the time-to-quality table, as multiples of the
+/// global lattice optimum.
+pub const QUALITY_FACTORS: [f64; 2] = [1.25, 1.1];
+
+/// Values in a T3 row (the [`assemble_baselines`] columns).
+pub const BASELINE_COLUMNS: usize = 4;
+
 /// T3 — on-line suitability of global randomized baselines (§2): average
 /// `Total_Time(K)` and the true cost of the returned configuration.
 pub fn baselines(steps: usize, reps: usize, rho: f64, seed: u64) -> Table {
     let workers = worker_count(reps);
     let rows: Vec<Vec<f64>> = BASELINES
         .iter()
-        .map(|name| baselines_row_in(workers, name, steps, reps, rho, seed))
+        .map(|name| baseline_rows_in(workers, name, steps, reps, rho, &[], seed).0)
         .collect();
     assemble_baselines(&rows)
 }
 
-/// One T3 row (one algorithm), with an explicit inner worker count.
+/// The time-to-quality table at [`QUALITY_FACTORS`]: for each algorithm,
+/// the mean number of time steps until its deployed configuration is
+/// within each factor of the global optimum, the fraction of sessions
+/// that ever get there, and the mean true cost it ends with. Complements
+/// T3: `Total_Time` rewards cheap transients, this rewards fast descent
+/// — at the loose threshold the local methods shine, at the tight one
+/// only global searchers reliably arrive.
+pub fn time_to_quality(steps: usize, reps: usize, rho: f64, seed: u64) -> Table {
+    let workers = worker_count(reps);
+    let rows: Vec<Vec<f64>> = BASELINES
+        .iter()
+        .map(|name| baseline_rows_in(workers, name, steps, reps, rho, &QUALITY_FACTORS, seed).1)
+        .collect();
+    assemble_time_to_quality(&QUALITY_FACTORS, &rows)
+}
+
+/// One algorithm's T3 row and time-to-quality row, read off one set of
+/// `reps` sessions on `workers` inner threads.
 ///
-/// The row's seed stream depends only on `(seed, name)`, so per-name
-/// harness subtasks reproduce the monolithic table bit-for-bit. As in
-/// fig10, the sessions tune against one [`LatticeTable`] of the GS2
-/// model, which returns the model's values bit for bit.
-pub fn baselines_row_in(
+/// The two tables are two readings of the same sessions: replication
+/// `i` runs on seed `stream_seed(stream_seed(seed, hash_str(name)), i)`
+/// in both, so one pass yields both rows, and the time-to-quality
+/// `mean_final_true` is T3's `mean_best_true`. The seed stream depends
+/// only on `(seed, name)`, so per-name harness subtasks reproduce the
+/// monolithic tables bit for bit. As in fig10, the sessions tune against
+/// the shared [`gs2_table`], which returns the model's values bit for
+/// bit.
+///
+/// The time-to-quality row holds, per `factor`, the mean steps to reach
+/// `factor ×` the global lattice optimum (NaN when no session did) and
+/// the fraction of sessions that did, then the mean final true cost.
+pub fn baseline_rows_in(
     workers: usize,
     name: &str,
     steps: usize,
     reps: usize,
     rho: f64,
+    factors: &[f64],
     seed: u64,
-) -> Vec<f64> {
-    let model = Gs2Model::paper_scale();
-    let gs2 = LatticeTable::new(&model);
+) -> (Vec<f64>, Vec<f64>) {
+    let gs2 = gs2_table();
     let noise = Noise::paper_default(rho);
-    let avg = average_sessions_in(workers, reps, stream_seed(seed, hash_str(name)), rho, |s| {
+    let (_, global) = harmony_surface::best_on_lattice(gs2).expect("discrete lattice");
+    let base = stream_seed(seed, hash_str(name));
+    let runs = par_map_indexed_in(workers, reps, |i| {
+        let s = stream_seed(base, i as u64);
         let tuner = OnlineTuner::new(TunerConfig {
             procs: 64,
             max_steps: steps,
@@ -165,17 +201,39 @@ pub fn baselines_row_in(
             full_occupancy: false,
             exploit_width: 6,
         });
-        let mut opt = make_optimizer(name, &model, s);
-        tuner
-            .run(&gs2, &noise, opt.as_mut())
-            .expect("tuning session produced a recommendation")
+        let mut opt = make_optimizer(name, gs2.space(), s);
+        let out = tuner
+            .run(gs2, &noise, opt.as_mut())
+            .expect("tuning session produced a recommendation");
+        let hits: Vec<Option<usize>> = factors
+            .iter()
+            .map(|f| out.steps_to_quality(f * global))
+            .collect();
+        (SessionRow::of(&out, rho), hits)
     });
-    vec![
-        avg.mean_total,
-        avg.mean_ntt,
-        avg.mean_best_true,
-        avg.converged_frac,
-    ]
+    let rows: Vec<SessionRow> = runs.iter().map(|r| r.0).collect();
+    let avg = AvgResult::from_rows(&rows);
+    let mut quality = Vec::with_capacity(2 * factors.len() + 1);
+    for fi in 0..factors.len() {
+        let reached: Vec<usize> = runs.iter().filter_map(|r| r.1[fi]).collect();
+        let mean_steps = if reached.is_empty() {
+            f64::NAN
+        } else {
+            reached.iter().sum::<usize>() as f64 / reached.len() as f64
+        };
+        quality.push(mean_steps);
+        quality.push(reached.len() as f64 / reps as f64);
+    }
+    quality.push(avg.mean_best_true);
+    (
+        vec![
+            avg.mean_total,
+            avg.mean_ntt,
+            avg.mean_best_true,
+            avg.converged_frac,
+        ],
+        quality,
+    )
 }
 
 /// Reassembles T3 from per-algorithm rows in [`BASELINES`] order.
@@ -189,64 +247,6 @@ pub fn assemble_baselines(rows: &[Vec<f64>]) -> Table {
         table.push_labeled(*name, row.clone());
     }
     table
-}
-
-/// One time-to-quality row (one algorithm), with an explicit inner
-/// worker count: the mean number of time steps until the algorithm's
-/// deployed configuration is within each `factor` of the global
-/// optimum, and the fraction of sessions that ever get there.
-/// Complements T3: `Total_Time` rewards cheap transients, this rewards
-/// fast descent — at the loose threshold the local methods shine, at
-/// the tight one only global searchers reliably arrive. The sessions
-/// tune against one [`LatticeTable`] of the GS2 model, as in
-/// [`baselines_row_in`].
-pub fn time_to_quality_row_in(
-    workers: usize,
-    name: &str,
-    steps: usize,
-    reps: usize,
-    rho: f64,
-    factors: &[f64],
-    seed: u64,
-) -> Vec<f64> {
-    let model = Gs2Model::paper_scale();
-    let gs2 = LatticeTable::new(&model);
-    let noise = Noise::paper_default(rho);
-    let (_, global) = harmony_surface::best_on_lattice(&gs2).expect("discrete lattice");
-    let rows = par_map_indexed_in(workers, reps, |i| {
-        let s = stream_seed(stream_seed(seed, hash_str(name)), i as u64);
-        let tuner = OnlineTuner::new(TunerConfig {
-            procs: 64,
-            max_steps: steps,
-            estimator: Estimator::Single,
-            mode: SamplingMode::SequentialSteps,
-            seed: s,
-            full_occupancy: false,
-            exploit_width: 6,
-        });
-        let mut opt = make_optimizer(name, &model, s);
-        let out = tuner
-            .run(&gs2, &noise, opt.as_mut())
-            .expect("tuning session produced a recommendation");
-        let hits: Vec<Option<usize>> = factors
-            .iter()
-            .map(|f| out.steps_to_quality(f * global))
-            .collect();
-        (hits, out.best_true_cost)
-    });
-    let mut row = Vec::new();
-    for (fi, _) in factors.iter().enumerate() {
-        let reached: Vec<usize> = rows.iter().filter_map(|r| r.0[fi]).collect();
-        let mean_steps = if reached.is_empty() {
-            f64::NAN
-        } else {
-            reached.iter().sum::<usize>() as f64 / reached.len() as f64
-        };
-        row.push(mean_steps);
-        row.push(reached.len() as f64 / reps as f64);
-    }
-    row.push(rows.iter().map(|r| r.1).sum::<f64>() / reps as f64);
-    row
 }
 
 /// Reassembles the time-to-quality table from per-algorithm rows in

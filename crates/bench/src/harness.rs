@@ -82,9 +82,11 @@ const TABLE_RECOVERY: usize = 21;
 const MULTI_SESSION: usize = 22;
 const T8_SURROGATE: usize = 23;
 
-/// The full task graph, in canonical report order. Only the chart
-/// renderer has dependencies — it consumes the already-computed figure
-/// tables instead of recomputing them.
+/// The full task graph, in canonical report order. A task depends on
+/// the tasks whose results it reads instead of recomputing them: the
+/// chart renderer consumes the figure tables, `fig10_extended` reads
+/// Fig. 10's ρ = 0.40 column, and `table_time_to_quality` reads the
+/// sessions of `table_baselines`.
 pub const TASKS: &[TaskDef] = &[
     TaskDef {
         name: "fig01",
@@ -120,7 +122,7 @@ pub const TASKS: &[TaskDef] = &[
     },
     TaskDef {
         name: "fig10_extended",
-        deps: &[],
+        deps: &[FIG10],
     },
     TaskDef {
         name: "fig10_packed",
@@ -144,7 +146,7 @@ pub const TASKS: &[TaskDef] = &[
     },
     TaskDef {
         name: "table_time_to_quality",
-        deps: &[],
+        deps: &[TABLE_BASELINES],
     },
     TaskDef {
         name: "ablation_expansion_check",
@@ -192,14 +194,23 @@ fn estimator_noise_count() -> usize {
     ablations::estimator_noises(0.3).len()
 }
 
+/// Indices into [`fig10::EXTENDED_RHOS`] of the extended rows that are
+/// not a Fig. 10 column, i.e. the rows `fig10_extended` runs itself.
+fn extended_own_rows(f: &fig10::Fig10Config) -> Vec<usize> {
+    (0..fig10::EXTENDED_RHOS.len())
+        .filter(|&ri| fig10::grid_column(f, fig10::EXTENDED_RHOS[ri]).is_none())
+        .collect()
+}
+
 /// Number of fan-out subtask jobs experiment `e` is split into
-/// (0 = the experiment runs whole inside its report job).
+/// (0 = the experiment runs whole inside its report job, or only reads
+/// another experiment's subtasks).
 pub fn subtask_count(e: usize) -> usize {
     let f = fig10::Fig10Config::default();
     match e {
         FIG10 | FIG10_PACKED => f.ks.len() * f.rhos.len(),
-        FIG10_EXTENDED => fig10::EXTENDED_RHOS.len() * f.ks.len(),
-        TABLE_BASELINES | TABLE_TIME_TO_QUALITY => tables::BASELINES.len(),
+        FIG10_EXTENDED => extended_own_rows(&f).len() * f.ks.len(),
+        TABLE_BASELINES => tables::BASELINES.len(),
         ABLATION_ESTIMATORS => ablations::ESTIMATORS.len() * estimator_noise_count(),
         ABLATION_MONITORING => ablations::MONITORING_RHOS.len() * 2,
         TABLE_RECOVERY => recovery::CRASH_RATES.len() * recovery::SNAPSHOT_EVERY.len(),
@@ -218,15 +229,15 @@ pub fn subtask_label(e: usize, p: usize) -> String {
             format!("{}.k{}.rho{:.2}", TASKS[e].name, f.ks[ki], f.rhos[ri])
         }
         FIG10_EXTENDED => {
-            let (ri, ki) = (p / f.ks.len(), p % f.ks.len());
+            let (ri, ki) = (extended_own_rows(&f)[p / f.ks.len()], p % f.ks.len());
             format!(
                 "fig10_extended.rho{:.2}.k{}",
                 fig10::EXTENDED_RHOS[ri],
                 f.ks[ki]
             )
         }
-        TABLE_BASELINES | TABLE_TIME_TO_QUALITY => {
-            format!("{}.{}", TASKS[e].name, tables::BASELINES[p])
+        TABLE_BASELINES => {
+            format!("table_baselines.{}", tables::BASELINES[p])
         }
         ABLATION_ESTIMATORS => {
             let noises = ablations::estimator_noises(0.3);
@@ -309,7 +320,9 @@ pub fn job_count() -> usize {
 /// Dependency lists for [`build_jobs`]' layout: a report job waits on
 /// its own subtasks plus its experiment-level deps (the chart renderer
 /// waits on the *report* jobs of the figures it consumes, which is when
-/// their tables exist); subtask jobs are roots.
+/// their tables exist; a report that reads another experiment's
+/// subtasks waits on that experiment's report, which waits on them);
+/// subtask jobs are roots.
 fn job_deps(jobs: &[Job]) -> Vec<Vec<usize>> {
     jobs.iter()
         .enumerate()
@@ -652,6 +665,10 @@ pub fn run(cfg: &RunConfig) -> HarnessReport {
     let n_sel = jobs.iter().filter(|j| sel[j.exp]).count();
     let slots: Vec<OnceLock<Vec<Table>>> = (0..NE).map(|_| OnceLock::new()).collect();
     let part_slots: Vec<OnceLock<Vec<f64>>> = (NE..n).map(|_| OnceLock::new()).collect();
+    let parts = Parts {
+        jobs: &jobs,
+        slots: &part_slots,
+    };
     let done = AtomicUsize::new(0);
     let start = Instant::now();
     let (mut outs, pool_stats) = pool::par_graph_stats_in(cfg.workers, n, &deps, |i| {
@@ -678,14 +695,6 @@ pub fn run(cfg: &RunConfig) -> HarnessReport {
                 &format!("task.{}", TASKS[job.exp].name),
                 vec![Field::new("task", job.exp)],
             );
-            let parts: Vec<Vec<f64>> = (0..subtask_count(job.exp))
-                .map(|p| {
-                    part_slots[part_base(&jobs, job.exp) + p - NE]
-                        .get()
-                        .expect("subtask completed before merge")
-                        .clone()
-                })
-                .collect();
             let produced = run_report(job.exp, cfg, &slots, &parts, &mut buf);
             for t in &produced {
                 emit_table_telemetry(&tel, t);
@@ -809,6 +818,29 @@ fn part_base(jobs: &[Job], e: usize) -> usize {
     NE + jobs.iter().skip(NE).take_while(|j| j.exp != e).count()
 }
 
+/// Read access to the finished subtasks' cell values.
+struct Parts<'a> {
+    jobs: &'a [Job],
+    slots: &'a [OnceLock<Vec<f64>>],
+}
+
+impl Parts<'_> {
+    /// Experiment `e`'s subtask values in canonical part order. Only
+    /// called once they are complete: by `e`'s own report job, or by a
+    /// report job that depends on `e`'s.
+    fn of(&self, e: usize) -> Vec<Vec<f64>> {
+        let base = part_base(self.jobs, e) - NE;
+        (0..subtask_count(e))
+            .map(|p| {
+                self.slots[base + p]
+                    .get()
+                    .expect("subtask completed before merge")
+                    .clone()
+            })
+            .collect()
+    }
+}
+
 fn fig10_config(quick: bool, seed: u64) -> fig10::Fig10Config {
     if quick {
         fig10::Fig10Config {
@@ -864,7 +896,8 @@ fn run_part(e: usize, p: usize, cfg: &RunConfig) -> Vec<f64> {
         FIG10 => {
             let c = fig10_config(quick, seed);
             let (ki, ri) = (p / c.rhos.len(), p % c.rhos.len());
-            vec![fig10::cell_with_sem_in(1, c.rhos[ri], c.ks[ki], &c).0]
+            let (ntt, sem) = fig10::cell_with_sem_in(1, c.rhos[ri], c.ks[ki], &c);
+            vec![ntt, sem]
         }
         FIG10_PACKED => {
             let c = fig10_config(quick, seed);
@@ -873,25 +906,24 @@ fn run_part(e: usize, p: usize, cfg: &RunConfig) -> Vec<f64> {
         }
         FIG10_EXTENDED => {
             let c = fig10_config(quick, seed);
-            let (ri, ki) = (p / c.ks.len(), p % c.ks.len());
+            let (ri, ki) = (extended_own_rows(&c)[p / c.ks.len()], p % c.ks.len());
             let (ntt, sem) = fig10::cell_with_sem_in(1, fig10::EXTENDED_RHOS[ri], c.ks[ki], &c);
             vec![ntt, sem]
         }
         TABLE_BASELINES => {
+            // the T3 row, then the time-to-quality row of the same sessions
             let (steps, reps) = table_scale(quick);
-            tables::baselines_row_in(1, tables::BASELINES[p], steps, reps, 0.1, seed)
-        }
-        TABLE_TIME_TO_QUALITY => {
-            let (steps, reps) = table_scale(quick);
-            tables::time_to_quality_row_in(
+            let (mut row, quality) = tables::baseline_rows_in(
                 1,
                 tables::BASELINES[p],
                 steps,
                 reps,
                 0.1,
-                &[1.25, 1.1],
+                &tables::QUALITY_FACTORS,
                 seed,
-            )
+            );
+            row.extend(quality);
+            row
         }
         ABLATION_ESTIMATORS => {
             let (steps, reps) = ablation_scale(quick);
@@ -931,14 +963,14 @@ fn run_part(e: usize, p: usize, cfg: &RunConfig) -> Vec<f64> {
 
 /// Runs experiment `e`'s report job: unsplit experiments compute their
 /// tables whole; split experiments reassemble them from the already
-/// computed `parts` (in canonical part order), byte-identical to the
-/// monolithic computation. Emits the report into `buf` and returns the
+/// computed `parts` (their own, and those of the experiments they read),
+/// byte-identical to the monolithic computation. Emits the report into `buf` and returns the
 /// tables shared with dependent tasks.
 fn run_report(
     e: usize,
     cfg: &RunConfig,
     slots: &[OnceLock<Vec<Table>>],
-    parts: &[Vec<f64>],
+    parts: &Parts,
     buf: &mut String,
 ) -> Vec<Table> {
     let quick = !cfg.full;
@@ -1026,7 +1058,7 @@ fn run_report(
         }
         FIG10 => {
             let c = fig10_config(quick, seed);
-            let cells: Vec<f64> = parts.iter().map(|v| v[0]).collect();
+            let cells: Vec<f64> = parts.of(FIG10).iter().map(|v| v[0]).collect();
             let t = fig10::assemble_grid(&c, "fig10_multisample", &cells);
             emit_to(buf, dir, &t);
             let k = fig10::optimal_k(&t);
@@ -1034,15 +1066,29 @@ fn run_report(
             vec![t]
         }
         FIG10_EXTENDED => {
+            // rows that are Fig. 10 columns come from its parts, the
+            // others from this experiment's own, in ρ-major order
             let c = fig10_config(quick, seed);
-            let cells: Vec<(f64, f64)> = parts.iter().map(|v| (v[0], v[1])).collect();
+            let grid = parts.of(FIG10);
+            let own = parts.of(FIG10_EXTENDED);
+            let mut own = own.iter();
+            let mut cells = Vec::with_capacity(fig10::EXTENDED_RHOS.len() * c.ks.len());
+            for &rho in &fig10::EXTENDED_RHOS {
+                for ki in 0..c.ks.len() {
+                    let v = match fig10::grid_column(&c, rho) {
+                        Some(ci) => &grid[ki * c.rhos.len() + ci],
+                        None => own.next().expect("one part per unshared cell"),
+                    };
+                    cells.push((v[0], v[1]));
+                }
+            }
             let t = fig10::assemble_extended(&c, &cells);
             emit_to(buf, dir, &t);
             vec![t]
         }
         FIG10_PACKED => {
             let c = fig10_config(quick, seed);
-            let cells: Vec<f64> = parts.iter().map(|v| v[0]).collect();
+            let cells: Vec<f64> = parts.of(FIG10_PACKED).iter().map(|v| v[0]).collect();
             let t = fig10::assemble_grid(&c, "fig10_packed", &cells);
             emit_to(buf, dir, &t);
             vec![t]
@@ -1073,24 +1119,29 @@ fn run_report(
             emit_to(buf, dir, &t);
             vec![t]
         }
-        TABLE_BASELINES => {
-            let t = tables::assemble_baselines(parts);
-            emit_to(buf, dir, &t);
-            vec![t]
-        }
-        TABLE_TIME_TO_QUALITY => {
-            let t = tables::assemble_time_to_quality(&[1.25, 1.1], parts);
+        TABLE_BASELINES | TABLE_TIME_TO_QUALITY => {
+            // both tables read the same sessions: a T3 row followed by a
+            // time-to-quality row per algorithm
+            let rows = parts.of(TABLE_BASELINES);
+            let at = tables::BASELINE_COLUMNS;
+            let t = if e == TABLE_BASELINES {
+                let t3: Vec<Vec<f64>> = rows.iter().map(|r| r[..at].to_vec()).collect();
+                tables::assemble_baselines(&t3)
+            } else {
+                let ttq: Vec<Vec<f64>> = rows.iter().map(|r| r[at..].to_vec()).collect();
+                tables::assemble_time_to_quality(&tables::QUALITY_FACTORS, &ttq)
+            };
             emit_to(buf, dir, &t);
             vec![t]
         }
         ABLATION_ESTIMATORS => {
-            let cells: Vec<f64> = parts.iter().map(|v| v[0]).collect();
+            let cells: Vec<f64> = parts.of(e).iter().map(|v| v[0]).collect();
             let t = ablations::assemble_estimators(0.3, &cells);
             emit_to(buf, dir, &t);
             vec![t]
         }
         ABLATION_MONITORING => {
-            let cells: Vec<(f64, f64)> = parts.iter().map(|v| (v[0], v[1])).collect();
+            let cells: Vec<(f64, f64)> = parts.of(e).iter().map(|v| (v[0], v[1])).collect();
             let t = ablations::assemble_monitoring(&cells);
             emit_to(buf, dir, &t);
             vec![t]
@@ -1112,17 +1163,17 @@ fn run_report(
             vec![t]
         }
         TABLE_RECOVERY => {
-            let t = recovery::assemble_recovery(parts);
+            let t = recovery::assemble_recovery(&parts.of(e));
             emit_to(buf, dir, &t);
             vec![t]
         }
         MULTI_SESSION => {
-            let t = multi_session::assemble_multi_session(parts);
+            let t = multi_session::assemble_multi_session(&parts.of(e));
             emit_to(buf, dir, &t);
             vec![t]
         }
         T8_SURROGATE => {
-            let t = t8_surrogate::assemble_t8(parts);
+            let t = t8_surrogate::assemble_t8(&parts.of(e));
             emit_to(buf, dir, &t);
             vec![t]
         }
@@ -1173,8 +1224,9 @@ mod tests {
         // the fan-out actually splits the heavy experiments
         assert_eq!(subtask_count(FIG10), 45);
         assert_eq!(subtask_count(FIG10_PACKED), 45);
-        assert_eq!(subtask_count(FIG10_EXTENDED), 25);
+        assert_eq!(subtask_count(FIG10_EXTENDED), 20);
         assert_eq!(subtask_count(TABLE_BASELINES), 7);
+        assert_eq!(subtask_count(TABLE_TIME_TO_QUALITY), 0);
         assert_eq!(subtask_count(ABLATION_ESTIMATORS), 20);
         assert_eq!(subtask_count(ABLATION_MONITORING), 8);
         assert_eq!(subtask_count(TABLE_RECOVERY), 9);
@@ -1198,6 +1250,19 @@ mod tests {
         let sel = selected_exps(Some(&pats));
         assert!(sel[CHARTS] && sel[FIG01] && sel[FIG10]);
         assert!(!sel[FIG02] && !sel[TABLE_BASELINES]);
+        // a report that reads another experiment's parts pulls it in
+        let pats = vec!["fig10_extended".to_string(), "*quality".to_string()];
+        let sel = selected_exps(Some(&pats));
+        let picked: Vec<&str> = (0..NE).filter(|&e| sel[e]).map(|e| TASKS[e].name).collect();
+        assert_eq!(
+            picked,
+            [
+                "fig10",
+                "fig10_extended",
+                "table_baselines",
+                "table_time_to_quality"
+            ]
+        );
         let none: Option<&[String]> = None;
         assert!(selected_exps(none).iter().all(|&s| s));
     }

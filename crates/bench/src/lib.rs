@@ -18,7 +18,19 @@ pub mod report;
 
 use harmony_cluster::pool::par_map_indexed_in;
 use harmony_core::tuner::TuningOutcome;
+use harmony_surface::{Gs2Model, LatticeTable};
 use harmony_variability::stream_seed;
+use std::sync::OnceLock;
+
+/// The paper-scale GS2 model tabulated over its lattice, built once per
+/// process on first use and shared by every experiment cell that tunes
+/// against it (fig10, the tables, the ablations, T8). The table returns
+/// the model's values bit for bit, so sharing it changes no output.
+pub fn gs2_table() -> &'static LatticeTable<'static, Gs2Model> {
+    static MODEL: OnceLock<Gs2Model> = OnceLock::new();
+    static TABLE: OnceLock<LatticeTable<'static, Gs2Model>> = OnceLock::new();
+    TABLE.get_or_init(|| LatticeTable::new(MODEL.get_or_init(Gs2Model::paper_scale)))
+}
 
 /// Aggregates of many independent tuning replications.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,6 +49,66 @@ pub struct AvgResult {
     pub mean_evals: f64,
     /// Number of replications.
     pub reps: usize,
+}
+
+/// The values of one replication that [`AvgResult`] averages.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SessionRow {
+    /// `Total_Time(K)`.
+    pub total: f64,
+    /// Normalised total time at the cell's ρ.
+    pub ntt: f64,
+    /// True cost of the returned best point.
+    pub best_true: f64,
+    /// Whether the optimizer converged in budget.
+    pub converged: bool,
+    /// Objective evaluations consumed.
+    pub evaluations: usize,
+}
+
+impl SessionRow {
+    /// The row of one session at idle throughput `rho`.
+    pub fn of(out: &TuningOutcome, rho: f64) -> Self {
+        SessionRow {
+            total: out.total_time(),
+            ntt: out.ntt(rho),
+            best_true: out.best_true_cost,
+            converged: out.converged,
+            evaluations: out.evaluations,
+        }
+    }
+}
+
+impl AvgResult {
+    /// Averages replication rows in index order. The sums run left to
+    /// right, so equal rows give equal bits however they were computed.
+    ///
+    /// # Panics
+    /// Panics on an empty slice.
+    pub fn from_rows(rows: &[SessionRow]) -> Self {
+        assert!(!rows.is_empty(), "need at least one replication");
+        let reps = rows.len();
+        let n = reps as f64;
+        let mean_ntt = rows.iter().map(|r| r.ntt).sum::<f64>() / n;
+        let var_ntt = if reps > 1 {
+            rows.iter().map(|r| (r.ntt - mean_ntt).powi(2)).sum::<f64>() / (n - 1.0)
+        } else {
+            0.0
+        };
+        AvgResult {
+            mean_total: rows.iter().map(|r| r.total).sum::<f64>() / n,
+            mean_ntt,
+            sem_ntt: (var_ntt / n).sqrt(),
+            mean_best_true: rows.iter().map(|r| r.best_true).sum::<f64>() / n,
+            converged_frac: rows
+                .iter()
+                .map(|r| f64::from(u8::from(r.converged)))
+                .sum::<f64>()
+                / n,
+            mean_evals: rows.iter().map(|r| r.evaluations as f64).sum::<f64>() / n,
+            reps,
+        }
+    }
 }
 
 /// Runs `reps` independent replications of a tuning session in parallel
@@ -59,7 +131,8 @@ where
 /// Harness subtasks run their replication loops with `workers == 1` so
 /// that the graph pool owns all parallelism (no oversubscription) — the
 /// aggregate is bit-identical either way because [`par_map_indexed_in`]
-/// returns results in index order and the sums below are left-to-right.
+/// returns results in index order and [`AvgResult::from_rows`] sums
+/// left to right.
 pub fn average_sessions_in<F>(
     workers: usize,
     reps: usize,
@@ -72,31 +145,27 @@ where
 {
     assert!(reps > 0, "need at least one replication");
     let rows = par_map_indexed_in(workers, reps, |i| {
-        let out = session(stream_seed(base_seed, i as u64));
-        (
-            out.total_time(),
-            out.ntt(rho),
-            out.best_true_cost,
-            out.converged as u8,
-            out.evaluations,
-        )
+        SessionRow::of(&session(stream_seed(base_seed, i as u64)), rho)
     });
-    let n = reps as f64;
-    let mean_ntt = rows.iter().map(|r| r.1).sum::<f64>() / n;
-    let var_ntt = if reps > 1 {
-        rows.iter().map(|r| (r.1 - mean_ntt).powi(2)).sum::<f64>() / (n - 1.0)
-    } else {
-        0.0
-    };
-    AvgResult {
-        mean_total: rows.iter().map(|r| r.0).sum::<f64>() / n,
-        mean_ntt,
-        sem_ntt: (var_ntt / n).sqrt(),
-        mean_best_true: rows.iter().map(|r| r.2).sum::<f64>() / n,
-        converged_frac: rows.iter().map(|r| f64::from(r.3)).sum::<f64>() / n,
-        mean_evals: rows.iter().map(|r| r.4 as f64).sum::<f64>() / n,
-        reps,
-    }
+    AvgResult::from_rows(&rows)
+}
+
+/// [`average_sessions_in`] for a session that does not depend on its
+/// seed: it runs replication 0 once and folds its row `reps` times, so
+/// the aggregate has the bits of `reps` identical replications.
+///
+/// A session qualifies when nothing in it draws from the seed: no noise
+/// (`Noise::None`, so the tuner's generator is never read) and a seedless
+/// optimizer such as PRO. Noise-free cells of the fig10 and monitoring
+/// sweeps use it; `noise_free_sessions_ignore_the_seed` in
+/// `tests/noise_free.rs` checks the premise.
+pub fn repeat_session<F>(reps: usize, base_seed: u64, rho: f64, session: F) -> AvgResult
+where
+    F: FnOnce(u64) -> TuningOutcome,
+{
+    assert!(reps > 0, "need at least one replication");
+    let row = SessionRow::of(&session(stream_seed(base_seed, 0)), rho);
+    AvgResult::from_rows(&vec![row; reps])
 }
 
 #[cfg(test)]

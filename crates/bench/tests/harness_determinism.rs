@@ -201,6 +201,66 @@ fn fig10_merge_matches_presplit_monolithic_output() {
     let _ = fs::remove_dir_all(&base);
 }
 
+/// Experiments that read another experiment's sessions instead of
+/// rerunning them — `fig10_extended` takes its ρ = 0.40 row from
+/// Fig. 10, `table_time_to_quality` reads T3's sessions — still write
+/// the bytes of their monolithic computations, and `--only` pulls in
+/// the experiment they read.
+#[test]
+fn shared_sessions_match_monolithic_output() {
+    use harmony_bench::experiments::{fig10, tables};
+
+    let cfg10 = fig10::Fig10Config {
+        reps: 50,
+        seed: 2005,
+        ..Default::default()
+    };
+    let (steps, reps) = (100, 20); // the harness's quick table scale
+    let reference = [
+        ("fig10_extended.csv", fig10::run_extended(&cfg10).to_csv()),
+        (
+            "table_time_to_quality.csv",
+            tables::time_to_quality(steps, reps, 0.1, 2005).to_csv(),
+        ),
+        (
+            "table_baselines.csv",
+            tables::baselines(steps, reps, 0.1, 2005).to_csv(),
+        ),
+    ];
+
+    let base = std::env::temp_dir().join("harmony_shared_sessions");
+    for workers in [1usize, 4] {
+        let dir = base.join(format!("w{workers}"));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).expect("temp results dir");
+        let mut cfg = quick_config(workers, 2005, &dir);
+        cfg.only = Some(vec![
+            "fig10_extended".to_string(),
+            "table_time_to_quality".to_string(),
+        ]);
+        let report = harness::run(&cfg);
+        let names: Vec<&str> = report.tasks.iter().map(|t| t.name).collect();
+        assert_eq!(
+            names,
+            [
+                "fig10",
+                "fig10_extended",
+                "table_baselines",
+                "table_time_to_quality"
+            ]
+        );
+        for (file, want) in &reference {
+            let got = fs::read_to_string(dir.join(file)).expect("merged artifact");
+            assert_eq!(
+                &got, want,
+                "{file} from the split harness at -j{workers} differs from \
+                 the monolithic computation"
+            );
+        }
+    }
+    let _ = fs::remove_dir_all(&base);
+}
+
 #[test]
 fn seed_flows_into_artifacts() {
     let base = std::env::temp_dir().join("harmony_harness_seed");

@@ -7,7 +7,7 @@
 //! implements that tier from scratch on std only, as a
 //! **Tree-structured Parzen Estimator**:
 //!
-//! 1. Sort the observed history by estimate and split it at the γ
+//! 1. Order the observed history by estimate and split it at the γ
 //!    quantile into a *good* set (the cheapest γ fraction) and a *bad*
 //!    set (the rest).
 //! 2. Model each set with independent per-dimension kernel-density
@@ -25,6 +25,15 @@
 //! and is exactly as discrete as the axes themselves, so every proposal
 //! is admissible by construction and the whole model round-trips
 //! through the recovery codec as a list of `(point, estimate)` pairs.
+//!
+//! Cost: the history's ascending `(estimate, index)` order and every
+//! entry's level indices are state derived from the history — updated
+//! as pairs are recorded, rebuilt on restore, never checkpointed. A
+//! model batch over `n` observations therefore costs O(batch · log n)
+//! comparisons to place the previous batch's pairs (plus a shift of at
+//! most `n` indices each) and O(n) counting per axis for the two
+//! densities, instead of a sort of the whole history and a binary
+//! search per member and axis.
 //!
 //! Determinism: all randomness is a pure function of
 //! `(seed, round, candidate index, dimension)` via
@@ -114,6 +123,15 @@ pub struct SurrogateOptimizer {
     /// Every measured `(point, estimate)` pair, in observation order —
     /// the whole model state.
     history: Vec<(Point, f64)>,
+    /// `history` indices in ascending `(estimate, index)` order under
+    /// `total_cmp`: the good/bad split is a prefix. Derived from
+    /// `history` (kept in step by `push_history`, rebuilt on restore),
+    /// never checkpointed.
+    order: Vec<usize>,
+    /// Level index of each history entry on each axis, row-major
+    /// (`history.len() × dims`; 0 on continuous axes). Derived like
+    /// `order`.
+    level_idx: Vec<usize>,
     /// Batch awaiting observation (empty between observe and the next
     /// propose).
     pending: Vec<Point>,
@@ -215,6 +233,8 @@ impl SurrogateOptimizer {
             cfg,
             seed,
             history: Vec::new(),
+            order: Vec::new(),
+            level_idx: Vec::new(),
             pending: Vec::new(),
             round: 0,
             incumbent: Incumbent::new(),
@@ -264,15 +284,20 @@ impl SurrogateOptimizer {
     }
 
     /// Builds one per-dimension density set from the coordinates of
-    /// `members` (indices into the history).
-    fn densities(&self, members: &[usize]) -> Vec<AxisDensity> {
+    /// `members` (indices into the history); `level_of(i, d)` is entry
+    /// `i`'s level index on discrete axis `d`.
+    fn densities(
+        &self,
+        members: &[usize],
+        level_of: impl Fn(usize, usize) -> usize,
+    ) -> Vec<AxisDensity> {
         (0..self.space.dims())
             .map(|d| match &self.levels[d] {
                 Some(levels) => {
                     let m = levels.len();
                     let mut counts = vec![0usize; m];
                     for &i in members {
-                        counts[level_index(levels, self.history[i].0[d])] += 1;
+                        counts[level_of(i, d)] += 1;
                     }
                     let total = members.len() as f64 + self.cfg.prior_weight;
                     let log_mass = counts
@@ -299,15 +324,19 @@ impl SurrogateOptimizer {
     /// log density ratio, and keep the best distinct `batch_size`.
     fn model_batch(&self) -> (Vec<Point>, usize, usize) {
         let n = self.history.len();
-        let mut order: Vec<usize> = (0..n).collect();
-        // total_cmp: a single NaN estimate sorts above every finite
-        // value instead of poisoning the comparator (NaN hardening)
-        order.sort_by(|&a, &b| self.history[a].1.total_cmp(&self.history[b].1));
         let n_good = ((self.cfg.gamma * n as f64).ceil() as usize).clamp(1, n - 1);
-        let (good, bad) = order.split_at(n_good);
-        let good_d = self.densities(good);
-        let bad_d = self.densities(bad);
+        let (good, bad) = self.order.split_at(n_good);
+        let dims = self.space.dims();
+        let level_of = |i: usize, d: usize| self.level_idx[i * dims + d];
+        let good_d = self.densities(good, level_of);
+        let bad_d = self.densities(bad, level_of);
+        (self.select(&good_d, &bad_d), n_good, n - n_good)
+    }
 
+    /// Scores this round's hashed candidate pool by the log density
+    /// ratio of the good and bad densities and keeps the best distinct
+    /// `batch_size`.
+    fn select(&self, good_d: &[AxisDensity], bad_d: &[AxisDensity]) -> Vec<Point> {
         let mut scored: Vec<(f64, usize, Point)> = (0..self.cfg.candidates)
             .map(|c| {
                 let k = (self.round * self.cfg.candidates + c) as u64;
@@ -339,7 +368,7 @@ impl SurrogateOptimizer {
         while batch.len() < self.cfg.batch_size {
             batch.push(scored[0].2.clone());
         }
-        (batch, n_good, n - n_good)
+        batch
     }
 
     /// Generates the next pending batch if none is outstanding.
@@ -376,7 +405,38 @@ impl SurrogateOptimizer {
     /// Records one measured pair.
     fn record(&mut self, point: &Point, value: f64) {
         self.incumbent.offer(point, value);
-        self.history.push((point.clone(), value));
+        self.push_history(point.clone(), value);
+    }
+
+    /// Appends a history entry and keeps `order` and `level_idx` in
+    /// step: the new, highest index goes after every entry whose
+    /// estimate is not greater, which is where a stable sort of the
+    /// whole history puts it. O(log n) to find the place, O(n) to
+    /// insert.
+    fn push_history(&mut self, point: Point, value: f64) {
+        let i = self.history.len();
+        // total_cmp: a NaN estimate orders above every finite value
+        // instead of poisoning the comparison (NaN hardening)
+        let pos = self
+            .order
+            .partition_point(|&j| self.history[j].1.total_cmp(&value).is_le());
+        self.order.insert(pos, i);
+        for (d, levels) in self.levels.iter().enumerate() {
+            let idx = levels.as_ref().map_or(0, |l| level_index(l, point[d]));
+            self.level_idx.push(idx);
+        }
+        self.history.push((point, value));
+    }
+
+    /// Replaces the history, rebuilding its derived order and level
+    /// indices.
+    fn set_history(&mut self, history: Vec<(Point, f64)>) {
+        self.history.clear();
+        self.order.clear();
+        self.level_idx.clear();
+        for (p, v) in history {
+            self.push_history(p, v);
+        }
     }
 
     /// `history` as a measured-history [`PerfDatabase`] (newest value per
@@ -521,7 +581,7 @@ impl Checkpoint for SurrogateOptimizer {
             ));
         }
         self.seed = seed;
-        self.history = history;
+        self.set_history(history);
         self.pending = pending;
         self.round = round;
         self.incumbent = incumbent;
@@ -534,6 +594,74 @@ mod tests {
     use super::*;
     use harmony_params::ParamDef;
     use harmony_recovery::{restore_from_slice, save_to_vec};
+    use harmony_stats::splitmix::hash01;
+    use proptest::prelude::*;
+
+    /// The reference model batch: sorts the whole history and finds
+    /// every member's level by binary search on each call, as the
+    /// surrogate did before it kept `order` and `level_idx`.
+    fn full_sort_model_batch(opt: &SurrogateOptimizer) -> (Vec<Point>, usize, usize) {
+        let n = opt.history.len();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| opt.history[a].1.total_cmp(&opt.history[b].1));
+        let n_good = ((opt.cfg.gamma * n as f64).ceil() as usize).clamp(1, n - 1);
+        let (good, bad) = order.split_at(n_good);
+        let level_of = |i: usize, d: usize| {
+            let levels = opt.levels[d].as_ref().expect("discrete axis");
+            level_index(levels, opt.history[i].0[d])
+        };
+        let good_d = opt.densities(good, level_of);
+        let bad_d = opt.densities(bad, level_of);
+        (opt.select(&good_d, &bad_d), n_good, n - n_good)
+    }
+
+    /// Integer, level and continuous axes, as in the GS2 space.
+    fn mixed_space() -> ParamSpace {
+        ParamSpace::new(vec![
+            ParamDef::integer("x", -6, 6, 1).unwrap(),
+            ParamDef::levels("l", vec![1.0, 2.0, 5.0, 9.0]).unwrap(),
+            ParamDef::continuous("z", -1.0, 1.0).unwrap(),
+        ])
+        .unwrap()
+    }
+
+    proptest! {
+        /// Every model batch equals the full-sort reference's, over
+        /// estimates quantised to `levels` values (so ties are common),
+        /// batches with holes, and a save/restore partway through.
+        #[test]
+        fn kept_order_matches_a_full_sort(
+            seed in 0u64..1_000,
+            levels in 1u64..6,
+            holes in 0u64..4,
+            rounds in 3usize..40,
+            restore_at in 0usize..40,
+        ) {
+            let space = mixed_space();
+            let mut opt = SurrogateOptimizer::with_defaults(space.clone(), seed);
+            for r in 0..rounds {
+                if r == restore_at {
+                    let mut twin = SurrogateOptimizer::with_defaults(space.clone(), 0);
+                    restore_from_slice(&mut twin, &save_to_vec(&opt)).unwrap();
+                    opt = twin;
+                }
+                if opt.pending.is_empty() && opt.history.len() >= opt.cfg.startup {
+                    prop_assert_eq!(opt.model_batch(), full_sort_model_batch(&opt));
+                }
+                let batch = opt.propose();
+                let values: Vec<Option<f64>> = batch
+                    .iter()
+                    .enumerate()
+                    .map(|(i, p)| {
+                        let u = hash01(seed, r as u64, i as u64, 0);
+                        let q = (u * levels as f64).floor() + p[0].abs() / 8.0;
+                        (hash01(seed, r as u64, i as u64, 1) * 8.0 >= holes as f64).then_some(q)
+                    })
+                    .collect();
+                opt.observe_partial(&values);
+            }
+        }
+    }
 
     fn lattice_space(lo: i64, hi: i64) -> ParamSpace {
         ParamSpace::new(vec![
@@ -824,12 +952,13 @@ mod tests {
     #[test]
     fn nan_estimate_does_not_poison_the_model() {
         // NaN cannot arrive via observe (asserted finite) or restore
-        // (rejected), but the total_cmp sort must keep the model usable
+        // (rejected), but the total_cmp order must keep the model usable
         // whatever the history holds
         let space = lattice_space(-10, 10);
         let mut opt = SurrogateOptimizer::with_defaults(space.clone(), 2);
         drive(&mut opt, |p| p[0] * p[0] + p[1] * p[1], 4);
-        opt.history.push((space.center(), f64::NAN));
+        opt.push_history(space.center(), f64::NAN);
+        assert_eq!(opt.order.last(), Some(&(opt.history.len() - 1)));
         let (batch, n_good, _) = opt.model_batch();
         assert_eq!(batch.len(), opt.cfg.batch_size);
         assert!(n_good >= 1);
