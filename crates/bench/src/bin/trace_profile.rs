@@ -9,36 +9,11 @@
 //! [`harmony_telemetry::JsonlSink`]. The output is deterministic: byte-
 //! identical traces yield byte-identical profiles.
 
+use harmony_bench::report::trace_cli;
 use harmony_telemetry::Profile;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("usage: trace_profile PATH.jsonl [PATH2.jsonl ...]");
-        std::process::exit(2);
-    }
-    let mut failed = false;
-    for path in &args {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                failed = true;
-                continue;
-            }
-        };
-        match Profile::from_jsonl(&text) {
-            Ok(profile) => {
-                println!("=== {path} ===");
-                print!("{}", profile.render());
-            }
-            Err(e) => {
-                eprintln!("{path}: parse error: {e}");
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    trace_cli("trace_profile", |text| {
+        Profile::from_jsonl(text).map(|t| t.render())
+    });
 }

@@ -7,36 +7,11 @@
 //! `run_all --trace PATH` or any `Telemetry` handle over a
 //! [`harmony_telemetry::JsonlSink`].
 
+use harmony_bench::report::trace_cli;
 use harmony_telemetry::Summary;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("usage: trace_summary PATH.jsonl [PATH2.jsonl ...]");
-        std::process::exit(2);
-    }
-    let mut failed = false;
-    for path in &args {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                failed = true;
-                continue;
-            }
-        };
-        match Summary::from_jsonl(&text) {
-            Ok(summary) => {
-                println!("=== {path} ===");
-                print!("{}", summary.render());
-            }
-            Err(e) => {
-                eprintln!("{path}: parse error: {e}");
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    trace_cli("trace_summary", |text| {
+        Summary::from_jsonl(text).map(|t| t.render())
+    });
 }

@@ -38,7 +38,6 @@ use crate::experiments::{
 };
 use crate::report::{emit_table_telemetry, emit_to, results_dir, Table};
 use harmony_cluster::pool;
-use harmony_recovery::{json, CodecError};
 use harmony_telemetry::{
     to_jsonl, Field, Kind, MemorySink, MetricsRegistry, Record, Telemetry, TelemetryConfig,
 };
@@ -51,7 +50,7 @@ use std::time::Instant;
 
 /// A named harness task and the indices of the tasks it depends on.
 pub struct TaskDef {
-    /// Stable task name (used in the report and `BENCH_harness.json`).
+    /// Stable task name (used in the report and the `task.*` trace spans).
     pub name: &'static str,
     /// Indices into [`TASKS`] that must complete first.
     pub deps: &'static [usize],
@@ -463,14 +462,10 @@ pub struct TaskReport {
     pub subtasks: Vec<SubtaskReport>,
 }
 
-/// Whole-run outcome, serialisable as `BENCH_harness.json`.
+/// Whole-run outcome: per-experiment reports and wall times.
 pub struct HarnessReport {
-    /// `"quick"` or `"full"`.
-    pub scale: &'static str,
     /// Worker threads used.
     pub workers: usize,
-    /// Global seed.
-    pub seed: u64,
     /// Wall-clock seconds for the whole graph.
     pub total_wall_s: f64,
     /// Longest dependency chain through the job graph, weighted by
@@ -480,9 +475,6 @@ pub struct HarnessReport {
     /// Per-task reports in canonical task order (only the experiments
     /// selected by `--only`).
     pub tasks: Vec<TaskReport>,
-    /// Cross-session shared-cache hit rate of the largest T7 fleet, in
-    /// `[0, 1]`; `None` when `t7_multi_session` was not selected.
-    pub shared_cache_hit_rate: Option<f64>,
 }
 
 impl HarnessReport {
@@ -492,78 +484,6 @@ impl HarnessReport {
     pub fn serial_wall_s(&self) -> f64 {
         self.tasks.iter().map(|t| t.wall_s).sum()
     }
-
-    /// Effective parallelism: serial-equivalent cost over actual
-    /// wall-clock. On a multi-core host this approximates the speedup
-    /// over `-j1`; on an oversubscribed host it measures task overlap.
-    pub fn speedup(&self) -> f64 {
-        if self.total_wall_s > 0.0 {
-            self.serial_wall_s() / self.total_wall_s
-        } else {
-            1.0
-        }
-    }
-
-    /// Speedup per worker (1.0 = perfectly linear scaling).
-    pub fn parallel_efficiency(&self) -> f64 {
-        self.speedup() / self.workers.max(1) as f64
-    }
-
-    /// Machine-readable summary (the `BENCH_harness.json` payload).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        let _ = writeln!(s, "  \"scale\": \"{}\",", self.scale);
-        let _ = writeln!(s, "  \"workers\": {},", self.workers);
-        let _ = writeln!(s, "  \"seed\": {},", self.seed);
-        let _ = writeln!(s, "  \"total_wall_s\": {:.3},", self.total_wall_s);
-        let _ = writeln!(s, "  \"serial_wall_s\": {:.3},", self.serial_wall_s());
-        let _ = writeln!(s, "  \"speedup\": {:.2},", self.speedup());
-        let _ = writeln!(s, "  \"critical_path_s\": {:.3},", self.critical_path_s);
-        let _ = writeln!(
-            s,
-            "  \"parallel_efficiency\": {:.3},",
-            self.parallel_efficiency()
-        );
-        if let Some(rate) = self.shared_cache_hit_rate {
-            let _ = writeln!(s, "  \"shared_cache_hit_rate\": {rate:.4},");
-        }
-        s.push_str("  \"experiments\": [\n");
-        for (i, t) in self.tasks.iter().enumerate() {
-            let comma = if i + 1 < self.tasks.len() { "," } else { "" };
-            if t.subtasks.is_empty() {
-                let _ = writeln!(
-                    s,
-                    "    {{\"name\": \"{}\", \"wall_s\": {:.3}}}{comma}",
-                    t.name, t.wall_s
-                );
-            } else {
-                let _ = writeln!(
-                    s,
-                    "    {{\"name\": \"{}\", \"wall_s\": {:.3}, \"subtasks\": [",
-                    t.name, t.wall_s
-                );
-                for (j, sub) in t.subtasks.iter().enumerate() {
-                    let sc = if j + 1 < t.subtasks.len() { "," } else { "" };
-                    let _ = writeln!(
-                        s,
-                        "      {{\"name\": \"{}\", \"wall_s\": {:.3}}}{sc}",
-                        sub.label, sub.wall_s
-                    );
-                }
-                let _ = writeln!(s, "    ]}}{comma}");
-            }
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-}
-
-/// Reads `total_wall_s` back from a [`HarnessReport::to_json`] document
-/// (a committed `BENCH_harness.json`) for the `--check-against`
-/// regression gate. A document that is not JSON, or has no numeric
-/// `total_wall_s`, is an error.
-pub fn baseline_total_wall_s(report: &str) -> Result<f64, CodecError> {
-    json::parse(report)?.field("total_wall_s")?.as_f64()
 }
 
 /// Builds experiment `e`'s private telemetry: an in-memory sink and a
@@ -795,21 +715,11 @@ pub fn run(cfg: &RunConfig) -> HarnessReport {
             }
         }
     }
-    // headline shared-cache effectiveness: the largest T7 fleet's hit
-    // rate (deterministic — see the multi_session module docs)
-    let shared_cache_hit_rate = slots[MULTI_SESSION]
-        .get()
-        .and_then(|ts| ts.first())
-        .and_then(|t| t.rows.last())
-        .map(|row| row[1] / 100.0);
     HarnessReport {
-        scale: if cfg.full { "full" } else { "quick" },
         workers: cfg.workers,
-        seed: cfg.seed,
         total_wall_s: start.elapsed().as_secs_f64(),
         critical_path_s,
         tasks,
-        shared_cache_hit_rate,
     }
 }
 
@@ -1285,81 +1195,5 @@ mod tests {
         let deps = vec![vec![1], vec![2], vec![], vec![]];
         let walls = vec![1.0, 2.0, 3.0, 5.5];
         assert!((critical_path(&deps, &walls) - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn json_report_roundtrips_key_numbers() {
-        let r = HarnessReport {
-            scale: "quick",
-            workers: 4,
-            seed: 2005,
-            total_wall_s: 1.5,
-            critical_path_s: 1.25,
-            tasks: vec![
-                TaskReport {
-                    name: "a",
-                    wall_s: 1.0,
-                    stdout: String::new(),
-                    records: Vec::new(),
-                    subtasks: Vec::new(),
-                },
-                TaskReport {
-                    name: "b",
-                    wall_s: 2.0,
-                    stdout: String::new(),
-                    records: Vec::new(),
-                    subtasks: vec![
-                        SubtaskReport {
-                            label: "b.k1".into(),
-                            wall_s: 1.5,
-                        },
-                        SubtaskReport {
-                            label: "b.merge".into(),
-                            wall_s: 0.5,
-                        },
-                    ],
-                },
-            ],
-            shared_cache_hit_rate: Some(0.42),
-        };
-        let json = r.to_json();
-        // five containers deep: report → experiments → task → subtasks → subtask
-        let doc = json::parse(&json).expect("the report is one JSON document");
-        let num = |key: &str| doc.field(key).and_then(|v| v.as_f64()).unwrap();
-        assert_eq!(baseline_total_wall_s(&json), Ok(1.5));
-        assert_eq!(num("shared_cache_hit_rate"), 0.42);
-        assert_eq!(num("serial_wall_s"), 3.0);
-        assert_eq!(num("workers"), 4.0);
-        assert_eq!(num("speedup"), 2.0);
-        assert_eq!(num("critical_path_s"), 1.25);
-        assert_eq!(num("parallel_efficiency"), 0.5);
-        assert!(json.contains("{\"name\": \"a\", \"wall_s\": 1.000},"));
-        assert!(json.contains("{\"name\": \"b\", \"wall_s\": 2.000, \"subtasks\": ["));
-        assert!(json.contains("{\"name\": \"b.k1\", \"wall_s\": 1.500},"));
-        assert!(json.contains("{\"name\": \"b.merge\", \"wall_s\": 0.500}\n"));
-    }
-
-    #[test]
-    fn baseline_total_wall_s_rejects_missing_and_malformed() {
-        assert!(baseline_total_wall_s("{}").is_err());
-        assert!(baseline_total_wall_s("{\"total_wall_s\": \"str\"}").is_err());
-        assert!(baseline_total_wall_s("{\"total_wall_s\":  42.5,").is_err());
-        assert!(baseline_total_wall_s("{\"total_wall_s\": 1} x").is_err());
-        assert_eq!(baseline_total_wall_s("{\"total_wall_s\":7}"), Ok(7.0));
-    }
-
-    #[test]
-    fn speedup_of_empty_run_is_defined() {
-        let r = HarnessReport {
-            scale: "quick",
-            workers: 1,
-            seed: 0,
-            total_wall_s: 0.0,
-            critical_path_s: 0.0,
-            tasks: Vec::new(),
-            shared_cache_hit_rate: None,
-        };
-        assert_eq!(r.speedup(), 1.0);
-        assert_eq!(r.parallel_efficiency(), 1.0);
     }
 }

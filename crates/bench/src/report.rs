@@ -1,6 +1,7 @@
-//! CSV emission and aligned-table printing for experiment binaries.
+//! CSV emission, aligned-table printing and the trace-reader command
+//! line for the experiment binaries.
 
-use harmony_telemetry::Telemetry;
+use harmony_telemetry::{Telemetry, TraceError};
 use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
@@ -146,6 +147,38 @@ fn format_num(v: f64) -> String {
 /// or `results/`.
 pub fn results_dir() -> PathBuf {
     std::env::var_os("HARMONY_RESULTS").map_or_else(|| PathBuf::from("results"), PathBuf::from)
+}
+
+/// The `trace_summary`/`trace_profile` command line: renders each JSONL
+/// trace named in the arguments with `render` under a `=== PATH ===`
+/// header. Exits 2 without arguments or on `--help`, 1 when any file
+/// cannot be read or parsed.
+pub fn trace_cli(tool: &str, render: impl Fn(&str) -> Result<String, TraceError>) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
+        eprintln!("usage: {tool} PATH.jsonl [PATH2.jsonl ...]");
+        std::process::exit(2);
+    }
+    let mut failed = false;
+    for path in &args {
+        match fs::read_to_string(path).map(|text| render(&text)) {
+            Ok(Ok(out)) => {
+                println!("=== {path} ===");
+                print!("{out}");
+            }
+            Ok(Err(e)) => {
+                eprintln!("{path}: parse error: {e}");
+                failed = true;
+            }
+            Err(e) => {
+                eprintln!("{path}: {e}");
+                failed = true;
+            }
+        }
+    }
+    if failed {
+        std::process::exit(1);
+    }
 }
 
 /// Row count above which [`emit_table_telemetry`] switches from

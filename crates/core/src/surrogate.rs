@@ -136,6 +136,8 @@ pub struct SurrogateOptimizer {
     /// propose).
     pending: Vec<Point>,
     /// Batches observed so far; indexes the candidate hash streams.
+    /// Its arithmetic wraps, since a restored checkpoint may carry any
+    /// value.
     round: usize,
     incumbent: Incumbent,
     /// Ascending admissible levels per discrete dimension (`None` for
@@ -278,8 +280,9 @@ impl SurrogateOptimizer {
     /// Deterministic space-filling startup batch for the current round.
     fn startup_batch(&self) -> Vec<Point> {
         let b = self.cfg.batch_size;
+        let base = self.round.wrapping_mul(b);
         (0..b)
-            .map(|i| self.hashed_point(SALT_STARTUP, (self.round * b + i) as u64))
+            .map(|i| self.hashed_point(SALT_STARTUP, base.wrapping_add(i) as u64))
             .collect()
     }
 
@@ -339,7 +342,7 @@ impl SurrogateOptimizer {
     fn select(&self, good_d: &[AxisDensity], bad_d: &[AxisDensity]) -> Vec<Point> {
         let mut scored: Vec<(f64, usize, Point)> = (0..self.cfg.candidates)
             .map(|c| {
-                let k = (self.round * self.cfg.candidates + c) as u64;
+                let k = self.round.wrapping_mul(self.cfg.candidates).wrapping_add(c) as u64;
                 let cand = self.hashed_point(SALT_CANDIDATE, k);
                 let score: f64 = (0..self.space.dims())
                     .map(|d| {
@@ -482,7 +485,7 @@ impl Optimizer for SurrogateOptimizer {
         for (p, &v) in pending.iter().zip(values.iter()) {
             self.record(p, v);
         }
-        self.round += 1;
+        self.round = self.round.wrapping_add(1);
     }
 
     fn observe_partial(&mut self, values: &[Option<f64>]) {
@@ -516,7 +519,7 @@ impl Optimizer for SurrogateOptimizer {
             holes = holes,
             measured = pending.len() - holes
         );
-        self.round += 1;
+        self.round = self.round.wrapping_add(1);
     }
 
     fn best(&self) -> Option<(Point, f64)> {
@@ -802,6 +805,37 @@ mod tests {
         }
         assert!(opt.best().is_some());
         assert!(!opt.history.is_empty());
+    }
+
+    #[test]
+    fn restored_huge_round_proposes_without_overflow() {
+        let space = lattice_space(-20, 20);
+        let f = |p: &Point| p[0].abs() + p[1].abs();
+        for partial in [false, true] {
+            let mut opt = SurrogateOptimizer::with_defaults(space.clone(), 5);
+            drive(&mut opt, f, 1);
+            // a checkpoint may carry any round: the next batch hashes a
+            // startup stream, the one after a model-phase candidate
+            // pool, and the second observe wraps the count to 0
+            opt.round = usize::MAX - 1;
+            let bytes = save_to_vec(&opt);
+            let mut restored = SurrogateOptimizer::with_defaults(space.clone(), 0);
+            restore_from_slice(&mut restored, &bytes).unwrap();
+            for _ in 0..2 {
+                let batch = restored.propose();
+                assert_eq!(batch.len(), restored.cfg.batch_size);
+                assert!(batch.iter().all(|p| space.is_admissible(p)));
+                if partial {
+                    let vals: Vec<Option<f64>> = batch.iter().map(|p| Some(f(p))).collect();
+                    restored.observe_partial(&vals);
+                } else {
+                    let vals: Vec<f64> = batch.iter().map(f).collect();
+                    restored.observe(&vals);
+                }
+            }
+            assert_eq!(restored.rounds(), 0);
+            assert_eq!(restored.history.len(), 3 * restored.cfg.batch_size);
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! The workspace's one JSON reader, behind WAL lines, telemetry traces
-//! and the harness report; each caller maps [`parse`]'s values onto its
+//! The workspace's one JSON reader, behind WAL lines and telemetry
+//! traces; each caller maps [`parse`]'s values onto its
 //! schema. It reads the JSON grammar and nothing more (bytes after the
 //! value are an error), keeps object members in document order, decodes
 //! every string escape, keeps each number's literal text so
 //! [`Value::as_u64`] and [`Value::as_i64`] read integers exactly, and
-//! nests at most five containers. Every failure is a
+//! nests at most four containers. Every failure is a
 //! [`CodecError`]: `UnexpectedEof` when the input ends too soon,
 //! `BadValue` naming the byte otherwise.
 
@@ -12,10 +12,9 @@ use crate::codec::CodecError;
 use std::borrow::Cow;
 use std::str::FromStr;
 
-/// Deepest nesting any caller reads: the harness report's object →
-/// `experiments` → task → `subtasks` → subtask (WAL records nest four
-/// deep, traces two); a line of a million brackets fails at the sixth.
-const MAX_DEPTH: usize = 5;
+/// Deepest nesting any caller reads: a WAL record nests four deep, a
+/// trace line two; a line of a million brackets fails at the fifth.
+const MAX_DEPTH: usize = 4;
 
 /// A parsed JSON value, borrowing from the input where it can.
 #[derive(Debug, Clone, PartialEq)]

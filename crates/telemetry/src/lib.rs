@@ -52,6 +52,7 @@ mod profile;
 mod record;
 mod sink;
 mod summary;
+mod tree;
 
 pub use flight::{FlightRecorder, PostMortem, TERMINAL_EVENTS};
 pub use handle::{SpanGuard, Telemetry, TelemetryConfig};

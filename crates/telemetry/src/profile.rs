@@ -13,21 +13,11 @@
 //! diagnostics in the rendered output.
 
 use std::collections::BTreeMap;
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use crate::record::{Kind, Record};
+use crate::record::Record;
 use crate::summary::{parse_jsonl, TraceError};
-
-#[derive(Debug, Clone)]
-struct Node {
-    id: u64,
-    name: String,
-    parent: Option<usize>,
-    children: Vec<usize>,
-    enter_clock: u64,
-    exit_ticks: Option<u64>,
-}
+use crate::tree::SpanTree;
 
 /// Aggregated timing for one span name.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -54,76 +44,31 @@ pub struct PathStep {
 /// A profiled span tree built from a record stream.
 #[derive(Debug, Clone)]
 pub struct Profile {
-    nodes: Vec<Node>,
-    roots: Vec<usize>,
+    tree: SpanTree,
     total_records: u64,
+    /// Highest clock in the trace: unclosed spans last until it.
+    max_clock: u64,
     /// Spans entered but never exited (totals fall back to the ticks
     /// elapsed up to the highest clock in the trace).
     pub unclosed_spans: u64,
     /// Spans whose `parent` id never appeared as a span enter; they are
     /// profiled as roots.
     pub orphan_parents: u64,
-    /// Span exits with no matching enter; dropped from the tree.
+    /// Span exits with no open span to close; dropped from the tree.
     pub unmatched_exits: u64,
 }
 
 impl Profile {
     /// Builds a profile from in-memory records.
     pub fn from_records(records: &[Record]) -> Profile {
-        let max_clock = records.iter().map(|r| r.clock).max().unwrap_or(0);
-        let mut nodes: Vec<Node> = Vec::new();
-        let mut by_id: HashMap<u64, usize> = HashMap::new();
-        let mut orphan_parents = 0u64;
-        let mut unmatched_exits = 0u64;
-        for r in records {
-            match &r.kind {
-                Kind::SpanEnter { id } => {
-                    let parent = if r.parent == 0 {
-                        None
-                    } else if let Some(&p) = by_id.get(&r.parent) {
-                        Some(p)
-                    } else {
-                        orphan_parents += 1;
-                        None
-                    };
-                    let idx = nodes.len();
-                    nodes.push(Node {
-                        id: *id,
-                        name: r.name.clone(),
-                        parent,
-                        children: Vec::new(),
-                        enter_clock: r.clock,
-                        exit_ticks: None,
-                    });
-                    if let Some(p) = parent {
-                        nodes[p].children.push(idx);
-                    }
-                    by_id.insert(*id, idx);
-                }
-                Kind::SpanExit { id, ticks } => match by_id.get(id) {
-                    Some(&idx) => nodes[idx].exit_ticks = Some(*ticks),
-                    None => unmatched_exits += 1,
-                },
-                _ => {}
-            }
-        }
-        let unclosed_spans = nodes.iter().filter(|n| n.exit_ticks.is_none()).count() as u64;
-        // Unclosed spans get a fallback total so partial traces profile.
-        for n in &mut nodes {
-            if n.exit_ticks.is_none() {
-                n.exit_ticks = Some(max_clock.saturating_sub(n.enter_clock));
-            }
-        }
-        let roots = (0..nodes.len())
-            .filter(|&i| nodes[i].parent.is_none())
-            .collect();
+        let tree = SpanTree::from_records(records);
         Profile {
-            nodes,
-            roots,
             total_records: records.len() as u64,
-            unclosed_spans,
-            orphan_parents,
-            unmatched_exits,
+            max_clock: records.iter().map(|r| r.clock).max().unwrap_or(0),
+            unclosed_spans: tree.unclosed_spans,
+            orphan_parents: tree.orphan_parents,
+            unmatched_exits: tree.unmatched_exits,
+            tree,
         }
     }
 
@@ -139,15 +84,19 @@ impl Profile {
 
     /// Number of spans in the tree.
     pub fn span_count(&self) -> usize {
-        self.nodes.len()
+        self.tree.nodes.len()
     }
 
+    /// Inclusive ticks of span `idx`; an unclosed span lasts until the
+    /// highest clock in the trace, so partial traces profile.
     fn total(&self, idx: usize) -> u64 {
-        self.nodes[idx].exit_ticks.unwrap_or(0)
+        let n = &self.tree.nodes[idx];
+        n.exit
+            .map_or(self.max_clock.saturating_sub(n.enter_clock), |e| e.ticks)
     }
 
     fn self_ticks(&self, idx: usize) -> u64 {
-        let children: u64 = self.nodes[idx]
+        let children: u64 = self.tree.nodes[idx]
             .children
             .iter()
             .map(|&c| self.total(c))
@@ -158,8 +107,8 @@ impl Profile {
     /// Per-span-name aggregates, keyed by name (BTreeMap order).
     pub fn by_name(&self) -> BTreeMap<String, SpanStats> {
         let mut out: BTreeMap<String, SpanStats> = BTreeMap::new();
-        for idx in 0..self.nodes.len() {
-            let e = out.entry(self.nodes[idx].name.clone()).or_default();
+        for idx in 0..self.tree.nodes.len() {
+            let e = out.entry(self.tree.nodes[idx].name.clone()).or_default();
             e.count += 1;
             e.total_ticks += self.total(idx);
             e.self_ticks += self.self_ticks(idx);
@@ -173,7 +122,7 @@ impl Profile {
         candidates.iter().copied().min_by(|&a, &b| {
             self.total(b)
                 .cmp(&self.total(a))
-                .then(self.nodes[a].id.cmp(&self.nodes[b].id))
+                .then(self.tree.nodes[a].id.cmp(&self.tree.nodes[b].id))
         })
     }
 
@@ -181,14 +130,14 @@ impl Profile {
     /// into the heaviest child. Empty when the trace has no spans.
     pub fn critical_path(&self) -> Vec<PathStep> {
         let mut path = Vec::new();
-        let mut cur = self.heaviest(&self.roots);
+        let mut cur = self.heaviest(&self.tree.roots());
         while let Some(idx) = cur {
             path.push(PathStep {
-                name: self.nodes[idx].name.clone(),
+                name: self.tree.nodes[idx].name.clone(),
                 total_ticks: self.total(idx),
                 self_ticks: self.self_ticks(idx),
             });
-            cur = self.heaviest(&self.nodes[idx].children);
+            cur = self.heaviest(&self.tree.nodes[idx].children);
         }
         path
     }
@@ -198,14 +147,15 @@ impl Profile {
     pub fn flame_stacks(&self) -> Vec<String> {
         let mut agg: BTreeMap<String, u64> = BTreeMap::new();
         let mut work: Vec<(usize, String)> = self
-            .roots
-            .iter()
-            .map(|&r| (r, self.nodes[r].name.clone()))
+            .tree
+            .roots()
+            .into_iter()
+            .map(|r| (r, self.tree.nodes[r].name.clone()))
             .collect();
         while let Some((idx, stack)) = work.pop() {
             *agg.entry(stack.clone()).or_default() += self.self_ticks(idx);
-            for &c in &self.nodes[idx].children {
-                work.push((c, format!("{stack};{}", self.nodes[c].name)));
+            for &c in &self.tree.nodes[idx].children {
+                work.push((c, format!("{stack};{}", self.tree.nodes[c].name)));
             }
         }
         agg.into_iter()
@@ -221,7 +171,7 @@ impl Profile {
             out,
             "profile: {} records, {} spans",
             self.total_records,
-            self.nodes.len()
+            self.tree.nodes.len()
         );
         if self.unclosed_spans > 0 {
             let _ = writeln!(
@@ -244,7 +194,7 @@ impl Profile {
                 self.unmatched_exits
             );
         }
-        if self.nodes.is_empty() {
+        if self.tree.nodes.is_empty() {
             let _ = writeln!(out, "  (no spans to profile)");
             return out;
         }
@@ -290,7 +240,8 @@ impl Profile {
 mod tests {
     use super::*;
     use crate::handle::Telemetry;
-    use crate::record::Field;
+    use crate::record::{Field, Kind};
+    use crate::tree::spans;
 
     fn traced() -> Vec<Record> {
         let (tel, sink) = Telemetry::memory();
@@ -358,6 +309,15 @@ mod tests {
         assert_eq!(p.unclosed_spans, 1);
         assert_eq!(p.by_name()["never_closed"].total_ticks, 7);
         assert!(p.render().contains("1 unclosed span(s)"));
+        // re-entering an open id is a second span; its exit closes the
+        // newer one, and the first lasts to the end of the trace
+        let p = Profile::from_records(&spans([
+            (0, Kind::SpanEnter { id: 1 }),
+            (1, Kind::SpanEnter { id: 1 }),
+            (4, Kind::SpanExit { id: 1, ticks: 3 }),
+        ]));
+        assert_eq!((p.span_count(), p.unclosed_spans), (2, 1));
+        assert_eq!(p.by_name()["a"].total_ticks, 3 + 4);
     }
 
     #[test]
@@ -388,18 +348,20 @@ mod tests {
 
     #[test]
     fn unmatched_exit_is_counted_not_fatal() {
-        let records = vec![Record {
-            clock: 1,
-            parent: 0,
-            kind: Kind::SpanExit { id: 42, ticks: 1 },
-            name: "ghost".into(),
-            fields: vec![],
-            wall_ns: None,
-        }];
+        let records = spans([(1, Kind::SpanExit { id: 42, ticks: 1 })]);
         let p = Profile::from_records(&records);
         assert_eq!(p.unmatched_exits, 1);
         assert_eq!(p.span_count(), 0);
         assert!(p.render().contains("without a matching enter"));
+        // a second exit of one id finds no open span and leaves the
+        // first exit's ticks in place
+        let p = Profile::from_records(&spans([
+            (0, Kind::SpanEnter { id: 1 }),
+            (2, Kind::SpanExit { id: 1, ticks: 2 }),
+            (5, Kind::SpanExit { id: 1, ticks: 5 }),
+        ]));
+        assert_eq!((p.unclosed_spans, p.unmatched_exits), (0, 1));
+        assert_eq!(p.by_name()["a"].total_ticks, 2);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! For every record, `to_json(parse_line(to_json(r)))` equals
 //! `to_json(r)`.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use harmony_recovery::json::{self, Value as Json};
@@ -17,6 +17,7 @@ use harmony_stats::streaming::Welford;
 
 use crate::metrics::QuantileSketch;
 use crate::record::{Field, Kind, Record, Value};
+use crate::tree::SpanTree;
 
 // ---------------------------------------------------------------- parsing
 
@@ -164,9 +165,6 @@ impl Summary {
             total_records: records.len(),
             ..Summary::default()
         };
-        // span id -> (name-path, enter wall)
-        let mut open: HashMap<u64, (Vec<String>, Option<u64>)> = HashMap::new();
-        let mut paths: HashMap<u64, Vec<String>> = HashMap::new();
         for r in records {
             match &r.kind {
                 Kind::Event => *s.events.entry(r.name.clone()).or_default() += 1,
@@ -186,36 +184,34 @@ impl Summary {
                 Kind::Sample { value } => {
                     s.samples.entry(r.name.clone()).or_default().push(*value);
                 }
-                Kind::SpanEnter { id } => {
-                    // A parent id that never appeared as a span enter is a
-                    // degenerate trace (truncated or mis-merged); count it
-                    // and root the span rather than panicking or dropping.
-                    if r.parent != 0 && !paths.contains_key(&r.parent) {
-                        s.orphan_parents += 1;
-                    }
-                    let mut path = paths.get(&r.parent).cloned().unwrap_or_default();
-                    path.push(r.name.clone());
-                    paths.insert(*id, path.clone());
-                    s.tree.entry(path.clone()).or_default().count += 1;
-                    s.spans.entry(r.name.clone()).or_default().count += 1;
-                    open.insert(*id, (path, r.wall_ns));
-                }
-                Kind::SpanExit { id, ticks } => {
-                    if let Some((path, enter_wall)) = open.remove(id) {
-                        s.tree.entry(path).or_default().ticks += ticks;
-                        let agg = s.spans.entry(r.name.clone()).or_default();
-                        agg.ticks += ticks;
-                        if let (Some(w0), Some(w1)) = (enter_wall, r.wall_ns) {
-                            agg.wall_ns += w1.saturating_sub(w0);
-                            agg.has_wall = true;
-                        }
-                    } else {
-                        s.unmatched_exits += 1;
-                    }
-                }
+                // spans are folded from their tree below
+                Kind::SpanEnter { .. } | Kind::SpanExit { .. } => {}
             }
         }
-        s.unclosed_spans = open.len() as u64;
+        let tree = SpanTree::from_records(records);
+        // each span's name path from its root; a parent precedes its
+        // children, so its path is already built
+        let mut paths: Vec<Vec<String>> = Vec::with_capacity(tree.nodes.len());
+        for n in &tree.nodes {
+            let mut path = n.parent.map_or_else(Vec::new, |p| paths[p].clone());
+            path.push(n.name.clone());
+            let node = s.tree.entry(path.clone()).or_default();
+            node.count += 1;
+            let agg = s.spans.entry(n.name.clone()).or_default();
+            agg.count += 1;
+            if let Some(exit) = n.exit {
+                node.ticks += exit.ticks;
+                agg.ticks += exit.ticks;
+                if let (Some(w0), Some(w1)) = (n.enter_wall, exit.wall_ns) {
+                    agg.wall_ns += w1.saturating_sub(w0);
+                    agg.has_wall = true;
+                }
+            }
+            paths.push(path);
+        }
+        s.unclosed_spans = tree.unclosed_spans;
+        s.orphan_parents = tree.orphan_parents;
+        s.unmatched_exits = tree.unmatched_exits;
         s
     }
 
@@ -401,6 +397,7 @@ mod tests {
     use super::*;
     use crate::handle::Telemetry;
     use crate::sink::to_jsonl;
+    use crate::tree::spans;
 
     fn sample_records() -> Vec<Record> {
         let (tel, sink) = Telemetry::memory();
@@ -492,6 +489,15 @@ mod tests {
         let s = Summary::from_records(&sink.take());
         assert_eq!(s.unclosed_spans(), 1);
         assert!(s.render().contains("warning: 1 unclosed span"));
+        // re-entering an open id is a second span; its exit closes the
+        // newer one and leaves the first unclosed
+        let s = Summary::from_records(&spans([
+            (0, Kind::SpanEnter { id: 1 }),
+            (1, Kind::SpanEnter { id: 1 }),
+            (4, Kind::SpanExit { id: 1, ticks: 3 }),
+        ]));
+        assert_eq!(s.span_count("a"), Some(2));
+        assert_eq!((s.unclosed_spans(), s.unmatched_exits()), (1, 0));
     }
 
     #[test]
@@ -522,18 +528,18 @@ mod tests {
 
     #[test]
     fn unmatched_exit_warns() {
-        let records = vec![Record {
-            clock: 1,
-            parent: 0,
-            kind: Kind::SpanExit { id: 9, ticks: 1 },
-            name: "ghost".into(),
-            fields: vec![],
-            wall_ns: None,
-        }];
+        let records = spans([(1, Kind::SpanExit { id: 9, ticks: 1 })]);
         let s = Summary::from_records(&records);
         assert_eq!(s.unmatched_exits(), 1);
         assert!(s
             .render()
             .contains("warning: 1 span exit(s) without a matching enter"));
+        // a second exit of one id finds no open span
+        let s = Summary::from_records(&spans([
+            (0, Kind::SpanEnter { id: 1 }),
+            (2, Kind::SpanExit { id: 1, ticks: 2 }),
+            (5, Kind::SpanExit { id: 1, ticks: 5 }),
+        ]));
+        assert_eq!((s.unclosed_spans(), s.unmatched_exits()), (0, 1));
     }
 }
