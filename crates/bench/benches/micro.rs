@@ -216,9 +216,13 @@ fn bench_database_build(c: &mut Criterion) {
 }
 
 fn bench_pool(c: &mut Criterion) {
-    use harmony_cluster::pool::par_map_indexed;
+    use harmony_cluster::pool::{par_map_indexed_in, worker_count};
     c.bench_function("pool/par_map_1k", |b| {
-        b.iter(|| black_box(par_map_indexed(1_000, |i| (i as f64).sqrt())))
+        b.iter(|| {
+            black_box(par_map_indexed_in(worker_count(1_000), 1_000, |i| {
+                (i as f64).sqrt()
+            }))
+        })
     });
 }
 

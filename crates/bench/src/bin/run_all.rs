@@ -1,7 +1,10 @@
 //! Regenerates every figure and table at reduced (default) or `--full`
-//! scale on the dependency-aware parallel harness. See EXPERIMENTS.md
-//! for the recorded outputs and DESIGN.md §4d/§4f for the determinism
-//! argument and the subtask decomposition.
+//! scale on the dependency-aware parallel harness. Every experiment is
+//! one entry of `harness::EXPERIMENTS` (adding one is adding an entry);
+//! its code runs serially inside its job, so `-jN` is the run's only
+//! parallelism. See EXPERIMENTS.md for the recorded outputs and
+//! DESIGN.md §4d/§4f for the determinism argument and the subtask
+//! decomposition.
 //!
 //! Flags:
 //!
@@ -73,33 +76,33 @@ fn main() {
     cfg.workers = cfg.workers.max(1);
 
     if list {
-        for (e, t) in harness::TASKS.iter().enumerate() {
+        let mut jobs = harness::EXPERIMENTS.len();
+        for x in harness::EXPERIMENTS {
             let mut notes = Vec::new();
-            let parts = harness::subtask_count(e);
+            let parts = x.part_count();
+            jobs += parts;
             if parts > 0 {
                 notes.push(format!("{parts} subtasks"));
             }
-            if !t.deps.is_empty() {
-                let reads: Vec<&str> = t.deps.iter().map(|&d| harness::TASKS[d].name).collect();
-                notes.push(format!("reads {}", reads.join(", ")));
+            if !x.reads.is_empty() {
+                notes.push(format!("reads {}", x.reads.join(", ")));
             }
             if notes.is_empty() {
-                println!("{}", t.name);
+                println!("{}", x.name);
             } else {
-                println!("{} ({})", t.name, notes.join("; "));
+                println!("{} ({})", x.name, notes.join("; "));
             }
         }
         println!(
-            "total: {} experiments, {} schedulable jobs",
-            harness::TASKS.len(),
-            harness::job_count()
+            "total: {} experiments, {jobs} schedulable jobs",
+            harness::EXPERIMENTS.len()
         );
         return;
     }
     if !only.is_empty() {
-        let matched = harness::TASKS
+        let matched = harness::EXPERIMENTS
             .iter()
-            .any(|t| only.iter().any(|p| harness::glob_match(p, t.name)));
+            .any(|x| only.iter().any(|p| harness::glob_match(p, x.name)));
         if !matched {
             eprintln!("--only matched no experiments (see --list)");
             std::process::exit(2);

@@ -4,8 +4,7 @@
 //! model's values bit for bit.
 
 use crate::report::Table;
-use crate::{average_sessions, average_sessions_in, gs2_table, repeat_session};
-use harmony_cluster::pool::worker_count;
+use crate::{average_sessions_in, gs2_table, repeat_session};
 use harmony_cluster::SamplingMode;
 use harmony_core::{Estimator, OnlineTuner, ProConfig, ProOptimizer, TunerConfig};
 use harmony_params::Rounding;
@@ -51,7 +50,7 @@ pub fn expansion_check(steps: usize, reps: usize, rho: f64, seed: u64) -> Table 
             expansion_check: check,
             ..ProConfig::default()
         };
-        let avg = average_sessions(reps, stream_seed(seed, check as u64), rho, |s| {
+        let avg = average_sessions_in(1, reps, stream_seed(seed, check as u64), rho, |s| {
             session(gs2, &noise, cfg, Estimator::Single, steps, s)
         });
         table.push_labeled(
@@ -86,23 +85,12 @@ pub const ESTIMATORS: [Estimator; 5] = [
     Estimator::MinOfK(5),
 ];
 
-/// A2 — estimator comparison under different noise families: the mean
-/// estimator degrades under heavy tails while the min stays effective.
-pub fn estimators(steps: usize, reps: usize, rho: f64, seed: u64) -> Table {
-    let workers = worker_count(reps);
-    let mut cells = Vec::with_capacity(ESTIMATORS.len() * estimator_noises(rho).len());
-    for ei in 0..ESTIMATORS.len() {
-        for ni in 0..estimator_noises(rho).len() {
-            cells.push(estimators_cell_in(workers, ei, ni, steps, reps, rho, seed));
-        }
-    }
-    assemble_estimators(rho, &cells)
-}
-
-/// One A2 cell: mean best-true cost for `(ESTIMATORS[est_idx],
+/// One cell of A2 — estimator comparison under different noise
+/// families: the mean estimator degrades under heavy tails while the
+/// min stays effective. Mean best-true cost for `(ESTIMATORS[est_idx],
 /// estimator_noises(rho)[noise_idx])`, with an explicit inner worker
 /// count. The cell seed depends only on the noise index and the
-/// estimator's sample count, exactly as in the monolithic sweep.
+/// estimator's sample count.
 pub fn estimators_cell_in(
     workers: usize,
     est_idx: usize,
@@ -162,7 +150,7 @@ pub fn projection(steps: usize, reps: usize, rho: f64, seed: u64) -> Table {
             rounding,
             ..ProConfig::default()
         };
-        let avg = average_sessions(reps, stream_seed(seed, label.len() as u64), rho, |s| {
+        let avg = average_sessions_in(1, reps, stream_seed(seed, label.len() as u64), rho, |s| {
             session(gs2, &noise, cfg, Estimator::Single, steps, s)
         });
         table.push_labeled(
@@ -175,24 +163,6 @@ pub fn projection(steps: usize, reps: usize, rho: f64, seed: u64) -> Table {
 
 /// The monitoring-study idle throughputs, in canonical row order.
 pub const MONITORING_RHOS: [f64; 4] = [0.0, 0.05, 0.2, 0.4];
-
-/// Monitoring-mode study: stop-at-convergence (§3.2.2 as written) vs
-/// continuous re-probing with fresh re-measurement of `v⁰`. Under
-/// heavy-tailed noise the continuous mode acts like a light annealer —
-/// it escapes ridge basins that trap the stopping version — at the cost
-/// of evaluating probe batches forever.
-pub fn monitoring(steps: usize, reps: usize, seed: u64) -> Table {
-    let workers = worker_count(reps);
-    let mut cells = Vec::with_capacity(MONITORING_RHOS.len() * 2);
-    for ri in 0..MONITORING_RHOS.len() {
-        for continuous in [false, true] {
-            cells.push(monitoring_cell_in(
-                workers, ri, continuous, steps, reps, seed,
-            ));
-        }
-    }
-    assemble_monitoring(&cells)
-}
 
 /// One replication of a monitoring cell: a PRO session that stops at
 /// convergence or keeps re-probing (`continuous`), at
@@ -216,9 +186,13 @@ pub fn monitoring_session(
     session(gs2_table(), &noise, cfg, Estimator::Single, steps, seed)
 }
 
-/// One monitoring cell: `(mean NTT, mean best-true)` for
-/// `(MONITORING_RHOS[rho_idx], continuous)`, with an explicit inner
-/// worker count; same seed stream as the monolithic sweep.
+/// One cell of the monitoring-mode study: stop-at-convergence (§3.2.2
+/// as written) vs continuous re-probing with fresh re-measurement of
+/// `v⁰`. Under heavy-tailed noise the continuous mode acts like a light
+/// annealer — it escapes ridge basins that trap the stopping version —
+/// at the cost of evaluating probe batches forever. Returns `(mean NTT,
+/// mean best-true)` for `(MONITORING_RHOS[rho_idx], continuous)`, with
+/// an explicit inner worker count.
 pub fn monitoring_cell_in(
     workers: usize,
     rho_idx: usize,
@@ -284,7 +258,7 @@ pub fn adaptive_k(steps: usize, reps: usize, seed: u64) -> Table {
     for rho in [0.05, 0.2, 0.4] {
         let noise = Noise::paper_default(rho);
         let fixed = |k: usize| {
-            average_sessions(reps, stream_seed(seed, k as u64), rho, |s| {
+            average_sessions_in(1, reps, stream_seed(seed, k as u64), rho, |s| {
                 session(
                     gs2,
                     &noise,
@@ -296,7 +270,7 @@ pub fn adaptive_k(steps: usize, reps: usize, seed: u64) -> Table {
             })
         };
         let (f1, f3, f5) = (fixed(1), fixed(3), fixed(5));
-        let adaptive = average_sessions(reps, stream_seed(seed, 99), rho, |s| {
+        let adaptive = average_sessions_in(1, reps, stream_seed(seed, 99), rho, |s| {
             let tuner = OnlineTuner::adaptive(
                 TunerConfig {
                     full_occupancy: false,
@@ -341,7 +315,11 @@ mod tests {
 
     #[test]
     fn estimator_table_shape() {
-        let t = estimators(50, 4, 0.2, 2);
+        let noises = estimator_noises(0.2).len();
+        let cells: Vec<f64> = (0..ESTIMATORS.len() * noises)
+            .map(|p| estimators_cell_in(1, p / noises, p % noises, 50, 4, 0.2, 2))
+            .collect();
+        let t = assemble_estimators(0.2, &cells);
         assert_eq!(t.rows.len(), 5);
         assert_eq!(t.header.len(), 4);
         assert_eq!(t.labels[1], "min3");
@@ -361,7 +339,10 @@ mod tests {
 
     #[test]
     fn monitoring_table_shape() {
-        let t = monitoring(60, 6, 4);
+        let cells: Vec<(f64, f64)> = (0..MONITORING_RHOS.len() * 2)
+            .map(|p| monitoring_cell_in(1, p / 2, p % 2 == 1, 60, 6, 4))
+            .collect();
+        let t = assemble_monitoring(&cells);
         assert_eq!(t.rows.len(), 4);
         for row in &t.rows {
             assert!(row[1] > 0.0 && row[3] > 0.0);

@@ -12,7 +12,6 @@
 //! fault-free-crash/hang cell, and the mean fault-handling counters.
 
 use crate::report::Table;
-use harmony_cluster::pool::par_map_indexed;
 use harmony_cluster::FaultPlan;
 use harmony_core::server::{run_session, ServerConfig, SessionOptions};
 use harmony_core::{Estimator, ProOptimizer, TuningOutcome};
@@ -48,20 +47,22 @@ struct Sweep {
 
 fn run_cell(gs2: &Gs2Model, noise: &Noise, crash: f64, hang: f64, sw: &Sweep) -> Cell {
     let cell_salt = (crash * 1000.0) as u64 * 7919 + (hang * 1000.0) as u64;
-    let outcomes: Vec<Option<TuningOutcome>> = par_map_indexed(sw.reps, |i| {
-        let s = stream_seed(stream_seed(sw.seed, cell_salt), i as u64);
-        let cfg = ServerConfig::new(sw.procs, sw.steps, Estimator::Single, s)
-            .expect("valid fault-sweep server config");
-        let plan = FaultPlan::new(stream_seed(s, 0xFA17), crash, hang, hang, DUPLICATE_RATE);
-        let mut opt = ProOptimizer::with_defaults(gs2.space().clone());
-        let opts = SessionOptions {
-            plan,
-            ..SessionOptions::default()
-        };
-        run_session(gs2, noise, &mut opt, cfg, opts)
-            .ok()
-            .map(|s| s.outcome)
-    });
+    let outcomes: Vec<Option<TuningOutcome>> = (0..sw.reps)
+        .map(|i| {
+            let s = stream_seed(stream_seed(sw.seed, cell_salt), i as u64);
+            let cfg = ServerConfig::new(sw.procs, sw.steps, Estimator::Single, s)
+                .expect("valid fault-sweep server config");
+            let plan = FaultPlan::new(stream_seed(s, 0xFA17), crash, hang, hang, DUPLICATE_RATE);
+            let mut opt = ProOptimizer::with_defaults(gs2.space().clone());
+            let opts = SessionOptions {
+                plan,
+                ..SessionOptions::default()
+            };
+            run_session(gs2, noise, &mut opt, cfg, opts)
+                .ok()
+                .map(|s| s.outcome)
+        })
+        .collect();
     let ok: Vec<&TuningOutcome> = outcomes.iter().flatten().collect();
     let n = ok.len() as f64;
     let mean = |f: &dyn Fn(&TuningOutcome) -> f64| {

@@ -8,10 +8,10 @@
 //! Nelder–Mead (the old Harmony optimizer), Sequential Rank Ordering,
 //! and PRO — under heavy-tailed noise.
 
+use crate::gs2_table;
 use crate::report::Table;
-use harmony_cluster::pool::par_map_indexed;
 use harmony_core::{Estimator, OnlineTuner, TunerConfig};
-use harmony_surface::{Gs2Model, Objective};
+use harmony_surface::Objective;
 use harmony_variability::noise::Noise;
 use harmony_variability::stream_seed;
 
@@ -53,12 +53,12 @@ pub const ALGORITHMS: [&str; 3] = ["nelder-mead", "sro", "pro"];
 /// Average per-step series of one algorithm: `(T_k, Total_Time(k))` per
 /// step.
 fn algorithm_series(name: &str, cfg: &Fig01Config) -> (Vec<f64>, Vec<f64>) {
-    let gs2 = Gs2Model::paper_scale();
+    let gs2 = gs2_table();
     let noise = Noise::Pareto {
         alpha: cfg.alpha,
         rho: cfg.rho,
     };
-    let per_rep: Vec<Vec<f64>> = par_map_indexed(cfg.reps, |rep| {
+    let per_rep = (0..cfg.reps).map(|rep| {
         let seed = stream_seed(cfg.seed, rep as u64);
         let tuner = OnlineTuner::new(TunerConfig {
             procs: cfg.procs,
@@ -71,13 +71,13 @@ fn algorithm_series(name: &str, cfg: &Fig01Config) -> (Vec<f64>, Vec<f64>) {
         });
         let mut opt = make_optimizer(name, gs2.space(), seed);
         let out = tuner
-            .run(&gs2, &noise, opt.as_mut())
+            .run(gs2, &noise, opt.as_mut())
             .expect("tuning session produced a recommendation");
         out.trace.step_times()[..cfg.steps].to_vec()
     });
     let mut tk = vec![0.0; cfg.steps];
-    for rep in &per_rep {
-        for (a, b) in tk.iter_mut().zip(rep) {
+    for rep in per_rep {
+        for (a, b) in tk.iter_mut().zip(&rep) {
             *a += b / cfg.reps as f64;
         }
     }

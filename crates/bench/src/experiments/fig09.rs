@@ -7,12 +7,12 @@
 //! the center and wastes expansions; too large visits poor marginal
 //! configurations).
 
-use crate::average_sessions;
 use crate::report::Table;
+use crate::{average_sessions_in, gs2_table};
 use harmony_cluster::SamplingMode;
 use harmony_core::{Estimator, OnlineTuner, ProConfig, ProOptimizer, TunerConfig};
 use harmony_params::init::InitialShape;
-use harmony_surface::{Gs2Model, Objective};
+use harmony_surface::Objective;
 use harmony_variability::noise::Noise;
 
 /// Experiment parameters.
@@ -47,14 +47,14 @@ impl Default for Fig09Config {
 
 /// Average NTT of PRO with the given initial simplex on GS2.
 pub fn avg_ntt(shape: InitialShape, r: f64, cfg: &Fig09Config) -> f64 {
-    let gs2 = Gs2Model::paper_scale();
+    let gs2 = gs2_table();
     let noise = Noise::paper_default(cfg.rho);
     let pro_cfg = ProConfig {
         shape,
         relative_size: r,
         ..ProConfig::default()
     };
-    average_sessions(cfg.reps, cfg.seed, cfg.rho, |seed| {
+    average_sessions_in(1, cfg.reps, cfg.seed, cfg.rho, |seed| {
         let tuner = OnlineTuner::new(TunerConfig {
             procs: cfg.procs,
             max_steps: cfg.steps,
@@ -66,7 +66,7 @@ pub fn avg_ntt(shape: InitialShape, r: f64, cfg: &Fig09Config) -> f64 {
         });
         let mut opt = ProOptimizer::new(gs2.space().clone(), pro_cfg);
         tuner
-            .run(&gs2, &noise, &mut opt)
+            .run(gs2, &noise, &mut opt)
             .expect("tuning session produced a recommendation")
     })
     .mean_ntt

@@ -42,17 +42,11 @@ pub const K_NEIGHBORS: usize = 4;
 /// Samples per estimate — min-of-K as in the paper's §5 policy.
 const SAMPLES: usize = 3;
 
-/// One fleet-size cell on `workers` threads — the harness fan-out
-/// unit. `ci` indexes [`SESSION_COUNTS`]; returns the row values after
-/// the leading fleet-size coordinate, in [`assemble_multi_session`]
-/// column order.
-pub fn multi_session_cell_in(workers: usize, ci: usize, steps: usize, seed: u64) -> Vec<f64> {
-    fleet_in(workers, SESSION_COUNTS[ci], steps, seed)
-}
-
 /// Runs one fleet of `sessions` concurrent sessions against fresh
-/// shared tiers on `workers` threads; see [`multi_session_cell_in`]
-/// for the returned column order.
+/// shared tiers on `workers` threads — the harness fan-out unit, one
+/// per [`SESSION_COUNTS`] entry. Returns the row values after the
+/// leading fleet-size coordinate, in [`assemble_multi_session`] column
+/// order.
 pub fn fleet_in(workers: usize, sessions: usize, steps: usize, seed: u64) -> Vec<f64> {
     let gs2 = Gs2Model::paper_scale();
     let costs = SharedPerfDb::new(gs2.space().clone(), K_NEIGHBORS);
@@ -143,8 +137,8 @@ mod tests {
 
     #[test]
     fn cell_is_worker_count_independent() {
-        let a = multi_session_cell_in(1, 0, 6, 77);
-        let b = multi_session_cell_in(4, 0, 6, 77);
+        let a = fleet_in(1, SESSION_COUNTS[0], 6, 77);
+        let b = fleet_in(4, SESSION_COUNTS[0], 6, 77);
         let to_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(to_bits(&a), to_bits(&b));
     }
@@ -169,11 +163,11 @@ mod tests {
     fn first_wave_is_cold_later_fleets_warm_start() {
         // fleet of 2 fits in one wave: nothing published yet, no warm
         // starts, and every probe is fresh
-        let two = multi_session_cell_in(2, 0, 6, 9);
+        let two = fleet_in(2, SESSION_COUNTS[0], 6, 9);
         assert_eq!(two[4], 0.0, "single-wave fleet cannot warm-start");
         // a 16-session fleet spans 2 waves: the second wave warm-starts
         // and reuses published measurements
-        let sixteen = multi_session_cell_in(4, 3, 6, 9);
+        let sixteen = fleet_in(4, SESSION_COUNTS[3], 6, 9);
         assert!(sixteen[4] > 0.0, "later waves should warm-start");
         assert!(sixteen[0] > 0.0, "later waves should hit the shared tier");
     }

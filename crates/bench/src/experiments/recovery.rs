@@ -164,9 +164,8 @@ pub fn recovery_cell_in(
     cell(&gs2, &noise, workers, ci, si, &sw)
 }
 
-/// Reassembles the T6 table from per-cell values in canonical (crash
-/// outer, snapshot inner) order — byte-identical to the monolithic
-/// computation.
+/// Assembles the T6 table from per-cell values in canonical (crash
+/// outer, snapshot inner) order.
 pub fn assemble_recovery(cells: &[Vec<f64>]) -> Table {
     assert_eq!(cells.len(), CRASH_RATES.len() * SNAPSHOT_EVERY.len());
     let mut table = Table::new(
@@ -192,29 +191,18 @@ pub fn assemble_recovery(cells: &[Vec<f64>]) -> Table {
     table
 }
 
-/// The full monolithic sweep (tests and standalone use; the harness
-/// fans the cells out instead).
-pub fn table_recovery(procs: usize, steps: usize, reps: usize, rho: f64, seed: u64) -> Table {
-    let cells: Vec<Vec<f64>> = (0..CRASH_RATES.len() * SNAPSHOT_EVERY.len())
-        .map(|p| {
-            recovery_cell_in(
-                1,
-                p / SNAPSHOT_EVERY.len(),
-                p % SNAPSHOT_EVERY.len(),
-                procs,
-                steps,
-                reps,
-                rho,
-                seed,
-            )
-        })
-        .collect();
-    assemble_recovery(&cells)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The whole sweep, cell by cell in canonical order.
+    fn table_recovery(procs: usize, steps: usize, reps: usize, rho: f64, seed: u64) -> Table {
+        let n = SNAPSHOT_EVERY.len();
+        let cells: Vec<Vec<f64>> = (0..CRASH_RATES.len() * n)
+            .map(|p| recovery_cell_in(1, p / n, p % n, procs, steps, reps, rho, seed))
+            .collect();
+        assemble_recovery(&cells)
+    }
 
     #[test]
     fn sweep_shape_and_exactness() {

@@ -13,8 +13,7 @@
 //!
 //! The table fans out as one harness subtask per `(rho, optimizer)`
 //! cell; cell seed streams depend only on `(seed, name, rho index)`,
-//! so the merged table is bit-identical to the monolithic computation
-//! at any worker count.
+//! so the merged table is bit-identical at any worker count.
 
 use crate::gs2_table;
 use crate::report::Table;
@@ -108,28 +107,8 @@ pub fn t8_cell_in(
     ]
 }
 
-/// Computes the whole T8 table, `workers` threads inside each cell —
-/// byte-identical to the harness fan-out (cells are
-/// worker-count-independent).
-pub fn t8_surrogate(workers: usize, steps: usize, reps: usize, seed: u64) -> Table {
-    let cells: Vec<Vec<f64>> = (0..T8_RHOS.len() * T8_OPTIMIZERS.len())
-        .map(|p| {
-            t8_cell_in(
-                workers,
-                p % T8_OPTIMIZERS.len(),
-                p / T8_OPTIMIZERS.len(),
-                steps,
-                reps,
-                seed,
-            )
-        })
-        .collect();
-    assemble_t8(&cells)
-}
-
-/// Reassembles the T8 table from per-cell values in ρ-major,
-/// [`T8_OPTIMIZERS`]-minor order — byte-identical to the monolithic
-/// computation.
+/// Assembles the T8 table from per-cell values in ρ-major,
+/// [`T8_OPTIMIZERS`]-minor order.
 pub fn assemble_t8(cells: &[Vec<f64>]) -> Table {
     assert_eq!(cells.len(), T8_RHOS.len() * T8_OPTIMIZERS.len());
     let mut table = Table::new(
@@ -157,6 +136,15 @@ pub fn assemble_t8(cells: &[Vec<f64>]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The whole T8 table, `workers` threads inside each cell.
+    fn t8_surrogate(workers: usize, steps: usize, reps: usize, seed: u64) -> Table {
+        let n = T8_OPTIMIZERS.len();
+        let cells: Vec<Vec<f64>> = (0..T8_RHOS.len() * n)
+            .map(|p| t8_cell_in(workers, p % n, p / n, steps, reps, seed))
+            .collect();
+        assemble_t8(&cells)
+    }
 
     #[test]
     fn cell_is_worker_count_independent() {

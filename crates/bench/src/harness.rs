@@ -1,14 +1,21 @@
 //! Dependency-aware parallel experiment harness.
 //!
-//! `run_all` used to regenerate every figure and table serially; this
-//! module turns the regeneration into a *task graph* executed on the
-//! work-stealing pool ([`harmony_cluster::pool::par_graph_stats_in`]). Every
-//! experiment is a named task, and the expensive sweeps (`fig10*`, the
-//! baseline tables, the estimator/monitoring ablations) are further
-//! split into per-cell *subtasks* — one job per `(ρ, K)` cell or per
-//! algorithm — feeding a deterministic fan-in merge job per experiment
-//! that reassembles the table in exact canonical order. The merge jobs
-//! are also where the charts' table dependencies attach.
+//! Every experiment of the reproduction is one entry of [`EXPERIMENTS`]:
+//! its name, the experiments whose results it reads, its quick and full
+//! scale, its fan-out *parts* and its *report*. Adding an experiment is
+//! adding one entry; the engine below (job graph, `--only` closure,
+//! telemetry, trace merge, critical path) and `run_all --list` read the
+//! registry and know no experiment by name.
+//!
+//! The expensive sweeps (`fig10*`, the baseline tables, the
+//! estimator/monitoring ablations, recovery, T7, T8) split into parts —
+//! one job per `(ρ, K)` cell, algorithm or fleet size — feeding a
+//! deterministic fan-in report job per experiment that reassembles the
+//! table in exact canonical order. The report jobs are also where
+//! cross-experiment reads attach: the chart renderer waits on the figure
+//! reports whose tables it draws. The graph pool
+//! ([`harmony_cluster::pool::par_graph_stats_in`]) is the only
+//! parallelism of a run: experiment code runs serially inside its job.
 //!
 //! Determinism under parallelism is preserved by construction:
 //!
@@ -19,15 +26,13 @@
 //!   algorithm *name* into the stream, fig10 cells fold `K` into the
 //!   seed, replication loops hash the replication *index*), never from
 //!   claim order or thread identity;
-//! * subtask jobs run their replication loops serially (the graph pool
-//!   owns all parallelism) and deposit raw cell values into slots keyed
-//!   by structural position; the merge job reads the slots in canonical
-//!   row/column order, so the table bytes cannot depend on
-//!   interleaving;
-//! * each merge job renders its report into a private buffer and writes
-//!   only its own output files; the buffers are printed in canonical
-//!   task order after the pool joins, so the stdout report is identical
-//!   for every worker count.
+//! * part jobs deposit raw cell values into slots keyed by structural
+//!   position; the report job reads the slots in canonical row/column
+//!   order, so the table bytes cannot depend on interleaving;
+//! * each report job renders into a private buffer and writes only its
+//!   own output files; the buffers are printed in canonical experiment
+//!   order after the pool joins, so the stdout report is identical for
+//!   every worker count.
 //!
 //! The result: `run_all --full -jN` produces byte-identical CSVs and
 //! SVGs to a serial `-j1` run for every `N`.
@@ -48,299 +53,568 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// A named harness task and the indices of the tasks it depends on.
-pub struct TaskDef {
-    /// Stable task name (used in the report and the `task.*` trace spans).
-    pub name: &'static str,
-    /// Indices into [`TASKS`] that must complete first.
-    pub deps: &'static [usize],
+/// Session steps and replications of one experiment at one scale (0
+/// where the experiment has no such parameter).
+#[derive(Clone, Copy)]
+struct Scale {
+    steps: usize,
+    reps: usize,
 }
 
-const FIG01: usize = 0;
-const FIG02: usize = 1;
-const FIG03: usize = 2;
-const FIG03_CORRELATIONS: usize = 3;
-const FIG04_07: usize = 4;
-const FIG08: usize = 5;
-const FIG09: usize = 6;
-const FIG10: usize = 7;
-const FIG10_EXTENDED: usize = 8;
-const FIG10_PACKED: usize = 9;
-const CHARTS: usize = 10;
-const TABLE_QUEUE_VALIDATION: usize = 11;
-const TABLE_MIN_OPERATOR: usize = 12;
-const TABLE_BASELINES: usize = 13;
-const TABLE_TIME_TO_QUALITY: usize = 14;
-const ABLATION_EXPANSION_CHECK: usize = 15;
-const ABLATION_ESTIMATORS: usize = 16;
-const ABLATION_PROJECTION: usize = 17;
-const ABLATION_MONITORING: usize = 18;
-const ABLATION_ADAPTIVE_K: usize = 19;
-const TABLE_FAULT_TOLERANCE: usize = 20;
-const TABLE_RECOVERY: usize = 21;
-const MULTI_SESSION: usize = 22;
-const T8_SURROGATE: usize = 23;
+const fn scale(steps: usize, reps: usize) -> Scale {
+    Scale { steps, reps }
+}
 
-/// The full task graph, in canonical report order. A task depends on
-/// the tasks whose results it reads instead of recomputing them: the
-/// chart renderer consumes the figure tables, `fig10_extended` reads
-/// Fig. 10's ρ = 0.40 column, and `table_time_to_quality` reads the
-/// sessions of `table_baselines`.
-pub const TASKS: &[TaskDef] = &[
-    TaskDef {
-        name: "fig01",
-        deps: &[],
-    },
-    TaskDef {
-        name: "fig02",
-        deps: &[],
-    },
-    TaskDef {
-        name: "fig03",
-        deps: &[],
-    },
-    TaskDef {
-        name: "fig03_correlations",
-        deps: &[],
-    },
-    TaskDef {
-        name: "fig04_07",
-        deps: &[],
-    },
-    TaskDef {
-        name: "fig08",
-        deps: &[],
-    },
-    TaskDef {
-        name: "fig09",
-        deps: &[],
-    },
-    TaskDef {
+/// No scale parameter at either scale.
+const UNSCALED: [Scale; 2] = [scale(0, 0); 2];
+/// The three fig10 sweeps.
+const FIG10_SCALE: [Scale; 2] = [scale(100, 50), scale(100, 2_000)];
+/// The five ablation studies.
+const ABLATION_SCALE: [Scale; 2] = [scale(100, 30), scale(200, 300)];
+
+/// One fan-out job: its stable label and the computation of its raw
+/// cell values.
+type Part = (String, Box<dyn Fn() -> Vec<f64> + Send + Sync>);
+
+fn part(label: String, run: impl Fn() -> Vec<f64> + Send + Sync + 'static) -> Part {
+    (label, Box::new(run))
+}
+
+/// One part per `(row, col)` of a `rows × cols` grid, row-major: the
+/// cell order every split experiment's report reassembles.
+fn grid(rows: usize, cols: usize, mut cell: impl FnMut(usize, usize) -> Part) -> Vec<Part> {
+    (0..rows)
+        .flat_map(|r| (0..cols).map(move |c| (r, c)))
+        .map(|(r, c)| cell(r, c))
+        .collect()
+}
+
+/// One experiment of the reproduction.
+pub struct Experiment {
+    /// Stable name: the report key, the `task.*` trace span and the
+    /// `--only` target.
+    pub name: &'static str,
+    /// Experiments whose tables or parts this one reads instead of
+    /// recomputing them; each names an earlier entry of
+    /// [`EXPERIMENTS`]. The report job waits on their report jobs.
+    pub reads: &'static [&'static str],
+    /// Quick and full scale.
+    scale: [Scale; 2],
+    /// The fan-out parts at a scale and seed, in canonical order.
+    parts: fn(Scale, u64) -> Vec<Part>,
+    /// Writes the experiment's outputs and returns the tables that are
+    /// traced and handed to the experiments that read this one.
+    report: fn(&mut Ctx) -> Vec<Table>,
+}
+
+impl Experiment {
+    /// Number of fan-out part jobs (0 = the experiment runs whole inside
+    /// its report job, or only reads another experiment's parts).
+    pub fn part_count(&self) -> usize {
+        (self.parts)(self.scale[0], 0).len()
+    }
+}
+
+/// An experiment without parts.
+const fn whole(
+    name: &'static str,
+    reads: &'static [&'static str],
+    scale: [Scale; 2],
+    report: fn(&mut Ctx) -> Vec<Table>,
+) -> Experiment {
+    Experiment {
+        name,
+        reads,
+        scale,
+        parts: |_, _| Vec::new(),
+        report,
+    }
+}
+
+fn fig03_config(seed: u64) -> fig03::Fig03Config {
+    fig03::Fig03Config {
+        seed,
+        ..Default::default()
+    }
+}
+
+fn fig10_config(s: Scale, seed: u64) -> fig10::Fig10Config {
+    fig10::Fig10Config {
+        steps: s.steps,
+        reps: s.reps,
+        seed,
+        ..Default::default()
+    }
+}
+
+/// The `K`-major fig10 grid: one part per `(K, ρ)` cell.
+fn fig10_grid(
+    s: Scale,
+    seed: u64,
+    name: &str,
+    cell: fn(f64, usize, &fig10::Fig10Config) -> Vec<f64>,
+) -> Vec<Part> {
+    let c = fig10_config(s, seed);
+    grid(c.ks.len(), c.rhos.len(), |ki, ri| {
+        let (k, rho) = (c.ks[ki], c.rhos[ri]);
+        part(format!("{name}.k{k}.rho{rho:.2}"), move || {
+            cell(rho, k, &fig10_config(s, seed))
+        })
+    })
+}
+
+fn fig10_cell(rho: f64, k: usize, c: &fig10::Fig10Config) -> Vec<f64> {
+    let (ntt, sem) = fig10::cell_with_sem_in(1, rho, k, c);
+    vec![ntt, sem]
+}
+
+/// Every experiment, in canonical report order. The order is
+/// topological (each read names an earlier entry) and fixes the
+/// experiment's index: its report job, its `(index+1) << 32` span-id
+/// namespace and the `task` field of its span. Part jobs run their
+/// replication loops serially (`workers == 1`); the cell values are
+/// worker-count-independent either way.
+pub const EXPERIMENTS: &[Experiment] = &[
+    whole("fig01", &[], [scale(150, 12), scale(300, 50)], |c| {
+        c.share(fig01::run(&fig01::Fig01Config {
+            steps: c.scale.steps,
+            reps: c.scale.reps,
+            seed: c.seed,
+            ..Default::default()
+        }))
+    }),
+    whole("fig02", &[], UNSCALED, |c| c.share(fig02::run())),
+    whole("fig03", &[], UNSCALED, |c| {
+        c.share(fig03::run(&fig03_config(c.seed)))
+    }),
+    whole("fig03_correlations", &[], UNSCALED, |c| {
+        c.share(fig03::correlations(&fig03_config(c.seed)))
+    }),
+    whole("fig04_07", &[], UNSCALED, |c| {
+        let (a, b, c2, d, e) = fig04_07::run(&fig04_07::TailConfig {
+            trace: fig03_config(c.seed),
+            ..Default::default()
+        });
+        c.share_all(vec![a, b, c2, d, e])
+    }),
+    whole("fig08", &[], UNSCALED, |c| {
+        let t = fig08::run(&fig08::Fig08Config::default());
+        let minima = fig08::count_local_minima(&t);
+        let _ = writeln!(c.buf, "fig08 local minima: {minima}");
+        c.share(t)
+    }),
+    whole("fig09", &[], [scale(100, 16), scale(100, 200)], |c| {
+        c.share(fig09::run(&fig09::Fig09Config {
+            steps: c.scale.steps,
+            reps: c.scale.reps,
+            seed: c.seed,
+            ..Default::default()
+        }))
+    }),
+    Experiment {
         name: "fig10",
-        deps: &[],
+        reads: &[],
+        scale: FIG10_SCALE,
+        parts: |s, seed| fig10_grid(s, seed, "fig10", fig10_cell),
+        report: |c| {
+            let cells: Vec<f64> = c.parts().iter().map(|v| v[0]).collect();
+            let cfg = fig10_config(c.scale, c.seed);
+            let t = fig10::assemble_grid(&cfg, "fig10_multisample", &cells);
+            c.emit(&t);
+            // the K* table is written but neither traced nor shared
+            c.emit(&fig10::optimal_k(&t));
+            vec![t]
+        },
     },
-    TaskDef {
+    Experiment {
         name: "fig10_extended",
-        deps: &[FIG10],
+        reads: &["fig10"],
+        scale: FIG10_SCALE,
+        // the extended rows that are not a Fig. 10 column
+        parts: |s, seed| {
+            let c = fig10_config(s, seed);
+            let own: Vec<f64> = fig10::EXTENDED_RHOS
+                .into_iter()
+                .filter(|&rho| fig10::grid_column(&c, rho).is_none())
+                .collect();
+            grid(own.len(), c.ks.len(), |ri, ki| {
+                let (rho, k) = (own[ri], c.ks[ki]);
+                part(format!("fig10_extended.rho{rho:.2}.k{k}"), move || {
+                    fig10_cell(rho, k, &fig10_config(s, seed))
+                })
+            })
+        },
+        report: |c| {
+            // rows that are Fig. 10 columns come from its parts, the
+            // others from this experiment's own, in ρ-major order
+            let cfg = fig10_config(c.scale, c.seed);
+            let grid = c.parts_of("fig10");
+            let own = c.parts();
+            let mut own = own.iter();
+            let mut cells = Vec::with_capacity(fig10::EXTENDED_RHOS.len() * cfg.ks.len());
+            for &rho in &fig10::EXTENDED_RHOS {
+                for ki in 0..cfg.ks.len() {
+                    let v = match fig10::grid_column(&cfg, rho) {
+                        Some(ci) => &grid[ki * cfg.rhos.len() + ci],
+                        None => own.next().expect("one part per unshared cell"),
+                    };
+                    cells.push((v[0], v[1]));
+                }
+            }
+            c.share(fig10::assemble_extended(&cfg, &cells))
+        },
     },
-    TaskDef {
+    Experiment {
         name: "fig10_packed",
-        deps: &[],
+        reads: &[],
+        scale: FIG10_SCALE,
+        parts: |s, seed| {
+            fig10_grid(s, seed, "fig10_packed", |rho, k, c| {
+                vec![fig10::packed_cell_in(1, rho, k, c)]
+            })
+        },
+        report: |c| {
+            let cells: Vec<f64> = c.parts().iter().map(|v| v[0]).collect();
+            let cfg = fig10_config(c.scale, c.seed);
+            c.share(fig10::assemble_grid(&cfg, "fig10_packed", &cells))
+        },
     },
-    TaskDef {
-        name: "charts",
-        deps: &[FIG01, FIG03, FIG04_07, FIG08, FIG09, FIG10],
-    },
-    TaskDef {
-        name: "table_queue_validation",
-        deps: &[],
-    },
-    TaskDef {
-        name: "table_min_operator",
-        deps: &[],
-    },
-    TaskDef {
+    whole(
+        "charts",
+        &["fig01", "fig03", "fig04_07", "fig08", "fig09", "fig10"],
+        UNSCALED,
+        |c| {
+            let tail = c.tables_of("fig04_07");
+            let (f01, f03) = (c.tables_of("fig01"), c.tables_of("fig03"));
+            let (f08, f09) = (c.tables_of("fig08"), c.tables_of("fig09"));
+            let f10 = c.tables_of("fig10");
+            charts::emit_all_to(
+                &mut c.buf, c.dir, &f01[0], &f03[0], &tail[1], &tail[3], &f08[0], &f09[0], &f10[0],
+            );
+            Vec::new()
+        },
+    ),
+    whole(
+        "table_queue_validation",
+        &[],
+        [scale(0, 20_000), scale(0, 200_000)],
+        |c| c.share(tables::queue_validation(c.scale.reps, c.seed)),
+    ),
+    whole(
+        "table_min_operator",
+        &[],
+        [scale(0, 20_000), scale(0, 200_000)],
+        |c| c.share(tables::min_operator(c.scale.reps, c.seed)),
+    ),
+    Experiment {
         name: "table_baselines",
-        deps: &[],
+        reads: &[],
+        scale: [scale(100, 20), scale(300, 200)],
+        // each part is the T3 row, then the time-to-quality row of the
+        // same sessions
+        parts: |s, seed| {
+            tables::BASELINES
+                .into_iter()
+                .map(|name| {
+                    part(format!("table_baselines.{name}"), move || {
+                        let (mut row, quality) = tables::baseline_rows_in(
+                            1,
+                            name,
+                            s.steps,
+                            s.reps,
+                            0.1,
+                            &tables::QUALITY_FACTORS,
+                            seed,
+                        );
+                        row.extend(quality);
+                        row
+                    })
+                })
+                .collect()
+        },
+        report: |c| {
+            let rows: Vec<Vec<f64>> = c
+                .parts()
+                .iter()
+                .map(|r| r[..tables::BASELINE_COLUMNS].to_vec())
+                .collect();
+            c.share(tables::assemble_baselines(&rows))
+        },
     },
-    TaskDef {
-        name: "table_time_to_quality",
-        deps: &[TABLE_BASELINES],
-    },
-    TaskDef {
-        name: "ablation_expansion_check",
-        deps: &[],
-    },
-    TaskDef {
+    whole(
+        "table_time_to_quality",
+        &["table_baselines"],
+        UNSCALED,
+        |c| {
+            let rows: Vec<Vec<f64>> = c
+                .parts_of("table_baselines")
+                .iter()
+                .map(|r| r[tables::BASELINE_COLUMNS..].to_vec())
+                .collect();
+            c.share(tables::assemble_time_to_quality(
+                &tables::QUALITY_FACTORS,
+                &rows,
+            ))
+        },
+    ),
+    whole("ablation_expansion_check", &[], ABLATION_SCALE, |c| {
+        let Scale { steps, reps } = c.scale;
+        c.share(ablations::expansion_check(steps, reps, 0.1, c.seed))
+    }),
+    Experiment {
         name: "ablation_estimators",
-        deps: &[],
+        reads: &[],
+        scale: ABLATION_SCALE,
+        parts: |s, seed| {
+            let noises = ablations::estimator_noises(0.3);
+            grid(ablations::ESTIMATORS.len(), noises.len(), |ei, ni| {
+                let label = format!(
+                    "ablation_estimators.{}.{}",
+                    ablations::ESTIMATORS[ei].label(),
+                    noises[ni].0
+                );
+                part(label, move || {
+                    vec![ablations::estimators_cell_in(
+                        1, ei, ni, s.steps, s.reps, 0.3, seed,
+                    )]
+                })
+            })
+        },
+        report: |c| {
+            let cells: Vec<f64> = c.parts().iter().map(|v| v[0]).collect();
+            c.share(ablations::assemble_estimators(0.3, &cells))
+        },
     },
-    TaskDef {
-        name: "ablation_projection",
-        deps: &[],
-    },
-    TaskDef {
+    whole("ablation_projection", &[], ABLATION_SCALE, |c| {
+        let Scale { steps, reps } = c.scale;
+        c.share(ablations::projection(steps, reps, 0.1, c.seed))
+    }),
+    Experiment {
         name: "ablation_monitoring",
-        deps: &[],
+        reads: &[],
+        scale: ABLATION_SCALE,
+        parts: |s, seed| {
+            grid(ablations::MONITORING_RHOS.len(), 2, |ri, mode| {
+                let continuous = mode == 1;
+                let label = format!(
+                    "ablation_monitoring.rho{}.{}",
+                    ablations::MONITORING_RHOS[ri],
+                    if continuous { "continuous" } else { "stop" }
+                );
+                part(label, move || {
+                    let (ntt, bt) =
+                        ablations::monitoring_cell_in(1, ri, continuous, s.steps, s.reps, seed);
+                    vec![ntt, bt]
+                })
+            })
+        },
+        report: |c| {
+            let cells: Vec<(f64, f64)> = c.parts().iter().map(|v| (v[0], v[1])).collect();
+            c.share(ablations::assemble_monitoring(&cells))
+        },
     },
-    TaskDef {
-        name: "ablation_adaptive_k",
-        deps: &[],
-    },
-    TaskDef {
-        name: "table_fault_tolerance",
-        deps: &[],
-    },
-    TaskDef {
+    whole("ablation_adaptive_k", &[], ABLATION_SCALE, |c| {
+        c.share(ablations::adaptive_k(c.scale.steps, c.scale.reps, c.seed))
+    }),
+    whole(
+        "table_fault_tolerance",
+        &[],
+        [scale(40, 4), scale(80, 8)],
+        |c| {
+            let Scale { steps, reps } = c.scale;
+            c.share(fault::fault_tolerance(16, steps, reps, 0.1, c.seed))
+        },
+    ),
+    Experiment {
         name: "table_recovery",
-        deps: &[],
+        reads: &[],
+        scale: [scale(30, 3), scale(60, 6)],
+        parts: |s, seed| {
+            let (crash, snap) = (recovery::CRASH_RATES, recovery::SNAPSHOT_EVERY);
+            grid(crash.len(), snap.len(), |ci, si| {
+                let label = format!("table_recovery.crash{:.2}.snap{}", crash[ci], snap[si]);
+                part(label, move || {
+                    recovery::recovery_cell_in(1, ci, si, 8, s.steps, s.reps, 0.1, seed)
+                })
+            })
+        },
+        report: |c| c.share(recovery::assemble_recovery(&c.parts())),
     },
-    TaskDef {
+    Experiment {
         name: "t7_multi_session",
-        deps: &[],
+        reads: &[],
+        scale: [scale(30, 0), scale(60, 0)],
+        parts: |s, seed| {
+            multi_session::SESSION_COUNTS
+                .into_iter()
+                .map(|n| {
+                    part(format!("t7_multi_session.s{n}"), move || {
+                        multi_session::fleet_in(1, n, s.steps, seed)
+                    })
+                })
+                .collect()
+        },
+        report: |c| c.share(multi_session::assemble_multi_session(&c.parts())),
     },
-    TaskDef {
+    Experiment {
         name: "t8_surrogate",
-        deps: &[],
+        reads: &[],
+        scale: [scale(60, 10), scale(200, 100)],
+        parts: |s, seed| {
+            let (rhos, opts) = (t8_surrogate::T8_RHOS, t8_surrogate::T8_OPTIMIZERS);
+            grid(rhos.len(), opts.len(), |ri, oi| {
+                let label = format!("t8_surrogate.{}.rho{:.2}", opts[oi], rhos[ri]);
+                part(label, move || {
+                    t8_surrogate::t8_cell_in(1, oi, ri, s.steps, s.reps, seed)
+                })
+            })
+        },
+        report: |c| c.share(t8_surrogate::assemble_t8(&c.parts())),
     },
 ];
 
-/// Number of canonical experiments (= merge/report jobs).
-const NE: usize = TASKS.len();
+/// Number of experiments (= report jobs).
+const NE: usize = EXPERIMENTS.len();
 
-/// Estimator-ablation noise count (canonical A2 column count).
-fn estimator_noise_count() -> usize {
-    ablations::estimator_noises(0.3).len()
-}
-
-/// Indices into [`fig10::EXTENDED_RHOS`] of the extended rows that are
-/// not a Fig. 10 column, i.e. the rows `fig10_extended` runs itself.
-fn extended_own_rows(f: &fig10::Fig10Config) -> Vec<usize> {
-    (0..fig10::EXTENDED_RHOS.len())
-        .filter(|&ri| fig10::grid_column(f, fig10::EXTENDED_RHOS[ri]).is_none())
-        .collect()
-}
-
-/// Number of fan-out subtask jobs experiment `e` is split into
-/// (0 = the experiment runs whole inside its report job, or only reads
-/// another experiment's subtasks).
-pub fn subtask_count(e: usize) -> usize {
-    let f = fig10::Fig10Config::default();
-    match e {
-        FIG10 | FIG10_PACKED => f.ks.len() * f.rhos.len(),
-        FIG10_EXTENDED => extended_own_rows(&f).len() * f.ks.len(),
-        TABLE_BASELINES => tables::BASELINES.len(),
-        ABLATION_ESTIMATORS => ablations::ESTIMATORS.len() * estimator_noise_count(),
-        ABLATION_MONITORING => ablations::MONITORING_RHOS.len() * 2,
-        TABLE_RECOVERY => recovery::CRASH_RATES.len() * recovery::SNAPSHOT_EVERY.len(),
-        MULTI_SESSION => multi_session::SESSION_COUNTS.len(),
-        T8_SURROGATE => t8_surrogate::T8_RHOS.len() * t8_surrogate::T8_OPTIMIZERS.len(),
-        _ => 0,
-    }
-}
-
-/// Stable display label of subtask `p` of experiment `e`.
-pub fn subtask_label(e: usize, p: usize) -> String {
-    let f = fig10::Fig10Config::default();
-    match e {
-        FIG10 | FIG10_PACKED => {
-            let (ki, ri) = (p / f.rhos.len(), p % f.rhos.len());
-            format!("{}.k{}.rho{:.2}", TASKS[e].name, f.ks[ki], f.rhos[ri])
-        }
-        FIG10_EXTENDED => {
-            let (ri, ki) = (extended_own_rows(&f)[p / f.ks.len()], p % f.ks.len());
-            format!(
-                "fig10_extended.rho{:.2}.k{}",
-                fig10::EXTENDED_RHOS[ri],
-                f.ks[ki]
-            )
-        }
-        TABLE_BASELINES => {
-            format!("table_baselines.{}", tables::BASELINES[p])
-        }
-        ABLATION_ESTIMATORS => {
-            let noises = ablations::estimator_noises(0.3);
-            let (ei, ni) = (p / noises.len(), p % noises.len());
-            format!(
-                "ablation_estimators.{}.{}",
-                ablations::ESTIMATORS[ei].label(),
-                noises[ni].0
-            )
-        }
-        ABLATION_MONITORING => {
-            let (ri, cont) = (p / 2, p % 2 == 1);
-            format!(
-                "ablation_monitoring.rho{}.{}",
-                ablations::MONITORING_RHOS[ri],
-                if cont { "continuous" } else { "stop" }
-            )
-        }
-        TABLE_RECOVERY => {
-            let n = recovery::SNAPSHOT_EVERY.len();
-            format!(
-                "table_recovery.crash{:.2}.snap{}",
-                recovery::CRASH_RATES[p / n],
-                recovery::SNAPSHOT_EVERY[p % n]
-            )
-        }
-        MULTI_SESSION => {
-            format!("t7_multi_session.s{}", multi_session::SESSION_COUNTS[p])
-        }
-        T8_SURROGATE => {
-            let n = t8_surrogate::T8_OPTIMIZERS.len();
-            format!(
-                "t8_surrogate.{}.rho{:.2}",
-                t8_surrogate::T8_OPTIMIZERS[p % n],
-                t8_surrogate::T8_RHOS[p / n]
-            )
-        }
-        _ => unreachable!("experiment {e} has no subtasks"),
-    }
-}
-
-/// One schedulable unit: either an experiment's fan-in report/merge job
-/// (`part == None`, job index `exp`) or one of its fan-out cells.
-struct Job {
-    exp: usize,
-    part: Option<usize>,
-    label: String,
-}
-
-/// Builds the job list: the `NE` report jobs first (job index ==
-/// canonical experiment index), then every subtask job grouped by
-/// experiment in part order.
-fn build_jobs() -> Vec<Job> {
-    let mut jobs: Vec<Job> = TASKS
+/// Canonical index of the experiment named `name`.
+fn index_of(name: &str) -> usize {
+    EXPERIMENTS
         .iter()
-        .enumerate()
-        .map(|(e, t)| Job {
-            exp: e,
-            part: None,
-            label: t.name.to_string(),
-        })
-        .collect();
-    for e in 0..NE {
-        for p in 0..subtask_count(e) {
-            jobs.push(Job {
-                exp: e,
-                part: Some(p),
-                label: subtask_label(e, p),
-            });
+        .position(|x| x.name == name)
+        .unwrap_or_else(|| panic!("no experiment named {name}"))
+}
+
+/// What a report job reaches: its scale and seed, its output, its own
+/// parts, and the tables and parts of the experiments it declares in
+/// [`Experiment::reads`]. The fields behind those reads are private to
+/// this module, so any other read is a compile error, and an undeclared
+/// name panics at once, naming both experiments, whatever the schedule.
+mod ctx {
+    use super::{emit_to, index_of, OnceLock, Path, RunConfig, Scale, Table, EXPERIMENTS};
+
+    pub(super) struct Ctx<'a> {
+        pub(super) scale: Scale,
+        pub(super) seed: u64,
+        pub(super) dir: &'a Path,
+        pub(super) buf: String,
+        exp: usize,
+        tables: &'a [OnceLock<Vec<Table>>],
+        values: &'a [Vec<OnceLock<Vec<f64>>>],
+    }
+
+    impl<'a> Ctx<'a> {
+        pub(super) fn new(
+            exp: usize,
+            cfg: &'a RunConfig,
+            tables: &'a [OnceLock<Vec<Table>>],
+            values: &'a [Vec<OnceLock<Vec<f64>>>],
+        ) -> Self {
+            Ctx {
+                scale: EXPERIMENTS[exp].scale[usize::from(cfg.full)],
+                seed: cfg.seed,
+                dir: &cfg.out_dir,
+                buf: String::new(),
+                exp,
+                tables,
+                values,
+            }
+        }
+
+        /// Index of the declared read `name`.
+        fn read(&self, name: &str) -> usize {
+            let me = &EXPERIMENTS[self.exp];
+            assert!(
+                me.reads.contains(&name),
+                "experiment {} reads {name}, which it does not declare",
+                me.name
+            );
+            index_of(name)
+        }
+
+        fn values_of(&self, e: usize) -> Vec<Vec<f64>> {
+            self.values[e]
+                .iter()
+                .map(|v| v.get().expect("parts finish before the report").clone())
+                .collect()
+        }
+
+        /// This experiment's part values in canonical part order.
+        pub(super) fn parts(&self) -> Vec<Vec<f64>> {
+            self.values_of(self.exp)
+        }
+
+        /// The part values of the declared read `name`.
+        pub(super) fn parts_of(&self, name: &str) -> Vec<Vec<f64>> {
+            self.values_of(self.read(name))
+        }
+
+        /// The shared tables of the declared read `name`.
+        pub(super) fn tables_of(&self, name: &str) -> &'a [Table] {
+            self.tables[self.read(name)]
+                .get()
+                .expect("a declared read reports before its reader")
+        }
+
+        /// Writes `t`'s CSV and its stdout block.
+        pub(super) fn emit(&mut self, t: &Table) {
+            emit_to(&mut self.buf, self.dir, t);
+        }
+
+        /// [`Self::emit`]s every table and returns them for the trace
+        /// and the experiments that read this one.
+        pub(super) fn share_all(&mut self, ts: Vec<Table>) -> Vec<Table> {
+            for t in &ts {
+                self.emit(t);
+            }
+            ts
+        }
+
+        pub(super) fn share(&mut self, t: Table) -> Vec<Table> {
+            self.share_all(vec![t])
         }
     }
-    jobs
+}
+use ctx::Ctx;
+
+/// The job graph of one run: the `NE` report jobs first (job index ==
+/// experiment index), then every part grouped by experiment in part
+/// order. A report job waits on its own parts and on the report jobs of
+/// the experiments it reads (a read experiment's report waits on that
+/// experiment's parts in turn); part jobs are roots.
+struct Plan {
+    parts: Vec<Vec<Part>>,
+    /// `(experiment, part)` of every job; `None` is the report job.
+    jobs: Vec<(usize, Option<usize>)>,
+    deps: Vec<Vec<usize>>,
 }
 
-/// Total job count (report jobs + subtask jobs).
-pub fn job_count() -> usize {
-    NE + (0..NE).map(subtask_count).sum::<usize>()
-}
-
-/// Dependency lists for [`build_jobs`]' layout: a report job waits on
-/// its own subtasks plus its experiment-level deps (the chart renderer
-/// waits on the *report* jobs of the figures it consumes, which is when
-/// their tables exist; a report that reads another experiment's
-/// subtasks waits on that experiment's report, which waits on them);
-/// subtask jobs are roots.
-fn job_deps(jobs: &[Job]) -> Vec<Vec<usize>> {
-    jobs.iter()
-        .enumerate()
-        .map(|(i, job)| {
-            if job.part.is_some() {
-                return Vec::new();
+impl Plan {
+    fn new(full: bool, seed: u64) -> Plan {
+        let parts: Vec<Vec<Part>> = EXPERIMENTS
+            .iter()
+            .map(|x| (x.parts)(x.scale[usize::from(full)], seed))
+            .collect();
+        let mut jobs: Vec<(usize, Option<usize>)> = (0..NE).map(|e| (e, None)).collect();
+        let mut deps: Vec<Vec<usize>> = EXPERIMENTS
+            .iter()
+            .map(|x| x.reads.iter().map(|r| index_of(r)).collect())
+            .collect();
+        for (e, ps) in parts.iter().enumerate() {
+            for p in 0..ps.len() {
+                deps[e].push(jobs.len());
+                jobs.push((e, Some(p)));
+                deps.push(Vec::new());
             }
-            let mut d: Vec<usize> = TASKS[job.exp].deps.to_vec();
-            d.extend(
-                jobs.iter()
-                    .enumerate()
-                    .skip(NE)
-                    .filter(|(_, j)| j.exp == job.exp)
-                    .map(|(k, _)| k),
-            );
-            debug_assert!(!d.contains(&i));
-            d
-        })
-        .collect()
+        }
+        Plan { parts, jobs, deps }
+    }
+
+    fn label(&self, i: usize) -> &str {
+        match self.jobs[i] {
+            (e, None) => EXPERIMENTS[e].name,
+            (e, Some(p)) => &self.parts[e][p].0,
+        }
+    }
 }
 
 /// Minimal `*`-wildcard glob match (no character classes), used by
@@ -357,29 +631,18 @@ pub fn glob_match(pattern: &str, name: &str) -> bool {
 }
 
 /// Which experiments run: those matching any `--only` pattern plus
-/// their transitive dependencies (everything when no filter is set).
+/// the experiments they read, transitively (everything when no filter
+/// is set). Reads name earlier entries, so one backward pass closes the
+/// selection.
 fn selected_exps(only: Option<&[String]>) -> Vec<bool> {
     let mut sel = vec![only.is_none(); NE];
     if let Some(pats) = only {
-        for (e, t) in TASKS.iter().enumerate() {
-            if pats.iter().any(|p| glob_match(p, t.name)) {
-                sel[e] = true;
-            }
-        }
-        loop {
-            let mut changed = false;
-            for (e, t) in TASKS.iter().enumerate() {
-                if sel[e] {
-                    for &d in t.deps {
-                        if !sel[d] {
-                            sel[d] = true;
-                            changed = true;
-                        }
-                    }
+        for (e, x) in EXPERIMENTS.iter().enumerate().rev() {
+            sel[e] |= pats.iter().any(|p| glob_match(p, x.name));
+            if sel[e] {
+                for r in x.reads {
+                    sel[index_of(r)] = true;
                 }
-            }
-            if !changed {
-                break;
             }
         }
     }
@@ -426,7 +689,8 @@ impl RunConfig {
         RunConfig {
             full,
             seed: 2005,
-            workers: pool::worker_count(job_count()),
+            // uncapped: the graph pool caps workers at its job count
+            workers: pool::worker_count(usize::MAX),
             out_dir: results_dir(),
             progress: false,
             trace: None,
@@ -437,28 +701,29 @@ impl RunConfig {
     }
 }
 
-/// Wall time of one fan-out subtask job.
+/// Wall time of one fan-out part job.
 pub struct SubtaskReport {
-    /// Stable subtask label (see [`subtask_label`]).
+    /// Stable part label (`<experiment>.<cell>`, or
+    /// `<experiment>.merge` for the report job).
     pub label: String,
-    /// Wall-clock seconds spent inside the subtask job.
+    /// Wall-clock seconds spent inside the job.
     pub wall_s: f64,
 }
 
 /// Per-experiment outcome: the rendered stdout block and wall times.
 pub struct TaskReport {
-    /// Task name from [`TASKS`].
+    /// Experiment name from [`EXPERIMENTS`].
     pub name: &'static str,
     /// Serial-equivalent wall-clock seconds: the sum over the
-    /// experiment's subtask jobs plus its merge job (for unsplit
+    /// experiment's part jobs plus its report job (for unsplit
     /// experiments, just the report job).
     pub wall_s: f64,
     /// The task's buffered report text.
     pub stdout: String,
     /// The task's telemetry records (empty unless tracing was on).
     pub records: Vec<Record>,
-    /// Per-subtask wall times (empty for unsplit experiments); the
-    /// final entry is the fan-in merge job.
+    /// Per-part wall times (empty for unsplit experiments); the final
+    /// entry is the fan-in report job.
     pub subtasks: Vec<SubtaskReport>,
 }
 
@@ -490,7 +755,7 @@ impl HarnessReport {
 /// handle whose span ids live in the experiment's own `(e+1) << 32`
 /// namespace, so the per-experiment streams can be merged without id
 /// collisions. Namespaces are keyed by the *canonical experiment
-/// index*, never by the (dynamic) job index, so the subtask fan-out
+/// index*, never by the (dynamic) job index, so the part fan-out
 /// cannot move or collide span ids. The logical clock counts tables
 /// emitted by the experiment.
 fn task_telemetry(cfg: &RunConfig, e: usize) -> Option<(Telemetry, Arc<MemorySink>)> {
@@ -524,7 +789,7 @@ fn assert_no_span_collisions(exps: &[(usize, &[Record])]) {
                 assert!(
                     (lo..hi).contains(&id),
                     "span id {id:#x} of task {} escapes its namespace [{lo:#x}, {hi:#x})",
-                    TASKS[e].name
+                    EXPERIMENTS[e].name
                 );
                 assert!(seen.insert(id), "span id {id:#x} collides across tasks");
             }
@@ -569,6 +834,7 @@ fn critical_path(deps: &[Vec<usize>], walls: &[f64]) -> f64 {
 }
 
 /// Per-job outcome inside the pool.
+#[derive(Default)]
 struct JobOut {
     wall_s: f64,
     stdout: String,
@@ -578,44 +844,38 @@ struct JobOut {
 /// Executes the full job graph and returns the per-experiment reports
 /// in canonical task order.
 pub fn run(cfg: &RunConfig) -> HarnessReport {
-    let jobs = build_jobs();
-    let deps = job_deps(&jobs);
+    let plan = Plan::new(cfg.full, cfg.seed);
     let sel = selected_exps(cfg.only.as_deref());
-    let n = jobs.len();
-    let n_sel = jobs.iter().filter(|j| sel[j.exp]).count();
-    let slots: Vec<OnceLock<Vec<Table>>> = (0..NE).map(|_| OnceLock::new()).collect();
-    let part_slots: Vec<OnceLock<Vec<f64>>> = (NE..n).map(|_| OnceLock::new()).collect();
-    let parts = Parts {
-        jobs: &jobs,
-        slots: &part_slots,
-    };
+    let n = plan.jobs.len();
+    let n_sel = plan.jobs.iter().filter(|&&(e, _)| sel[e]).count();
+    let tables: Vec<OnceLock<Vec<Table>>> = (0..NE).map(|_| OnceLock::new()).collect();
+    let values: Vec<Vec<OnceLock<Vec<f64>>>> = plan
+        .parts
+        .iter()
+        .map(|ps| ps.iter().map(|_| OnceLock::new()).collect())
+        .collect();
     let done = AtomicUsize::new(0);
     let start = Instant::now();
-    let (mut outs, pool_stats) = pool::par_graph_stats_in(cfg.workers, n, &deps, |i| {
-        let job = &jobs[i];
-        if !sel[job.exp] {
-            return JobOut {
-                wall_s: 0.0,
-                stdout: String::new(),
-                records: Vec::new(),
-            };
+    let (mut outs, pool_stats) = pool::par_graph_stats_in(cfg.workers, n, &plan.deps, |i| {
+        let (e, part) = plan.jobs[i];
+        if !sel[e] {
+            return JobOut::default();
         }
         let t0 = Instant::now();
-        let mut buf = String::new();
+        let mut stdout = String::new();
         let mut records = Vec::new();
-        if let Some(p) = job.part {
-            let vals = run_part(job.exp, p, cfg);
-            let _ = part_slots[i - NE].set(vals);
+        if let Some(p) = part {
+            let _ = values[e][p].set((plan.parts[e][p].1)());
         } else {
-            let telemetry = task_telemetry(cfg, job.exp);
+            let telemetry = task_telemetry(cfg, e);
             let tel = telemetry
                 .as_ref()
                 .map_or_else(Telemetry::disabled, |(t, _)| t.clone());
-            let span = tel.span_open(
-                &format!("task.{}", TASKS[job.exp].name),
-                vec![Field::new("task", job.exp)],
-            );
-            let produced = run_report(job.exp, cfg, &slots, &parts, &mut buf);
+            let x = &EXPERIMENTS[e];
+            let span = tel.span_open(&format!("task.{}", x.name), vec![Field::new("task", e)]);
+            let mut ctx = Ctx::new(e, cfg, &tables, &values);
+            let produced = (x.report)(&mut ctx);
+            stdout = ctx.buf;
             for t in &produced {
                 emit_table_telemetry(&tel, t);
                 tel.counter("harness.tables", 1);
@@ -624,56 +884,46 @@ pub fn run(cfg: &RunConfig) -> HarnessReport {
             }
             tel.span_close(span);
             records = telemetry.map_or_else(Vec::new, |(_, sink)| sink.take());
-            let _ = slots[job.exp].set(produced);
+            let _ = tables[e].set(produced);
         }
         let wall_s = t0.elapsed().as_secs_f64();
         if cfg.progress {
             let k = done.fetch_add(1, Ordering::Relaxed) + 1;
-            eprintln!("[{k:>3}/{n_sel}] {} done in {wall_s:.3}s", job.label);
+            eprintln!("[{k:>3}/{n_sel}] {} done in {wall_s:.3}s", plan.label(i));
         }
         JobOut {
             wall_s,
-            stdout: buf,
+            stdout,
             records,
         }
     });
     let walls: Vec<f64> = outs.iter().map(|o| o.wall_s).collect();
-    let critical_path_s = critical_path(&deps, &walls);
+    let critical_path_s = critical_path(&plan.deps, &walls);
     let collision_view: Vec<(usize, &[Record])> = (0..NE)
         .filter(|&e| sel[e])
         .map(|e| (e, outs[e].records.as_slice()))
         .collect();
     assert_no_span_collisions(&collision_view);
     let mut tasks = Vec::new();
-    for e in 0..NE {
-        if !sel[e] {
-            continue;
-        }
-        let mut subtasks: Vec<SubtaskReport> = jobs
-            .iter()
-            .enumerate()
-            .skip(NE)
-            .filter(|(_, j)| j.exp == e)
-            .map(|(k, j)| SubtaskReport {
-                label: j.label.clone(),
+    for e in (0..NE).filter(|&e| sel[e]) {
+        let name = EXPERIMENTS[e].name;
+        let mut subtasks: Vec<SubtaskReport> = (NE..n)
+            .filter(|&k| plan.jobs[k].0 == e)
+            .map(|k| SubtaskReport {
+                label: plan.label(k).to_string(),
                 wall_s: outs[k].wall_s,
             })
             .collect();
+        let parts_wall: f64 = subtasks.iter().map(|s| s.wall_s).sum();
         if !subtasks.is_empty() {
             subtasks.push(SubtaskReport {
-                label: format!("{}.merge", TASKS[e].name),
+                label: format!("{name}.merge"),
                 wall_s: outs[e].wall_s,
             });
         }
-        let wall_s = outs[e].wall_s
-            + subtasks
-                .iter()
-                .take(subtasks.len().saturating_sub(1))
-                .map(|s| s.wall_s)
-                .sum::<f64>();
         tasks.push(TaskReport {
-            name: TASKS[e].name,
-            wall_s,
+            name,
+            wall_s: outs[e].wall_s + parts_wall,
             stdout: std::mem::take(&mut outs[e].stdout),
             records: std::mem::take(&mut outs[e].records),
             subtasks,
@@ -723,425 +973,92 @@ pub fn run(cfg: &RunConfig) -> HarnessReport {
     }
 }
 
-/// Job index of experiment `e`'s first subtask.
-fn part_base(jobs: &[Job], e: usize) -> usize {
-    NE + jobs.iter().skip(NE).take_while(|j| j.exp != e).count()
-}
-
-/// Read access to the finished subtasks' cell values.
-struct Parts<'a> {
-    jobs: &'a [Job],
-    slots: &'a [OnceLock<Vec<f64>>],
-}
-
-impl Parts<'_> {
-    /// Experiment `e`'s subtask values in canonical part order. Only
-    /// called once they are complete: by `e`'s own report job, or by a
-    /// report job that depends on `e`'s.
-    fn of(&self, e: usize) -> Vec<Vec<f64>> {
-        let base = part_base(self.jobs, e) - NE;
-        (0..subtask_count(e))
-            .map(|p| {
-                self.slots[base + p]
-                    .get()
-                    .expect("subtask completed before merge")
-                    .clone()
-            })
-            .collect()
-    }
-}
-
-fn fig10_config(quick: bool, seed: u64) -> fig10::Fig10Config {
-    if quick {
-        fig10::Fig10Config {
-            reps: 50,
-            seed,
-            ..Default::default()
-        }
-    } else {
-        fig10::Fig10Config {
-            seed,
-            ..Default::default()
-        }
-    }
-}
-
-/// Scale parameters shared by the T3/time-to-quality tables.
-fn table_scale(quick: bool) -> (usize, usize) {
-    if quick {
-        (100, 20)
-    } else {
-        (300, 200)
-    }
-}
-
-/// Scale parameters of the T8 surrogate head-to-head (min-of-3
-/// estimates cost 3 evaluations per step, hence the smaller budget
-/// than [`table_scale`]).
-fn t8_scale(quick: bool) -> (usize, usize) {
-    if quick {
-        (60, 10)
-    } else {
-        (200, 100)
-    }
-}
-
-/// Scale parameters shared by the ablation studies.
-fn ablation_scale(quick: bool) -> (usize, usize) {
-    if quick {
-        (100, 30)
-    } else {
-        (200, 300)
-    }
-}
-
-/// Runs subtask `p` of experiment `e` and returns its raw cell values.
-/// The replication loop inside every cell runs serially (`workers ==
-/// 1`): the graph pool owns all parallelism, and the cell value is
-/// worker-count-independent either way.
-fn run_part(e: usize, p: usize, cfg: &RunConfig) -> Vec<f64> {
-    let quick = !cfg.full;
-    let seed = cfg.seed;
-    match e {
-        FIG10 => {
-            let c = fig10_config(quick, seed);
-            let (ki, ri) = (p / c.rhos.len(), p % c.rhos.len());
-            let (ntt, sem) = fig10::cell_with_sem_in(1, c.rhos[ri], c.ks[ki], &c);
-            vec![ntt, sem]
-        }
-        FIG10_PACKED => {
-            let c = fig10_config(quick, seed);
-            let (ki, ri) = (p / c.rhos.len(), p % c.rhos.len());
-            vec![fig10::packed_cell_in(1, c.rhos[ri], c.ks[ki], &c)]
-        }
-        FIG10_EXTENDED => {
-            let c = fig10_config(quick, seed);
-            let (ri, ki) = (extended_own_rows(&c)[p / c.ks.len()], p % c.ks.len());
-            let (ntt, sem) = fig10::cell_with_sem_in(1, fig10::EXTENDED_RHOS[ri], c.ks[ki], &c);
-            vec![ntt, sem]
-        }
-        TABLE_BASELINES => {
-            // the T3 row, then the time-to-quality row of the same sessions
-            let (steps, reps) = table_scale(quick);
-            let (mut row, quality) = tables::baseline_rows_in(
-                1,
-                tables::BASELINES[p],
-                steps,
-                reps,
-                0.1,
-                &tables::QUALITY_FACTORS,
-                seed,
-            );
-            row.extend(quality);
-            row
-        }
-        ABLATION_ESTIMATORS => {
-            let (steps, reps) = ablation_scale(quick);
-            let nn = estimator_noise_count();
-            vec![ablations::estimators_cell_in(
-                1,
-                p / nn,
-                p % nn,
-                steps,
-                reps,
-                0.3,
-                seed,
-            )]
-        }
-        ABLATION_MONITORING => {
-            let (steps, reps) = ablation_scale(quick);
-            let (ntt, bt) = ablations::monitoring_cell_in(1, p / 2, p % 2 == 1, steps, reps, seed);
-            vec![ntt, bt]
-        }
-        TABLE_RECOVERY => {
-            let (steps, reps) = if quick { (30, 3) } else { (60, 6) };
-            let n = recovery::SNAPSHOT_EVERY.len();
-            recovery::recovery_cell_in(1, p / n, p % n, 8, steps, reps, 0.1, seed)
-        }
-        MULTI_SESSION => {
-            let steps = if quick { 30 } else { 60 };
-            multi_session::multi_session_cell_in(1, p, steps, seed)
-        }
-        T8_SURROGATE => {
-            let (steps, reps) = t8_scale(quick);
-            let n = t8_surrogate::T8_OPTIMIZERS.len();
-            t8_surrogate::t8_cell_in(1, p % n, p / n, steps, reps, seed)
-        }
-        _ => unreachable!("experiment {e} has no subtasks"),
-    }
-}
-
-/// Runs experiment `e`'s report job: unsplit experiments compute their
-/// tables whole; split experiments reassemble them from the already
-/// computed `parts` (their own, and those of the experiments they read),
-/// byte-identical to the monolithic computation. Emits the report into `buf` and returns the
-/// tables shared with dependent tasks.
-fn run_report(
-    e: usize,
-    cfg: &RunConfig,
-    slots: &[OnceLock<Vec<Table>>],
-    parts: &Parts,
-    buf: &mut String,
-) -> Vec<Table> {
-    let quick = !cfg.full;
-    let seed = cfg.seed;
-    let dir = &cfg.out_dir;
-    match e {
-        FIG01 => {
-            let c = if quick {
-                fig01::Fig01Config {
-                    steps: 150,
-                    reps: 12,
-                    seed,
-                    ..Default::default()
-                }
-            } else {
-                fig01::Fig01Config {
-                    seed,
-                    ..Default::default()
-                }
-            };
-            let t = fig01::run(&c);
-            emit_to(buf, dir, &t);
-            vec![t]
-        }
-        FIG02 => {
-            let t = fig02::run();
-            emit_to(buf, dir, &t);
-            vec![t]
-        }
-        FIG03 => {
-            let c = fig03::Fig03Config {
-                seed,
-                ..Default::default()
-            };
-            let t = fig03::run(&c);
-            emit_to(buf, dir, &t);
-            vec![t]
-        }
-        FIG03_CORRELATIONS => {
-            let c = fig03::Fig03Config {
-                seed,
-                ..Default::default()
-            };
-            let t = fig03::correlations(&c);
-            emit_to(buf, dir, &t);
-            vec![t]
-        }
-        FIG04_07 => {
-            let c = fig04_07::TailConfig {
-                trace: fig03::Fig03Config {
-                    seed,
-                    ..Default::default()
-                },
-                ..Default::default()
-            };
-            let (a, b, c2, d, e2) = fig04_07::run(&c);
-            let all = vec![a, b, c2, d, e2];
-            for t in &all {
-                emit_to(buf, dir, t);
-            }
-            all
-        }
-        FIG08 => {
-            let t = fig08::run(&fig08::Fig08Config::default());
-            let _ = writeln!(buf, "fig08 local minima: {}", fig08::count_local_minima(&t));
-            emit_to(buf, dir, &t);
-            vec![t]
-        }
-        FIG09 => {
-            let c = if quick {
-                fig09::Fig09Config {
-                    reps: 16,
-                    seed,
-                    ..Default::default()
-                }
-            } else {
-                fig09::Fig09Config {
-                    seed,
-                    ..Default::default()
-                }
-            };
-            let t = fig09::run(&c);
-            emit_to(buf, dir, &t);
-            vec![t]
-        }
-        FIG10 => {
-            let c = fig10_config(quick, seed);
-            let cells: Vec<f64> = parts.of(FIG10).iter().map(|v| v[0]).collect();
-            let t = fig10::assemble_grid(&c, "fig10_multisample", &cells);
-            emit_to(buf, dir, &t);
-            let k = fig10::optimal_k(&t);
-            emit_to(buf, dir, &k);
-            vec![t]
-        }
-        FIG10_EXTENDED => {
-            // rows that are Fig. 10 columns come from its parts, the
-            // others from this experiment's own, in ρ-major order
-            let c = fig10_config(quick, seed);
-            let grid = parts.of(FIG10);
-            let own = parts.of(FIG10_EXTENDED);
-            let mut own = own.iter();
-            let mut cells = Vec::with_capacity(fig10::EXTENDED_RHOS.len() * c.ks.len());
-            for &rho in &fig10::EXTENDED_RHOS {
-                for ki in 0..c.ks.len() {
-                    let v = match fig10::grid_column(&c, rho) {
-                        Some(ci) => &grid[ki * c.rhos.len() + ci],
-                        None => own.next().expect("one part per unshared cell"),
-                    };
-                    cells.push((v[0], v[1]));
-                }
-            }
-            let t = fig10::assemble_extended(&c, &cells);
-            emit_to(buf, dir, &t);
-            vec![t]
-        }
-        FIG10_PACKED => {
-            let c = fig10_config(quick, seed);
-            let cells: Vec<f64> = parts.of(FIG10_PACKED).iter().map(|v| v[0]).collect();
-            let t = fig10::assemble_grid(&c, "fig10_packed", &cells);
-            emit_to(buf, dir, &t);
-            vec![t]
-        }
-        CHARTS => {
-            let get = |j: usize| slots[j].get().expect("chart dependency completed");
-            let tail = get(FIG04_07);
-            charts::emit_all_to(
-                buf,
-                dir,
-                &get(FIG01)[0],
-                &get(FIG03)[0],
-                &tail[1],
-                &tail[3],
-                &get(FIG08)[0],
-                &get(FIG09)[0],
-                &get(FIG10)[0],
-            );
-            Vec::new()
-        }
-        TABLE_QUEUE_VALIDATION | TABLE_MIN_OPERATOR => {
-            let reps = if quick { 20_000 } else { 200_000 };
-            let t = if e == TABLE_QUEUE_VALIDATION {
-                tables::queue_validation(reps, seed)
-            } else {
-                tables::min_operator(reps, seed)
-            };
-            emit_to(buf, dir, &t);
-            vec![t]
-        }
-        TABLE_BASELINES | TABLE_TIME_TO_QUALITY => {
-            // both tables read the same sessions: a T3 row followed by a
-            // time-to-quality row per algorithm
-            let rows = parts.of(TABLE_BASELINES);
-            let at = tables::BASELINE_COLUMNS;
-            let t = if e == TABLE_BASELINES {
-                let t3: Vec<Vec<f64>> = rows.iter().map(|r| r[..at].to_vec()).collect();
-                tables::assemble_baselines(&t3)
-            } else {
-                let ttq: Vec<Vec<f64>> = rows.iter().map(|r| r[at..].to_vec()).collect();
-                tables::assemble_time_to_quality(&tables::QUALITY_FACTORS, &ttq)
-            };
-            emit_to(buf, dir, &t);
-            vec![t]
-        }
-        ABLATION_ESTIMATORS => {
-            let cells: Vec<f64> = parts.of(e).iter().map(|v| v[0]).collect();
-            let t = ablations::assemble_estimators(0.3, &cells);
-            emit_to(buf, dir, &t);
-            vec![t]
-        }
-        ABLATION_MONITORING => {
-            let cells: Vec<(f64, f64)> = parts.of(e).iter().map(|v| (v[0], v[1])).collect();
-            let t = ablations::assemble_monitoring(&cells);
-            emit_to(buf, dir, &t);
-            vec![t]
-        }
-        ABLATION_EXPANSION_CHECK | ABLATION_PROJECTION | ABLATION_ADAPTIVE_K => {
-            let (steps, reps) = ablation_scale(quick);
-            let t = match e {
-                ABLATION_EXPANSION_CHECK => ablations::expansion_check(steps, reps, 0.1, seed),
-                ABLATION_PROJECTION => ablations::projection(steps, reps, 0.1, seed),
-                _ => ablations::adaptive_k(steps, reps, seed),
-            };
-            emit_to(buf, dir, &t);
-            vec![t]
-        }
-        TABLE_FAULT_TOLERANCE => {
-            let (steps, reps) = if quick { (40, 4) } else { (80, 8) };
-            let t = fault::fault_tolerance(16, steps, reps, 0.1, seed);
-            emit_to(buf, dir, &t);
-            vec![t]
-        }
-        TABLE_RECOVERY => {
-            let t = recovery::assemble_recovery(&parts.of(e));
-            emit_to(buf, dir, &t);
-            vec![t]
-        }
-        MULTI_SESSION => {
-            let t = multi_session::assemble_multi_session(&parts.of(e));
-            emit_to(buf, dir, &t);
-            vec![t]
-        }
-        T8_SURROGATE => {
-            let t = t8_surrogate::assemble_t8(&parts.of(e));
-            emit_to(buf, dir, &t);
-            vec![t]
-        }
-        _ => unreachable!("unknown task index {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn task_graph_is_well_formed() {
-        for (i, t) in TASKS.iter().enumerate() {
-            for &d in t.deps {
-                assert!(d < TASKS.len(), "task {i} has out-of-range dep {d}");
-                assert!(d != i, "task {i} depends on itself");
-            }
-        }
         // names are unique and stable
-        let mut names: Vec<&str> = TASKS.iter().map(|t| t.name).collect();
+        let mut names: Vec<&str> = EXPERIMENTS.iter().map(|x| x.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), TASKS.len());
+        assert_eq!(names.len(), NE);
+        // every read names an earlier experiment, so canonical order is
+        // topological (and no experiment reads itself)
+        for (e, x) in EXPERIMENTS.iter().enumerate() {
+            for r in x.reads {
+                assert!(
+                    index_of(r) < e,
+                    "{} reads {r}, which is not earlier",
+                    x.name
+                );
+            }
+        }
     }
 
     #[test]
     fn job_graph_is_well_formed() {
-        let jobs = build_jobs();
-        assert_eq!(jobs.len(), job_count());
-        let deps = job_deps(&jobs);
+        let plan = Plan::new(false, 2005);
+        let parts: usize = EXPERIMENTS.iter().map(Experiment::part_count).sum();
+        assert_eq!(plan.jobs.len(), NE + parts);
+        assert_eq!((NE, plan.jobs.len()), (24, 194));
         // report jobs sit at their canonical experiment index
-        for (e, job) in jobs.iter().enumerate().take(NE) {
-            assert_eq!(job.exp, e);
-            assert!(job.part.is_none());
+        for (e, &job) in plan.jobs.iter().enumerate().take(NE) {
+            assert_eq!(job, (e, None));
         }
-        // every subtask job feeds exactly its own experiment's merge
-        for (i, job) in jobs.iter().enumerate().skip(NE) {
-            assert!(job.part.is_some());
-            assert!(deps[i].is_empty());
-            assert!(deps[job.exp].contains(&i));
+        // every part job feeds exactly its own experiment's report
+        for (i, &(e, part)) in plan.jobs.iter().enumerate().skip(NE) {
+            assert!(part.is_some());
+            assert!(plan.deps[i].is_empty());
+            assert!(plan.deps[e].contains(&i));
         }
-        // labels are unique (trace/report keys)
-        let mut labels: Vec<&str> = jobs.iter().map(|j| j.label.as_str()).collect();
+        // labels are unique (trace/report keys), at both scales alike
+        let mut labels: Vec<&str> = (0..plan.jobs.len()).map(|i| plan.label(i)).collect();
+        let full = Plan::new(true, 7);
+        assert!((0..labels.len()).all(|i| full.label(i) == labels[i]));
         labels.sort_unstable();
         labels.dedup();
-        assert_eq!(labels.len(), jobs.len());
+        assert_eq!(labels.len(), plan.jobs.len());
         // the fan-out actually splits the heavy experiments
-        assert_eq!(subtask_count(FIG10), 45);
-        assert_eq!(subtask_count(FIG10_PACKED), 45);
-        assert_eq!(subtask_count(FIG10_EXTENDED), 20);
-        assert_eq!(subtask_count(TABLE_BASELINES), 7);
-        assert_eq!(subtask_count(TABLE_TIME_TO_QUALITY), 0);
-        assert_eq!(subtask_count(ABLATION_ESTIMATORS), 20);
-        assert_eq!(subtask_count(ABLATION_MONITORING), 8);
-        assert_eq!(subtask_count(TABLE_RECOVERY), 9);
-        assert_eq!(subtask_count(MULTI_SESSION), 6);
-        assert_eq!(subtask_count(T8_SURROGATE), 10);
+        let count = |name: &str| EXPERIMENTS[index_of(name)].part_count();
+        assert_eq!(count("fig10"), 45);
+        assert_eq!(count("fig10_packed"), 45);
+        assert_eq!(count("fig10_extended"), 20);
+        assert_eq!(count("table_baselines"), 7);
+        assert_eq!(count("table_time_to_quality"), 0);
+        assert_eq!(count("ablation_estimators"), 20);
+        assert_eq!(count("ablation_monitoring"), 8);
+        assert_eq!(count("table_recovery"), 9);
+        assert_eq!(count("t7_multi_session"), 6);
+        assert_eq!(count("t8_surrogate"), 10);
+    }
+
+    #[test]
+    fn undeclared_read_panics_naming_both() {
+        let tables: Vec<OnceLock<Vec<Table>>> = (0..NE).map(|_| OnceLock::new()).collect();
+        let values: Vec<Vec<OnceLock<Vec<f64>>>> = (0..NE).map(|_| Vec::new()).collect();
+        let cfg = RunConfig::new(false);
+        let read = |reader: &str, read: &str, of_tables: bool| {
+            let ctx = Ctx::new(index_of(reader), &cfg, &tables, &values);
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if of_tables {
+                    ctx.tables_of(read);
+                } else {
+                    ctx.parts_of(read);
+                }
+            }))
+            .expect_err("an undeclared read must panic");
+            err.downcast_ref::<String>().cloned().unwrap_or_default()
+        };
+        // the read experiments have not run: the check comes first
+        let msg = read("table_time_to_quality", "fig10", false);
+        assert!(
+            msg.contains("table_time_to_quality") && msg.contains("fig10"),
+            "{msg}"
+        );
+        let msg = read("charts", "fig02", true);
+        assert!(msg.contains("charts") && msg.contains("fig02"), "{msg}");
     }
 
     #[test]
@@ -1158,12 +1075,16 @@ mod tests {
     fn only_selection_pulls_chart_deps() {
         let pats = vec!["charts".to_string()];
         let sel = selected_exps(Some(&pats));
-        assert!(sel[CHARTS] && sel[FIG01] && sel[FIG10]);
-        assert!(!sel[FIG02] && !sel[TABLE_BASELINES]);
+        let picked = |name: &str| sel[index_of(name)];
+        assert!(picked("charts") && picked("fig01") && picked("fig10"));
+        assert!(!picked("fig02") && !picked("table_baselines"));
         // a report that reads another experiment's parts pulls it in
         let pats = vec!["fig10_extended".to_string(), "*quality".to_string()];
         let sel = selected_exps(Some(&pats));
-        let picked: Vec<&str> = (0..NE).filter(|&e| sel[e]).map(|e| TASKS[e].name).collect();
+        let picked: Vec<&str> = (0..NE)
+            .filter(|&e| sel[e])
+            .map(|e| EXPERIMENTS[e].name)
+            .collect();
         assert_eq!(
             picked,
             [

@@ -3,9 +3,12 @@
 //! Each `experiments::figNN` / `experiments::table_*` module exposes
 //! pure functions consumed both by the [`harness`] task graph behind the
 //! `run_all` binary (full paper-scale parameters, CSV output; `--only`
-//! selects experiments) and by the Criterion benchmarks (reduced sizes). See `DESIGN.md` §3 for
-//! the experiment ↔ paper-artifact index and `EXPERIMENTS.md` for the
-//! recorded paper-vs-measured comparison.
+//! selects experiments) and by the Criterion benchmarks (reduced sizes).
+//! Every experiment is one entry of [`harness::EXPERIMENTS`], so adding
+//! one is one registry entry; inside the harness, experiment code runs
+//! serially in its job and the graph pool is the only parallelism. See
+//! `DESIGN.md` §3 for the experiment ↔ paper-artifact index and
+//! `EXPERIMENTS.md` for the recorded paper-vs-measured comparison.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,8 +27,9 @@ use std::sync::OnceLock;
 
 /// The paper-scale GS2 model tabulated over its lattice, built once per
 /// process on first use and shared by every experiment cell that tunes
-/// against it (fig10, the tables, the ablations, T8). The table returns
-/// the model's values bit for bit, so sharing it changes no output.
+/// against it (fig01, fig09, fig10, the tables, the ablations, T8). The
+/// table returns the model's values bit for bit, so sharing it changes
+/// no output.
 pub fn gs2_table() -> &'static LatticeTable<'static, Gs2Model> {
     static MODEL: OnceLock<Gs2Model> = OnceLock::new();
     static TABLE: OnceLock<LatticeTable<'static, Gs2Model>> = OnceLock::new();
@@ -111,24 +115,11 @@ impl AvgResult {
     }
 }
 
-/// Runs `reps` independent replications of a tuning session in parallel
-/// (each derives its seed from `base_seed` and its index) and averages.
-pub fn average_sessions<F>(reps: usize, base_seed: u64, rho: f64, session: F) -> AvgResult
-where
-    F: Fn(u64) -> TuningOutcome + Sync,
-{
-    average_sessions_in(
-        harmony_cluster::pool::worker_count(reps),
-        reps,
-        base_seed,
-        rho,
-        session,
-    )
-}
-
-/// [`average_sessions`] with an explicit inner worker count.
+/// Runs `reps` independent replications of a tuning session on
+/// `workers` threads (each derives its seed from `base_seed` and its
+/// index) and averages.
 ///
-/// Harness subtasks run their replication loops with `workers == 1` so
+/// Harness jobs run their replication loops with `workers == 1` so
 /// that the graph pool owns all parallelism (no oversubscription) — the
 /// aggregate is bit-identical either way because [`par_map_indexed_in`]
 /// returns results in index order and [`AvgResult::from_rows`] sums
@@ -171,6 +162,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use harmony_cluster::pool::worker_count;
     use harmony_core::{Estimator, OnlineTuner, ProOptimizer, TunerConfig};
     use harmony_params::{ParamDef, ParamSpace};
     use harmony_surface::objective::FnObjective;
@@ -181,7 +173,7 @@ mod tests {
         let space = ParamSpace::new(vec![ParamDef::integer("x", -10, 10, 1).unwrap()]).unwrap();
         let obj = FnObjective::new("sq", space.clone(), |p| 1.0 + p[0] * p[0]);
         let rho = 0.2;
-        let avg = average_sessions(8, 1, rho, |seed| {
+        let avg = average_sessions_in(worker_count(8), 8, 1, rho, |seed| {
             let tuner = OnlineTuner::new(TunerConfig::paper_default(40, Estimator::Single, seed));
             let mut opt = ProOptimizer::with_defaults(space.clone());
             tuner
@@ -200,7 +192,7 @@ mod tests {
         let space = ParamSpace::new(vec![ParamDef::integer("x", -10, 10, 1).unwrap()]).unwrap();
         let obj = FnObjective::new("sq", space.clone(), |p| 1.0 + p[0] * p[0]);
         let run = || {
-            average_sessions(4, 9, 0.1, |seed| {
+            average_sessions_in(worker_count(4), 4, 9, 0.1, |seed| {
                 let tuner =
                     OnlineTuner::new(TunerConfig::paper_default(30, Estimator::MinOfK(2), seed));
                 let mut opt = ProOptimizer::with_defaults(space.clone());

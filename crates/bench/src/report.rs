@@ -225,17 +225,10 @@ pub fn emit_table_telemetry(tel: &Telemetry, table: &Table) {
     }
 }
 
-/// Prints the table and saves its CSV, reporting the file path.
-pub fn emit(table: &Table) {
-    let mut buf = String::new();
-    emit_to(&mut buf, &results_dir(), table);
-    print!("{buf}");
-}
-
-/// [`emit`] into a string buffer and an explicit output directory —
-/// used by the parallel harness, where every task renders into its own
-/// buffer and the buffers are printed in canonical task order after the
-/// pool joins.
+/// Renders the table into `buf` and saves its CSV under `dir`,
+/// reporting the file path — used by the parallel harness, where every
+/// task renders into its own buffer and the buffers are printed in
+/// canonical task order after the pool joins.
 pub fn emit_to(buf: &mut String, dir: &Path, table: &Table) {
     buf.push_str(&table.render());
     match table.save_csv(dir) {

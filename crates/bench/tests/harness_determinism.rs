@@ -118,7 +118,7 @@ fn parallel_run_byte_identical_to_serial() {
     let names8: Vec<&str> = r8.tasks.iter().map(|t| t.name).collect();
     assert_eq!(names1, names4);
     assert_eq!(names1, names8);
-    assert_eq!(names1.len(), harness::TASKS.len());
+    assert_eq!(names1.len(), harness::EXPERIMENTS.len());
 
     // stdout blocks are identical once the output directory is masked
     for ((a, b), c) in r1.tasks.iter().zip(&r4.tasks).zip(&r8.tasks) {

@@ -187,7 +187,7 @@ fn traced_harness_run_is_byte_identical_across_worker_counts() {
         cfg.out_dir = dir.clone();
         cfg.trace = Some(dir.join("trace.jsonl"));
         let report = harness::run(&cfg);
-        assert_eq!(report.tasks.len(), harness::TASKS.len());
+        assert_eq!(report.tasks.len(), harness::EXPERIMENTS.len());
         assert!(
             report.tasks.iter().all(|t| !t.records.is_empty()),
             "every task recorded at least its span"
@@ -200,7 +200,7 @@ fn traced_harness_run_is_byte_identical_across_worker_counts() {
     assert_eq!(t1, t4, "traces differ between 1 and 4 workers");
     // and the trace parses back into a coherent summary
     let summary = harmony_telemetry::Summary::from_jsonl(&t1).expect("trace parses");
-    for task in harness::TASKS {
+    for task in harness::EXPERIMENTS {
         assert_eq!(
             summary.span_count(&format!("task.{}", task.name)),
             Some(1),

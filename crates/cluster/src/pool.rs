@@ -5,7 +5,7 @@
 //! early-converging session finishes its step budget in a fraction of
 //! the time of one that keeps exploring — so the old static chunking
 //! (worker `w` takes indices `w, w+W, ...`) left workers idle behind the
-//! slowest chunk. [`par_map_indexed`] instead dispatches indices through
+//! slowest chunk. [`par_map_indexed_in`] instead dispatches indices through
 //! a shared atomic counter: every worker claims the next unclaimed index
 //! the moment it becomes free, so imbalance is bounded by a single job.
 //!
@@ -31,20 +31,11 @@ pub fn worker_count(jobs: usize) -> usize {
 }
 
 /// Applies `f` to every index in `0..n` on a scoped work-stealing pool
-/// and returns the results in index order.
+/// of `workers` threads and returns the results in index order. The
+/// output is identical for every `workers ≥ 1`.
 ///
 /// `f` must derive all randomness from the index (e.g. via
 /// `harmony_variability::stream_seed`) for reproducibility.
-pub fn par_map_indexed<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    par_map_indexed_in(worker_count(n), n, f)
-}
-
-/// [`par_map_indexed`] with an explicit worker count. The output is
-/// identical for every `workers ≥ 1`.
 pub fn par_map_indexed_in<T, F>(workers: usize, n: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -153,7 +144,7 @@ impl PoolStats {
 /// `deps[i]` lists the task indices that must complete before task `i`
 /// may start. Workers claim any ready task the moment they become free,
 /// so independent subgraphs overlap; a task becomes ready exactly when
-/// its last dependency finishes. As with [`par_map_indexed`], `f` must
+/// its last dependency finishes. As with [`par_map_indexed_in`], `f` must
 /// derive all randomness from the task index — never from claim order or
 /// thread identity — and the results are then identical for every
 /// `workers ≥ 1`; the stats are not.
@@ -347,7 +338,7 @@ where
 /// called after the final wave).
 ///
 /// `f` must derive all randomness from the index, as with
-/// [`par_map_indexed`].
+/// [`par_map_indexed_in`].
 pub fn par_waves_in<T, F, B>(workers: usize, n: usize, wave: usize, f: F, mut between: B) -> Vec<T>
 where
     T: Send,
@@ -384,7 +375,7 @@ mod tests {
 
     #[test]
     fn results_in_index_order() {
-        let out = par_map_indexed(100, |i| i * i);
+        let out = par_map_indexed_in(worker_count(100), 100, |i| i * i);
         assert_eq!(out.len(), 100);
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, i * i);
@@ -393,19 +384,19 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let out: Vec<u32> = par_map_indexed(0, |_| 1);
+        let out: Vec<u32> = par_map_indexed_in(worker_count(0), 0, |_| 1);
         assert!(out.is_empty());
     }
 
     #[test]
     fn single_job() {
-        assert_eq!(par_map_indexed(1, |i| i + 7), vec![7]);
+        assert_eq!(par_map_indexed_in(worker_count(1), 1, |i| i + 7), vec![7]);
     }
 
     #[test]
     fn deterministic_across_runs() {
-        let a = par_map_indexed(500, |i| i as f64 * 1.5);
-        let b = par_map_indexed(500, |i| i as f64 * 1.5);
+        let a = par_map_indexed_in(worker_count(500), 500, |i| i as f64 * 1.5);
+        let b = par_map_indexed_in(worker_count(500), 500, |i| i as f64 * 1.5);
         assert_eq!(a, b);
     }
 
@@ -423,7 +414,7 @@ mod tests {
         // a deliberately skewed workload: early indices are cheap,
         // the last one is expensive; work stealing must still return
         // index-ordered results
-        let out = par_map_indexed(64, |i| {
+        let out = par_map_indexed_in(worker_count(64), 64, |i| {
             if i == 63 {
                 (0..100_000).fold(0u64, |a, x| a.wrapping_add(x)) + i as u64
             } else {

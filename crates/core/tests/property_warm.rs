@@ -15,10 +15,13 @@ use proptest::prelude::*;
 const WARM_EPS: f64 = 0.05;
 
 /// The reference: every entry scored by its own value and the
-/// interpolations of its admissible neighbours, in canonical order,
-/// keeping strict improvements only. O(E²) interpolation work.
+/// estimates of its admissible neighbours (the published value, else
+/// the interpolation of a single-owner database of the same entries),
+/// in canonical order, keeping strict improvements only. O(E²)
+/// interpolation work.
 fn scan_center(estimates: &SharedPerfDb) -> Option<Point> {
     let entries = estimates.entries_canonical();
+    let single = estimates.to_database();
     let space = estimates.space().clone();
     let mut best: Option<(f64, Point)> = None;
     for (p, v) in &entries {
@@ -32,7 +35,8 @@ fn scan_center(estimates: &SharedPerfDb) -> Option<Point> {
                 if !space.is_admissible(&q) {
                     continue;
                 }
-                if let Some(iv) = estimates.interpolate(&q) {
+                let estimate = estimates.query(&q).or_else(|| single.try_interpolate(&q));
+                if let Some(iv) = estimate {
                     sum += iv;
                     n += 1.0;
                 }

@@ -16,22 +16,19 @@
 //!   touch the same shard.
 //! * **Lock-free reads** — each shard holds an *immutable snapshot*
 //!   behind an atomically swapped pointer (the private `swap::Swap`, an
-//!   epoch-counted `AtomicPtr` cell). [`SharedPerfDb::query`] and
-//!   [`SharedPerfDb::interpolate`] never take a lock: they pin the
-//!   current snapshot with a reader count, binary-search it, and
-//!   unpin.
+//!   epoch-counted `AtomicPtr` cell). [`SharedPerfDb::query`] never
+//!   takes a lock: it pins the current snapshot with a reader count,
+//!   binary-searches it, and unpins.
 //! * **Write-combining** — [`SharedPerfDb::record`] appends to a small
 //!   per-shard pending buffer (the only mutex on the write path);
 //!   [`SharedPerfDb::flush`] drains each buffer, merges keep-min into
 //!   a fresh sorted snapshot, and publishes it atomically.
 //! * **Deterministic** — the merge is keep-min (commutative and
 //!   associative) and snapshots are sorted ascending by lattice key,
-//!   so the post-flush state is independent of thread interleaving,
-//!   and [`SharedPerfDb::interpolate`] selects neighbours by
-//!   `(distance², key)` with the same inverse-distance kernel as
-//!   `PerfDatabase` — results are *bit-identical* to a single-owner
-//!   database built from the same measurements (pinned by lockstep
-//!   property tests).
+//!   so the post-flush state is independent of thread interleaving
+//!   and every exact lookup agrees with the single-owner database
+//!   [`SharedPerfDb::to_database`] builds from the same measurements
+//!   (pinned by lockstep property tests).
 //!
 //! Readers observe the snapshot published by the most recent flush;
 //! pending records are invisible until flushed. Drivers flush at wave
@@ -40,17 +37,17 @@
 //! no matter how its threads interleave.
 //!
 //! Warm start ([`warm_start_center`](crate::warm::warm_start_center))
-//! does not call [`SharedPerfDb::interpolate`]: it reads
-//! [`SharedPerfDb::entries_canonical`] once, probes each neighbour's
-//! exact value, and interpolates misses over that one snapshot with
-//! [`idw_scan`](crate::database::idw_scan), whose `(distance², canonical
-//! index)` ranking is `interpolate`'s `(distance², key)`. `interpolate`
-//! stays as the independent reference the lockstep tests pin both
-//! against. The tier keeps the last center it computed, keyed by its
+//! reads [`SharedPerfDb::entries_canonical`] once, probes each
+//! neighbour's exact value, and interpolates misses over that one
+//! snapshot with [`idw_scan`](crate::database::idw_scan), whose
+//! `(distance², canonical index)` ranking is that of a
+//! [`PerfDatabase`](crate::PerfDatabase) built from the canonical
+//! entries; the warm-start property tests pin it against
+//! [`SharedPerfDb::to_database`]'s interpolation. The tier keeps the last center it computed, keyed by its
 //! publication generation (see [`SharedPerfDb::flush`]) and
 //! `k_neighbors`, so the sessions of a wave compute it once.
 
-use crate::database::{idw_average, inv_scales, key_of, scaled_dist2};
+use crate::database::key_of;
 use harmony_params::{ParamSpace, Point, PointKey, PointMap};
 use harmony_recovery::{Checkpoint, CodecError, StateReader, StateWriter};
 use harmony_stats::splitmix::mix64;
@@ -267,9 +264,9 @@ impl SharedDbStats {
 /// ```
 pub struct SharedPerfDb {
     space: ParamSpace,
-    /// Number of neighbours blended by [`Self::interpolate`].
+    /// Number of neighbours blended by warm-start interpolation and by
+    /// [`Self::to_database`].
     pub k_neighbors: usize,
-    inv_scale: Vec<f64>,
     shards: Vec<Shard>,
     /// Publication generation: bumped before the first and after the
     /// last snapshot a `flush` or `clear` publishes, so it is odd while
@@ -309,11 +306,9 @@ impl SharedPerfDb {
     /// `k_neighbors` neighbours.
     pub fn new(space: ParamSpace, k_neighbors: usize) -> Self {
         assert!(k_neighbors >= 1, "need at least one neighbour");
-        let inv_scale = inv_scales(&space);
         SharedPerfDb {
             space,
             k_neighbors,
-            inv_scale,
             shards: (0..SHARD_COUNT).map(|_| Shard::new()).collect(),
             generation: AtomicU64::new(0),
             memo: Mutex::new(None),
@@ -483,46 +478,6 @@ impl SharedPerfDb {
             shard.misses.fetch_add(misses, Ordering::Relaxed);
         }
         center
-    }
-
-    /// Inverse-distance-weighted estimate from published entries, or
-    /// `None` while nothing is published. Exact hits return the stored
-    /// value. Lock-free (reads each shard's pinned snapshot).
-    ///
-    /// Neighbours are the `k_neighbors` nearest by `(distance², key)`;
-    /// since a single-owner [`PerfDatabase`](crate::PerfDatabase)
-    /// built by inserting the canonical (key-ascending) entries ranks
-    /// by `(distance², insertion index)`, both select the same
-    /// neighbours in the same order and accumulate through the same
-    /// kernel — bit-identical results, pinned by lockstep tests.
-    pub fn interpolate(&self, point: &Point) -> Option<f64> {
-        if let Some(v) = self.query(point) {
-            return Some(v);
-        }
-        // (d2, key, value), ascending; capped at k
-        let mut nearest: Vec<(f64, Vec<u64>, f64)> = Vec::new();
-        let k = self.k_neighbors;
-        for shard in &self.shards {
-            shard.snap.read(|snap| {
-                for (ekey, ep, ev) in snap.iter() {
-                    let d2 = scaled_dist2(&self.inv_scale, point, ep);
-                    if nearest.len() == k {
-                        let worst = &nearest[k - 1];
-                        if (d2, ekey.as_slice()) >= (worst.0, worst.1.as_slice()) {
-                            continue;
-                        }
-                    }
-                    let pos =
-                        nearest.partition_point(|e| (e.0, e.1.as_slice()) < (d2, ekey.as_slice()));
-                    nearest.insert(pos, (d2, ekey.clone(), *ev));
-                    nearest.truncate(k);
-                }
-            });
-        }
-        if nearest.is_empty() {
-            return None;
-        }
-        Some(idw_average(nearest.iter().map(|e| (e.0, e.2))))
     }
 
     /// Number of published entries across all shards (excludes pending
@@ -711,34 +666,6 @@ mod tests {
             assert_eq!(db.query(&p), Some(1.0));
             assert_eq!(db.len(), 1);
         }
-    }
-
-    #[test]
-    fn interpolate_matches_single_owner_database() {
-        let db = SharedPerfDb::new(space(), 3);
-        for (x, y, v) in [
-            (0.0, 0.0, 10.0),
-            (10.0, 0.0, 20.0),
-            (0.0, 10.0, 30.0),
-            (10.0, 10.0, 40.0),
-            (5.0, 6.0, 17.0),
-        ] {
-            db.record(&Point::from(&[x, y][..]), v);
-        }
-        db.flush();
-        let reference = db.to_database();
-        for p in space().lattice() {
-            let got = db.interpolate(&p).unwrap();
-            let want = reference.try_interpolate(&p).unwrap();
-            assert_eq!(got.to_bits(), want.to_bits(), "at {p:?}");
-        }
-    }
-
-    #[test]
-    fn interpolate_on_empty_is_none() {
-        let db = SharedPerfDb::new(space(), 2);
-        assert!(db.is_empty());
-        assert_eq!(db.interpolate(&Point::from(&[1.0, 1.0][..])), None);
     }
 
     #[test]

@@ -53,8 +53,8 @@
 //! scores strictly worse. A visited entry is scored exactly as a
 //! plain scan over all entries would score it — probes summed in the
 //! same order, each miss interpolated over the canonical entries by
-//! `(distance², canonical index)`, which is
-//! [`SharedPerfDb::interpolate`]'s `(distance², key)` selection — and
+//! `(distance², canonical index)`, as [`SharedPerfDb::to_database`]'s
+//! interpolation selects them — and
 //! the winner is the minimum of `(score, canonical index)`, the entry a
 //! canonical-order scan keeping only strict improvements picks. So the
 //! center is bit-identical to scoring every entry.

@@ -1,7 +1,7 @@
 //! Property-based tests of the cluster layer (scheduling, execution, the
 //! replication pool) and of the parameter-spec parser round-trip.
 
-use harmony::cluster::pool::{par_map_indexed, par_map_indexed_in};
+use harmony::cluster::pool::{par_map_indexed_in, worker_count};
 use harmony::cluster::schedule::{EvalSlot, Layout};
 use harmony::cluster::{Cluster, SamplingMode, TuningTrace};
 use harmony::params::spec::{format_space, parse_space};
@@ -181,7 +181,7 @@ proptest! {
 
     #[test]
     fn par_map_matches_serial_map(n in 0usize..200, mult in 1u64..100) {
-        let parallel = par_map_indexed(n, |i| i as u64 * mult);
+        let parallel = par_map_indexed_in(worker_count(n), n, |i| i as u64 * mult);
         let serial: Vec<u64> = (0..n).map(|i| i as u64 * mult).collect();
         prop_assert_eq!(parallel, serial);
     }
