@@ -12,37 +12,22 @@
 //! Unlike rank ordering, acceptance is relative to the *worst* vertex,
 //! the polytope can deform arbitrarily (and degenerate — see
 //! [`NelderMead::simplex_rank`]), and the method is inherently
-//! sequential: proposals are singletons except for the shrink step.
+//! sequential: proposals are singletons, the shrink step included. It
+//! stops once the simplex collapses, with no neighbour probe. Ranking,
+//! bookkeeping and the checkpoint frame are the simplex-search core it
+//! shares with PRO and SRO; it emits no telemetry.
 
-use crate::optimizer::{read_tail, Incumbent, Optimizer, HISTORY_NEIGHBORS};
-use crate::pro::{check_admissible, check_values, simplex_from_vertices};
-use harmony_params::init::{initial_simplex, InitialShape, DEFAULT_RELATIVE_SIZE};
-use harmony_params::{ParamSpace, Point, Rounding, Simplex};
+use crate::search::{check_admissible, Method, Names, Search};
+use harmony_params::init::{InitialShape, DEFAULT_RELATIVE_SIZE};
+use harmony_params::{ParamSpace, Point, Rounding, StepKind};
 use harmony_recovery::{Checkpoint, CodecError, StateReader, StateWriter};
-use harmony_surface::{Objective, PerfDatabase};
 
-/// Configuration of the Nelder–Mead baseline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NelderMeadConfig {
-    /// Initial simplex relative size `r`.
-    pub relative_size: f64,
-    /// Projection rounding (needed for discrete parameters; classical
-    /// NM has no projection at all).
-    pub rounding: Rounding,
-    /// Simplex diameter below which the search reports convergence.
-    pub collapse_tol: f64,
-}
+/// Projection rounding: discrete parameters need one, and classical
+/// Nelder–Mead has none, so the plain nearest lattice point.
+const ROUNDING: Rounding = Rounding::Nearest;
 
-impl Default for NelderMeadConfig {
-    fn default() -> Self {
-        NelderMeadConfig {
-            relative_size: DEFAULT_RELATIVE_SIZE,
-            rounding: Rounding::Nearest,
-            collapse_tol: 1e-9,
-        }
-    }
-}
-
+/// The phase of the search, declared in checkpoint byte order: `phase as
+/// u8` is the byte, and [`PHASES`] reads it back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     Init,
@@ -53,135 +38,136 @@ enum Phase {
     Done,
 }
 
+const PHASES: [Phase; 6] = [
+    Phase::Init,
+    Phase::Reflect,
+    Phase::Expand,
+    Phase::Contract,
+    Phase::Shrink,
+    Phase::Done,
+];
+
 /// The Nelder–Mead optimizer over a (possibly discrete) parameter space.
 pub struct NelderMead {
-    cfg: NelderMeadConfig,
-    simplex: Simplex,
-    values: Vec<f64>,
+    search: Search,
     phase: Phase,
-    queue: Vec<Point>,
-    got: Vec<f64>,
     /// `f(r)` carried from the reflection to the expansion/contraction
     /// decision, together with the reflected point.
     reflected: Option<(Point, f64)>,
-    incumbent: Incumbent,
-    /// Measured points; it also holds the one `ParamSpace` searched.
-    history: PerfDatabase,
-    iterations: usize,
-    converged: bool,
 }
 
 impl NelderMead {
-    /// Creates Nelder–Mead over `space` (always a minimal `N+1`-vertex
-    /// simplex, per the classical method).
-    pub fn new(space: ParamSpace, cfg: NelderMeadConfig) -> Self {
-        let simplex = initial_simplex(&space, InitialShape::Minimal, cfg.relative_size)
-            .expect("valid initial simplex");
-        let queue = simplex.vertices().to_vec();
-        let history = PerfDatabase::new(space, HISTORY_NEIGHBORS);
-        NelderMead {
-            cfg,
-            simplex,
-            values: Vec::new(),
-            phase: Phase::Init,
-            queue,
-            got: Vec::new(),
-            reflected: None,
-            incumbent: Incumbent::new(),
-            history,
-            iterations: 0,
-            converged: false,
-        }
-    }
-
-    /// Nelder–Mead with defaults.
+    /// Creates Nelder–Mead over `space`: always a minimal `N+1`-vertex
+    /// simplex, per the classical method, of relative size `r = 0.2`.
     pub fn with_defaults(space: ParamSpace) -> Self {
-        NelderMead::new(space, NelderMeadConfig::default())
+        // no telemetry is ever attached, so the span and event names
+        // stay unused
+        let names = Names {
+            name: "nelder-mead",
+            tag: "nm",
+            iteration: "nm.iteration",
+            decision: "nm.decision",
+        };
+        NelderMead {
+            search: Search::new(names, space, InitialShape::Minimal, DEFAULT_RELATIVE_SIZE),
+            phase: Phase::Init,
+            reflected: None,
+        }
     }
 
     /// Completed iterations (worst-vertex replacements or shrinks).
     pub fn iterations(&self) -> usize {
-        self.iterations
+        self.search.iterations
     }
 
     /// Rank of the current simplex — exposes the degeneracy failure mode
     /// discussed in §3.1.
     pub fn simplex_rank(&self, tol: f64) -> usize {
-        self.simplex.rank(tol)
+        self.search.simplex.rank(tol)
     }
 
-    fn project(&self, raw: &Point) -> Point {
-        self.history
-            .space()
-            .project(raw, self.simplex.vertex(0), self.cfg.rounding)
-    }
-
-    /// Point on the line `v_N + α(c − v_N)` (eq. 3 context), projected.
-    fn line_point(&self, alpha: f64) -> Point {
-        let worst = self.simplex.vertex(self.simplex.len() - 1);
-        let c = self.simplex.centroid_excluding(self.simplex.len() - 1);
+    /// Starts `phase` on the one point `v_N + α(c − v_N)` (eq. 3
+    /// context), projected.
+    fn start_line(&mut self, phase: Phase, alpha: f64) {
+        let s = &mut self.search;
+        let m = s.simplex.len();
+        let c = s.simplex.centroid_excluding(m - 1);
         // v_N + α(c − v_N) = (1−α)·v_N + α·c
-        let raw = Point::affine(&[(1.0 - alpha, worst), (alpha, &c)]);
-        self.project(&raw)
-    }
-
-    fn start_phase(&mut self, phase: Phase, queue: Vec<Point>) {
+        let raw = Point::affine(&[(1.0 - alpha, s.simplex.vertex(m - 1)), (alpha, &c)]);
+        let p = s.space().project(&raw, s.simplex.vertex(0), ROUNDING);
+        s.queue.clear();
+        s.got.clear();
+        s.queue.push(p);
         self.phase = phase;
-        self.queue = queue;
-        self.got = Vec::new();
     }
 
     fn enter_iteration(&mut self) {
-        let mut order: Vec<usize> = (0..self.values.len()).collect();
-        // total_cmp: a stray NaN estimate sorts above every finite value
-        // instead of panicking mid-session
-        order.sort_by(|&a, &b| self.values[a].total_cmp(&self.values[b]));
-        self.simplex.permute(&order);
-        self.values = order.iter().map(|&i| self.values[i]).collect();
-
-        if self.simplex.collapsed(self.cfg.collapse_tol) {
-            self.converged = true;
+        self.search.rank();
+        if self.search.collapsed() {
+            self.search.queue.clear();
+            self.search.converge();
             self.phase = Phase::Done;
-            self.queue = Vec::new();
         } else {
-            let r = self.line_point(2.0);
-            self.start_phase(Phase::Reflect, vec![r]);
+            self.start_line(Phase::Reflect, 2.0);
         }
     }
 
+    /// The one point of a reflect, expand or contract phase, and its
+    /// value.
+    fn take_measured(&mut self) -> (Point, f64) {
+        let s = &mut self.search;
+        (s.queue.pop().expect("one point"), s.got[0])
+    }
+
+    fn worst_value(&self) -> f64 {
+        *self.search.values.last().expect("non-empty simplex")
+    }
+
     fn replace_worst(&mut self, point: Point, value: f64) {
-        let worst = self.simplex.len() - 1;
-        self.simplex.set_vertex(worst, point);
-        self.values[worst] = value;
-        self.iterations += 1;
+        let s = &mut self.search;
+        let worst = s.simplex.len() - 1;
+        s.simplex.set_vertex(worst, point);
+        s.values[worst] = value;
+        s.iterations += 1;
         self.enter_iteration();
+    }
+}
+
+impl Method for NelderMead {
+    const ONE_AT_A_TIME: bool = true;
+
+    fn search(&self) -> &Search {
+        &self.search
+    }
+
+    fn search_mut(&mut self) -> &mut Search {
+        &mut self.search
+    }
+
+    fn done(&self) -> bool {
+        self.phase == Phase::Done
     }
 
     fn phase_complete(&mut self) {
-        let queue = std::mem::take(&mut self.queue);
-        let got = std::mem::take(&mut self.got);
         match self.phase {
             Phase::Init => {
-                self.values = got;
+                self.search.accept_initial();
                 self.enter_iteration();
             }
             Phase::Reflect => {
-                let (r, f_r) = (queue.into_iter().next().expect("one point"), got[0]);
-                let worst_val = *self.values.last().expect("non-empty simplex");
-                if f_r < self.values[0] {
+                let (r, f_r) = self.take_measured();
+                if f_r < self.search.values[0] {
                     self.reflected = Some((r, f_r));
-                    let e = self.line_point(3.0);
-                    self.start_phase(Phase::Expand, vec![e]);
-                } else if f_r < worst_val {
+                    self.start_line(Phase::Expand, 3.0);
+                } else if f_r < self.worst_value() {
                     self.replace_worst(r, f_r);
                 } else {
                     self.reflected = Some((r, f_r));
-                    let co = self.line_point(0.5);
-                    self.start_phase(Phase::Contract, vec![co]);
+                    self.start_line(Phase::Contract, 0.5);
                 }
             }
             Phase::Expand => {
-                let (e, f_e) = (queue.into_iter().next().expect("one point"), got[0]);
+                let (e, f_e) = self.take_measured();
                 let (r, f_r) = self.reflected.take().expect("reflection recorded");
                 if f_e < f_r {
                     self.replace_worst(e, f_e);
@@ -190,28 +176,19 @@ impl NelderMead {
                 }
             }
             Phase::Contract => {
-                let (co, f_co) = (queue.into_iter().next().expect("one point"), got[0]);
-                let worst_val = *self.values.last().expect("non-empty simplex");
+                let (co, f_co) = self.take_measured();
                 self.reflected = None;
-                if f_co < worst_val {
+                if f_co < self.worst_value() {
                     self.replace_worst(co, f_co);
                 } else {
                     // shrink the whole simplex around the best point
-                    let shrinks: Vec<Point> = self
-                        .simplex
-                        .transform_around(0, harmony_params::StepKind::Shrink)
-                        .iter()
-                        .map(|p| self.project(p))
-                        .collect();
-                    self.start_phase(Phase::Shrink, shrinks);
+                    let s = &mut self.search;
+                    s.queue_step(StepKind::Shrink, s.non_best(), ROUNDING);
+                    self.phase = Phase::Shrink;
                 }
             }
             Phase::Shrink => {
-                for (j, (p, v)) in queue.into_iter().zip(got).enumerate() {
-                    self.simplex.set_vertex(j + 1, p);
-                    self.values[j + 1] = v;
-                }
-                self.iterations += 1;
+                self.search.accept_queue();
                 self.enter_iteration();
             }
             Phase::Done => unreachable!("phase_complete after Done"),
@@ -221,19 +198,10 @@ impl NelderMead {
 
 impl Checkpoint for NelderMead {
     fn save_state(&self, w: &mut StateWriter) {
-        w.tag("nm");
-        w.points(self.simplex.vertices());
-        w.f64_slice(&self.values);
-        w.u8(match self.phase {
-            Phase::Init => 0,
-            Phase::Reflect => 1,
-            Phase::Expand => 2,
-            Phase::Contract => 3,
-            Phase::Shrink => 4,
-            Phase::Done => 5,
-        });
-        w.points(&self.queue);
-        w.f64_slice(&self.got);
+        let s = &self.search;
+        s.save_head(w, self.phase as u8);
+        w.points(&s.queue);
+        w.f64_slice(&s.got);
         match &self.reflected {
             Some((p, v)) => {
                 w.bool(true);
@@ -242,28 +210,16 @@ impl Checkpoint for NelderMead {
             }
             None => w.bool(false),
         }
-        self.incumbent.save_state(w);
-        self.history.save_state(w);
-        w.usize(self.iterations);
-        w.bool(self.converged);
+        s.save_tail(w);
     }
 
     /// Restores a saved state, checking all of it before assigning any:
     /// inadmissible points, non-finite values, or a queue or value count
     /// that does not fit the phase are rejected with `BadValue`.
     fn restore_state(&mut self, r: &mut StateReader) -> Result<(), CodecError> {
-        r.tag("nm")?;
-        let simplex = simplex_from_vertices(r.points()?)?;
-        let values = r.f64_vec()?;
-        let phase = match r.u8()? {
-            0 => Phase::Init,
-            1 => Phase::Reflect,
-            2 => Phase::Expand,
-            3 => Phase::Contract,
-            4 => Phase::Shrink,
-            5 => Phase::Done,
-            b => return Err(CodecError::BadValue(format!("bad nm phase {b}"))),
-        };
+        let s = &self.search;
+        let head = s.read_head(r, &PHASES)?;
+        let phase = head.phase;
         let queue = r.points()?;
         let got = r.f64_vec()?;
         let reflected = if r.bool()? {
@@ -271,11 +227,9 @@ impl Checkpoint for NelderMead {
         } else {
             None
         };
-        let (incumbent, history, iterations, converged) = read_tail(self.history.space(), r)?;
-        let m = simplex.len();
-        check_admissible(self.history.space(), "vertex", simplex.vertices())?;
-        check_values(&values, m, phase == Phase::Init)?;
-        check_admissible(self.history.space(), "queued point", &queue)?;
+        let tail = s.read_tail(r)?;
+        let m = head.simplex.len();
+        check_admissible(s.space(), "queued point", &queue)?;
         let queue_len = match phase {
             Phase::Init => m,
             Phase::Reflect | Phase::Expand | Phase::Contract => 1,
@@ -283,7 +237,7 @@ impl Checkpoint for NelderMead {
             Phase::Done => 0,
         };
         let reflected_ok = match &reflected {
-            Some((p, v)) => self.history.space().is_admissible(p) && v.is_finite(),
+            Some((p, v)) => s.space().is_admissible(p) && v.is_finite(),
             None => phase != Phase::Expand,
         };
         // the value of a phase's last queued point completes the phase,
@@ -298,99 +252,19 @@ impl Checkpoint for NelderMead {
                 queue.len()
             )));
         }
-        self.simplex = simplex;
-        self.values = values;
+        self.search.restore(head, queue, got, tail);
         self.phase = phase;
-        self.queue = queue;
-        self.got = got;
         self.reflected = reflected;
-        self.incumbent = incumbent;
-        self.history = history;
-        self.iterations = iterations;
-        self.converged = converged;
         Ok(())
-    }
-}
-
-impl Optimizer for NelderMead {
-    fn space(&self) -> &ParamSpace {
-        self.history.space()
-    }
-
-    fn propose(&mut self) -> Vec<Point> {
-        if self.phase == Phase::Done {
-            return Vec::new();
-        }
-        vec![self.queue[self.got.len()].clone()]
-    }
-
-    fn observe(&mut self, values: &[f64]) {
-        assert_eq!(values.len(), 1, "Nelder-Mead evaluates one point at a time");
-        let v = values[0];
-        assert!(v.is_finite(), "observe: non-finite objective value");
-        let point = &self.queue[self.got.len()];
-        self.incumbent.offer(point, v);
-        self.history.insert_replacing(point, v);
-        self.got.push(v);
-        if self.got.len() == self.queue.len() {
-            self.phase_complete();
-        }
-    }
-
-    fn observe_partial(&mut self, values: &[Option<f64>]) {
-        assert_eq!(values.len(), 1, "Nelder-Mead evaluates one point at a time");
-        match values[0] {
-            Some(v) => self.observe(&[v]),
-            None => {
-                // lost report: substitute the performance-database
-                // interpolation over the measured history (synthetic
-                // values are not recorded back or offered as incumbents)
-                let point = &self.queue[self.got.len()];
-                let v = self
-                    .history
-                    .try_interpolate(point)
-                    .expect("history has at least one measurement to interpolate from");
-                self.got.push(v);
-                if self.got.len() == self.queue.len() {
-                    self.phase_complete();
-                }
-            }
-        }
-    }
-
-    fn best(&self) -> Option<(Point, f64)> {
-        self.incumbent.get()
-    }
-
-    fn recommendation(&self) -> Option<(Point, f64)> {
-        if self.values.is_empty() {
-            self.incumbent.get()
-        } else {
-            Some((self.simplex.vertex(0).clone(), self.values[0]))
-        }
-    }
-
-    fn converged(&self) -> bool {
-        self.converged
-    }
-
-    fn name(&self) -> &str {
-        "nelder-mead"
-    }
-
-    fn as_checkpoint(&self) -> Option<&dyn Checkpoint> {
-        Some(self)
-    }
-
-    fn as_checkpoint_mut(&mut self) -> Option<&mut dyn Checkpoint> {
-        Some(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::{Incumbent, Optimizer, HISTORY_NEIGHBORS};
     use harmony_params::ParamDef;
+    use harmony_surface::PerfDatabase;
 
     fn cont_space(n: usize) -> ParamSpace {
         ParamSpace::new(
@@ -484,7 +358,7 @@ mod tests {
     #[test]
     fn observe_partial_substitutes_lost_singletons() {
         let mut opt = NelderMead::with_defaults(cont_space(2));
-        let init_len = opt.queue.len();
+        let init_len = opt.search.queue.len();
         let f = |p: &Point| p[0] * p[0] + p[1] * p[1];
         let mut k = 0usize;
         for _ in 0..2_000 {

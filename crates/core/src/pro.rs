@@ -29,46 +29,18 @@
 //! `2N` lattice neighbours of `v⁰`; if none improves, `v⁰` is a local
 //! minimum and the search stops, otherwise PRO continues with the probe
 //! simplex (we keep `v⁰` in it so the incumbent stays a vertex).
+//!
+//! The ranking, the stopping probe, the bookkeeping and the checkpoint
+//! frame are the simplex-search core PRO shares with SRO and
+//! Nelder–Mead; this module holds PRO's phase decisions, each batch
+//! proposed whole.
 
-use crate::optimizer::{fill, read_tail, Incumbent, Optimizer, HISTORY_NEIGHBORS};
-use harmony_params::init::{initial_simplex, InitialShape, DEFAULT_RELATIVE_SIZE};
+use crate::search::{check_admissible, decision, Method, Names, Search};
+use harmony_params::init::{initial_simplex_at, InitialShape, DEFAULT_RELATIVE_SIZE};
 use harmony_params::{ParamSpace, Point, Rounding, Simplex, StepKind};
 use harmony_recovery::{Checkpoint, CodecError, StateReader, StateWriter};
-use harmony_surface::{Objective, PerfDatabase};
-use harmony_telemetry::{event, Field, Telemetry};
+use harmony_telemetry::Telemetry;
 use std::ops::Range;
-
-/// Rebuilds a simplex from checkpointed vertices.
-pub(crate) fn simplex_from_vertices(verts: Vec<Point>) -> Result<Simplex, CodecError> {
-    Simplex::new(verts).map_err(|e| CodecError::BadValue(format!("bad simplex: {e:?}")))
-}
-
-/// Rejects checkpointed `points` (named `what`) that are not all
-/// admissible in `space`.
-pub(crate) fn check_admissible(
-    space: &ParamSpace,
-    what: &str,
-    points: &[Point],
-) -> Result<(), CodecError> {
-    match points.iter().find(|p| !space.is_admissible(p)) {
-        Some(p) => Err(CodecError::BadValue(format!("inadmissible {what} {p:?}"))),
-        None => Ok(()),
-    }
-}
-
-/// Rejects a checkpointed simplex value vector that has not one finite
-/// value per vertex, or (before the initial vertices are measured, when
-/// `init`) any value at all.
-pub(crate) fn check_values(values: &[f64], vertices: usize, init: bool) -> Result<(), CodecError> {
-    let expected = if init { 0 } else { vertices };
-    if values.len() != expected || values.iter().any(|v| !v.is_finite()) {
-        return Err(CodecError::BadValue(format!(
-            "{} simplex values {values:?} for {vertices} vertices",
-            values.len()
-        )));
-    }
-    Ok(())
-}
 
 /// Tunable knobs of the PRO algorithm.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,12 +58,6 @@ pub struct ProConfig {
     /// step; when false, evaluate all expansions immediately and keep
     /// whichever of {reflections, expansions} is better (ablation A1).
     pub expansion_check: bool,
-    /// Chebyshev diameter below which the simplex counts as collapsed
-    /// (exact 0 is reached on discrete lattices).
-    pub collapse_tol: f64,
-    /// Relative neighbour step for continuous parameters in the
-    /// stopping-criterion probe.
-    pub probe_eps: f64,
     /// Continuous-monitoring mode: when the §3.2.2 stopping criterion
     /// finds no improving neighbour, do not stop — keep re-probing the
     /// neighbourhood every phase (the optimizer never reports
@@ -110,14 +76,13 @@ impl Default for ProConfig {
             relative_size: DEFAULT_RELATIVE_SIZE,
             rounding: Rounding::TowardCenter,
             expansion_check: true,
-            collapse_tol: 1e-9,
-            probe_eps: 0.01,
             continuous: false,
         }
     }
 }
 
-/// Which batch the optimizer is waiting on.
+/// Which batch the optimizer is waiting on, declared in checkpoint byte
+/// order: `state as u8` is the byte, and [`STATES`] reads it back.
 #[derive(Debug, Clone, Copy)]
 enum State {
     /// Waiting for the initial vertices' values.
@@ -137,6 +102,16 @@ enum State {
     /// Search finished.
     Done,
 }
+
+const STATES: [State; 7] = [
+    State::Init,
+    State::Reflect,
+    State::ExpandCheck,
+    State::Expand,
+    State::Shrink,
+    State::Probe,
+    State::Done,
+];
 
 /// The Parallel Rank Ordering optimizer.
 ///
@@ -166,58 +141,33 @@ enum State {
 /// ```
 pub struct ProOptimizer {
     cfg: ProConfig,
-    simplex: Simplex,
-    values: Vec<f64>,
+    search: Search,
     state: State,
-    pending: Vec<Point>,
     /// The successful reflection set and its values, live in
-    /// [`State::ExpandCheck`] and [`State::Expand`]. The buffer is
-    /// swapped with `pending`, never copied.
+    /// [`State::ExpandCheck`] and [`State::Expand`]. The buffers are
+    /// swapped with the search's queue, never copied.
     reflections: Vec<Point>,
     reflection_vals: Vec<f64>,
-    incumbent: Incumbent,
-    /// Measured points; it also holds the one `ParamSpace` searched.
-    history: PerfDatabase,
-    iterations: usize,
-    converged: bool,
-    /// Reused per-iteration buffers (sort order, sorted values) so
-    /// steady-state iterations allocate nothing.
-    scratch_order: Vec<usize>,
-    scratch_vals: Vec<f64>,
-    /// Telemetry handle (disabled by default); the driver owns the
-    /// logical clock, PRO only emits spans and decision events.
-    tel: Telemetry,
-    /// Open `pro.iteration` span id (0 when none).
-    iter_span: u64,
 }
 
 impl ProOptimizer {
     /// Creates PRO over `space` with the given configuration.
     pub fn new(space: ParamSpace, cfg: ProConfig) -> Self {
-        let simplex =
-            initial_simplex(&space, cfg.shape, cfg.relative_size).expect("valid initial simplex");
-        // every buffer is sized once for the largest batch and simplex:
-        // the initial vertices, or v⁰ plus its 2N probes
-        let cap = simplex.len().max(2 * space.dims() + 1);
-        let mut pending = Vec::with_capacity(cap);
-        pending.extend_from_slice(simplex.vertices());
-        let history = PerfDatabase::new(space, HISTORY_NEIGHBORS);
+        let names = Names {
+            name: "pro",
+            tag: "pro",
+            iteration: "pro.iteration",
+            decision: "pro.decision",
+        };
+        let search = Search::new(names, space, cfg.shape, cfg.relative_size);
+        // sized like the search's own batch buffers
+        let cap = search.queue.capacity();
         ProOptimizer {
             cfg,
-            simplex,
-            values: Vec::with_capacity(cap),
+            search,
             state: State::Init,
-            pending,
             reflections: Vec::with_capacity(cap),
             reflection_vals: Vec::with_capacity(cap),
-            incumbent: Incumbent::new(),
-            history,
-            iterations: 0,
-            converged: false,
-            scratch_order: Vec::with_capacity(cap),
-            scratch_vals: Vec::with_capacity(cap),
-            tel: Telemetry::disabled(),
-            iter_span: 0,
         }
     }
 
@@ -229,7 +179,7 @@ impl ProOptimizer {
 
     /// Completed simplex-transform iterations.
     pub fn iterations(&self) -> usize {
-        self.iterations
+        self.search.iterations
     }
 
     /// Attaches a telemetry handle: each iteration becomes a
@@ -242,72 +192,37 @@ impl ProOptimizer {
     /// kept as a detached handle, so each emit site on the per-batch path
     /// costs one branch instead of a call into the sink.
     pub fn set_telemetry(&mut self, tel: Telemetry) {
-        self.tel = if tel.enabled() {
-            tel
-        } else {
-            Telemetry::disabled()
-        };
-    }
-
-    /// Closes any open iteration span and opens the next one.
-    fn telemetry_iteration_boundary(&mut self) {
-        if !self.tel.enabled() {
-            return;
-        }
-        self.close_iter_span();
-        self.iter_span = self.tel.span_open(
-            "pro.iteration",
-            vec![
-                Field::new("iter", self.iterations),
-                Field::new("k", self.simplex.len()),
-                Field::new("best", self.values[0]),
-            ],
-        );
-    }
-
-    fn close_iter_span(&mut self) {
-        if self.iter_span != 0 {
-            self.tel.span_close(self.iter_span);
-            self.iter_span = 0;
-        }
+        self.search.set_telemetry(tel);
     }
 
     /// Re-anchors the search: rebuilds the initial simplex around
     /// `center` and resets the state machine (the incumbent and the
     /// measured history are kept; the history is compacted with
-    /// [`PerfDatabase::compact`]). Used by the multi-start wrapper to
-    /// explore a fresh region.
+    /// [`harmony_surface::PerfDatabase::compact`]). Used by the
+    /// multi-start wrapper to explore a fresh region.
     ///
     /// # Panics
     /// Panics when `center` is inadmissible.
     pub fn recenter(&mut self, center: &Point) {
-        self.simplex = harmony_params::init::initial_simplex_at(
-            self.history.space(),
-            self.cfg.shape,
-            self.cfg.relative_size,
-            center,
-        )
-        .expect("valid recentered simplex");
-        self.values.clear();
-        self.pending.clear();
-        self.pending.extend_from_slice(self.simplex.vertices());
+        let s = &mut self.search;
+        s.simplex = initial_simplex_at(s.space(), self.cfg.shape, self.cfg.relative_size, center)
+            .expect("valid recentered simplex");
+        s.values.clear();
+        s.queue.clear();
+        s.queue.extend_from_slice(s.simplex.vertices());
+        s.got.clear();
         self.state = State::Init;
-        self.converged = false;
+        s.converged = false;
         // the new descent re-measures known ground: fold the history at
         // the boundary so those records append without growing it
-        self.history.compact();
-        self.close_iter_span();
-        event!(
-            self.tel,
-            "pro.decision",
-            action = "recenter",
-            iter = self.iterations
-        );
+        s.history.compact();
+        s.close_span();
+        decision!(s, "recenter");
     }
 
     /// The current simplex (for diagnostics and tests).
     pub fn simplex(&self) -> &Simplex {
-        &self.simplex
+        &self.search.simplex
     }
 
     /// The configuration in use.
@@ -315,343 +230,170 @@ impl ProOptimizer {
         &self.cfg
     }
 
-    /// Points in continuous-monitoring mode's probe batch ahead of the
-    /// probes: `v⁰` itself.
-    fn probe_lead(&self) -> usize {
-        usize::from(self.cfg.continuous)
+    /// Queues `Π(kind(vʲ))` around `v⁰` for the vertices `j ∈ sources`.
+    fn queue_step(&mut self, kind: StepKind, sources: Range<usize>) {
+        self.search.queue_step(kind, sources, self.cfg.rounding);
     }
 
-    /// Refills the pending batch with the stopping-criterion batch: the
-    /// 2N neighbour probes, preceded (in continuous-monitoring mode) by
-    /// `v⁰` itself so the running configuration is re-measured with fresh
-    /// noise instead of trusting a possibly extreme-value-lucky stored
-    /// estimate. Returns false when `v⁰` has no neighbour to probe.
-    fn refill_pending_probes(&mut self) -> bool {
-        let v0 = self.simplex.vertex(0);
-        self.pending.clear();
-        if self.cfg.continuous {
-            self.pending.push(v0.clone());
-        }
-        self.history
-            .space()
-            .probe_points(v0, self.cfg.probe_eps, &mut self.pending);
-        self.pending.len() > self.probe_lead()
-    }
-
-    /// Refills the pending batch with `Π(kind(vʲ))` around `v⁰` for the
-    /// vertices `j ∈ sources`, through the fused step of
-    /// [`ParamSpace::project_step`]: no heap allocation.
-    fn refill_pending_transformed(&mut self, kind: StepKind, sources: Range<usize>) {
-        let verts = self.simplex.vertices();
-        self.pending.clear();
-        self.history.space().project_step(
-            kind,
-            &verts[0],
-            &verts[sources],
-            self.cfg.rounding,
-            &mut self.pending,
-        );
-    }
-
-    /// The whole non-best vertex range `1..m`.
-    fn non_best(&self) -> Range<usize> {
-        1..self.simplex.len()
-    }
-
-    /// Sorts the simplex by value and decides the next phase: probe when
-    /// collapsed, otherwise a parallel reflection step.
+    /// Ranks the simplex and decides the next phase: probe when
+    /// collapsed (in continuous-monitoring mode the probe batch leads
+    /// with `v⁰` itself, so the running configuration is re-measured
+    /// with fresh noise instead of trusting a possibly extreme-value-lucky
+    /// stored estimate), otherwise a parallel reflection step.
     fn enter_iteration(&mut self) {
-        let mut order = std::mem::take(&mut self.scratch_order);
-        order.clear();
-        order.extend(0..self.values.len());
-        // total_cmp: a stray NaN estimate sorts above every finite value
-        // instead of panicking mid-session
-        order.sort_by(|&a, &b| self.values[a].total_cmp(&self.values[b]));
-        self.simplex.permute(&order);
-        let mut sorted = std::mem::take(&mut self.scratch_vals);
-        sorted.clear();
-        sorted.extend(order.iter().map(|&i| self.values[i]));
-        std::mem::swap(&mut self.values, &mut sorted);
-        self.scratch_vals = sorted;
-        self.scratch_order = order;
-
-        self.telemetry_iteration_boundary();
-        if self.simplex.collapsed(self.cfg.collapse_tol) {
-            if !self.refill_pending_probes() {
-                event!(
-                    self.tel,
-                    "pro.decision",
-                    action = "converged",
-                    iter = self.iterations
-                );
-                self.close_iter_span();
-                self.converged = true;
-                self.state = State::Done;
-                self.pending.clear();
+        self.search.rank();
+        if self.search.collapsed() {
+            self.state = if self.search.probe_or_converge(self.cfg.continuous) {
+                State::Probe
             } else {
-                event!(
-                    self.tel,
-                    "pro.decision",
-                    action = "probe",
-                    iter = self.iterations,
-                    points = self.pending.len()
-                );
-                self.state = State::Probe;
-            }
+                State::Done
+            };
         } else {
-            self.refill_pending_transformed(StepKind::Reflect, self.non_best());
-            event!(
-                self.tel,
-                "pro.decision",
-                action = "reflect",
-                iter = self.iterations,
-                points = self.pending.len(),
-                best = self.values[0]
-            );
+            self.queue_step(StepKind::Reflect, self.search.non_best());
+            let s = &self.search;
+            decision!(s, "reflect", points = s.queue.len(), best = s.values[0]);
             self.state = State::Reflect;
         }
     }
 
-    /// Advances the state machine with a complete value vector for the
-    /// pending batch (measured, or measured + interpolated substitutes
-    /// from [`Optimizer::observe_partial`]). Every buffer is reused, so
+    /// Accepts the carried reflection set as the new non-best vertices.
+    fn accept_reflections(&mut self) {
+        let s = &mut self.search;
+        std::mem::swap(&mut s.queue, &mut self.reflections);
+        std::mem::swap(&mut s.got, &mut self.reflection_vals);
+        s.accept_queue();
+        self.enter_iteration();
+    }
+}
+
+impl Method for ProOptimizer {
+    const ONE_AT_A_TIME: bool = false;
+
+    fn search(&self) -> &Search {
+        &self.search
+    }
+
+    fn search_mut(&mut self) -> &mut Search {
+        &mut self.search
+    }
+
+    fn done(&self) -> bool {
+        matches!(self.state, State::Done)
+    }
+
+    /// Advances the state machine with the complete value vector of the
+    /// batch (measured, or measured + interpolated substitutes from
+    /// [`crate::Optimizer::observe_partial`]). Every buffer is reused, so
     /// no state transition allocates.
-    fn advance(&mut self, values: &[f64]) {
+    fn phase_complete(&mut self) {
         let state = std::mem::replace(&mut self.state, State::Done);
+        let s = &mut self.search;
         match state {
             State::Init => {
-                self.values.clear();
-                self.values.extend_from_slice(values);
+                s.accept_initial();
                 self.enter_iteration();
             }
             State::Reflect => {
-                let l = argmin(values);
-                if values[l] < self.values[0] {
+                let l = argmin(&s.got);
+                let r_best = s.got[l];
+                if r_best < s.values[0] {
                     // successful reflection: carry the set, then check or
                     // perform expansion
-                    std::mem::swap(&mut self.pending, &mut self.reflections);
+                    std::mem::swap(&mut s.queue, &mut self.reflections);
                     self.reflection_vals.clear();
-                    self.reflection_vals.extend_from_slice(values);
+                    self.reflection_vals.extend_from_slice(&s.got);
                     if self.cfg.expansion_check {
                         // expansion of the source vertex whose reflection
                         // won: source of r^j is vertex j+1
-                        self.refill_pending_transformed(StepKind::Expand, l + 1..l + 2);
-                        event!(
-                            self.tel,
-                            "pro.decision",
-                            action = "expand_check",
-                            iter = self.iterations,
-                            r_best = values[l]
-                        );
+                        self.queue_step(StepKind::Expand, l + 1..l + 2);
+                        decision!(self.search, "expand_check", r_best = r_best);
                         self.state = State::ExpandCheck;
                     } else {
-                        self.refill_pending_transformed(StepKind::Expand, self.non_best());
-                        event!(
-                            self.tel,
-                            "pro.decision",
-                            action = "expand_all",
-                            iter = self.iterations,
-                            r_best = values[l]
-                        );
+                        self.queue_step(StepKind::Expand, self.search.non_best());
+                        decision!(self.search, "expand_all", r_best = r_best);
                         self.state = State::Expand;
                     }
                 } else {
                     // failed reflection: shrink around the best vertex
-                    self.refill_pending_transformed(StepKind::Shrink, self.non_best());
-                    event!(
-                        self.tel,
-                        "pro.decision",
-                        action = "shrink",
-                        iter = self.iterations,
-                        best = self.values[0]
-                    );
+                    self.queue_step(StepKind::Shrink, self.search.non_best());
+                    decision!(self.search, "shrink", best = self.search.values[0]);
                     self.state = State::Shrink;
                 }
             }
             State::ExpandCheck => {
-                let e_val = values[0];
-                let best_reflection = self
-                    .reflection_vals
-                    .iter()
-                    .copied()
-                    .fold(f64::INFINITY, f64::min);
-                if e_val < best_reflection {
+                let e_val = s.got[0];
+                if e_val < min(&self.reflection_vals) {
                     // commit the full parallel expansion step
-                    self.refill_pending_transformed(StepKind::Expand, self.non_best());
-                    event!(
-                        self.tel,
-                        "pro.decision",
-                        action = "expand_commit",
-                        iter = self.iterations,
-                        e_val = e_val
-                    );
+                    self.queue_step(StepKind::Expand, self.search.non_best());
+                    decision!(self.search, "expand_commit", e_val = e_val);
                     self.state = State::Expand;
                 } else {
-                    event!(
-                        self.tel,
-                        "pro.decision",
-                        action = "accept_reflections",
-                        iter = self.iterations,
-                        e_val = e_val
-                    );
+                    decision!(s, "accept_reflections", e_val = e_val);
                     self.accept_reflections();
                 }
             }
             State::Expand => {
-                if self.cfg.expansion_check {
-                    // Algorithm 2 accepts the expansion set unconditionally
-                    // once the check point succeeded
-                    event!(
-                        self.tel,
-                        "pro.decision",
-                        action = "accept_expansions",
-                        iter = self.iterations
-                    );
-                    self.accept_pending(values);
+                // Algorithm 2 accepts the expansion set unconditionally
+                // once the check point succeeded; the ablation picks the
+                // better of the two parallel sets
+                let keep_expansions =
+                    self.cfg.expansion_check || min(&s.got) < min(&self.reflection_vals);
+                let action = match (self.cfg.expansion_check, keep_expansions) {
+                    (true, _) => "accept_expansions",
+                    (false, true) => "keep_expansions",
+                    (false, false) => "keep_reflections",
+                };
+                decision!(s, action);
+                if keep_expansions {
+                    s.accept_queue();
+                    self.enter_iteration();
                 } else {
-                    // ablation: pick the better of the two parallel sets
-                    let best_e = values.iter().copied().fold(f64::INFINITY, f64::min);
-                    let best_r = self
-                        .reflection_vals
-                        .iter()
-                        .copied()
-                        .fold(f64::INFINITY, f64::min);
-                    let keep_expansions = best_e < best_r;
-                    event!(
-                        self.tel,
-                        "pro.decision",
-                        action = if keep_expansions {
-                            "keep_expansions"
-                        } else {
-                            "keep_reflections"
-                        },
-                        iter = self.iterations
-                    );
-                    if keep_expansions {
-                        self.accept_pending(values);
-                    } else {
-                        self.accept_reflections();
-                    }
+                    self.accept_reflections();
                 }
             }
-            State::Shrink => self.accept_pending(values),
+            State::Shrink => {
+                s.accept_queue();
+                self.enter_iteration();
+            }
             State::Probe => {
                 // in continuous mode the first batch entry is a fresh
                 // re-measurement of v0 itself; otherwise compare probes
                 // against the stored estimate
-                let lead = self.probe_lead();
-                let baseline = if self.cfg.continuous {
-                    values[0]
-                } else {
-                    self.values[0]
-                };
-                let probe_vals = &values[lead..];
-                let l = argmin(probe_vals);
-                if probe_vals[l] < baseline {
-                    // a neighbour improves: continue with the probe
-                    // simplex (v0 kept so the running point stays a
-                    // vertex)
-                    event!(
-                        self.tel,
-                        "pro.decision",
-                        action = "probe_improved",
-                        iter = self.iterations,
-                        found = probe_vals[l]
-                    );
-                    self.simplex.replace_tail(&self.pending[lead..]);
-                    self.values.clear();
-                    self.values.push(baseline);
-                    self.values.extend_from_slice(probe_vals);
-                    self.next_iteration();
-                } else if self.cfg.continuous {
+                let continuous = self.cfg.continuous;
+                let baseline = if continuous { s.got[0] } else { s.values[0] };
+                if s.probe_improved(usize::from(continuous), baseline) {
+                    self.enter_iteration();
+                } else if continuous {
                     // keep monitoring: adopt the fresh estimate of v0 and
                     // re-probe the neighbourhood next phase
-                    event!(
-                        self.tel,
-                        "pro.decision",
-                        action = "monitor",
-                        iter = self.iterations,
-                        baseline = baseline
-                    );
-                    for v in self.values.iter_mut() {
-                        *v = baseline;
-                    }
-                    self.refill_pending_probes();
+                    decision!(s, "monitor", baseline = baseline);
+                    s.values.fill(baseline);
+                    s.queue_probes(true);
                     self.state = State::Probe;
                 } else {
-                    // v0 is a local minimum: stop (§3.2.2)
-                    event!(
-                        self.tel,
-                        "pro.decision",
-                        action = "converged",
-                        iter = self.iterations
-                    );
-                    self.close_iter_span();
-                    self.converged = true;
-                    self.state = State::Done;
-                    self.pending.clear();
+                    s.queue.clear();
+                    s.got.clear();
+                    s.converge();
                 }
             }
             State::Done => panic!("observe called after convergence"),
         }
     }
-
-    /// Accepts the pending batch with `values` as the new non-best
-    /// vertices (indices `1..m`) and starts the next iteration; the
-    /// emptied pending buffer is kept for it.
-    fn accept_pending(&mut self, values: &[f64]) {
-        debug_assert_eq!(self.pending.len(), self.simplex.len() - 1);
-        for (j, (p, &v)) in self.pending.drain(..).zip(values).enumerate() {
-            self.simplex.set_vertex(j + 1, p);
-            self.values[j + 1] = v;
-        }
-        self.next_iteration();
-    }
-
-    /// Accepts the carried reflection set as the new non-best vertices.
-    fn accept_reflections(&mut self) {
-        std::mem::swap(&mut self.pending, &mut self.reflections);
-        let vals = std::mem::take(&mut self.reflection_vals);
-        self.accept_pending(&vals);
-        self.reflection_vals = vals;
-    }
-
-    fn next_iteration(&mut self) {
-        self.iterations += 1;
-        self.enter_iteration();
-    }
 }
 
 impl Checkpoint for ProOptimizer {
     fn save_state(&self, w: &mut StateWriter) {
-        w.tag("pro");
-        w.points(self.simplex.vertices());
-        w.f64_slice(&self.values);
-        let reflections = || {
-            self.reflections
-                .iter()
-                .zip(self.reflection_vals.iter().copied())
-        };
-        match self.state {
-            State::Init => w.u8(0),
-            State::Reflect => w.u8(1),
-            State::ExpandCheck => {
-                w.u8(2);
-                w.pairs(reflections());
-            }
-            State::Expand => {
-                w.u8(3);
-                w.pairs(reflections());
-            }
-            State::Shrink => w.u8(4),
-            State::Probe => w.u8(5),
-            State::Done => w.u8(6),
+        let s = &self.search;
+        s.save_head(w, self.state as u8);
+        if matches!(self.state, State::ExpandCheck | State::Expand) {
+            w.pairs(
+                self.reflections
+                    .iter()
+                    .zip(self.reflection_vals.iter().copied()),
+            );
         }
-        w.points(&self.pending);
-        self.incumbent.save_state(w);
-        self.history.save_state(w);
-        w.usize(self.iterations);
-        w.bool(self.converged);
+        w.points(&s.queue);
+        s.save_tail(w);
     }
 
     /// Restores a saved state. A simplex with an inadmissible vertex or
@@ -660,33 +402,23 @@ impl Checkpoint for ProOptimizer {
     /// rejected with [`CodecError::BadValue`], so every vertex the fused
     /// step of [`ParamSpace::project_step`] reads is admissible.
     fn restore_state(&mut self, r: &mut StateReader) -> Result<(), CodecError> {
-        r.tag("pro")?;
-        let simplex = simplex_from_vertices(r.points()?)?;
-        let values = r.f64_vec()?;
-        let state_byte = r.u8()?;
-        let (state, reflections) = match state_byte {
-            0 => (State::Init, Vec::new()),
-            1 => (State::Reflect, Vec::new()),
-            2 => (State::ExpandCheck, r.pairs()?),
-            3 => (State::Expand, r.pairs()?),
-            4 => (State::Shrink, Vec::new()),
-            5 => (State::Probe, Vec::new()),
-            6 => (State::Done, Vec::new()),
-            b => return Err(CodecError::BadValue(format!("bad pro state {b}"))),
+        let s = &self.search;
+        let head = s.read_head(r, &STATES)?;
+        let state = head.phase;
+        let reflections = match state {
+            State::ExpandCheck | State::Expand => r.pairs()?,
+            _ => Vec::new(),
         };
         let pending = r.points()?;
-        let m = simplex.len();
-        check_admissible(self.history.space(), "vertex", simplex.vertices())?;
-        check_values(&values, m, matches!(state, State::Init))?;
-        check_admissible(self.history.space(), "pending point", &pending)?;
+        let m = head.simplex.len();
+        check_admissible(s.space(), "pending point", &pending)?;
         let (carried, carried_vals): (Vec<Point>, Vec<f64>) = reflections.into_iter().unzip();
-        check_admissible(self.history.space(), "reflection", &carried)?;
+        check_admissible(s.space(), "reflection", &carried)?;
         let batch_ok = match state {
             State::Init => pending.len() == m,
-            State::Reflect | State::Shrink => pending.len() == m - 1,
+            State::Reflect | State::Shrink | State::Expand => pending.len() == m - 1,
             State::ExpandCheck => pending.len() == 1,
-            State::Expand => pending.len() == m - 1,
-            State::Probe => pending.len() > self.probe_lead(),
+            State::Probe => pending.len() > usize::from(self.cfg.continuous),
             State::Done => pending.is_empty(),
         };
         let carried_ok = match state {
@@ -697,113 +429,19 @@ impl Checkpoint for ProOptimizer {
         };
         if !batch_ok || !carried_ok {
             return Err(CodecError::BadValue(format!(
-                "pro state {state_byte} with {} pending and {} carried points for {m} vertices",
+                "pro state {state:?} with {} pending and {} carried points for {m} vertices",
                 pending.len(),
                 carried.len()
             )));
         }
-        let (incumbent, history, iterations, converged) = read_tail(self.history.space(), r)?;
-        self.incumbent = incumbent;
-        self.history = history;
-        self.iterations = iterations;
-        self.converged = converged;
-        self.simplex = simplex;
-        self.values.clear();
-        self.values.extend_from_slice(&values);
+        let tail = s.read_tail(r)?;
+        self.search.restore(head, pending, Vec::new(), tail);
         self.state = state;
-        self.pending.clear();
-        self.pending.extend_from_slice(&pending);
         self.reflections.clear();
-        self.reflections.extend_from_slice(&carried);
+        self.reflections.extend(carried);
         self.reflection_vals.clear();
         self.reflection_vals.extend_from_slice(&carried_vals);
-        // span bookkeeping belongs to the previous process's telemetry
-        self.iter_span = 0;
         Ok(())
-    }
-}
-
-impl Optimizer for ProOptimizer {
-    fn space(&self) -> &ParamSpace {
-        self.history.space()
-    }
-
-    fn propose(&mut self) -> Vec<Point> {
-        if matches!(self.state, State::Done) {
-            return Vec::new();
-        }
-        self.pending.clone()
-    }
-
-    fn observe(&mut self, values: &[f64]) {
-        assert_eq!(
-            values.len(),
-            self.pending.len(),
-            "observe: expected {} values, got {}",
-            self.pending.len(),
-            values.len()
-        );
-        assert!(
-            values.iter().all(|v| v.is_finite()),
-            "observe: non-finite objective value"
-        );
-        for (p, &v) in self.pending.iter().zip(values.iter()) {
-            self.incumbent.offer(p, v);
-            self.history.insert_replacing(p, v);
-        }
-        self.advance(values);
-    }
-
-    fn observe_partial(&mut self, values: &[Option<f64>]) {
-        assert_eq!(
-            values.len(),
-            self.pending.len(),
-            "observe_partial: expected {} values, got {}",
-            self.pending.len(),
-            values.len()
-        );
-        for (p, v) in self.pending.iter().zip(values.iter()) {
-            if let Some(v) = *v {
-                assert!(v.is_finite(), "observe_partial: non-finite objective value");
-                self.incumbent.offer(p, v);
-                self.history.insert_replacing(p, v);
-            }
-        }
-        // measured entries are on record now, so the history has at
-        // least one point (the driver's quorum rule guarantees ≥ 1 Some
-        // per batch); synthetic fills are NOT recorded back
-        let filled = fill(&self.history, &self.pending, values);
-        self.advance(&filled);
-    }
-
-    fn best(&self) -> Option<(Point, f64)> {
-        self.incumbent.get()
-    }
-
-    fn recommendation(&self) -> Option<(Point, f64)> {
-        // deploy the current best simplex vertex — what Active Harmony
-        // actually sets the application's parameters to
-        if self.values.is_empty() {
-            self.incumbent.get()
-        } else {
-            Some((self.simplex.vertex(0).clone(), self.values[0]))
-        }
-    }
-
-    fn converged(&self) -> bool {
-        self.converged
-    }
-
-    fn name(&self) -> &str {
-        "pro"
-    }
-
-    fn as_checkpoint(&self) -> Option<&dyn Checkpoint> {
-        Some(self)
-    }
-
-    fn as_checkpoint_mut(&mut self) -> Option<&mut dyn Checkpoint> {
-        Some(self)
     }
 }
 
@@ -816,10 +454,16 @@ fn argmin(values: &[f64]) -> usize {
         .0
 }
 
+fn min(values: &[f64]) -> f64 {
+    values.iter().copied().fold(f64::INFINITY, f64::min)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::{Incumbent, Optimizer, HISTORY_NEIGHBORS};
     use harmony_params::ParamDef;
+    use harmony_surface::PerfDatabase;
 
     fn lattice_space(lo: i64, hi: i64) -> ParamSpace {
         ParamSpace::new(vec![

@@ -8,46 +8,22 @@
 //! proposed as its own singleton batch — on a cluster this models one
 //! configuration change per time step, which is exactly why the paper
 //! parallelised the algorithm.
+//!
+//! SRO searches from PRO's default simplex (symmetric, `r = 0.2`, with
+//! the toward-center projection) and shares PRO's simplex-search core:
+//! ranking, the §3.2.2 stopping probe, bookkeeping and the checkpoint
+//! frame. This module holds its phase decisions.
 
-use crate::optimizer::{read_tail, Incumbent, Optimizer, HISTORY_NEIGHBORS};
-use crate::pro::{check_admissible, check_values, simplex_from_vertices};
-use harmony_params::init::{initial_simplex, InitialShape, DEFAULT_RELATIVE_SIZE};
-use harmony_params::{ParamSpace, Point, Rounding, Simplex, StepKind};
+use crate::search::{check_admissible, decision, Method, Names, Search};
+use harmony_params::init::{InitialShape, DEFAULT_RELATIVE_SIZE};
+use harmony_params::{ParamSpace, Rounding, StepKind};
 use harmony_recovery::{Checkpoint, CodecError, StateReader, StateWriter};
-use harmony_surface::{Objective, PerfDatabase};
-use harmony_telemetry::{event, Field, Telemetry};
+use harmony_telemetry::Telemetry;
 use std::ops::Range;
 
-/// Configuration of Sequential Rank Ordering.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SroConfig {
-    /// Initial simplex shape (the paper's SRO discussion uses the
-    /// minimal simplex; symmetric also works).
-    pub shape: InitialShape,
-    /// Initial simplex relative size `r`.
-    pub relative_size: f64,
-    /// Projection rounding rule.
-    pub rounding: Rounding,
-    /// Collapse tolerance for the stopping criterion.
-    pub collapse_tol: f64,
-    /// Continuous-neighbour step for the stopping probe.
-    pub probe_eps: f64,
-}
-
-impl Default for SroConfig {
-    fn default() -> Self {
-        SroConfig {
-            shape: InitialShape::Symmetric,
-            relative_size: DEFAULT_RELATIVE_SIZE,
-            rounding: Rounding::TowardCenter,
-            collapse_tol: 1e-9,
-            probe_eps: 0.01,
-        }
-    }
-}
-
 /// What the sequence of singleton evaluations currently being drained
-/// will be used for once complete.
+/// will be used for once complete, declared in checkpoint byte order:
+/// `phase as u8` is the byte, and [`PHASES`] reads it back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     /// Evaluating the initial vertices.
@@ -68,268 +44,136 @@ enum Phase {
     Done,
 }
 
+const PHASES: [Phase; 8] = [
+    Phase::Init,
+    Phase::ReflectCheck,
+    Phase::ExpandCheck,
+    Phase::ReflectAll,
+    Phase::ExpandAll,
+    Phase::Shrink,
+    Phase::Probe,
+    Phase::Done,
+];
+
 /// The Sequential Rank Ordering optimizer (proposals are singletons).
 pub struct SroOptimizer {
-    cfg: SroConfig,
-    simplex: Simplex,
-    values: Vec<f64>,
+    search: Search,
     phase: Phase,
-    /// Points queued for the current phase and values received so far.
-    queue: Vec<Point>,
-    got: Vec<f64>,
     /// `f(r)` kept across the expansion check.
     reflect_check_val: f64,
-    incumbent: Incumbent,
-    /// Measured points; it also holds the one `ParamSpace` searched.
-    history: PerfDatabase,
-    iterations: usize,
-    converged: bool,
-    /// Reused buffers: rank order, sorted values. Retaining their
-    /// capacity keeps the steady-state phase machine allocation-free.
-    scratch_order: Vec<usize>,
-    scratch_vals: Vec<f64>,
-    /// Telemetry handle (disabled by default); the driver owns the
-    /// logical clock.
-    tel: Telemetry,
-    /// Open `sro.iteration` span id (0 when none).
-    iter_span: u64,
 }
 
 impl SroOptimizer {
     /// Creates SRO over `space`.
-    pub fn new(space: ParamSpace, cfg: SroConfig) -> Self {
-        let simplex =
-            initial_simplex(&space, cfg.shape, cfg.relative_size).expect("valid initial simplex");
-        let queue = simplex.vertices().to_vec();
-        let history = PerfDatabase::new(space, HISTORY_NEIGHBORS);
-        SroOptimizer {
-            cfg,
-            simplex,
-            values: Vec::new(),
-            phase: Phase::Init,
-            queue,
-            got: Vec::new(),
-            reflect_check_val: f64::NAN,
-            incumbent: Incumbent::new(),
-            history,
-            iterations: 0,
-            converged: false,
-            scratch_order: Vec::new(),
-            scratch_vals: Vec::new(),
-            tel: Telemetry::disabled(),
-            iter_span: 0,
-        }
-    }
-
-    /// SRO with default configuration.
     pub fn with_defaults(space: ParamSpace) -> Self {
-        SroOptimizer::new(space, SroConfig::default())
+        let names = Names {
+            name: "sro",
+            tag: "sro",
+            iteration: "sro.iteration",
+            decision: "sro.decision",
+        };
+        SroOptimizer {
+            search: Search::new(names, space, InitialShape::Symmetric, DEFAULT_RELATIVE_SIZE),
+            phase: Phase::Init,
+            reflect_check_val: f64::NAN,
+        }
     }
 
     /// Completed simplex-transform iterations.
     pub fn iterations(&self) -> usize {
-        self.iterations
+        self.search.iterations
     }
 
     /// Attaches a telemetry handle: each iteration becomes an
     /// `sro.iteration` span and every phase transition emits an
     /// `sro.decision` event (mirror of
-    /// [`crate::ProOptimizer::set_telemetry`]).
+    /// [`crate::ProOptimizer::set_telemetry`], whose rule for a disabled
+    /// sink it follows).
     pub fn set_telemetry(&mut self, tel: Telemetry) {
-        self.tel = tel;
-    }
-
-    fn telemetry_iteration_boundary(&mut self) {
-        if !self.tel.enabled() {
-            return;
-        }
-        self.close_iter_span();
-        self.iter_span = self.tel.span_open(
-            "sro.iteration",
-            vec![
-                Field::new("iter", self.iterations),
-                Field::new("k", self.simplex.len()),
-                Field::new("best", self.values[0]),
-            ],
-        );
-    }
-
-    fn close_iter_span(&mut self) {
-        if self.iter_span != 0 {
-            self.tel.span_close(self.iter_span);
-            self.iter_span = 0;
-        }
+        self.search.set_telemetry(tel);
     }
 
     /// Starts `phase` on a queue of `Π(kind(vʲ))` around `v⁰` for the
-    /// vertices `j ∈ sources`, built by the fused step of
-    /// [`ParamSpace::project_step`] into the reused queue buffer.
-    fn start_transformed(&mut self, phase: Phase, kind: StepKind, sources: Range<usize>) {
-        let verts = self.simplex.vertices();
-        self.queue.clear();
-        self.history.space().project_step(
-            kind,
-            &verts[0],
-            &verts[sources],
-            self.cfg.rounding,
-            &mut self.queue,
-        );
-        self.got.clear();
+    /// vertices `j ∈ sources`.
+    fn start(&mut self, phase: Phase, kind: StepKind, sources: Range<usize>) {
+        self.search
+            .queue_step(kind, sources, Rounding::TowardCenter);
         self.phase = phase;
     }
 
     /// The worst vertex alone, the source of the check points.
     fn worst(&self) -> Range<usize> {
-        self.simplex.len() - 1..self.simplex.len()
-    }
-
-    /// The whole non-best vertex range `1..m`.
-    fn non_best(&self) -> Range<usize> {
-        1..self.simplex.len()
+        self.search.simplex.len() - 1..self.search.simplex.len()
     }
 
     fn enter_iteration(&mut self) {
-        let mut order = std::mem::take(&mut self.scratch_order);
-        order.clear();
-        order.extend(0..self.values.len());
-        // total_cmp: a stray NaN estimate sorts above every finite value
-        // instead of panicking mid-session
-        order.sort_by(|&a, &b| self.values[a].total_cmp(&self.values[b]));
-        self.simplex.permute(&order);
-        let mut sorted = std::mem::take(&mut self.scratch_vals);
-        sorted.clear();
-        sorted.extend(order.iter().map(|&i| self.values[i]));
-        std::mem::swap(&mut self.values, &mut sorted);
-        self.scratch_vals = sorted;
-        self.scratch_order = order;
-
-        self.telemetry_iteration_boundary();
-        if self.simplex.collapsed(self.cfg.collapse_tol) {
-            self.queue.clear();
-            self.history.space().probe_points(
-                self.simplex.vertex(0),
-                self.cfg.probe_eps,
-                &mut self.queue,
-            );
-            self.got.clear();
-            if self.queue.is_empty() {
-                event!(
-                    self.tel,
-                    "sro.decision",
-                    action = "converged",
-                    iter = self.iterations
-                );
-                self.close_iter_span();
-                self.converged = true;
-                self.phase = Phase::Done;
+        self.search.rank();
+        if self.search.collapsed() {
+            self.phase = if self.search.probe_or_converge(false) {
+                Phase::Probe
             } else {
-                event!(
-                    self.tel,
-                    "sro.decision",
-                    action = "probe",
-                    iter = self.iterations,
-                    points = self.queue.len()
-                );
-                self.phase = Phase::Probe;
-            }
+                Phase::Done
+            };
         } else {
             // reflection check of the worst vertex only
-            self.start_transformed(Phase::ReflectCheck, StepKind::Reflect, self.worst());
-            event!(
-                self.tel,
-                "sro.decision",
-                action = "reflect_check",
-                iter = self.iterations,
-                best = self.values[0]
-            );
+            self.start(Phase::ReflectCheck, StepKind::Reflect, self.worst());
+            decision!(self.search, "reflect_check", best = self.search.values[0]);
         }
     }
+}
 
-    /// Handles a completed phase (all queued singletons evaluated).
+impl Method for SroOptimizer {
+    const ONE_AT_A_TIME: bool = true;
+
+    fn search(&self) -> &Search {
+        &self.search
+    }
+
+    fn search_mut(&mut self) -> &mut Search {
+        &mut self.search
+    }
+
+    fn done(&self) -> bool {
+        self.phase == Phase::Done
+    }
+
     fn phase_complete(&mut self) {
+        let s = &mut self.search;
         match self.phase {
             Phase::Init => {
-                self.values.clear();
-                self.values.extend_from_slice(&self.got);
+                s.accept_initial();
                 self.enter_iteration();
             }
             Phase::ReflectCheck => {
-                let f_r = self.got[0];
-                if f_r < self.values[0] {
+                let f_r = s.got[0];
+                if f_r < s.values[0] {
                     self.reflect_check_val = f_r;
-                    self.start_transformed(Phase::ExpandCheck, StepKind::Expand, self.worst());
-                    event!(
-                        self.tel,
-                        "sro.decision",
-                        action = "expand_check",
-                        iter = self.iterations,
-                        f_r = f_r
-                    );
+                    self.start(Phase::ExpandCheck, StepKind::Expand, self.worst());
+                    decision!(self.search, "expand_check", f_r = f_r);
                 } else {
-                    self.start_transformed(Phase::Shrink, StepKind::Shrink, self.non_best());
-                    event!(
-                        self.tel,
-                        "sro.decision",
-                        action = "shrink",
-                        iter = self.iterations,
-                        f_r = f_r
-                    );
+                    self.start(Phase::Shrink, StepKind::Shrink, self.search.non_best());
+                    decision!(self.search, "shrink", f_r = f_r);
                 }
             }
             Phase::ExpandCheck => {
-                let f_e = self.got[0];
-                let expand = f_e < self.reflect_check_val;
-                if expand {
-                    self.start_transformed(Phase::ExpandAll, StepKind::Expand, self.non_best());
+                let f_e = s.got[0];
+                if f_e < self.reflect_check_val {
+                    self.start(Phase::ExpandAll, StepKind::Expand, self.search.non_best());
+                    decision!(self.search, "expand_all", f_e = f_e);
                 } else {
-                    self.start_transformed(Phase::ReflectAll, StepKind::Reflect, self.non_best());
+                    self.start(Phase::ReflectAll, StepKind::Reflect, self.search.non_best());
+                    decision!(self.search, "reflect_all", f_e = f_e);
                 }
-                event!(
-                    self.tel,
-                    "sro.decision",
-                    action = if expand { "expand_all" } else { "reflect_all" },
-                    iter = self.iterations,
-                    f_e = f_e
-                );
             }
             Phase::ReflectAll | Phase::ExpandAll | Phase::Shrink => {
-                let mut queue = std::mem::take(&mut self.queue);
-                for (j, p) in queue.drain(..).enumerate() {
-                    self.simplex.set_vertex(j + 1, p);
-                    self.values[j + 1] = self.got[j];
-                }
-                self.queue = queue;
-                self.iterations += 1;
+                s.accept_queue();
                 self.enter_iteration();
             }
             Phase::Probe => {
-                let min_v = *self
-                    .got
-                    .iter()
-                    .min_by(|a, b| a.total_cmp(b))
-                    .expect("non-empty probe set");
-                if min_v < self.values[0] {
-                    event!(
-                        self.tel,
-                        "sro.decision",
-                        action = "probe_improved",
-                        iter = self.iterations,
-                        found = min_v
-                    );
-                    self.simplex.replace_tail(&self.queue);
-                    self.values.truncate(1);
-                    self.values.extend_from_slice(&self.got);
-                    self.iterations += 1;
+                if s.probe_improved(0, s.values[0]) {
                     self.enter_iteration();
                 } else {
-                    event!(
-                        self.tel,
-                        "sro.decision",
-                        action = "converged",
-                        iter = self.iterations
-                    );
-                    self.close_iter_span();
-                    self.converged = true;
+                    s.converge();
                     self.phase = Phase::Done;
                 }
             }
@@ -340,26 +184,12 @@ impl SroOptimizer {
 
 impl Checkpoint for SroOptimizer {
     fn save_state(&self, w: &mut StateWriter) {
-        w.tag("sro");
-        w.points(self.simplex.vertices());
-        w.f64_slice(&self.values);
-        w.u8(match self.phase {
-            Phase::Init => 0,
-            Phase::ReflectCheck => 1,
-            Phase::ExpandCheck => 2,
-            Phase::ReflectAll => 3,
-            Phase::ExpandAll => 4,
-            Phase::Shrink => 5,
-            Phase::Probe => 6,
-            Phase::Done => 7,
-        });
-        w.points(&self.queue);
-        w.f64_slice(&self.got);
+        let s = &self.search;
+        s.save_head(w, self.phase as u8);
+        w.points(&s.queue);
+        w.f64_slice(&s.got);
         w.f64(self.reflect_check_val);
-        self.incumbent.save_state(w);
-        self.history.save_state(w);
-        w.usize(self.iterations);
-        w.bool(self.converged);
+        s.save_tail(w);
     }
 
     /// Restores a saved state. A simplex with an inadmissible vertex or
@@ -367,27 +197,14 @@ impl Checkpoint for SroOptimizer {
     /// more received values than queued points (all of them, outside
     /// `Phase::Done`) are rejected with [`CodecError::BadValue`].
     fn restore_state(&mut self, r: &mut StateReader) -> Result<(), CodecError> {
-        r.tag("sro")?;
-        let simplex = simplex_from_vertices(r.points()?)?;
-        let values = r.f64_vec()?;
-        let phase = match r.u8()? {
-            0 => Phase::Init,
-            1 => Phase::ReflectCheck,
-            2 => Phase::ExpandCheck,
-            3 => Phase::ReflectAll,
-            4 => Phase::ExpandAll,
-            5 => Phase::Shrink,
-            6 => Phase::Probe,
-            7 => Phase::Done,
-            b => return Err(CodecError::BadValue(format!("bad sro phase {b}"))),
-        };
+        let s = &self.search;
+        let head = s.read_head(r, &PHASES)?;
+        let phase = head.phase;
         let queue = r.points()?;
         let got = r.f64_vec()?;
         let reflect_check_val = r.f64()?;
-        let (incumbent, history, iterations, converged) = read_tail(self.history.space(), r)?;
-        check_admissible(self.history.space(), "vertex", simplex.vertices())?;
-        check_values(&values, simplex.len(), phase == Phase::Init)?;
-        check_admissible(self.history.space(), "queued point", &queue)?;
+        let tail = s.read_tail(r)?;
+        check_admissible(s.space(), "queued point", &queue)?;
         let got_ok = match phase {
             Phase::Done => got.len() <= queue.len(),
             _ => got.len() < queue.len(),
@@ -399,100 +216,20 @@ impl Checkpoint for SroOptimizer {
                 queue.len()
             )));
         }
-        self.simplex = simplex;
-        self.values = values;
+        self.search.restore(head, queue, got, tail);
         self.phase = phase;
-        self.queue = queue;
-        self.got = got;
         self.reflect_check_val = reflect_check_val;
-        self.incumbent = incumbent;
-        self.history = history;
-        self.iterations = iterations;
-        self.converged = converged;
-        self.iter_span = 0;
         Ok(())
-    }
-}
-
-impl Optimizer for SroOptimizer {
-    fn space(&self) -> &ParamSpace {
-        self.history.space()
-    }
-
-    fn propose(&mut self) -> Vec<Point> {
-        if self.phase == Phase::Done {
-            return Vec::new();
-        }
-        vec![self.queue[self.got.len()].clone()]
-    }
-
-    fn observe(&mut self, values: &[f64]) {
-        assert_eq!(values.len(), 1, "SRO evaluates one point at a time");
-        let v = values[0];
-        assert!(v.is_finite(), "observe: non-finite objective value");
-        let point = &self.queue[self.got.len()];
-        self.incumbent.offer(point, v);
-        self.history.insert_replacing(point, v);
-        self.got.push(v);
-        if self.got.len() == self.queue.len() {
-            self.phase_complete();
-        }
-    }
-
-    fn observe_partial(&mut self, values: &[Option<f64>]) {
-        assert_eq!(values.len(), 1, "SRO evaluates one point at a time");
-        match values[0] {
-            Some(v) => self.observe(&[v]),
-            None => {
-                // lost report: substitute the performance-database
-                // interpolation over the measured history (synthetic
-                // values are not recorded back or offered as incumbents)
-                let point = &self.queue[self.got.len()];
-                let v = self
-                    .history
-                    .try_interpolate(point)
-                    .expect("history has at least one measurement to interpolate from");
-                self.got.push(v);
-                if self.got.len() == self.queue.len() {
-                    self.phase_complete();
-                }
-            }
-        }
-    }
-
-    fn best(&self) -> Option<(Point, f64)> {
-        self.incumbent.get()
-    }
-
-    fn recommendation(&self) -> Option<(Point, f64)> {
-        if self.values.is_empty() {
-            self.incumbent.get()
-        } else {
-            Some((self.simplex.vertex(0).clone(), self.values[0]))
-        }
-    }
-
-    fn converged(&self) -> bool {
-        self.converged
-    }
-
-    fn name(&self) -> &str {
-        "sro"
-    }
-
-    fn as_checkpoint(&self) -> Option<&dyn Checkpoint> {
-        Some(self)
-    }
-
-    fn as_checkpoint_mut(&mut self) -> Option<&mut dyn Checkpoint> {
-        Some(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::{Incumbent, Optimizer, HISTORY_NEIGHBORS};
     use harmony_params::ParamDef;
+    use harmony_params::Point;
+    use harmony_surface::PerfDatabase;
 
     fn lattice_space(lo: i64, hi: i64) -> ParamSpace {
         ParamSpace::new(vec![
@@ -608,7 +345,7 @@ mod tests {
         let space = lattice_space(-20, 20);
         let f = |p: &Point| (p[0] - 6.0).powi(2) + (p[1] - 2.0).powi(2);
         let mut opt = SroOptimizer::with_defaults(space);
-        let init_len = opt.queue.len();
+        let init_len = opt.search.queue.len();
         let mut k = 0usize;
         for _ in 0..20_000 {
             let batch = opt.propose();
@@ -627,7 +364,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one measurement")]
+    #[should_panic(expected = "empty history and no measured value")]
     fn observe_partial_needs_some_history() {
         let space = lattice_space(-5, 5);
         let mut opt = SroOptimizer::with_defaults(space);
@@ -667,11 +404,11 @@ mod tests {
         let queue = [pt(-1.0, 0.0), pt(0.0, -1.0), pt(0.0, 1.0)];
         let restore = |bytes: &[u8]| {
             let mut opt = SroOptimizer::with_defaults(lattice_space(-5, 5));
-            let before = opt.simplex.clone();
+            let before = opt.search.simplex.clone();
             let got = opt.restore_state(&mut StateReader::new(bytes).unwrap());
             if got.is_err() {
                 assert_eq!(
-                    opt.simplex, before,
+                    opt.search.simplex, before,
                     "a rejected restore changed the simplex"
                 );
             }
@@ -726,7 +463,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one point at a time")]
+    #[should_panic(expected = "observe: expected 1 values, got 2")]
     fn multi_observation_rejected() {
         let space = lattice_space(-5, 5);
         let mut opt = SroOptimizer::with_defaults(space);

@@ -42,7 +42,7 @@
 //! session is bit-identical to an uninterrupted one.
 
 use crate::optimizer::{Incumbent, Optimizer, HISTORY_NEIGHBORS};
-use crate::pro::check_admissible;
+use crate::search::check_admissible;
 use harmony_params::{ParamSpace, Point};
 use harmony_recovery::{save_to_vec, Checkpoint, CodecError, StateReader, StateWriter};
 use harmony_stats::splitmix::hash01;

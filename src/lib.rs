@@ -74,12 +74,12 @@ pub use harmony_variability as variability;
 pub mod prelude {
     pub use harmony_cluster::{Cluster, FaultPlan, SamplingMode, TuningTrace};
     pub use harmony_core::baselines::{GeneticAlgorithm, RandomSearch, SimulatedAnnealing};
-    pub use harmony_core::nelder_mead::{NelderMead, NelderMeadConfig};
+    pub use harmony_core::nelder_mead::NelderMead;
     pub use harmony_core::server::{
         run_session, RecoveryConfig, ServerConfig, ServerError, SessionOptions, SharedSession,
         SupervisedOutcome, SupervisorReport,
     };
-    pub use harmony_core::sro::{SroConfig, SroOptimizer};
+    pub use harmony_core::sro::SroOptimizer;
     pub use harmony_core::{
         Estimator, FaultStats, OnlineTuner, Optimizer, ProConfig, ProOptimizer, SurrogateConfig,
         SurrogateOptimizer, TunerConfig, TuningOutcome,

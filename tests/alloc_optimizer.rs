@@ -7,6 +7,7 @@
 //! `observe` of the replay (reflect, expansion check, expand, shrink and
 //! probe batches alike) must take no heap allocation.
 
+use harmony::core::optimizer::PROBE_EPS;
 use harmony::core::{Optimizer, ProConfig, ProOptimizer};
 use harmony::params::{Point, Rounding, StepKind};
 use harmony::surface::{Gs2Model, Objective};
@@ -81,7 +82,7 @@ fn batch_kind(opt: &ProOptimizer, batch: &[Point]) -> &'static str {
             .collect()
     };
     let mut probes = Vec::new();
-    space.probe_points(v0, opt.config().probe_eps, &mut probes);
+    space.probe_points(v0, PROBE_EPS, &mut probes);
     if batch == simplex.vertices() {
         "init"
     } else if batch == step(StepKind::Reflect) {
