@@ -1,10 +1,11 @@
 //! Regenerates every figure and table at reduced (default) or `--full`
 //! scale on the dependency-aware parallel harness. Every experiment is
 //! one entry of `harness::EXPERIMENTS` (adding one is adding an entry);
-//! its code runs serially inside its job, so `-jN` is the run's only
-//! parallelism. See EXPERIMENTS.md for the recorded outputs and
-//! DESIGN.md §4d/§4f for the determinism argument and the subtask
-//! decomposition.
+//! its code runs serially inside its job, so `-jN` runs at most `N` jobs
+//! at once (the server sessions of three experiments also spawn one
+//! thread per client; see the `harness` module). See EXPERIMENTS.md for
+//! the recorded outputs and DESIGN.md §4d/§4f for the determinism
+//! argument and the subtask decomposition.
 //!
 //! Flags:
 //!

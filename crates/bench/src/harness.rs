@@ -14,8 +14,12 @@
 //! table in exact canonical order. The report jobs are also where
 //! cross-experiment reads attach: the chart renderer waits on the figure
 //! reports whose tables it draws. The graph pool
-//! ([`harmony_cluster::pool::par_graph_stats_in`]) is the only
-//! parallelism of a run: experiment code runs serially inside its job.
+//! ([`harmony_cluster::pool::par_graph_stats_in`]) schedules every job,
+//! and experiment code runs serially inside its job, so `N` workers run
+//! at most `N` jobs at once. Threads are not capped at `N`: the jobs of
+//! `table_fault_tolerance`, `table_recovery` and `t7_multi_session` run
+//! sessions through `run_session`, which spawns one thread per client
+//! (16, 8 and 8) for each session (ROADMAP "One session engine").
 //!
 //! Determinism under parallelism is preserved by construction:
 //!

@@ -6,7 +6,8 @@
 //! selects experiments) and by the Criterion benchmarks (reduced sizes).
 //! Every experiment is one entry of [`harness::EXPERIMENTS`], so adding
 //! one is one registry entry; inside the harness, experiment code runs
-//! serially in its job and the graph pool is the only parallelism. See
+//! serially in its job, scheduled by the graph pool (three experiments'
+//! server sessions also spawn one thread per client; see [`harness`]). See
 //! `DESIGN.md` §3 for the experiment ↔ paper-artifact index and
 //! `EXPERIMENTS.md` for the recorded paper-vs-measured comparison.
 
