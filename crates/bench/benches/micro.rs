@@ -112,10 +112,6 @@ fn bench_des(c: &mut Criterion) {
     c.bench_function("des/finishing_time_rho0.3", |b| {
         b.iter(|| q.finishing_time(black_box(5.0), &mut rng))
     });
-    // the zero-allocation streaming event loop on a long horizon
-    c.bench_function("des/run_trace_horizon100", |b| {
-        b.iter(|| black_box(q.run_trace(black_box(100.0), &mut rng)))
-    });
 }
 
 fn bench_batch_sampling(c: &mut Criterion) {
@@ -251,15 +247,6 @@ fn bench_adaptive(c: &mut Criterion) {
     });
 }
 
-fn bench_arrivals(c: &mut Criterion) {
-    use harmony_variability::arrivals::{ArrivalProcess, MmppArrivals};
-    let mut mmpp = MmppArrivals::new(0.5, 8.0, 10.0, 2.0);
-    let mut rng = seeded_rng(6);
-    c.bench_function("arrivals/mmpp_interarrival", |b| {
-        b.iter(|| black_box(mmpp.next_interarrival(&mut rng)))
-    });
-}
-
 fn bench_stats(c: &mut Criterion) {
     use harmony_stats::resample::bootstrap_mean_ci;
     use harmony_stats::streaming::{P2Quantile, Welford};
@@ -313,7 +300,6 @@ criterion_group!(
     bench_database_build,
     bench_pool,
     bench_adaptive,
-    bench_arrivals,
     bench_stats
 );
 criterion_main!(micro);

@@ -75,7 +75,9 @@ impl Cluster {
                 }
                 t_k = t_k.max(obs);
             }
-            trace.push(t_k);
+            trace
+                .push(t_k)
+                .expect("noise-model observations are finite and non-negative");
         }
     }
 }

@@ -37,8 +37,6 @@
 //!   (point, min-of-K estimate) history and proposes each batch from a
 //!   deterministic splitmix-seeded candidate pool (benchmarked
 //!   head-to-head with PRO/SRO/Nelder–Mead in the T8 experiment),
-//! * [`restart`] — multi-start wrapping for global coverage on deceptive
-//!   surfaces,
 //! * [`tuner`] — the on-line tuning driver: runs an optimizer against an
 //!   objective + noise model on a simulated SPMD cluster for exactly `K`
 //!   time steps, producing the `Total_Time`/NTT record of eq. 2/23; one
@@ -68,7 +66,6 @@ pub mod cache;
 pub mod nelder_mead;
 pub mod optimizer;
 pub mod pro;
-pub mod restart;
 pub mod sampling;
 mod search;
 pub mod server;
@@ -81,7 +78,6 @@ pub use cache::CachedObjective;
 pub use harmony_surface::warm_start_center;
 pub use optimizer::Optimizer;
 pub use pro::{ProConfig, ProOptimizer};
-pub use restart::{restarting_pro, Restarting};
 pub use sampling::Estimator;
 pub use server::{
     run_session, RecoveryConfig, ServerConfig, ServerError, SessionOptions, SharedSession,

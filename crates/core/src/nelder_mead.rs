@@ -227,7 +227,7 @@ impl Checkpoint for NelderMead {
         } else {
             None
         };
-        let tail = s.read_tail(r)?;
+        let tail = s.read_tail(r, phase == Phase::Done)?;
         let m = head.simplex.len();
         check_admissible(s.space(), "queued point", &queue)?;
         let queue_len = match phase {
@@ -475,7 +475,18 @@ mod tests {
             Some((&r, 4.0)),
         ))
         .unwrap();
-        restore(&crafted_nm(&verts, &vals, 5, &[], &[], None)).unwrap();
+        // the trailing byte is the convergence flag, set exactly in Done
+        let converged = |mut bytes: Vec<u8>| {
+            *bytes.last_mut().expect("flag byte") = 1;
+            bytes
+        };
+        let done = crafted_nm(&verts, &vals, 5, &[], &[], None);
+        restore(&converged(done.clone())).unwrap();
+        bad(&done, "Done without the convergence flag");
+        bad(
+            &converged(crafted_nm(&verts, &vals, 1, refl, &[], None)),
+            "the convergence flag outside Done",
+        );
 
         // the first byte where the two differ is the reflection flag
         let mut flag = crafted_nm(&verts, &vals, 1, refl, &[], None);

@@ -198,8 +198,8 @@ impl ProOptimizer {
     /// Re-anchors the search: rebuilds the initial simplex around
     /// `center` and resets the state machine (the incumbent and the
     /// measured history are kept; the history is compacted with
-    /// [`harmony_surface::PerfDatabase::compact`]). Used by the
-    /// multi-start wrapper to explore a fresh region.
+    /// [`harmony_surface::PerfDatabase::compact`]). Used to start a
+    /// session from a warm-start center.
     ///
     /// # Panics
     /// Panics when `center` is inadmissible.
@@ -434,7 +434,7 @@ impl Checkpoint for ProOptimizer {
                 carried.len()
             )));
         }
-        let tail = s.read_tail(r)?;
+        let tail = s.read_tail(r, matches!(state, State::Done))?;
         self.search.restore(head, pending, Vec::new(), tail);
         self.state = state;
         self.reflections.clear();
@@ -905,7 +905,20 @@ mod tests {
                 .unwrap_or_else(|e| panic!("state {state}: {e:?}"));
         }
         restore(&crafted_pro(&verts, &[], 0, &[], &verts)).unwrap();
-        restore(&crafted_pro(&verts, &vals, 6, &[], &[])).unwrap();
+        // the trailing byte is the convergence flag, set exactly in Done
+        let converged = |mut bytes: Vec<u8>| {
+            *bytes.last_mut().expect("flag byte") = 1;
+            bytes
+        };
+        restore(&converged(crafted_pro(&verts, &vals, 6, &[], &[]))).unwrap();
+        bad(
+            &crafted_pro(&verts, &vals, 6, &[], &[]),
+            "Done without the convergence flag",
+        );
+        bad(
+            &converged(crafted_pro(&verts, &vals, 1, &[], &refl)),
+            "the convergence flag outside Done",
+        );
 
         let mut off_vertex = verts.clone();
         off_vertex[2] = off.clone();

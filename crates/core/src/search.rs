@@ -373,9 +373,11 @@ impl Search {
         })
     }
 
-    /// Reads a tail written by [`Search::save_tail`]; an inadmissible or
-    /// non-finite incumbent is rejected.
-    pub fn read_tail(&self, r: &mut StateReader) -> Result<Tail, CodecError> {
+    /// Reads a tail written by [`Search::save_tail`] for a checkpoint
+    /// whose phase is `done` or not; an inadmissible or non-finite
+    /// incumbent, or a convergence flag that disagrees with `done`, is
+    /// rejected.
+    pub fn read_tail(&self, r: &mut StateReader, done: bool) -> Result<Tail, CodecError> {
         let mut incumbent = Incumbent::new();
         incumbent.restore_state(r)?;
         if let Some((p, v)) = incumbent.get() {
@@ -385,11 +387,19 @@ impl Search {
         }
         let mut history = PerfDatabase::new(self.space().clone(), HISTORY_NEIGHBORS);
         history.restore_state(r)?;
+        let iterations = r.usize()?;
+        let converged = r.bool()?;
+        // a search converges exactly when it enters its done phase
+        if converged != done {
+            return Err(CodecError::BadValue(format!(
+                "convergence flag {converged} for a phase with done = {done}"
+            )));
+        }
         Ok(Tail {
             incumbent,
             history,
-            iterations: r.usize()?,
-            converged: r.bool()?,
+            iterations,
+            converged,
         })
     }
 

@@ -1326,7 +1326,9 @@ impl<'a, O: Objective + ?Sized> Session<'a, O> {
         stats.abandoned_slots += r.abandoned;
         stats.duplicate_reports += r.duplicates;
         self.report.min_width = self.report.min_width.min(r.clients.len());
-        self.trace.push(r.step);
+        self.trace
+            .push(r.step)
+            .expect("a round time is a noise-model draw or a WAL time record_fits checked");
         tel.set_clock(self.trace.len() as u64);
         for &c in &r.evicted {
             event!(tel, "server.evict", client = c);
@@ -1540,7 +1542,9 @@ impl<'a, O: Objective + ?Sized> Session<'a, O> {
             }
         }
         self.batch_id = e.batch;
-        self.trace.push(e.step);
+        self.trace
+            .push(e.step)
+            .expect("an exploit time is a noise-model draw or a WAL time record_fits checked");
         self.fleet.live.clone_from(&e.live);
         self.fleet.stats = stats_from_array(e.stats);
     }
@@ -1610,7 +1614,7 @@ impl<'a, O: Objective + ?Sized> Session<'a, O> {
         self.batch_id = r.u64().map_err(snap)?;
         for t_k in r.f64_vec().map_err(snap)? {
             self.trace
-                .try_push(t_k)
+                .push(t_k)
                 .map_err(|e| recovery_err(format!("snapshot trace: {e}")))?;
         }
         self.evaluations = r.usize().map_err(snap)?;

@@ -203,7 +203,7 @@ impl Checkpoint for SroOptimizer {
         let queue = r.points()?;
         let got = r.f64_vec()?;
         let reflect_check_val = r.f64()?;
-        let tail = s.read_tail(r)?;
+        let tail = s.read_tail(r, phase == Phase::Done)?;
         check_admissible(s.space(), "queued point", &queue)?;
         let got_ok = match phase {
             Phase::Done => got.len() <= queue.len(),
@@ -422,7 +422,18 @@ mod tests {
         };
         restore(&crafted_sro(&verts, &[], 0, &verts, &[1.0])).unwrap();
         restore(&crafted_sro(&verts, &vals, 3, &queue, &[2.0, 5.0])).unwrap();
-        restore(&crafted_sro(&verts, &vals, 7, &queue, &[2.0, 5.0, 6.0])).unwrap();
+        // the trailing byte is the convergence flag, set exactly in Done
+        let converged = |mut bytes: Vec<u8>| {
+            *bytes.last_mut().expect("flag byte") = 1;
+            bytes
+        };
+        let done = crafted_sro(&verts, &vals, 7, &queue, &[2.0, 5.0, 6.0]);
+        restore(&converged(done.clone())).unwrap();
+        bad(&done, "Done without the convergence flag");
+        bad(
+            &converged(crafted_sro(&verts, &vals, 3, &queue, &[2.0, 5.0])),
+            "the convergence flag outside Done",
+        );
 
         let mut off_vertex = verts.clone();
         off_vertex[3] = pt(0.0, -0.5);

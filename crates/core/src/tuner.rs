@@ -429,7 +429,9 @@ impl OnlineTuner {
                 cost_phase = phase;
                 cost = phases[phase].1.eval(&best_point);
             }
-            trace.push(noise.observe_max(cost, &mut rng, exploit_obs));
+            trace
+                .push(noise.observe_max(cost, &mut rng, exploit_obs))
+                .expect("noise-model observations are finite and non-negative");
         }
 
         if let Some(id) = session {

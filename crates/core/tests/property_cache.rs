@@ -235,7 +235,10 @@ proptest! {
         w.usize(misses);
         w.usize(reference.len());
         for (k, v) in &reference {
-            w.u64_slice(k);
+            w.usize(k.len());
+            for &word in k {
+                w.u64(word);
+            }
             w.f64(*v);
         }
         let bytes = saved(&cached);

@@ -43,7 +43,7 @@ pub fn initial_simplex(
 }
 
 /// [`initial_simplex`] anchored at an explicit admissible center —
-/// used by multi-start wrappers to spawn searches in fresh regions.
+/// used to start a search from a warm-start center.
 ///
 /// # Panics
 /// Panics when `center` is not admissible.

@@ -146,14 +146,6 @@ impl StateWriter {
         }
     }
 
-    /// Writes a length-prefixed slice of `u64`s.
-    pub fn u64_slice(&mut self, vs: &[u64]) {
-        self.usize(vs.len());
-        for &v in vs {
-            self.u64(v);
-        }
-    }
-
     /// Writes a length-prefixed slice of `usize`s.
     pub fn usize_slice(&mut self, vs: &[usize]) {
         self.usize(vs.len());
@@ -306,12 +298,6 @@ impl<'a> StateReader<'a> {
     pub fn f64_vec(&mut self) -> Result<Vec<f64>, CodecError> {
         let n = self.bounded_len()?;
         (0..n).map(|_| self.f64()).collect()
-    }
-
-    /// Reads a length-prefixed `Vec<u64>`.
-    pub fn u64_vec(&mut self) -> Result<Vec<u64>, CodecError> {
-        let n = self.bounded_len()?;
-        (0..n).map(|_| self.u64()).collect()
     }
 
     /// Reads a length-prefixed `Vec<usize>`.

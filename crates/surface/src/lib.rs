@@ -15,12 +15,6 @@
 //! * [`database`] — a sparse performance database with inverse-distance
 //!   weighted nearest-neighbour interpolation (§6), wrapping any
 //!   objective,
-//! * [`kernels`] — further application models: cache-blocked matrix
-//!   multiply (the ATLAS-style problem) and a halo-exchange stencil
-//!   (the canonical SPMD decomposition trade-off),
-//! * [`testfns`] — standard optimization test functions (sphere,
-//!   Rosenbrock, Rastrigin, Ackley, Griewank) on boxes or lattices, for
-//!   unit tests and algorithm ablations,
 //! * [`sharded`] — a concurrent, sharded cross-session performance
 //!   database with lock-free snapshot reads, deterministic write
 //!   combining, and results bit-identical to the single-owner
@@ -37,15 +31,12 @@
 
 pub mod database;
 pub mod gs2;
-pub mod kernels;
 pub mod objective;
 pub mod sharded;
-pub mod testfns;
 pub mod warm;
 
 pub use database::PerfDatabase;
 pub use gs2::Gs2Model;
-pub use kernels::{StencilHalo, TiledMatMul};
 pub use objective::{best_on_lattice, LatticeTable, Objective};
 pub use sharded::{SharedDbStats, SharedPerfDb};
 pub use warm::warm_start_center;

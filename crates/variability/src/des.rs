@@ -10,10 +10,8 @@
 //! Under work conservation the application's finishing time is the
 //! smallest `y` with `y = f(v) + W(y)`, where `W(t)` is the total
 //! first-priority work arriving in `[0, t)` — computed exactly by the
-//! cascade in [`TwoPriorityDes::finishing_time`] without an event heap.
-//! A full event-driven simulator ([`TwoPriorityDes::run_trace`]) is also
-//! provided for queue-state statistics; both agree (tested), and both
-//! validate the paper's eq. 6: `E[y] = f(v)/(1−ρ)`.
+//! cascade in [`TwoPriorityDes::finishing_time`] without an event heap,
+//! which validates the paper's eq. 6: `E[y] = f(v)/(1−ρ)`.
 
 use crate::dist::Distribution;
 use rand::Rng;
@@ -113,116 +111,6 @@ impl<D: Distribution> TwoPriorityDes<D> {
         let var = samples.iter().map(|y| (y - mean) * (y - mean)).sum::<f64>() / (n as f64 - 1.0);
         (mean, (var / n as f64).sqrt())
     }
-
-    /// Full event-driven simulation over `[0, horizon]`, returning the
-    /// [`QueueTrace`] of busy/idle structure. Used to cross-validate the
-    /// cascade shortcut and to measure the empirical utilisation.
-    ///
-    /// The arrival stream is swept as it is generated — no event buffer
-    /// is materialised, so the simulation runs in constant memory at any
-    /// horizon. Arrivals are processed in the exact order they are
-    /// drawn (interarrival, then demand), which is the same RNG stream
-    /// and float-op order as a buffered generate-then-sweep pass.
-    pub fn run_trace<R: Rng + ?Sized>(&self, horizon: f64, rng: &mut R) -> QueueTrace {
-        // FCFS within priority 1; track the backlog at each arrival.
-        let mut n_arrivals = 0usize;
-        let mut backlog = 0.0f64;
-        let mut busy_time = 0.0f64;
-        let mut clock = 0.0f64;
-        let mut max_backlog = 0.0f64;
-        if self.arrival_rate > 0.0 {
-            let mut t = 0.0;
-            loop {
-                t += self.next_interarrival(rng);
-                if t >= horizon {
-                    break;
-                }
-                let demand = self.service.sample(rng);
-                n_arrivals += 1;
-                let gap = t - clock;
-                let drained = gap.min(backlog);
-                busy_time += drained;
-                backlog -= drained;
-                clock = t;
-                backlog += demand;
-                max_backlog = max_backlog.max(backlog);
-            }
-        }
-        let gap = horizon - clock;
-        busy_time += gap.min(backlog);
-        QueueTrace {
-            horizon,
-            n_arrivals,
-            busy_time,
-            max_backlog,
-        }
-    }
-}
-
-/// The two-priority queue with an arbitrary first-priority arrival
-/// process (Poisson, periodic housekeeping, Markov-modulated bursts —
-/// see [`crate::arrivals`]). The cascade computation is identical to
-/// [`TwoPriorityDes::finishing_time`]; only the arrival stream differs.
-#[derive(Debug, Clone)]
-pub struct GeneralDes<A, D> {
-    /// First-priority arrival process.
-    pub arrivals: A,
-    /// First-priority service-demand distribution.
-    pub service: D,
-}
-
-impl<A: crate::arrivals::ArrivalProcess, D: Distribution> GeneralDes<A, D> {
-    /// Creates the simulator.
-    ///
-    /// # Panics
-    /// Panics when the implied utilisation `rho = rate * E[S]` is >= 1.
-    pub fn new(arrivals: A, service: D) -> Self {
-        let rho = arrivals.rate() * service.mean();
-        assert!(rho < 1.0, "idle throughput rho = {rho} must be < 1");
-        GeneralDes { arrivals, service }
-    }
-
-    /// Long-run idle throughput `rho`.
-    pub fn rho(&self) -> f64 {
-        self.arrivals.rate() * self.service.mean()
-    }
-
-    /// Finishing time of one second-priority job of demand `f`
-    /// (stateful: successive calls continue the arrival stream, so
-    /// bursts straddle job boundaries the way they do on a real node).
-    pub fn finishing_time<R: Rng + ?Sized>(&mut self, f: f64, rng: &mut R) -> f64 {
-        assert!(f >= 0.0, "job demand must be non-negative");
-        if f == 0.0 {
-            return 0.0;
-        }
-        let mut total = f;
-        let mut t_arr = self.arrivals.next_interarrival(rng);
-        while t_arr < total {
-            total += self.service.sample(rng);
-            t_arr += self.arrivals.next_interarrival(rng);
-        }
-        total
-    }
-}
-
-/// Summary of an event-driven queue run (first-priority stream only).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QueueTrace {
-    /// Simulated horizon.
-    pub horizon: f64,
-    /// Number of first-priority arrivals.
-    pub n_arrivals: usize,
-    /// Total time the server spent on first-priority work.
-    pub busy_time: f64,
-    /// Largest instantaneous first-priority backlog observed.
-    pub max_backlog: f64,
-}
-
-impl QueueTrace {
-    /// Empirical utilisation `busy_time / horizon` — converges to `ρ`.
-    pub fn utilisation(&self) -> f64 {
-        self.busy_time / self.horizon
-    }
 }
 
 #[cfg(test)]
@@ -284,31 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_utilisation_converges_to_rho() {
-        let q = TwoPriorityDes::with_rho(0.3, Exponential::with_mean(0.5));
-        let mut rng = seeded_rng(5);
-        let trace = q.run_trace(200_000.0, &mut rng);
-        assert!(
-            (trace.utilisation() - 0.3).abs() < 0.01,
-            "{}",
-            trace.utilisation()
-        );
-        // Poisson count sanity: n ≈ λ·horizon
-        let expect_n = q.arrival_rate * trace.horizon;
-        assert!((trace.n_arrivals as f64 - expect_n).abs() / expect_n < 0.02);
-    }
-
-    #[test]
-    fn trace_with_no_arrivals() {
-        let q = TwoPriorityDes::new(0.0, Exponential::with_mean(1.0));
-        let mut rng = seeded_rng(6);
-        let trace = q.run_trace(100.0, &mut rng);
-        assert_eq!(trace.n_arrivals, 0);
-        assert_eq!(trace.busy_time, 0.0);
-        assert_eq!(trace.utilisation(), 0.0);
-    }
-
-    #[test]
     fn heavier_load_means_longer_sojourns() {
         let mut rng = seeded_rng(7);
         let lo = TwoPriorityDes::with_rho(0.1, Exponential::with_mean(0.3))
@@ -318,66 +181,6 @@ mod tests {
             .mean_finishing_time(4.0, 20_000, &mut rng)
             .0;
         assert!(hi > lo * 1.3, "lo={lo} hi={hi}");
-    }
-
-    #[test]
-    fn general_des_poisson_matches_specialised() {
-        use crate::arrivals::PoissonArrivals;
-        // same model, same eq. 6 expectation
-        let rho = 0.3;
-        let service = Exponential::with_mean(0.2);
-        let lambda = rho / service.mean();
-        let mut q = GeneralDes::new(PoissonArrivals::new(lambda), service);
-        assert!((q.rho() - rho).abs() < 1e-12);
-        let mut rng = seeded_rng(20);
-        let n = 40_000;
-        let mean: f64 = (0..n).map(|_| q.finishing_time(5.0, &mut rng)).sum::<f64>() / n as f64;
-        let expect = 5.0 / (1.0 - rho);
-        assert!((mean - expect).abs() / expect < 0.03, "mean={mean}");
-    }
-
-    #[test]
-    fn general_des_periodic_housekeeping() {
-        use crate::arrivals::PeriodicArrivals;
-        // daemons every 2s costing 0.5s: rho = 0.25; eq. 6 still holds
-        // in the long run for jobs long relative to the period
-        let mut q = GeneralDes::new(
-            PeriodicArrivals::new(2.0, 0.5),
-            crate::dist::Degenerate { value: 0.5 },
-        );
-        assert!((q.rho() - 0.25).abs() < 1e-12);
-        let mut rng = seeded_rng(21);
-        let n = 20_000;
-        let mean: f64 = (0..n)
-            .map(|_| q.finishing_time(10.0, &mut rng))
-            .sum::<f64>()
-            / n as f64;
-        let expect = 10.0 / 0.75;
-        assert!((mean - expect).abs() / expect < 0.05, "mean={mean}");
-    }
-
-    #[test]
-    fn general_des_mmpp_is_noisier_than_poisson() {
-        use crate::arrivals::{ArrivalProcess, MmppArrivals, PoissonArrivals};
-        let service = Exponential::with_mean(0.05);
-        let mmpp = MmppArrivals::new(1.0, 30.0, 10.0, 2.0);
-        let rate = mmpp.rate();
-        let mut bursty = GeneralDes::new(mmpp, service);
-        let mut poisson = GeneralDes::new(PoissonArrivals::new(rate), service);
-        let mut rng = seeded_rng(22);
-        let n = 30_000;
-        let var = |q: &mut dyn FnMut(&mut rand::rngs::SmallRng) -> f64,
-                   rng: &mut rand::rngs::SmallRng| {
-            let xs: Vec<f64> = (0..n).map(|_| q(rng)).collect();
-            let m = xs.iter().sum::<f64>() / n as f64;
-            xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / n as f64
-        };
-        let v_burst = var(&mut |r| bursty.finishing_time(2.0, r), &mut rng);
-        let v_poisson = var(&mut |r| poisson.finishing_time(2.0, r), &mut rng);
-        assert!(
-            v_burst > 1.5 * v_poisson,
-            "bursty var {v_burst} should exceed Poisson var {v_poisson}"
-        );
     }
 
     #[test]

@@ -492,159 +492,6 @@ impl Distribution for Gaussian {
     }
 }
 
-/// Lognormal distribution: `exp(N(mu, sigma²))`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LogNormal {
-    /// Location of the underlying normal.
-    pub mu: f64,
-    /// Scale of the underlying normal (> 0).
-    pub sigma: f64,
-}
-
-impl LogNormal {
-    /// Creates a lognormal distribution.
-    ///
-    /// # Panics
-    /// Panics unless `sigma > 0`.
-    pub fn new(mu: f64, sigma: f64) -> Self {
-        assert!(sigma > 0.0, "LogNormal requires sigma > 0");
-        LogNormal { mu, sigma }
-    }
-}
-
-impl Distribution for LogNormal {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        Gaussian::new(self.mu, self.sigma).sample(rng).exp()
-    }
-
-    fn cdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            0.0
-        } else {
-            std_normal_cdf((x.ln() - self.mu) / self.sigma)
-        }
-    }
-
-    fn quantile(&self, p: f64) -> f64 {
-        (self.mu + self.sigma * std_normal_quantile(p.max(f64::MIN_POSITIVE))).exp()
-    }
-
-    fn mean(&self) -> f64 {
-        (self.mu + 0.5 * self.sigma * self.sigma).exp()
-    }
-
-    fn variance(&self) -> f64 {
-        let s2 = self.sigma * self.sigma;
-        (s2.exp() - 1.0) * (2.0 * self.mu + s2).exp()
-    }
-
-    fn fill_samples<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
-        // hoist the Gaussian construction (the scalar path rebuilds it
-        // per draw; building it consumes no randomness) and ride its
-        // batched Box–Muller kernel, then exponentiate in place
-        let g = Gaussian::new(self.mu, self.sigma);
-        g.fill_samples(rng, out);
-        for slot in out.iter_mut() {
-            *slot = slot.exp();
-        }
-    }
-}
-
-/// Weibull distribution with shape `k` and scale `λ`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Weibull {
-    /// Shape `k > 0` (k < 1 gives a sub-exponential but not heavy tail).
-    pub shape: f64,
-    /// Scale `λ > 0`.
-    pub scale: f64,
-}
-
-impl Weibull {
-    /// Creates a Weibull distribution.
-    ///
-    /// # Panics
-    /// Panics unless `shape > 0` and `scale > 0`.
-    pub fn new(shape: f64, scale: f64) -> Self {
-        assert!(
-            shape > 0.0 && scale > 0.0,
-            "Weibull requires shape, scale > 0"
-        );
-        Weibull { shape, scale }
-    }
-}
-
-/// Lanczos approximation of the gamma function (g = 7, n = 9), used for
-/// Weibull moments.
-#[allow(clippy::excessive_precision, clippy::inconsistent_digit_grouping)]
-pub fn gamma_fn(x: f64) -> f64 {
-    const G: f64 = 7.0;
-    const COEFF: [f64; 9] = [
-        0.999_999_999_999_809_93,
-        676.520_368_121_885_1,
-        -1259.139_216_722_402_8,
-        771.323_428_777_653_13,
-        -176.615_029_162_140_6,
-        12.507_343_278_686_905,
-        -0.138_571_095_265_720_12,
-        9.984_369_578_019_572e-6,
-        1.505_632_735_149_311_6e-7,
-    ];
-    if x < 0.5 {
-        // reflection formula
-        std::f64::consts::PI / ((std::f64::consts::PI * x).sin() * gamma_fn(1.0 - x))
-    } else {
-        let x = x - 1.0;
-        let mut a = COEFF[0];
-        let t = x + G + 0.5;
-        for (i, &c) in COEFF.iter().enumerate().skip(1) {
-            a += c / (x + i as f64);
-        }
-        (2.0 * std::f64::consts::PI).sqrt() * t.powf(x + 0.5) * (-t).exp() * a
-    }
-}
-
-impl Distribution for Weibull {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
-        self.scale * (-u.ln()).powf(1.0 / self.shape)
-    }
-
-    fn cdf(&self, x: f64) -> f64 {
-        if x < 0.0 {
-            0.0
-        } else {
-            1.0 - (-(x / self.scale).powf(self.shape)).exp()
-        }
-    }
-
-    fn quantile(&self, p: f64) -> f64 {
-        assert!((0.0..1.0).contains(&p), "quantile requires p in [0,1)");
-        self.scale * (-(1.0 - p).ln()).powf(1.0 / self.shape)
-    }
-
-    fn mean(&self) -> f64 {
-        self.scale * gamma_fn(1.0 + 1.0 / self.shape)
-    }
-
-    fn variance(&self) -> f64 {
-        let g1 = gamma_fn(1.0 + 1.0 / self.shape);
-        let g2 = gamma_fn(1.0 + 2.0 / self.shape);
-        self.scale * self.scale * (g2 - g1 * g1)
-    }
-
-    fn fill_samples<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
-        let exp = 1.0 / self.shape;
-        for chunk in out.chunks_mut(LANES) {
-            for slot in chunk.iter_mut() {
-                *slot = rng.random::<f64>().max(f64::MIN_POSITIVE);
-            }
-            for slot in chunk.iter_mut() {
-                *slot = self.scale * (-slot.ln()).powf(exp);
-            }
-        }
-    }
-}
-
 /// Uniform distribution on `[lo, hi)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Uniform {
@@ -886,34 +733,6 @@ mod tests {
     }
 
     #[test]
-    fn lognormal_fit_and_moments() {
-        let d = LogNormal::new(0.5, 0.8);
-        assert!(ks_stat(&d, 20_000, 11) < 0.02);
-        let m = mean_of(&d, 300_000, 12);
-        assert!(
-            (m - d.mean()).abs() / d.mean() < 0.03,
-            "m={m} vs {}",
-            d.mean()
-        );
-    }
-
-    #[test]
-    fn weibull_fit_and_moments() {
-        let d = Weibull::new(1.5, 2.0);
-        assert!(ks_stat(&d, 20_000, 13) < 0.02);
-        let m = mean_of(&d, 100_000, 14);
-        assert!((m - d.mean()).abs() / d.mean() < 0.02);
-    }
-
-    #[test]
-    fn gamma_reference_values() {
-        assert!((gamma_fn(1.0) - 1.0).abs() < 1e-10);
-        assert!((gamma_fn(5.0) - 24.0).abs() < 1e-8);
-        assert!((gamma_fn(0.5) - std::f64::consts::PI.sqrt()).abs() < 1e-10);
-        assert!((gamma_fn(2.5) - 1.329_340_388_179_137).abs() < 1e-9);
-    }
-
-    #[test]
     fn uniform_and_degenerate() {
         let u = Uniform::new(-1.0, 3.0);
         assert!(ks_stat(&u, 20_000, 15) < 0.02);
@@ -951,8 +770,6 @@ mod tests {
         assert_fill_matches_scalar(&BoundedPareto::new(1.1, 0.5, 5.0), 22);
         assert_fill_matches_scalar(&Exponential::with_mean(2.5), 23);
         assert_fill_matches_scalar(&Gaussian::new(10.0, 3.0), 24);
-        assert_fill_matches_scalar(&LogNormal::new(0.5, 0.8), 25);
-        assert_fill_matches_scalar(&Weibull::new(1.5, 2.0), 26);
         assert_fill_matches_scalar(&Uniform::new(-1.0, 3.0), 27);
         assert_fill_matches_scalar(&Degenerate { value: 4.2 }, 28);
     }

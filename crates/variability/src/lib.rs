@@ -13,16 +13,13 @@
 //!
 //! * [`dist`] — probability distributions implemented from scratch over a
 //!   uniform source (Pareto, bounded Pareto, exponential, Gaussian,
-//!   lognormal, Weibull, uniform, degenerate), with cdf / survival /
-//!   quantile / moments,
+//!   uniform, degenerate), with cdf / survival / quantile / moments,
 //! * [`noise`] — [`noise::NoiseModel`]s plugging into eq. 5: the paper's
 //!   Pareto two-job noise (β from eq. 17), plus exponential and Gaussian
 //!   alternatives and no-noise,
 //! * [`des`] — a discrete-event simulation of the two-priority
 //!   preemptive-resume queue that *validates* the analytic model
 //!   (`E[y] ≈ f/(1-ρ)`),
-//! * [`arrivals`] — first-priority arrival processes beyond Poisson:
-//!   periodic housekeeping and Markov-modulated bursts,
 //! * [`trace`] — a cluster trace generator reproducing the Fig. 3
 //!   phenomenology: correlated big spikes (shared, cluster-wide bursts)
 //!   plus independent small spikes (local bursts),
@@ -32,7 +29,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arrivals;
 pub mod counting;
 pub mod des;
 pub mod dist;

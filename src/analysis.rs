@@ -7,11 +7,9 @@
 //! behaviour, spike structure, cross-processor correlation, heavy-tail
 //! verdicts before and after truncation, and temporal burstiness.
 
-use crate::core::TuningOutcome;
-use crate::stats::resample::{autocorrelation, bootstrap_mean_ci, BootstrapCi};
+use crate::stats::resample::autocorrelation;
 use crate::stats::tail::{classify_tail, hill_estimate, truncate, TailVerdict};
 use crate::stats::{Histogram, Summary};
-use crate::surface::Objective;
 use crate::variability::trace::ClusterTrace;
 use std::fmt;
 
@@ -133,79 +131,6 @@ impl fmt::Display for TraceReport {
     }
 }
 
-/// The distilled record of one tuning session: Total_Time/NTT, descent
-/// speed, and the gap to ground truth (when the objective's lattice is
-/// exhaustively searchable).
-#[derive(Debug, Clone)]
-pub struct SessionReport {
-    /// `Total_Time(K)` over the charged budget (eq. 2).
-    pub total_time: f64,
-    /// Normalised total time (eq. 23).
-    pub ntt: f64,
-    /// True cost of the deployed configuration.
-    pub deployed_cost: f64,
-    /// Global optimum of the objective, when computable.
-    pub global_optimum: Option<f64>,
-    /// `deployed_cost / global_optimum`, when computable.
-    pub optimality_ratio: Option<f64>,
-    /// Steps until the deployed configuration was within 25 % of the
-    /// optimum, when computable and reached.
-    pub steps_to_125: Option<usize>,
-    /// Whether the optimizer's stopping criterion fired in budget.
-    pub converged: bool,
-    /// Objective evaluations consumed.
-    pub evaluations: usize,
-    /// Bootstrap 95 % CI of the per-step time (heavy-tailed steps make
-    /// normal-theory intervals unreliable).
-    pub step_time_ci: BootstrapCi,
-}
-
-impl SessionReport {
-    /// Summarises a finished session against its objective.
-    pub fn of<O: Objective + ?Sized>(outcome: &TuningOutcome, objective: &O, rho: f64) -> Self {
-        let global = crate::surface::best_on_lattice(objective).map(|(_, v)| v);
-        let steps_to_125 = global.and_then(|g| outcome.steps_to_quality(1.25 * g));
-        SessionReport {
-            total_time: outcome.total_time(),
-            ntt: outcome.ntt(rho),
-            deployed_cost: outcome.best_true_cost,
-            global_optimum: global,
-            optimality_ratio: global.map(|g| outcome.best_true_cost / g),
-            steps_to_125,
-            converged: outcome.converged,
-            evaluations: outcome.evaluations,
-            step_time_ci: bootstrap_mean_ci(outcome.trace.step_times(), 1_000, 0.95, 7),
-        }
-    }
-}
-
-impl fmt::Display for SessionReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "session: Total_Time {:.1}  NTT {:.1}  ({} evals, converged: {})",
-            self.total_time, self.ntt, self.evaluations, self.converged
-        )?;
-        writeln!(
-            f,
-            "  deployed cost {:.4}{}",
-            self.deployed_cost,
-            match self.optimality_ratio {
-                Some(r) => format!("  ({r:.2}x of optimum)"),
-                None => String::new(),
-            }
-        )?;
-        if let Some(steps) = self.steps_to_125 {
-            writeln!(f, "  reached 1.25x of optimum after {steps} steps")?;
-        }
-        write!(
-            f,
-            "  mean step time {:.3}s  (95% bootstrap CI {:.3}..{:.3})",
-            self.step_time_ci.estimate, self.step_time_ci.lo, self.step_time_ci.hi
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,53 +177,5 @@ mod tests {
     fn absurd_cutoff_rejected() {
         let trace = ClusterTraceModel::gs2_like(4, 100).generate(1);
         TraceReport::analyze_with_cutoff(&trace, 0.01);
-    }
-
-    #[test]
-    fn session_report_summarises_a_run() {
-        use crate::prelude::*;
-        let gs2 = Gs2Model::paper_scale();
-        let tuner = OnlineTuner::new(TunerConfig {
-            full_occupancy: false,
-            ..TunerConfig::paper_default(80, Estimator::MinOfK(2), 3)
-        });
-        let mut pro = ProOptimizer::with_defaults(gs2.space().clone());
-        let rho = 0.2;
-        let out = tuner
-            .run(&gs2, &Noise::paper_default(rho), &mut pro)
-            .expect("tuning session produced a recommendation");
-        let report = SessionReport::of(&out, &gs2, rho);
-        assert_eq!(report.total_time, out.total_time());
-        assert!((report.ntt - 0.8 * report.total_time).abs() < 1e-9);
-        let ratio = report.optimality_ratio.expect("lattice is finite");
-        assert!((1.0..3.0).contains(&ratio), "ratio={ratio}");
-        assert!(report.step_time_ci.lo <= report.step_time_ci.estimate);
-        assert!(report.step_time_ci.estimate <= report.step_time_ci.hi);
-        let text = report.to_string();
-        assert!(text.contains("deployed cost"), "{text}");
-        assert!(text.contains("bootstrap CI"), "{text}");
-    }
-
-    #[test]
-    fn session_report_without_ground_truth() {
-        use crate::prelude::*;
-        use crate::surface::objective::FnObjective;
-        let space = ParamSpace::new(vec![
-            harmony_params::ParamDef::continuous("x", -1.0, 1.0).unwrap()
-        ])
-        .unwrap();
-        let obj = FnObjective::new("cont", space.clone(), |p| 1.0 + p[0] * p[0]);
-        let tuner = OnlineTuner::new(TunerConfig {
-            full_occupancy: false,
-            ..TunerConfig::paper_default(40, Estimator::Single, 1)
-        });
-        let mut pro = ProOptimizer::with_defaults(space);
-        let out = tuner
-            .run(&obj, &Noise::None, &mut pro)
-            .expect("tuning session produced a recommendation");
-        let report = SessionReport::of(&out, &obj, 0.0);
-        assert!(report.global_optimum.is_none());
-        assert!(report.optimality_ratio.is_none());
-        assert!(report.steps_to_125.is_none());
     }
 }

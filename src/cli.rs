@@ -1,25 +1,19 @@
-//! The `harmony-tune` command-line driver: describe a parameter space,
-//! pick an objective, an algorithm, a noise level, and an estimator, and
-//! run one on-line tuning session.
+//! The `harmony-tune` command-line driver: pick an objective (the GS2
+//! model or its §6 performance database), an algorithm, a noise level,
+//! and an estimator, and run one on-line tuning session.
 //!
 //! ```text
 //! harmony-tune --objective gs2 --algo pro --rho 0.2 --estimator min3
-//! harmony-tune --space "tile int 8 512 step 8; threads int 1 64" \
-//!              --objective sphere --steps 200 --seed 7
+//! harmony-tune --objective database --algo sro --steps 200 --seed 7
 //! ```
 
 use crate::core::baselines::{ExhaustiveSweep, GeneticAlgorithm, RandomSearch, SimulatedAnnealing};
 use crate::core::nelder_mead::NelderMead;
-use crate::core::restart::restarting_pro;
 use crate::core::sro::SroOptimizer;
 use crate::core::surrogate::SurrogateOptimizer;
 use crate::core::{Estimator, OnlineTuner, Optimizer, ProConfig, ProOptimizer, TunerConfig};
-use crate::params::spec::parse_space;
 use crate::params::ParamSpace;
-use crate::surface::testfns::{Domain, TestFunction, TestObjective};
-use crate::surface::{
-    best_on_lattice, Gs2Model, Objective, PerfDatabase, StencilHalo, TiledMatMul,
-};
+use crate::surface::{best_on_lattice, Gs2Model, Objective, PerfDatabase};
 use crate::variability::noise::Noise;
 use crate::variability::seeded_rng;
 use harmony_cluster::SamplingMode;
@@ -27,24 +21,20 @@ use harmony_cluster::SamplingMode;
 /// Parsed command-line configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CliConfig {
-    /// Parameter-space spec (ignored for `gs2`/`database`, which carry
-    /// their own space).
-    pub space: Option<String>,
-    /// Objective name: `gs2`, `database`, `matmul`, `stencil`,
-    /// `sphere`, `rastrigin`, `rosenbrock`, `ackley`, `griewank`.
+    /// Objective name: `gs2` or `database`.
     pub objective: String,
-    /// Algorithm: `pro`, `pro-multistart`, `sro`, `nelder-mead`,
-    /// `random`, `sa`, `ga`, `exhaustive`.
+    /// Algorithm: `pro`, `sro`, `nelder-mead`, `surrogate`, `random`,
+    /// `sa`, `ga`, `exhaustive`.
     pub algo: String,
     /// Idle throughput `ρ` of the Pareto noise (0 disables noise).
     pub rho: f64,
-    /// Pareto tail index.
+    /// Pareto tail index (finite, > 1).
     pub alpha: f64,
     /// Estimator spec: `single`, `minK`, `meanK`, `medianK` (e.g. `min3`).
     pub estimator: String,
     /// Time-step budget.
     pub steps: usize,
-    /// Simulated processors.
+    /// Simulated processors (at least 1).
     pub procs: usize,
     /// RNG seed.
     pub seed: u64,
@@ -59,7 +49,6 @@ pub struct CliConfig {
 impl Default for CliConfig {
     fn default() -> Self {
         CliConfig {
-            space: None,
             objective: "gs2".into(),
             algo: "pro".into(),
             rho: 0.2,
@@ -80,10 +69,9 @@ pub const USAGE: &str =
     "harmony-tune — on-line parameter tuning (PRO / Active Harmony reproduction)
 
 USAGE:
-  harmony-tune [--objective gs2|database|matmul|stencil|sphere|rastrigin|rosenbrock|ackley|griewank]
-               [--space \"<name> int <lo> <hi> [step <s>]; <name> real <lo> <hi>; ...\"]
-               [--algo pro|pro-multistart|sro|nelder-mead|surrogate|random|sa|ga|exhaustive]
-               [--rho <0..1>] [--alpha <pareto tail index>]
+  harmony-tune [--objective gs2|database]
+               [--algo pro|sro|nelder-mead|surrogate|random|sa|ga|exhaustive]
+               [--rho <0..1>] [--alpha <pareto tail index, > 1>]
                [--estimator single|min<K>|mean<K>|median<K>]
                [--steps <n>] [--procs <n>] [--seed <n>]
                [--continuous] [--trace] [--reps <n>] [--help]
@@ -110,7 +98,6 @@ impl CliConfig {
                     .ok_or_else(|| format!("flag {flag} needs a value"))
             };
             match arg {
-                "--space" => cfg.space = Some(value("--space")?),
                 "--objective" => cfg.objective = value("--objective")?,
                 "--algo" => cfg.algo = value("--algo")?,
                 "--rho" => {
@@ -156,6 +143,13 @@ impl CliConfig {
         if !(0.0..1.0).contains(&cfg.rho) {
             return Err("--rho must be in [0, 1)".into());
         }
+        // eq. 17's beta is 0 at alpha = 1 and negative below it
+        if !(cfg.alpha.is_finite() && cfg.alpha > 1.0) {
+            return Err("--alpha must be finite and greater than 1".into());
+        }
+        if cfg.procs == 0 {
+            return Err("--procs must be at least 1".into());
+        }
         cfg.parse_estimator()?; // validate early
         Ok(cfg)
     }
@@ -187,27 +181,8 @@ impl CliConfig {
     }
 
     fn build_objective(&self) -> Result<Box<dyn Objective>, String> {
-        let testfn = |f: TestFunction| -> Result<Box<dyn Objective>, String> {
-            match &self.space {
-                Some(spec) => {
-                    let space = parse_space(spec).map_err(|e| e.to_string())?;
-                    Ok(Box::new(SpacedTestFn { space, f }))
-                }
-                None => Ok(Box::new(TestObjective::new(
-                    f,
-                    Domain::Lattice {
-                        lo: -5.0,
-                        hi: 5.0,
-                        steps: 21,
-                    },
-                    3,
-                ))),
-            }
-        };
         match self.objective.as_str() {
             "gs2" => Ok(Box::new(Gs2Model::paper_scale())),
-            "matmul" => Ok(Box::new(TiledMatMul::default_scale())),
-            "stencil" => Ok(Box::new(StencilHalo::default_scale())),
             "database" => {
                 let mut rng = seeded_rng(self.seed ^ 0xDB);
                 Ok(Box::new(PerfDatabase::from_objective(
@@ -217,11 +192,6 @@ impl CliConfig {
                     &mut rng,
                 )))
             }
-            "sphere" => testfn(TestFunction::Sphere),
-            "rastrigin" => testfn(TestFunction::Rastrigin),
-            "rosenbrock" => testfn(TestFunction::Rosenbrock),
-            "ackley" => testfn(TestFunction::Ackley),
-            "griewank" => testfn(TestFunction::Griewank),
             other => Err(format!("unknown objective `{other}`")),
         }
     }
@@ -235,7 +205,6 @@ impl CliConfig {
                     ..ProConfig::default()
                 },
             )),
-            "pro-multistart" => Box::new(restarting_pro(space, ProConfig::default(), 6, self.seed)),
             "sro" => Box::new(SroOptimizer::with_defaults(space)),
             "nelder-mead" => Box::new(NelderMead::with_defaults(space)),
             "surrogate" => Box::new(SurrogateOptimizer::with_defaults(space, self.seed)),
@@ -250,7 +219,7 @@ impl CliConfig {
     /// Runs the configured session, returning the printed report.
     ///
     /// # Errors
-    /// Propagates configuration errors (objective/space/algorithm).
+    /// Propagates configuration errors (objective/algorithm).
     pub fn run(&self) -> Result<String, String> {
         if self.reps > 1 {
             return self.run_averaged();
@@ -387,24 +356,6 @@ impl CliConfig {
     }
 }
 
-/// A test function bound to a user-specified space.
-struct SpacedTestFn {
-    space: ParamSpace,
-    f: TestFunction,
-}
-
-impl Objective for SpacedTestFn {
-    fn space(&self) -> &ParamSpace {
-        &self.space
-    }
-    fn eval(&self, x: &crate::params::Point) -> f64 {
-        1.0 + self.f.raw(x.as_slice())
-    }
-    fn name(&self) -> &str {
-        self.f.name()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,7 +366,7 @@ mod tests {
         assert_eq!(cfg, CliConfig::default());
         let cfg = CliConfig::parse([
             "--objective",
-            "sphere",
+            "database",
             "--algo",
             "sro",
             "--rho",
@@ -427,7 +378,7 @@ mod tests {
             "--continuous",
         ])
         .unwrap();
-        assert_eq!(cfg.objective, "sphere");
+        assert_eq!(cfg.objective, "database");
         assert_eq!(cfg.algo, "sro");
         assert_eq!(cfg.rho, 0.3);
         assert_eq!(cfg.steps, 50);
@@ -440,6 +391,14 @@ mod tests {
         assert!(CliConfig::parse(["--bogus"]).is_err());
         assert!(CliConfig::parse(["--rho"]).is_err());
         assert!(CliConfig::parse(["--rho", "1.5"]).is_err());
+        for alpha in ["0.5", "nan", "1.0", "1", "inf"] {
+            let err = CliConfig::parse(["--alpha", alpha]).unwrap_err();
+            assert!(err.contains("--alpha"), "{alpha}: {err}");
+        }
+        let err = CliConfig::parse(["--procs", "0"]).unwrap_err();
+        assert!(err.contains("--procs"), "{err}");
+        let err = CliConfig::parse(["--procs", "0", "--algo", "exhaustive"]).unwrap_err();
+        assert!(err.contains("--procs"), "{err}");
         assert!(CliConfig::parse(["--estimator", "min0"]).is_err());
         assert!(CliConfig::parse(["--estimator", "max3"]).is_err());
         assert!(CliConfig::parse(["--help"]).is_err()); // usage via Err
@@ -472,34 +431,6 @@ mod tests {
     }
 
     #[test]
-    fn runs_custom_space_sphere() {
-        let cfg = CliConfig {
-            objective: "sphere".into(),
-            space: Some("x int -10 10; y int -10 10".into()),
-            estimator: "single".into(),
-            rho: 0.0,
-            steps: 50,
-            ..CliConfig::default()
-        };
-        let report = cfg.run().unwrap();
-        assert!(report.contains("best config: x=0, y=0"), "{report}");
-        assert!(report.contains("true cost:   1.0000"));
-    }
-
-    #[test]
-    fn overflowing_space_is_an_error_not_a_panic() {
-        let cfg = CliConfig::parse([
-            "--objective",
-            "sphere",
-            "--space",
-            "a int -9223372036854775808 9223372036854775807",
-        ])
-        .unwrap();
-        let err = cfg.run().unwrap_err();
-        assert!(err.contains("invalid range for parameter `a`"), "{err}");
-    }
-
-    #[test]
     fn trace_flag_prints_steps() {
         let cfg = CliConfig {
             steps: 10,
@@ -511,23 +442,6 @@ mod tests {
         let report = cfg.run().unwrap();
         assert!(report.contains("step,t_k"));
         assert!(report.contains("10,"));
-    }
-
-    #[test]
-    fn new_objectives_and_multistart_run() {
-        for objective in ["matmul", "stencil"] {
-            let cfg = CliConfig {
-                objective: objective.into(),
-                algo: "pro-multistart".into(),
-                steps: 40,
-                estimator: "single".into(),
-                rho: 0.0,
-                ..CliConfig::default()
-            };
-            let report = cfg.run().unwrap_or_else(|e| panic!("{objective}: {e}"));
-            assert!(report.contains("pro"), "{report}");
-            assert!(report.contains("true cost:"), "{report}");
-        }
     }
 
     #[test]
@@ -553,15 +467,7 @@ mod tests {
 
     #[test]
     fn every_algorithm_runs() {
-        for algo in [
-            "pro",
-            "pro-multistart",
-            "sro",
-            "nelder-mead",
-            "random",
-            "sa",
-            "ga",
-        ] {
+        for algo in ["pro", "sro", "nelder-mead", "random", "sa", "ga"] {
             let cfg = CliConfig {
                 algo: algo.into(),
                 steps: 30,

@@ -11,8 +11,8 @@
 //!   geometry, initial-simplex construction,
 //! * [`variability`] — heavy-tailed noise models, the two-priority-queue
 //!   machine model and its discrete-event validation, cluster traces,
-//! * [`surface`] — objectives: the synthetic GS2 model, the §6
-//!   performance database with interpolation, standard test functions,
+//! * [`surface`] — objectives: the synthetic GS2 model and the §6
+//!   performance database with interpolation,
 //! * [`stats`] — ECDF / histogram / Hill-estimator tail diagnostics and
 //!   the closed-form min-of-K theory,
 //! * [`cluster`] — SPMD time-step execution, `Total_Time`/NTT metrics,

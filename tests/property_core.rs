@@ -4,7 +4,6 @@
 //! functions.
 
 use harmony::core::nelder_mead::NelderMead;
-use harmony::core::restart::restarting_pro;
 use harmony::core::sro::SroOptimizer;
 use harmony::core::CachedObjective;
 use harmony::prelude::*;
@@ -164,44 +163,6 @@ proptest! {
             opt.observe(&vals);
         }
         prop_assert!(opt.best().is_some());
-    }
-
-    #[test]
-    fn restarting_pro_is_well_behaved(
-        space in arb_space(),
-        values in prop::collection::vec(0.1f64..1e3, 250),
-        starts in 1usize..4,
-    ) {
-        let mut opt = restarting_pro(space.clone(), harmony::core::ProConfig::default(), starts, 11);
-        let mut cursor = 0usize;
-        let mut batches = 0usize;
-        loop {
-            let batch = opt.propose();
-            if batch.is_empty() {
-                break;
-            }
-            for p in &batch {
-                prop_assert!(space.is_admissible(p));
-            }
-            let vals: Vec<f64> = batch
-                .iter()
-                .map(|_| {
-                    let v = values[cursor % values.len()];
-                    cursor += 1;
-                    v
-                })
-                .collect();
-            opt.observe(&vals);
-            batches += 1;
-            prop_assert!(batches < 5_000, "restarting PRO failed to terminate");
-        }
-        prop_assert!(opt.converged());
-        prop_assert!(opt.starts() <= starts);
-        // the recommendation never exceeds the incumbent estimate by
-        // more than noise-free bookkeeping allows
-        let (_, best) = opt.best().expect("incumbent exists");
-        let (_, rec) = opt.recommendation().expect("recommendation exists");
-        prop_assert!(rec >= best - 1e-12);
     }
 
     #[test]

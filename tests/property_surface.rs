@@ -6,7 +6,7 @@
 use harmony::params::PointKey;
 use harmony::prelude::*;
 use harmony::surface::database::{idw_scan, inv_scales};
-use harmony::surface::{PerfDatabase, StencilHalo, TiledMatMul};
+use harmony::surface::PerfDatabase;
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -22,18 +22,6 @@ proptest! {
         let v = m.eval(&p);
         prop_assert!(v.is_finite() && v > 0.0, "f({p:?}) = {v}");
         prop_assert_eq!(v, m.eval(&p));
-    }
-
-    #[test]
-    fn kernel_models_are_positive_finite(u in unit_coords()) {
-        let mm = TiledMatMul::default_scale();
-        let p = mm.space().point_from_unit(&u);
-        let v = mm.eval(&p);
-        prop_assert!(v.is_finite() && v > 0.0);
-        let st = StencilHalo::default_scale();
-        let q = st.space().point_from_unit(&u);
-        let w = st.eval(&q);
-        prop_assert!(w.is_finite() && w > 0.0);
     }
 
     #[test]

@@ -3,9 +3,7 @@
 
 use harmony::prelude::*;
 use harmony::variability::des::TwoPriorityDes;
-use harmony::variability::dist::{
-    BoundedPareto, Distribution, Exponential, Gaussian, LogNormal, Uniform, Weibull,
-};
+use harmony::variability::dist::{BoundedPareto, Distribution, Exponential, Gaussian, Uniform};
 use proptest::prelude::*;
 use rand::RngCore;
 
@@ -54,8 +52,6 @@ proptest! {
         }
         prop_assert!(roundtrip(&Exponential::with_mean(2.0), p) < 1e-9);
         prop_assert!(roundtrip(&Gaussian::new(3.0, 1.5), p) < 1e-5);
-        prop_assert!(roundtrip(&LogNormal::new(0.2, 0.7), p) < 1e-5);
-        prop_assert!(roundtrip(&Weibull::new(1.4, 2.0), p) < 1e-9);
         prop_assert!(roundtrip(&Uniform::new(-2.0, 5.0), p) < 1e-9);
     }
 
@@ -140,8 +136,6 @@ proptest! {
         check(&BoundedPareto::new(1.2, 0.3, 9.0), seed, n)?;
         check(&Exponential::with_mean(2.5), seed, n)?;
         check(&Gaussian::new(3.0, 1.5), seed, n)?;
-        check(&LogNormal::new(0.2, 0.7), seed, n)?;
-        check(&Weibull::new(1.4, 2.0), seed, n)?;
         check(&Uniform::new(-2.0, 5.0), seed, n)?;
     }
 
@@ -167,7 +161,6 @@ proptest! {
         for n in [0, 1, LANES - 1, LANES, LANES + 1, 4 * LANES, 4 * LANES + 3] {
             check(&Pareto::new(1.7, 0.4), seed, n)?;
             check(&Gaussian::new(3.0, 1.5), seed, n)?;
-            check(&LogNormal::new(0.2, 0.7), seed, n)?;
             check(&Exponential::with_mean(2.5), seed, n)?;
         }
     }
