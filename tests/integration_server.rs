@@ -152,3 +152,100 @@ fn adaptive_tuner_on_gs2_is_frugal() {
         out_a.trace.len()
     );
 }
+
+/// FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// One journaled, traced GS2 server session rendered as text: its
+/// outcome or error with the supervisor report, every WAL line, every
+/// telemetry record, and every flight-recorder post-mortem.
+fn session_text(procs: usize, k: usize, plan: FaultPlan, supervised: bool, seed: u64) -> String {
+    let gs2 = Gs2Model::paper_scale();
+    let mut pro = ProOptimizer::with_defaults(gs2.space().clone());
+    let cfg = ServerConfig::new(procs, 60, Estimator::MinOfK(k), seed).unwrap();
+    let memory = std::sync::Arc::new(MemorySink::new());
+    let recorder = std::sync::Arc::new(FlightRecorder::wrap(32, memory.clone()));
+    let mut journal = SessionJournal::in_memory();
+    let opts = SessionOptions {
+        plan,
+        telemetry: Telemetry::with_config(recorder.clone(), TelemetryConfig::default()),
+        journal: Some(&mut journal),
+        supervisor: supervised.then(SupervisorConfig::default),
+        ..SessionOptions::default()
+    };
+    let out = run_session(&gs2, &Noise::paper_default(0.2), &mut pro, cfg, opts);
+    let mut text = format!("{out:?}\n");
+    for line in journal.wal_lines().unwrap() {
+        text.push_str(&line);
+        text.push('\n');
+    }
+    for record in memory.take() {
+        text.push_str(&record.to_json());
+        text.push('\n');
+    }
+    for pm in recorder.take_post_mortems() {
+        text.push_str(&pm.text);
+    }
+    text
+}
+
+/// Everything a grid of 720 GS2 server sessions produces is pinned by
+/// one digest: 12 seeds, 1–3 clients, five fault plans (none, delivery
+/// faults only, crash rates 0.5 and 1.0, and a mix), supervised or not,
+/// and K ∈ {1, 3}. The grid must reach the paths where dispatch order
+/// matters most: a lone client crashing in the middle of a batch, and
+/// an exploit runner dying so that the next live client takes over.
+#[test]
+fn pinned_session_grid_is_unchanged() {
+    let mut all = String::new();
+    let (mut lone_crashes, mut runner_deaths) = (0, 0);
+    for seed in 1..=12u64 {
+        let s = seed * 7;
+        let plans = [
+            FaultPlan::none(),
+            FaultPlan::new(s, 0.0, 0.1, 0.1, 0.1),
+            FaultPlan::new(s, 0.5, 0.0, 0.0, 0.0),
+            FaultPlan::new(s, 1.0, 0.0, 0.0, 0.0),
+            FaultPlan::new(s, 0.3, 0.05, 0.05, 0.05),
+        ];
+        for procs in 1..=3 {
+            for plan in plans {
+                for supervised in [false, true] {
+                    for k in [1, 3] {
+                        let text = session_text(procs, k, plan, supervised, seed);
+                        // a lone client died while tuning: no exploit step
+                        // was ever journaled
+                        if procs == 1
+                            && k == 3
+                            && text.starts_with("Err(AllClientsDead")
+                            && !text.contains("{\"t\":\"exploit\"")
+                        {
+                            lone_crashes += 1;
+                        }
+                        // an exploit step whose runner died
+                        if text.contains("\"kind\":3") {
+                            runner_deaths += 1;
+                        }
+                        all.push_str(&text);
+                    }
+                }
+            }
+        }
+    }
+    assert!(lone_crashes > 0, "no lone client crashed mid-batch");
+    assert!(runner_deaths > 0, "no exploit runner died");
+    assert_eq!(
+        (
+            all.len(),
+            fnv1a(all.as_bytes()),
+            lone_crashes,
+            runner_deaths
+        ),
+        (14_115_437, 16_483_662_852_054_831_534, 44, 8),
+        "a pinned server session changed"
+    );
+}
