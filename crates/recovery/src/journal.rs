@@ -11,7 +11,7 @@
 use crate::wal::WalRecord;
 use std::fs;
 use std::io::{self, Write as _};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A session's persisted recovery state: an append-only WAL plus the
 /// snapshots taken at batch boundaries.
@@ -20,12 +20,12 @@ pub struct SessionJournal {
     store: Store,
 }
 
-/// One in-memory WAL entry. Typed records are kept as structs and
-/// serialised lazily on read: the append sits on the session hot path,
-/// and for a process-memory store eager stringification buys no
-/// durability — it only costs the overhead gate its budget. Raw lines
-/// come from [`SessionJournal::append_wal`] (tests inject torn lines to
-/// exercise recovery).
+/// One in-memory WAL entry. Typed records are kept as structs, moved in
+/// rather than copied, and serialised lazily on read: the append sits
+/// on the session hot path, and for a process-memory store eager
+/// stringification buys no durability — it only costs the overhead
+/// gate its budget. Raw lines come from [`SessionJournal::append_wal`]
+/// (tests inject torn lines to exercise recovery).
 #[derive(Debug, Clone)]
 enum Line {
     Raw(String),
@@ -66,6 +66,16 @@ fn raw_batch_id(line: &str) -> Option<u64> {
         .nth(1)
         .and_then(|rest| rest.split([',', '}']).next())
         .and_then(|b| b.trim().parse::<u64>().ok())
+}
+
+/// Appends `line` and its newline to `dir`'s WAL in one write.
+fn append_line(dir: &Path, mut line: String) -> io::Result<()> {
+    line.push('\n');
+    fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(dir.join("wal.jsonl"))?
+        .write_all(line.as_bytes())
 }
 
 #[derive(Debug, Clone)]
@@ -112,27 +122,58 @@ impl SessionJournal {
                 wal.push(Line::Raw(line.to_owned()));
                 Ok(())
             }
-            Store::Dir(dir) => {
-                let mut f = fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(dir.join("wal.jsonl"))?;
-                writeln!(f, "{line}")
-            }
+            Store::Dir(dir) => append_line(dir, line.to_owned()),
         }
     }
 
-    /// Appends one typed WAL record. The in-memory backend stores a
-    /// copy and serialises lazily on read; the directory backend
-    /// serialises and writes immediately — the write is what makes the
-    /// record durable there.
-    pub fn append_record(&mut self, rec: &WalRecord) -> io::Result<()> {
+    /// Appends one typed WAL record, then hands it to `commit`, so the
+    /// record is in the journal before its effect is (write-ahead). The
+    /// in-memory backend keeps the record itself and serialises lazily
+    /// on read; the directory backend serialises and writes it first —
+    /// the write is what makes the record durable there — and runs
+    /// `commit` only once the write succeeded.
+    pub fn append_record(
+        &mut self,
+        rec: WalRecord,
+        commit: impl FnOnce(&WalRecord),
+    ) -> io::Result<()> {
         match &mut self.store {
             Store::Memory { wal, .. } => {
-                wal.push(Line::Rec(rec.clone()));
+                wal.push(Line::Rec(rec));
+                if let Some(Line::Rec(rec)) = wal.last() {
+                    commit(rec);
+                }
+            }
+            Store::Dir(dir) => {
+                append_line(dir, rec.to_line())?;
+                commit(&rec);
+            }
+        }
+        Ok(())
+    }
+
+    /// Removes the final WAL line: resume calls this when that line is
+    /// torn (a kill mid-append), so the next append starts a line of
+    /// its own. Left in place, the torn line would stop being the last
+    /// one, and the next resume would refuse it as corruption. The
+    /// directory backend shortens the file in one `set_len`, so a kill
+    /// during the cut leaves either the torn line or none.
+    pub fn cut_torn_tail(&mut self) -> io::Result<()> {
+        match &mut self.store {
+            Store::Memory { wal, .. } => {
+                wal.pop();
                 Ok(())
             }
-            Store::Dir(_) => self.append_wal(&rec.to_line()),
+            Store::Dir(dir) => {
+                let path = dir.join("wal.jsonl");
+                let text = fs::read_to_string(&path)?;
+                let body = text.strip_suffix('\n').unwrap_or(&text);
+                let keep = body.rfind('\n').map_or(0, |i| i + 1);
+                fs::OpenOptions::new()
+                    .write(true)
+                    .open(path)?
+                    .set_len(keep as u64)
+            }
         }
     }
 
@@ -313,6 +354,39 @@ mod tests {
         assert_eq!(b, 2);
         let (wal_bytes, snap_bytes) = journal.size_bytes().unwrap();
         assert!(wal_bytes > 0 && snap_bytes == 3);
+    }
+
+    #[test]
+    fn cut_torn_tail_removes_only_the_last_line() {
+        let dir = std::env::temp_dir().join(format!("harmony-journal-torn-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let whole = ["{\"t\":\"hdr\",\"v\":1}", "{\"t\":\"batch\",\"b\":1}"];
+        for mut journal in [
+            SessionJournal::in_memory(),
+            SessionJournal::at_dir(&dir).unwrap(),
+        ] {
+            for line in whole {
+                journal.append_wal(line).unwrap();
+            }
+            journal.append_wal("{\"t\":\"ba").unwrap();
+            journal.cut_torn_tail().unwrap();
+            journal.append_wal("{\"t\":\"batch\",\"b\":2}").unwrap();
+            let lines = journal.wal_lines().unwrap();
+            assert_eq!(lines[..2], whole);
+            assert_eq!(lines[2], "{\"t\":\"batch\",\"b\":2}");
+            assert_eq!(lines.len(), 3);
+        }
+        // a write cut short on disk leaves no newline after the torn line
+        fs::write(
+            dir.join("wal.jsonl"),
+            format!("{}\n{}", whole[0], "{\"t\":\"ba"),
+        )
+        .unwrap();
+        let mut journal = SessionJournal::at_dir(&dir).unwrap();
+        journal.cut_torn_tail().unwrap();
+        journal.append_wal(whole[1]).unwrap();
+        assert_eq!(journal.wal_lines().unwrap(), whole);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

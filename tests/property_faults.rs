@@ -103,7 +103,7 @@ proptest! {
     fn replay_is_bit_identical(
         seed in 0u64..2_000,
         plan_seed in 0u64..2_000,
-        procs in 2usize..9,
+        procs in 1usize..9,
         crash in 0.0f64..0.6,
         hang in 0.0f64..0.3,
         dup in 0.0f64..0.2,
@@ -139,7 +139,7 @@ proptest! {
     fn resume_after_random_kill_is_bit_identical(
         seed in 0u64..2_000,
         plan_seed in 0u64..2_000,
-        procs in 2usize..9,
+        procs in 1usize..9,
         crash in 0.0f64..0.4,
         kill_frac in 0.0f64..1.0,
         snap in 0u64..4,
@@ -220,7 +220,7 @@ proptest! {
     fn supervised_replay_is_bit_identical(
         seed in 0u64..2_000,
         plan_seed in 0u64..2_000,
-        procs in 2usize..9,
+        procs in 1usize..9,
         hang in 0.0f64..0.5,
         drop in 0.0f64..0.4,
     ) {
@@ -280,7 +280,7 @@ proptest! {
     fn replay_is_indistinguishable_from_live(
         seed in 0u64..2_000,
         plan_seed in 0u64..2_000,
-        procs in 2usize..6,
+        procs in 1usize..6,
         (crash, hang) in (0.0f64..0.4, 0.0f64..0.2),
         (drop, dup) in (0.0f64..0.2, 0.0f64..0.2),
         supervised in 0u8..2,
