@@ -53,21 +53,28 @@
 //!
 //! A slot is sent as soon as the client that will run it is fixed, so
 //! a client that already holds its next slot does not wait a thread
-//! handoff per step. Rounds still resolve one by one, in queue order.
+//! handoff per step. A task message carries a list of slots, which the
+//! client answers with one reply holding their events in order. Rounds
+//! still resolve one by one, in queue order, from an inbox that hands
+//! the server one event at a time.
 //!
 //! * **One live client in a tuning batch** gets every queued slot up
-//!   front, and a requeued slot as soon as it is queued (the back of
-//!   the queue, where its round would send it anyway). The client runs
-//!   its channel in order, so it draws the same task serials, fault
-//!   decisions and noise; if it crashes, the slots behind the crash
-//!   never run and the session ends [`ServerError::AllClientsDead`] as
-//!   it would have.
-//! * **The exploit runner** gets every remaining step; if it dies, the
-//!   rest go to the next live client. The exploit never consults the
-//!   health tracker and only a `Died` report changes the runner.
-//! * **Several live clients** get one slot per round. An eviction or a
-//!   breaker change can reassign later rounds, and a client cannot
-//!   take back a task it has already run.
+//!   front as one send-ahead run (a single task message), and a
+//!   requeued slot as a task of its own as soon as it is queued
+//!   (behind the run, where its round would send it anyway). A batch
+//!   whose slots all report on time therefore costs one message each
+//!   way. The client runs its channel in order, so it draws the same
+//!   task serials, fault decisions and noise; if it crashes, its reply
+//!   ends with the crash, the slots behind it never run, and the
+//!   session ends [`ServerError::AllClientsDead`] as it would have.
+//! * **The exploit runner** gets every remaining step as one run; if it
+//!   dies, the rest go to the next live client as another. The exploit
+//!   never consults the health tracker and only a `Died` report
+//!   changes the runner.
+//! * **Several live clients** get one slot per round, each a task of
+//!   its own, so one message each way per slot. An eviction or a
+//!   breaker change can reassign later rounds, and a client cannot take
+//!   back a task it has already run.
 //!
 //! # One entry point
 //!
@@ -98,7 +105,7 @@ use harmony_telemetry::{event, Field, Telemetry};
 use harmony_variability::counting::CountingRng;
 use harmony_variability::noise::NoiseModel;
 use harmony_variability::{seeded_rng, stream_seed};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::mpsc::{channel, Receiver, Sender};
 
@@ -245,8 +252,12 @@ struct Assignment {
 
 /// Server→client message.
 enum Task {
-    /// Evaluate `point`; echo `assign` back in the report.
-    Run { assign: Assignment, point: Point },
+    /// Evaluate every `(assign, point)` in order, echoing `assign` back
+    /// in its report, and answer with one reply holding all their
+    /// events in the order they happened. A crash ends the run, and its
+    /// `Died` ends the reply. A send-ahead run carries a whole queue;
+    /// round-at-a-time dispatch sends one slot.
+    Run(Vec<(Assignment, Point)>),
     /// Shut down the client loop.
     Stop,
 }
@@ -481,21 +492,21 @@ where
         j.append_record(header, |_| {}).map_err(journal_io)?;
     }
     std::thread::scope(|scope| {
-        let (event_tx, events) = channel::<Event>();
+        let (reply_tx, replies) = channel::<Vec<Event>>();
         let clients: Vec<Sender<Task>> = (0..cfg.procs)
             .map(|c| {
                 let (task_tx, task_rx) = channel::<Task>();
-                let event_tx = event_tx.clone();
+                let reply_tx = reply_tx.clone();
                 let (plan, start, costs) = (&plan, resume.starts[c], shared.costs);
                 scope.spawn(move || {
                     client_loop(
-                        c, task_rx, event_tx, objective, noise, cfg.seed, plan, start, costs,
+                        c, task_rx, reply_tx, objective, noise, cfg.seed, plan, start, costs,
                     )
                 });
                 task_tx
             })
             .collect();
-        drop(event_tx);
+        drop(reply_tx);
 
         let tel = &telemetry;
         let span = tel.enabled().then(|| {
@@ -515,7 +526,10 @@ where
             tel,
             span,
             clients: &clients,
-            events: &events,
+            inbox: Inbox {
+                replies,
+                queued: VecDeque::new(),
+            },
             optimizer,
             objective: match shared.costs {
                 Some(db) => CachedObjective::with_shared(objective, db),
@@ -612,7 +626,7 @@ where
 fn client_loop<O, M>(
     id: usize,
     tasks: Receiver<Task>,
-    events: Sender<Event>,
+    replies: Sender<Vec<Event>>,
     objective: &O,
     noise: &M,
     seed: u64,
@@ -631,57 +645,57 @@ fn client_loop<O, M>(
     rng.fast_forward(start_draws);
     let crash_at = plan.crash_point(id);
     let mut serial = start_serial;
-    while let Ok(task) = tasks.recv() {
-        match task {
-            Task::Run { assign, point } => {
-                if crash_at == Some(serial) {
-                    // permanent death: surface it (heartbeat monitor)
-                    // and never process another task
-                    let _ = events.send(Event::Died { client: id, assign });
-                    return;
+    while let Ok(Task::Run(slots)) = tasks.recv() {
+        let mut events = Vec::with_capacity(slots.len());
+        let alive = slots.iter().all(|(assign, point)| {
+            let assign = *assign;
+            if crash_at == Some(serial) {
+                // permanent death: surface it (heartbeat monitor) and
+                // never process another task
+                events.push(Event::Died { client: id, assign });
+                return false;
+            }
+            // cache-before-evaluate: a flushed cross-session entry is
+            // the exact deterministic cost, so substituting it skips the
+            // probe without changing any outcome
+            let cost = match shared_costs {
+                Some(db) => db.query(point).unwrap_or_else(|| {
+                    let c = objective.eval(point);
+                    db.record(point, c);
+                    c
+                }),
+                None => objective.eval(point),
+            };
+            let observed = noise.observe(cost, &mut rng);
+            serial += 1;
+            let draws = rng.draws();
+            let report = |late, duplicate| Event::Report {
+                assign,
+                observed,
+                late,
+                duplicate,
+                client: id,
+                serial,
+                draws,
+            };
+            match plan.delivery(id, serial - 1) {
+                Delivery::OnTime => events.push(report(false, false)),
+                Delivery::Duplicated => {
+                    events.push(report(false, true));
+                    events.push(report(false, true));
                 }
-                // cache-before-evaluate: a flushed cross-session entry
-                // is the exact deterministic cost, so substituting it
-                // skips the probe without changing any outcome
-                let cost = match shared_costs {
-                    Some(db) => db.query(&point).unwrap_or_else(|| {
-                        let c = objective.eval(&point);
-                        db.record(&point, c);
-                        c
-                    }),
-                    None => objective.eval(&point),
-                };
-                let observed = noise.observe(cost, &mut rng);
-                serial += 1;
-                let draws = rng.draws();
-                let report = |late, duplicate| Event::Report {
+                Delivery::Late => events.push(report(true, false)),
+                Delivery::Lost => events.push(Event::Lost {
                     assign,
-                    observed,
-                    late,
-                    duplicate,
                     client: id,
                     serial,
                     draws,
-                };
-                let sent = match plan.delivery(id, serial - 1) {
-                    Delivery::OnTime => events.send(report(false, false)),
-                    Delivery::Duplicated => {
-                        let _ = events.send(report(false, true));
-                        events.send(report(false, true))
-                    }
-                    Delivery::Late => events.send(report(true, false)),
-                    Delivery::Lost => events.send(Event::Lost {
-                        assign,
-                        client: id,
-                        serial,
-                        draws,
-                    }),
-                };
-                if sent.is_err() {
-                    break; // server gone
-                }
+                }),
             }
-            Task::Stop => break,
+            true
+        });
+        if replies.send(events).is_err() || !alive {
+            break; // server gone, or crashed
         }
     }
 }
@@ -720,9 +734,10 @@ fn journal_io(e: std::io::Error) -> ServerError {
 /// as bits, so any drift in configuration fails loudly instead of
 /// replaying against different semantics. A torn final line (a kill
 /// mid-append) is cut from the journal once the rest has passed, so the
-/// resumed session appends behind the last whole record; corruption
-/// anywhere earlier, or a record the session could not have written
-/// (see [`record_fits`]), is an error.
+/// resumed session appends behind the last whole record; a torn header
+/// with nothing after it is cut the same way, and the session starts
+/// fresh. Corruption anywhere earlier, or a record the session could
+/// not have written (see [`record_fits`]), is an error.
 fn scan_journal(
     journal: &mut SessionJournal,
     cfg: &ServerConfig,
@@ -733,9 +748,16 @@ fn scan_journal(
     if lines.is_empty() {
         return Ok(ResumePlan::fresh(cfg.procs));
     }
-    let WalRecord::Header(header) = WalRecord::from_line(&lines[0])
-        .map_err(|e| recovery_err(format!("bad WAL header: {e}")))?
-    else {
+    let header = match WalRecord::from_line(&lines[0]) {
+        // a lone torn header is a kill during the very first append:
+        // nothing was committed, so the session starts over
+        Err(_) if lines.len() == 1 => {
+            journal.cut_torn_tail().map_err(journal_io)?;
+            return Ok(ResumePlan::fresh(cfg.procs));
+        }
+        parsed => parsed.map_err(|e| recovery_err(format!("bad WAL header: {e}")))?,
+    };
+    let WalRecord::Header(header) = header else {
         return Err(recovery_err("first WAL line is not a header"));
     };
     if header.version != WAL_VERSION {
@@ -999,6 +1021,27 @@ fn reduce(estimator: Estimator, samples: &[Vec<f64>]) -> Vec<Option<f64>> {
         .collect()
 }
 
+/// The server's end of the reply channel. It hands out the events of
+/// every reply one at a time, in the order the clients sent them, so a
+/// send-ahead run's events resolve round by round like single reports.
+struct Inbox {
+    replies: Receiver<Vec<Event>>,
+    /// The events of the last reply not yet handed out.
+    queued: VecDeque<Event>,
+}
+
+impl Inbox {
+    /// The next event, or `None` once every client has hung up.
+    fn next(&mut self) -> Option<Event> {
+        loop {
+            if let Some(event) = self.queued.pop_front() {
+                return Some(event);
+            }
+            self.queued = self.replies.recv().ok()?.into();
+        }
+    }
+}
+
 /// The server side of one session: batch scheduling, deadline/retry
 /// accounting, optimizer advancement, exploit fill, persistence and
 /// supervision.
@@ -1014,7 +1057,7 @@ struct Session<'a, O: Objective + ?Sized> {
     /// The `server.session` span, when tracing.
     span: Option<u64>,
     clients: &'a [Sender<Task>],
-    events: &'a Receiver<Event>,
+    inbox: Inbox,
     optimizer: &'a mut dyn Optimizer,
     /// Objectives are deterministic (noise is applied per client), so
     /// memoizing the recommendation probes is exact — the quality curve
@@ -1204,9 +1247,10 @@ impl<'a, O: Objective + ?Sized> Session<'a, O> {
     /// requeues.
     ///
     /// With one live client, every slot of `pending` goes to that
-    /// client, in queue order: the round sends the whole queue ahead
-    /// and each requeued slot the moment it is queued, so the client
-    /// runs the next slot while the server resolves this one.
+    /// client, in queue order: the round sends the whole queue ahead as
+    /// one run, and each requeued slot as its own task the moment it is
+    /// queued. A batch with no miss then costs one task message and one
+    /// reply, where round-at-a-time dispatch costs one of each per slot.
     fn dispatch_round(
         &mut self,
         batch: &[Point],
@@ -1221,10 +1265,12 @@ impl<'a, O: Objective + ?Sized> Session<'a, O> {
             None => self.fleet.live.clone(),
         };
         if let (false, &[only]) = (pending.sent, &self.fleet.live[..]) {
-            for &(slot, attempt) in &pending.slots {
-                let assign = self.assignment(slot, attempt);
-                self.send(only, assign, &batch[slot / k]);
-            }
+            let run = pending
+                .slots
+                .iter()
+                .map(|&(slot, attempt)| (self.assignment(slot, attempt), batch[slot / k].clone()))
+                .collect();
+            self.send(only, run);
             pending.sent = true;
         }
         let take = clients.len().min(pending.slots.len());
@@ -1254,7 +1300,7 @@ impl<'a, O: Objective + ?Sized> Session<'a, O> {
                     pending.slots.push_back((slot, attempt + 1));
                     if pending.sent {
                         let assign = self.assignment(slot, attempt + 1);
-                        self.send(client, assign, &batch[slot / k]);
+                        self.send(client, vec![(assign, batch[slot / k].clone())]);
                     }
                 }
                 None => {
@@ -1276,11 +1322,17 @@ impl<'a, O: Objective + ?Sized> Session<'a, O> {
     ///
     /// A lone client reads its channel in order, so a slot sent ahead
     /// runs with the same task serial — hence the same fault decision
-    /// and noise draws — as one sent when its round comes, and its
-    /// report arrives after every event of the slots before it. If the
-    /// client crashes, the slots behind the crash never run: the crash
-    /// round evicts it and the session ends [`ServerError::AllClientsDead`]
-    /// before any of their rounds.
+    /// and noise draws — as one sent when its round comes, and the inbox
+    /// hands out its report after every event of the slots before it:
+    /// each client's event sequence is the one round-at-a-time dispatch
+    /// produces, only chunked into one reply per run. The client never
+    /// waits on the server inside a run, so the reply always arrives.
+    /// If the client crashes, the slots behind the crash never run: the
+    /// crash round evicts it and the session ends
+    /// [`ServerError::AllClientsDead`] before any of their rounds.
+    ///
+    /// A round holds at most `procs` assignments, so the outstanding
+    /// ones sit in a list scanned linearly.
     fn run_round(
         &mut self,
         round: &[(usize, u32)],
@@ -1292,23 +1344,28 @@ impl<'a, O: Objective + ?Sized> Session<'a, O> {
         let k = cfg.estimator.samples();
         // deadline charge escalates with the attempt number (backoff)
         let charge = |attempt: u32| cfg.deadline * cfg.backoff.powi(attempt as i32);
-        let mut outstanding: HashMap<Assignment, usize> = HashMap::with_capacity(round.len());
+        let mut outstanding: Vec<(Assignment, usize)> = Vec::with_capacity(round.len());
+        // the round position of `assign`, if it is still outstanding
+        let resolve = |outstanding: &mut Vec<(Assignment, usize)>, assign: Assignment| {
+            let i = outstanding.iter().position(|&(a, _)| a == assign)?;
+            Some(outstanding.swap_remove(i).1)
+        };
         let mut observed: Vec<Option<f64>> = vec![None; round.len()];
         let mut dead: Vec<usize> = Vec::new();
         let mut t_k = f64::NEG_INFINITY;
         for (pos, (&client, &(slot, attempt))) in delta.clients.iter().zip(round).enumerate() {
             let assign = self.assignment(slot, attempt);
-            if !sent && !self.send(client, assign, &batch[slot / k]) {
+            if !sent && !self.send(client, vec![(assign, batch[slot / k].clone())]) {
                 // client thread already gone (defensive: normally Died
                 // is seen first) — immediate miss, evict
                 dead.push(client);
                 t_k = t_k.max(charge(attempt));
                 continue;
             }
-            outstanding.insert(assign, pos);
+            outstanding.push((assign, pos));
         }
         while !outstanding.is_empty() {
-            let Ok(event) = self.events.recv() else {
+            let Some(event) = self.inbox.next() else {
                 return Err(ServerError::AllClientsDead {
                     step: self.trace.len(),
                 });
@@ -1325,7 +1382,7 @@ impl<'a, O: Objective + ?Sized> Session<'a, O> {
                 Event::Lost { assign, .. } => (assign, None, false),
                 Event::Died { client, assign } => {
                     dead.push(client);
-                    if outstanding.remove(&assign).is_some() {
+                    if resolve(&mut outstanding, assign).is_some() {
                         t_k = t_k.max(charge(assign.attempt));
                     }
                     continue;
@@ -1334,7 +1391,7 @@ impl<'a, O: Objective + ?Sized> Session<'a, O> {
             // a non-outstanding assignment is a stale or extra copy of an
             // already-resolved one: de-duplicated by the (batch, slot,
             // attempt) key and discarded silently
-            if let Some(pos) = outstanding.remove(&assign) {
+            if let Some(pos) = resolve(&mut outstanding, assign) {
                 self.evaluations += 1;
                 // counted on the matched copy: the extra copy may or may
                 // not ever be read (it can still be in flight at
@@ -1365,15 +1422,12 @@ impl<'a, O: Objective + ?Sized> Session<'a, O> {
         }
     }
 
-    /// Sends `point` to `client` as `assign`; `false` when the client's
+    /// Sends `run` to `client` as one task; `false` when the client's
     /// thread is gone. A send ahead of its round ignores the result:
     /// a thread that is gone crashed on an earlier task of the same
     /// channel, whose round evicts it first.
-    fn send(&self, client: usize, assign: Assignment, point: &Point) -> bool {
-        let point = point.clone();
-        self.clients[client]
-            .send(Task::Run { assign, point })
-            .is_ok()
+    fn send(&self, client: usize, run: Vec<(Assignment, Point)>) -> bool {
+        self.clients[client].send(Task::Run(run)).is_ok()
     }
 
     /// Advances the breaker clock at the start of a dispatch round
@@ -1524,12 +1578,14 @@ impl<'a, O: Objective + ?Sized> Session<'a, O> {
     /// configuration until the step budget is spent; if it dies the next
     /// live client takes over.
     ///
-    /// Every remaining step is sent to the runner at once, each under
-    /// the batch id its step will carry, and the steps still resolve
-    /// one by one in order. This is exact: the exploit never consults
-    /// the health tracker, only a `Died` report changes the runner, and
-    /// a dead runner runs none of the steps queued behind its crash, so
-    /// the next live client is sent every step from the crash on.
+    /// Every remaining step is sent to the runner as one run, each
+    /// under the batch id its step will carry; the runner answers with
+    /// one reply, and the steps still resolve one by one in order. This
+    /// is exact: the exploit never consults the health tracker, only a
+    /// `Died` report changes the runner, and a dead runner runs none of
+    /// the steps behind its crash, so the next live client is sent every
+    /// step from the crash on as another run. An exploit phase costs
+    /// one message each way per runner.
     fn exploit(&mut self, best: &Point) -> Result<(), ServerError> {
         let deadline = self.cfg.deadline;
         let mut pre_evicted: Vec<usize> = Vec::new();
@@ -1544,19 +1600,21 @@ impl<'a, O: Objective + ?Sized> Session<'a, O> {
             self.batch_id += 1;
             let assign = self.assignment(0, 0);
             if sent_to != Some(runner) {
-                if !self.send(runner, assign, best) {
+                let run = (0..(self.cfg.max_steps - step) as u64)
+                    .map(|ahead| {
+                        let batch = assign.batch + ahead;
+                        (Assignment { batch, ..assign }, best.clone())
+                    })
+                    .collect();
+                if !self.send(runner, run) {
                     self.fleet.evict(runner);
                     pre_evicted.push(runner);
                     continue;
                 }
-                for ahead in 1..(self.cfg.max_steps - step) as u64 {
-                    let batch = assign.batch + ahead;
-                    self.send(runner, Assignment { batch, ..assign }, best);
-                }
                 sent_to = Some(runner);
             }
             let (kind, duplicate, t_k) = loop {
-                let Ok(event) = self.events.recv() else {
+                let Some(event) = self.inbox.next() else {
                     return Err(self.fail(ServerError::AllClientsDead { step }));
                 };
                 self.fleet.note(&event);
@@ -2210,6 +2268,121 @@ mod tests {
         assert_eq!(summary.span_count("server.session"), Some(1));
     }
 
+    /// Drives one client loop on this thread over `tasks` (sent before
+    /// the loop starts) and returns its replies and how many times it
+    /// evaluated the objective.
+    fn drive_client(plan: FaultPlan, noise: &Noise, tasks: Vec<Task>) -> (Vec<Vec<Event>>, usize) {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let evals = AtomicUsize::new(0);
+        let obj = FnObjective::new("counted", space(), |p: &Point| {
+            evals.fetch_add(1, Ordering::Relaxed);
+            1.5 + 0.1 * (p[0] * p[0] + p[1] * p[1])
+        });
+        let (task_tx, task_rx) = channel();
+        let (reply_tx, replies) = channel();
+        for task in tasks {
+            task_tx.send(task).unwrap();
+        }
+        // hung up, so a loop that runs past its end returns rather than
+        // blocking
+        drop(task_tx);
+        client_loop(0, task_rx, reply_tx, &obj, noise, 42, &plan, (0, 0), None);
+        (replies.try_iter().collect(), evals.load(Ordering::Relaxed))
+    }
+
+    fn slot_task(slot: usize) -> (Assignment, Point) {
+        let assign = Assignment {
+            batch: 1,
+            slot,
+            attempt: 0,
+        };
+        (assign, Point::new(vec![slot as f64, 1.0]))
+    }
+
+    #[test]
+    fn client_answers_a_run_with_one_reply_that_ends_at_a_crash() {
+        // a plan whose client 0 crashes mid-list, after at least one
+        // duplicated and one on-time report
+        let crash_plan = |seed| {
+            let plan = FaultPlan::new(seed, 1.0, 0.0, 0.0, 0.5);
+            let c = plan.crash_point(0)?;
+            let fates: Vec<Delivery> = (0..c).map(|s| plan.delivery(0, s)).collect();
+            (c < 10 && fates.contains(&Delivery::Duplicated) && fates.contains(&Delivery::OnTime))
+                .then_some((plan, c))
+        };
+        let (plan, crash) = (0..).find_map(crash_plan).unwrap();
+        let noise = Noise::Pareto {
+            alpha: 1.7,
+            rho: 0.3,
+        };
+        let run: Vec<_> = (0..crash + 3).map(slot_task).collect();
+        let tasks = vec![Task::Run(run), Task::Run(vec![slot_task(99)])];
+        let (replies, evals) = drive_client(plan, &noise, tasks);
+        assert_eq!(evals, crash, "nothing runs at or after the crash");
+        let [events] = &replies[..] else {
+            panic!("one reply for the run and none for the task behind it");
+        };
+
+        // the meters a client that runs `crash` tasks reaches
+        let mut rng = CountingRng::new(seeded_rng(stream_seed(42, 1)));
+        let mut expected = Vec::new();
+        for s in 0..crash {
+            let cost = 1.5 + 0.1 * (s * s + 1) as f64;
+            let observed = noise.observe(cost, &mut rng);
+            let copies = match plan.delivery(0, s) {
+                Delivery::Duplicated => 2,
+                _ => 1,
+            };
+            for _ in 0..copies {
+                expected.push((s, observed, s + 1, rng.draws()));
+            }
+        }
+        let (last, reports) = events.split_last().unwrap();
+        assert!(
+            matches!(last, Event::Died { client: 0, assign } if assign.slot == crash),
+            "the reply ends with the crash"
+        );
+        let got: Vec<_> = reports
+            .iter()
+            .map(|e| match *e {
+                Event::Report {
+                    assign,
+                    observed,
+                    late: false,
+                    duplicate,
+                    client: 0,
+                    serial,
+                    draws,
+                } => {
+                    let copies = plan.delivery(0, assign.slot) == Delivery::Duplicated;
+                    assert_eq!(duplicate, copies, "slot {}", assign.slot);
+                    (assign.slot, observed, serial, draws)
+                }
+                _ => panic!("an on-time or duplicated report before the crash"),
+            })
+            .collect();
+        assert_eq!(got, expected, "one report per delivery, two per duplicate");
+    }
+
+    #[test]
+    fn stop_behind_a_run_ends_the_client_loop() {
+        let run: Vec<_> = (0..5).map(slot_task).collect();
+        let tasks = vec![Task::Run(run), Task::Stop, Task::Run(vec![slot_task(7)])];
+        let (replies, evals) = drive_client(FaultPlan::none(), &Noise::None, tasks);
+        assert_eq!(evals, 5, "the task behind Stop never runs");
+        let [events] = &replies[..] else {
+            panic!("one reply for the run");
+        };
+        let serials: Vec<_> = events
+            .iter()
+            .map(|e| match *e {
+                Event::Report { assign, serial, .. } => (assign.slot, serial),
+                _ => panic!("fault-free reports only"),
+            })
+            .collect();
+        assert_eq!(serials, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
+    }
+
     #[test]
     fn quorum_needed_rule() {
         assert_eq!(quorum_needed(4, 0.5), 2);
@@ -2434,6 +2607,55 @@ mod tests {
             assert_eq!(full, run(&mut part), "second resume");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn lone_torn_header_starts_the_session_over() {
+        let obj = bowl();
+        let config = cfg(Estimator::Single, 30, 1);
+        let plan = FaultPlan::new(7, 0.0, 0.1, 0.1, 0.1);
+        let run = |journal: &mut SessionJournal| {
+            let mut opt = ProOptimizer::with_defaults(space());
+            let opts = journaled(plan, journal, RecoveryConfig::default());
+            outcome(&obj, &Noise::None, &mut opt, config, opts)
+        };
+
+        let mut journal = SessionJournal::in_memory();
+        let full = run(&mut journal).unwrap();
+        let lines = journal.wal_lines().unwrap();
+        let torn = &lines[0][..lines[0].len() / 2];
+
+        let dir = std::env::temp_dir().join(format!("harmony-torn-hdr-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        for mut part in [
+            SessionJournal::in_memory(),
+            SessionJournal::at_dir(&dir).unwrap(),
+        ] {
+            // a kill during the very first append
+            part.append_wal(torn).unwrap();
+            assert_eq!(
+                full,
+                run(&mut part).unwrap(),
+                "a lone torn header is a fresh start"
+            );
+            assert_eq!(part.wal_lines().unwrap(), lines);
+        }
+        // on disk the torn header may lack its newline
+        std::fs::write(dir.join("wal.jsonl"), torn).unwrap();
+        let mut part = SessionJournal::at_dir(&dir).unwrap();
+        assert_eq!(full, run(&mut part).unwrap());
+        assert_eq!(part.wal_lines().unwrap(), lines);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // a bad header with records behind it is corruption, not a kill
+        let mut bad = SessionJournal::in_memory();
+        bad.append_wal(torn).unwrap();
+        bad.append_wal(&lines[1]).unwrap();
+        let out = run(&mut bad);
+        assert!(
+            matches!(&out, Err(ServerError::Recovery(why)) if why.contains("bad WAL header")),
+            "{out:?}"
+        );
     }
 
     #[test]

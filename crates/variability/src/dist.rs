@@ -492,93 +492,6 @@ impl Distribution for Gaussian {
     }
 }
 
-/// Uniform distribution on `[lo, hi)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Uniform {
-    /// Lower bound.
-    pub lo: f64,
-    /// Upper bound (> lo).
-    pub hi: f64,
-}
-
-impl Uniform {
-    /// Creates a uniform distribution.
-    ///
-    /// # Panics
-    /// Panics unless `lo < hi`.
-    pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(lo < hi, "Uniform requires lo < hi");
-        Uniform { lo, hi }
-    }
-}
-
-impl Distribution for Uniform {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.lo + (self.hi - self.lo) * rng.random::<f64>()
-    }
-
-    fn cdf(&self, x: f64) -> f64 {
-        ((x - self.lo) / (self.hi - self.lo)).clamp(0.0, 1.0)
-    }
-
-    fn quantile(&self, p: f64) -> f64 {
-        self.lo + (self.hi - self.lo) * p
-    }
-
-    fn mean(&self) -> f64 {
-        0.5 * (self.lo + self.hi)
-    }
-
-    fn variance(&self) -> f64 {
-        let w = self.hi - self.lo;
-        w * w / 12.0
-    }
-
-    fn fill_samples<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
-        let w = self.hi - self.lo;
-        for slot in out.iter_mut() {
-            *slot = self.lo + w * rng.random::<f64>();
-        }
-    }
-}
-
-/// A point mass: always returns `value` (the `ρ = 0` no-noise case).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Degenerate {
-    /// The single admissible value.
-    pub value: f64,
-}
-
-impl Distribution for Degenerate {
-    fn sample<R: Rng + ?Sized>(&self, _rng: &mut R) -> f64 {
-        self.value
-    }
-
-    fn cdf(&self, x: f64) -> f64 {
-        if x >= self.value {
-            1.0
-        } else {
-            0.0
-        }
-    }
-
-    fn quantile(&self, _p: f64) -> f64 {
-        self.value
-    }
-
-    fn mean(&self) -> f64 {
-        self.value
-    }
-
-    fn variance(&self) -> f64 {
-        0.0
-    }
-
-    fn fill_samples<R: Rng + ?Sized>(&self, _rng: &mut R, out: &mut [f64]) {
-        out.fill(self.value);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -733,19 +646,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_and_degenerate() {
-        let u = Uniform::new(-1.0, 3.0);
-        assert!(ks_stat(&u, 20_000, 15) < 0.02);
-        assert_eq!(u.mean(), 1.0);
-        let d = Degenerate { value: 4.2 };
-        let mut rng = seeded_rng(16);
-        assert_eq!(d.sample(&mut rng), 4.2);
-        assert_eq!(d.cdf(4.2), 1.0);
-        assert_eq!(d.cdf(4.1), 0.0);
-        assert_eq!(d.variance(), 0.0);
-    }
-
-    #[test]
     #[should_panic(expected = "alpha, beta > 0")]
     fn pareto_rejects_bad_params() {
         Pareto::new(0.0, 1.0);
@@ -770,7 +670,5 @@ mod tests {
         assert_fill_matches_scalar(&BoundedPareto::new(1.1, 0.5, 5.0), 22);
         assert_fill_matches_scalar(&Exponential::with_mean(2.5), 23);
         assert_fill_matches_scalar(&Gaussian::new(10.0, 3.0), 24);
-        assert_fill_matches_scalar(&Uniform::new(-1.0, 3.0), 27);
-        assert_fill_matches_scalar(&Degenerate { value: 4.2 }, 28);
     }
 }
